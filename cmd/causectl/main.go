@@ -165,6 +165,43 @@ func treeLatency(t *analysis.Tree) (time.Duration, bool) {
 	return total, has
 }
 
+// showPrefixes maps every tree's chain to the shortest prefix of its UUID
+// (never shorter than UUID.Short) that `causectl show` resolves to that
+// chain alone. Uniqueness is taken over the whole store, not the rows a
+// filter leaves, because the whole store is what show matches a prefix
+// against; a listing must not print an ID the next command rejects as
+// ambiguous. Sequentially generated UUIDs from different processes share
+// their leading counter, so eight characters are often not enough.
+func showPrefixes(trees []*analysis.Tree) map[uuid.UUID]string {
+	ids := make([]string, len(trees))
+	for i, t := range trees {
+		ids[i] = t.Chain.String()
+	}
+	sort.Strings(ids)
+	common := func(a, b string) int {
+		n := 0
+		for n < len(a) && n < len(b) && a[n] == b[n] {
+			n++
+		}
+		return n
+	}
+	out := make(map[uuid.UUID]string, len(trees))
+	for _, t := range trees {
+		id := t.Chain.String()
+		// The closest other IDs are the sorted neighbours.
+		i := sort.SearchStrings(ids, id)
+		need := len(t.Chain.Short())
+		if i > 0 {
+			need = max(need, common(id, ids[i-1])+1)
+		}
+		if i+1 < len(ids) {
+			need = max(need, common(id, ids[i+1])+1)
+		}
+		out[t.Chain] = id[:min(need, len(id))]
+	}
+	return out
+}
+
 func cmdChains(w io.Writer, src source, workers int, args []string) error {
 	fs := flag.NewFlagSet("causectl chains", flag.ContinueOnError)
 	iface := fs.String("iface", "", "only chains whose root interface contains this substring")
@@ -207,7 +244,12 @@ func cmdChains(w io.Writer, src source, workers int, args []string) error {
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].latency > rows[j].latency })
 
-	fmt.Fprintf(w, "%-10s %-44s %7s %12s %s\n", "CHAIN", "ROOT", "NODES", "LATENCY", "STATUS")
+	prefixes := showPrefixes(g.Trees)
+	width := 10
+	for _, r := range rows {
+		width = max(width, len(prefixes[r.tree.Chain]))
+	}
+	fmt.Fprintf(w, "%-*s %-44s %7s %12s %s\n", width, "CHAIN", "ROOT", "NODES", "LATENCY", "STATUS")
 	for _, r := range rows {
 		root := rootOf(r.tree)
 		nodes := 0
@@ -222,8 +264,8 @@ func cmdChains(w io.Writer, src source, workers int, args []string) error {
 		if n := anomalous[r.tree.Chain]; n > 0 {
 			st = fmt.Sprintf("anomalous(%d)", n)
 		}
-		fmt.Fprintf(w, "%-10s %-44s %7d %12s %s\n",
-			r.tree.Chain.Short(), root.Op.Interface+"::"+root.Op.Operation, nodes, lat, st)
+		fmt.Fprintf(w, "%-*s %-44s %7d %12s %s\n",
+			width, prefixes[r.tree.Chain], root.Op.Interface+"::"+root.Op.Operation, nodes, lat, st)
 	}
 	fmt.Fprintf(w, "%d chain(s)\n", len(rows))
 	return nil

@@ -12,7 +12,9 @@ import (
 	"causeway"
 	"causeway/internal/analysis"
 	"causeway/internal/probe"
+	"causeway/internal/topology"
 	"causeway/internal/tracestore"
+	"causeway/internal/uuid"
 	"causeway/internal/workload"
 )
 
@@ -147,11 +149,71 @@ func TestShowChain(t *testing.T) {
 	if err := run([]string{"-store", fx.storeDir, "show", prefix}, &show); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(show.String(), "chain "+prefix) {
+	// The listing may print more than the tree header's eight characters
+	// when eight are ambiguous.
+	if !strings.Contains(show.String(), "chain "+prefix[:8]) {
 		t.Fatalf("show output lacks chain header: %q", show.String())
 	}
 	if err := run([]string{"-store", fx.storeDir, "show", "ffffffffffff"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("show with unknown chain succeeded")
+	}
+}
+
+// TestChainsPrintsResolvablePrefixes builds the collision that made
+// TestShowChain flaky, on purpose: sequential generators in two processes
+// mint UUIDs that agree on the leading counter and differ only in the seed
+// field, so Short() names two chains at once. Every ID `chains` prints
+// must be one `show` accepts.
+func TestChainsPrintsResolvablePrefixes(t *testing.T) {
+	storeDir := filepath.Join(t.TempDir(), "store")
+	ts, err := tracestore.Open(storeDir, tracestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := probe.OpID{Component: "c", Interface: "I", Operation: "m", Object: "o"}
+	for _, seed := range []uint64{0x11, 0x12} {
+		sink := &probe.MemorySink{}
+		p, err := probe.New(probe.Config{
+			Process: topology.Process{ID: "proc", Processor: topology.Processor{ID: "proc", Type: "x86"}},
+			Aspects: probe.AspectLatency,
+			Sink:    sink,
+			Chains:  &uuid.SequentialGenerator{Seed: seed},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := p.StubStart(op, false)
+		sctx := p.SkelStart(op, ctx.Wire, false)
+		p.StubEnd(ctx, p.SkelEnd(sctx))
+		p.Tunnel().Clear()
+		ts.Insert(sink.Snapshot()...)
+	}
+	if err := ts.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := run([]string{"-store", storeDir, "show", "00000001"}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+		t.Fatalf("fixture does not collide on the short prefix: %v", err)
+	}
+	var chains bytes.Buffer
+	if err := run([]string{"-store", storeDir, "chains"}, &chains); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(chains.String()), "\n")
+	if len(lines) != 4 { // header, two chains, count
+		t.Fatalf("chains output: %q", chains.String())
+	}
+	seen := map[string]bool{}
+	for _, line := range lines[1:3] {
+		prefix := strings.Fields(line)[0]
+		if len(prefix) <= 8 || seen[prefix] {
+			t.Fatalf("chains printed %q for a colliding chain:\n%s", prefix, chains.String())
+		}
+		seen[prefix] = true
+		var show bytes.Buffer
+		if err := run([]string{"-store", storeDir, "show", prefix}, &show); err != nil {
+			t.Fatalf("show rejects a prefix chains printed: %v", err)
+		}
 	}
 }
 

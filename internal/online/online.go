@@ -93,8 +93,9 @@ type RootSummary struct {
 }
 
 var (
-	_ probe.Sink     = (*Monitor)(nil)
-	_ probe.SpanSink = (*Monitor)(nil)
+	_ probe.Sink      = (*Monitor)(nil)
+	_ probe.SpanSink  = (*Monitor)(nil)
+	_ probe.BatchSink = (*Monitor)(nil)
 )
 
 // NewMonitor builds an online monitor.
@@ -112,7 +113,10 @@ func NewMonitor(cfg Config) *Monitor {
 }
 
 // chainState is one chain's incremental parse: events applied in seq
-// order, with early arrivals parked in pending.
+// order, with early arrivals parked in pending (nil until the first one).
+// The state outlives every tree it builds — a chain's later sibling roots
+// continue its sequence — but holds no finished tree: pop clears the slot
+// it vacates, so a delivered root is the callback's to keep or drop.
 type chainState struct {
 	nextSeq uint64
 	pending map[uint64]probe.Record
@@ -123,38 +127,54 @@ type chainState struct {
 func (m *Monitor) Append(r probe.Record) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.appendLocked(r)
+	m.appendLocked(&r)
 }
 
 // AppendSpan implements probe.SpanSink: the records of one invocation
 // span apply under a single lock acquisition instead of one per record.
-func (m *Monitor) AppendSpan(recs []probe.Record) {
+func (m *Monitor) AppendSpan(recs []probe.Record) { m.AppendBatch(recs) }
+
+// AppendBatch implements probe.BatchSink: a ship frame's records — any
+// mix of chains — apply in order under one lock acquisition.
+func (m *Monitor) AppendBatch(recs []probe.Record) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i := range recs {
-		m.appendLocked(recs[i])
+		m.appendLocked(&recs[i])
 	}
 }
 
-func (m *Monitor) appendLocked(r probe.Record) {
+func (m *Monitor) appendLocked(r *probe.Record) {
 	switch r.Kind {
 	case probe.KindLink:
 		m.links[r.LinkChild] = r.LinkParent
 	case probe.KindEvent:
 		cs, ok := m.chains[r.Chain]
 		if !ok {
-			cs = &chainState{nextSeq: 1, pending: make(map[uint64]probe.Record)}
+			cs = &chainState{nextSeq: 1}
 			m.chains[r.Chain] = cs
 		}
-		cs.pending[r.Seq] = r
-		for {
+		if r.Seq != cs.nextSeq {
+			// Early (or duplicate, or stale) arrival: park it until the
+			// sequence catches up.
+			if cs.pending == nil {
+				cs.pending = make(map[uint64]probe.Record)
+			}
+			cs.pending[r.Seq] = *r
+			return
+		}
+		// In order — the common case: apply without touching pending,
+		// then whatever the arrival unblocked.
+		cs.nextSeq++
+		m.apply(cs, r)
+		for len(cs.pending) > 0 {
 			next, ok := cs.pending[cs.nextSeq]
 			if !ok {
 				return
 			}
 			delete(cs.pending, cs.nextSeq)
 			cs.nextSeq++
-			m.apply(cs, next)
+			m.apply(cs, &next)
 		}
 	}
 }
@@ -170,8 +190,8 @@ func (m *Monitor) anomaly(r probe.Record, format string, args ...any) {
 }
 
 // apply advances one chain's state machine by one event.
-func (m *Monitor) apply(cs *chainState, r probe.Record) {
-	rec := r // stable copy whose address the node keeps
+func (m *Monitor) apply(cs *chainState, r *probe.Record) {
+	rec := *r // stable copy whose address the node keeps
 	top := func() *analysis.Node {
 		if len(cs.stack) == 0 {
 			return nil
@@ -185,8 +205,13 @@ func (m *Monitor) apply(cs *chainState, r probe.Record) {
 		cs.stack = append(cs.stack, n)
 	}
 	pop := func() *analysis.Node {
-		n := cs.stack[len(cs.stack)-1]
-		cs.stack = cs.stack[:len(cs.stack)-1]
+		last := len(cs.stack) - 1
+		n := cs.stack[last]
+		// Clear the vacated slot: the backing array outlives the pop, and
+		// a pointer left in it would keep the whole finished subtree (and
+		// every record it points to) reachable for the chain's lifetime.
+		cs.stack[last] = nil
+		cs.stack = cs.stack[:last]
 		if len(cs.stack) == 0 {
 			m.complete(n, rec.Chain)
 		}
@@ -262,9 +287,9 @@ func (m *Monitor) complete(root *analysis.Node, chain uuid.UUID) {
 	// remembers which causal chain last landed in it, stamped with the
 	// root's closing wall time (falling back to observation time when the
 	// latency aspect was off).
-	when := time.Now()
-	if end := rootEnd(root); !end.IsZero() {
-		when = end
+	when := rootEnd(root)
+	if when.IsZero() {
+		when = time.Now()
 	}
 	whenNanos := when.UnixNano()
 	nodes := 0

@@ -2,6 +2,7 @@ package online
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -255,5 +256,83 @@ func TestOnlineConcurrentChains(t *testing.T) {
 	defer mu.Unlock()
 	if roots != clients {
 		t.Fatalf("roots = %d, want %d", roots, clients)
+	}
+}
+
+// A root handed to OnRoot and not kept is garbage the moment the callback
+// returns — the monitor's per-chain state, which lives on for the chain's
+// later siblings, must not pin the finished tree (a popped stack slot left
+// uncleared would, through the slice's backing array).
+func TestFinishedRootIsCollectable(t *testing.T) {
+	freed := make(chan struct{}, 1)
+	roots := 0
+	m := NewMonitor(Config{OnRoot: func(ev RootEvent) {
+		roots++
+		if roots == 1 {
+			runtime.SetFinalizer(ev.Root, func(*analysis.Node) { freed <- struct{}{} })
+		}
+	}})
+	h := newLiveHarness(t, m, probe.AspectLatency)
+	h.callSync("F", func() { h.callSync("G", nil) })
+	if roots != 1 {
+		t.Fatalf("%d roots delivered, want 1", roots)
+	}
+	deadline := time.After(5 * time.Second)
+	for collected := false; !collected; {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-deadline:
+			t.Fatal("finished root still reachable from the monitor after GC")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	// The chain's state is still there: a sibling root on the same chain
+	// continues the sequence and completes.
+	if len(m.chains) != 1 {
+		t.Fatalf("monitor tracks %d chains, want the one whose root was freed", len(m.chains))
+	}
+	h.callSync("H", nil)
+	if roots != 2 {
+		t.Fatalf("sibling root on the surviving chain state not delivered (%d roots)", roots)
+	}
+	if open := m.OpenChains(); open != 0 {
+		t.Fatalf("%d chains left open", open)
+	}
+}
+
+// Records arriving in order never touch the early-arrival map; it exists
+// only once something does arrive early, and drains when the gap fills.
+func TestPendingAllocatedOnlyForEarlyArrivals(t *testing.T) {
+	sink := &probe.MemorySink{}
+	h := newLiveHarness(t, sink, 0)
+	h.callSync("F", func() { h.callSync("G", nil) })
+	recs := sink.Snapshot()
+
+	var got int
+	m := NewMonitor(Config{OnRoot: func(RootEvent) { got++ }})
+	m.AppendBatch(recs)
+	if got != 1 {
+		t.Fatalf("in-order batch delivered %d roots, want 1", got)
+	}
+	for _, cs := range m.chains {
+		if cs.pending != nil {
+			t.Fatal("in-order records allocated the early-arrival map")
+		}
+	}
+
+	got = 0
+	m = NewMonitor(Config{OnRoot: func(RootEvent) { got++ }})
+	swapped := append([]probe.Record(nil), recs...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	m.AppendBatch(swapped)
+	if got != 1 {
+		t.Fatalf("batch with an early arrival delivered %d roots, want 1", got)
+	}
+	for _, cs := range m.chains {
+		if cs.pending == nil || len(cs.pending) != 0 {
+			t.Fatalf("early arrival not parked and drained: pending=%v", cs.pending)
+		}
 	}
 }

@@ -186,6 +186,17 @@ type SpanSink interface {
 	AppendSpan(recs []Record)
 }
 
+// BatchSink is the consumer-side bulk path: a sink that can accept a whole
+// ship frame's records in one call, so a collector pays one lock round per
+// frame instead of one per record. Unlike a span, a batch is any number of
+// records of any mix of chains, in arrival order. The telemetry server
+// discovers it by type assertion and falls back to per-record Append.
+type BatchSink interface {
+	// AppendBatch stores recs as if each had been passed to Append in
+	// order. The callee must not retain recs past the call.
+	AppendBatch(recs []Record)
+}
+
 // spanBuf accumulates one probe span. Max occupancy is 4 records: a
 // collocated span (stub_start, skel_start, skel_end, stub_end) or a oneway
 // stub span (stub_start, link, stub_end).

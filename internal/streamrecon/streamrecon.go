@@ -48,8 +48,10 @@
 package streamrecon
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -144,6 +146,14 @@ type Ledger struct {
 type chainBuf struct {
 	recs []probe.Record
 	last time.Time // when the newest record arrived
+	// unsorted is set when a record arrives with a lower Seq than the one
+	// before it; only then does judging have to sort.
+	unsorted bool
+	// judged is len(recs) at the last judgement that left the chain open.
+	// The parse is a pure function of the buffered records, so until one
+	// more arrives (or StaleAfter forces the eviction) judging again would
+	// reach the same verdict.
+	judged int
 }
 
 // Chain decisions remembered after eviction, so stragglers follow them.
@@ -173,13 +183,18 @@ type Assembler struct {
 	feed  []Completion
 	feedN uint64 // completions ever; feedN%len(feed) is the next slot
 
+	judgements uint64 // chains parsed by Tick and FlushOpen, ever
+
 	// evictMu serializes the out-of-lock half of evictions (store
 	// inserts + OnComplete callbacks) so completions are delivered in
 	// feed order.
 	evictMu sync.Mutex
 }
 
-var _ probe.Sink = (*Assembler)(nil)
+var (
+	_ probe.Sink      = (*Assembler)(nil)
+	_ probe.BatchSink = (*Assembler)(nil)
+)
 
 // New builds an assembler, applying defaults.
 func New(cfg Config) (*Assembler, error) {
@@ -217,12 +232,28 @@ func New(cfg Config) (*Assembler, error) {
 func (a *Assembler) Append(r probe.Record) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	a.appendLocked(&r, a.cfg.Clock())
+}
+
+// AppendBatch implements probe.BatchSink: a ship frame's records are
+// buffered under one lock acquisition and stamped with one clock reading.
+func (a *Assembler) AppendBatch(recs []probe.Record) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	now := a.cfg.Clock()
+	for i := range recs {
+		a.appendLocked(&recs[i], now)
+	}
+}
+
+// appendLocked buffers one record that arrived at now. Called under a.mu.
+func (a *Assembler) appendLocked(r *probe.Record, now time.Time) {
 	a.appended++
 	if r.Kind == probe.KindLink {
 		// Links are store metadata, not chain events: forward on the
 		// next Tick. A link whose parent chain is later discarded is
 		// harmless — ChildChain is only consulted for nodes that exist.
-		a.persistQ = append(a.persistQ, r)
+		a.persistQ = append(a.persistQ, *r)
 		a.buffered++
 		return
 	}
@@ -230,7 +261,7 @@ func (a *Assembler) Append(r probe.Record) {
 		// Straggler for an evicted chain: follow the chain's decision.
 		switch d {
 		case decidedPersist:
-			a.persistQ = append(a.persistQ, r)
+			a.persistQ = append(a.persistQ, *r)
 			a.buffered++
 		case decidedDiscard:
 			a.discarded++
@@ -244,8 +275,11 @@ func (a *Assembler) Append(r probe.Record) {
 		buf = &chainBuf{}
 		a.open[r.Chain] = buf
 	}
-	buf.recs = append(buf.recs, r)
-	buf.last = a.cfg.Clock()
+	if n := len(buf.recs); n > 0 && r.Seq < buf.recs[n-1].Seq {
+		buf.unsorted = true
+	}
+	buf.recs = append(buf.recs, *r)
+	buf.last = now
 	a.buffered++
 	if a.cfg.MaxBuffered > 0 && a.buffered > a.cfg.MaxBuffered {
 		a.shedOldestLocked(r.Chain)
@@ -324,8 +358,13 @@ func (a *Assembler) Tick() int {
 		if idle < a.cfg.Quiescence {
 			continue
 		}
-		ev, done := a.judgeLocked(chain, buf, idle >= a.cfg.StaleAfter, "complete", "stale")
+		stale := idle >= a.cfg.StaleAfter
+		if !stale && buf.judged == len(buf.recs) {
+			continue // nothing arrived since it was last found incomplete
+		}
+		ev, done := a.judgeLocked(chain, buf, stale, "complete", "stale")
 		if !done {
+			buf.judged = len(buf.recs)
 			continue
 		}
 		evs = append(evs, ev)
@@ -341,8 +380,12 @@ func (a *Assembler) Tick() int {
 // the decision and ledger movement, and pushes the feed entry. Returns
 // done=false when the chain stays open. Called under a.mu.
 func (a *Assembler) judgeLocked(chain uuid.UUID, buf *chainBuf, force bool, okReason, forceReason string) (eviction, bool) {
+	a.judgements++
 	recs := buf.recs
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
+	if buf.unsorted {
+		slices.SortStableFunc(recs, func(x, y probe.Record) int { return cmp.Compare(x.Seq, y.Seq) })
+		buf.unsorted = false
+	}
 	parsed := analysis.ParseChainEvents(chain, recs)
 	clean := !parsed.Empty && len(parsed.Broken) == 0 && len(parsed.Anomalies) == 0
 	if !clean && !force {
@@ -528,6 +571,7 @@ func (a *Assembler) WriteMetrics(w io.Writer) {
 		Buffered:  uint64(a.buffered),
 	}
 	completions := a.feedN
+	judgements := a.judgements
 	a.mu.Unlock()
 	fmt.Fprintf(w, "causeway_assembler_open_chains %d\n", open)
 	fmt.Fprintf(w, "causeway_assembler_records_appended_total %d\n", led.Appended)
@@ -536,4 +580,5 @@ func (a *Assembler) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "causeway_assembler_records_shed_total %d\n", led.Shed)
 	fmt.Fprintf(w, "causeway_assembler_records_buffered %d\n", led.Buffered)
 	fmt.Fprintf(w, "causeway_assembler_chains_completed_total %d\n", completions)
+	fmt.Fprintf(w, "causeway_assembler_chains_judged_total %d\n", judgements)
 }

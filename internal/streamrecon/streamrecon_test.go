@@ -2,6 +2,7 @@ package streamrecon
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -168,6 +169,128 @@ func TestIncompleteChainWaitsThenGoesStale(t *testing.T) {
 	}
 	if store.Len() != 2 {
 		t.Fatalf("broken chain not persisted: store holds %d", store.Len())
+	}
+	checkLedger(t, a)
+}
+
+// judged reads causeway_assembler_chains_judged_total off WriteMetrics.
+func judged(t *testing.T, a *Assembler) int {
+	t.Helper()
+	var sb strings.Builder
+	a.WriteMetrics(&sb)
+	const name = "causeway_assembler_chains_judged_total "
+	i := strings.Index(sb.String(), name)
+	if i < 0 {
+		t.Fatalf("no %sin:\n%s", name, sb.String())
+	}
+	var n int
+	if _, err := fmt.Sscanf(sb.String()[i+len(name):], "%d", &n); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestChainJudgedOnlyWhenChanged: a quiescent chain that parsed incomplete
+// is not parsed again tick after tick — only a new record, or StaleAfter,
+// earns it another judgement. Evictions are what they always were.
+func TestChainJudgedOnlyWhenChanged(t *testing.T) {
+	clock := newFakeClock()
+	a, store := newAssembler(t, clock, nil)
+	p, sink := newProbes(t, 3)
+	op := probe.OpID{Component: "c", Interface: "I", Operation: "slow", Object: "o"}
+	ctx := p.StubStart(op, false)
+	sctx := p.SkelStart(op, ctx.Wire, false)
+	feed(a, sink.Snapshot())
+	sink.Reset()
+
+	clock.Advance(200 * time.Millisecond) // past Quiescence, far from StaleAfter
+	for i := 0; i < 20; i++ {
+		if n := a.Tick(); n != 0 {
+			t.Fatalf("tick %d evicted an incomplete chain", i)
+		}
+		clock.Advance(50 * time.Millisecond)
+	}
+	if n := judged(t, a); n != 1 {
+		t.Fatalf("incomplete chain judged %d times over 20 ticks, want 1", n)
+	}
+
+	// One more record — still incomplete — earns exactly one more.
+	reply := p.SkelEnd(sctx)
+	feed(a, sink.Snapshot())
+	sink.Reset()
+	if a.Tick() != 0 || judged(t, a) != 1 {
+		t.Fatal("chain judged before it went quiescent again")
+	}
+	clock.Advance(200 * time.Millisecond)
+	for i := 0; i < 5; i++ {
+		a.Tick()
+		clock.Advance(50 * time.Millisecond)
+	}
+	if n := judged(t, a); n != 2 {
+		t.Fatalf("judged %d times after one new record, want 2", n)
+	}
+
+	// The closing record completes it: judged once more, and evicted.
+	p.StubEnd(ctx, reply)
+	feed(a, sink.Snapshot())
+	clock.Advance(200 * time.Millisecond)
+	if n := a.Tick(); n != 1 {
+		t.Fatalf("completed chain not evicted (%d)", n)
+	}
+	if n := judged(t, a); n != 3 {
+		t.Fatalf("judged %d times, want 3", n)
+	}
+	if comps, _ := a.Feed(0, 0); len(comps) != 1 || comps[0].Reason != "complete" || comps[0].Broken {
+		t.Fatalf("completions = %+v", comps)
+	}
+	if store.Len() != 4 {
+		t.Fatalf("store holds %d records, want 4", store.Len())
+	}
+	checkLedger(t, a)
+}
+
+// An unchanged incomplete chain is skipped only until StaleAfter: then it is
+// judged regardless and leaves as broken.
+func TestSkippedChainStillGoesStale(t *testing.T) {
+	clock := newFakeClock()
+	a, _ := newAssembler(t, clock, nil)
+	p, sink := newProbes(t, 4)
+	op := probe.OpID{Component: "c", Interface: "I", Operation: "hang", Object: "o"}
+	p.StubStart(op, false)
+	feed(a, sink.Snapshot())
+	clock.Advance(time.Second)
+	a.Tick()
+	a.Tick()
+	if n := judged(t, a); n != 1 {
+		t.Fatalf("judged %d times before StaleAfter, want 1", n)
+	}
+	clock.Advance(10 * time.Second)
+	if n := a.Tick(); n != 1 {
+		t.Fatalf("stale chain not evicted (%d)", n)
+	}
+	if comps, _ := a.Feed(0, 0); comps[0].Reason != "stale" || !comps[0].Broken {
+		t.Fatalf("completion = %+v", comps[0])
+	}
+	if n := judged(t, a); n != 2 {
+		t.Fatalf("judged %d times, want 2", n)
+	}
+}
+
+// Records that arrive out of sequence are put in order before the parse:
+// a shuffled complete chain judges clean.
+func TestOutOfOrderArrivalIsSorted(t *testing.T) {
+	clock := newFakeClock()
+	a, _ := newAssembler(t, clock, nil)
+	p, sink := newProbes(t, 5)
+	oneCall(p, probe.OpID{Component: "c", Interface: "I", Operation: "m", Object: "o"})
+	recs := sink.Snapshot()
+	a.AppendBatch([]probe.Record{recs[3], recs[0], recs[2], recs[1]})
+	clock.Advance(time.Second)
+	if n := a.Tick(); n != 1 {
+		t.Fatalf("shuffled complete chain not evicted (%d)", n)
+	}
+	if comps, _ := a.Feed(0, 0); comps[0].Reason != "complete" || comps[0].Broken || comps[0].Anomalous {
+		t.Fatalf("completion = %+v", comps[0])
 	}
 	checkLedger(t, a)
 }
@@ -450,6 +573,7 @@ func TestWriteMetrics(t *testing.T) {
 		"causeway_assembler_records_appended_total 4",
 		"causeway_assembler_records_buffered 4",
 		"causeway_assembler_chains_completed_total 0",
+		"causeway_assembler_chains_judged_total 0",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("metrics missing %q:\n%s", want, sb.String())

@@ -1,0 +1,288 @@
+package telemetry
+
+import (
+	"encoding/binary"
+	"fmt"
+	"time"
+
+	"causeway/internal/cdr"
+	"causeway/internal/ftl"
+	"causeway/internal/probe"
+	"causeway/internal/uuid"
+)
+
+// Ship and replay frame body (protocol version 3), in the repo's own cdr
+// conventions — little-endian integers, uint32-length-prefixed strings, raw
+// 16-byte UUIDs, and internal/probe's shared flags octet and time encoding:
+//
+//	uint32 T                     string-table entries
+//	T x string                   the frame's distinct identity strings
+//	uint32 N                     records
+//	N x record:
+//	  octet  kind                probe.KindEvent | probe.KindLink
+//	  octet  flags               probe.Wire* bits | wireHasEvent | wireHasLink
+//	  octet  event               ftl.Event
+//	  6 x uint32                 table indexes: Process, ProcType,
+//	                             Op.Component, Op.Interface, Op.Operation,
+//	                             Op.Object
+//	  uint64 thread
+//	  string semantics           inline, never in the table
+//	  [wireHasEvent]             chain[16] seq wallStart wallEnd cpuStart cpuEnd
+//	  [wireHasLink]              linkParent[16] linkParentSeq linkChild[16]
+//
+// The identity strings repeat from record to record (a process emits the
+// same six for every probe of an operation), so they travel once per frame
+// and records refer to them by index; the decoder resolves each entry once
+// per frame and every record of the frame shares the resolved string.
+// Semantics is per-record application data, unique by nature: it stays
+// inline and never enters the table or the decoder's intern map, where it
+// would only evict the vocabulary that does repeat. The two optional blocks
+// are present exactly when any of their fields is non-zero — an event
+// record carries no link block and a link record no event block — which is
+// what keeps a frame no larger than the gob encoding it replaced.
+const (
+	wireHasEvent = 1 << 4
+	wireHasLink  = 1 << 5
+	wireKnown    = probe.WireOneway | probe.WireCollocated | probe.WireLatencyArmed | probe.WireCPUArmed | wireHasEvent | wireHasLink
+
+	identityStrings = 6
+	// minRecordSize is a record with empty semantics and neither block:
+	// three octets, the indexes, the thread, the semantics length. Counts
+	// read off the wire are bounded by the bytes that remain divided by
+	// the least each counted item occupies, so a hostile length field can
+	// never size an allocation beyond what the frame really carries.
+	minRecordSize = 3 + identityStrings*4 + 8 + 4
+	minStringSize = 4
+)
+
+// batchEncoder encodes ship frames into one buffer reused frame after
+// frame: the transport's ownership contract hands the Body back the moment
+// Call returns, so the next encode may overwrite it. The string-table index
+// and the index scratch are reused too; steady state allocates nothing.
+type batchEncoder struct {
+	enc   cdr.Encoder
+	index map[string]uint32
+	refs  []uint32 // identityStrings per record, filled by the table pass
+}
+
+func identityOf(r *probe.Record) [identityStrings]string {
+	return [identityStrings]string{r.Process, r.ProcType, r.Op.Component, r.Op.Interface, r.Op.Operation, r.Op.Object}
+}
+
+func hasEventBlock(r *probe.Record) bool {
+	return r.Chain != (uuid.UUID{}) || r.Seq != 0 || !r.WallStart.IsZero() || !r.WallEnd.IsZero() || r.CPUStart != 0 || r.CPUEnd != 0
+}
+
+func hasLinkBlock(r *probe.Record) bool {
+	return r.LinkParent != (uuid.UUID{}) || r.LinkParentSeq != 0 || r.LinkChild != (uuid.UUID{})
+}
+
+// encode renders recs as one frame body. The result aliases the encoder's
+// buffer and is valid until the next encode.
+func (b *batchEncoder) encode(recs []probe.Record) []byte {
+	if b.index == nil {
+		b.index = make(map[string]uint32)
+	}
+	clear(b.index)
+	b.refs = b.refs[:0]
+	e := &b.enc
+	e.Reset()
+
+	// Table pass: assign every identity string its index, writing each
+	// distinct one once; the count is patched in when it is known.
+	e.PutUint32(0)
+	var prev [identityStrings]string
+	var prevIdx [identityStrings]uint32
+	for i := range recs {
+		for j, s := range identityOf(&recs[i]) {
+			// Neighbouring records mostly repeat each other's identity;
+			// comparing against the previous record's field (equal
+			// pointers compare in one step) spares the map that case.
+			if i > 0 && s == prev[j] {
+				b.refs = append(b.refs, prevIdx[j])
+				continue
+			}
+			idx, ok := b.index[s]
+			if !ok {
+				idx = uint32(len(b.index))
+				b.index[s] = idx
+				e.PutString(s)
+			}
+			prev[j], prevIdx[j] = s, idx
+			b.refs = append(b.refs, idx)
+		}
+	}
+	binary.LittleEndian.PutUint32(e.Bytes(), uint32(len(b.index)))
+
+	e.PutUint32(uint32(len(recs)))
+	refs := b.refs
+	for i := range recs {
+		r := &recs[i]
+		flags := r.WireFlags()
+		event, link := hasEventBlock(r), hasLinkBlock(r)
+		if event {
+			flags |= wireHasEvent
+		}
+		if link {
+			flags |= wireHasLink
+		}
+		e.PutOctet(byte(r.Kind))
+		e.PutOctet(flags)
+		e.PutOctet(byte(r.Event))
+		for _, idx := range refs[:identityStrings] {
+			e.PutUint32(idx)
+		}
+		refs = refs[identityStrings:]
+		e.PutUint64(r.Thread)
+		e.PutString(r.Semantics)
+		if event {
+			e.PutRaw(r.Chain[:])
+			e.PutUint64(r.Seq)
+			probe.PutWireTime(e, r.WallStart)
+			probe.PutWireTime(e, r.WallEnd)
+			e.PutInt64(int64(r.CPUStart))
+			e.PutInt64(int64(r.CPUEnd))
+		}
+		if link {
+			e.PutRaw(r.LinkParent[:])
+			e.PutUint64(r.LinkParentSeq)
+			e.PutRaw(r.LinkChild[:])
+		}
+	}
+	return e.Bytes()
+}
+
+// encodeBatch is a one-off encode into a fresh buffer (couriers, tests).
+func encodeBatch(recs []probe.Record) []byte {
+	var b batchEncoder
+	return b.encode(recs)
+}
+
+// A connection's intern map holds at most maxInternedStrings strings of at
+// most maxInternedLen bytes — the discipline of the transport's
+// per-connection interner: past the cap the map stops growing and unseen
+// strings are allocated per frame, so a peer sending adversarially unique
+// (or huge) identities cannot exhaust memory. maxTableScratch bounds the
+// table scratch a connection keeps between frames the same way.
+const (
+	maxInternedStrings = 1024
+	maxInternedLen     = 256
+	maxTableScratch    = 4096
+)
+
+// batchDecoder is one connection's decode state: the bounded intern map
+// that makes every frame of a process resolve its vocabulary to the same
+// strings, and the table scratch reused from frame to frame. Once a
+// connection's vocabulary has been seen, decoding a frame allocates the
+// record slab (plus whatever Semantics the records carry) and nothing else.
+type batchDecoder struct {
+	interned map[string]string
+	table    []string
+}
+
+// intern returns b as a string, shared with every earlier occurrence on
+// this connection. The result is always a copy: frames arrive in pooled or
+// caller-owned buffers, and a decoded record must never alias one.
+func (d *batchDecoder) intern(b []byte) string {
+	if s, ok := d.interned[string(b)]; ok { // lookup-only conversion: no allocation
+		return s
+	}
+	s := string(b)
+	if len(d.interned) < maxInternedStrings && len(s) <= maxInternedLen {
+		if d.interned == nil {
+			d.interned = make(map[string]string)
+		}
+		d.interned[s] = s
+	}
+	return s
+}
+
+// decode parses one frame body. Any malformation — truncation, a count
+// larger than the bytes behind it, a table index out of range, an unknown
+// kind or flag bit, trailing bytes — is an error, never a panic.
+func (d *batchDecoder) decode(body []byte) ([]probe.Record, error) {
+	dec := cdr.NewDecoder(body)
+	nstr := dec.Uint32()
+	if int64(nstr) > int64(dec.Remaining()/minStringSize) {
+		return nil, fmt.Errorf("telemetry: decode batch: string table of %d entries in %d bytes", nstr, dec.Remaining())
+	}
+	table := d.table[:0]
+	for i := uint32(0); i < nstr && dec.Err() == nil; i++ {
+		table = append(table, d.intern(dec.BytesNoCopy()))
+	}
+	recs, err := decodeRecords(dec, table)
+	// Keep the scratch, not the strings: a frame's one-off identities must
+	// not stay reachable from an idle connection.
+	clear(table)
+	d.table = nil
+	if cap(table) <= maxTableScratch {
+		d.table = table[:0]
+	}
+	if err != nil {
+		return nil, fmt.Errorf("telemetry: decode batch: %w", err)
+	}
+	return recs, nil
+}
+
+// decodeRecords parses the record section against a resolved table.
+func decodeRecords(dec *cdr.Decoder, table []string) ([]probe.Record, error) {
+	nrec := dec.Uint32()
+	if err := dec.Err(); err != nil {
+		return nil, err
+	}
+	if int64(nrec) > int64(dec.Remaining()/minRecordSize) {
+		return nil, fmt.Errorf("%d records in %d bytes", nrec, dec.Remaining())
+	}
+	recs := make([]probe.Record, nrec)
+	for i := range recs {
+		r := &recs[i]
+		r.Kind = probe.RecordKind(dec.Octet())
+		flags := dec.Octet()
+		r.Event = ftl.Event(dec.Octet())
+		var ids [identityStrings]string
+		for j := range ids {
+			idx := dec.Uint32()
+			if idx >= uint32(len(table)) {
+				if err := dec.Err(); err != nil {
+					return nil, fmt.Errorf("record %d: %w", i, err)
+				}
+				return nil, fmt.Errorf("record %d: string index %d outside table of %d", i, idx, len(table))
+			}
+			ids[j] = table[idx]
+		}
+		r.Process, r.ProcType = ids[0], ids[1]
+		r.Op = probe.OpID{Component: ids[2], Interface: ids[3], Operation: ids[4], Object: ids[5]}
+		r.Thread = dec.Uint64()
+		r.Semantics = dec.String()
+		if flags&wireHasEvent != 0 {
+			copy(r.Chain[:], dec.Raw(uuid.Size))
+			r.Seq = dec.Uint64()
+			r.WallStart = probe.GetWireTime(dec)
+			r.WallEnd = probe.GetWireTime(dec)
+			r.CPUStart = time.Duration(dec.Int64())
+			r.CPUEnd = time.Duration(dec.Int64())
+		}
+		if flags&wireHasLink != 0 {
+			copy(r.LinkParent[:], dec.Raw(uuid.Size))
+			r.LinkParentSeq = dec.Uint64()
+			copy(r.LinkChild[:], dec.Raw(uuid.Size))
+		}
+		if err := dec.Err(); err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
+		}
+		if r.Kind != probe.KindEvent && r.Kind != probe.KindLink {
+			return nil, fmt.Errorf("record %d: kind %d", i, r.Kind)
+		}
+		if flags&^wireKnown != 0 {
+			return nil, fmt.Errorf("record %d: flags %#x", i, flags)
+		}
+		r.SetWireFlags(flags)
+	}
+	return recs, dec.Finish()
+}
+
+// decodeBatch is a one-off decode with no connection state (tests).
+func decodeBatch(body []byte) ([]probe.Record, error) {
+	var d batchDecoder
+	return d.decode(body)
+}

@@ -56,11 +56,7 @@ func DialCourier(addr, process string, dial func(string) (transport.Client, erro
 // receiver accepted as new (duplicates it already held are rejected and
 // excluded from the count).
 func (c *Courier) Replay(recs []probe.Record) (accepted uint64, err error) {
-	body, err := encodeBatch(recs)
-	if err != nil {
-		return 0, err
-	}
-	rep, err := c.client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opReplay, Body: body})
+	rep, err := c.client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opReplay, Body: encodeBatch(recs)})
 	if err != nil {
 		return 0, fmt.Errorf("telemetry: replay: %w", err)
 	}

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -59,8 +60,11 @@ func TestHandshakeVersionMismatchIsLoud(t *testing.T) {
 		t.Fatalf("rejection does not name the version problem: %q", msg)
 	}
 
-	// A framed peer claiming version 1 explicitly.
-	old, err := encodeHello(Hello{Version: 1, Process: "old", ProcType: "x86"})
+	// A framed peer one version behind (v2's gob ship frames would be
+	// garbage to this server): refused at hello, by version, before it can
+	// ship anything.
+	prev := ProtocolVersion - 1
+	old, err := encodeHello(Hello{Version: prev, Process: "old", ProcType: "x86"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +73,66 @@ func TestHandshakeVersionMismatchIsLoud(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Status == transport.StatusOK {
-		t.Fatal("version-1 handshake accepted by version-2 server")
+		t.Fatalf("version-%d handshake accepted by version-%d server", prev, ProtocolVersion)
 	}
 	msg := string(rep.Body)
-	if !strings.Contains(msg, "version 1") || !strings.Contains(msg, "want 2") {
+	if !strings.Contains(msg, fmt.Sprintf("version %d", prev)) || !strings.Contains(msg, fmt.Sprintf("want %d", ProtocolVersion)) {
 		t.Fatalf("rejection does not name both versions: %q", msg)
+	}
+	if strings.Contains(msg, "decode") {
+		t.Fatalf("rejection reads as a decode failure: %q", msg)
+	}
+}
+
+// The reverse flag day: a current shipper dialing a collector one version
+// behind. Whether that collector rejects the hello or answers it in its own
+// version, the shipper must end up with a version error in LastError —
+// never a decode error, never a connection it ships frames over.
+func TestShipperRefusesOlderServer(t *testing.T) {
+	prev := ProtocolVersion - 1
+	tsrv, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tsrv.Close()
+	var shipped atomic64
+	if err := tsrv.Serve(func(conn transport.ConnID, req transport.Request, respond transport.Responder) {
+		switch req.Operation {
+		case opHello:
+			// An old collector lenient enough to accept: it answers in
+			// its own version.
+			body, err := encodeHelloReply(HelloReply{Version: prev})
+			if err != nil {
+				t.Error(err)
+			}
+			respond(transport.Reply{Status: transport.StatusOK, Body: body})
+		case opShip:
+			shipped.add(1)
+			respond(transport.Reply{Status: transport.StatusOK})
+		default:
+			if !req.Oneway {
+				respond(transport.Reply{Status: transport.StatusOK})
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	sh := fastShipperDrain(t, tsrv.Addr(), "p1", 64, 50*time.Millisecond)
+	sh.Append(testRecord("p1", 1))
+	want := fmt.Sprintf("protocol version %d, want %d", prev, ProtocolVersion)
+	waitFor(t, func() bool {
+		return strings.Contains(sh.Stats().LastError, want)
+	}, "older server's reply refused by version")
+	if e := sh.Stats().LastError; strings.Contains(e, "decode") {
+		t.Fatalf("refusal reads as a decode failure: %q", e)
+	}
+	sh.Close()
+	if n := shipped.load(); n != 0 {
+		t.Fatalf("%d ship frame(s) sent to a server of another version", n)
+	}
+	if st := sh.Stats(); st.Connects != 0 || st.Shipped != 0 {
+		t.Fatalf("shipper counted a session with an older server: %+v", st)
 	}
 }
 
@@ -89,7 +148,7 @@ func TestShipperSurfacesHandshakeRejection(t *testing.T) {
 	defer tsrv.Close()
 	if err := tsrv.Serve(func(conn transport.ConnID, req transport.Request, respond transport.Responder) {
 		if !req.Oneway {
-			respond(transport.Reply{Status: transport.StatusSystemException, Body: []byte("telemetry: hello: protocol version 2, want 3 (mismatched causeway versions between shipper and collector)")})
+			respond(transport.Reply{Status: transport.StatusSystemException, Body: []byte("telemetry: hello: protocol version 3, want 4 (mismatched causeway versions between shipper and collector)")})
 		}
 	}); err != nil {
 		t.Fatal(err)
@@ -200,7 +259,7 @@ func TestReplayOperationAccounting(t *testing.T) {
 		t.Fatalf("handshake: %v %v", rep, err)
 	}
 
-	batch, _ := encodeBatch([]probe.Record{testRecord("p", 1), testRecord("p", 2)})
+	batch := encodeBatch([]probe.Record{testRecord("p", 1), testRecord("p", 2)})
 	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opReplay, Body: batch})
 	if err != nil || rep.Status != transport.StatusOK {
 		t.Fatalf("replay: %v %v", rep, err)
@@ -245,7 +304,7 @@ func TestClusterOpsRejectedWhenStandalone(t *testing.T) {
 	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opRing}); err != nil || rep.Status == transport.StatusOK {
 		t.Fatalf("standalone server served a ring: %v %v", rep, err)
 	}
-	batch, _ := encodeBatch([]probe.Record{testRecord("p", 1)})
+	batch := encodeBatch([]probe.Record{testRecord("p", 1)})
 	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opReplay, Body: batch}); err != nil || rep.Status == transport.StatusOK {
 		t.Fatalf("standalone server accepted a replay: %v %v", rep, err)
 	}

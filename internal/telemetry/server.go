@@ -35,7 +35,9 @@ type ServerConfig struct {
 	// Sinks additionally receive every record in arrival order — e.g. an
 	// online.Monitor for live reconstruction. Sinks must be safe for
 	// concurrent use: batches from different connections are ingested
-	// concurrently (per-connection order is preserved).
+	// concurrently (per-connection order is preserved). A sink that
+	// implements probe.BatchSink receives each frame's records in one
+	// AppendBatch call instead of one Append per record.
 	Sinks []probe.Sink
 	// OnConnect, when set, fires after each successful handshake.
 	OnConnect func(Peer)
@@ -76,6 +78,10 @@ type Server struct {
 
 	mu    sync.Mutex
 	peers map[transport.ConnID]*PeerAccount
+	// decoders holds each live connection's record-frame decode state
+	// (its intern map); created by the connection's first record frame,
+	// dropped when the transport reports the connection gone.
+	decoders map[transport.ConnID]*batchDecoder
 
 	records       atomic.Uint64
 	batches       atomic.Uint64
@@ -106,7 +112,13 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: %w", err)
 	}
-	s := &Server{cfg: cfg, srv: t, peers: make(map[transport.ConnID]*PeerAccount)}
+	s := &Server{
+		cfg:      cfg,
+		srv:      t,
+		peers:    make(map[transport.ConnID]*PeerAccount),
+		decoders: make(map[transport.ConnID]*batchDecoder),
+	}
+	t.OnDisconnect(s.forget)
 	if err := t.Serve(s.handle); err != nil {
 		t.Close()
 		return nil, err
@@ -162,6 +174,28 @@ func (s *Server) PeerAccounting() []PeerAccount {
 	return out
 }
 
+// decoder returns conn's decode state. The transport calls handle from the
+// connection's own read loop, so the state itself needs no lock — only the
+// map that finds it does.
+func (s *Server) decoder(conn transport.ConnID) *batchDecoder {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d := s.decoders[conn]
+	if d == nil {
+		d = &batchDecoder{}
+		s.decoders[conn] = d
+	}
+	return d
+}
+
+// forget drops a closed connection's decode state. Its PeerAccount stays:
+// the ledger outlives the connection.
+func (s *Server) forget(conn transport.ConnID) {
+	s.mu.Lock()
+	delete(s.decoders, conn)
+	s.mu.Unlock()
+}
+
 // handle processes one frame. The transport calls it synchronously from
 // the per-connection read loop, so one connection's frames are ingested in
 // arrival order — the property that preserves per-process record order
@@ -214,7 +248,7 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 		}
 		respond(transport.Reply{Status: transport.StatusOK, Body: body})
 	case opShip:
-		recs, err := decodeBatch(req.Body)
+		recs, err := s.decoder(conn).decode(req.Body)
 		if err != nil {
 			fail(err.Error())
 			return
@@ -270,7 +304,7 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 			fail("telemetry: replay not accepted here")
 			return
 		}
-		recs, err := decodeBatch(req.Body)
+		recs, err := s.decoder(conn).decode(req.Body)
 		if err != nil {
 			fail(err.Error())
 			return
@@ -306,8 +340,12 @@ func (s *Server) ingest(conn transport.ConnID, recs []probe.Record) {
 		s.cfg.Store.Insert(recs...)
 	}
 	for _, sink := range s.cfg.Sinks {
-		for _, r := range recs {
-			sink.Append(r)
+		if bs, ok := sink.(probe.BatchSink); ok {
+			bs.AppendBatch(recs)
+			continue
+		}
+		for i := range recs {
+			sink.Append(recs[i])
 		}
 	}
 }

@@ -415,14 +415,7 @@ func (s *ShipperSink) loop() {
 			if len(pending) == 0 {
 				return true
 			}
-			payload, err := enc.encode(pending)
-			if err != nil {
-				// Unencodable batch: nothing a retry can fix.
-				s.dropped.Add(uint64(len(pending)))
-				s.settle(len(pending))
-				pending = pending[:0]
-				continue
-			}
+			payload := enc.encode(pending)
 			// Acknowledged shipment: the batch leaves pending only once
 			// the server confirms ingestion. A batch written onto a
 			// socket whose far end just died would otherwise be counted
@@ -587,13 +580,7 @@ func (s *ShipperSink) drain(client transport.Client, pending []probe.Record) {
 		if len(pending) == 0 {
 			break
 		}
-		payload, err := enc.encode(pending)
-		if err != nil {
-			s.dropped.Add(uint64(len(pending)))
-			s.settle(len(pending))
-			pending = pending[:0]
-			continue
-		}
+		payload := enc.encode(pending)
 		rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: payload})
 		if err != nil || rep.Status != transport.StatusOK {
 			return

@@ -269,7 +269,7 @@ func TestServerToleratesMidStreamDisconnect(t *testing.T) {
 	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello}); err != nil || rep.Status != transport.StatusOK {
 		t.Fatalf("handshake: %v %v", rep.Status, err)
 	}
-	batch, _ := encodeBatch([]probe.Record{testRecord("crasher", 1)})
+	batch := encodeBatch([]probe.Record{testRecord("crasher", 1)})
 	if err := client.Post(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: batch}); err != nil {
 		t.Fatal(err)
 	}

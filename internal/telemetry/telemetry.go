@@ -10,33 +10,65 @@
 //
 // Shipping rides the repo's own framed TCP transport (internal/transport):
 // every message is a length-prefixed transport frame whose Request carries
-// ObjectKey "causeway.telemetry" and one of four operations:
+// ObjectKey "causeway.telemetry" and one of seven operations. The two that
+// carry records use the cdr frame body batch.go lays out; the control
+// messages are cold and stay gob.
 //
 //	hello  (sync)   [version byte] + gob(Hello{Version, Process,
-//	                ProcType}) — handshake; the server learns the peer's
-//	                identity from internal/topology terms and replies
-//	                StatusOK with [version byte] + gob(HelloReply),
-//	                which carries the cluster ring when the collector
-//	                belongs to one. The leading version byte is checked
-//	                before any gob decoding, in both directions, so a
-//	                mismatched peer fails loudly with a version error
-//	                instead of a confusing decode failure — or worse,
-//	                silently misrouting records around a ring it cannot
-//	                parse.
-//	ship   (oneway) gob([]probe.Record) — one batch of records, in
-//	                emission order.
+//	                ProcType, DebugAddr}) — handshake; the server learns
+//	                the peer's identity from internal/topology terms and
+//	                replies StatusOK with [version byte] +
+//	                gob(HelloReply), which carries the cluster ring when
+//	                the collector belongs to one. The leading version
+//	                byte is checked before any decoding, in both
+//	                directions, so a mismatched peer fails loudly with a
+//	                version error instead of a confusing decode failure —
+//	                or worse, silently misrouting records around a ring it
+//	                cannot parse.
+//	ship   (sync)   record frame — one batch of records, in emission
+//	                order. The empty StatusOK reply acknowledges
+//	                ingestion; the shipper holds the batch until it
+//	                arrives.
+//	replay (sync)   record frame — a segment replay after a ring
+//	                rebalance; the reply is gob(uint64), the records the
+//	                receiver accepted as new.
 //	stats  (oneway) gob(ShipperFinal) — the shipper's closing account of
 //	                itself (appended/dropped/shipped), sent once during
 //	                drain so the collection side can report per-peer loss.
+//	rate   (sync)   empty — reply gob(float64), the head-sampling rate the
+//	                collector wants applied.
+//	ring   (sync)   empty — reply gob(Ring), the current cluster ring.
 //	flush  (sync)   empty — a barrier; the reply proves every prior frame
 //	                on the connection was ingested (the transport reads
 //	                and dispatches per-connection frames sequentially).
+//
+// A record frame (protocol version 3) is a string table followed by
+// fixed-layout records:
+//
+//	uint32 T, T x string         the frame's distinct Process, ProcType and
+//	                             Op.{Component,Interface,Operation,Object}
+//	uint32 N, N x record         kind, flags, event octets; six uint32
+//	                             table indexes; thread; Semantics inline;
+//	                             then the event block (chain, seq, wall and
+//	                             CPU windows) and the link block (parent,
+//	                             parent seq, child), each present only when
+//	                             its flags bit says so
+//
+// The server resolves each table entry once per frame through a bounded
+// per-connection intern map, so in steady state decoding a frame allocates
+// the record slab and nothing else, and all the records a process ships
+// share one copy of each identity string. Semantics never enters the table or the
+// intern map: it is unique per record and would only crowd out the
+// vocabulary that repeats. Decoded strings are always copies — a record
+// never aliases the transport's frame buffer.
 //
 // Because the server ingests each connection's frames in arrival order and
 // every record carries its chain's own sequence number, per-chain causal
 // order survives shipping; cross-connection interleaving is harmless — the
 // online monitor orders by (chain, seq) exactly as the offline analyzer
-// does.
+// does. Sinks that implement probe.BatchSink receive a frame's records in
+// one call; the others receive them one Append at a time, in the same
+// order.
 //
 // # Backpressure policy
 //
@@ -55,8 +87,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-
-	"causeway/internal/probe"
 )
 
 // ObjectKey routes telemetry frames within the shared transport namespace.
@@ -65,7 +95,7 @@ const ObjectKey = "causeway.telemetry"
 // Operations of the shipping protocol.
 const (
 	opHello = "hello"
-	// opShip (sync) carries gob([]probe.Record); the empty StatusOK
+	// opShip (sync) carries one record frame (batch.go); the empty StatusOK
 	// reply acknowledges ingestion. Shippers hold a batch as pending
 	// until the ack arrives, so a collector dying mid-frame loses
 	// nothing — the batch is retried on reconnect (or re-routed by
@@ -85,7 +115,7 @@ const (
 	// rebalance (collector joined or died) re-routes records without a
 	// reconnect. Collectors outside any cluster reject the call.
 	opRing = "ring"
-	// opReplay (sync) carries gob([]probe.Record) like ship, but marks
+	// opReplay (sync) carries a record frame like ship, but marks
 	// the batch as a segment replay after a ring rebalance: the receiver
 	// deduplicates against records it already holds and accounts accepted
 	// records as Replayed, not freshly shipped — the bucket that keeps
@@ -99,8 +129,10 @@ const (
 // server rejects handshakes from other versions. Version 2 added the
 // leading version byte on the handshake (both directions), the
 // HelloReply payload (cluster ring discovery), and the ring and replay
-// operations.
-const ProtocolVersion = 2
+// operations. Version 3 moved ship and replay frames from gob to the cdr
+// record frame; there is no negotiation — peers of different versions
+// refuse each other at hello.
+const ProtocolVersion = 3
 
 // Hello is the handshake payload: who is shipping. DebugAddr (optional,
 // since PR 5) advertises the peer's debug/introspection HTTP address so
@@ -253,35 +285,4 @@ func decodeRate(b []byte) (float64, error) {
 		return 0, fmt.Errorf("telemetry: decode rate: %w", err)
 	}
 	return rate, nil
-}
-
-// batchEncoder reuses one bytes.Buffer across ship frames. Each frame must
-// stay self-contained — the server decodes frames independently, so every
-// encode starts a fresh gob stream carrying its own type info — but the
-// byte buffer behind them is reusable: the transport's ownership contract
-// hands the Body back to the caller the moment Post returns, so the next
-// encode may overwrite it.
-type batchEncoder struct {
-	buf bytes.Buffer
-}
-
-func (e *batchEncoder) encode(recs []probe.Record) ([]byte, error) {
-	e.buf.Reset()
-	if err := gob.NewEncoder(&e.buf).Encode(recs); err != nil {
-		return nil, fmt.Errorf("telemetry: encode batch: %w", err)
-	}
-	return e.buf.Bytes(), nil
-}
-
-func encodeBatch(recs []probe.Record) ([]byte, error) {
-	var e batchEncoder
-	return e.encode(recs)
-}
-
-func decodeBatch(b []byte) ([]probe.Record, error) {
-	var recs []probe.Record
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&recs); err != nil {
-		return nil, fmt.Errorf("telemetry: decode batch: %w", err)
-	}
-	return recs, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"time"
 
@@ -18,10 +17,11 @@ import (
 // Segment file layout: an 8-byte magic header followed by frames, each a
 // little-endian uint32 payload length plus a cdr-encoded record payload
 // (internal/cdr conventions: length-prefixed strings, little-endian
-// integers, raw fixed-size UUIDs). A crashed writer leaves at most one
-// torn frame at the tail; recovery truncates to the last complete frame
-// and the readable prefix stands, mirroring probe.ReadStream's
-// ErrTruncated handling for gob logs.
+// integers, raw fixed-size UUIDs; the flags octet and the time encoding are
+// the ones internal/probe's wire helpers define, shared with ship frames).
+// A crashed writer leaves at most one torn frame at the tail; recovery
+// truncates to the last complete frame and the readable prefix stands,
+// mirroring probe.ReadStream's ErrTruncated handling for gob logs.
 const (
 	segMagic    = "CWTSEG1\n"
 	segHeader   = int64(len(segMagic))
@@ -31,51 +31,10 @@ const (
 	maxFramePayload = 16 << 20
 )
 
-// timeNone is the encoded sentinel for the zero time.Time (whose UnixNano
-// is undefined).
-const timeNone = int64(math.MinInt64)
-
-func putTime(e *cdr.Encoder, t time.Time) {
-	if t.IsZero() {
-		e.PutInt64(timeNone)
-		return
-	}
-	e.PutInt64(t.UnixNano())
-}
-
-func getTime(d *cdr.Decoder) time.Time {
-	v := d.Int64()
-	if v == timeNone {
-		return time.Time{}
-	}
-	return time.Unix(0, v)
-}
-
-// Record flag bits (payload byte 2).
-const (
-	flagOneway = 1 << iota
-	flagCollocated
-	flagLatencyArmed
-	flagCPUArmed
-)
-
 // encodePayload appends r's cdr encoding to e (no length prefix).
 func encodePayload(e *cdr.Encoder, r *probe.Record) {
 	e.PutOctet(byte(r.Kind))
-	var flags byte
-	if r.Oneway {
-		flags |= flagOneway
-	}
-	if r.Collocated {
-		flags |= flagCollocated
-	}
-	if r.LatencyArmed {
-		flags |= flagLatencyArmed
-	}
-	if r.CPUArmed {
-		flags |= flagCPUArmed
-	}
-	e.PutOctet(flags)
+	e.PutOctet(r.WireFlags())
 	e.PutString(r.Process)
 	e.PutString(r.ProcType)
 	e.PutUint64(r.Thread)
@@ -87,8 +46,8 @@ func encodePayload(e *cdr.Encoder, r *probe.Record) {
 	e.PutRaw(r.Chain[:])
 	e.PutOctet(byte(r.Event))
 	e.PutUint64(r.Seq)
-	putTime(e, r.WallStart)
-	putTime(e, r.WallEnd)
+	probe.PutWireTime(e, r.WallStart)
+	probe.PutWireTime(e, r.WallEnd)
 	e.PutInt64(int64(r.CPUStart))
 	e.PutInt64(int64(r.CPUEnd))
 	e.PutRaw(r.LinkParent[:])
@@ -101,11 +60,7 @@ func decodePayload(buf []byte) (probe.Record, error) {
 	d := cdr.NewDecoder(buf)
 	var r probe.Record
 	r.Kind = probe.RecordKind(d.Octet())
-	flags := d.Octet()
-	r.Oneway = flags&flagOneway != 0
-	r.Collocated = flags&flagCollocated != 0
-	r.LatencyArmed = flags&flagLatencyArmed != 0
-	r.CPUArmed = flags&flagCPUArmed != 0
+	r.SetWireFlags(d.Octet())
 	r.Process = d.String()
 	r.ProcType = d.String()
 	r.Thread = d.Uint64()
@@ -117,8 +72,8 @@ func decodePayload(buf []byte) (probe.Record, error) {
 	copy(r.Chain[:], d.Raw(uuid.Size))
 	r.Event = ftl.Event(d.Octet())
 	r.Seq = d.Uint64()
-	r.WallStart = getTime(d)
-	r.WallEnd = getTime(d)
+	r.WallStart = probe.GetWireTime(d)
+	r.WallEnd = probe.GetWireTime(d)
 	r.CPUStart = time.Duration(d.Int64())
 	r.CPUEnd = time.Duration(d.Int64())
 	copy(r.LinkParent[:], d.Raw(uuid.Size))

@@ -361,6 +361,7 @@ type TCPServer struct {
 	closed  atomic.Bool
 	nextID  atomic.Uint64
 	net     *metrics.NetStats // nil when unmetered; set before Serve
+	onDisc  func(ConnID)      // nil when nobody keeps per-connection state; set before Serve
 }
 
 var _ Server = (*TCPServer)(nil)
@@ -377,6 +378,11 @@ func ListenTCP(addr string) (*TCPServer, error) {
 // SetMetrics attaches wire-traffic counters. It must be called before
 // Serve — connection loops read the field without synchronization.
 func (s *TCPServer) SetMetrics(ns *metrics.NetStats) { s.net = ns }
+
+// OnDisconnect registers fn to run on a connection's read goroutine once
+// its last request has been handed to the handler — where a handler that
+// keeps per-connection state lets go of it. It must be called before Serve.
+func (s *TCPServer) OnDisconnect(fn func(ConnID)) { s.onDisc = fn }
 
 // Serve implements Server; it starts the accept loop and returns.
 func (s *TCPServer) Serve(h Handler) error {
@@ -444,6 +450,9 @@ func (s *TCPServer) connLoop(conn net.Conn, id ConnID) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		conn.Close()
+		if s.onDisc != nil {
+			s.onDisc(id)
+		}
 	}()
 	var writeMu sync.Mutex
 	// One read buffer and one write buffer per connection, reused for every
