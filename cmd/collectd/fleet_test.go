@@ -40,7 +40,7 @@ func TestMergeExposition(t *testing.T) {
 	peerA := `causeway_op_calls_total{iface="I",op="m"} 3
 causeway_op_stub_max_ns{iface="I",op="m"} 900
 causeway_op_stub_ns{iface="I",op="m",q="0.5"} 450
-causeway_goroutines 12
+causeway_go_goroutines 12
 `
 	peerB := `causeway_op_calls_total{iface="I",op="m"} 4
 causeway_op_stub_max_ns{iface="I",op="m"} 700
@@ -59,7 +59,7 @@ causeway_op_stub_max_ns{iface="I",op="m"} 700
 	if _, ok := merged[`causeway_op_stub_ns{iface="I",op="m",q="0.5"}`]; ok {
 		t.Error("quantile series merged; summing quantiles is meaningless")
 	}
-	if _, ok := merged["causeway_goroutines"]; ok {
+	if _, ok := merged["causeway_go_goroutines"]; ok {
 		t.Error("gauge series merged")
 	}
 }

@@ -200,9 +200,12 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		OnRoot: func(ev online.RootEvent) {
 			rootCount.Add(1)
 			if *roots {
-				fmt.Fprintf(w, "live: root %s::%s chain=%s latency=%v\n",
-					ev.Root.Op.Interface, ev.Root.Op.Operation, ev.Chain.Short(),
-					ev.Root.Latency.Round(time.Microsecond))
+				outcome := fmt.Sprintf("latency=%v", ev.Root.Latency.Round(time.Microsecond))
+				if ev.Root.Broken {
+					outcome = "broken: " + ev.Root.BrokenReason
+				}
+				fmt.Fprintf(w, "live: root %s::%s chain=%s %s\n",
+					ev.Root.Op.Interface, ev.Root.Op.Operation, ev.Chain.Short(), outcome)
 			}
 		},
 		OnSlow: func(ev online.RootEvent) {

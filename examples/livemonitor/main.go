@@ -192,6 +192,11 @@ func run(rc runConfig) error {
 		Metrics: reg,
 		OnRoot: func(ev causeway.RootEvent) {
 			rootCount.Add(1)
+			if ev.Root.Broken {
+				fmt.Printf("live: %s::%s broken on chain %s: %s\n",
+					ev.Root.Op.Interface, ev.Root.Op.Operation, ev.Chain.Short(), ev.Root.BrokenReason)
+				return
+			}
 			fmt.Printf("live: %s::%s completed on chain %s (latency %v)\n",
 				ev.Root.Op.Interface, ev.Root.Op.Operation, ev.Chain.Short(),
 				ev.Root.Latency.Round(time.Microsecond))

@@ -128,8 +128,12 @@ type Tree struct {
 // transition patterns; the analyzer "will indicate the failure and restart
 // from the next log record".
 type Anomaly struct {
-	Chain  uuid.UUID
-	Index  int // index into the chain's sorted event list
+	Chain uuid.UUID
+	// Index is the offending event's position among the chain's events in
+	// the order they were applied: the index into the sorted event list
+	// offline; on a live chain, the count of the chain's events the monitor
+	// applied before it. Zero for anomalies found when stitching chains.
+	Index  int
 	Reason string
 }
 
@@ -212,10 +216,11 @@ func ReconstructFrom(db Source) *DSCG {
 	return AssembleParsed(db, chains, parsed)
 }
 
-// ParsedChain is the per-chain output of the Figure-4 state machine: the
-// embarrassingly parallel half of reconstruction. Chains are keyed by a
-// constant-size Function UUID and parsed independently, so any number of
-// workers can run ParseChainEvents concurrently with no coordination.
+// ParsedChain is the per-chain output of the Figure-4 state machine
+// (ChainMachine): the embarrassingly parallel half of reconstruction.
+// Chains are keyed by a constant-size Function UUID and parsed
+// independently, so any number of workers can run ParseChainEvents
+// concurrently with no coordination.
 // The streaming assembler (internal/streamrecon) also parses chains one
 // at a time as they quiesce, using the clean-parse result as its
 // completion heuristic.
@@ -228,19 +233,27 @@ type ParsedChain struct {
 }
 
 // ParseChainEvents runs the Figure-4 state machine over one chain's
-// seq-sorted event records.
+// seq-sorted event records: every event applied in order, then the chain
+// finished. The nodes point into events.
 func ParseChainEvents(chain uuid.UUID, events []probe.Record) ParsedChain {
 	if len(events) == 0 {
 		return ParsedChain{Empty: true}
 	}
-	p := &chainParser{chain: chain, events: events}
-	roots := p.parseChain()
-	return ParsedChain{
-		Roots:      roots,
-		Anomalies:  p.anomalies,
-		Broken:     p.broken,
-		CalleeSide: events[0].Event == ftl.SkelStart,
+	out := ParsedChain{CalleeSide: events[0].Event == ftl.SkelStart}
+	var m ChainMachine
+	for i := range events {
+		m.Apply(&events[i], &out)
 	}
+	m.Finish(&out)
+	return out
+}
+
+// Clean reports a chain that holds events and parsed with no broken
+// invocation and no anomaly: every call in it ran to completion. It is the
+// completion test of the streaming assembler and of the store's retention
+// sweep.
+func (p ParsedChain) Clean() bool {
+	return !p.Empty && len(p.Broken) == 0 && len(p.Anomalies) == 0
 }
 
 // LinkSource is the slice of Source that assembly actually needs:
@@ -358,262 +371,4 @@ func AssembleParsed(db LinkSource, chains []uuid.UUID, parsed []ParsedChain) *DS
 	g.Trees = parentTrees
 	g.Walk(func(*Node) { g.nodes++ })
 	return g
-}
-
-// chainParser is the Figure-4 state machine, phrased as a recursive-descent
-// parse of one chain's seq-sorted event list. Each accepted transition is a
-// parsing decision ("in progress" in the paper's terms); any record pair
-// matching no transition yields an anomaly and a restart at the next record.
-type chainParser struct {
-	chain     uuid.UUID
-	events    []probe.Record
-	pos       int
-	anomalies []Anomaly
-	broken    []BrokenChain
-}
-
-func (p *chainParser) peek() (probe.Record, bool) {
-	if p.pos >= len(p.events) {
-		return probe.Record{}, false
-	}
-	return p.events[p.pos], true
-}
-
-func (p *chainParser) fail(reason string) {
-	p.anomalies = append(p.anomalies, Anomaly{Chain: p.chain, Index: p.pos, Reason: reason})
-	p.pos++ // restart from the next log record
-}
-
-// markBroken classifies n as an incomplete-but-plausible failure remnant:
-// the node stays in the tree with whatever records it has, and the chain
-// is reported as a warning. Unlike fail, markBroken does not skip the
-// current record — the caller already returned to a state that can parse
-// it.
-func (p *chainParser) markBroken(n *Node, reason string) {
-	n.Broken = true
-	n.BrokenReason = reason
-	p.broken = append(p.broken, BrokenChain{Chain: p.chain, Op: n.Op.Operation, Reason: reason})
-}
-
-// parseChain parses the whole chain: either a oneway callee side (starts
-// with skel_start) or a sequence of sibling invocations.
-func (p *chainParser) parseChain() []*Node {
-	var roots []*Node
-	for {
-		r, ok := p.peek()
-		if !ok {
-			return roots
-		}
-		switch r.Event {
-		case ftl.StubStart:
-			if n := p.parseInvocation(); n != nil {
-				roots = append(roots, n)
-			}
-		case ftl.SkelStart:
-			if n := p.parseCalleeSide(); n != nil {
-				roots = append(roots, n)
-			}
-		default:
-			p.fail(fmt.Sprintf("chain cannot continue with %s(%s)", r.Event, r.Op.Operation))
-		}
-	}
-}
-
-// abandonedReason names the failure shape of an invocation whose stub_end
-// fired before (or instead of) the skeleton pair — the signature a client
-// deadline leaves behind. The same wording is used whether the stub_end was
-// seen before or after the skeleton records, so both orders of the
-// stub_end/skel_start sequence-number tie yield identical output.
-func abandonedReason(n *Node) string {
-	switch {
-	case n.SkelStart == nil:
-		return "missing skel_start and skel_end (request never dispatched; client saw an error)"
-	case n.SkelEnd == nil:
-		return "missing skel_end (client abandoned the call while the server was still executing)"
-	default:
-		return "stub_end overlaps the skeleton records (client abandoned the call; server completed anyway)"
-	}
-}
-
-// adoptSkeleton consumes a same-op skel_start (and, if present, the matching
-// skel_end) into n. An error-path stub_end shares its sequence number with
-// the server's skel_start, so under the stable per-seq sort the skeleton
-// records of the abandoned invocation may sort either before or after its
-// stub_end; adopting them here makes both tie orders parse identically.
-func (p *chainParser) adoptSkeleton(n *Node, op probe.OpID) {
-	if r, ok := p.peek(); !ok || r.Event != ftl.SkelStart || r.Op != op {
-		return
-	}
-	n.SkelStart = &p.events[p.pos]
-	p.pos++
-	if r, ok := p.peek(); ok && r.Event == ftl.SkelEnd && r.Op == op {
-		n.SkelEnd = &p.events[p.pos]
-		p.pos++
-	}
-}
-
-// parseInvocation consumes one stub-side invocation:
-//
-//	sync F:   F.stub_start F.skel_start children* F.skel_end F.stub_end
-//	oneway F: F.stub_start F.stub_end            (callee side on child chain)
-//
-// Prefixes of these sequences that a failed call plausibly leaves behind —
-// a deadline expired, a connection dropped, a process died before its
-// remaining probes fired — are accepted as *broken* invocations: the node
-// keeps whatever records exist and the chain is reported as a warning.
-// Transitions no failure can explain (mismatched operations, events out of
-// any order) remain anomalies.
-func (p *chainParser) parseInvocation() *Node {
-	start := p.events[p.pos]
-	p.pos++
-	n := &Node{
-		Op:         start.Op,
-		Chain:      p.chain,
-		Oneway:     start.Oneway,
-		Collocated: start.Collocated,
-		StubStart:  &start,
-	}
-
-	r, ok := p.peek()
-	if !ok {
-		if n.Oneway {
-			p.markBroken(n, "missing stub_end (chain ends after oneway stub_start)")
-		} else {
-			p.markBroken(n, "missing skel_start, skel_end, and stub_end (chain ends after stub_start)")
-		}
-		return n
-	}
-
-	if n.Oneway {
-		// One-way function stub-side returns: stub_end follows directly.
-		if r.Event == ftl.StubEnd && r.Op == start.Op {
-			n.StubEnd = &p.events[p.pos]
-			p.pos++
-			return n
-		}
-		// Anything else means the adjacent stub-exit record was lost; the
-		// current record is re-parsed by the caller.
-		p.markBroken(n, "missing stub_end (oneway stub-exit record lost)")
-		return n
-	}
-
-	// Synchronous. A same-op stub_end directly after stub_start is the
-	// client error path (deadline, connection failure): accept it, adopt
-	// any tie-ordered skeleton records, and classify broken.
-	if r.Event == ftl.StubEnd && r.Op == start.Op {
-		n.StubEnd = &p.events[p.pos]
-		p.pos++
-		p.adoptSkeleton(n, start.Op)
-		p.markBroken(n, abandonedReason(n))
-		return n
-	}
-	// A same-op skel_end with no skel_start means the skeleton-entry
-	// record was lost (shipper died between probes): accept the rest.
-	if r.Event == ftl.SkelEnd && r.Op == start.Op {
-		n.SkelEnd = &p.events[p.pos]
-		p.pos++
-		if r2, ok2 := p.peek(); ok2 && r2.Event == ftl.StubEnd && r2.Op == start.Op {
-			n.StubEnd = &p.events[p.pos]
-			p.pos++
-			p.markBroken(n, "missing skel_start (skeleton-entry record lost)")
-		} else {
-			p.markBroken(n, "missing skel_start and stub_end")
-		}
-		return n
-	}
-	// A child's stub_start where this call's skel_start belongs: the
-	// skeleton-entry record was lost, but the body demonstrably ran (its
-	// children follow). Open the body without a skel_start.
-	if r.Event == ftl.StubStart {
-		p.markBroken(n, "missing skel_start (skeleton-entry record lost)")
-	} else if r.Event != ftl.SkelStart || r.Op != start.Op {
-		// Anything else in skel_start position is an impossible transition.
-		p.fail(fmt.Sprintf("%s.stub_start followed by %s(%s), want skel_start", start.Op.Operation, r.Event, r.Op.Operation))
-		return n
-	} else {
-		n.SkelStart = &p.events[p.pos]
-		p.pos++
-	}
-
-	// Child function starts, or the function returns.
-	for {
-		r, ok = p.peek()
-		if !ok {
-			p.markBroken(n, "missing skel_end and stub_end (chain ends inside the body)")
-			return n
-		}
-		switch {
-		case r.Event == ftl.StubStart:
-			// Child function starts.
-			if c := p.parseInvocation(); c != nil {
-				n.Children = append(n.Children, c)
-			}
-		case r.Event == ftl.SkelEnd && r.Op == start.Op:
-			n.SkelEnd = &p.events[p.pos]
-			p.pos++
-			// Stub end concludes the invocation.
-			r2, ok2 := p.peek()
-			if !ok2 || r2.Event != ftl.StubEnd || r2.Op != start.Op {
-				// The body completed but the stub-exit record never
-				// arrived: client died before the return, or the record
-				// was lost. The current record (if any) is re-parsed by
-				// the caller.
-				p.markBroken(n, "missing stub_end (client died before return or stub-exit record lost)")
-				return n
-			}
-			n.StubEnd = &p.events[p.pos]
-			p.pos++
-			return n
-		case r.Event == ftl.StubEnd && r.Op == start.Op:
-			// The client's deadline expired mid-body: its stub_end sorts
-			// before the server's skel_end. Consume it, absorb the
-			// skel_end if the server did finish, and classify broken.
-			n.StubEnd = &p.events[p.pos]
-			p.pos++
-			if r2, ok2 := p.peek(); ok2 && r2.Event == ftl.SkelEnd && r2.Op == start.Op {
-				n.SkelEnd = &p.events[p.pos]
-				p.pos++
-			}
-			p.markBroken(n, abandonedReason(n))
-			return n
-		default:
-			p.fail(fmt.Sprintf("inside %s body: unexpected %s(%s)", start.Op.Operation, r.Event, r.Op.Operation))
-			return n
-		}
-	}
-}
-
-// parseCalleeSide consumes a oneway callee-side root:
-//
-//	F.skel_start children* F.skel_end
-func (p *chainParser) parseCalleeSide() *Node {
-	start := p.events[p.pos]
-	p.pos++
-	n := &Node{
-		Op:        start.Op,
-		Chain:     p.chain,
-		Oneway:    start.Oneway,
-		SkelStart: &start,
-	}
-	for {
-		r, ok := p.peek()
-		if !ok {
-			p.markBroken(n, "missing skel_end (oneway callee died mid-call or log truncated)")
-			return n
-		}
-		switch {
-		case r.Event == ftl.StubStart:
-			if c := p.parseInvocation(); c != nil {
-				n.Children = append(n.Children, c)
-			}
-		case r.Event == ftl.SkelEnd && r.Op == start.Op:
-			// One-way function skel-side returns.
-			n.SkelEnd = &p.events[p.pos]
-			p.pos++
-			return n
-		default:
-			p.fail(fmt.Sprintf("inside oneway %s body: unexpected %s(%s)", start.Op.Operation, r.Event, r.Op.Operation))
-			return n
-		}
-	}
 }

@@ -1,10 +1,11 @@
 package analysis
 
 import (
-	"math"
 	"sort"
 	"sync"
 	"time"
+
+	"causeway/internal/metrics"
 )
 
 // Digest is a streaming quantile estimator over durations: a fixed array
@@ -12,45 +13,17 @@ import (
 // constant memory, and mergeable — per-worker digests from parallel
 // reconstruction combine by adding counts. Quantile estimates carry the
 // bucket's relative error (≤ ~5%), which is ample for p50/p95/p99 hot-spot
-// ranking. The zero value is ready to use.
+// ranking. The bucket scheme and the rank rule are internal/metrics', so a
+// Digest and a live metrics.Histogram fed the same observations report
+// bit-identical quantiles. The zero value is ready to use.
 type Digest struct {
-	counts [digestBuckets]uint64
+	counts [metrics.NumBuckets]uint64
 	total  uint64
-}
-
-const (
-	// digestBuckets spans 1ns..~290s at 5% growth; larger values clamp to
-	// the last bucket.
-	digestBuckets = 540
-	digestGamma   = 1.05
-)
-
-var digestLogGamma = math.Log(digestGamma)
-
-// digestBucket maps a duration to its bucket index.
-func digestBucket(v time.Duration) int {
-	if v <= 1 {
-		return 0
-	}
-	i := int(math.Log(float64(v))/digestLogGamma) + 1
-	if i >= digestBuckets {
-		i = digestBuckets - 1
-	}
-	return i
-}
-
-// digestValue returns the representative duration of bucket i (its upper
-// bound, so quantiles never under-report).
-func digestValue(i int) time.Duration {
-	if i == 0 {
-		return 1
-	}
-	return time.Duration(math.Exp(float64(i) * digestLogGamma))
 }
 
 // Add records one observation.
 func (d *Digest) Add(v time.Duration) {
-	d.counts[digestBucket(v)]++
+	d.counts[metrics.BucketOf(v)]++
 	d.total++
 }
 
@@ -70,24 +43,15 @@ func (d *Digest) Quantile(q float64) time.Duration {
 	if d.total == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(d.total)))
-	if rank == 0 {
-		rank = 1
-	}
+	rank := metrics.QuantileRank(q, d.total)
 	var seen uint64
 	for i, c := range d.counts {
 		seen += c
 		if seen >= rank {
-			return digestValue(i)
+			return metrics.BucketValue(i)
 		}
 	}
-	return digestValue(digestBuckets - 1)
+	return metrics.BucketValue(metrics.NumBuckets - 1)
 }
 
 // InterfaceStat aggregates behaviour per IDL interface across the whole

@@ -117,17 +117,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleMetrics renders the exposition: the process-level series the
-// server owns (identity, uptime) followed by the registry's.
+// handleMetrics renders the exposition: the process identity the server
+// owns, followed by the registry's series — the causeway_go_* runtime
+// gauges (goroutines, heap, GC, uptime) among them, through the go_runtime
+// source registered at Start.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintf(w, "causeway_build_info{process=%q,proc_type=%q,go=%q} 1\n",
 		s.cfg.Process, s.cfg.ProcType, runtime.Version())
-	fmt.Fprintf(w, "causeway_uptime_seconds %d\n", int64(time.Since(s.start).Seconds()))
-	fmt.Fprintf(w, "causeway_goroutines %d\n", runtime.NumGoroutine())
 	if s.cfg.Registry != nil {
-		// The causeway_go_* runtime gauges arrive via the registry's
-		// go_runtime source (registered at Start).
 		s.cfg.Registry.WriteText(w)
 	}
 }

@@ -57,7 +57,8 @@ func TestEndpoints(t *testing.T) {
 	m := get(t, base+"/metrics")
 	for _, want := range []string{
 		`causeway_build_info{process="proc-a"`,
-		"causeway_uptime_seconds",
+		"causeway_go_uptime_seconds",
+		"causeway_go_goroutines",
 		`causeway_op_calls_total{iface="IGamma",op="Run"} 3`,
 		`causeway_chain_latency_count{iface="IGamma"} 1`,
 	} {

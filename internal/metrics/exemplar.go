@@ -17,7 +17,6 @@ package metrics
 import (
 	"encoding/binary"
 	"encoding/hex"
-	"math"
 	"sync/atomic"
 	"time"
 )
@@ -124,7 +123,7 @@ func (h *Histogram) ExemplarsArmed() bool { return h.ex.Load() != nil }
 // is non-zero, stamps the chain as its bucket's exemplar. when is the
 // observation's wall timestamp in unix nanoseconds. Never allocates.
 func (h *Histogram) ObserveEx(v time.Duration, chain ChainID, when int64) {
-	b := bucketOf(v)
+	b := BucketOf(v)
 	h.counts[b].Add(1)
 	h.total.Add(1)
 	h.sum.Add(int64(v))
@@ -158,7 +157,7 @@ func (h *Histogram) BucketExemplar(i int) (Exemplar, bool) {
 // quantiles never under-report.
 func (h *Histogram) CountOver(v time.Duration) uint64 {
 	var n uint64
-	for i := bucketOf(v) + 1; i < NumBuckets; i++ {
+	for i := BucketOf(v) + 1; i < NumBuckets; i++ {
 		n += h.counts[i].Load()
 	}
 	return n
@@ -175,7 +174,7 @@ func (h *Histogram) ExemplarsAbove(v time.Duration, since int64, max int) []Exem
 		return nil
 	}
 	var out []Exemplar
-	for i := NumBuckets - 1; i > bucketOf(v); i-- {
+	for i := NumBuckets - 1; i > BucketOf(v); i-- {
 		if h.counts[i].Load() == 0 {
 			continue
 		}
@@ -198,16 +197,7 @@ func (h *Histogram) quantileBucket(q float64) int {
 	if total == 0 {
 		return -1
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(total)))
-	if rank == 0 {
-		rank = 1
-	}
+	rank := QuantileRank(q, total)
 	var seen uint64
 	for i := range h.counts {
 		seen += h.counts[i].Load()

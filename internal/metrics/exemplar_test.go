@@ -21,7 +21,7 @@ func TestExemplarLastWriteWins(t *testing.T) {
 	v := 10 * time.Millisecond
 	h.ObserveEx(v, chainID(1), 100)
 	h.ObserveEx(v, chainID(2), 200)
-	e, ok := h.BucketExemplar(bucketOf(v))
+	e, ok := h.BucketExemplar(BucketOf(v))
 	if !ok {
 		t.Fatal("no exemplar captured")
 	}
@@ -37,13 +37,13 @@ func TestExemplarZeroChainAndUnarmed(t *testing.T) {
 	if h.Count() != 1 {
 		t.Fatalf("count = %d, want 1", h.Count())
 	}
-	if _, ok := h.BucketExemplar(bucketOf(time.Millisecond)); ok {
+	if _, ok := h.BucketExemplar(BucketOf(time.Millisecond)); ok {
 		t.Fatal("unarmed histogram captured an exemplar")
 	}
 	// Armed: a zero chain is the "no exemplar" sentinel.
 	h.ArmExemplars()
 	h.ObserveEx(time.Millisecond, ChainID{}, 2)
-	if _, ok := h.BucketExemplar(bucketOf(time.Millisecond)); ok {
+	if _, ok := h.BucketExemplar(BucketOf(time.Millisecond)); ok {
 		t.Fatal("zero chain stamped an exemplar")
 	}
 }
@@ -86,7 +86,7 @@ func TestExemplarConcurrentStamp(t *testing.T) {
 					return
 				default:
 				}
-				if e, ok := h.BucketExemplar(bucketOf(time.Millisecond)); ok {
+				if e, ok := h.BucketExemplar(BucketOf(time.Millisecond)); ok {
 					for _, b := range e.Chain[1:] {
 						if b != e.Chain[0] {
 							t.Error("torn exemplar read")
@@ -112,7 +112,7 @@ func TestExemplarConcurrentStamp(t *testing.T) {
 	if h.Count() != writers*2000 {
 		t.Fatalf("count = %d, want %d", h.Count(), writers*2000)
 	}
-	if _, ok := h.BucketExemplar(bucketOf(time.Millisecond)); !ok {
+	if _, ok := h.BucketExemplar(BucketOf(time.Millisecond)); !ok {
 		t.Fatal("no exemplar survived concurrent stamping")
 	}
 }
@@ -177,7 +177,7 @@ func TestRegistryArmExemplars(t *testing.T) {
 		t.Fatal("op histograms created after arming not armed")
 	}
 	r.ObserveChainEx("Post", 7*time.Millisecond, chainID(9), 77)
-	e, ok := post.BucketExemplar(bucketOf(7 * time.Millisecond))
+	e, ok := post.BucketExemplar(BucketOf(7 * time.Millisecond))
 	if !ok || e.Chain != chainID(9) {
 		t.Fatalf("ObserveChainEx exemplar = %+v ok=%v", e, ok)
 	}

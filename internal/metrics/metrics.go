@@ -8,16 +8,17 @@
 // the telemetry shipper, the online monitor — reports into it, and those
 // packages sit below the analysis stack in the import graph.
 //
-// # Bucket compatibility with the offline analyzer
+// # The bucket scheme, shared with the offline analyzer
 //
-// Histogram uses the exact bucket scheme of analysis/quantile's Digest:
 // 540 exponential buckets at 5% growth (gamma 1.05), bucket 0 holding
 // durations <= 1ns, each bucket represented by its upper bound so
 // quantiles never under-report, and the q-quantile read as the first
-// bucket whose cumulative count reaches ceil(q*total). Feeding a
-// Histogram and a Digest the same observations therefore yields
-// bit-identical p50/p95/p99 — the property that lets a live /metrics
-// scrape agree with offline InterfaceStat quantiles, asserted by test.
+// bucket whose cumulative count reaches ceil(q*total). BucketOf,
+// BucketValue and QuantileRank are the only copy of that scheme: the
+// offline analyzer's Digest (analysis/quantile) counts into the same
+// buckets through them, so feeding a Histogram and a Digest the same
+// observations yields bit-identical p50/p95/p99 — the property that lets
+// a live /metrics scrape agree with offline InterfaceStat quantiles.
 package metrics
 
 import (
@@ -27,8 +28,7 @@ import (
 	"unsafe"
 )
 
-// Bucket-scheme constants; these mirror analysis/quantile exactly (the
-// equivalence is pinned by TestHistogramMatchesAnalysisDigest).
+// Bucket-scheme constants.
 const (
 	// NumBuckets spans 1ns..~290s at 5% growth; larger values clamp to
 	// the last bucket.
@@ -38,8 +38,8 @@ const (
 
 var logGamma = math.Log(gamma)
 
-// bucketOf maps a duration to its bucket index.
-func bucketOf(v time.Duration) int {
+// BucketOf maps a duration to its bucket index.
+func BucketOf(v time.Duration) int {
 	if v <= 1 {
 		return 0
 	}
@@ -57,6 +57,15 @@ func BucketValue(i int) time.Duration {
 		return 1
 	}
 	return time.Duration(math.Exp(float64(i) * logGamma))
+}
+
+// QuantileRank returns the rank, counting from 1, of the observation that
+// realizes the q-quantile of total > 0 observations: ceil(q*total) with q
+// clamped to [0,1]. The quantile is the value of the first bucket whose
+// cumulative count reaches it.
+func QuantileRank(q float64, total uint64) uint64 {
+	q = min(max(q, 0), 1)
+	return max(uint64(math.Ceil(q*float64(total))), 1)
 }
 
 // counterShards spreads concurrent writers across cache lines. Power of
@@ -128,7 +137,7 @@ type Histogram struct {
 
 // Observe records one duration.
 func (h *Histogram) Observe(v time.Duration) {
-	h.counts[bucketOf(v)].Add(1)
+	h.counts[BucketOf(v)].Add(1)
 	h.total.Add(1)
 	h.sum.Add(int64(v))
 	for {
@@ -149,10 +158,10 @@ func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
 func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
 
 // Quantile estimates the q-quantile (q in [0,1]); 0 with no
-// observations. The algorithm is the Digest's: rank = ceil(q*total),
-// first bucket whose cumulative count reaches it, represented by the
-// bucket's upper bound. Concurrent Observes may skew a quantile read by
-// the in-flight observations; scrapes tolerate that.
+// observations: the first bucket whose cumulative count reaches
+// QuantileRank, represented by the bucket's upper bound. Concurrent
+// Observes may skew a quantile read by the in-flight observations; scrapes
+// tolerate that.
 func (h *Histogram) Quantile(q float64) time.Duration {
 	i := h.quantileBucket(q)
 	if i < 0 {

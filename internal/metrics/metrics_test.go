@@ -14,10 +14,12 @@ import (
 	"causeway/internal/metrics"
 )
 
-// TestHistogramMatchesAnalysisDigest pins the bucket-scheme compatibility
-// the package promises: a Histogram and the offline analyzer's Digest fed
-// identical observations report bit-identical quantiles, across the whole
-// bucket range including the <=1ns floor and the clamp bucket.
+// TestHistogramMatchesAnalysisDigest pins what a Histogram and the offline
+// analyzer's Digest still each write for themselves — the walk over their
+// own counts (atomic in one, plain in the other) up to the shared
+// QuantileRank: fed identical observations they report bit-identical
+// quantiles, across the whole bucket range including the <=1ns floor and
+// the clamp bucket.
 func TestHistogramMatchesAnalysisDigest(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var h metrics.Histogram

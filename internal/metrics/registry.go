@@ -292,7 +292,7 @@ func writeHistogram(w io.Writer, family, labels string, h *Histogram) {
 		return
 	}
 	fmt.Fprintf(w, "%s_sum_ns{%s} %d\n", family, labels, int64(h.Sum()))
-	fmt.Fprintf(w, "%s_max_ns{%s} %d%s\n", family, labels, int64(h.Max()), exemplarSuffix(h, bucketOf(h.Max())))
+	fmt.Fprintf(w, "%s_max_ns{%s} %d%s\n", family, labels, int64(h.Max()), exemplarSuffix(h, BucketOf(h.Max())))
 	for _, q := range quantiles {
 		i := h.quantileBucket(q.q)
 		fmt.Fprintf(w, "%s_ns{%s,q=\"%s\"} %d%s\n", family, labels, q.label, int64(BucketValue(i)), exemplarSuffix(h, i))

@@ -92,6 +92,10 @@ func shapeOf(n *analysis.Node) string {
 // shapes the online monitor emits equals the offline DSCG's — modulo the
 // one structural difference that online emits oneway callee sides as their
 // own roots (linked by parent chain) while offline stitches them inline.
+// Then the same run is damaged the ways deployments damage one (perturb:
+// lost records per event class, arrival skew, retry-stride gaps, the
+// deadline tie, resent frames), and the flushed monitor must agree with
+// ParseChainEvents node for node on every chain of every draw.
 func TestPropertyOnlineMatchesOffline(t *testing.T) {
 	fn := func(seed int64) bool {
 		var mu sync.Mutex
@@ -121,8 +125,15 @@ func TestPropertyOnlineMatchesOffline(t *testing.T) {
 			p.Tunnel().Clear()
 		}
 
+		clean := mem.Snapshot()
+		checkDriversAgree(t, fmt.Sprintf("seed %d, undamaged", seed), clean)
+		damage := rand.New(rand.NewSource(seed))
+		for draw := 0; draw < 16; draw++ {
+			checkDriversAgree(t, fmt.Sprintf("seed %d, damage draw %d", seed, draw), perturb(damage, clean))
+		}
+
 		db := logdb.NewStore()
-		db.Insert(mem.Snapshot()...)
+		db.Insert(clean...)
 		g := analysis.Reconstruct(db)
 		if len(g.Anomalies) != 0 {
 			t.Logf("seed %d offline anomalies: %v", seed, g.Anomalies)

@@ -3,18 +3,21 @@
 // of the paper's §6 future-work directions, built here as an extension.
 //
 // Monitor is a probe.Sink: attach it (alone or via probe.TeeSink next to
-// the persistent log) and it incrementally runs the Figure-4 state machine
-// per chain *as records arrive*, tolerating cross-process arrival skew by
-// applying each chain's events strictly in sequence-number order and
-// buffering early arrivals. The moment a top-level invocation completes,
-// its subtree is delivered to the OnRoot callback with latency metrics
-// computed — the hook a management layer uses for live slow-call or
-// error-topology reactions, without waiting for the application to reach a
-// quiescent state as the offline analyzer does (§3).
+// the persistent log) and it drives the analyzer's Figure-4 state machine
+// (analysis.ChainMachine) per chain *as records arrive*, tolerating
+// cross-process arrival skew by applying each chain's events strictly in
+// sequence-number order and buffering early arrivals. The moment a
+// top-level invocation closes, its subtree is delivered to the OnRoot
+// callback with latency metrics computed — the hook a management layer
+// uses for live slow-call or error-topology reactions, without waiting for
+// the application to reach a quiescent state as the offline analyzer does
+// (§3). Flush is that quiescent state declared: after it the monitor has
+// delivered exactly what analysis.ParseChainEvents reports for the records
+// it applied.
 package online
 
 import (
-	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -25,9 +28,12 @@ import (
 	"causeway/internal/uuid"
 )
 
-// RootEvent describes one completed top-level invocation.
+// RootEvent describes one closed top-level invocation.
 type RootEvent struct {
-	// Root is the completed invocation subtree with latency annotated.
+	// Root is the invocation subtree with latency annotated, final when
+	// delivered: a root that closes cleanly arrives with its last event;
+	// one the analyzer classifies broken (Root.Broken, or a Broken
+	// descendant) with the event that showed a record missing, or at Flush.
 	Root *analysis.Node
 	// Chain is the causal chain the root belongs to.
 	Chain uuid.UUID
@@ -42,14 +48,15 @@ type RootEvent struct {
 // probe's thread and must be fast; they may be invoked concurrently from
 // different application threads.
 type Config struct {
-	// OnRoot fires when a top-level invocation completes.
+	// OnRoot fires when a top-level invocation closes, cleanly or broken.
 	OnRoot func(RootEvent)
 	// OnSlow fires additionally when a completed root's compensated
 	// latency exceeds SlowThreshold (> 0).
 	OnSlow        func(RootEvent)
 	SlowThreshold time.Duration
-	// OnAnomaly fires when a chain's event stream violates the Figure-4
-	// transitions; the chain's state is reset and parsing resumes.
+	// OnAnomaly fires when a chain's event matches no Figure-4 transition;
+	// the event is skipped, the invocation it interrupted closes as it
+	// stands, and parsing resumes with the next event.
 	OnAnomaly func(analysis.Anomaly)
 	// Metrics, when set, receives every completed node's compensated
 	// latency via Registry.ObserveChain. Because the values come from the
@@ -70,6 +77,9 @@ type Monitor struct {
 	chains map[uuid.UUID]*chainState
 	// links resolves callee chains to their parents (KindLink records).
 	links map[uuid.UUID]uuid.UUID // child chain -> parent chain
+	// out is where the chain machines leave what an event closed, emptied
+	// into the callbacks after every apply.
+	out analysis.ParsedChain
 
 	// recent is a fixed-size ring of completed-root summaries; recentN
 	// counts completions ever, so recentN % len(recent) is the next slot.
@@ -112,15 +122,45 @@ func NewMonitor(cfg Config) *Monitor {
 	}
 }
 
-// chainState is one chain's incremental parse: events applied in seq
-// order, with early arrivals parked in pending (nil until the first one).
+// chainState is one chain's machine and the cursor that feeds it events in
+// seq order, early arrivals parked in pending (nil until the first one).
 // The state outlives every tree it builds — a chain's later sibling roots
-// continue its sequence — but holds no finished tree: pop clears the slot
-// it vacates, so a delivered root is the callback's to keep or drop.
+// continue its sequence — but holds no finished tree: a delivered root is
+// the callback's to keep or drop.
 type chainState struct {
-	nextSeq uint64
-	pending map[uint64]probe.Record
-	stack   []*analysis.Node
+	mach analysis.ChainMachine
+	// lastSeq is the newest applied seq, lastBy who emitted the events
+	// applied at it: an arrival at lastSeq from someone else is the other
+	// half of a tie (an error-path stub_end shares its seq with the server's
+	// skel_start), from one of them a resend.
+	lastSeq uint64
+	lastBy  [2]emitter
+	// pending is sorted by seq, equal seqs in arrival order.
+	pending []*probe.Record
+}
+
+// emitter identifies the probe activation behind an event within one
+// (chain, seq): a thread emits at most one event per sequence number.
+type emitter struct {
+	thread uint64
+	event  ftl.Event
+}
+
+// admit moves the cursor to r and reports whether r is to be applied:
+// not a resend of a record applied at the cursor, and not any record below
+// it, where a resend cannot be told from the second half of a tie that
+// arrived after the chain moved on.
+func (cs *chainState) admit(r *probe.Record) bool {
+	by := emitter{r.Thread, r.Event}
+	switch {
+	case r.Seq > cs.lastSeq:
+		cs.lastSeq, cs.lastBy = r.Seq, [2]emitter{by}
+		return true
+	case r.Seq < cs.lastSeq || by == cs.lastBy[0] || by == cs.lastBy[1]:
+		return false
+	}
+	cs.lastBy[1], cs.lastBy[0] = cs.lastBy[0], by
+	return true
 }
 
 // Append implements probe.Sink.
@@ -151,129 +191,67 @@ func (m *Monitor) appendLocked(r *probe.Record) {
 	case probe.KindEvent:
 		cs, ok := m.chains[r.Chain]
 		if !ok {
-			cs = &chainState{nextSeq: 1}
+			cs = &chainState{}
 			m.chains[r.Chain] = cs
 		}
-		if r.Seq != cs.nextSeq {
-			// Early (or duplicate, or stale) arrival: park it until the
-			// sequence catches up.
-			if cs.pending == nil {
-				cs.pending = make(map[uint64]probe.Record)
+		if r.Seq > cs.lastSeq+1 {
+			// Early arrival: park a copy, after every parked record it
+			// does not sort before, until the sequence catches up.
+			rec := *r
+			i := len(cs.pending)
+			for i > 0 && cs.pending[i-1].Seq > r.Seq {
+				i--
 			}
-			cs.pending[r.Seq] = *r
+			cs.pending = slices.Insert(cs.pending, i, &rec)
+			return
+		}
+		if !cs.admit(r) {
 			return
 		}
 		// In order — the common case: apply without touching pending,
 		// then whatever the arrival unblocked.
-		cs.nextSeq++
-		m.apply(cs, r)
-		for len(cs.pending) > 0 {
-			next, ok := cs.pending[cs.nextSeq]
-			if !ok {
-				return
-			}
-			delete(cs.pending, cs.nextSeq)
-			cs.nextSeq++
-			m.apply(cs, &next)
+		rec := *r // stable copy whose address the node keeps
+		m.apply(cs, &rec)
+		if len(cs.pending) > 0 {
+			m.drain(cs, false)
 		}
 	}
 }
 
-func (m *Monitor) anomaly(r probe.Record, format string, args ...any) {
-	if m.cfg.OnAnomaly != nil {
-		m.cfg.OnAnomaly(analysis.Anomaly{
-			Chain:  r.Chain,
-			Index:  int(r.Seq),
-			Reason: fmt.Sprintf(format, args...),
-		})
+// drain applies the parked records the sequence has caught up with, in
+// order; all of them, gaps notwithstanding, when flushing.
+func (m *Monitor) drain(cs *chainState, flush bool) {
+	i := 0
+	for ; i < len(cs.pending) && (flush || cs.pending[i].Seq <= cs.lastSeq+1); i++ {
+		rec := cs.pending[i]
+		cs.pending[i] = nil
+		if cs.admit(rec) {
+			m.apply(cs, rec)
+		}
 	}
+	cs.pending = cs.pending[i:]
 }
 
-// apply advances one chain's state machine by one event.
-func (m *Monitor) apply(cs *chainState, r *probe.Record) {
-	rec := *r // stable copy whose address the node keeps
-	top := func() *analysis.Node {
-		if len(cs.stack) == 0 {
-			return nil
-		}
-		return cs.stack[len(cs.stack)-1]
-	}
-	push := func(n *analysis.Node) {
-		if t := top(); t != nil {
-			t.Children = append(t.Children, n)
-		}
-		cs.stack = append(cs.stack, n)
-	}
-	pop := func() *analysis.Node {
-		last := len(cs.stack) - 1
-		n := cs.stack[last]
-		// Clear the vacated slot: the backing array outlives the pop, and
-		// a pointer left in it would keep the whole finished subtree (and
-		// every record it points to) reachable for the chain's lifetime.
-		cs.stack[last] = nil
-		cs.stack = cs.stack[:last]
-		if len(cs.stack) == 0 {
-			m.complete(n, rec.Chain)
-		}
-		return n
-	}
-	reset := func(format string, args ...any) {
-		m.anomaly(rec, format, args...)
-		cs.stack = nil
-	}
+// apply advances one chain's machine by one event and hands what the event
+// closed to the callbacks.
+func (m *Monitor) apply(cs *chainState, rec *probe.Record) {
+	cs.mach.Apply(rec, &m.out)
+	m.deliver(rec.Chain)
+}
 
-	switch rec.Event {
-	case ftl.StubStart:
-		push(&analysis.Node{
-			Op: rec.Op, Chain: rec.Chain,
-			Oneway: rec.Oneway, Collocated: rec.Collocated,
-			StubStart: &rec,
-		})
-	case ftl.SkelStart:
-		t := top()
-		switch {
-		case t == nil:
-			// Callee side of a oneway call: a root with no stub side.
-			push(&analysis.Node{Op: rec.Op, Chain: rec.Chain, Oneway: rec.Oneway, SkelStart: &rec})
-		case t.Op == rec.Op && t.SkelStart == nil && !t.Oneway:
-			t.SkelStart = &rec
-		default:
-			reset("unexpected skel_start(%s)", rec.Op.Operation)
+// deliver empties m.out into the callbacks, leaving no pointer behind: the
+// scratch slices outlive the call and must not pin a delivered tree.
+func (m *Monitor) deliver(chain uuid.UUID) {
+	for _, a := range m.out.Anomalies {
+		if m.cfg.OnAnomaly != nil {
+			m.cfg.OnAnomaly(a)
 		}
-	case ftl.SkelEnd:
-		t := top()
-		switch {
-		case t == nil:
-			reset("skel_end(%s) with no open invocation", rec.Op.Operation)
-		case t.Op == rec.Op && t.SkelStart != nil && t.SkelEnd == nil:
-			t.SkelEnd = &rec
-			if t.StubStart == nil {
-				// Callee-side root finishes at skeleton end.
-				pop()
-			}
-		default:
-			reset("unexpected skel_end(%s)", rec.Op.Operation)
-		}
-	case ftl.StubEnd:
-		t := top()
-		switch {
-		case t == nil:
-			reset("stub_end(%s) with no open invocation", rec.Op.Operation)
-		case t.Op == rec.Op && t.StubEnd == nil && (t.Oneway || t.SkelEnd != nil || t.Collocated):
-			// Oneway stub sides close without a skeleton pair on this
-			// chain; synchronous calls must have closed their skeleton.
-			if !t.Oneway && t.SkelEnd == nil {
-				reset("stub_end(%s) before skel_end", rec.Op.Operation)
-				return
-			}
-			t.StubEnd = &rec
-			pop()
-		default:
-			reset("unexpected stub_end(%s)", rec.Op.Operation)
-		}
-	default:
-		reset("invalid event %v", rec.Event)
 	}
+	for i, root := range m.out.Roots {
+		m.out.Roots[i] = nil
+		m.complete(root, chain)
+	}
+	m.out.Roots, m.out.Anomalies, m.out.Broken = m.out.Roots[:0], m.out.Anomalies[:0], m.out.Broken[:0]
 }
 
 // complete fires the callbacks for a finished top-level invocation.
@@ -369,27 +347,34 @@ func (m *Monitor) OpenChains() int {
 	defer m.mu.Unlock()
 	open := 0
 	for _, cs := range m.chains {
-		if len(cs.stack) > 0 || len(cs.pending) > 0 {
+		if cs.open() {
 			open++
 		}
 	}
 	return open
 }
 
-// Flush reports every still-open chain as an anomaly (e.g. at shutdown)
-// and clears all state.
+func (cs *chainState) open() bool { return cs.mach.Open() || len(cs.pending) > 0 }
+
+// Flush declares the stream finished (e.g. at shutdown): every open chain,
+// in chain order, has its parked events applied in seq order across
+// whatever gaps stalled them, and the invocations still in progress
+// delivered as broken roots. All state is cleared.
 func (m *Monitor) Flush() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var open []uuid.UUID
 	for chain, cs := range m.chains {
-		if len(cs.stack) > 0 || len(cs.pending) > 0 {
-			if m.cfg.OnAnomaly != nil {
-				m.cfg.OnAnomaly(analysis.Anomaly{
-					Chain:  chain,
-					Reason: fmt.Sprintf("chain open at flush: %d unfinished invocations, %d buffered events", len(cs.stack), len(cs.pending)),
-				})
-			}
+		if cs.open() {
+			open = append(open, chain)
 		}
+	}
+	slices.SortFunc(open, uuid.Compare)
+	for _, chain := range open {
+		cs := m.chains[chain]
+		m.drain(cs, true)
+		cs.mach.Finish(&m.out)
+		m.deliver(chain)
 	}
 	m.chains = make(map[uuid.UUID]*chainState)
 	m.links = make(map[uuid.UUID]uuid.UUID)

@@ -188,47 +188,160 @@ func TestOnlineSlowCallback(t *testing.T) {
 	}
 }
 
-func TestOnlineAnomalyAndRecovery(t *testing.T) {
-	anomalies := 0
-	roots := 0
-	m := NewMonitor(Config{
-		OnRoot:    func(RootEvent) { roots++ },
-		OnAnomaly: func(analysis.Anomaly) { anomalies++ },
+// mkEvent builds a synthetic event record of chain c.
+func mkEvent(c uuid.UUID, seq uint64, ev ftl.Event, name string) probe.Record {
+	return probe.Record{Kind: probe.KindEvent, Chain: c, Seq: seq, Event: ev, Op: probe.OpID{Operation: name}}
+}
+
+// capture collects what a monitor delivers.
+type capture struct {
+	roots     []*analysis.Node
+	anomalies []analysis.Anomaly
+}
+
+func (c *capture) monitor() *Monitor {
+	return NewMonitor(Config{
+		OnRoot:    func(ev RootEvent) { c.roots = append(c.roots, ev.Root) },
+		OnAnomaly: func(a analysis.Anomaly) { c.anomalies = append(c.anomalies, a) },
 	})
+}
+
+func TestOnlineAnomalyAndRecovery(t *testing.T) {
+	var got capture
+	m := got.monitor()
 	chain := uuid.UUID{0: 1}
-	op := func(n string) probe.OpID { return probe.OpID{Operation: n} }
-	mk := func(seq uint64, ev ftl.Event, name string) probe.Record {
-		return probe.Record{Kind: probe.KindEvent, Chain: chain, Seq: seq, Event: ev, Op: op(name)}
-	}
 	// Corrupt: skel_end for an op that never started; then a clean call.
-	m.Append(mk(1, ftl.SkelEnd, "X"))
-	m.Append(mk(2, ftl.StubStart, "F"))
-	m.Append(mk(3, ftl.SkelStart, "F"))
-	m.Append(mk(4, ftl.SkelEnd, "F"))
-	m.Append(mk(5, ftl.StubEnd, "F"))
-	if anomalies == 0 {
-		t.Fatal("corruption not flagged")
+	m.Append(mkEvent(chain, 1, ftl.SkelEnd, "X"))
+	m.Append(mkEvent(chain, 2, ftl.StubStart, "F"))
+	m.Append(mkEvent(chain, 3, ftl.SkelStart, "F"))
+	m.Append(mkEvent(chain, 4, ftl.SkelEnd, "F"))
+	m.Append(mkEvent(chain, 5, ftl.StubEnd, "F"))
+	// The offline classification: the stray event is skipped where it
+	// stands, as event[0] of the chain, and nothing else is disturbed.
+	want := analysis.Anomaly{Chain: chain, Index: 0, Reason: "chain cannot continue with skel_end(X)"}
+	if len(got.anomalies) != 1 || got.anomalies[0] != want {
+		t.Fatalf("anomalies = %v, want [%v]", got.anomalies, want)
 	}
-	if roots != 1 {
-		t.Fatalf("clean call after corruption: %d roots, want 1", roots)
+	if len(got.roots) != 1 || got.roots[0].Broken || got.roots[0].StubEnd == nil {
+		t.Fatalf("clean call after corruption: roots = %v, want one clean root", got.roots)
 	}
 }
 
 func TestOnlineFlushReportsOpenChains(t *testing.T) {
-	anomalies := 0
-	m := NewMonitor(Config{OnAnomaly: func(analysis.Anomaly) { anomalies++ }})
+	var got capture
+	m := got.monitor()
 	chain := uuid.UUID{0: 2}
-	m.Append(probe.Record{Kind: probe.KindEvent, Chain: chain, Seq: 1,
-		Event: ftl.StubStart, Op: probe.OpID{Operation: "hung"}})
-	if m.OpenChains() != 1 {
-		t.Fatalf("OpenChains = %d", m.OpenChains())
+	m.Append(mkEvent(chain, 1, ftl.StubStart, "hung"))
+	if m.OpenChains() != 1 || len(got.roots) != 0 {
+		t.Fatalf("OpenChains = %d, %d roots before flush", m.OpenChains(), len(got.roots))
 	}
 	m.Flush()
-	if anomalies != 1 {
-		t.Fatalf("flush reported %d anomalies, want 1", anomalies)
+	// A call that never returned is a failure remnant, not an impossible
+	// transition: a broken root, as the analyzer classifies it.
+	if len(got.anomalies) != 0 {
+		t.Fatalf("flush reported anomalies: %v", got.anomalies)
+	}
+	if len(got.roots) != 1 || !got.roots[0].Broken ||
+		got.roots[0].BrokenReason != "missing skel_start, skel_end, and stub_end (chain ends after stub_start)" {
+		t.Fatalf("flush delivered %v, want the hung call as one broken root", got.roots)
 	}
 	if m.OpenChains() != 0 {
 		t.Fatal("flush did not clear state")
+	}
+}
+
+// The deadline tie: a client that gives up emits its stub_end at the seq
+// the server's skel_start takes. Both records of the tie are applied, in
+// either arrival order, and the root closes — broken, with all four
+// records — the moment the server's skel_end shows nothing can amend it.
+func TestOnlineDeadlineTieApplied(t *testing.T) {
+	chain := uuid.UUID{0: 3}
+	for _, stubEndFirst := range []bool{true, false} {
+		a, b := mkEvent(chain, 2, ftl.StubEnd, "F"), mkEvent(chain, 2, ftl.SkelStart, "F")
+		if !stubEndFirst {
+			a, b = b, a
+		}
+		var got capture
+		m := got.monitor()
+		m.AppendBatch([]probe.Record{mkEvent(chain, 1, ftl.StubStart, "F"), a, b})
+		if len(got.roots) != 0 {
+			t.Fatalf("stubEndFirst=%v: root delivered while its skel_end could still amend it", stubEndFirst)
+		}
+		m.Append(mkEvent(chain, 3, ftl.SkelEnd, "F"))
+		if len(got.anomalies) != 0 || m.OpenChains() != 0 {
+			t.Fatalf("stubEndFirst=%v: anomalies %v, %d chains open", stubEndFirst, got.anomalies, m.OpenChains())
+		}
+		if len(got.roots) != 1 {
+			t.Fatalf("stubEndFirst=%v: %d roots, want 1", stubEndFirst, len(got.roots))
+		}
+		r := got.roots[0]
+		if r.StubStart == nil || r.SkelStart == nil || r.SkelEnd == nil || r.StubEnd == nil {
+			t.Fatalf("stubEndFirst=%v: a record of the tie was lost: %+v", stubEndFirst, r)
+		}
+		if want := "stub_end overlaps the skeleton records (client abandoned the call; server completed anyway)"; !r.Broken || r.BrokenReason != want {
+			t.Fatalf("stubEndFirst=%v: broken=%v reason=%q, want %q", stubEndFirst, r.Broken, r.BrokenReason, want)
+		}
+	}
+}
+
+// An ack lost on the wire makes the shipper send the frame again. Records
+// the chain's cursor is at or past are dropped, not parked as if a later
+// seq could still unblock them.
+func TestOnlineResentFrameDropped(t *testing.T) {
+	chain := uuid.UUID{0: 4}
+	frame := []probe.Record{
+		mkEvent(chain, 1, ftl.StubStart, "F"),
+		mkEvent(chain, 2, ftl.SkelStart, "F"),
+		mkEvent(chain, 3, ftl.SkelEnd, "F"),
+		mkEvent(chain, 4, ftl.StubEnd, "F"),
+	}
+	var got capture
+	m := got.monitor()
+	m.AppendBatch(frame)
+	m.AppendBatch(frame)
+	if len(got.roots) != 1 || len(got.anomalies) != 0 {
+		t.Fatalf("%d roots, anomalies %v; want the one root and nothing else", len(got.roots), got.anomalies)
+	}
+	if open := m.OpenChains(); open != 0 {
+		t.Fatalf("resent records left %d chains open", open)
+	}
+	m.Flush()
+	if len(got.roots) != 1 || len(got.anomalies) != 0 {
+		t.Fatalf("flush after a resend delivered more: %d roots, anomalies %v", len(got.roots), got.anomalies)
+	}
+}
+
+// A chain stalled on a seq gap — a retry renumbered the call at the ORB's
+// stride, or a record was lost — is parsed across the gap at Flush, the way
+// the analyzer parses it, instead of being summarised and discarded.
+func TestOnlineGapDeliveredAtFlush(t *testing.T) {
+	retried, lossy := uuid.UUID{0: 5}, uuid.UUID{0: 6}
+	var got capture
+	m := got.monitor()
+	m.AppendBatch([]probe.Record{
+		mkEvent(retried, 1, ftl.StubStart, "F"),
+		mkEvent(retried, 4098, ftl.SkelStart, "F"),
+		mkEvent(retried, 4099, ftl.SkelEnd, "F"),
+		mkEvent(retried, 4100, ftl.StubEnd, "F"),
+		mkEvent(lossy, 1, ftl.StubStart, "G"),
+		mkEvent(lossy, 3, ftl.SkelEnd, "G"),
+		mkEvent(lossy, 4, ftl.StubEnd, "G"),
+	})
+	if len(got.roots) != 0 || m.OpenChains() != 2 {
+		t.Fatalf("before flush: %d roots, %d chains open; want 0 and 2", len(got.roots), m.OpenChains())
+	}
+	m.Flush()
+	if len(got.anomalies) != 0 {
+		t.Fatalf("flush reported anomalies: %v", got.anomalies)
+	}
+	if len(got.roots) != 2 {
+		t.Fatalf("flush delivered %d roots, want 2", len(got.roots))
+	}
+	if r := got.roots[0]; r.Chain != retried || r.Broken || r.StubEnd == nil || r.SkelStart == nil {
+		t.Fatalf("retried call: %+v, want a clean root", r)
+	}
+	if r := got.roots[1]; r.Chain != lossy || r.BrokenReason != "missing skel_start (skeleton-entry record lost)" || r.StubEnd == nil {
+		t.Fatalf("lossy call: %+v, want a root broken by the lost skel_start", r)
 	}
 }
 

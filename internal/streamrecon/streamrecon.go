@@ -387,7 +387,7 @@ func (a *Assembler) judgeLocked(chain uuid.UUID, buf *chainBuf, force bool, okRe
 		buf.unsorted = false
 	}
 	parsed := analysis.ParseChainEvents(chain, recs)
-	clean := !parsed.Empty && len(parsed.Broken) == 0 && len(parsed.Anomalies) == 0
+	clean := parsed.Clean()
 	if !clean && !force {
 		return eviction{}, false
 	}

@@ -11,7 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"causeway/internal/ftl"
+	"causeway/internal/analysis"
 	"causeway/internal/probe"
 	"causeway/internal/uuid"
 )
@@ -437,41 +437,13 @@ func (sh *shard) close() error {
 	return first
 }
 
-// chainComplete reports whether sorted locs describe a finished chain:
-// seqs contiguous from 1 (ftl.Tunnel.BeginChild starts every chain's
-// first event at seq 1), balanced start/end events, and the final event
-// an end event. Incomplete or anomalous chains are never swept — the
-// analyzer should keep seeing them.
-func chainComplete(recs []probe.Record) bool {
-	if len(recs) == 0 {
-		return false
-	}
-	starts, ends := 0, 0
-	for i, r := range recs {
-		if r.Seq != uint64(i+1) {
-			return false
-		}
-		switch r.Event {
-		case ftl.StubStart, ftl.SkelStart:
-			starts++
-		case ftl.SkelEnd, ftl.StubEnd:
-			ends++
-		default:
-			return false
-		}
-	}
-	if starts != ends {
-		return false
-	}
-	last := recs[len(recs)-1].Event
-	return last == ftl.StubEnd || last == ftl.SkelEnd
-}
-
-// sweep drops completed chains whose newest event is older than cutoff,
-// then compacts the shard: survivors are rewritten into a fresh segment,
-// the gc watermark advances, and only then are the old segments removed —
-// the crash-safe order (rename beats delete) guarantees a reopening store
-// sees either the old segments or the compacted one, never both.
+// sweep drops chains whose newest event is older than cutoff and that parse
+// clean — every invocation ran to completion; broken and anomalous chains
+// are never swept, the analyzer should keep seeing them — then compacts the
+// shard: survivors are rewritten into a fresh segment, the gc watermark
+// advances, and only then are the old segments removed — the crash-safe
+// order (rename beats delete) guarantees a reopening store sees either the
+// old segments or the compacted one, never both.
 func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -489,7 +461,7 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 		if rerr != nil {
 			return 0, rerr
 		}
-		if chainComplete(recs) {
+		if analysis.ParseChainEvents(c, recs).Clean() {
 			victims[c] = true
 		}
 	}

@@ -424,6 +424,41 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// The sweep's notion of a finished chain is the analyzer's: a clean
+// Figure-4 parse. A retried call renumbers its probes at the ORB's seq
+// stride, so a gap is no sign of damage; balanced, contiguous events whose
+// operations do not pair up are.
+func TestSweepJudgesChainsAsTheAnalyzerDoes(t *testing.T) {
+	ts, err := Open(t.TempDir(), Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	old := time.Now().Add(-2 * time.Hour)
+	retried, mispaired := chainID(20), chainID(21)
+	ts.Insert(
+		ev(retried, 1, ftl.StubStart, "IRetried", old),
+		ev(retried, 4098, ftl.SkelStart, "IRetried", old),
+		ev(retried, 4099, ftl.SkelEnd, "IRetried", old),
+		ev(retried, 4100, ftl.StubEnd, "IRetried", old),
+		ev(mispaired, 1, ftl.StubStart, "IOne", old),
+		ev(mispaired, 2, ftl.SkelStart, "IOther", old),
+		ev(mispaired, 3, ftl.SkelEnd, "IOther", old),
+		ev(mispaired, 4, ftl.StubEnd, "IOne", old),
+	)
+	dropped, err := ts.Sweep(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped != 1 || len(ts.Events(retried)) != 0 {
+		t.Fatalf("Sweep dropped %d chains and left %d events of the retried call; want it swept, gap and all",
+			dropped, len(ts.Events(retried)))
+	}
+	if got := len(ts.Events(mispaired)); got != 4 {
+		t.Fatalf("anomalous chain has %d events after the sweep, want all 4 kept for the analyzer", got)
+	}
+}
+
 // TestExportStream round-trips the store through WriteStream into logdb —
 // the `causectl export` path — and checks nothing is lost.
 func TestExportStream(t *testing.T) {
