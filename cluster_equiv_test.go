@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -43,24 +42,53 @@ func clusterWaitFor(t *testing.T, cond func() bool, what string) {
 	}
 }
 
-// sharedRing is the ring every ingest collector serves — mutating it and
-// bumping the epoch is how these tests rebalance the tier, exactly as
-// restarting collectd with a new -peers list would.
-type sharedRing struct {
-	mu   sync.Mutex
-	ring telemetry.Ring
+// startNode opens one ingest collector the way cmd/collectd does —
+// through cluster.Node — over the given store. An empty addr picks an
+// ephemeral port; a fixed one is a killed collector coming back, and
+// rebinding it can race the kernel releasing it.
+func startNode(t *testing.T, addr string, store cluster.Store) *cluster.Node {
+	t.Helper()
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	var node *cluster.Node
+	clusterWaitFor(t, func() bool {
+		var err error
+		node, err = cluster.StartNode(cluster.NodeConfig{Listen: addr, Store: store})
+		return err == nil
+	}, "binding collector address "+addr)
+	return node
 }
 
-func (s *sharedRing) set(r telemetry.Ring) {
-	s.mu.Lock()
-	s.ring = r
-	s.mu.Unlock()
+// setRing installs r on every collector of the tier — bumping the epoch
+// is how these tests rebalance by hand, exactly as restarting collectd
+// with a new -peers list would.
+func setRing(nodes []*cluster.Node, r telemetry.Ring) {
+	for _, n := range nodes {
+		n.SetRing(r)
+	}
 }
 
-func (s *sharedRing) get() (telemetry.Ring, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ring, s.ring.Slots > 0
+// mergeFleet folds every collector's export stream into one fleet store
+// through the deduplicating aggregator, as `collectd -aggregate` does,
+// and returns the store with the number of records the merge rejected as
+// already held.
+func mergeFleet[S cluster.Store](t *testing.T, addrs []string, stores []S) (fleet *logdb.Store, dups int) {
+	t.Helper()
+	fleet = logdb.NewStore()
+	agg := cluster.NewAggregator(fleet)
+	for i, db := range stores {
+		var buf bytes.Buffer
+		if err := db.WriteStream(&buf); err != nil {
+			t.Fatal(err)
+		}
+		_, d, err := agg.MergeStream(addrs[i], &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dups += d
+	}
+	return fleet, dups
 }
 
 // fanoutTemplate is the per-member shipper template for a routed
@@ -135,24 +163,22 @@ func TestClusterEquivalencePPS(t *testing.T) {
 	baseline.Insert(records...)
 	want := characterize(t, analysis.ReconstructParallel(baseline, 4))
 
-	shared := &sharedRing{}
+	var nodes []*cluster.Node
 	var stores []*logdb.Store
 	var addrs []string
 	for i := 0; i < 3; i++ {
 		db := logdb.NewStore()
-		srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Store: db, Ring: shared.get})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
+		node := startNode(t, "", db)
+		defer node.Close()
+		nodes = append(nodes, node)
 		stores = append(stores, db)
-		addrs = append(addrs, srv.Addr())
+		addrs = append(addrs, node.Addr())
 	}
 	ring, err := cluster.Assign(1, cluster.DefaultSlots, cluster.Members(addrs...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared.set(ring)
+	setRing(nodes, ring)
 
 	rs, err := cluster.NewRouted(cluster.RouterConfig{Ring: ring, Shipper: fanoutTemplate("pps-fan")})
 	if err != nil {
@@ -178,23 +204,14 @@ func TestClusterEquivalencePPS(t *testing.T) {
 	clusterWaitFor(t, func() bool { return total() == len(records) }, "cluster ingest of the PPS workload")
 	assertChainsWhole(t, ring, addrs, stores)
 
-	fleet := logdb.NewStore()
-	agg := cluster.NewAggregator(fleet)
 	for i, db := range stores {
-		var buf bytes.Buffer
-		if err := db.WriteStream(&buf); err != nil {
-			t.Fatal(err)
-		}
 		if db.Len() == 0 {
 			t.Fatalf("collector %s ingested nothing; slot spans too coarse for the workload", addrs[i])
 		}
-		_, dups, err := agg.MergeStream(addrs[i], &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dups != 0 {
-			t.Fatalf("steady-state merge of %s rejected %d duplicates", addrs[i], dups)
-		}
+	}
+	fleet, dups := mergeFleet(t, addrs, stores)
+	if dups != 0 {
+		t.Fatalf("steady-state merge rejected %d duplicates", dups)
 	}
 	if fleet.Len() != len(records) {
 		t.Fatalf("fleet store holds %d of %d records", fleet.Len(), len(records))
@@ -209,24 +226,22 @@ func TestClusterEquivalencePPS(t *testing.T) {
 // live collectors, and the aggregated fleet view must characterize
 // identically to one store holding everything that arrived.
 func TestClusterEquivalenceLivemonitor(t *testing.T) {
-	shared := &sharedRing{}
+	var nodes []*cluster.Node
 	var stores []*logdb.Store
 	var addrs []string
 	for i := 0; i < 3; i++ {
 		db := logdb.NewStore()
-		srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Store: db, Ring: shared.get})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
+		node := startNode(t, "", db)
+		defer node.Close()
+		nodes = append(nodes, node)
 		stores = append(stores, db)
-		addrs = append(addrs, srv.Addr())
+		addrs = append(addrs, node.Addr())
 	}
 	ring, err := cluster.Assign(1, cluster.DefaultSlots, cluster.Members(addrs...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared.set(ring)
+	setRing(nodes, ring)
 
 	newProc := func(name string) *causeway.Process {
 		p, err := causeway.NewProcess(causeway.ProcessConfig{
@@ -292,20 +307,9 @@ func TestClusterEquivalenceLivemonitor(t *testing.T) {
 	}
 	want := characterize(t, analysis.ReconstructParallel(union, 4))
 
-	fleet := logdb.NewStore()
-	agg := cluster.NewAggregator(fleet)
-	for i, db := range stores {
-		var buf bytes.Buffer
-		if err := db.WriteStream(&buf); err != nil {
-			t.Fatal(err)
-		}
-		_, dups, err := agg.MergeStream(addrs[i], &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dups != 0 {
-			t.Fatalf("steady-state merge of %s rejected %d duplicates", addrs[i], dups)
-		}
+	fleet, dups := mergeFleet(t, addrs, stores)
+	if dups != 0 {
+		t.Fatalf("steady-state merge rejected %d duplicates", dups)
 	}
 	if fleet.Len() != int(shipped) {
 		t.Fatalf("fleet store holds %d of %d shipped records", fleet.Len(), shipped)
@@ -340,50 +344,41 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 			cut1 := 1 + rng.Intn(len(recs)/2)
 			cut2 := cut1 + 1 + rng.Intn(len(recs)-cut1-1)
 
-			shared := &sharedRing{}
+			// One survivor keeps its records in memory: a logdb-backed
+			// collector must accept replays and donate moved ranges exactly
+			// as the disk-backed ones do. (The victim stays on disk — its
+			// segments are what survives the kill.)
+			memory := (victim + 1) % 3
 			dirs := make([]string, 3)
-			stores := make([]*tracestore.Store, 3)
-			srvs := make([]*telemetry.Server, 3)
+			disks := make([]*tracestore.Store, 3)
+			stores := make([]cluster.Store, 3)
+			nodes := make([]*cluster.Node, 3)
 			addrs := make([]string, 3)
 			openIngest := func(i int, addr string) {
 				t.Helper()
-				ts, err := tracestore.Open(dirs[i], tracestore.Options{Shards: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := telemetry.ServerConfig{
-					Store: ts,
-					Ring:  shared.get,
-					Replay: func(rs []probe.Record) int {
-						return ts.InsertNew(rs...)
-					},
-				}
-				var srv *telemetry.Server
-				if addr == "" {
-					srv, err = telemetry.Listen("127.0.0.1:0", cfg)
+				if i == memory {
+					stores[i] = logdb.NewStore()
+				} else {
+					ts, err := tracestore.Open(dirs[i], tracestore.Options{Shards: 4})
 					if err != nil {
 						t.Fatal(err)
 					}
-				} else {
-					// Rebinding the victim's old address can race the kernel
-					// releasing it.
-					clusterWaitFor(t, func() bool {
-						srv, err = telemetry.Listen(addr, cfg)
-						return err == nil
-					}, "rebinding the victim's address")
+					disks[i], stores[i] = ts, ts
 				}
-				stores[i], srvs[i] = ts, srv
+				nodes[i] = startNode(t, addr, stores[i])
 			}
 			base := t.TempDir()
 			for i := range dirs {
 				dirs[i] = filepath.Join(base, fmt.Sprintf("col%d", i))
 				openIngest(i, "")
-				addrs[i] = srvs[i].Addr()
+				addrs[i] = nodes[i].Addr()
 			}
 			defer func() {
-				for i := range srvs {
-					srvs[i].Close()
-					stores[i].Close()
+				for i := range nodes {
+					nodes[i].Close()
+					if disks[i] != nil {
+						disks[i].Close()
+					}
 				}
 			}()
 
@@ -391,7 +386,7 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shared.set(ring1)
+			setRing(nodes, ring1)
 			rs, err := cluster.NewRouted(cluster.RouterConfig{Ring: ring1, Shipper: fanoutTemplate("kill-rejoin")})
 			if err != nil {
 				t.Fatal(err)
@@ -419,10 +414,10 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 			// Kill the victim mid-run; the survivors take over its range at
 			// epoch 2 and the router re-routes.
 			victimLen := stores[victim].Len()
-			if err := srvs[victim].Close(); err != nil {
+			if err := nodes[victim].Close(); err != nil {
 				t.Fatal(err)
 			}
-			if err := stores[victim].Close(); err != nil {
+			if err := disks[victim].Close(); err != nil {
 				t.Fatal(err)
 			}
 			var survivors []string
@@ -435,7 +430,7 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shared.set(ring2)
+			setRing(nodes, ring2)
 			clusterWaitFor(t, func() bool { return rs.Ring().Epoch == 2 }, "router to adopt the survivor ring")
 
 			// Phase 2: the victim's range lands on its new owners.
@@ -494,7 +489,7 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			shared.set(ring3)
+			setRing(nodes, ring3)
 			clusterWaitFor(t, func() bool { return rs.Ring().Epoch == 3 }, "router to adopt the rejoin ring")
 
 			var backAccepted uint64
@@ -581,20 +576,7 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 
 			// The fleet view: dedup absorbs exactly the replay copies, and
 			// characterization matches the single-collector baseline.
-			fleet := logdb.NewStore()
-			agg := cluster.NewAggregator(fleet)
-			dups := 0
-			for i := range stores {
-				var buf bytes.Buffer
-				if err := stores[i].WriteStream(&buf); err != nil {
-					t.Fatal(err)
-				}
-				_, d, err := agg.MergeStream(addrs[i], &buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dups += d
-			}
+			fleet, dups := mergeFleet(t, addrs, stores)
 			if fleet.Len() != len(recs) {
 				t.Fatalf("fleet holds %d of %d records after kill/rejoin", fleet.Len(), len(recs))
 			}

@@ -18,7 +18,7 @@ import (
 //	cluster [status] -peers dbg1,dbg2,...
 //	    ring ownership from /ringz, heartbeat/membership state from
 //	    /memberz (suspect timers, proposer, settling epoch), per-collector
-//	    conservation ledgers from /metrics, and the tier-wide fleet ledger
+//	    conservation ledgers from /ledgerz, and the tier-wide fleet ledger
 //	    with its conservation verdict.
 //
 //	cluster rebalance -peers dbg1,dbg2,...
@@ -77,23 +77,22 @@ func clusterStatus(w io.Writer, client *http.Client, peers []string) error {
 			ringSummaries[ringLine] = append(ringSummaries[ringLine], p)
 		}
 		printMemberz(w, client, p)
-		series, err := fetchSeries(client, p)
+		led, err := cluster.FetchLedger(client, p)
 		if err != nil {
 			fmt.Fprintf(w, "  ledger: unreachable (%v)\n", err)
 			continue
 		}
 		reachable++
-		led := cluster.LedgerFromSeries(series)
+		// Routed shippers drop records no ring member owns; each
+		// collector reports the count its fleet scrape saw. Every
+		// collector sees every process (routed processes connect to all
+		// members), so the views overlap — take the max, not the sum, to
+		// count each drop once.
+		if led.NoOwner > noOwner {
+			noOwner = led.NoOwner
+		}
 		fmt.Fprintf(w, "  ledger: %s\n", led)
 		ledgers = append(ledgers, led)
-		// Routed shippers drop records no ring member owns; the counter
-		// lives in each process's /metrics and reaches us through every
-		// collector's fleet scrape. Each collector sees every process
-		// (routed processes connect to all members), so the fleet views
-		// overlap — take the max, not the sum, to count each drop once.
-		if v := series["fleet_causeway_cluster_no_owner_total"]; v > 0 && uint64(v) > noOwner {
-			noOwner = uint64(v)
-		}
 	}
 	if len(ringSummaries) > 1 {
 		fmt.Fprintf(w, "WARNING: peers disagree on the ring — a rebalance is in flight or -peers/-ring-epoch flags diverge:\n")
@@ -237,15 +236,4 @@ func fetchRingz(client *http.Client, addr string) (summary string, members []str
 		}
 	}
 	return summary, members, sc.Err()
-}
-
-// fetchSeries pulls one peer's /metrics into a name -> value map via
-// the shared exposition parser.
-func fetchSeries(client *http.Client, addr string) (map[string]int64, error) {
-	resp, err := client.Get("http://" + addr + "/metrics")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return cluster.ParseSeries(resp.Body)
 }

@@ -49,8 +49,8 @@ import (
 	"strings"
 	"time"
 
-	"causeway"
 	"causeway/internal/analysis"
+	"causeway/internal/cluster"
 	"causeway/internal/collector"
 	"causeway/internal/logdb"
 	"causeway/internal/render"
@@ -65,12 +65,9 @@ func main() {
 	}
 }
 
-// source is the store view every subcommand works against: the analyzer
-// queries plus whole-store export.
-type source interface {
-	causeway.Source
-	WriteStream(w io.Writer) error
-}
+// source is the store view every subcommand works against: the one
+// store interface, of which they use the analyzer queries and the export.
+type source = cluster.Store
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("causectl", flag.ContinueOnError)

@@ -4,20 +4,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"os/signal"
 	"strings"
-	"sync"
 	"time"
 
-	"causeway"
 	"causeway/internal/cluster"
 	"causeway/internal/debugserver"
-	"causeway/internal/logdb"
 	"causeway/internal/metrics"
-	"causeway/internal/render"
-	"causeway/internal/telemetry"
-	"causeway/internal/tracestore"
 )
 
 // splitPeers parses a comma-separated peer list, dropping empties.
@@ -29,77 +21,6 @@ func splitPeers(s string) []string {
 		}
 	}
 	return out
-}
-
-// buildRing computes the ingest tier's ownership ring from the shared
-// -peers list. Every collector (and causectl) runs the same sorted
-// assignment, so identical flags produce an identical ring everywhere —
-// no coordination protocol, the configuration is the coordinator.
-func buildRing(peers []string, epoch uint64, slots int) (telemetry.Ring, error) {
-	return cluster.Assign(epoch, slots, cluster.Members(peers...))
-}
-
-// ringSource holds the ring the telemetry server serves. It starts as
-// the configuration-computed ring and is swapped by automated
-// membership on every epoch transition.
-type ringSource struct {
-	mu   sync.Mutex
-	ring telemetry.Ring
-}
-
-func (rs *ringSource) get() telemetry.Ring {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	return rs.ring
-}
-
-func (rs *ringSource) set(r telemetry.Ring) {
-	rs.mu.Lock()
-	rs.ring = r
-	rs.mu.Unlock()
-}
-
-// ringzHandler serves the ring as text: the String() summary plus one
-// line per member, `causectl cluster` input.
-func ringzHandler(ringFn func() telemetry.Ring, self string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ring := ringFn()
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintf(w, "ring %s\n", ring)
-		for _, m := range ring.Members {
-			marker := ""
-			if m.ID == self {
-				marker = " (self)"
-			}
-			fmt.Fprintf(w, "member %s addr=%s slots=[%d,%d)%s\n", m.ID, m.Addr, m.Start, m.End, marker)
-		}
-	}
-}
-
-// exportzHandler streams the store as the gob record stream WriteStream
-// and `causectl export` emit; the aggregator's pull side.
-func exportzHandler(store interface{ WriteStream(io.Writer) error }) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := store.WriteStream(w); err != nil {
-			// Headers are gone; the torn tail is the client's signal.
-			return
-		}
-	}
-}
-
-// serverMetrics renders the telemetry server's counters as a registry
-// source, making ingest and replay accounting scrapeable per collector.
-func serverMetrics(srv *telemetry.Server) func(io.Writer) {
-	return func(w io.Writer) {
-		st := srv.Stats()
-		fmt.Fprintf(w, "causeway_server_records_total %d\n", st.Records)
-		fmt.Fprintf(w, "causeway_server_batches_total %d\n", st.Batches)
-		fmt.Fprintf(w, "causeway_server_peers_total %d\n", st.Peers)
-		fmt.Fprintf(w, "causeway_server_bad_frames_total %d\n", st.BadFrames)
-		fmt.Fprintf(w, "causeway_server_replayed_total %d\n", st.Replayed)
-		fmt.Fprintf(w, "causeway_server_replay_batches_total %d\n", st.ReplayBatches)
-	}
 }
 
 // aggConfig carries the flag values runAggregate needs out of run().
@@ -125,16 +46,12 @@ func runAggregate(cfg aggConfig, w io.Writer, stop <-chan struct{}) error {
 	if len(cfg.peers) == 0 {
 		return fmt.Errorf("-aggregate needs -peers with the ingest collectors' debug addresses")
 	}
-	var store mergedStore
-	if cfg.storeDir != "" {
-		disk, err := tracestore.Open(cfg.storeDir, tracestore.Options{})
-		if err != nil {
-			return err
-		}
+	store, disk, err := openStore(cfg.storeDir)
+	if err != nil {
+		return err
+	}
+	if disk != nil {
 		defer disk.Close()
-		store = disk
-	} else {
-		store = logdb.NewStore()
 	}
 	agg := cluster.NewAggregator(store)
 	reg := metrics.NewRegistry()
@@ -170,7 +87,7 @@ func runAggregate(cfg aggConfig, w io.Writer, stop <-chan struct{}) error {
 			Process:  "collectd-aggregate",
 			ProcType: "aggregator",
 			Aspects:  "aggregation",
-			Extra:    map[string]http.HandlerFunc{"/exportz": exportzHandler(store)},
+			Extra:    map[string]http.HandlerFunc{"/exportz": cluster.ExportHandler(store)},
 		})
 		if err != nil {
 			return err
@@ -180,35 +97,8 @@ func runAggregate(cfg aggConfig, w io.Writer, stop <-chan struct{}) error {
 	}
 	fmt.Fprintf(w, "collectd: aggregating %d ingest collector(s) every %v\n", len(cfg.peers), cfg.report)
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	defer signal.Stop(sig)
-	drained := make(chan struct{})
-	var drainOnce sync.Once
-	beginDrain := func(reason string) {
-		drainOnce.Do(func() {
-			fmt.Fprintf(w, "collectd: %s, draining\n", reason)
-			close(drained)
-		})
-	}
-	go func() {
-		<-sig
-		beginDrain("interrupt")
-	}()
-	if cfg.duration > 0 {
-		timer := time.NewTimer(cfg.duration)
-		defer timer.Stop()
-		go func() {
-			<-timer.C
-			beginDrain("duration elapsed")
-		}()
-	}
-	if stop != nil {
-		go func() {
-			<-stop
-			beginDrain("stop requested")
-		}()
-	}
+	drained, release := drainSignal(w, cfg.duration, stop)
+	defer release()
 
 	ticker := time.NewTicker(cfg.report)
 	defer ticker.Stop()
@@ -237,21 +127,5 @@ loop:
 		fmt.Fprintf(w, "collectd:   source %s: %d record(s) accepted\n", p, st.Sources[p])
 	}
 
-	if cfg.outPath != "" {
-		if err := store.SaveFile(cfg.outPath); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "collectd: merged log written to %s\n", cfg.outPath)
-	}
-	if cfg.dscgNodes >= 0 {
-		report := causeway.AnalyzeSource(store, cfg.workers)
-		if report.Warnings > 0 {
-			fmt.Fprintf(w, "collectd: %d warning(s): broken chains left by failed or abandoned calls\n", report.Warnings)
-		}
-		fmt.Fprintln(w, "\nDynamic System Call Graph:")
-		if err := render.DSCGText(w, report.Graph, -1, cfg.dscgNodes); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeArtifacts(w, store, cfg.outPath, cfg.dscgNodes, cfg.workers)
 }

@@ -114,6 +114,15 @@ func mergeExposition(merged map[string]int64, maxes map[string]bool, r io.Reader
 	return sc.Err()
 }
 
+// noOwner is the fleet's count of records routed shippers dropped because
+// no ring member owned their hash — each process's own counter, summed —
+// which the node carries in its ledger reply.
+func (f *fleetScraper) noOwner() uint64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return uint64(f.merged["causeway_cluster_no_owner_total"])
+}
+
 // WriteMetrics renders the fleet view; registered as a source on the
 // daemon's own registry.
 func (f *fleetScraper) WriteMetrics(w io.Writer) {

@@ -123,14 +123,19 @@ func TestCollectdFleetScrape(t *testing.T) {
 		t.Fatalf("daemon never announced its debug server; output:\n%s", out.String())
 	}
 
-	// Poll the daemon's /metrics until a scrape tick merged the peer.
+	// Poll the daemon's /metrics until a scrape tick merged the peer. The
+	// node's own conservation verdict rides the same exposition.
 	want := `fleet_causeway_op_calls_total{iface="IFleet",op="Go"} 7`
+	const balanced = "causeway_cluster_ledger_balanced 1\n"
 	for time.Now().Before(deadline) {
 		resp, err := http.Get("http://" + dbgAddr + "/metrics")
 		if err == nil {
 			b, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if strings.Contains(string(b), want) {
+				if !strings.Contains(string(b), balanced) {
+					t.Fatalf("daemon /metrics lacks %q:\n%s", balanced, b)
+				}
 				return
 			}
 		}

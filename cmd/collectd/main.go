@@ -42,7 +42,9 @@
 //	-report dur     period of the records/s + open-chains report (default 5s)
 //	-duration dur   stop after this long (default 0 = run until SIGINT)
 //	-roots          print every completed root live (noisy; slow calls always print)
-//	-debug addr     mount the daemon's debug server here (plus /feedz with -stream)
+//	-debug addr     mount the daemon's debug server here, with the collector's own
+//	                endpoints: /ledgerz /exportz /ringz /memberz /rebalancez, and
+//	                /feedz with -stream
 //	-stream         streaming assembly: evict chains to the store as they complete
 //	-quiesce dur    with -stream: idle time before a clean chain counts complete
 //	-stale dur      with -stream: evict still-incomplete chains as broken after this
@@ -67,7 +69,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -90,16 +91,6 @@ import (
 	"causeway/internal/telemetry"
 	"causeway/internal/tracestore"
 )
-
-// mergedStore is what both backends — logdb.Store in memory, and
-// tracestore.Store on disk — offer the daemon: live insertion, the
-// analyzer's queries, and .ftlog export.
-type mergedStore interface {
-	telemetry.RecordStore
-	causeway.Source
-	SaveFile(path string) error
-	WriteStream(w io.Writer) error
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, nil); err != nil {
@@ -146,7 +137,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	peers := fs.String("peers", "", "comma-separated ingest-tier peer addresses: telemetry addresses of every ingest collector (this one included) to compute the ownership ring, or their debug addresses with -aggregate")
 	advertise := fs.String("advertise", "", "this collector's address in -peers (default: the -listen address)")
 	ringEpoch := fs.Uint64("ring-epoch", 1, "ownership-ring epoch to serve; bump when restarting with a changed -peers list so shippers re-route")
-	ringSlots := fs.Int("ring-slots", cluster.DefaultSlots, "ownership-ring slot count (power of two)")
 	heartbeat := fs.Duration("heartbeat", 0, "automated cluster membership: probe peers' debug planes on this jittered interval (0 = off; needs -peers, -peer-debug, -debug)")
 	suspectAfter := fs.Int("suspect-after", 3, "consecutive missed heartbeats before a peer is declared dead and evicted from the ring")
 	peerDebug := fs.String("peer-debug", "", "comma-separated debug addresses parallel to -peers, where each peer's /healthz and /memberz are served")
@@ -175,25 +165,29 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	if *tailRate < 0 || *tailRate > 1 {
 		return fmt.Errorf("-tail %g out of range [0, 1]", *tailRate)
 	}
+	peerList, debugList := splitPeers(*peers), splitPeers(*peerDebug)
+	if *heartbeat > 0 {
+		if len(peerList) == 0 || len(debugList) == 0 || *debugAddr == "" {
+			return fmt.Errorf("-heartbeat needs -peers, -peer-debug, and -debug")
+		}
+		if len(debugList) != len(peerList) {
+			return fmt.Errorf("-peer-debug lists %d addresses for %d peers", len(debugList), len(peerList))
+		}
+	}
 	w := &syncWriter{w: out}
 
 	var rootCount, slowCount, anomalyCount atomic.Uint64
-	var store mergedStore
-	var disk *tracestore.Store
-	if *storeDir != "" {
-		var err error
-		disk, err = tracestore.Open(*storeDir, tracestore.Options{})
-		if err != nil {
-			return err
-		}
+	store, disk, err := openStore(*storeDir)
+	if err != nil {
+		return err
+	}
+	if disk != nil {
 		defer disk.Close()
-		store = disk
-	} else {
-		store = logdb.NewStore()
 	}
 	// The daemon's own metrics plane: the online monitor feeds chain
-	// quantiles into it, the reporter counts loss recoveries, and — with
-	// -debug — a fleet scraper merges peer expositions into it.
+	// quantiles into it, the node renders its ingest, ledger and store
+	// counters into it, and — with -debug — a fleet scraper merges peer
+	// expositions into it.
 	reg := metrics.NewRegistry()
 	monitor := online.NewMonitor(online.Config{
 		Metrics: reg,
@@ -266,125 +260,61 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	// Streaming assembly: records flow server → assembler → store, with
 	// the assembler evicting each chain the moment it completes instead of
 	// holding everything for the drain.
-	var asm *streamrecon.Assembler
+	var streamCfg *streamrecon.Config
 	if *stream {
 		var tail *sampling.TailPolicy
 		if *tailRate < 1 || alertPins != nil {
 			tail = &sampling.TailPolicy{NormalRate: *tailRate, Pins: alertPins}
 		}
-		var err error
-		asm, err = streamrecon.New(streamrecon.Config{
-			Store:         store,
+		streamCfg = &streamrecon.Config{
 			Quiescence:    *quiesce,
 			StaleAfter:    *staleAfter,
 			SlowThreshold: *slow,
 			Tail:          tail,
-		})
-		if err != nil {
-			return err
 		}
-		reg.RegisterSource("assembler", asm.WriteMetrics)
 	}
 
-	srvCfg := telemetry.ServerConfig{
-		Store: store,
-		Sinks: []probe.Sink{monitor},
+	// The collector itself: store, telemetry server, assembler, served
+	// ring (computed from -peers; every collector and causectl run the
+	// same sorted assignment, so identical flags produce an identical ring
+	// everywhere — the configuration is the coordinator), replay
+	// acceptance and ledger are one cluster.Node.
+	var fleet *fleetScraper
+	nodeCfg := cluster.NodeConfig{
+		Listen:    *listen,
+		Advertise: *advertise,
+		Store:     store,
+		Stream:    streamCfg,
+		Sinks:     []probe.Sink{monitor},
 		OnConnect: func(p telemetry.Peer) {
 			fmt.Fprintf(w, "collectd: process %q (%s) connected\n", p.Process, p.ProcType)
 		},
-	}
-	if asm != nil {
-		// Streaming mode: the store is fed only by assembler evictions.
-		srvCfg.Store = nil
-		srvCfg.Sinks = append(srvCfg.Sinks, asm)
+		Peers: peerList,
+		Epoch: *ringEpoch,
 	}
 	if sampler != nil {
-		srvCfg.SampleRate = sampler.Rate
+		nodeCfg.SampleRate = sampler.Rate
 	}
-	// Cluster membership: serve the ownership ring computed from -peers in
-	// every handshake/ring poll, and accept segment replays of hash ranges
-	// this collector now owns. Replays land directly in the store: they
-	// are chains a previous owner already assembled and persisted, and
-	// InsertNew (or the dedup aggregator for in-memory stores) makes a
-	// retried replay count nothing twice.
-	var ring telemetry.Ring
-	var ringSrc *ringSource
-	if *peers != "" {
-		var err error
-		ring, err = buildRing(splitPeers(*peers), *ringEpoch, *ringSlots)
-		if err != nil {
-			return err
-		}
-		// Served through a mutable source: automated membership (below)
-		// swaps the ring on an epoch bump and connected shippers pick it
-		// up through the normal ring-poll path, no reconnect.
-		ringSrc = &ringSource{ring: ring}
-		srvCfg.Ring = func() (telemetry.Ring, bool) { return ringSrc.get(), true }
-		if disk != nil {
-			srvCfg.Replay = func(recs []probe.Record) int { return disk.InsertNew(recs...) }
-		} else {
-			replayAgg := cluster.NewAggregator(store)
-			srvCfg.Replay = func(recs []probe.Record) int {
-				accepted, _ := replayAgg.MergeRecords("replay", recs)
-				return accepted
-			}
-		}
+	if *debugAddr != "" {
+		fleet = newFleetScraper()
+		reg.RegisterSource("fleet", fleet.WriteMetrics)
+		nodeCfg.NoOwner = fleet.noOwner
 	}
-	srv, err := telemetry.Listen(*listen, srvCfg)
+	node, err := cluster.StartNode(nodeCfg)
 	if err != nil {
 		return err
 	}
-	reg.RegisterSource("server", serverMetrics(srv))
-	fmt.Fprintf(w, "collectd: listening on %s\n", srv.Addr())
-	self := *advertise
-	if self == "" {
-		self = srv.Addr()
-	}
-	if *peers != "" {
-		if m, ok := cluster.MemberByID(ring, self); ok {
+	defer node.Close()
+	srv, asm := node.Server(), node.Assembler()
+	reg.RegisterSource("node", node.WriteMetrics)
+	fmt.Fprintf(w, "collectd: listening on %s\n", node.Addr())
+	if len(peerList) > 0 {
+		ring := node.Ring()
+		if m, ok := cluster.MemberByID(ring, node.ID()); ok {
 			fmt.Fprintf(w, "collectd: cluster ring %s; this collector owns [%d,%d)\n", ring, m.Start, m.End)
 		} else {
-			fmt.Fprintf(w, "collectd: cluster ring %s; WARNING: %s is not in -peers (set -advertise)\n", ring, self)
+			fmt.Fprintf(w, "collectd: cluster ring %s; WARNING: %s is not in -peers (set -advertise)\n", ring, node.ID())
 		}
-	}
-
-	// Automated membership: heartbeat the peers' debug planes, evict dead
-	// members by proposing the next ring epoch, replay the moved ranges,
-	// and assert the tier conservation ledger — no operator action.
-	var mem *cluster.Membership
-	if *heartbeat > 0 {
-		if *peers == "" || *peerDebug == "" || *debugAddr == "" {
-			srv.Close()
-			return fmt.Errorf("-heartbeat needs -peers, -peer-debug, and -debug")
-		}
-		peerList, debugList := splitPeers(*peers), splitPeers(*peerDebug)
-		if len(debugList) != len(peerList) {
-			srv.Close()
-			return fmt.Errorf("-peer-debug lists %d addresses for %d peers", len(debugList), len(peerList))
-		}
-		debugs := make(map[string]string, len(peerList))
-		for i, p := range peerList {
-			debugs[p] = debugList[i]
-		}
-		mem, err = cluster.NewMembership(cluster.MembershipConfig{
-			Self:         self,
-			Members:      cluster.Members(peerList...),
-			DebugAddrs:   debugs,
-			Epoch:        *ringEpoch,
-			Slots:        *ringSlots,
-			Interval:     *heartbeat,
-			SuspectAfter: *suspectAfter,
-			Store:        disk,
-			OnRing:       func(r telemetry.Ring) { ringSrc.set(r) },
-			OnEvent:      func(ev string) { fmt.Fprintf(w, "collectd: membership: %s\n", ev) },
-		})
-		if err != nil {
-			srv.Close()
-			return err
-		}
-		defer mem.Close()
-		reg.RegisterSource("membership", mem.WriteMetrics)
-		fmt.Fprintf(w, "collectd: automated membership on (heartbeat %v, suspect after %d misses)\n", *heartbeat, *suspectAfter)
 	}
 	if asm != nil {
 		fmt.Fprintf(w, "collectd: streaming assembly on (quiesce %v, stale %v)\n", *quiesce, *staleAfter)
@@ -397,13 +327,9 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		fmt.Fprintf(w, "collectd: serving head-sampling rate %g (%s)\n", sampler.Rate(), mode)
 	}
 
-	// Own introspection server + fleet scraper (-debug).
-	var fleet *fleetScraper
-	var dbg *debugserver.Server
+	// Own introspection server (-debug), carrying the node's endpoints.
 	if *debugAddr != "" {
-		fleet = newFleetScraper()
-		reg.RegisterSource("fleet", fleet.WriteMetrics)
-		dbgCfg := debugserver.Config{
+		dbg, err := debugserver.Start(debugserver.Config{
 			Addr:     *debugAddr,
 			Registry: reg,
 			Monitor:  monitor,
@@ -411,60 +337,41 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 			ProcType: "collector",
 			Aspects:  "collection",
 			Alerts:   alerts,
-			// /exportz serves the store as a gob record stream — the
-			// aggregator tier's pull path — and /ringz the ownership view.
-			Extra: map[string]http.HandlerFunc{"/exportz": exportzHandler(store)},
-		}
-		if asm != nil {
-			dbgCfg.Extra["/feedz"] = asm.ServeFeed
-		}
-		if *peers != "" {
-			dbgCfg.Extra["/ringz"] = ringzHandler(ringSrc.get, self)
-		}
-		if mem != nil {
-			dbgCfg.Extra["/memberz"] = mem.ServeMemberz
-			dbgCfg.Extra["/rebalancez"] = mem.ServeRebalance
-		}
-		dbg, err = debugserver.Start(dbgCfg)
+			Extra:    node.Handlers(),
+		})
 		if err != nil {
-			srv.Close()
 			return err
 		}
 		defer dbg.Close()
 		fmt.Fprintf(w, "collectd: debug server on %s\n", dbg.Addr())
 	}
-	// Torn-tail recoveries surface as a counter; the trace store
-	// accumulates warning strings, so each tick adds the delta.
-	tornTails := reg.Named("causeway_torn_tail_recoveries_total")
-	var tornSeen int
-	countTornTails := func() {
-		if disk == nil {
-			return
+
+	// Automated membership: heartbeat the peers' debug planes, evict dead
+	// members by proposing the next ring epoch, replay the moved ranges,
+	// and assert the tier conservation ledger — no operator action.
+	if *heartbeat > 0 {
+		debugs := make(map[string]string, len(peerList))
+		for i, p := range peerList {
+			debugs[p] = debugList[i]
 		}
-		if n := len(disk.Warnings()); n > tornSeen {
-			tornTails.Add(uint64(n - tornSeen))
-			tornSeen = n
+		if err := node.StartMembership(cluster.MembershipConfig{
+			Members:      cluster.Members(peerList...),
+			DebugAddrs:   debugs,
+			Epoch:        *ringEpoch,
+			Interval:     *heartbeat,
+			SuspectAfter: *suspectAfter,
+			OnEvent:      func(ev string) { fmt.Fprintf(w, "collectd: membership: %s\n", ev) },
+		}); err != nil {
+			return err
 		}
+		fmt.Fprintf(w, "collectd: automated membership on (heartbeat %v, suspect after %d misses)\n", *heartbeat, *suspectAfter)
 	}
-	// The store's side of the collection ledger: records removed by
-	// retention sweeps and records lost to disk failures both surface as
-	// counters, so inserted == indexed + swept + dropped stays checkable
-	// while batches keep arriving mid-sweep.
-	storeSwept := reg.Named("causeway_store_swept_records_total")
-	storeDrops := reg.Named("causeway_store_dropped_records_total")
-	var sweptSeen, dropSeen int
-	countStoreLoss := func() {
-		if disk == nil {
-			return
-		}
-		if n := disk.Swept(); n > sweptSeen {
-			storeSwept.Add(uint64(n - sweptSeen))
-			sweptSeen = n
-		}
-		if n := disk.Dropped(); n > dropSeen {
-			storeDrops.Add(uint64(n - dropSeen))
-			dropSeen = n
-		}
+	if disk != nil {
+		// Torn segment tails truncated at open (or met while reading)
+		// accumulate as store warnings; their count is the recovery counter.
+		reg.RegisterSource("store", func(w io.Writer) {
+			fmt.Fprintf(w, "causeway_torn_tail_recoveries_total %d\n", len(disk.Warnings()))
+		})
 	}
 
 	// The AIMD governor rides the reporting loop: each tick it reads the
@@ -517,8 +424,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 						st.Records, rate, st.Batches, st.Peers, monitor.OpenChains(),
 						rootCount.Load(), slowCount.Load(), anomalyCount.Load())
 				}
-				countTornTails()
-				countStoreLoss()
 				if alerts != nil {
 					alerts.Eval()
 				}
@@ -553,51 +458,13 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		}
 	}()
 
-	// Wait for SIGINT, the test's stop channel, or -duration expiry. Each
-	// trigger gets its own watcher goroutine funnelled through a sync.Once:
-	// the first one wins, announces the drain, and releases the main
-	// goroutine; any trigger firing later — a SIGINT landing while a
-	// -duration drain is already underway, or vice versa — is swallowed
-	// instead of starting a second drain over the same server and store.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
-	defer signal.Stop(sig)
-	drained := make(chan struct{})
-	var drainOnce sync.Once
-	beginDrain := func(reason string) {
-		drainOnce.Do(func() {
-			fmt.Fprintf(w, "collectd: %s, draining\n", reason)
-			close(drained)
-		})
-	}
-	go func() {
-		<-sig
-		beginDrain("interrupt")
-	}()
-	if *duration > 0 {
-		timer := time.NewTimer(*duration)
-		defer timer.Stop()
-		go func() {
-			<-timer.C
-			beginDrain("duration elapsed")
-		}()
-	}
-	if stop != nil {
-		go func() {
-			<-stop
-			beginDrain("stop requested")
-		}()
-	}
+	drained, release := drainSignal(w, *duration, stop)
+	defer release()
 	<-drained
 
 	close(reporterStop)
 	<-reporterDone
-	if mem != nil {
-		// Stop heartbeating before the listener goes away, so the drain
-		// does not race a proposal against a vanishing server.
-		mem.Close()
-	}
-	if err := srv.Close(); err != nil {
+	if err := node.Close(); err != nil {
 		return err
 	}
 	monitor.Flush()
@@ -631,8 +498,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		if err := disk.Flush(); err != nil {
 			fmt.Fprintf(w, "collectd: store flush: %v\n", err)
 		}
-		countTornTails()
-		countStoreLoss()
 		for _, warn := range disk.Warnings() {
 			fmt.Fprintf(w, "collectd: store warning: %s\n", warn)
 		}
@@ -645,19 +510,78 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		}
 	}
 
-	if *outPath != "" {
-		if err := store.SaveFile(*outPath); err != nil {
+	return writeArtifacts(w, store, *outPath, *dscgNodes, *workers)
+}
+
+// openStore opens the daemon's record store: the sharded on-disk trace
+// store at dir, or the in-memory relational store when dir is empty. disk
+// is the same store when it is the on-disk one — for what only a disk
+// store has (Sweep, Flush, Warnings, Close) — and nil otherwise.
+func openStore(dir string) (store cluster.Store, disk *tracestore.Store, err error) {
+	if dir == "" {
+		return logdb.NewStore(), nil, nil
+	}
+	disk, err = tracestore.Open(dir, tracestore.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	return disk, disk, nil
+}
+
+// drainSignal watches for the first shutdown trigger — SIGINT, -duration
+// expiry, or the test's stop channel — announces it, and closes drained.
+// One select means the first trigger wins and any later one — a SIGINT
+// landing while a -duration drain is already underway, or vice versa —
+// is never looked at, so nothing can start a second drain over the same
+// server and store. release ends the watch.
+func drainSignal(w io.Writer, duration time.Duration, stop <-chan struct{}) (drained <-chan struct{}, release func()) {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt)
+	var expired <-chan time.Time
+	stopTimer := func() bool { return false }
+	if duration > 0 {
+		timer := time.NewTimer(duration)
+		expired, stopTimer = timer.C, timer.Stop
+	}
+	done, released := make(chan struct{}), make(chan struct{})
+	go func() {
+		var reason string
+		select {
+		case <-sig:
+			reason = "interrupt"
+		case <-expired:
+			reason = "duration elapsed"
+		case <-stop:
+			reason = "stop requested"
+		case <-released:
+			return
+		}
+		fmt.Fprintf(w, "collectd: %s, draining\n", reason)
+		close(done)
+	}()
+	return done, func() {
+		signal.Stop(sig)
+		stopTimer()
+		close(released)
+	}
+}
+
+// writeArtifacts leaves what a drained daemon leaves behind: the merged
+// store as one .ftlog (-out) and the Dynamic System Call Graph (-dscg).
+func writeArtifacts(w io.Writer, store cluster.Store, outPath string, dscgNodes, workers int) error {
+	if outPath != "" {
+		if err := store.SaveFile(outPath); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "collectd: merged log written to %s\n", *outPath)
+		fmt.Fprintf(w, "collectd: merged log written to %s\n", outPath)
 	}
-	if *dscgNodes >= 0 {
-		report := causeway.AnalyzeSource(store, *workers)
+	if dscgNodes >= 0 {
+		report := causeway.AnalyzeSource(store, workers)
 		if report.Warnings > 0 {
 			fmt.Fprintf(w, "collectd: %d warning(s): broken chains left by failed or abandoned calls\n", report.Warnings)
 		}
 		fmt.Fprintln(w, "\nDynamic System Call Graph:")
-		if err := render.DSCGText(w, report.Graph, -1, *dscgNodes); err != nil {
+		if err := render.DSCGText(w, report.Graph, -1, dscgNodes); err != nil {
 			return err
 		}
 	}

@@ -82,8 +82,9 @@ func (s *variableServant) Sum(values []int32) (int32, error) { return 0, nil }
 func (s *variableServant) Fire(string) error                 { return nil }
 
 // selfScrape probes the deployment's own debug endpoint: /healthz must
-// answer ok and /metrics must serve a non-empty exposition.
-func selfScrape(addr string) error {
+// answer ok and /metrics must serve a non-empty exposition. It returns
+// the number of causeway_ series it saw.
+func selfScrape(addr string) (int, error) {
 	get := func(path string) (string, error) {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
@@ -101,14 +102,14 @@ func selfScrape(addr string) error {
 	}
 	health, err := get("/healthz")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if strings.TrimSpace(health) != "ok" {
-		return fmt.Errorf("/healthz said %q, want ok", health)
+		return 0, fmt.Errorf("/healthz said %q, want ok", health)
 	}
 	exposition, err := get("/metrics")
 	if err != nil {
-		return err
+		return 0, err
 	}
 	series := 0
 	for _, line := range strings.Split(exposition, "\n") {
@@ -117,10 +118,10 @@ func selfScrape(addr string) error {
 		}
 	}
 	if series == 0 {
-		return fmt.Errorf("/metrics exposition is empty")
+		return 0, fmt.Errorf("/metrics exposition is empty")
 	}
 	fmt.Printf("\ndebug: /healthz ok, /metrics exposes %d series at http://%s/metrics\n", series, addr)
-	return nil
+	return series, nil
 }
 
 func main() {
@@ -147,7 +148,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "livemonitor: -kill-after needs -cluster with at least 2 collectors")
 		os.Exit(1)
 	}
-	if err := run(runConfig{
+	if _, err := run(runConfig{
 		faults: *faults, seed: *seed, stream: *stream, rate: *rate,
 		clusterN: *clusterN, killAfter: *killAfter,
 		slo: *slo, sloLinger: *sloLinger, debugAddr: *debugAddr, outPath: *outPath,
@@ -171,12 +172,25 @@ type runConfig struct {
 	outPath   string
 }
 
-func run(rc runConfig) error {
+// summary is what a run established, for callers (the package's test)
+// that assert on it instead of reading the printed lines.
+type summary struct {
+	Warnings       int // analyzer warnings: broken chains left by failed calls
+	Series         int // causeway_ series the mid-run /metrics self-scrape saw
+	StreamRecords  int // records in the streaming store; 0 without -stream
+	RetainedChains int // chains in the collected store (what head sampling kept)
+	// The fleet merge, with -cluster: tier size, records accepted into the
+	// fleet store, records rejected as already held, and chains found on
+	// two collectors (legitimate only across a kill).
+	Collectors, MergedRecords, Duplicates, StraddlingChains int
+}
+
+func run(rc runConfig) (sum summary, err error) {
 	faults, seed, stream, rate, clusterN, killAfter :=
 		rc.faults, rc.seed, rc.stream, rc.rate, rc.clusterN, rc.killAfter
 	dir, err := os.MkdirTemp("", "livemonitor")
 	if err != nil {
-		return err
+		return sum, err
 	}
 	defer os.RemoveAll(dir)
 
@@ -208,37 +222,12 @@ func run(rc runConfig) error {
 		},
 		SlowThreshold: 10 * time.Millisecond,
 	})
-	store := logdb.NewStore()
-	// In cluster mode every collector serves the same ownership ring,
-	// computed once the whole tier is listening (the Ring closure reads
-	// it late so the servers can start on ephemeral ports first).
-	var ringMu sync.RWMutex
-	var ring telemetry.Ring
-	srvCfg := telemetry.ServerConfig{
-		Store: store,
-		Sinks: []probe.Sink{monitor},
-		OnConnect: func(p telemetry.Peer) {
-			fmt.Printf("collector: process %q (%s) connected\n", p.Process, p.ProcType)
-		},
-	}
-	if clusterN > 1 {
-		srvCfg.Ring = func() (telemetry.Ring, bool) {
-			ringMu.RLock()
-			defer ringMu.RUnlock()
-			return ring, ring.Slots > 0
-		}
-	}
-
 	// In stream mode the store is fed by the assembler's evictions, not
 	// record by record off the wire: each chain lands whole, the moment it
 	// completes, and its completion prints live.
-	var asm *streamrecon.Assembler
-	stopTicks := func() {} // idempotent: stops the assembler's tick driver
+	var streamCfg *streamrecon.Config
 	if stream {
-		var tickStop, tickDone chan struct{}
-		var err error
-		asm, err = streamrecon.New(streamrecon.Config{
-			Store:         store,
+		streamCfg = &streamrecon.Config{
 			Quiescence:    50 * time.Millisecond,
 			SlowThreshold: 10 * time.Millisecond,
 			OnComplete: func(c streamrecon.Completion) {
@@ -252,14 +241,47 @@ func run(rc runConfig) error {
 				fmt.Printf("stream: chain %s evicted whole — %s::%s, %d node(s), %s\n",
 					c.Chain.Short(), c.Op.Interface, c.Op.Operation, c.Nodes, status)
 			},
+		}
+	}
+
+	// The collectors — one, or an ingest tier of -cluster N — are the same
+	// cluster.Node cmd/collectd runs, each over its own in-memory store.
+	nodes := make([]*cluster.Node, max(clusterN, 1))
+	stores := make([]*logdb.Store, len(nodes))
+	var tierAddrs []string
+	for i := range nodes {
+		stores[i] = logdb.NewStore()
+		node, err := cluster.StartNode(cluster.NodeConfig{
+			Listen: "127.0.0.1:0",
+			Store:  stores[i],
+			Stream: streamCfg,
+			Sinks:  []probe.Sink{monitor},
+			OnConnect: func(p telemetry.Peer) {
+				fmt.Printf("collector: process %q (%s) connected\n", p.Process, p.ProcType)
+			},
 		})
 		if err != nil {
-			return err
+			return sum, err
 		}
-		srvCfg.Store = nil
-		srvCfg.Sinks = append(srvCfg.Sinks, asm)
-		// The assembler owns no goroutine; the deployment drives it.
-		tickStop, tickDone = make(chan struct{}), make(chan struct{})
+		defer node.Close()
+		nodes[i] = node
+		tierAddrs = append(tierAddrs, node.Addr())
+		fmt.Printf("collector: listening on %s", node.Addr())
+		if stream {
+			fmt.Printf(" (streaming assembly on)")
+		}
+		if rate < 1 {
+			fmt.Printf(" (head sampling rate %g)", rate)
+		}
+		fmt.Printf("\n")
+	}
+	store := stores[0]
+
+	// The assembler owns no goroutine; the deployment drives it.
+	asm := nodes[0].Assembler()
+	stopTicks := func() {} // idempotent: stops the assembler's tick driver
+	if asm != nil {
+		tickStop, tickDone := make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(tickDone)
 			ticker := time.NewTicker(10 * time.Millisecond)
@@ -283,163 +305,72 @@ func run(rc runConfig) error {
 		defer stopTicks()
 	}
 
-	srv, err := telemetry.Listen("127.0.0.1:0", srvCfg)
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	fmt.Printf("collector: listening on %s", srv.Addr())
-	if stream {
-		fmt.Printf(" (streaming assembly on)")
-	}
-	if rate < 1 {
-		fmt.Printf(" (head sampling rate %g)", rate)
-	}
-	fmt.Printf("\n")
-
-	// The rest of the ingest tier: collectors 2..N, each with its own
-	// store. The ring computed over the full address list shards chains
-	// across them; the shippers learn it from any member's handshake.
-	collectors := []*telemetry.Server{srv}
-	stores := []*logdb.Store{store}
-	var tierAddrs []string
+	// The ring computed over the full address list shards chains across
+	// the tier; it is known only once every collector is listening, and
+	// the shippers learn it from any member's handshake.
 	if clusterN > 1 {
-		for i := 1; i < clusterN; i++ {
-			st := logdb.NewStore()
-			peerCfg := srvCfg
-			peerCfg.Store = st
-			s, err := telemetry.Listen("127.0.0.1:0", peerCfg)
-			if err != nil {
-				return err
-			}
-			defer s.Close()
-			collectors = append(collectors, s)
-			stores = append(stores, st)
-			fmt.Printf("collector: listening on %s\n", s.Addr())
-		}
-		for _, s := range collectors {
-			tierAddrs = append(tierAddrs, s.Addr())
-		}
 		r, err := cluster.Assign(1, cluster.DefaultSlots, cluster.Members(tierAddrs...))
 		if err != nil {
-			return err
+			return sum, err
 		}
-		ringMu.Lock()
-		ring = r
-		ringMu.Unlock()
+		for _, node := range nodes {
+			node.SetRing(r)
+		}
 		fmt.Printf("cluster: ingest tier of %d collectors, ring %s\n", clusterN, r)
 	}
 
 	// Automated-failover demo (-kill-after): every collector gets its own
-	// debug plane and membership instance, heartbeating the others. When
+	// debug plane and starts its membership, heartbeating the others. When
 	// the kill fires mid-run, the survivors must notice on their own,
-	// propose the next ring epoch without the dead member, and the
-	// shippers must re-route — no operator action, and the end-of-run
-	// equivalence proof below must still hold.
+	// propose the next ring epoch without the dead member, donate the
+	// ranges that moved between them, and the shippers must re-route — no
+	// operator action, and the end-of-run equivalence proof below must
+	// still hold.
 	var killNow func() error
 	if killAfter > 0 {
-		memSlots := make([]*cluster.Membership, clusterN)
-		var memMu sync.Mutex
-		memAt := func(i int) *cluster.Membership {
-			memMu.Lock()
-			defer memMu.Unlock()
-			return memSlots[i]
-		}
 		// Debug planes first — memberships probe each other's /healthz and
-		// /memberz, so every address must exist before any instance starts.
-		// The handlers look the membership up late for the same reason.
-		var dbgs []*debugserver.Server
-		var debugAddrs []string
-		for i := range collectors {
-			i := i
-			srvI := collectors[i]
-			reg := causeway.NewMetricsRegistry()
-			reg.RegisterSource("server", func(w io.Writer) {
-				st := srvI.Stats()
-				fmt.Fprintf(w, "causeway_server_records_total %d\n", st.Records)
-				fmt.Fprintf(w, "causeway_server_replayed_total %d\n", st.Replayed)
-			})
+		// /memberz, so every address must exist before any of them starts.
+		dbgs := make([]*debugserver.Server, len(nodes))
+		debugMap := make(map[string]string, len(nodes))
+		for i, node := range nodes {
 			dbg, err := debugserver.Start(debugserver.Config{
 				Addr:     "127.0.0.1:0",
-				Registry: reg,
 				Process:  fmt.Sprintf("collector-%d", i+1),
 				ProcType: "collector",
 				Aspects:  "collection",
-				Extra: map[string]http.HandlerFunc{
-					"/memberz": func(w http.ResponseWriter, r *http.Request) {
-						if m := memAt(i); m != nil {
-							m.ServeMemberz(w, r)
-							return
-						}
-						http.Error(w, "membership starting", http.StatusServiceUnavailable)
-					},
-					"/rebalancez": func(w http.ResponseWriter, r *http.Request) {
-						if m := memAt(i); m != nil {
-							m.ServeRebalance(w, r)
-							return
-						}
-						http.Error(w, "membership starting", http.StatusServiceUnavailable)
-					},
-				},
+				Extra:    node.Handlers(),
 			})
 			if err != nil {
-				return err
+				return sum, err
 			}
 			defer dbg.Close()
-			dbgs = append(dbgs, dbg)
-			debugAddrs = append(debugAddrs, dbg.Addr())
+			dbgs[i] = dbg
+			debugMap[node.Addr()] = dbg.Addr()
 		}
-		debugMap := make(map[string]string, clusterN)
-		for i, a := range tierAddrs {
-			debugMap[a] = debugAddrs[i]
-		}
-		mems := make([]*cluster.Membership, clusterN)
-		for i, addr := range tierAddrs {
-			i := i
-			m, err := cluster.NewMembership(cluster.MembershipConfig{
-				Self:         addr,
+		for i, node := range nodes {
+			if err := node.StartMembership(cluster.MembershipConfig{
 				Members:      cluster.Members(tierAddrs...),
 				DebugAddrs:   debugMap,
 				Interval:     50 * time.Millisecond,
 				SuspectAfter: 3,
-				OnRing: func(r telemetry.Ring) {
-					// Proposals are deterministic (sorted assignment), so
-					// every member computes the same ring; one shared
-					// serving variable at the highest epoch suffices.
-					ringMu.Lock()
-					if r.Epoch > ring.Epoch {
-						ring = r
-					}
-					ringMu.Unlock()
-				},
-				OnEvent: func(ev string) { fmt.Printf("membership[%d]: %s\n", i+1, ev) },
-			})
-			if err != nil {
-				return err
+				OnEvent:      func(ev string) { fmt.Printf("membership[%d]: %s\n", i+1, ev) },
+			}); err != nil {
+				return sum, err
 			}
-			defer m.Close()
-			memMu.Lock()
-			memSlots[i] = m
-			memMu.Unlock()
-			mems[i] = m
 		}
 		fmt.Printf("cluster: automated membership armed on %d collectors (heartbeat 50ms, suspect after 3 misses)\n", clusterN)
 
 		victim := clusterN - 1
 		killNow = func() error {
 			fmt.Printf("\nkill: stopping collector %s mid-run\n", tierAddrs[victim])
-			mems[victim].Close()
+			nodes[victim].Close()
 			dbgs[victim].Close()
-			collectors[victim].Close()
-			// Wait for the survivors to converge on a ring without it.
+			// Wait for the survivors to serve a ring without it.
 			deadline := time.Now().Add(10 * time.Second)
 			for {
 				converged := 0
-				for i, m := range mems {
-					if i == victim {
-						continue
-					}
-					r := m.Ring()
+				for _, node := range nodes[:victim] {
+					r := node.Ring()
 					if _, still := cluster.MemberByID(r, tierAddrs[victim]); r.Epoch >= 2 && !still {
 						converged++
 					}
@@ -491,24 +422,24 @@ func run(rc runConfig) error {
 	if clusterN > 1 {
 		serverCfg.ShipToCluster = tierAddrs
 	} else {
-		serverCfg.ShipTo = srv.Addr()
+		serverCfg.ShipTo = tierAddrs[0]
 	}
 	server, err := causeway.NewProcess(serverCfg)
 	if err != nil {
-		return err
+		return sum, err
 	}
 	defer server.Close()
 	if err := instrecho.RegisterEcho(server.ORB, "svc", "svc-comp", &variableServant{}); err != nil {
-		return err
+		return sum, err
 	}
 	ep, err := server.ORB.ListenTCP("127.0.0.1:0")
 	if err != nil {
-		return err
+		return sum, err
 	}
 
 	const clients, callsPerClient = 3, 6
 	if killAfter >= clients*callsPerClient {
-		return fmt.Errorf("-kill-after %d never fires: the run makes %d calls", killAfter, clients*callsPerClient)
+		return sum, fmt.Errorf("-kill-after %d never fires: the run makes %d calls", killAfter, clients*callsPerClient)
 	}
 	callCount := 0
 	procs := []*causeway.Process{server}
@@ -526,7 +457,7 @@ func run(rc runConfig) error {
 		if clusterN > 1 {
 			cfg.ShipToCluster = tierAddrs
 		} else {
-			cfg.ShipTo = srv.Addr()
+			cfg.ShipTo = tierAddrs[0]
 		}
 		if faults {
 			// One seeded injector per client keeps the schedule fully
@@ -543,7 +474,7 @@ func run(rc runConfig) error {
 		}
 		client, err := causeway.NewProcess(cfg)
 		if err != nil {
-			return err
+			return sum, err
 		}
 		defer client.Close()
 		procs = append(procs, client)
@@ -553,7 +484,7 @@ func run(rc runConfig) error {
 		for i := 1; i <= callsPerClient; i++ {
 			if _, err := stub.Echo(fmt.Sprintf("c%d-req-%d", c, i)); err != nil {
 				if !faults {
-					return err
+					return sum, err
 				}
 				// Under injection a call may exhaust its retry budget;
 				// the deployment carries on and the failure's partial
@@ -565,7 +496,7 @@ func run(rc runConfig) error {
 			callCount++
 			if killNow != nil && callCount == killAfter {
 				if err := killNow(); err != nil {
-					return err
+					return sum, err
 				}
 			}
 		}
@@ -582,8 +513,8 @@ func run(rc runConfig) error {
 	// Mid-run introspection: while the deployment is still up, its own
 	// debug endpoint must answer. CI greps the line this prints, and an
 	// empty exposition fails the run outright.
-	if err := selfScrape(server.DebugAddr()); err != nil {
-		return err
+	if sum.Series, err = selfScrape(server.DebugAddr()); err != nil {
+		return sum, err
 	}
 
 	// SLO demonstration (-slo): keep calling until the burn-rate alert on
@@ -601,7 +532,7 @@ func run(rc runConfig) error {
 		deadline := time.Now().Add(60 * time.Second)
 		for {
 			if _, err := stub.Echo("slo-probe"); err != nil && !faults {
-				return err
+				return sum, err
 			}
 			client.NewChain()
 			if firing := server.Alerts().Firing(); len(firing) > 0 {
@@ -613,13 +544,13 @@ func run(rc runConfig) error {
 				fmt.Printf("slo: FIRING %s [%s] fast %.2fx slow %.2fx burn, exemplars %s\n",
 					al.Rule, al.Family, al.FastBurn, al.SlowBurn, strings.Join(chains, ","))
 				if len(al.Exemplars) == 0 {
-					return fmt.Errorf("slo alert fired with no exemplar chains")
+					return sum, fmt.Errorf("slo alert fired with no exemplar chains")
 				}
 				sloChain = al.Exemplars[0].Chain
 				break
 			}
 			if time.Now().After(deadline) {
-				return fmt.Errorf("slo alert never fired against objective %v", rc.slo)
+				return sum, fmt.Errorf("slo alert never fired against objective %v", rc.slo)
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
@@ -637,7 +568,7 @@ func run(rc runConfig) error {
 				break
 			}
 			if time.Now().After(resolveDeadline) {
-				return fmt.Errorf("slo alert never resolved after traffic stopped")
+				return sum, fmt.Errorf("slo alert never resolved after traffic stopped")
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
@@ -657,7 +588,7 @@ func run(rc runConfig) error {
 					break
 				}
 				if time.Now().After(deadline) {
-					return fmt.Errorf("a shipper never re-routed after the kill (epoch %d, %d buffered)", r.Epoch, st.Buffered)
+					return sum, fmt.Errorf("a shipper never re-routed after the kill (epoch %d, %d buffered)", r.Epoch, st.Buffered)
 				}
 				time.Sleep(10 * time.Millisecond)
 			}
@@ -670,15 +601,15 @@ func run(rc runConfig) error {
 	for _, p := range procs {
 		stats := p.ShipperStats()
 		if err := p.Close(); err != nil {
-			return err
+			return sum, err
 		}
 		if stats.Dropped != 0 {
 			fmt.Printf("warning: a shipper dropped %d records under backpressure\n", stats.Dropped)
 		}
 	}
-	for _, s := range collectors {
-		if err := s.Close(); err != nil {
-			return err
+	for _, node := range nodes {
+		if err := node.Close(); err != nil {
+			return sum, err
 		}
 	}
 	monitor.Flush()
@@ -699,7 +630,7 @@ func run(rc runConfig) error {
 		fmt.Printf("\nstream: %d chain(s) evicted live; assembler ledger appended=%d persisted=%d discarded=%d shed=%d buffered=%d\n",
 			asm.Completions(), led.Appended, led.Persisted, led.Discarded, led.Shed, led.Buffered)
 		if led.Appended != led.Persisted {
-			return fmt.Errorf("streaming assembler lost records: appended %d, persisted %d", led.Appended, led.Persisted)
+			return sum, fmt.Errorf("streaming assembler lost records: appended %d, persisted %d", led.Appended, led.Persisted)
 		}
 	}
 
@@ -717,11 +648,12 @@ func run(rc runConfig) error {
 		for i, st := range stores {
 			for _, c := range st.Chains() {
 				if prev, ok := owner[c.String()]; ok {
-					// After a kill a chain may legitimately straddle the
-					// dead collector and the range's new owner — one epoch
-					// each. Without a kill it means the sharding is broken.
+					// After a kill a chain may legitimately sit on two
+					// collectors — the dead one and the range's new owner, or
+					// a donor and the survivor it donated to. Without a kill
+					// it means the sharding is broken.
 					if killAfter == 0 {
-						return fmt.Errorf("chain %s split between collectors %s and %s", c.Short(), prev, tierAddrs[i])
+						return sum, fmt.Errorf("chain %s split between collectors %s and %s", c.Short(), prev, tierAddrs[i])
 					}
 					splitChains++
 					continue
@@ -730,24 +662,27 @@ func run(rc runConfig) error {
 			}
 			var buf bytes.Buffer
 			if err := st.WriteStream(&buf); err != nil {
-				return err
+				return sum, err
 			}
 			acc, dups, err := agg.MergeStream(tierAddrs[i], &buf)
 			if err != nil {
-				return err
+				return sum, err
 			}
 			// Duplicates across collectors mean double-counting — except
 			// after a kill, where a record acked just as the collector died
-			// is re-shipped to the new owner; identity dedup absorbs it.
+			// is re-shipped to the new owner and donors keep a copy of what
+			// they donated; identity dedup absorbs both.
 			if dups != 0 && killAfter == 0 {
-				return fmt.Errorf("collector %s overlapped %d record(s) with the rest of the tier", tierAddrs[i], dups)
+				return sum, fmt.Errorf("collector %s overlapped %d record(s) with the rest of the tier", tierAddrs[i], dups)
 			}
 			totalDups += dups
 			fmt.Printf("cluster: collector %s held %d record(s) across %d chain(s)\n", tierAddrs[i], acc, len(st.Chains()))
 		}
-		fmt.Printf("cluster: fleet store merged %d record(s) from %d collectors, %d duplicate(s)\n", agg.Stats().Accepted, clusterN, totalDups)
+		sum.Collectors, sum.MergedRecords = clusterN, int(agg.Stats().Accepted)
+		sum.Duplicates, sum.StraddlingChains = totalDups, splitChains
+		fmt.Printf("cluster: fleet store merged %d record(s) from %d collectors, %d duplicate(s)\n", sum.MergedRecords, clusterN, totalDups)
 		if killAfter > 0 {
-			fmt.Printf("cluster: kill recovery: %d chain(s) straddle the kill epoch, %d re-shipped record(s) deduplicated\n", splitChains, totalDups)
+			fmt.Printf("cluster: kill recovery: %d chain(s) straddle the kill epoch, %d re-shipped or donated record(s) deduplicated\n", splitChains, totalDups)
 		}
 		store = fleet
 	}
@@ -764,13 +699,13 @@ func run(rc runConfig) error {
 			}
 		}
 		if !found {
-			return fmt.Errorf("slo exemplar chain %s was not retained in the collected store", sloChain)
+			return sum, fmt.Errorf("slo exemplar chain %s was not retained in the collected store", sloChain)
 		}
 		fmt.Printf("slo: exemplar chain %s retained in the collected store (`causectl show %s` renders it)\n", sloChain, sloChain[:8])
 	}
 	if rc.outPath != "" {
 		if err := store.SaveFile(rc.outPath); err != nil {
-			return err
+			return sum, err
 		}
 		fmt.Printf("store: merged .ftlog written to %s\n", rc.outPath)
 	}
@@ -780,19 +715,21 @@ func run(rc runConfig) error {
 	networked := causeway.AnalyzeStore(store)
 	offline, err := causeway.AnalyzeFiles(filepath.Join(dir, "*.ftlog"))
 	if err != nil {
-		return err
+		return sum, err
 	}
 	var nb, ob bytes.Buffer
 	if err := networked.WriteDSCG(&nb); err != nil {
-		return err
+		return sum, err
 	}
 	if err := offline.WriteDSCG(&ob); err != nil {
-		return err
+		return sum, err
 	}
 	if nb.String() != ob.String() {
-		return fmt.Errorf("networked DSCG differs from per-process-file DSCG")
+		return sum, fmt.Errorf("networked DSCG differs from per-process-file DSCG")
 	}
+	sum.Warnings, sum.RetainedChains = networked.Warnings, len(networked.Graph.Trees)
 	if asm != nil {
+		sum.StreamRecords = networked.Stats.Records
 		fmt.Printf("\nstreaming collection is lossless: DSCG from the streaming store (%d records) == DSCG from %d per-process logs\n",
 			networked.Stats.Records, len(procs))
 	} else {
@@ -804,7 +741,7 @@ func run(rc runConfig) error {
 		// file and the shipper — which is exactly why the equivalence
 		// above survives any rate.
 		fmt.Printf("sampling: head rate %g retained %d of %d chains, head-consistently\n",
-			rate, len(networked.Graph.Trees), clients*callsPerClient)
+			rate, sum.RetainedChains, clients*callsPerClient)
 	}
 	if faults {
 		fmt.Printf("\nfault injection: %d call(s) failed; analyzer reports %d warning(s), %d broken chain(s), %d anomalies\n",
@@ -813,10 +750,10 @@ func run(rc runConfig) error {
 			fmt.Printf("  ! %s\n", b)
 		}
 		if networked.Warnings == 0 {
-			return fmt.Errorf("fault injection left no broken-chain warnings; reconstruction hid the failures")
+			return sum, fmt.Errorf("fault injection left no broken-chain warnings; reconstruction hid the failures")
 		}
 	}
 	fmt.Println("\nDynamic System Call Graph (live-collected):")
 	_, err = os.Stdout.Write(nb.Bytes())
-	return err
+	return sum, err
 }

@@ -7,78 +7,43 @@ import (
 	"sync"
 
 	"causeway/internal/probe"
-	"causeway/internal/telemetry"
-	"causeway/internal/uuid"
 )
 
 // Aggregator merges ingest collectors' partial record views into one
-// fleet store. Chain-range ownership makes the partials disjoint in the
-// steady state, but the merge deduplicates anyway — by the same
+// fleet store and counts, per source, what each contributed.
+// Chain-range ownership makes the partials disjoint in the steady
+// state, but the merge goes through Store.InsertNew anyway — the same
 // identities the replay path uses, events by (chain, seq) and links by
 // (parent, seq) — because the interesting moments are not steady: a
 // collector killed mid-run leaves its already-shipped records both in
 // its segments (replayed to the new owner) and possibly re-sent by
-// reconnecting shippers. Ownership-aware dedup is what makes the fleet
-// DSCG byte-identical to the single-collector DSCG regardless.
+// reconnecting shippers. Identity dedup is what makes the fleet DSCG
+// byte-identical to the single-collector DSCG regardless.
 type Aggregator struct {
-	store telemetry.RecordStore
+	store Store
 
 	mu        sync.Mutex
-	events    map[chainSeq]bool
-	links     map[chainSeq]bool
 	accepted  uint64
 	duplicate uint64
 	perSource map[string]uint64 // accepted per merge source label
 }
 
-type chainSeq struct {
-	chain uuid.UUID
-	seq   uint64
-}
-
-// NewAggregator wraps the fleet store every accepted record lands in
-// (logdb in memory, tracestore on disk — anything satisfying
-// telemetry.RecordStore).
-func NewAggregator(store telemetry.RecordStore) *Aggregator {
-	return &Aggregator{
-		store:     store,
-		events:    make(map[chainSeq]bool),
-		links:     make(map[chainSeq]bool),
-		perSource: make(map[string]uint64),
-	}
+// NewAggregator wraps the fleet store every accepted record lands in.
+func NewAggregator(store Store) *Aggregator {
+	return &Aggregator{store: store, perSource: make(map[string]uint64)}
 }
 
 // MergeRecords folds one batch from the named source into the fleet
 // store, returning how many records were accepted and how many were
-// duplicates of records already merged.
+// duplicates of records the store already held.
 func (a *Aggregator) MergeRecords(source string, recs []probe.Record) (accepted, dups int) {
+	accepted = a.store.InsertNew(recs...)
+	dups = len(recs) - accepted
 	a.mu.Lock()
-	defer a.mu.Unlock()
-	fresh := make([]probe.Record, 0, len(recs))
-	for _, r := range recs {
-		var key chainSeq
-		var seen map[chainSeq]bool
-		if r.Kind == probe.KindLink {
-			key = chainSeq{r.LinkParent, r.LinkParentSeq}
-			seen = a.links
-		} else {
-			key = chainSeq{r.Chain, r.Seq}
-			seen = a.events
-		}
-		if seen[key] {
-			dups++
-			continue
-		}
-		seen[key] = true
-		fresh = append(fresh, r)
-	}
-	if len(fresh) > 0 {
-		a.store.Insert(fresh...)
-	}
-	accepted = len(fresh)
 	a.accepted += uint64(accepted)
 	a.duplicate += uint64(dups)
 	a.perSource[source] += uint64(accepted)
+	a.mu.Unlock()
 	return accepted, dups
 }
 

@@ -26,20 +26,29 @@ import (
 // and the fleet-wide sum collapses back to the plain streaming
 // equation: no chain lost, none double-counted.
 type Ledger struct {
-	Appended  uint64
-	Persisted uint64
-	Discarded uint64
-	Shed      uint64
-	Buffered  uint64
-	Replayed  uint64
-	Retired   uint64
+	Appended  uint64 `json:"appended"`
+	Persisted uint64 `json:"persisted"`
+	Discarded uint64 `json:"discarded"`
+	Shed      uint64 `json:"shed"`
+	Buffered  uint64 `json:"buffered"`
+	Replayed  uint64 `json:"replayed"`
+	Retired   uint64 `json:"retired"`
 	// NoOwner counts records a routed shipper dropped because no ring
 	// member owned their hash — a ring bug, never a normal bucket. It
 	// sits outside the conservation equation on purpose: any non-zero
 	// value makes the ledger report UNBALANCED, so a misrouted record
-	// can never balance silently against the other buckets.
-	NoOwner uint64
+	// can never balance silently against the other buckets. A collector
+	// reports the count its fleet scrape saw; every collector sees every
+	// routed process, so across collectors the views overlap and a
+	// reader takes the maximum, not the sum.
+	NoOwner uint64 `json:"no_owner"`
 }
+
+// unknownLedger is the ledger of a member whose account could not be
+// read. The zero Ledger balances (nothing in, nothing out), so a failed
+// fetch returns this instead: it can never report Balanced, and a caller
+// that drops the error cannot mistake "unreachable" for "conserved".
+var unknownLedger = Ledger{NoOwner: ^uint64(0)}
 
 // FromAssembler lifts a streaming-assembler ledger into the cluster
 // ledger (no replay traffic yet).

@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 )
 
 // ServeMemberz serves the membership view as JSON — collectd mounts it
@@ -31,21 +28,36 @@ func (m *Membership) ServeRebalance(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(res)
 }
 
+// maxReply bounds a debug-plane reply read. The largest, a /memberz view
+// of a big tier, is a few KB; a peer answering with megabytes is broken
+// or hostile.
+const maxReply = 1 << 20
+
+// decodeReply reads one JSON reply from a peer's debug plane into v: a
+// 200, at most maxReply bytes, and exactly v's shape — an unknown field
+// is an error, because a ledger read with a bucket missing balances when
+// it should not.
+func decodeReply(resp *http.Response, err error, what string, v any) error {
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s: %s", what, resp.Status)
+	}
+	dec := json.NewDecoder(io.LimitReader(resp.Body, maxReply))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%s: %w", what, err)
+	}
+	return nil
+}
+
 // FetchMemberz pulls one member's /memberz view.
 func FetchMemberz(client *http.Client, debugAddr string) (MembershipStatus, error) {
 	var st MembershipStatus
 	resp, err := client.Get("http://" + debugAddr + "/memberz")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("GET /memberz: %s", resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("GET /memberz: %w", err)
-	}
-	return st, nil
+	return st, decodeReply(resp, err, "GET /memberz", &st)
 }
 
 // PostRebalance drives one member's /rebalancez and returns its
@@ -53,106 +65,18 @@ func FetchMemberz(client *http.Client, debugAddr string) (MembershipStatus, erro
 func PostRebalance(client *http.Client, debugAddr string) (DonationResult, error) {
 	var res DonationResult
 	resp, err := client.Post("http://"+debugAddr+"/rebalancez", "text/plain", nil)
-	if err != nil {
-		return res, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return res, fmt.Errorf("POST /rebalancez: %s", resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		return res, fmt.Errorf("POST /rebalancez: %w", err)
-	}
-	return res, nil
+	return res, decodeReply(resp, err, "POST /rebalancez", &res)
 }
 
-// ParseSeries reads exposition-format metrics into a name -> value
-// map, skipping labelled and non-integer series (the conservation
-// series are all plain integer counters). OpenMetrics-style exemplar
-// annotations (` # {chain_uuid="..."} value ts` suffixes on histogram
-// lines) and comment lines are tolerated: the annotation is cut before
-// the value parse, so an exemplar-bearing exposition round-trips to the
-// same map as a plain one.
-func ParseSeries(r io.Reader) (map[string]int64, error) {
-	series := make(map[string]int64)
-	sc := bufio.NewScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		if cut := strings.Index(line, " # "); cut >= 0 {
-			line = strings.TrimSpace(line[:cut])
-		}
-		if strings.ContainsRune(line, '{') {
-			continue
-		}
-		cut := strings.LastIndexByte(line, ' ')
-		if cut <= 0 {
-			continue
-		}
-		if v, err := strconv.ParseInt(line[cut+1:], 10, 64); err == nil {
-			series[line[:cut]] = v
-		}
-	}
-	return series, sc.Err()
-}
-
-// LedgerFromSeries reconstructs a collector's conservation ledger from
-// its exposition. A streaming collector's buckets come from the
-// assembler series; a store-direct collector persists everything it
-// ingests, minus what the store dropped or swept. Replayed records
-// land in the store synchronously (the accepted count is the
-// replayer's acknowledgement), so they appear in both Replayed and
-// Persisted; retired records leave Persisted for the Retired bucket,
-// since the new owner now counts them.
-func LedgerFromSeries(m map[string]int64) Ledger {
-	u := func(name string) uint64 {
-		v := m[name]
-		if v < 0 {
-			return 0
-		}
-		return uint64(v)
-	}
-	var led Ledger
-	if _, streaming := m["causeway_assembler_records_appended_total"]; streaming {
-		led = Ledger{
-			Appended:  u("causeway_assembler_records_appended_total"),
-			Persisted: u("causeway_assembler_records_persisted_total"),
-			Discarded: u("causeway_assembler_records_discarded_total"),
-			Shed:      u("causeway_assembler_records_shed_total"),
-			Buffered:  u("causeway_assembler_records_buffered"),
-		}
-	} else {
-		appended := u("causeway_server_records_total")
-		lost := u("causeway_store_dropped_records_total") + u("causeway_store_swept_records_total")
-		if lost > appended {
-			lost = appended
-		}
-		led = Ledger{Appended: appended, Persisted: appended - lost, Discarded: lost}
-	}
-	led.Replayed = u("causeway_server_replayed_total")
-	led.Persisted += led.Replayed
-	if ret := u("causeway_cluster_retired_total"); ret > 0 {
-		led = led.Retire(ret)
-	}
-	return led
-}
-
-// FetchLedger pulls one member's /metrics and reconstructs its
-// conservation ledger — the settle assertion's per-member input.
+// FetchLedger pulls one member's typed conservation ledger from
+// /ledgerz — the settle assertion's per-member input, and what
+// `causectl cluster` sums. On any error the ledger returned is one that
+// never reports Balanced.
 func FetchLedger(client *http.Client, debugAddr string) (Ledger, error) {
-	resp, err := client.Get("http://" + debugAddr + "/metrics")
-	if err != nil {
-		return Ledger{}, err
+	var led Ledger
+	resp, err := client.Get("http://" + debugAddr + "/ledgerz")
+	if err := decodeReply(resp, err, "GET /ledgerz", &led); err != nil {
+		return unknownLedger, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return Ledger{}, fmt.Errorf("GET /metrics: %s", resp.Status)
-	}
-	series, err := ParseSeries(resp.Body)
-	if err != nil {
-		return Ledger{}, err
-	}
-	return LedgerFromSeries(series), nil
+	return led, nil
 }

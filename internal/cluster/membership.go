@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"causeway/internal/telemetry"
-	"causeway/internal/tracestore"
 	"causeway/internal/transport"
 )
 
@@ -51,7 +50,7 @@ import (
 //     store out and back.
 //
 //   - Settling. After donating, the proposer fetches every ring
-//     member's conservation ledger from /metrics and declares the
+//     member's conservation ledger from /ledgerz and declares the
 //     epoch settled only when the tier sums balance and
 //     sum(Replayed) == sum(Retired). Until then the epoch reports as
 //     settling, and the check retries each tick.
@@ -122,7 +121,7 @@ type MembershipConfig struct {
 	// the ring, not the universe.
 	Members []telemetry.RingMember
 	// DebugAddrs maps member ID -> debug-plane address, where
-	// heartbeats (/healthz) and views (/memberz, /metrics) are served.
+	// heartbeats (/healthz) and views (/memberz, /ledgerz) are served.
 	DebugAddrs map[string]string
 	// Epoch seeds the initial ring (default 1). A higher epoch
 	// observed on any peer supersedes it immediately.
@@ -134,10 +133,9 @@ type MembershipConfig struct {
 	// SuspectAfter is how many consecutive missed probes mark a member
 	// dead (default 3). The first miss already marks it suspect.
 	SuspectAfter int
-	// Store holds this collector's segments; donations replay moved
-	// ranges out of it. Nil means nothing to donate (e.g. a collector
-	// without -store).
-	Store *tracestore.Store
+	// Store holds this collector's records; donations replay moved
+	// ranges out of it. Nil means nothing to donate.
+	Store Store
 	// OnRing fires on every ring transition — proposed or adopted —
 	// with the new ring. collectd points its telemetry server here so
 	// shippers learn the ring through the normal handshake path.
@@ -152,7 +150,7 @@ type MembershipConfig struct {
 	// GET /memberz, decode, return its ring).
 	FetchView func(debugAddr string) (telemetry.Ring, error)
 	// Ledgers overrides how a member's conservation ledger is read for
-	// the settle assertion (default: GET /metrics, LedgerFromSeries).
+	// the settle assertion (default: FetchLedger, GET /ledgerz).
 	Ledgers func(debugAddr string) (Ledger, error)
 	// Dial overrides the replay transport (tests).
 	Dial func(addr string) (transport.Client, error)

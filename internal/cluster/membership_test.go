@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"causeway/internal/telemetry"
-	"causeway/internal/tracestore"
 	"causeway/internal/uuid"
 )
 
@@ -96,7 +95,7 @@ func (*unreachableErr) Error() string { return "peer unreachable" }
 
 // newFleetMember builds one membership on the fake fleet with a huge
 // interval, so only explicit tick() calls advance the state machine.
-func newFleetMember(t *testing.T, f *fakeFleet, self string, universe []telemetry.RingMember, store *tracestore.Store) *Membership {
+func newFleetMember(t *testing.T, f *fakeFleet, self string, universe []telemetry.RingMember, store Store) *Membership {
 	t.Helper()
 	debugs := make(map[string]string, len(universe))
 	for _, u := range universe {

@@ -1,0 +1,332 @@
+package cluster
+
+import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"sync"
+	"sync/atomic"
+
+	"causeway/internal/probe"
+	"causeway/internal/streamrecon"
+	"causeway/internal/telemetry"
+)
+
+// NodeConfig wires one collector. Every value is something cmd/collectd
+// takes as a flag today or a callback its report loop supplies; the
+// node adds no settings of its own.
+type NodeConfig struct {
+	// Listen is the telemetry listen address (-listen); "127.0.0.1:0"
+	// picks an ephemeral port, read back with Addr.
+	Listen string
+	// Advertise is this collector's member ID in the ring (-advertise).
+	// Default: the bound listen address.
+	Advertise string
+	// Store receives every record the node accepts. The caller opens it
+	// (logdb in memory, tracestore with -store) and closes it after
+	// Node.Close.
+	Store Store
+	// Stream selects streaming assembly (-stream, with -quiesce, -stale,
+	// -slow, -tail): records flow server -> assembler -> Store, a chain
+	// at a time. The node fills in its Store. Nil is store-direct ingest,
+	// record by record — the mode that loses nothing buffered when a
+	// collector is killed.
+	Stream *streamrecon.Config
+	// Sinks additionally receive every ingested record in arrival order
+	// (the online monitor).
+	Sinks []probe.Sink
+	// OnConnect fires after each shipper handshake.
+	OnConnect func(telemetry.Peer)
+	// SampleRate serves the head-sampling rate to shippers (-rate,
+	// -adaptive); nil rejects rate polls.
+	SampleRate func() float64
+	// Peers is the ingest tier's member list (-peers) and Epoch the ring
+	// epoch to compute from it (-ring-epoch): the ring served from the
+	// first handshake. Empty Peers serves no ring until SetRing or a
+	// started membership installs one.
+	Peers []string
+	Epoch uint64
+	// NoOwner reports how many records routed shippers dropped for want
+	// of a ring owner, as far as this collector can see (collectd: its
+	// fleet scrape). It rides the ledger; nil reads as zero.
+	NoOwner func() uint64
+}
+
+// Node is one collector's data plane, composed once: the store, the
+// telemetry server in front of it, the streaming assembler between them
+// when streaming, the ring it serves, replay acceptance, automated
+// membership once started, the conservation ledger over all of those,
+// and the debug-plane handlers that expose them. cmd/collectd is flags
+// plus a report loop around a Node; the equivalence suites and
+// examples/livemonitor build their tiers from the same type, so the
+// kill/rejoin proofs exercise the code the daemon ships.
+type Node struct {
+	cfg NodeConfig
+	srv *telemetry.Server
+	asm *streamrecon.Assembler // nil when store-direct
+	id  string
+
+	ringMu sync.Mutex
+	ring   telemetry.Ring
+
+	mem       atomic.Pointer[Membership]
+	closeOnce sync.Once
+	closeErr  error
+}
+
+// StartNode binds the telemetry listener and starts serving shippers.
+func StartNode(cfg NodeConfig) (*Node, error) {
+	if cfg.Store == nil {
+		return nil, fmt.Errorf("cluster: node needs a Store")
+	}
+	n := &Node{cfg: cfg}
+	if len(cfg.Peers) > 0 {
+		ring, err := Assign(cfg.Epoch, DefaultSlots, Members(cfg.Peers...))
+		if err != nil {
+			return nil, err
+		}
+		n.ring = ring
+	}
+	srvCfg := telemetry.ServerConfig{
+		Store:      cfg.Store,
+		Sinks:      cfg.Sinks,
+		OnConnect:  cfg.OnConnect,
+		SampleRate: cfg.SampleRate,
+		Ring: func() (telemetry.Ring, bool) {
+			r := n.Ring()
+			return r, r.Slots > 0
+		},
+		// Replays land directly in the store: they are chains a previous
+		// owner already assembled and persisted, and InsertNew makes a
+		// record that also arrived live, or in an earlier replay, count
+		// once.
+		Replay: func(recs []probe.Record) int { return cfg.Store.InsertNew(recs...) },
+	}
+	if cfg.Stream != nil {
+		asmCfg := *cfg.Stream
+		asmCfg.Store = cfg.Store
+		asm, err := streamrecon.New(asmCfg)
+		if err != nil {
+			return nil, err
+		}
+		n.asm = asm
+		// The store is fed only by assembler evictions.
+		srvCfg.Store = nil
+		srvCfg.Sinks = append(append([]probe.Sink(nil), cfg.Sinks...), asm)
+	}
+	srv, err := telemetry.Listen(cfg.Listen, srvCfg)
+	if err != nil {
+		return nil, err
+	}
+	n.srv = srv
+	n.id = cfg.Advertise
+	if n.id == "" {
+		n.id = srv.Addr()
+	}
+	return n, nil
+}
+
+// Addr returns the bound telemetry address.
+func (n *Node) Addr() string { return n.srv.Addr() }
+
+// ID returns this collector's member ID: Advertise, or the bound address.
+func (n *Node) ID() string { return n.id }
+
+// Server returns the telemetry server, for its ingest counters and
+// per-peer accounting.
+func (n *Node) Server() *telemetry.Server { return n.srv }
+
+// Assembler returns the streaming assembler, nil when store-direct. It
+// owns no goroutine: the caller drives Tick and, at drain, FlushOpen.
+func (n *Node) Assembler() *streamrecon.Assembler { return n.asm }
+
+// Membership returns the automated membership, nil until StartMembership.
+func (n *Node) Membership() *Membership { return n.mem.Load() }
+
+// Ring returns the ring this node serves to shippers; Slots is zero
+// while it serves none.
+func (n *Node) Ring() telemetry.Ring {
+	n.ringMu.Lock()
+	defer n.ringMu.Unlock()
+	return n.ring
+}
+
+// SetRing advances the served ring; connected shippers pick it up
+// through the normal ring poll, no reconnect. Only a higher epoch is
+// installed: a reborn collector's membership starts from its configured
+// epoch before it adopts the tier's, and that stale ring must not
+// replace a newer one already served.
+func (n *Node) SetRing(r telemetry.Ring) {
+	n.ringMu.Lock()
+	if r.Epoch > n.ring.Epoch {
+		n.ring = r
+	}
+	n.ringMu.Unlock()
+}
+
+// StartMembership starts heartbeating the tier. It is separate from
+// StartNode because members probe each other's debug planes: every
+// node's handlers must be mounted before any membership starts, and
+// until this one does, /memberz and /rebalancez answer 503. The node
+// supplies Self, Store and OnRing; the caller supplies the member
+// universe, debug addresses and timing.
+func (n *Node) StartMembership(cfg MembershipConfig) error {
+	cfg.Self = n.id
+	cfg.Store = n.cfg.Store
+	cfg.OnRing = n.SetRing
+	m, err := NewMembership(cfg)
+	if err != nil {
+		return err
+	}
+	n.mem.Store(m)
+	return nil
+}
+
+// lossCounter is the part of a collector's account only a disk store
+// keeps: records removed by retention sweeps and lost to disk failures.
+type lossCounter interface {
+	Swept() int
+	Dropped() int
+}
+
+// Ledger computes this collector's conservation account from the
+// counters themselves. A streaming collector's buckets are the
+// assembler's; a store-direct collector persists everything it ingests,
+// minus what the store dropped or swept. Replayed records land in the
+// store synchronously (the accepted count is the replayer's
+// acknowledgement), so they appear in both Replayed and Persisted;
+// retired records leave Persisted for the Retired bucket, since the new
+// owner now counts them.
+func (n *Node) Ledger() Ledger {
+	st := n.srv.Stats()
+	var led Ledger
+	if n.asm != nil {
+		led = FromAssembler(n.asm.Ledger())
+	} else {
+		var lost uint64
+		if lc, ok := n.cfg.Store.(lossCounter); ok {
+			lost = uint64(lc.Swept() + lc.Dropped())
+		}
+		if lost > st.Records {
+			lost = st.Records
+		}
+		led = Ledger{Appended: st.Records, Persisted: st.Records - lost, Discarded: lost}
+	}
+	led.Replayed = st.Replayed
+	led.Persisted += led.Replayed
+	if m := n.Membership(); m != nil {
+		led = led.Retire(m.Status().Retired)
+	}
+	if n.cfg.NoOwner != nil {
+		led.NoOwner = n.cfg.NoOwner()
+	}
+	return led
+}
+
+// WriteMetrics renders everything the node counts — ingest, the ledger
+// with its balanced verdict, the assembler and membership when present —
+// as one registry source.
+func (n *Node) WriteMetrics(w io.Writer) {
+	st := n.srv.Stats()
+	fmt.Fprintf(w, "causeway_server_records_total %d\n", st.Records)
+	fmt.Fprintf(w, "causeway_server_batches_total %d\n", st.Batches)
+	fmt.Fprintf(w, "causeway_server_peers_total %d\n", st.Peers)
+	fmt.Fprintf(w, "causeway_server_bad_frames_total %d\n", st.BadFrames)
+	fmt.Fprintf(w, "causeway_server_replay_batches_total %d\n", st.ReplayBatches)
+	n.Ledger().WriteMetrics(w)
+	if lc, ok := n.cfg.Store.(lossCounter); ok {
+		// The store's side of the account, so inserted == indexed + swept
+		// + dropped stays checkable while batches arrive mid-sweep.
+		fmt.Fprintf(w, "causeway_store_swept_records_total %d\n", lc.Swept())
+		fmt.Fprintf(w, "causeway_store_dropped_records_total %d\n", lc.Dropped())
+	}
+	if n.asm != nil {
+		n.asm.WriteMetrics(w)
+	}
+	if m := n.Membership(); m != nil {
+		m.WriteMetrics(w)
+	}
+}
+
+// Handlers returns the node's debug-plane endpoints, to mount on any
+// debug server (debugserver.Config.Extra):
+//
+//	/exportz     the store as a gob record stream — the aggregator's pull side
+//	/ringz       the served ring as text (404 while none is served)
+//	/ledgerz     the conservation ledger as JSON (FetchLedger reads it)
+//	/memberz     the membership view as JSON   } 503 until
+//	/rebalancez  POST: donate for the current ring } StartMembership
+//	/feedz       the eviction feed, when streaming
+func (n *Node) Handlers() map[string]http.HandlerFunc {
+	h := map[string]http.HandlerFunc{
+		"/exportz":    ExportHandler(n.cfg.Store),
+		"/ringz":      n.serveRing,
+		"/ledgerz":    n.serveLedger,
+		"/memberz":    n.whenMember((*Membership).ServeMemberz),
+		"/rebalancez": n.whenMember((*Membership).ServeRebalance),
+	}
+	if n.asm != nil {
+		h["/feedz"] = n.asm.ServeFeed
+	}
+	return h
+}
+
+// ExportHandler streams store as the gob record stream WriteStream and
+// `causectl export` emit — the aggregator's pull side, which both a node
+// and the aggregator's own fleet store serve at /exportz.
+func ExportHandler(store Store) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		// Once the stream has begun the headers are gone; on an error
+		// the torn tail is the client's signal.
+		_ = store.WriteStream(w)
+	}
+}
+
+// serveRing writes the String() summary plus one line per member,
+// `causectl cluster` input.
+func (n *Node) serveRing(w http.ResponseWriter, r *http.Request) {
+	ring := n.Ring()
+	if ring.Slots == 0 {
+		http.NotFound(w, r)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintf(w, "ring %s\n", ring)
+	for _, m := range ring.Members {
+		marker := ""
+		if m.ID == n.id {
+			marker = " (self)"
+		}
+		fmt.Fprintf(w, "member %s addr=%s slots=[%d,%d)%s\n", m.ID, m.Addr, m.Start, m.End, marker)
+	}
+}
+
+func (n *Node) serveLedger(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	json.NewEncoder(w).Encode(n.Ledger())
+}
+
+func (n *Node) whenMember(serve func(*Membership, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if m := n.Membership(); m != nil {
+			serve(m, w, r)
+			return
+		}
+		http.Error(w, "membership not started", http.StatusServiceUnavailable)
+	}
+}
+
+// Close stops the membership (first, so no proposal races a vanishing
+// listener) and the telemetry server. Records already ingested stay in
+// the store, which the caller closes.
+func (n *Node) Close() error {
+	n.closeOnce.Do(func() {
+		if m := n.Membership(); m != nil {
+			m.Close()
+		}
+		n.closeErr = n.srv.Close()
+	})
+	return n.closeErr
+}

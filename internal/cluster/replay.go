@@ -5,21 +5,21 @@ import (
 
 	"causeway/internal/probe"
 	"causeway/internal/telemetry"
-	"causeway/internal/tracestore"
 	"causeway/internal/transport"
 	"causeway/internal/uuid"
 )
 
 // ReplayConfig drives one segment replay: shipping a hash range out of
-// a trace store — typically a dead collector's directory reopened, or a
+// a store — typically a dead collector's directory reopened, or a
 // surviving collector shedding a range it no longer owns — to the
 // range's new owner.
 type ReplayConfig struct {
 	// Source is the store holding the range. Segments are durable, so
-	// this works whether the owning collectd is alive, drained, or
-	// crashed: reopening its -store directory recovers everything that
-	// reached disk (torn tails truncated, exactly like a restart).
-	Source *tracestore.Store
+	// for a disk store this works whether the owning collectd is alive,
+	// drained, or crashed: reopening its -store directory recovers
+	// everything that reached disk (torn tails truncated, exactly like a
+	// restart).
+	Source Store
 	// Range selects the records to move — OwnedBy or MovedTo.
 	Range func(uuid.UUID) bool
 	// Target is the new owner's telemetry address.
@@ -100,7 +100,7 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 // recovered from what is durable). Pair it with Replay results —
 // Retired += Accepted — to keep the dead member's account balanced as
 // its ranges move to new owners.
-func RecoverLedger(store *tracestore.Store) Ledger {
+func RecoverLedger(store Store) Ledger {
 	n := uint64(store.Len())
 	return Ledger{Appended: n, Persisted: n}
 }

@@ -3,16 +3,14 @@ package cluster
 import (
 	"testing"
 
-	"causeway/internal/logdb"
-	"causeway/internal/probe"
 	"causeway/internal/telemetry"
 	"causeway/internal/tracestore"
 	"causeway/internal/uuid"
 )
 
-// startReplayTarget runs a telemetry server whose replay operation lands
-// in a tracestore via InsertNew — the same wiring clustered collectd
-// uses — and reports accepted counts back to the replayer.
+// startReplayTarget runs a collector node over a trace store — replays
+// land in it via InsertNew, the wiring clustered collectd uses — and
+// returns its telemetry server and the store.
 func startReplayTarget(t *testing.T, dir string) (*telemetry.Server, *tracestore.Store) {
 	t.Helper()
 	ts, err := tracestore.Open(dir, tracestore.Options{Shards: 4})
@@ -20,15 +18,12 @@ func startReplayTarget(t *testing.T, dir string) (*telemetry.Server, *tracestore
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ts.Close() })
-	srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{
-		Store:  logdb.NewStore(),
-		Replay: func(recs []probe.Record) int { return ts.InsertNew(recs...) },
-	})
+	node, err := StartNode(NodeConfig{Listen: "127.0.0.1:0", Store: ts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	return srv, ts
+	t.Cleanup(func() { node.Close() })
+	return node.Server(), ts
 }
 
 // A dead collector's directory reopens, its moved range replays to the

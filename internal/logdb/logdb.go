@@ -57,27 +57,130 @@ func NewStore() *Store {
 func (s *Store) Insert(recs ...probe.Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, r := range recs {
-		s.total++
-		switch r.Kind {
-		case probe.KindEvent:
-			rows, ok := s.events[r.Chain]
-			if !ok {
-				rows = &chainRows{}
-				s.events[r.Chain] = rows
-			}
-			// A record appended in seq order keeps sorted rows sorted; only
-			// true out-of-order arrival (cross-connection interleaving,
-			// merged logs) marks the chain dirty.
-			if !rows.dirty && len(rows.recs) > 0 && r.Seq < rows.recs[len(rows.recs)-1].Seq {
-				rows.dirty = true
-			}
-			rows.recs = append(rows.recs, r)
-		case probe.KindLink:
-			s.links = append(s.links, r)
-			s.byParent[chainSeq{r.LinkParent, r.LinkParentSeq}] = r.LinkChild
+	for i := range recs {
+		s.insertLocked(&recs[i])
+	}
+}
+
+func (s *Store) insertLocked(r *probe.Record) {
+	s.total++
+	switch r.Kind {
+	case probe.KindEvent:
+		rows, ok := s.events[r.Chain]
+		if !ok {
+			rows = &chainRows{}
+			s.events[r.Chain] = rows
+		}
+		// A record appended in seq order keeps sorted rows sorted; only
+		// true out-of-order arrival (cross-connection interleaving,
+		// merged logs) marks the chain dirty.
+		if !rows.dirty && len(rows.recs) > 0 && r.Seq < rows.recs[len(rows.recs)-1].Seq {
+			rows.dirty = true
+		}
+		rows.recs = append(rows.recs, *r)
+	case probe.KindLink:
+		s.links = append(s.links, *r)
+		s.byParent[chainSeq{r.LinkParent, r.LinkParentSeq}] = r.LinkChild
+	}
+}
+
+// InsertNew adds only records the store does not hold yet — events
+// identified by (chain, seq), links by (parent, parent seq), the
+// identities tracestore.InsertNew uses — and returns how many were
+// accepted as new. It is the replay and fleet-merge ingest path: a record
+// that already arrived live, or in an earlier replay, counts once.
+func (s *Store) InsertNew(recs ...probe.Record) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	accepted := 0
+	for i := range recs {
+		if r := &recs[i]; !s.holdsLocked(r) {
+			s.insertLocked(r)
+			accepted++
 		}
 	}
+	return accepted
+}
+
+func (s *Store) holdsLocked(r *probe.Record) bool {
+	if r.Kind == probe.KindLink {
+		_, ok := s.byParent[chainSeq{r.LinkParent, r.LinkParentSeq}]
+		return ok
+	}
+	if rows := s.events[r.Chain]; rows != nil {
+		for i := range rows.recs {
+			if rows.recs[i].Seq == r.Seq {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Records is the read side both record stores — this one and the disk
+// store, internal/tracestore — expose; RangeRecords, WriteStream and
+// SaveFile are written once against it.
+type Records interface {
+	Chains() []uuid.UUID
+	Events(chain uuid.UUID) []probe.Record
+	Links() []probe.Record
+}
+
+// RangeRecords streams every record of src whose routing UUID — a link's
+// parent chain, an event's own chain — satisfies pred: links first, then
+// events by chain (sorted) and seq. It is the replay scan: pred selects a
+// moved hash range and the emitted records are shipped to the range's new
+// owner. A non-nil error from emit aborts the scan.
+func RangeRecords(src Records, pred func(uuid.UUID) bool, emit func(probe.Record) error) error {
+	for _, l := range src.Links() {
+		if !pred(l.LinkParent) {
+			continue
+		}
+		if err := emit(l); err != nil {
+			return err
+		}
+	}
+	for _, c := range src.Chains() {
+		if !pred(c) {
+			continue
+		}
+		for _, r := range src.Events(c) {
+			if err := emit(r); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// WriteStream streams all of src's records to w as a gob record stream —
+// the format probe.StreamSink writes and LoadFile reads — in RangeRecords
+// order, which is independent of insertion order.
+func WriteStream(src Records, w io.Writer) error {
+	sink := probe.NewStreamSink(w)
+	RangeRecords(src, func(uuid.UUID) bool { return true }, func(r probe.Record) error {
+		sink.Append(r)
+		return nil
+	})
+	return sink.Close()
+}
+
+// SaveFile persists src's export stream to path.
+func SaveFile(src Records, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("save records: %w", err)
+	}
+	defer f.Close()
+	if err := WriteStream(src, f); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// RangeRecords streams the records whose routing UUID satisfies pred.
+func (s *Store) RangeRecords(pred func(uuid.UUID) bool, emit func(probe.Record) error) error {
+	return RangeRecords(s, pred, emit)
 }
 
 // Len reports the total number of inserted records (events + links).
@@ -199,32 +302,11 @@ func (s *Store) ComputeStats() Stats {
 }
 
 // SaveFile persists the entire store as a gob record stream.
-func (s *Store) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("logdb: save: %w", err)
-	}
-	defer f.Close()
-	if err := s.WriteStream(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
+func (s *Store) SaveFile(path string) error { return SaveFile(s, path) }
 
 // WriteStream streams all records to w in insertion-independent but
 // deterministic order (links first, then events by chain and seq).
-func (s *Store) WriteStream(w io.Writer) error {
-	sink := probe.NewStreamSink(w)
-	for _, l := range s.Links() {
-		sink.Append(l)
-	}
-	for _, c := range s.Chains() {
-		for _, r := range s.Events(c) {
-			sink.Append(r)
-		}
-	}
-	return sink.Close()
-}
+func (s *Store) WriteStream(w io.Writer) error { return WriteStream(s, w) }
 
 // LoadFile reads a gob record stream file into the store. A file with a
 // torn tail record (crashed writer) loads its complete prefix and returns

@@ -276,7 +276,7 @@ func escapeLabel(v string) string {
 // exemplarSuffix renders an OpenMetrics-style exemplar annotation for the
 // given bucket, or "" when none was captured: ` # {chain_uuid="..."}
 // <value_ns> <unix_ns>`. Consumers that only want the series value cut
-// the line at " # " (cluster.ParseSeries does).
+// the line at " # " (collectd's fleet merge does).
 func exemplarSuffix(h *Histogram, bucket int) string {
 	e, ok := h.BucketExemplar(bucket)
 	if !ok {

@@ -57,12 +57,15 @@ func (h *liveHarness) callOneway(name string) <-chan struct{} {
 	ctx := h.p.StubStart(op, true)
 	done := make(chan struct{})
 	wire := ctx.Wire
+	// The stub's span — stub_start, link, stub_end — is appended when it
+	// closes. Close it before the callee runs, so the link always reaches
+	// the monitor ahead of the callee-side root it parents.
+	h.p.StubEnd(ctx, ftl.FTL{})
 	go func() {
 		defer close(done)
 		sctx := h.p.SkelStart(op, wire, true)
 		h.p.SkelEnd(sctx)
 	}()
-	h.p.StubEnd(ctx, ftl.FTL{})
 	return done
 }
 

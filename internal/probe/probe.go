@@ -197,6 +197,15 @@ type BatchSink interface {
 	AppendBatch(recs []Record)
 }
 
+// RecordStore is where collected records come to rest: the insertion side
+// of the merged relational store (§3). The telemetry server and the
+// streaming assembler write through it and need nothing else; the full
+// store interface a collector node composes over (cluster.Store) embeds
+// it. *logdb.Store and *tracestore.Store both satisfy it.
+type RecordStore interface {
+	Insert(recs ...Record)
+}
+
 // spanBuf accumulates one probe span. Max occupancy is 4 records: a
 // collocated span (stub_start, skel_start, skel_end, stub_end) or a oneway
 // stub span (stub_start, link, stub_end).

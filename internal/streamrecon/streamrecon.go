@@ -62,11 +62,8 @@ import (
 	"causeway/internal/uuid"
 )
 
-// RecordStore is the eviction destination; *tracestore.Store and
-// *logdb.Store both satisfy it.
-type RecordStore interface {
-	Insert(recs ...probe.Record)
-}
+// RecordStore is the eviction destination.
+type RecordStore = probe.RecordStore
 
 // Config assembles a streaming assembler.
 type Config struct {

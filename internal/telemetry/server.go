@@ -20,12 +20,8 @@ type Peer struct {
 	DebugAddr string
 }
 
-// RecordStore is the merged destination ingested records land in. Both
-// *logdb.Store (in-memory, offline analysis) and *tracestore.Store
-// (sharded on-disk, long-running collection) satisfy it.
-type RecordStore interface {
-	Insert(recs ...probe.Record)
-}
+// RecordStore is the merged destination ingested records land in.
+type RecordStore = probe.RecordStore
 
 // ServerConfig wires a collection server's outputs.
 type ServerConfig struct {

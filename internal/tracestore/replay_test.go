@@ -5,56 +5,90 @@ import (
 	"time"
 
 	"causeway/internal/ftl"
+	"causeway/internal/logdb"
 	"causeway/internal/probe"
 	"causeway/internal/uuid"
 )
 
+// replayStore is the replay-facing slice of the store interface both
+// backends offer a collector node (cluster.Store).
+type replayStore interface {
+	Insert(recs ...probe.Record)
+	InsertNew(recs ...probe.Record) int
+	RangeRecords(pred func(uuid.UUID) bool, emit func(probe.Record) error) error
+	Events(chain uuid.UUID) []probe.Record
+	ChildChain(parent uuid.UUID, seq uint64) (uuid.UUID, bool)
+	Len() int
+}
+
+// replayBackends are the memory and the disk backend. open yields the
+// store rooted at dir (the memory store ignores dir) and its close; only
+// a durable backend can be closed and reopened from what it wrote.
+var replayBackends = []struct {
+	name    string
+	durable bool
+	open    func(t *testing.T, dir string, shards int) (replayStore, func())
+}{
+	{"logdb", false, func(*testing.T, string, int) (replayStore, func()) {
+		return logdb.NewStore(), func() {}
+	}},
+	{"tracestore", true, func(t *testing.T, dir string, shards int) (replayStore, func()) {
+		s, err := Open(dir, Options{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, func() {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}},
+}
+
 // InsertNew must accept each (chain, seq) / (parent, seq) identity once,
-// across both the live-insert and replay paths, and survive a reopen
-// (the index the dedup consults is rebuilt from segments).
+// across both the live-insert and replay paths, and on disk survive a
+// reopen (the index the dedup consults is rebuilt from segments).
 func TestInsertNewDeduplicates(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, b := range replayBackends {
+		t.Run(b.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, closeStore := b.open(t, dir, 4)
+			defer func() { closeStore() }()
 
-	c1, c2 := chainID(1), chainID(2)
-	wall := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	recs := []probe.Record{
-		ev(c1, 1, ftl.StubStart, "I", wall),
-		ev(c1, 2, ftl.StubEnd, "I", wall),
-		link(c1, 1, c2),
-		ev(c2, 1, ftl.SkelStart, "J", wall),
-	}
-	s.Insert(recs[0], recs[2]) // two arrive live
-	if got := s.InsertNew(recs...); got != 2 {
-		t.Fatalf("InsertNew accepted %d, want 2 (two were already live)", got)
-	}
-	if got := s.InsertNew(recs...); got != 0 {
-		t.Fatalf("second InsertNew accepted %d, want 0", got)
-	}
-	if s.Len() != 4 {
-		t.Fatalf("store has %d records, want 4", s.Len())
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+			c1, c2 := chainID(1), chainID(2)
+			wall := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+			recs := []probe.Record{
+				ev(c1, 1, ftl.StubStart, "I", wall),
+				ev(c1, 2, ftl.StubEnd, "I", wall),
+				link(c1, 1, c2),
+				ev(c2, 1, ftl.SkelStart, "J", wall),
+			}
+			s.Insert(recs[0], recs[2]) // two arrive live
+			if got := s.InsertNew(recs...); got != 2 {
+				t.Fatalf("InsertNew accepted %d, want 2 (two were already live)", got)
+			}
+			if got := s.InsertNew(recs...); got != 0 {
+				t.Fatalf("second InsertNew accepted %d, want 0", got)
+			}
+			if s.Len() != 4 {
+				t.Fatalf("store has %d records, want 4", s.Len())
+			}
 
-	// Reopen: dedup must hold against the recovered index too.
-	s, err = Open(dir, Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if got := s.InsertNew(recs...); got != 0 {
-		t.Fatalf("post-reopen InsertNew accepted %d, want 0", got)
-	}
-	if got := s.InsertNew(ev(c2, 2, ftl.SkelEnd, "J", wall)); got != 1 {
-		t.Fatalf("fresh record rejected after reopen")
-	}
-	if s.Len() != 5 {
-		t.Fatalf("store has %d records after reopen, want 5", s.Len())
+			// Reopen: dedup must hold against the recovered index too.
+			if b.durable {
+				closeStore()
+				s, closeStore = b.open(t, dir, 4)
+			}
+			if got := s.InsertNew(recs...); got != 0 {
+				t.Fatalf("post-reopen InsertNew accepted %d, want 0", got)
+			}
+			if got := s.InsertNew(ev(c2, 2, ftl.SkelEnd, "J", wall)); got != 1 {
+				t.Fatalf("fresh record rejected after reopen")
+			}
+			if s.Len() != 5 {
+				t.Fatalf("store has %d records after reopen, want 5", s.Len())
+			}
+		})
 	}
 }
 
@@ -62,80 +96,78 @@ func TestInsertNewDeduplicates(t *testing.T) {
 // hash range — events by chain, links by parent — in WriteStream order,
 // and a replay into a second store must reproduce the range faithfully.
 func TestRangeRecordsSelectsByRoutingUUID(t *testing.T) {
-	src, err := Open(t.TempDir(), Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
+	for _, b := range replayBackends {
+		t.Run(b.name, func(t *testing.T) {
+			src, closeSrc := b.open(t, t.TempDir(), 4)
+			defer closeSrc()
 
-	wall := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
-	chains := []uuid.UUID{chainID(1), chainID(2), chainID(3), chainID(4)}
-	for i, c := range chains {
-		src.Insert(
-			ev(c, 1, ftl.StubStart, "I", wall),
-			ev(c, 2, ftl.StubEnd, "I", wall),
-			link(c, 1, chainID(byte(10+i))),
-		)
-	}
-
-	// Select half the chains by hash parity — an arbitrary but
-	// deterministic "moved range".
-	pred := func(u uuid.UUID) bool { return uuid.Hash64(u)%2 == 0 }
-	wantChains := map[uuid.UUID]bool{}
-	for _, c := range chains {
-		if pred(c) {
-			wantChains[c] = true
-		}
-	}
-	if len(wantChains) == 0 || len(wantChains) == len(chains) {
-		t.Fatalf("degenerate split: %d of %d chains selected", len(wantChains), len(chains))
-	}
-
-	dst, err := Open(t.TempDir(), Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-
-	emitted := 0
-	linksDone := false
-	if err := src.RangeRecords(pred, func(r probe.Record) error {
-		switch r.Kind {
-		case probe.KindLink:
-			if linksDone {
-				t.Fatal("link emitted after events began (WriteStream order violated)")
+			wall := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
+			chains := []uuid.UUID{chainID(1), chainID(2), chainID(3), chainID(4)}
+			for i, c := range chains {
+				src.Insert(
+					ev(c, 1, ftl.StubStart, "I", wall),
+					ev(c, 2, ftl.StubEnd, "I", wall),
+					link(c, 1, chainID(byte(10+i))),
+				)
 			}
-			if !wantChains[r.LinkParent] {
-				t.Fatalf("link for unselected parent %s emitted", r.LinkParent.Short())
-			}
-		case probe.KindEvent:
-			linksDone = true
-			if !wantChains[r.Chain] {
-				t.Fatalf("event for unselected chain %s emitted", r.Chain.Short())
-			}
-		}
-		emitted++
-		if dst.InsertNew(r) != 1 {
-			t.Fatalf("replayed record rejected as duplicate: %+v", r)
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if want := len(wantChains) * 3; emitted != want {
-		t.Fatalf("emitted %d records, want %d", emitted, want)
-	}
 
-	// The replayed range must read back identically from the new owner.
-	for c := range wantChains {
-		sameRecords(t, "replayed "+c.Short(), dst.Events(c), src.Events(c))
-		if child, ok := dst.ChildChain(c, 1); !ok || child != chainIDFromSrc(src, c) {
-			t.Fatalf("replayed link for %s missing or wrong", c.Short())
-		}
+			// Select half the chains by hash parity — an arbitrary but
+			// deterministic "moved range".
+			pred := func(u uuid.UUID) bool { return uuid.Hash64(u)%2 == 0 }
+			wantChains := map[uuid.UUID]bool{}
+			for _, c := range chains {
+				if pred(c) {
+					wantChains[c] = true
+				}
+			}
+			if len(wantChains) == 0 || len(wantChains) == len(chains) {
+				t.Fatalf("degenerate split: %d of %d chains selected", len(wantChains), len(chains))
+			}
+
+			dst, closeDst := b.open(t, t.TempDir(), 2)
+			defer closeDst()
+
+			emitted := 0
+			linksDone := false
+			if err := src.RangeRecords(pred, func(r probe.Record) error {
+				switch r.Kind {
+				case probe.KindLink:
+					if linksDone {
+						t.Fatal("link emitted after events began (WriteStream order violated)")
+					}
+					if !wantChains[r.LinkParent] {
+						t.Fatalf("link for unselected parent %s emitted", r.LinkParent.Short())
+					}
+				case probe.KindEvent:
+					linksDone = true
+					if !wantChains[r.Chain] {
+						t.Fatalf("event for unselected chain %s emitted", r.Chain.Short())
+					}
+				}
+				emitted++
+				if dst.InsertNew(r) != 1 {
+					t.Fatalf("replayed record rejected as duplicate: %+v", r)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if want := len(wantChains) * 3; emitted != want {
+				t.Fatalf("emitted %d records, want %d", emitted, want)
+			}
+
+			// The replayed range must read back identically from the new owner.
+			for c := range wantChains {
+				sameRecords(t, "replayed "+c.Short(), dst.Events(c), src.Events(c))
+				if child, ok := dst.ChildChain(c, 1); !ok || child != chainIDFromSrc(src, c) {
+					t.Fatalf("replayed link for %s missing or wrong", c.Short())
+				}
+			}
+		})
 	}
 }
 
-func chainIDFromSrc(src *Store, parent uuid.UUID) uuid.UUID {
+func chainIDFromSrc(src replayStore, parent uuid.UUID) uuid.UUID {
 	child, _ := src.ChildChain(parent, 1)
 	return child
 }

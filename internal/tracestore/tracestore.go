@@ -222,32 +222,12 @@ func (s *Store) InsertNew(recs ...probe.Record) int {
 
 // RangeRecords streams every record whose routing UUID — a link's parent
 // chain, an event's own chain, exactly the rule shardOf applies —
-// satisfies pred, in WriteStream order (links first, then events by
-// chain sorted and seq). It is the segment-replay scan: after a ring
-// rebalance, pred selects the moved hash range and the emitted records
-// are shipped to the range's new owner. A non-nil error from emit aborts
-// the scan; segment read failures surface as warnings and omissions,
-// matching Events.
+// satisfies pred, in WriteStream order. It is the segment-replay scan:
+// after a ring rebalance, pred selects the moved hash range and the
+// emitted records are shipped to the range's new owner. Segment read
+// failures surface as warnings and omissions, matching Events.
 func (s *Store) RangeRecords(pred func(uuid.UUID) bool, emit func(probe.Record) error) error {
-	for _, l := range s.Links() {
-		if !pred(l.LinkParent) {
-			continue
-		}
-		if err := emit(l); err != nil {
-			return err
-		}
-	}
-	for _, c := range s.Chains() {
-		if !pred(c) {
-			continue
-		}
-		for _, r := range s.Events(c) {
-			if err := emit(r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return logdb.RangeRecords(s, pred, emit)
 }
 
 // Chains returns every chain UUID in the store, sorted — the same
@@ -412,30 +392,9 @@ func (s *Store) Sweep(olderThan time.Duration) (int, error) {
 
 // WriteStream exports the whole store as a gob record stream — the same
 // format probe.StreamSink writes and logdb.LoadFile reads, so `causectl
-// export` output feeds the existing analyzer unchanged. Order matches
-// logdb.WriteStream: links first, then events by chain (sorted) and seq.
-func (s *Store) WriteStream(w io.Writer) error {
-	sink := probe.NewStreamSink(w)
-	for _, l := range s.Links() {
-		sink.Append(l)
-	}
-	for _, c := range s.Chains() {
-		for _, r := range s.Events(c) {
-			sink.Append(r)
-		}
-	}
-	return sink.Close()
-}
+// export` output feeds the existing analyzer unchanged, in the order
+// logdb.WriteStream uses.
+func (s *Store) WriteStream(w io.Writer) error { return logdb.WriteStream(s, w) }
 
 // SaveFile persists the export stream to path.
-func (s *Store) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("tracestore: save: %w", err)
-	}
-	defer f.Close()
-	if err := s.WriteStream(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
+func (s *Store) SaveFile(path string) error { return logdb.SaveFile(s, path) }

@@ -9,18 +9,13 @@
 package causeway_test
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"causeway"
 	"causeway/internal/analysis"
 	"causeway/internal/cluster"
 	"causeway/internal/debugserver"
@@ -29,59 +24,6 @@ import (
 	"causeway/internal/telemetry"
 	"causeway/internal/tracestore"
 )
-
-// servedRing is one collector's serving ring, advanced only forward: the
-// reborn victim's membership starts from its configured epoch before it
-// adopts the cluster's, and the stale ring must never reach a shipper.
-type servedRing struct {
-	mu sync.Mutex
-	r  telemetry.Ring
-}
-
-func (s *servedRing) advance(r telemetry.Ring) {
-	s.mu.Lock()
-	if r.Epoch > s.r.Epoch {
-		s.r = r
-	}
-	s.mu.Unlock()
-}
-
-func (s *servedRing) get() (telemetry.Ring, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.r, s.r.Slots > 0
-}
-
-// memberHolder late-binds a collector's membership to its debug
-// handlers: the debug plane must be listening before any membership
-// starts (they probe each other), so the handlers look it up per
-// request.
-type memberHolder struct {
-	mu sync.Mutex
-	m  *cluster.Membership
-}
-
-func (h *memberHolder) set(m *cluster.Membership) {
-	h.mu.Lock()
-	h.m = m
-	h.mu.Unlock()
-}
-
-func (h *memberHolder) get() *cluster.Membership {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.m
-}
-
-func (h *memberHolder) handler(serve func(*cluster.Membership, http.ResponseWriter, *http.Request)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if m := h.get(); m != nil {
-			serve(m, w, r)
-			return
-		}
-		http.Error(w, "membership starting", http.StatusServiceUnavailable)
-	}
-}
 
 func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 	records := ppsRecords(t)
@@ -99,83 +41,48 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 			cut1 := 1 + rng.Intn(len(recs)/2)
 			cut2 := cut1 + 1 + rng.Intn(len(recs)-cut1-1)
 
+			// One survivor keeps its records in memory: automated donation
+			// must move a logdb-backed collector's ranges like any other's.
+			memory := (victim + 1) % 3
 			dirs := make([]string, 3)
-			served := make([]*servedRing, 3)
-			stores := make([]*tracestore.Store, 3)
-			srvs := make([]*telemetry.Server, 3)
-			holders := make([]*memberHolder, 3)
+			disks := make([]*tracestore.Store, 3)
+			stores := make([]cluster.Store, 3)
+			nodes := make([]*cluster.Node, 3)
 			dbgs := make([]*debugserver.Server, 3)
-			mems := make([]*cluster.Membership, 3)
 			addrs := make([]string, 3)
 			debugAddrs := make([]string, 3)
 
 			openIngest := func(i int, addr string) {
 				t.Helper()
-				ts, err := tracestore.Open(dirs[i], tracestore.Options{Shards: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := telemetry.ServerConfig{
-					Store: ts,
-					Ring:  served[i].get,
-					Replay: func(rs []probe.Record) int {
-						return ts.InsertNew(rs...)
-					},
-				}
-				var srv *telemetry.Server
-				if addr == "" {
-					srv, err = telemetry.Listen("127.0.0.1:0", cfg)
+				if i == memory {
+					stores[i] = logdb.NewStore()
+				} else {
+					ts, err := tracestore.Open(dirs[i], tracestore.Options{Shards: 4})
 					if err != nil {
 						t.Fatal(err)
 					}
-				} else {
-					// Rebinding the victim's old address can race the
-					// kernel releasing it.
-					clusterWaitFor(t, func() bool {
-						srv, err = telemetry.Listen(addr, cfg)
-						return err == nil
-					}, "rebinding the victim's telemetry address")
+					disks[i], stores[i] = ts, ts
 				}
-				stores[i], srvs[i] = ts, srv
+				nodes[i] = startNode(t, addr, stores[i])
 			}
+			// The debug plane carries the node's own handlers; /memberz and
+			// /rebalancez answer 503 until the node's membership starts,
+			// which must wait until every plane is listening (they probe
+			// each other).
 			openDebug := func(i int, addr string) {
 				t.Helper()
-				srvI := srvs[i]
-				reg := causeway.NewMetricsRegistry()
-				reg.RegisterSource("server", func(w io.Writer) {
-					st := srvI.Stats()
-					fmt.Fprintf(w, "causeway_server_records_total %d\n", st.Records)
-					fmt.Fprintf(w, "causeway_server_replayed_total %d\n", st.Replayed)
-				})
-				reg.RegisterSource("membership", func(w io.Writer) {
-					if m := holders[i].get(); m != nil {
-						m.WriteMetrics(w)
-					}
-				})
+				if addr == "" {
+					addr = "127.0.0.1:0"
+				}
 				cfg := debugserver.Config{
-					Addr:     "127.0.0.1:0",
-					Registry: reg,
+					Addr:     addr,
 					Process:  fmt.Sprintf("collector-%d", i),
 					ProcType: "collector",
 					Aspects:  "collection",
-					Extra: map[string]http.HandlerFunc{
-						"/memberz": holders[i].handler(func(m *cluster.Membership, w http.ResponseWriter, r *http.Request) {
-							m.ServeMemberz(w, r)
-						}),
-						"/rebalancez": holders[i].handler(func(m *cluster.Membership, w http.ResponseWriter, r *http.Request) {
-							m.ServeRebalance(w, r)
-						}),
-					},
+					Extra:    nodes[i].Handlers(),
 				}
-				if addr == "" {
-					dbg, err := debugserver.Start(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					dbgs[i] = dbg
-					return
-				}
-				cfg.Addr = addr
+				// Rebinding the victim's old address can race the kernel
+				// releasing it.
 				clusterWaitFor(t, func() bool {
 					dbg, err := debugserver.Start(cfg)
 					if err != nil {
@@ -183,29 +90,26 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 					}
 					dbgs[i] = dbg
 					return true
-				}, "rebinding the victim's debug address")
+				}, "binding debug address "+addr)
 			}
 
 			base := t.TempDir()
 			for i := range dirs {
 				dirs[i] = filepath.Join(base, fmt.Sprintf("col%d", i))
-				served[i] = &servedRing{}
-				holders[i] = &memberHolder{}
 				openIngest(i, "")
-				addrs[i] = srvs[i].Addr()
+				addrs[i] = nodes[i].Addr()
 			}
 			for i := range dirs {
 				openDebug(i, "")
 				debugAddrs[i] = dbgs[i].Addr()
 			}
 			defer func() {
-				for i := range srvs {
-					if mems[i] != nil {
-						mems[i].Close()
-					}
+				for i := range nodes {
+					nodes[i].Close()
 					dbgs[i].Close()
-					srvs[i].Close()
-					stores[i].Close()
+					if disks[i] != nil {
+						disks[i].Close()
+					}
 				}
 			}()
 			debugMap := make(map[string]string, 3)
@@ -215,25 +119,31 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 
 			startMembership := func(i int) {
 				t.Helper()
-				m, err := cluster.NewMembership(cluster.MembershipConfig{
-					Self:         addrs[i],
+				if err := nodes[i].StartMembership(cluster.MembershipConfig{
 					Members:      cluster.Members(addrs...),
 					DebugAddrs:   debugMap,
 					Epoch:        1,
 					Interval:     20 * time.Millisecond,
 					SuspectAfter: 3,
-					Store:        stores[i],
-					OnRing:       served[i].advance,
 					OnEvent:      func(ev string) { t.Logf("membership[%d]: %s", i, ev) },
-				})
-				if err != nil {
+				}); err != nil {
 					t.Fatal(err)
 				}
-				mems[i] = m
-				holders[i].set(m)
 			}
 			for i := range dirs {
 				startMembership(i)
+			}
+			// mems lists the nodes' memberships, the victim's on request:
+			// while it is dead, its node holds a stopped one frozen at
+			// epoch 1.
+			mems := func(withVictim bool) []*cluster.Membership {
+				var out []*cluster.Membership
+				for i, n := range nodes {
+					if withVictim || i != victim {
+						out = append(out, n.Membership())
+					}
+				}
+				return out
 			}
 
 			ring1, err := cluster.Assign(1, cluster.DefaultSlots, cluster.Members(addrs...))
@@ -258,10 +168,7 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 			// settledProposer reports whether some running membership has
 			// settled the given epoch as its proposer.
 			settledProposer := func(epoch uint64) bool {
-				for i, m := range mems {
-					if m == nil || i == victim && srvs[victim] == nil {
-						continue
-					}
+				for _, m := range mems(true) {
 					st := m.Status()
 					if st.Epoch == epoch && st.Settled && st.Proposer == st.Self {
 						return true
@@ -283,22 +190,16 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 			// Heartbeats must notice, the lowest surviving ID must propose
 			// epoch 2 without it, and the proposer must settle the new
 			// epoch's ledger — all with no operator action.
-			mems[victim].Close()
-			mems[victim] = nil
-			holders[victim].set(nil)
-			dbgs[victim].Close()
-			if err := srvs[victim].Close(); err != nil {
+			if err := nodes[victim].Close(); err != nil {
 				t.Fatal(err)
 			}
+			dbgs[victim].Close()
 			victimLen := stores[victim].Len()
-			if err := stores[victim].Close(); err != nil {
+			if err := disks[victim].Close(); err != nil {
 				t.Fatal(err)
 			}
 			clusterWaitFor(t, func() bool {
-				for i, m := range mems {
-					if i == victim || m == nil {
-						continue
-					}
+				for _, m := range mems(false) {
 					r := m.Ring()
 					if _, still := cluster.MemberByID(r, addrs[victim]); r.Epoch < 2 || still {
 						return false
@@ -313,10 +214,8 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 			// every record a donation replayed out and its target accepted.
 			sumRetired := func() uint64 {
 				n := uint64(0)
-				for i, m := range mems {
-					if i != victim {
-						n += m.Status().Retired
-					}
+				for _, m := range mems(false) {
+					n += m.Status().Retired
 				}
 				return n
 			}
@@ -396,7 +295,7 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 			openDebug(victim, debugAddrs[victim])
 			startMembership(victim)
 			clusterWaitFor(t, func() bool {
-				for _, m := range mems {
+				for _, m := range mems(true) {
 					r := m.Ring()
 					if _, in := cluster.MemberByID(r, addrs[victim]); r.Epoch < 3 || !in {
 						return false
@@ -417,7 +316,7 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 			if got := stores[victim].Len(); got != victimLen+expectToVictim {
 				t.Fatalf("reborn victim store holds %d records, want %d pre-kill + %d donated", got, victimLen, expectToVictim)
 			}
-			if got := srvs[victim].Stats().Replayed; got != uint64(expectToVictim) {
+			if got := nodes[victim].Server().Stats().Replayed; got != uint64(expectToVictim) {
 				t.Fatalf("reborn victim accepted %d replayed records, want %d", got, expectToVictim)
 			}
 
@@ -440,14 +339,14 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 			// the reborn victim accepted is exactly what the survivors
 			// retired, and the proposer's settle verdict recorded it.
 			var replayed uint64
-			for i := range srvs {
-				replayed += srvs[i].Stats().Replayed
+			for i := range nodes {
+				replayed += nodes[i].Server().Stats().Replayed
 			}
 			if replayed != donated {
 				t.Fatalf("tier replay accounting off: replayed %d, retired %d", replayed, donated)
 			}
 			verdict := ""
-			for _, m := range mems {
+			for _, m := range mems(true) {
 				st := m.Status()
 				if st.Proposer == st.Self {
 					verdict = st.Verdict
@@ -459,20 +358,7 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 
 			// The fleet view: dedup absorbs exactly the donated copies and
 			// the DSCG matches the single-collector baseline.
-			fleet := logdb.NewStore()
-			agg := cluster.NewAggregator(fleet)
-			dups := 0
-			for i := range stores {
-				var buf bytes.Buffer
-				if err := stores[i].WriteStream(&buf); err != nil {
-					t.Fatal(err)
-				}
-				_, d, err := agg.MergeStream(addrs[i], &buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dups += d
-			}
+			fleet, dups := mergeFleet(t, addrs, stores)
 			if fleet.Len() != len(recs) {
 				t.Fatalf("fleet holds %d of %d records after the automated kill/rejoin", fleet.Len(), len(recs))
 			}
