@@ -31,6 +31,46 @@ import (
 type ChainMachine struct {
 	stack   []openCall // the invocations in progress, outermost first
 	applied int        // events applied so far: the Anomaly.Index of the next
+
+	// Set by Recycle: the nodes built so far, handed out again from used on.
+	recycle bool
+	nodes   []*Node
+	used    int
+}
+
+// maxRecycledNodes bounds the nodes a recycling machine keeps between
+// chains, so one enormous chain does not stay allocated for good.
+const maxRecycledNodes = 4096
+
+// Recycle rewinds the machine to the start of another chain and takes back
+// every Node it has built: the caller vouches that nothing the machine
+// appended to an output since the previous Recycle is referenced any more.
+// From the first call on the machine hands those nodes (and their Children
+// arrays) out again instead of allocating, so a driver that judges chain
+// after chain and keeps no tree — the streaming assembler — parses without
+// allocating once it has seen its largest chain. A machine never recycled
+// allocates every node, and its trees are the caller's to keep.
+func (m *ChainMachine) Recycle() {
+	clear(m.stack)
+	m.stack, m.applied = m.stack[:0], 0
+	m.recycle, m.used = true, 0
+	if len(m.nodes) > maxRecycledNodes {
+		m.nodes = nil
+	}
+}
+
+// node returns a zero Node: a recycled one when there is one.
+func (m *ChainMachine) node() *Node {
+	if !m.recycle {
+		return new(Node)
+	}
+	if m.used == len(m.nodes) {
+		m.nodes = append(m.nodes, new(Node))
+	}
+	n := m.nodes[m.used]
+	m.used++
+	*n = Node{Children: n.Children[:0]}
+	return n
 }
 
 // openCall is one invocation in progress and what it waits for.
@@ -82,7 +122,9 @@ func (m *ChainMachine) step(r *probe.Record, out *ParsedChain) bool {
 		case ftl.StubStart:
 			m.open(r)
 		case ftl.SkelStart:
-			m.push(&Node{Op: r.Op, Chain: r.Chain, Oneway: r.Oneway, SkelStart: r}, calleeBody)
+			n := m.node()
+			n.Op, n.Chain, n.Oneway, n.SkelStart = r.Op, r.Chain, r.Oneway, r
+			m.push(n, calleeBody)
 		default:
 			m.anomaly(r, out, "chain cannot continue with %s(%s)", r.Event, r.Op.Operation)
 		}
@@ -176,7 +218,9 @@ func (m *ChainMachine) open(r *probe.Record) {
 	if r.Oneway {
 		st = onewaySent
 	}
-	m.push(&Node{Op: r.Op, Chain: r.Chain, Oneway: r.Oneway, Collocated: r.Collocated, StubStart: r}, st)
+	n := m.node()
+	n.Op, n.Chain, n.Oneway, n.Collocated, n.StubStart = r.Op, r.Chain, r.Oneway, r.Collocated, r
+	m.push(n, st)
 }
 
 func (m *ChainMachine) push(n *Node, st callState) {

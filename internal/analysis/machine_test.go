@@ -1,0 +1,91 @@
+package analysis
+
+import (
+	"fmt"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"causeway/internal/ftl"
+	"causeway/internal/probe"
+	"causeway/internal/uuid"
+)
+
+// renderParsed spells out everything a parse decided: the trees with the
+// records each node was given, what was classified broken, the anomalies.
+func renderParsed(p *ParsedChain) string {
+	var sb strings.Builder
+	seq := func(r *probe.Record) string {
+		if r == nil {
+			return "-"
+		}
+		return fmt.Sprint(r.Seq)
+	}
+	for _, root := range p.Roots {
+		root.Walk(func(n *Node) {
+			fmt.Fprintf(&sb, "%s oneway=%v colloc=%v children=%d records=%s/%s/%s/%s broken=%v %q latency=%v/%v\n",
+				n.Op.Operation, n.Oneway, n.Collocated, len(n.Children),
+				seq(n.StubStart), seq(n.SkelStart), seq(n.SkelEnd), seq(n.StubEnd),
+				n.Broken, n.BrokenReason, n.HasLatency, n.Latency)
+		})
+		sb.WriteString("--\n")
+	}
+	fmt.Fprintf(&sb, "empty=%v broken=%v anomalies=%v", p.Empty, p.Broken, p.Anomalies)
+	return sb.String()
+}
+
+// A machine that recycles its nodes from chain to chain parses every chain
+// as a fresh machine does, whatever the previous chain left in the nodes:
+// healthy chains, every single-record loss, shuffles, and chains both longer
+// and shorter than the one before.
+func TestRecycledMachineParsesAsAFreshOne(t *testing.T) {
+	var healthy []probe.Record
+	for _, r := range fullLog() {
+		if r.Kind == probe.KindEvent && r.Chain == (uuid.UUID{0: 0xa}) {
+			healthy = append(healthy, r)
+		}
+	}
+	chains := [][]probe.Record{healthy, nil}
+	for i := range healthy {
+		chains = append(chains, append(append([]probe.Record(nil), healthy[:i]...), healthy[i+1:]...))
+	}
+	for _, ev := range []ftl.Event{ftl.StubStart, ftl.SkelStart, ftl.SkelEnd, ftl.StubEnd} {
+		chains = append(chains, without(healthy, ev))
+	}
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 50; i++ {
+		c := append([]probe.Record(nil), healthy[:1+r.Intn(len(healthy))]...)
+		r.Shuffle(len(c), func(i, j int) { c[i], c[j] = c[j], c[i] })
+		chains = append(chains, c, healthy)
+	}
+
+	var m ChainMachine
+	var out ParsedChain
+	for i, events := range chains {
+		fresh := ParseChainEvents(uuid.UUID{0: 0xa}, events)
+		for _, root := range fresh.Roots {
+			ComputeLatencySubtree(root)
+		}
+
+		m.Recycle()
+		out.Roots, out.Broken, out.Anomalies = out.Roots[:0], out.Broken[:0], out.Anomalies[:0]
+		out.Empty = len(events) == 0
+		for j := range events {
+			m.Apply(&events[j], &out)
+		}
+		m.Finish(&out)
+		for _, root := range out.Roots {
+			ComputeLatencySubtree(root)
+		}
+		if got, want := renderParsed(&out), renderParsed(&fresh); got != want {
+			t.Fatalf("chain %d: recycled machine\n%s\nfresh machine\n%s", i, got, want)
+		}
+		if out.Clean() != fresh.Clean() {
+			t.Fatalf("chain %d: Clean %v, fresh %v", i, out.Clean(), fresh.Clean())
+		}
+	}
+	if m.used > len(m.nodes) || len(m.nodes) > len(healthy) {
+		t.Fatalf("machine holds %d nodes, %d in use, after chains of at most %d records", len(m.nodes), m.used, len(healthy))
+	}
+
+}

@@ -20,7 +20,8 @@ type Store interface {
 	probe.RecordStore
 	// InsertNew inserts only records not held yet — events by
 	// (chain, seq), links by (parent, parent seq) — and returns how many
-	// it accepted as new.
+	// it accepted as new. recs is borrowed exactly as Insert's is: replay
+	// frames arrive in the telemetry server's decode slab.
 	InsertNew(recs ...probe.Record) int
 	// RangeRecords streams the records whose routing UUID satisfies pred.
 	RangeRecords(pred func(uuid.UUID) bool, emit func(probe.Record) error) error

@@ -137,6 +137,31 @@ type chainState struct {
 	lastBy  [2]emitter
 	// pending is sorted by seq, equal seqs in arrival order.
 	pending []*probe.Record
+	// chunk is where arrivals are copied, used of its slots taken: pending
+	// and the nodes the machine builds point into it. It is let go whenever
+	// the chain has no invocation in progress, so a chunk holds the records
+	// of one root's tree (and of what interrupted it, or arrived early
+	// meanwhile) and is garbage when those trees are — the chain's state,
+	// which lives on, pins no record.
+	chunk *[chunkRecs]probe.Record
+	used  int
+}
+
+// chunkRecs is how many records share one allocation: one malloc per eight
+// records instead of one each, at the price of a short tree's unused slots.
+const chunkRecs = 8
+
+// keep copies r — borrowed from the caller, a probe span or the telemetry
+// server's decode slab — into the chain's chunk: the one copy the monitor
+// owns, stable for as long as a node refers to it.
+func (cs *chainState) keep(r *probe.Record) *probe.Record {
+	if cs.chunk == nil || cs.used == chunkRecs {
+		cs.chunk, cs.used = new([chunkRecs]probe.Record), 0
+	}
+	rec := &cs.chunk[cs.used]
+	cs.used++
+	*rec = *r
+	return rec
 }
 
 // emitter identifies the probe activation behind an event within one
@@ -197,12 +222,11 @@ func (m *Monitor) appendLocked(r *probe.Record) {
 		if r.Seq > cs.lastSeq+1 {
 			// Early arrival: park a copy, after every parked record it
 			// does not sort before, until the sequence catches up.
-			rec := *r
 			i := len(cs.pending)
 			for i > 0 && cs.pending[i-1].Seq > r.Seq {
 				i--
 			}
-			cs.pending = slices.Insert(cs.pending, i, &rec)
+			cs.pending = slices.Insert(cs.pending, i, cs.keep(r))
 			return
 		}
 		if !cs.admit(r) {
@@ -210,10 +234,12 @@ func (m *Monitor) appendLocked(r *probe.Record) {
 		}
 		// In order — the common case: apply without touching pending,
 		// then whatever the arrival unblocked.
-		rec := *r // stable copy whose address the node keeps
-		m.apply(cs, &rec)
+		m.apply(cs, cs.keep(r))
 		if len(cs.pending) > 0 {
 			m.drain(cs, false)
+		}
+		if !cs.mach.Open() {
+			cs.chunk = nil
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"causeway/internal/analysis"
 	"causeway/internal/ftl"
@@ -378,14 +379,27 @@ func TestOnlineConcurrentChains(t *testing.T) {
 // A root handed to OnRoot and not kept is garbage the moment the callback
 // returns — the monitor's per-chain state, which lives on for the chain's
 // later siblings, must not pin the finished tree (a popped stack slot left
-// uncleared would, through the slice's backing array).
+// uncleared would, through the slice's backing array) nor the chunk its
+// records were copied into.
 func TestFinishedRootIsCollectable(t *testing.T) {
-	freed := make(chan struct{}, 1)
+	freed := make(chan string, 2)
 	roots := 0
 	m := NewMonitor(Config{OnRoot: func(ev RootEvent) {
 		roots++
 		if roots == 1 {
-			runtime.SetFinalizer(ev.Root, func(*analysis.Node) { freed <- struct{}{} })
+			runtime.SetFinalizer(ev.Root, func(*analysis.Node) { freed <- "tree" })
+			// The tree's eight records fill the one chunk they were copied
+			// into (server spans arrive early and are parked there too), so
+			// the lowest record address is the chunk's.
+			var first *probe.Record
+			ev.Root.Walk(func(n *analysis.Node) {
+				for _, r := range []*probe.Record{n.StubStart, n.SkelStart, n.SkelEnd, n.StubEnd} {
+					if first == nil || uintptr(unsafe.Pointer(r)) < uintptr(unsafe.Pointer(first)) {
+						first = r
+					}
+				}
+			})
+			runtime.SetFinalizer(first, func(*probe.Record) { freed <- "records" })
 		}
 	}})
 	h := newLiveHarness(t, m, probe.AspectLatency)
@@ -394,13 +408,13 @@ func TestFinishedRootIsCollectable(t *testing.T) {
 		t.Fatalf("%d roots delivered, want 1", roots)
 	}
 	deadline := time.After(5 * time.Second)
-	for collected := false; !collected; {
+	for left := map[string]bool{"tree": true, "records": true}; len(left) > 0; {
 		runtime.GC()
 		select {
-		case <-freed:
-			collected = true
+		case what := <-freed:
+			delete(left, what)
 		case <-deadline:
-			t.Fatal("finished root still reachable from the monitor after GC")
+			t.Fatalf("finished root still reachable from the monitor after GC: %v", left)
 		case <-time.After(10 * time.Millisecond):
 		}
 	}

@@ -193,7 +193,11 @@ type SpanSink interface {
 // discovers it by type assertion and falls back to per-record Append.
 type BatchSink interface {
 	// AppendBatch stores recs as if each had been passed to Append in
-	// order. The callee must not retain recs past the call.
+	// order. recs is borrowed: the telemetry server decodes every frame of
+	// a connection into the same slab and overwrites it with the next, so
+	// the callee copies what it keeps (a Record's strings are immutable and
+	// may be shared) and must not retain recs or a pointer into it past the
+	// call.
 	AppendBatch(recs []Record)
 }
 
@@ -203,6 +207,10 @@ type BatchSink interface {
 // store interface a collector node composes over (cluster.Store) embeds
 // it. *logdb.Store and *tracestore.Store both satisfy it.
 type RecordStore interface {
+	// Insert stores recs. Like BatchSink.AppendBatch it borrows them: the
+	// server passes its decode slab and the assembler chain storage it
+	// recycles the moment Insert returns, so an implementation copies (or
+	// encodes) what it keeps and must not retain recs or a pointer into it.
 	Insert(recs ...Record)
 }
 

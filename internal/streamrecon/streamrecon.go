@@ -45,6 +45,17 @@
 // sibling root issued after an eviction still reaches the offline
 // analyzer and the store-level DSCG stays equal to the batch one),
 // discarded and shed chains swallow it, counted.
+//
+// # Record memory
+//
+// Append and AppendBatch borrow their records (probe.BatchSink): the
+// assembler makes the one copy it owns, into fixed-size chunks taken from a
+// free list it keeps. A chain grows by taking another chunk, never by
+// copying what it already holds; when the chain leaves — persisted,
+// discarded or shed — its chunks are cleared and go back to the list, which
+// holds at most maxFreeChunks of them, so a steady stream allocates no
+// record memory and a burst's worth is given back to the garbage collector.
+// The store in turn borrows a chunk for the length of one Insert.
 package streamrecon
 
 import (
@@ -67,7 +78,10 @@ type RecordStore = probe.RecordStore
 
 // Config assembles a streaming assembler.
 type Config struct {
-	// Store receives evicted chains' records; required.
+	// Store receives evicted chains' records; required. Each Insert is
+	// handed one chunk of a chain's records, a chain's chunks in seq order,
+	// and borrows it: the chunk is cleared and reused once Insert returns,
+	// so the store must not retain the slice (probe.RecordStore).
 	Store RecordStore
 	// Quiescence is how long a chain must go without a new record
 	// before a clean parse counts as completion. Default 500ms.
@@ -124,7 +138,8 @@ type Completion struct {
 	// Reason is why the chain left the assembler: "complete", "stale",
 	// "flush", or "shed".
 	Reason string
-	// When is the eviction time.
+	// When is the eviction time: the clock reading of the Tick (or
+	// FlushOpen, or shedding Append) that evicted the chain.
 	When time.Time
 }
 
@@ -139,17 +154,52 @@ type Ledger struct {
 	Buffered  uint64 // records currently held for open chains
 }
 
+// Chain storage comes in chunks of chunkRecs records (a little over 4 KB).
+// Sixteen is measured, on ingest-saturate against 8, 15 and 32: smaller
+// chunks cost more per record in chunk handling and Insert calls, larger
+// ones waste more slots on the short chains that are most chains. The free
+// list keeps at most maxFreeChunks of them — 64 Ki records, 20 MB — which
+// is several ticks' evictions at the rates one collector sustains; chunks
+// released beyond that are left to the garbage collector.
+const (
+	chunkRecs     = 16
+	maxFreeChunks = 4096
+)
+
+type chunk [chunkRecs]probe.Record
+
+// recBuf is an append-only run of records held in chunks; all but the last
+// chunk are full.
+type recBuf struct {
+	chunks []*chunk
+	n      int
+}
+
+func (b *recBuf) at(i int) *probe.Record { return &b.chunks[i/chunkRecs][i%chunkRecs] }
+
+// each calls fn with every chunk's records, in order.
+func (b *recBuf) each(fn func([]probe.Record)) {
+	left := b.n
+	for _, c := range b.chunks {
+		fn(c[:min(left, chunkRecs)])
+		left -= chunkRecs
+	}
+}
+
 // chainBuf is one open chain's buffered events.
 type chainBuf struct {
-	recs []probe.Record
+	recBuf
 	last time.Time // when the newest record arrived
+	// lastSeq is the Seq of the record at the end of the buffer, kept here
+	// so an append need not read it back from a chunk gone cold.
+	lastSeq uint64
 	// unsorted is set when a record arrives with a lower Seq than the one
 	// before it; only then does judging have to sort.
 	unsorted bool
-	// judged is len(recs) at the last judgement that left the chain open.
-	// The parse is a pure function of the buffered records, so until one
-	// more arrives (or StaleAfter forces the eviction) judging again would
-	// reach the same verdict.
+	// judged is the record count at the last judgement that left the chain
+	// open. The parse is a pure function of the buffered records, so until
+	// one more arrives (or StaleAfter forces the eviction) judging again
+	// would reach the same verdict.
 	judged int
 }
 
@@ -172,7 +222,15 @@ type Assembler struct {
 	mu       sync.Mutex
 	open     map[uuid.UUID]*chainBuf
 	decided  map[uuid.UUID]decision
-	persistQ []probe.Record // links + persisted-chain stragglers awaiting Tick
+	persistQ recBuf   // links + persisted-chain stragglers awaiting Tick
+	free     []*chunk // cleared chunks awaiting reuse, at most maxFreeChunks
+
+	// The judge's scratch: nothing a judgement builds outlives it, so one
+	// machine (recycling its nodes), one output and one sort buffer serve
+	// every chain.
+	mach   analysis.ChainMachine
+	parsed analysis.ParsedChain
+	order  []seqAt
 
 	appended, persisted, discarded, shed uint64
 	buffered                             int
@@ -250,37 +308,70 @@ func (a *Assembler) appendLocked(r *probe.Record, now time.Time) {
 		// Links are store metadata, not chain events: forward on the
 		// next Tick. A link whose parent chain is later discarded is
 		// harmless — ChildChain is only consulted for nodes that exist.
-		a.persistQ = append(a.persistQ, *r)
+		a.push(&a.persistQ, r)
 		a.buffered++
 		return
 	}
-	if d, ok := a.decided[r.Chain]; ok {
-		// Straggler for an evicted chain: follow the chain's decision.
-		switch d {
-		case decidedPersist:
-			a.persistQ = append(a.persistQ, *r)
-			a.buffered++
-		case decidedDiscard:
-			a.discarded++
-		case decidedShed:
-			a.shed++
-		}
-		return
-	}
+	// An open chain has no decision yet, so the common case — one more
+	// record of a chain being buffered — is one map lookup.
 	buf, ok := a.open[r.Chain]
 	if !ok {
+		if d, ok := a.decided[r.Chain]; ok {
+			// Straggler for an evicted chain: follow the chain's decision.
+			switch d {
+			case decidedPersist:
+				a.push(&a.persistQ, r)
+				a.buffered++
+			case decidedDiscard:
+				a.discarded++
+			case decidedShed:
+				a.shed++
+			}
+			return
+		}
 		buf = &chainBuf{}
 		a.open[r.Chain] = buf
 	}
-	if n := len(buf.recs); n > 0 && r.Seq < buf.recs[n-1].Seq {
+	if r.Seq < buf.lastSeq {
 		buf.unsorted = true
 	}
-	buf.recs = append(buf.recs, *r)
-	buf.last = now
+	a.push(&buf.recBuf, r)
+	buf.last, buf.lastSeq = now, r.Seq
 	a.buffered++
 	if a.cfg.MaxBuffered > 0 && a.buffered > a.cfg.MaxBuffered {
-		a.shedOldestLocked(r.Chain)
+		a.shedOldestLocked(r.Chain, now)
 	}
+}
+
+// push copies r to the end of b — the one copy of the record the assembler
+// owns — in a chunk from the free list when b's last is full. Called under
+// a.mu.
+func (a *Assembler) push(b *recBuf, r *probe.Record) {
+	if b.n == len(b.chunks)*chunkRecs {
+		var c *chunk
+		if n := len(a.free); n > 0 {
+			c, a.free[n-1] = a.free[n-1], nil
+			a.free = a.free[:n-1]
+		} else {
+			c = new(chunk)
+		}
+		b.chunks = append(b.chunks, c)
+	}
+	*b.at(b.n) = *r
+	b.n++
+}
+
+// wipe clears the records b holds, so a recycled chunk keeps no string of
+// the chain that used it. It needs no lock: b has left the tables.
+func (b *recBuf) wipe() {
+	b.each(func(recs []probe.Record) { clear(recs) })
+}
+
+// recycleLocked returns a wiped buffer's chunks to the free list, up to its
+// bound. Called under a.mu.
+func (a *Assembler) recycleLocked(b *recBuf) {
+	room := maxFreeChunks - len(a.free)
+	a.free = append(a.free, b.chunks[:min(room, len(b.chunks))]...)
 }
 
 // shedOldestLocked drops the oldest open chain whole (skipping the one
@@ -289,7 +380,7 @@ func (a *Assembler) appendLocked(r *probe.Record, now time.Time) {
 // evidence behind an active alert — unless every candidate is pinned, in
 // which case the oldest sheds anyway so the buffer stays bounded.
 // Called under a.mu.
-func (a *Assembler) shedOldestLocked(justGrew uuid.UUID) {
+func (a *Assembler) shedOldestLocked(justGrew uuid.UUID, now time.Time) {
 	var pins *sampling.PinSet
 	if a.cfg.Tail != nil {
 		pins = a.cfg.Tail.Pins
@@ -320,19 +411,21 @@ func (a *Assembler) shedOldestLocked(justGrew uuid.UUID) {
 	}
 	delete(a.open, victim)
 	a.decided[victim] = decidedShed
-	a.shed += uint64(len(victimBuf.recs))
-	a.buffered -= len(victimBuf.recs)
+	a.shed += uint64(victimBuf.n)
+	a.buffered -= victimBuf.n
+	victimBuf.wipe()
+	a.recycleLocked(&victimBuf.recBuf)
 	a.pushFeedLocked(Completion{
 		Chain: victim, Roots: 0, Nodes: 0,
-		Persisted: false, Reason: "shed", When: a.cfg.Clock(),
+		Persisted: false, Reason: "shed", When: now,
 	})
 }
 
 // eviction is one chain leaving the assembler, prepared under the lock
-// and finished (store insert + callback) outside it.
+// and finished (store insert, callback, recycling) outside it.
 type eviction struct {
 	comp Completion
-	recs []probe.Record
+	recs recBuf // the chain's storage; inserted first when comp.Persisted
 }
 
 // Tick advances time-based processing: it flushes the persist queue,
@@ -356,12 +449,12 @@ func (a *Assembler) Tick() int {
 			continue
 		}
 		stale := idle >= a.cfg.StaleAfter
-		if !stale && buf.judged == len(buf.recs) {
+		if !stale && buf.judged == buf.n {
 			continue // nothing arrived since it was last found incomplete
 		}
-		ev, done := a.judgeLocked(chain, buf, stale, "complete", "stale")
+		ev, done := a.judgeLocked(chain, buf, now, stale, "complete", "stale")
 		if !done {
-			buf.judged = len(buf.recs)
+			buf.judged = buf.n
 			continue
 		}
 		evs = append(evs, ev)
@@ -374,16 +467,25 @@ func (a *Assembler) Tick() int {
 
 // judgeLocked parses buf and, if the chain is complete (clean parse) or
 // force is set, removes it from open, applies the tail policy, records
-// the decision and ledger movement, and pushes the feed entry. Returns
-// done=false when the chain stays open. Called under a.mu.
-func (a *Assembler) judgeLocked(chain uuid.UUID, buf *chainBuf, force bool, okReason, forceReason string) (eviction, bool) {
+// the decision and ledger movement, and pushes the feed entry, stamped now.
+// Returns done=false when the chain stays open. Called under a.mu.
+func (a *Assembler) judgeLocked(chain uuid.UUID, buf *chainBuf, now time.Time, force bool, okReason, forceReason string) (eviction, bool) {
 	a.judgements++
-	recs := buf.recs
 	if buf.unsorted {
-		slices.SortStableFunc(recs, func(x, y probe.Record) int { return cmp.Compare(x.Seq, y.Seq) })
-		buf.unsorted = false
+		a.sortBySeq(&buf.recBuf)
+		buf.unsorted, buf.lastSeq = false, buf.at(buf.n-1).Seq
 	}
-	parsed := analysis.ParseChainEvents(chain, recs)
+	// analysis.ParseChainEvents over the chunks, with the judge's scratch.
+	parsed := &a.parsed
+	parsed.Roots, parsed.Broken, parsed.Anomalies = parsed.Roots[:0], parsed.Broken[:0], parsed.Anomalies[:0]
+	parsed.Empty = buf.n == 0
+	a.mach.Recycle()
+	buf.each(func(recs []probe.Record) {
+		for i := range recs {
+			a.mach.Apply(&recs[i], parsed)
+		}
+	})
+	a.mach.Finish(parsed)
 	clean := parsed.Clean()
 	if !clean && !force {
 		return eviction{}, false
@@ -394,7 +496,7 @@ func (a *Assembler) judgeLocked(chain uuid.UUID, buf *chainBuf, force bool, okRe
 		Roots:     len(parsed.Roots),
 		Broken:    len(parsed.Broken) > 0,
 		Anomalous: len(parsed.Anomalies) > 0,
-		When:      a.cfg.Clock(),
+		When:      now,
 		Reason:    okReason,
 	}
 	if !clean {
@@ -419,42 +521,96 @@ func (a *Assembler) judgeLocked(chain uuid.UUID, buf *chainBuf, force bool, okRe
 	comp.Persisted = a.cfg.Tail == nil || a.cfg.Tail.Retain(verdict)
 
 	delete(a.open, chain)
-	a.buffered -= len(recs)
+	a.buffered -= buf.n
 	if comp.Persisted {
 		a.decided[chain] = decidedPersist
-		a.persisted += uint64(len(recs))
+		a.persisted += uint64(buf.n)
 	} else {
 		a.decided[chain] = decidedDiscard
-		a.discarded += uint64(len(recs))
-		recs = nil
+		a.discarded += uint64(buf.n)
 	}
 	a.pushFeedLocked(comp)
-	return eviction{comp: comp, recs: recs}, true
+	return eviction{comp: comp, recs: buf.recBuf}, true
+}
+
+// seqAt is one record's sort key: its seq and where it sits in the chain's
+// buffer. Sixteen bytes move per comparison's swap, not the record's 272.
+type seqAt struct {
+	seq uint64
+	at  int
+}
+
+// sortBySeq puts b's records in seq order, equal seqs in arrival order: it
+// sorts the keys, then moves every displaced record once, in place, cycle
+// by cycle. Called under a.mu.
+func (a *Assembler) sortBySeq(b *recBuf) {
+	order := a.order[:0]
+	for i := 0; i < b.n; i++ {
+		order = append(order, seqAt{b.at(i).Seq, i})
+	}
+	slices.SortFunc(order, func(x, y seqAt) int {
+		if c := cmp.Compare(x.seq, y.seq); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.at, y.at)
+	})
+	// Slot i is to hold the record now at order[i].at.
+	for i := range order {
+		if order[i].at == i {
+			continue
+		}
+		first := *b.at(i)
+		to := i
+		for from := order[to].at; from != i; from = order[to].at {
+			*b.at(to) = *b.at(from)
+			order[to].at = to
+			to = from
+		}
+		*b.at(to) = first
+		order[to].at = to
+	}
+	// Kept for the next chain, unless one enormous chain sized it.
+	if a.order = order[:0]; cap(order) > maxFreeChunks*chunkRecs {
+		a.order = nil
+	}
 }
 
 // takePersistQLocked detaches the persist queue. Called under a.mu.
-func (a *Assembler) takePersistQLocked() []probe.Record {
+func (a *Assembler) takePersistQLocked() recBuf {
 	q := a.persistQ
-	a.persistQ = nil
-	a.buffered -= len(q)
-	a.persisted += uint64(len(q))
+	a.persistQ = recBuf{}
+	a.buffered -= q.n
+	a.persisted += uint64(q.n)
 	return q
 }
 
 // finish runs the out-of-lock half of evictions: store inserts and
-// completion callbacks. Caller holds evictMu.
-func (a *Assembler) finish(flush []probe.Record, evs []eviction) {
-	if len(flush) > 0 {
-		a.cfg.Store.Insert(flush...)
-	}
+// completion callbacks, then the return of every chunk to the free list.
+// Caller holds evictMu.
+func (a *Assembler) finish(flush recBuf, evs []eviction) {
+	insert := func(recs []probe.Record) { a.cfg.Store.Insert(recs...) }
+	flush.each(insert)
 	for _, ev := range evs {
-		if len(ev.recs) > 0 {
-			a.cfg.Store.Insert(ev.recs...)
+		if ev.comp.Persisted {
+			ev.recs.each(insert)
 		}
 		if a.cfg.OnComplete != nil {
 			a.cfg.OnComplete(ev.comp)
 		}
 	}
+	if flush.n == 0 && len(evs) == 0 {
+		return
+	}
+	flush.wipe()
+	for i := range evs {
+		evs[i].recs.wipe()
+	}
+	a.mu.Lock()
+	a.recycleLocked(&flush)
+	for i := range evs {
+		a.recycleLocked(&evs[i].recs)
+	}
+	a.mu.Unlock()
 }
 
 // pushFeedLocked stamps the completion's feed id and stores it in the
@@ -481,9 +637,10 @@ func (a *Assembler) FlushOpen() int {
 		chains = append(chains, c)
 	}
 	sort.Slice(chains, func(i, j int) bool { return uuid.Compare(chains[i], chains[j]) < 0 })
+	now := a.cfg.Clock()
 	var evs []eviction
 	for _, chain := range chains {
-		ev, _ := a.judgeLocked(chain, a.open[chain], true, "complete", "flush")
+		ev, _ := a.judgeLocked(chain, a.open[chain], now, true, "complete", "flush")
 		evs = append(evs, ev)
 	}
 	a.mu.Unlock()

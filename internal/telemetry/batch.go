@@ -162,22 +162,26 @@ func encodeBatch(recs []probe.Record) []byte {
 // most maxInternedLen bytes — the discipline of the transport's
 // per-connection interner: past the cap the map stops growing and unseen
 // strings are allocated per frame, so a peer sending adversarially unique
-// (or huge) identities cannot exhaust memory. maxTableScratch bounds the
-// table scratch a connection keeps between frames the same way.
+// (or huge) identities cannot exhaust memory. maxTableScratch and
+// maxSlabRecords bound the table scratch and the record slab a connection
+// keeps between frames the same way (a quarter of a megabyte of records; a
+// shipper's frame is 256 of them).
 const (
 	maxInternedStrings = 1024
 	maxInternedLen     = 256
 	maxTableScratch    = 4096
+	maxSlabRecords     = 1024
 )
 
 // batchDecoder is one connection's decode state: the bounded intern map
 // that makes every frame of a process resolve its vocabulary to the same
-// strings, and the table scratch reused from frame to frame. Once a
-// connection's vocabulary has been seen, decoding a frame allocates the
-// record slab (plus whatever Semantics the records carry) and nothing else.
+// strings, and the table scratch and record slab reused from frame to
+// frame. Once a connection's vocabulary has been seen, decoding a frame
+// allocates whatever Semantics the records carry and nothing else.
 type batchDecoder struct {
 	interned map[string]string
 	table    []string
+	slab     []probe.Record
 }
 
 // intern returns b as a string, shared with every earlier occurrence on
@@ -199,7 +203,9 @@ func (d *batchDecoder) intern(b []byte) string {
 
 // decode parses one frame body. Any malformation — truncation, a count
 // larger than the bytes behind it, a table index out of range, an unknown
-// kind or flag bit, trailing bytes — is an error, never a panic.
+// kind or flag bit, trailing bytes — is an error, never a panic. The result
+// is the decoder's slab: it is valid until the next decode, which is why the
+// server's sinks and stores borrow a frame's records and never keep them.
 func (d *batchDecoder) decode(body []byte) ([]probe.Record, error) {
 	dec := cdr.NewDecoder(body)
 	nstr := dec.Uint32()
@@ -210,7 +216,7 @@ func (d *batchDecoder) decode(body []byte) ([]probe.Record, error) {
 	for i := uint32(0); i < nstr && dec.Err() == nil; i++ {
 		table = append(table, d.intern(dec.BytesNoCopy()))
 	}
-	recs, err := decodeRecords(dec, table)
+	recs, err := decodeRecords(dec, table, d.slab)
 	// Keep the scratch, not the strings: a frame's one-off identities must
 	// not stay reachable from an idle connection.
 	clear(table)
@@ -218,14 +224,22 @@ func (d *batchDecoder) decode(body []byte) ([]probe.Record, error) {
 	if cap(table) <= maxTableScratch {
 		d.table = table[:0]
 	}
+	// The slab does keep its frame's strings until the next frame overwrites
+	// them — one frame's worth per live connection, let go at disconnect. A
+	// frame too large to keep decodes into a slab of its own.
+	if cap(recs) > cap(d.slab) && cap(recs) <= maxSlabRecords {
+		d.slab = recs[:0]
+	}
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: decode batch: %w", err)
 	}
 	return recs, nil
 }
 
-// decodeRecords parses the record section against a resolved table.
-func decodeRecords(dec *cdr.Decoder, table []string) ([]probe.Record, error) {
+// decodeRecords parses the record section against a resolved table, into
+// slab when the frame fits it. Every slot it returns is written whole, so
+// nothing of the frame the slab held before shows through.
+func decodeRecords(dec *cdr.Decoder, table []string, slab []probe.Record) ([]probe.Record, error) {
 	nrec := dec.Uint32()
 	if err := dec.Err(); err != nil {
 		return nil, err
@@ -233,10 +247,15 @@ func decodeRecords(dec *cdr.Decoder, table []string) ([]probe.Record, error) {
 	if int64(nrec) > int64(dec.Remaining()/minRecordSize) {
 		return nil, fmt.Errorf("%d records in %d bytes", nrec, dec.Remaining())
 	}
-	recs := make([]probe.Record, nrec)
+	var recs []probe.Record
+	if int(nrec) <= cap(slab) {
+		recs = slab[:nrec]
+	} else {
+		recs = make([]probe.Record, nrec)
+	}
 	for i := range recs {
 		r := &recs[i]
-		r.Kind = probe.RecordKind(dec.Octet())
+		*r = probe.Record{Kind: probe.RecordKind(dec.Octet())}
 		flags := dec.Octet()
 		r.Event = ftl.Event(dec.Octet())
 		var ids [identityStrings]string

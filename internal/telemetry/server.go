@@ -26,7 +26,8 @@ type RecordStore = probe.RecordStore
 // ServerConfig wires a collection server's outputs.
 type ServerConfig struct {
 	// Store, when set, receives every ingested record — the merged
-	// relational store the offline analyzer later reads.
+	// relational store the offline analyzer later reads. Its Insert borrows
+	// the connection's decode slab (see probe.RecordStore).
 	Store RecordStore
 	// Sinks additionally receive every record in arrival order — e.g. an
 	// online.Monitor for live reconstruction. Sinks must be safe for
@@ -49,7 +50,9 @@ type ServerConfig struct {
 	// Replay, when set, accepts replay batches (segment replays after a
 	// ring rebalance). It must deduplicate against records already held
 	// and return how many it accepted as new; the server accounts those
-	// as Replayed. nil rejects replay frames.
+	// as Replayed. nil rejects replay frames. recs is the connection's
+	// decode slab, borrowed as probe.BatchSink.AppendBatch's argument is:
+	// the callee must not retain it past the call.
 	Replay func(recs []probe.Record) (accepted int)
 }
 
@@ -72,12 +75,12 @@ type Server struct {
 	cfg ServerConfig
 	srv *transport.TCPServer
 
-	mu    sync.Mutex
-	peers map[transport.ConnID]*PeerAccount
-	// decoders holds each live connection's record-frame decode state
-	// (its intern map); created by the connection's first record frame,
-	// dropped when the transport reports the connection gone.
-	decoders map[transport.ConnID]*batchDecoder
+	mu sync.Mutex
+	// conns holds one state per connection, created by its first hello or
+	// record frame and found under one lock acquisition per frame. When the
+	// transport reports the connection gone the decode state is dropped; a
+	// handshaken connection's ledger stays.
+	conns map[transport.ConnID]*connState
 
 	records       atomic.Uint64
 	batches       atomic.Uint64
@@ -101,6 +104,20 @@ type PeerAccount struct {
 	Shipper  ShipperFinal
 }
 
+// connState is one connection's decode state and ledger. The transport
+// calls handle from the connection's own read loop, so dec needs no lock;
+// the counters are atomic because PeerAccounting reads them from elsewhere;
+// the rest is guarded by Server.mu.
+type connState struct {
+	dec *batchDecoder // nil once the connection is gone
+
+	handshook        bool // a hello arrived: the connection has a ledger
+	peer             Peer
+	records, batches atomic.Uint64
+	reported         bool
+	shipper          ShipperFinal
+}
+
 // Listen binds addr ("127.0.0.1:0" for an ephemeral port) and starts
 // serving shippers.
 func Listen(addr string, cfg ServerConfig) (*Server, error) {
@@ -109,10 +126,9 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, fmt.Errorf("telemetry: %w", err)
 	}
 	s := &Server{
-		cfg:      cfg,
-		srv:      t,
-		peers:    make(map[transport.ConnID]*PeerAccount),
-		decoders: make(map[transport.ConnID]*batchDecoder),
+		cfg:   cfg,
+		srv:   t,
+		conns: make(map[transport.ConnID]*connState),
 	}
 	t.OnDisconnect(s.forget)
 	if err := t.Serve(s.handle); err != nil {
@@ -157,9 +173,14 @@ func (s *Server) Peers() []Peer {
 func (s *Server) PeerAccounting() []PeerAccount {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]PeerAccount, 0, len(s.peers))
-	for _, p := range s.peers {
-		out = append(out, *p)
+	out := make([]PeerAccount, 0, len(s.conns))
+	for _, st := range s.conns {
+		if st.handshook {
+			out = append(out, PeerAccount{
+				Peer: st.peer, Records: st.records.Load(), Batches: st.batches.Load(),
+				Reported: st.reported, Shipper: st.shipper,
+			})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Peer.Process != out[j].Peer.Process {
@@ -170,25 +191,32 @@ func (s *Server) PeerAccounting() []PeerAccount {
 	return out
 }
 
-// decoder returns conn's decode state. The transport calls handle from the
-// connection's own read loop, so the state itself needs no lock — only the
-// map that finds it does.
-func (s *Server) decoder(conn transport.ConnID) *batchDecoder {
+// conn returns conn's state, creating it on the connection's first frame.
+func (s *Server) conn(conn transport.ConnID) *connState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	d := s.decoders[conn]
-	if d == nil {
-		d = &batchDecoder{}
-		s.decoders[conn] = d
-	}
-	return d
+	return s.connLocked(conn)
 }
 
-// forget drops a closed connection's decode state. Its PeerAccount stays:
-// the ledger outlives the connection.
+func (s *Server) connLocked(conn transport.ConnID) *connState {
+	st := s.conns[conn]
+	if st == nil {
+		st = &connState{dec: &batchDecoder{}}
+		s.conns[conn] = st
+	}
+	return st
+}
+
+// forget drops a closed connection's decode state. A handshaken
+// connection's ledger stays: it outlives the connection.
 func (s *Server) forget(conn transport.ConnID) {
 	s.mu.Lock()
-	delete(s.decoders, conn)
+	if st := s.conns[conn]; st != nil {
+		st.dec = nil
+		if !st.handshook {
+			delete(s.conns, conn)
+		}
+	}
 	s.mu.Unlock()
 }
 
@@ -224,7 +252,11 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 		}
 		peer := Peer{Process: h.Process, ProcType: h.ProcType, Conn: conn, DebugAddr: h.DebugAddr}
 		s.mu.Lock()
-		s.peers[conn] = &PeerAccount{Peer: peer}
+		st := s.connLocked(conn)
+		// A second hello on one connection starts its ledger over.
+		st.handshook, st.peer, st.reported, st.shipper = true, peer, false, ShipperFinal{}
+		st.records.Store(0)
+		st.batches.Store(0)
 		s.mu.Unlock()
 		s.handshook.Add(1)
 		if s.cfg.OnConnect != nil {
@@ -244,12 +276,13 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 		}
 		respond(transport.Reply{Status: transport.StatusOK, Body: body})
 	case opShip:
-		recs, err := s.decoder(conn).decode(req.Body)
+		st := s.conn(conn)
+		recs, err := st.dec.decode(req.Body)
 		if err != nil {
 			fail(err.Error())
 			return
 		}
-		s.ingest(conn, recs)
+		s.ingest(st, recs)
 		if !req.Oneway {
 			respond(transport.Reply{Status: transport.StatusOK})
 		}
@@ -260,9 +293,8 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 			return
 		}
 		s.mu.Lock()
-		if acct, ok := s.peers[conn]; ok {
-			acct.Reported = true
-			acct.Shipper = f
+		if st := s.conns[conn]; st != nil && st.handshook {
+			st.reported, st.shipper = true, f
 		}
 		s.mu.Unlock()
 		if !req.Oneway {
@@ -300,7 +332,7 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 			fail("telemetry: replay not accepted here")
 			return
 		}
-		recs, err := s.decoder(conn).decode(req.Body)
+		recs, err := s.conn(conn).dec.decode(req.Body)
 		if err != nil {
 			fail(err.Error())
 			return
@@ -323,15 +355,15 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 	}
 }
 
-func (s *Server) ingest(conn transport.ConnID, recs []probe.Record) {
+// ingest fans one decoded frame out. recs is st's decode slab: every
+// callee borrows it for the call and the next frame overwrites it.
+func (s *Server) ingest(st *connState, recs []probe.Record) {
 	s.batches.Add(1)
 	s.records.Add(uint64(len(recs)))
-	s.mu.Lock()
-	if acct, ok := s.peers[conn]; ok {
-		acct.Batches++
-		acct.Records += uint64(len(recs))
-	}
-	s.mu.Unlock()
+	// Counted whether or not a hello came first; only a handshaken
+	// connection's counters are ever reported.
+	st.batches.Add(1)
+	st.records.Add(uint64(len(recs)))
 	if s.cfg.Store != nil {
 		s.cfg.Store.Insert(recs...)
 	}

@@ -92,6 +92,90 @@ func TestInsertNewDeduplicates(t *testing.T) {
 	}
 }
 
+// One Insert of a batch that interleaves several chains' events with links
+// must land every event under its own chain, in the order given, and every
+// link under its parent chain — the routing rule (events by Chain, links by
+// LinkParent, whose Chain is zero) applied record by record, whatever shards
+// the batch spans. InsertNew routes the same way and skips what is held.
+func TestInsertRoutesMixedBatch(t *testing.T) {
+	const chains, perChain = 12, 9
+	wall := time.Date(2026, 9, 26, 12, 0, 0, 0, time.UTC)
+	var batch []probe.Record
+	for seq := uint64(1); seq <= perChain; seq++ {
+		for c := byte(1); c <= chains; c++ {
+			batch = append(batch, ev(chainID(c), seq, ftl.StubStart, "I", wall))
+			if seq%3 == 0 {
+				// A oneway fork of chain c at seq: the child chain is c+100.
+				batch = append(batch, link(chainID(c), seq, chainID(c+100)))
+			}
+		}
+	}
+	check := func(t *testing.T, s replayStore) {
+		t.Helper()
+		links := 0
+		for c := byte(1); c <= chains; c++ {
+			got := s.Events(chainID(c))
+			if len(got) != perChain {
+				t.Fatalf("chain %d: %d events, want %d", c, len(got), perChain)
+			}
+			for i, r := range got {
+				if r.Chain != chainID(c) || r.Seq != uint64(i+1) {
+					t.Fatalf("chain %d event %d: chain %v seq %d", c, i, r.Chain, r.Seq)
+				}
+			}
+			for seq := uint64(3); seq <= perChain; seq += 3 {
+				links++
+				if child, ok := s.ChildChain(chainID(c), seq); !ok || child != chainID(c+100) {
+					t.Fatalf("link of chain %d at seq %d: %v %v", c, seq, child, ok)
+				}
+			}
+		}
+		if want := chains*perChain + links; s.Len() != want {
+			t.Fatalf("store holds %d records, want %d", s.Len(), want)
+		}
+	}
+	for _, b := range replayBackends {
+		t.Run(b.name, func(t *testing.T) {
+			s, closeStore := b.open(t, t.TempDir(), 8)
+			defer closeStore()
+			s.Insert(batch...)
+			check(t, s)
+			if ts, ok := s.(*Store); ok {
+				used := 0
+				for _, sh := range ts.shards {
+					used += min(1, len(sh.chains)+len(sh.links))
+					for c, ci := range sh.chains {
+						if ci.dirty {
+							t.Fatalf("chain %v index dirty after a seq-ordered insert", c)
+						}
+					}
+				}
+				if used < 2 {
+					t.Fatalf("the batch landed in %d shard(s); the test needs a mixed one", used)
+				}
+			}
+			// The same batch again, a new chain mixed in: only that is new.
+			again := append([]probe.Record{ev(chainID(50), 1, ftl.StubStart, "I", wall)}, batch...)
+			again = append(again, ev(chainID(50), 2, ftl.StubEnd, "I", wall), link(chainID(50), 1, chainID(150)))
+			if got := s.InsertNew(again...); got != 3 {
+				t.Fatalf("InsertNew accepted %d of a batch with 3 new records", got)
+			}
+			if child, ok := s.ChildChain(chainID(50), 1); len(s.Events(chainID(50))) != 2 || !ok || child != chainID(150) {
+				t.Fatalf("new chain after InsertNew: %d events, link %v %v", len(s.Events(chainID(50))), child, ok)
+			}
+		})
+		t.Run(b.name+"/InsertNew", func(t *testing.T) {
+			s, closeStore := b.open(t, t.TempDir(), 8)
+			defer closeStore()
+			// Every record twice in one batch: each identity counts once.
+			if got, want := s.InsertNew(append(batch[:len(batch):len(batch)], batch...)...), len(batch); got != want {
+				t.Fatalf("InsertNew accepted %d of %d distinct records sent twice", got, want)
+			}
+			check(t, s)
+		})
+	}
+}
+
 // RangeRecords must emit exactly the records routing into the selected
 // hash range — events by chain, links by parent — in WriteStream order,
 // and a replay into a second store must reproduce the range faithfully.

@@ -178,7 +178,7 @@ func (sh *shard) recoverSegment(id int, now time.Time, warn func(string)) (int64
 		return 0, fmt.Errorf("tracestore: open segment: %w", err)
 	}
 	good, err := scanSegment(f, func(rec probe.Record, off int64, size uint32) {
-		sh.indexRecord(rec, id, off, size, now)
+		sh.indexRecord(&rec, id, off, size, now)
 	})
 	if err != nil {
 		if !errors.Is(err, probe.ErrTruncated) {
@@ -207,8 +207,9 @@ func (sh *shard) recoverSegment(id int, now time.Time, warn func(string)) (int64
 	return good, nil
 }
 
-// indexRecord adds one decoded record to the in-memory index.
-func (sh *shard) indexRecord(rec probe.Record, seg int, off int64, size uint32, now time.Time) {
+// indexRecord adds one record to the in-memory index. A link is the only
+// record the index keeps whole, and it keeps a copy: rec is the caller's.
+func (sh *shard) indexRecord(rec *probe.Record, seg int, off int64, size uint32, now time.Time) {
 	switch rec.Kind {
 	case probe.KindEvent:
 		ci := sh.chains[rec.Chain]
@@ -232,21 +233,38 @@ func (sh *shard) indexRecord(rec probe.Record, seg int, off int64, size uint32, 
 		}
 		sh.events++
 	case probe.KindLink:
-		sh.links = append(sh.links, rec)
+		sh.links = append(sh.links, *rec)
 		sh.byParent[chainSeq{rec.LinkParent, rec.LinkParentSeq}] = rec.LinkChild
 	}
 }
 
-// insert appends records to the shard (all must hash here). Disk failures
-// turn sticky: the failing record and all after it are dropped and counted
-// rather than wedging the live ingest path, and the index only ever
-// describes bytes that reached the writer.
-func (sh *shard) insert(recs []probe.Record, now time.Time) {
+// insert appends to the shard the records of recs that hash here: all of
+// them from start on when next is nil, else the index list that begins at
+// start and follows next to -1. With onlyNew set, records the shard has
+// already indexed — events are identified by (chain, seq), links by
+// (parent, parent seq) — are skipped: a rebalanced hash range replayed from
+// segments may overlap records the new owner already received live, and
+// accepting them twice would double-count chains in the conservation ledger
+// (and duplicate events under the analyzer). It returns how many records it
+// appended. Disk failures turn sticky: the failing record and all after it
+// are dropped and counted rather than wedging the live ingest path, and the
+// index only ever describes bytes that reached the writer.
+func (sh *shard) insert(recs []probe.Record, start int, next []int32, now time.Time, onlyNew bool) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for i := range recs {
-		sh.appendLocked(&recs[i], now)
+	accepted := 0
+	for i := start; i >= 0 && i < len(recs); {
+		r := &recs[i]
+		if !(onlyNew && sh.dupLocked(r)) && sh.appendLocked(r, now) {
+			accepted++
+		}
+		if next == nil {
+			i++
+		} else {
+			i = int(next[i])
+		}
 	}
+	return accepted
 }
 
 // appendLocked writes one record and indexes it; false when the record
@@ -269,31 +287,8 @@ func (sh *shard) appendLocked(r *probe.Record, now time.Time) bool {
 		sh.dropped++
 		return false
 	}
-	sh.indexRecord(*r, sh.activeID, off, size, now)
+	sh.indexRecord(r, sh.activeID, off, size, now)
 	return true
-}
-
-// insertNew appends only records the shard has not indexed yet — events
-// are identified by (chain, seq), links by (parent, parent seq). It
-// returns how many records were accepted as new. This is the replay
-// ingest path: a rebalanced hash range replayed from segments may
-// overlap records the new owner already received live, and accepting
-// them twice would double-count chains in the conservation ledger (and
-// duplicate events under the analyzer).
-func (sh *shard) insertNew(recs []probe.Record, now time.Time) int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	accepted := 0
-	for i := range recs {
-		r := &recs[i]
-		if sh.dupLocked(r) {
-			continue
-		}
-		if sh.appendLocked(r, now) {
-			accepted++
-		}
-	}
-	return accepted
 }
 
 // dupLocked reports whether the shard already indexed r's identity.

@@ -172,27 +172,9 @@ func (s *Store) Warnings() []string {
 	return out
 }
 
-// Insert appends records. It groups the batch by shard first so each
-// shard's lock is taken once per call, not once per record.
-func (s *Store) Insert(recs ...probe.Record) {
-	if len(recs) == 0 {
-		return
-	}
-	now := time.Now()
-	if len(recs) == 1 {
-		sh := s.shards[s.shardOf(&recs[0])]
-		sh.insert(recs, now)
-		return
-	}
-	byShard := make(map[int][]probe.Record)
-	for i := range recs {
-		idx := s.shardOf(&recs[i])
-		byShard[idx] = append(byShard[idx], recs[i])
-	}
-	for idx, batch := range byShard {
-		s.shards[idx].insert(batch, now)
-	}
-}
+// Insert appends records, borrowing recs for the call (probe.RecordStore):
+// each is encoded into its shard's segment and only its location kept.
+func (s *Store) Insert(recs ...probe.Record) { s.insert(recs, false) }
 
 // InsertNew appends only records the store has not indexed yet — events
 // identified by (chain, seq), links by (parent, parent seq) — and
@@ -200,22 +182,42 @@ func (s *Store) Insert(recs ...probe.Record) {
 // after a ring rebalance the new owner of a hash range replays that
 // range from the old owner's segments, and any records it already
 // received live must not be double-counted.
-func (s *Store) InsertNew(recs ...probe.Record) int {
+func (s *Store) InsertNew(recs ...probe.Record) int { return s.insert(recs, true) }
+
+// insert routes recs to their shards, each shard's lock taken once. A batch
+// of one shard — every chain the streaming assembler evicts, since a chain
+// hashes to one shard — goes to it as it is. A mixed batch is threaded into
+// one index list per shard (next[i] is the next record of record i's shard),
+// which the shard walks under its lock; no record is copied either way.
+func (s *Store) insert(recs []probe.Record, onlyNew bool) int {
 	if len(recs) == 0 {
 		return 0
 	}
 	now := time.Now()
-	if len(recs) == 1 {
-		return s.shards[s.shardOf(&recs[0])].insertNew(recs, now)
+	first := s.shardOf(&recs[0])
+	mixed := false
+	for i := 1; i < len(recs) && !mixed; i++ {
+		// A run of one chain's events needs no hashing to be seen as such.
+		sameChain := recs[i].Kind == probe.KindEvent && recs[i-1].Kind == probe.KindEvent && recs[i].Chain == recs[i-1].Chain
+		mixed = !sameChain && s.shardOf(&recs[i]) != first
 	}
-	byShard := make(map[int][]probe.Record)
-	for i := range recs {
-		idx := s.shardOf(&recs[i])
-		byShard[idx] = append(byShard[idx], recs[i])
+	if !mixed {
+		return s.shards[first].insert(recs, 0, nil, now, onlyNew)
+	}
+	head := make([]int32, len(s.shards))
+	for k := range head {
+		head[k] = -1
+	}
+	next := make([]int32, len(recs))
+	for i := len(recs) - 1; i >= 0; i-- {
+		k := s.shardOf(&recs[i])
+		next[i], head[k] = head[k], int32(i)
 	}
 	accepted := 0
-	for idx, batch := range byShard {
-		accepted += s.shards[idx].insertNew(batch, now)
+	for k, sh := range s.shards {
+		if head[k] >= 0 {
+			accepted += sh.insert(recs, int(head[k]), next, now, onlyNew)
+		}
 	}
 	return accepted
 }

@@ -641,3 +641,35 @@ func TestSweepConcurrentIngestLedger(t *testing.T) {
 		t.Fatalf("swept ledger reads %d, want %d", ts.Swept(), total)
 	}
 }
+
+// A batch of one chain — what the streaming assembler hands over at every
+// eviction — goes to its shard as it is: nothing is regrouped or copied, so
+// once the chain's index has room an Insert allocates nothing at all.
+func TestStoreInsertSingleChainAllocFree(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const batch, runs = 64, 50
+	c := chainID(9)
+	wall := time.Date(2026, 9, 26, 12, 0, 0, 0, time.UTC)
+	recs := make([]probe.Record, batch)
+	for i := range recs {
+		recs[i] = ev(c, uint64(i+1), ftl.StubStart, "I", wall)
+		recs[i].Semantics = "in: job=42 pages=3"
+	}
+	s.Insert(recs...)
+	// Give the index its growth up front; the ceiling is about the path.
+	sh := s.shards[s.shardIndex(c)]
+	sh.mu.Lock()
+	ci := sh.chains[c]
+	ci.locs = append(make([]recLoc, 0, (runs+3)*batch), ci.locs...)
+	sh.mu.Unlock()
+	if a := testing.AllocsPerRun(runs, func() { s.Insert(recs...) }); a != 0 {
+		t.Errorf("a one-chain Insert of %d records allocates %v, want 0", batch, a)
+	}
+	if got := len(s.Events(c)); got != (runs+2)*batch {
+		t.Fatalf("chain holds %d events after the runs, want %d", got, (runs+2)*batch)
+	}
+}
