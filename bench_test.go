@@ -279,7 +279,7 @@ func BenchmarkFigure5DSCGScale(b *testing.B) {
 				b.Fatal(err)
 			}
 			db := sys.Store()
-			st := db.ComputeStats()
+			st := logdb.ComputeStats(db)
 			// Release the generator's copy of the records and settle the
 			// heap: on small machines, garbage left over from the previous
 			// (smaller) sub-benchmark otherwise turns into GC pressure that

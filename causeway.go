@@ -31,7 +31,6 @@ import (
 	"causeway/internal/alerting"
 	"causeway/internal/analysis"
 	"causeway/internal/cluster"
-	"causeway/internal/collector"
 	"causeway/internal/cputime"
 	"causeway/internal/debugserver"
 	"causeway/internal/logdb"
@@ -602,11 +601,11 @@ func AnalyzeProcesses(procs ...*Process) *Report {
 }
 
 // AnalyzeFiles collects per-process log files matching glob. Files with
-// torn tail records (crashed writers) contribute their readable prefixes
-// and are counted in Report.Warnings.
+// torn tails (crashed writers) contribute their complete frames and are
+// counted in Report.Warnings.
 func AnalyzeFiles(glob string) (*Report, error) {
 	db := logdb.NewStore()
-	_, warnings, err := collector.FromGlob(db, glob)
+	_, warnings, err := db.LoadGlob(glob)
 	if err != nil {
 		return nil, err
 	}
@@ -625,7 +624,7 @@ func AnalyzeStore(db *logdb.Store) *Report { return analyzeStore(db) }
 // it.
 type Source interface {
 	analysis.Source
-	ComputeStats() logdb.Stats
+	logdb.Records
 }
 
 // AnalyzeSource performs the offline pipeline over src, fanning the
@@ -639,7 +638,7 @@ func AnalyzeSource(src Source, workers int) *Report {
 	g.ComputeCPU()
 	return &Report{
 		Graph:        g,
-		Stats:        src.ComputeStats(),
+		Stats:        logdb.ComputeStats(src),
 		LatencyStats: g.LatencyStats(),
 		CCSG:         analysis.BuildCCSG(g),
 		Interactions: g.Interactions(),

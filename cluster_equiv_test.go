@@ -79,7 +79,7 @@ func mergeFleet[S cluster.Store](t *testing.T, addrs []string, stores []S) (flee
 	agg := cluster.NewAggregator(fleet)
 	for i, db := range stores {
 		var buf bytes.Buffer
-		if err := db.WriteStream(&buf); err != nil {
+		if err := logdb.WriteRecords(db, &buf); err != nil {
 			t.Fatal(err)
 		}
 		_, d, err := agg.MergeStream(addrs[i], &buf)

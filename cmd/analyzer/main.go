@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"causeway"
-	"causeway/internal/collector"
 	"causeway/internal/logdb"
 	"causeway/internal/probe"
 	"causeway/internal/render"
@@ -59,7 +58,7 @@ func run(args []string, w io.Writer) error {
 
 	start := time.Now()
 	db := logdb.NewStore()
-	_, warnings, err := collector.FromGlob(db, fs.Arg(0))
+	_, warnings, err := db.LoadGlob(fs.Arg(0))
 	if err != nil {
 		return err
 	}
@@ -71,7 +70,7 @@ func run(args []string, w io.Writer) error {
 		st.Methods, st.Interfaces, st.Components, st.Processes, st.Threads,
 		len(report.Graph.Anomalies), report.Warnings)
 	if warnings > 0 {
-		fmt.Fprintf(w, "  ! %d log file(s) had torn tail records (crashed writers); readable prefixes were merged\n", warnings)
+		fmt.Fprintln(w, logdb.TornTails(warnings))
 	}
 	for _, b := range report.Graph.Broken {
 		fmt.Fprintf(w, "  ! broken %s\n", b)

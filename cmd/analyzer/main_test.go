@@ -29,7 +29,7 @@ func writeSampleLog(t *testing.T, dir string) string {
 		mk(ftl.SkelEnd, "f"), mk(ftl.StubEnd, "f"),
 	)
 	path := filepath.Join(dir, "p1.ftlog")
-	if err := db.SaveFile(path); err != nil {
+	if err := logdb.SaveFile(db, path); err != nil {
 		t.Fatal(err)
 	}
 	return filepath.Join(dir, "*.ftlog")

@@ -170,7 +170,7 @@ func TestAlertExemplarSurvivesEvictionAndRenders(t *testing.T) {
 	// Close the loop: the retained chain renders via causectl show as a
 	// complete DSCG containing the offending invocation.
 	path := filepath.Join(t.TempDir(), "alerts.ftlog")
-	if err := store.SaveFile(path); err != nil {
+	if err := logdb.SaveFile(store, path); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer

@@ -51,7 +51,6 @@ import (
 
 	"causeway/internal/analysis"
 	"causeway/internal/cluster"
-	"causeway/internal/collector"
 	"causeway/internal/logdb"
 	"causeway/internal/render"
 	"causeway/internal/tracestore"
@@ -66,7 +65,8 @@ func main() {
 }
 
 // source is the store view every subcommand works against: the one
-// store interface, of which they use the analyzer queries and the export.
+// store interface, of which they use the analyzer queries and the read side
+// the export is written against.
 type source = cluster.Store
 
 func run(args []string, w io.Writer) error {
@@ -115,10 +115,10 @@ func run(args []string, w io.Writer) error {
 		src = ts
 	} else {
 		db := logdb.NewStore()
-		if _, warnings, err := collector.FromGlob(db, *logsGlob); err != nil {
+		if _, warnings, err := db.LoadGlob(*logsGlob); err != nil {
 			return err
 		} else if warnings > 0 {
-			fmt.Fprintf(w, "causectl: %d log file(s) had torn tails; readable prefixes loaded\n", warnings)
+			fmt.Fprintln(w, logdb.TornTails(warnings))
 		}
 		src = db
 	}
@@ -384,7 +384,7 @@ func cmdExport(w io.Writer, src source, workers int, args []string) error {
 	}
 	switch *format {
 	case "ftlog":
-		err = src.WriteStream(f)
+		err = logdb.WriteRecords(src, f)
 	case "chrome":
 		g := reconstruct(src, workers)
 		if err = render.ChromeTrace(f, g); err == nil {

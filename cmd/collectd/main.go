@@ -570,7 +570,7 @@ func drainSignal(w io.Writer, duration time.Duration, stop <-chan struct{}) (dra
 // store as one .ftlog (-out) and the Dynamic System Call Graph (-dscg).
 func writeArtifacts(w io.Writer, store cluster.Store, outPath string, dscgNodes, workers int) error {
 	if outPath != "" {
-		if err := store.SaveFile(outPath); err != nil {
+		if err := logdb.SaveFile(store, outPath); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "collectd: merged log written to %s\n", outPath)

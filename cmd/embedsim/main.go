@@ -58,7 +58,7 @@ func run(args []string, w io.Writer) error {
 	for proc, sink := range sys.Sinks {
 		db := logdb.NewStore()
 		db.Insert(sink.Snapshot()...)
-		if err := db.SaveFile(filepath.Join(*out, proc+".ftlog")); err != nil {
+		if err := logdb.SaveFile(db, filepath.Join(*out, proc+".ftlog")); err != nil {
 			return err
 		}
 		written += db.Len()

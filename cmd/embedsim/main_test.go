@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"causeway/internal/collector"
 	"causeway/internal/logdb"
 )
 
@@ -16,11 +15,11 @@ func TestEmbedsimWritesLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := logdb.NewStore()
-	n, _, err := collector.FromGlob(db, filepath.Join(dir, "*.ftlog"))
+	n, _, err := db.LoadGlob(filepath.Join(dir, "*.ftlog"))
 	if err != nil || n == 0 {
 		t.Fatalf("collected %d, err %v", n, err)
 	}
-	if st := db.ComputeStats(); st.Processes != 4 || st.Calls < 500 {
+	if st := logdb.ComputeStats(db); st.Processes != 4 || st.Calls < 500 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -107,7 +107,7 @@ func run(args []string, w io.Writer) error {
 		db := logdb.NewStore()
 		db.Insert(sink.Snapshot()...)
 		path := filepath.Join(*out, proc+".ftlog")
-		if err := db.SaveFile(path); err != nil {
+		if err := logdb.SaveFile(db, path); err != nil {
 			return err
 		}
 		written += db.Len()

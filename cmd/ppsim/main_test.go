@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"causeway/internal/collector"
 	"causeway/internal/logdb"
 )
 
@@ -19,11 +18,11 @@ func TestPpsimWritesAnalyzableLogs(t *testing.T) {
 		t.Fatalf("output: %s", out.String())
 	}
 	db := logdb.NewStore()
-	n, _, err := collector.FromGlob(db, filepath.Join(dir, "*.ftlog"))
+	n, _, err := db.LoadGlob(filepath.Join(dir, "*.ftlog"))
 	if err != nil || n == 0 {
 		t.Fatalf("collected %d records, err %v", n, err)
 	}
-	if st := db.ComputeStats(); st.Components != 11 {
+	if st := logdb.ComputeStats(db); st.Components != 11 {
 		t.Fatalf("components = %d, want 11", st.Components)
 	}
 }

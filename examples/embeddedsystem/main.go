@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"causeway/internal/analysis"
+	"causeway/internal/logdb"
 	"causeway/internal/render"
 	"causeway/internal/workload"
 )
@@ -50,7 +51,7 @@ func run() error {
 
 	collectStart := time.Now()
 	db := sys.Store()
-	st := db.ComputeStats()
+	st := logdb.ComputeStats(db)
 	fmt.Printf("collected %d records in %v: %d calls, %d chains, %d methods / %d interfaces / %d components, %d threads\n",
 		st.Records, time.Since(collectStart).Round(time.Millisecond),
 		st.Calls, st.Chains, st.Methods, st.Interfaces, st.Components, st.Threads)

@@ -661,7 +661,7 @@ func run(rc runConfig) (sum summary, err error) {
 				owner[c.String()] = tierAddrs[i]
 			}
 			var buf bytes.Buffer
-			if err := st.WriteStream(&buf); err != nil {
+			if err := logdb.WriteRecords(st, &buf); err != nil {
 				return sum, err
 			}
 			acc, dups, err := agg.MergeStream(tierAddrs[i], &buf)
@@ -704,7 +704,7 @@ func run(rc runConfig) (sum summary, err error) {
 		fmt.Printf("slo: exemplar chain %s retained in the collected store (`causectl show %s` renders it)\n", sloChain, sloChain[:8])
 	}
 	if rc.outPath != "" {
-		if err := store.SaveFile(rc.outPath); err != nil {
+		if err := logdb.SaveFile(store, rc.outPath); err != nil {
 			return sum, err
 		}
 		fmt.Printf("store: merged .ftlog written to %s\n", rc.outPath)

@@ -47,15 +47,16 @@ func (a *Aggregator) MergeRecords(source string, recs []probe.Record) (accepted,
 	return accepted, dups
 }
 
-// MergeStream folds a gob record stream — the bytes Store.WriteStream
-// and `causectl export` emit, which ingest collectd serves at /exportz —
-// into the fleet store. Torn tails follow the probe.ReadStream
-// contract: the readable prefix merges, the error reports the tear.
+// MergeStream folds a record stream — the bytes logdb.WriteRecords and
+// `causectl export` emit, which ingest collectd serves at /exportz — into
+// the fleet store a frame at a time, so a peer's whole store is never held
+// at once. Torn tails follow the probe.ReadFrames contract: the complete
+// frames merge, the error reports the tear.
 func (a *Aggregator) MergeStream(source string, r io.Reader) (accepted, dups int, err error) {
-	recs, err := probe.ReadStream(r)
-	if len(recs) > 0 {
-		accepted, dups = a.MergeRecords(source, recs)
-	}
+	err = probe.ReadFrames(r, func(recs []probe.Record) {
+		acc, dup := a.MergeRecords(source, recs)
+		accepted, dups = accepted+acc, dups+dup
+	})
 	if err != nil {
 		return accepted, dups, fmt.Errorf("cluster: merge %s: %w", source, err)
 	}

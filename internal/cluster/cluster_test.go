@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -299,6 +303,64 @@ func TestAggregatorDeduplicates(t *testing.T) {
 	}
 	st := agg.Stats()
 	if st.Accepted != uint64(len(all)) || st.Duplicate != uint64(third) {
+		t.Fatalf("aggregate stats: %+v", st)
+	}
+}
+
+// frameSpy notes the size of every InsertNew the aggregator makes.
+type frameSpy struct {
+	*logdb.Store
+	calls []int
+}
+
+func (f *frameSpy) InsertNew(recs ...probe.Record) int {
+	f.calls = append(f.calls, len(recs))
+	return f.Store.InsertNew(recs...)
+}
+
+// A pulled /exportz body merges frame by frame — the aggregator never holds
+// more of a peer's store than one frame. A body cut inside its seventh frame
+// merges the six before it and reports the tear; the next full pull accepts
+// only what the first one missed.
+func TestAggregatorMergesPerFrame(t *testing.T) {
+	const frames, perFrame = 10, 256
+	peer := logdb.NewStore()
+	gen := &uuid.SequentialGenerator{Seed: 41}
+	for peer.Len() < frames*perFrame {
+		peer.Insert(chainRecords(gen.NewUUID(), gen.NewUUID())...)
+	}
+	var body bytes.Buffer
+	if err := logdb.WriteRecords(peer, &body); err != nil {
+		t.Fatal(err)
+	}
+	// Walk the length prefixes to the middle of the seventh frame.
+	off := 8
+	for i := 0; i < 6; i++ {
+		off += 4 + int(binary.LittleEndian.Uint32(body.Bytes()[off:]))
+	}
+	cut := off + 4 + int(binary.LittleEndian.Uint32(body.Bytes()[off:]))/2
+
+	fleet := &frameSpy{Store: logdb.NewStore()}
+	agg := NewAggregator(fleet)
+	acc, dups, err := agg.MergeStream("peer", bytes.NewReader(body.Bytes()[:cut]))
+	if !errors.Is(err, probe.ErrTruncated) {
+		t.Fatalf("torn body: error %v, want ErrTruncated", err)
+	}
+	if acc != 6*perFrame || dups != 0 || fleet.Len() != 6*perFrame {
+		t.Fatalf("torn body merged %d records (%d dups, store %d), want six frames' %d", acc, dups, fleet.Len(), 6*perFrame)
+	}
+	if want := []int{perFrame, perFrame, perFrame, perFrame, perFrame, perFrame}; !reflect.DeepEqual(fleet.calls, want) {
+		t.Fatalf("store fed in calls of %v records, want one call per frame %v", fleet.calls, want)
+	}
+
+	acc, dups, err = agg.MergeStream("peer", bytes.NewReader(body.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acc != peer.Len()-6*perFrame || dups != 6*perFrame || fleet.Len() != peer.Len() {
+		t.Fatalf("full pull accepted %d and rejected %d (store %d), want %d and %d", acc, dups, fleet.Len(), peer.Len()-6*perFrame, 6*perFrame)
+	}
+	if st := agg.Stats(); st.Accepted != uint64(peer.Len()) || st.Sources["peer"] != uint64(peer.Len()) {
 		t.Fatalf("aggregate stats: %+v", st)
 	}
 }

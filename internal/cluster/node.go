@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"causeway/internal/logdb"
 	"causeway/internal/probe"
 	"causeway/internal/streamrecon"
 	"causeway/internal/telemetry"
@@ -252,7 +253,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 // Handlers returns the node's debug-plane endpoints, to mount on any
 // debug server (debugserver.Config.Extra):
 //
-//	/exportz     the store as a gob record stream — the aggregator's pull side
+//	/exportz     the store as a record stream — the aggregator's pull side
 //	/ringz       the served ring as text (404 while none is served)
 //	/ledgerz     the conservation ledger as JSON (FetchLedger reads it)
 //	/memberz     the membership view as JSON   } 503 until
@@ -272,7 +273,7 @@ func (n *Node) Handlers() map[string]http.HandlerFunc {
 	return h
 }
 
-// ExportHandler streams store as the gob record stream WriteStream and
+// ExportHandler streams store as the record stream logdb.WriteRecords and
 // `causectl export` emit — the aggregator's pull side, which both a node
 // and the aggregator's own fleet store serve at /exportz.
 func ExportHandler(store Store) http.HandlerFunc {
@@ -280,7 +281,7 @@ func ExportHandler(store Store) http.HandlerFunc {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		// Once the stream has begun the headers are gone; on an error
 		// the torn tail is the client's signal.
-		_ = store.WriteStream(w)
+		_ = logdb.WriteRecords(store, w)
 	}
 }
 

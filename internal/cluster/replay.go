@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 
+	"causeway/internal/logdb"
 	"causeway/internal/probe"
 	"causeway/internal/telemetry"
 	"causeway/internal/transport"
@@ -77,7 +78,7 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 		batch = batch[:0]
 		return nil
 	}
-	if err := cfg.Source.RangeRecords(cfg.Range, func(r probe.Record) error {
+	if err := logdb.RangeRecords(cfg.Source, cfg.Range, func(r probe.Record) error {
 		res.Scanned++
 		batch = append(batch, r)
 		if len(batch) >= cfg.BatchSize {

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"sync"
 
@@ -118,8 +119,8 @@ func (s *Store) holdsLocked(r *probe.Record) bool {
 }
 
 // Records is the read side both record stores — this one and the disk
-// store, internal/tracestore — expose; RangeRecords, WriteStream and
-// SaveFile are written once against it.
+// store, internal/tracestore — expose; RangeRecords, WriteRecords, SaveFile
+// and ComputeStats are written once against it.
 type Records interface {
 	Chains() []uuid.UUID
 	Events(chain uuid.UUID) []probe.Record
@@ -153,15 +154,25 @@ func RangeRecords(src Records, pred func(uuid.UUID) bool, emit func(probe.Record
 	return nil
 }
 
-// WriteStream streams all of src's records to w as a gob record stream —
-// the format probe.StreamSink writes and LoadFile reads — in RangeRecords
-// order, which is independent of insertion order.
-func WriteStream(src Records, w io.Writer) error {
+// exportFrame is how many records WriteRecords puts in a frame — a
+// shipper's batch, so a reader holds one ship frame's worth at a time.
+const exportFrame = 256
+
+// WriteRecords streams all of src's records to w as a record stream — the
+// format probe.StreamSink writes and Load reads: a .ftlog file, the /exportz
+// body — in RangeRecords order, which is independent of insertion order.
+func WriteRecords(src Records, w io.Writer) error {
 	sink := probe.NewStreamSink(w)
+	frame := make([]probe.Record, 0, exportFrame)
 	RangeRecords(src, func(uuid.UUID) bool { return true }, func(r probe.Record) error {
-		sink.Append(r)
-		return nil
+		if frame = append(frame, r); len(frame) < exportFrame {
+			return nil
+		}
+		sink.AppendSpan(frame)
+		frame = frame[:0]
+		return sink.Err()
 	})
+	sink.AppendSpan(frame)
 	return sink.Close()
 }
 
@@ -172,15 +183,57 @@ func SaveFile(src Records, path string) error {
 		return fmt.Errorf("save records: %w", err)
 	}
 	defer f.Close()
-	if err := WriteStream(src, f); err != nil {
+	if err := WriteRecords(src, f); err != nil {
 		return err
 	}
 	return f.Close()
 }
 
-// RangeRecords streams the records whose routing UUID satisfies pred.
-func (s *Store) RangeRecords(pred func(uuid.UUID) bool, emit func(probe.Record) error) error {
-	return RangeRecords(s, pred, emit)
+// Load merges one record stream into the store a frame at a time, so what
+// it holds beyond the store is one frame. It returns the records merged and
+// follows the collection step's one torn-tail policy: a stream cut mid-frame
+// — what a crashed writer leaves; the paper's collection runs post-mortem —
+// contributes its complete frames and counts one warning; any harder
+// failure is the error, beside the records merged before it.
+func (s *Store) Load(r io.Reader) (n, warnings int, err error) {
+	err = probe.ReadFrames(r, func(recs []probe.Record) {
+		s.Insert(recs...)
+		n += len(recs)
+	})
+	if errors.Is(err, probe.ErrTruncated) {
+		return n, 1, nil
+	}
+	return n, 0, err
+}
+
+// TornTails words Load's warning count; every CLI that loads logs prints
+// this line.
+func TornTails(warnings int) string {
+	return fmt.Sprintf("! %d log file(s) had torn tails (crashed writers); their complete frames were merged", warnings)
+}
+
+// LoadGlob merges every log file matching pattern (e.g. "run1/*.ftlog"),
+// in sorted order for determinism, under Load's policy: the warnings count
+// the files with torn tails, and a hard error aborts and names its file.
+func (s *Store) LoadGlob(pattern string) (n, warnings int, err error) {
+	paths, err := filepath.Glob(pattern)
+	if err != nil {
+		return 0, 0, fmt.Errorf("logdb: glob %q: %w", pattern, err)
+	}
+	sort.Strings(paths)
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			return n, warnings, fmt.Errorf("logdb: load: %w", err)
+		}
+		m, w, err := s.Load(f)
+		f.Close()
+		n, warnings = n+m, warnings+w
+		if err != nil {
+			return n, warnings, fmt.Errorf("logdb: load %q: %w", p, err)
+		}
+	}
+	return n, warnings, nil
 }
 
 // Len reports the total number of inserted records (events + links).
@@ -266,19 +319,17 @@ type Stats struct {
 	Threads    int
 }
 
-// ComputeStats scans the store and aggregates run statistics.
-func (s *Store) ComputeStats() Stats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// ComputeStats scans src and aggregates run statistics.
+func ComputeStats(src Records) Stats {
 	var st Stats
 	methods := map[string]bool{}
 	ifaces := map[string]bool{}
 	comps := map[string]bool{}
 	procs := map[string]bool{}
 	threads := map[string]bool{}
-	for _, rows := range s.events {
+	for _, c := range src.Chains() {
 		st.Chains++
-		for _, r := range rows.recs {
+		for _, r := range src.Events(c) {
 			st.Records++
 			if r.Event.ProbeNumber() == 1 {
 				st.Calls++
@@ -292,35 +343,11 @@ func (s *Store) ComputeStats() Stats {
 	}
 	// A oneway call has stub_start on the parent chain only; its skeleton
 	// side starts with skel_start, so Calls from probe-1 events is exact.
-	st.Links = len(s.links)
+	st.Links = len(src.Links())
 	st.Methods = len(methods)
 	st.Interfaces = len(ifaces)
 	st.Components = len(comps)
 	st.Processes = len(procs)
 	st.Threads = len(threads)
 	return st
-}
-
-// SaveFile persists the entire store as a gob record stream.
-func (s *Store) SaveFile(path string) error { return SaveFile(s, path) }
-
-// WriteStream streams all records to w in insertion-independent but
-// deterministic order (links first, then events by chain and seq).
-func (s *Store) WriteStream(w io.Writer) error { return WriteStream(s, w) }
-
-// LoadFile reads a gob record stream file into the store. A file with a
-// torn tail record (crashed writer) loads its complete prefix and returns
-// nil; only hard decode failures are errors.
-func (s *Store) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("logdb: load: %w", err)
-	}
-	defer f.Close()
-	recs, err := probe.ReadStream(f)
-	if err != nil && !errors.Is(err, probe.ErrTruncated) {
-		return err
-	}
-	s.Insert(recs...)
-	return nil
 }

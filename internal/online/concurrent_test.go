@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"causeway/internal/analysis"
-	"causeway/internal/collector"
 	"causeway/internal/logdb"
 	"causeway/internal/probe"
 	"causeway/internal/topology"
@@ -75,7 +74,9 @@ func TestConcurrentAppendAcrossProcesses(t *testing.T) {
 
 	// The offline analyzer over the identical records agrees.
 	db := logdb.NewStore()
-	collector.FromSinks(db, locals...)
+	for _, l := range locals {
+		db.Insert(l.Snapshot()...)
+	}
 	g := analysis.Reconstruct(db)
 	if len(g.Anomalies) != 0 {
 		t.Fatalf("offline anomalies: %v", g.Anomalies[0])

@@ -1,4 +1,4 @@
-package telemetry
+package probe
 
 import (
 	"encoding/binary"
@@ -7,20 +7,22 @@ import (
 
 	"causeway/internal/cdr"
 	"causeway/internal/ftl"
-	"causeway/internal/probe"
 	"causeway/internal/uuid"
 )
 
-// Ship and replay frame body (protocol version 3), in the repo's own cdr
-// conventions — little-endian integers, uint32-length-prefixed strings, raw
-// 16-byte UUIDs, and internal/probe's shared flags octet and time encoding:
+// A frame is the one stream form of a batch of records: the body of the
+// telemetry plane's ship and replay messages and, behind a length prefix,
+// the unit of a record stream (sink.go — .ftlog files, /exportz). It is
+// laid out in the repo's own cdr conventions — little-endian integers,
+// uint32-length-prefixed strings, raw 16-byte UUIDs, and wire.go's shared
+// flags octet and time encoding:
 //
 //	uint32 T                     string-table entries
 //	T x string                   the frame's distinct identity strings
 //	uint32 N                     records
 //	N x record:
-//	  octet  kind                probe.KindEvent | probe.KindLink
-//	  octet  flags               probe.Wire* bits | wireHasEvent | wireHasLink
+//	  octet  kind                KindEvent | KindLink
+//	  octet  flags               Wire* bits | wireHasEvent | wireHasLink
 //	  octet  event               ftl.Event
 //	  6 x uint32                 table indexes: Process, ProcType,
 //	                             Op.Component, Op.Interface, Op.Operation,
@@ -39,11 +41,11 @@ import (
 // would only evict the vocabulary that does repeat. The two optional blocks
 // are present exactly when any of their fields is non-zero — an event
 // record carries no link block and a link record no event block — which is
-// what keeps a frame no larger than the gob encoding it replaced.
+// what keeps an event record at 95 bytes plus its Semantics.
 const (
 	wireHasEvent = 1 << 4
 	wireHasLink  = 1 << 5
-	wireKnown    = probe.WireOneway | probe.WireCollocated | probe.WireLatencyArmed | probe.WireCPUArmed | wireHasEvent | wireHasLink
+	wireKnown    = WireOneway | WireCollocated | WireLatencyArmed | WireCPUArmed | wireHasEvent | wireHasLink
 
 	identityStrings = 6
 	// minRecordSize is a record with empty semantics and neither block:
@@ -55,31 +57,32 @@ const (
 	minStringSize = 4
 )
 
-// batchEncoder encodes ship frames into one buffer reused frame after
-// frame: the transport's ownership contract hands the Body back the moment
-// Call returns, so the next encode may overwrite it. The string-table index
-// and the index scratch are reused too; steady state allocates nothing.
-type batchEncoder struct {
+// FrameEncoder encodes frames into one buffer reused frame after frame: the
+// transport's ownership contract hands a ship Body back the moment Call
+// returns, and a stream writer has copied the frame out by then, so the next
+// Encode may overwrite it. The string-table index and the index scratch are
+// reused too; steady state allocates nothing.
+type FrameEncoder struct {
 	enc   cdr.Encoder
 	index map[string]uint32
 	refs  []uint32 // identityStrings per record, filled by the table pass
 }
 
-func identityOf(r *probe.Record) [identityStrings]string {
+func identityOf(r *Record) [identityStrings]string {
 	return [identityStrings]string{r.Process, r.ProcType, r.Op.Component, r.Op.Interface, r.Op.Operation, r.Op.Object}
 }
 
-func hasEventBlock(r *probe.Record) bool {
+func hasEventBlock(r *Record) bool {
 	return r.Chain != (uuid.UUID{}) || r.Seq != 0 || !r.WallStart.IsZero() || !r.WallEnd.IsZero() || r.CPUStart != 0 || r.CPUEnd != 0
 }
 
-func hasLinkBlock(r *probe.Record) bool {
+func hasLinkBlock(r *Record) bool {
 	return r.LinkParent != (uuid.UUID{}) || r.LinkParentSeq != 0 || r.LinkChild != (uuid.UUID{})
 }
 
-// encode renders recs as one frame body. The result aliases the encoder's
-// buffer and is valid until the next encode.
-func (b *batchEncoder) encode(recs []probe.Record) []byte {
+// Encode renders recs as one frame body. The result aliases the encoder's
+// buffer and is valid until the next Encode.
+func (b *FrameEncoder) Encode(recs []Record) []byte {
 	if b.index == nil {
 		b.index = make(map[string]uint32)
 	}
@@ -138,8 +141,8 @@ func (b *batchEncoder) encode(recs []probe.Record) []byte {
 		if event {
 			e.PutRaw(r.Chain[:])
 			e.PutUint64(r.Seq)
-			probe.PutWireTime(e, r.WallStart)
-			probe.PutWireTime(e, r.WallEnd)
+			PutWireTime(e, r.WallStart)
+			PutWireTime(e, r.WallEnd)
 			e.PutInt64(int64(r.CPUStart))
 			e.PutInt64(int64(r.CPUEnd))
 		}
@@ -152,13 +155,13 @@ func (b *batchEncoder) encode(recs []probe.Record) []byte {
 	return e.Bytes()
 }
 
-// encodeBatch is a one-off encode into a fresh buffer (couriers, tests).
-func encodeBatch(recs []probe.Record) []byte {
-	var b batchEncoder
-	return b.encode(recs)
+// EncodeFrame is a one-off encode into a fresh buffer (couriers, tests).
+func EncodeFrame(recs []Record) []byte {
+	var b FrameEncoder
+	return b.Encode(recs)
 }
 
-// A connection's intern map holds at most maxInternedStrings strings of at
+// A decoder's intern map holds at most maxInternedStrings strings of at
 // most maxInternedLen bytes — the discipline of the transport's
 // per-connection interner: past the cap the map stops growing and unseen
 // strings are allocated per frame, so a peer sending adversarially unique
@@ -173,21 +176,22 @@ const (
 	maxSlabRecords     = 1024
 )
 
-// batchDecoder is one connection's decode state: the bounded intern map
-// that makes every frame of a process resolve its vocabulary to the same
-// strings, and the table scratch and record slab reused from frame to
-// frame. Once a connection's vocabulary has been seen, decoding a frame
-// allocates whatever Semantics the records carry and nothing else.
-type batchDecoder struct {
+// FrameDecoder is the decode state of one frame source — a telemetry
+// connection, a record stream: the bounded intern map that makes every frame
+// of a process resolve its vocabulary to the same strings, and the table
+// scratch and record slab reused from frame to frame. Once a source's
+// vocabulary has been seen, decoding a frame allocates whatever Semantics
+// the records carry and nothing else. The zero value is ready to use.
+type FrameDecoder struct {
 	interned map[string]string
 	table    []string
-	slab     []probe.Record
+	slab     []Record
 }
 
 // intern returns b as a string, shared with every earlier occurrence on
 // this connection. The result is always a copy: frames arrive in pooled or
 // caller-owned buffers, and a decoded record must never alias one.
-func (d *batchDecoder) intern(b []byte) string {
+func (d *FrameDecoder) intern(b []byte) string {
 	if s, ok := d.interned[string(b)]; ok { // lookup-only conversion: no allocation
 		return s
 	}
@@ -201,16 +205,17 @@ func (d *batchDecoder) intern(b []byte) string {
 	return s
 }
 
-// decode parses one frame body. Any malformation — truncation, a count
+// Decode parses one frame body. Any malformation — truncation, a count
 // larger than the bytes behind it, a table index out of range, an unknown
 // kind or flag bit, trailing bytes — is an error, never a panic. The result
-// is the decoder's slab: it is valid until the next decode, which is why the
-// server's sinks and stores borrow a frame's records and never keep them.
-func (d *batchDecoder) decode(body []byte) ([]probe.Record, error) {
+// is the decoder's slab: it is valid until the next Decode, which is why the
+// telemetry server's sinks and stores and ReadFrames' callback borrow a
+// frame's records and never keep them.
+func (d *FrameDecoder) Decode(body []byte) ([]Record, error) {
 	dec := cdr.NewDecoder(body)
 	nstr := dec.Uint32()
 	if int64(nstr) > int64(dec.Remaining()/minStringSize) {
-		return nil, fmt.Errorf("telemetry: decode batch: string table of %d entries in %d bytes", nstr, dec.Remaining())
+		return nil, fmt.Errorf("probe: decode frame: string table of %d entries in %d bytes", nstr, dec.Remaining())
 	}
 	table := d.table[:0]
 	for i := uint32(0); i < nstr && dec.Err() == nil; i++ {
@@ -231,7 +236,7 @@ func (d *batchDecoder) decode(body []byte) ([]probe.Record, error) {
 		d.slab = recs[:0]
 	}
 	if err != nil {
-		return nil, fmt.Errorf("telemetry: decode batch: %w", err)
+		return nil, fmt.Errorf("probe: decode frame: %w", err)
 	}
 	return recs, nil
 }
@@ -239,7 +244,7 @@ func (d *batchDecoder) decode(body []byte) ([]probe.Record, error) {
 // decodeRecords parses the record section against a resolved table, into
 // slab when the frame fits it. Every slot it returns is written whole, so
 // nothing of the frame the slab held before shows through.
-func decodeRecords(dec *cdr.Decoder, table []string, slab []probe.Record) ([]probe.Record, error) {
+func decodeRecords(dec *cdr.Decoder, table []string, slab []Record) ([]Record, error) {
 	nrec := dec.Uint32()
 	if err := dec.Err(); err != nil {
 		return nil, err
@@ -247,15 +252,15 @@ func decodeRecords(dec *cdr.Decoder, table []string, slab []probe.Record) ([]pro
 	if int64(nrec) > int64(dec.Remaining()/minRecordSize) {
 		return nil, fmt.Errorf("%d records in %d bytes", nrec, dec.Remaining())
 	}
-	var recs []probe.Record
+	var recs []Record
 	if int(nrec) <= cap(slab) {
 		recs = slab[:nrec]
 	} else {
-		recs = make([]probe.Record, nrec)
+		recs = make([]Record, nrec)
 	}
 	for i := range recs {
 		r := &recs[i]
-		*r = probe.Record{Kind: probe.RecordKind(dec.Octet())}
+		*r = Record{Kind: RecordKind(dec.Octet())}
 		flags := dec.Octet()
 		r.Event = ftl.Event(dec.Octet())
 		var ids [identityStrings]string
@@ -270,14 +275,14 @@ func decodeRecords(dec *cdr.Decoder, table []string, slab []probe.Record) ([]pro
 			ids[j] = table[idx]
 		}
 		r.Process, r.ProcType = ids[0], ids[1]
-		r.Op = probe.OpID{Component: ids[2], Interface: ids[3], Operation: ids[4], Object: ids[5]}
+		r.Op = OpID{Component: ids[2], Interface: ids[3], Operation: ids[4], Object: ids[5]}
 		r.Thread = dec.Uint64()
 		r.Semantics = dec.String()
 		if flags&wireHasEvent != 0 {
 			copy(r.Chain[:], dec.Raw(uuid.Size))
 			r.Seq = dec.Uint64()
-			r.WallStart = probe.GetWireTime(dec)
-			r.WallEnd = probe.GetWireTime(dec)
+			r.WallStart = GetWireTime(dec)
+			r.WallEnd = GetWireTime(dec)
 			r.CPUStart = time.Duration(dec.Int64())
 			r.CPUEnd = time.Duration(dec.Int64())
 		}
@@ -289,7 +294,7 @@ func decodeRecords(dec *cdr.Decoder, table []string, slab []probe.Record) ([]pro
 		if err := dec.Err(); err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
-		if r.Kind != probe.KindEvent && r.Kind != probe.KindLink {
+		if r.Kind != KindEvent && r.Kind != KindLink {
 			return nil, fmt.Errorf("record %d: kind %d", i, r.Kind)
 		}
 		if flags&^wireKnown != 0 {
@@ -298,10 +303,4 @@ func decodeRecords(dec *cdr.Decoder, table []string, slab []probe.Record) ([]pro
 		r.SetWireFlags(flags)
 	}
 	return recs, dec.Finish()
-}
-
-// decodeBatch is a one-off decode with no connection state (tests).
-func decodeBatch(body []byte) ([]probe.Record, error) {
-	var d batchDecoder
-	return d.decode(body)
 }

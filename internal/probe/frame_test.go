@@ -1,0 +1,359 @@
+package probe
+
+import (
+	"encoding/binary"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+	"unsafe"
+
+	"causeway/internal/ftl"
+	"causeway/internal/uuid"
+)
+
+// decodeBatch is a one-off decode with no decoder state behind it.
+func decodeBatch(body []byte) ([]Record, error) {
+	var d FrameDecoder
+	return d.Decode(body)
+}
+
+var encodeBatch = EncodeFrame
+
+// frameRecord is a plain event record of process proc.
+func frameRecord(proc string, seq uint64) Record {
+	return Record{
+		Kind: KindEvent, Process: proc, ProcType: "x86",
+		Chain: uuid.UUID{0: byte(seq)}, Seq: seq, Event: ftl.StubStart,
+		Op: OpID{Interface: "I", Operation: "op"},
+	}
+}
+
+// codecRecords covers every field of a record: both kinds, each flag bit
+// alone and all together, zero and non-zero wall times, CPU windows,
+// Semantics, empty identity strings, and records whose kind and blocks
+// disagree (an event with link fields, a link with event fields) — the
+// blocks follow the fields, not the kind. Every event has its own chain so
+// a store can hand it back alone.
+func codecRecords() []Record {
+	chain := func(n byte) uuid.UUID { return uuid.UUID{0: 0xc0, 15: n} }
+	at := func(ns int64) time.Time { return time.Unix(0, ns) }
+	op := OpID{Component: "printer", Interface: "Spooler", Operation: "enqueue", Object: "spool#1"}
+	return []Record{
+		{Kind: KindEvent, Process: "p1", ProcType: "x86", Thread: 7, Op: op, Chain: chain(1), Event: ftl.StubStart, Seq: 1},
+		{Kind: KindEvent, Process: "p1", ProcType: "x86", Thread: 7, Op: op, Chain: chain(2), Event: ftl.SkelStart, Seq: 2, Oneway: true},
+		{Kind: KindEvent, Process: "p1", ProcType: "x86", Thread: 7, Op: op, Chain: chain(3), Event: ftl.SkelEnd, Seq: 3, Collocated: true},
+		{Kind: KindEvent, Process: "p2", ProcType: "pa-risc", Thread: 1 << 63, Op: op, Chain: chain(4), Event: ftl.StubEnd, Seq: 4,
+			LatencyArmed: true, WallStart: at(1_700_000_000_123_456_789), WallEnd: at(1_700_000_000_123_999_000)},
+		{Kind: KindEvent, Process: "p2", ProcType: "pa-risc", Thread: 2, Op: op, Chain: chain(5), Event: ftl.SkelStart, Seq: 4096,
+			CPUArmed: true, CPUStart: 12 * time.Millisecond, CPUEnd: 13 * time.Millisecond, Semantics: "in: job=42 pages=3"},
+		{Kind: KindEvent, Process: "p2", ProcType: "pa-risc", Thread: 2, Op: op, Chain: chain(6), Event: ftl.SkelEnd, Seq: 5,
+			Oneway: true, Collocated: true, LatencyArmed: true, CPUArmed: true,
+			WallStart: at(-5), WallEnd: at(1), CPUStart: -1, CPUEnd: 1, Semantics: "raised: OutOfPaper"},
+		// Only the end of the wall window set; empty identity strings.
+		{Kind: KindEvent, Chain: chain(7), Event: ftl.StubStart, Seq: 1, WallEnd: at(99)},
+		{Kind: KindLink, Process: "p1", ProcType: "x86", Thread: 7, Op: op,
+			LinkParent: chain(1), LinkParentSeq: 9, LinkChild: chain(8)},
+		// Kind and blocks disagree.
+		{Kind: KindEvent, Process: "p1", ProcType: "x86", Op: op, Chain: chain(9), Event: ftl.StubStart, Seq: 1,
+			LinkParent: chain(10), LinkParentSeq: 1, LinkChild: chain(11)},
+		{Kind: KindLink, Process: "p3", ProcType: "vxworks-ppc", Op: op, Chain: chain(12), Seq: 3, Event: ftl.StubEnd,
+			WallStart: at(5), LinkParent: chain(12), LinkChild: chain(13)},
+	}
+}
+
+// The frame codec returns every field as it was given
+// (TestBatchCodecMatchesStoreCodec, in the external test package, holds it
+// against the trace store's payload codec).
+func TestBatchCodecRoundTrip(t *testing.T) {
+	recs := codecRecords()
+	got, err := decodeBatch(encodeBatch(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
+	}
+	for i := range recs {
+		if !reflect.DeepEqual(got[i], recs[i]) {
+			t.Errorf("record %d:\n got %+v\nwant %+v", i, got[i], recs[i])
+		}
+	}
+
+	// An empty batch is a valid frame.
+	if none, err := decodeBatch(encodeBatch(nil)); err != nil || len(none) != 0 {
+		t.Fatalf("empty batch: %v, %d records", err, len(none))
+	}
+}
+
+// Identity strings travel once per frame, resolve to one shared string per
+// connection, and never alias the frame; Semantics stays out of both the
+// table and the intern map.
+func TestBatchCodecStringTableAndInterning(t *testing.T) {
+	recs := make([]Record, 64)
+	for i := range recs {
+		recs[i] = frameRecord("proc-with-a-long-name", uint64(i+1))
+		recs[i].Semantics = "unique-semantics-payload"
+	}
+	frame := encodeBatch(recs)
+	if n := strings.Count(string(frame), "proc-with-a-long-name"); n != 1 {
+		t.Fatalf("identity string appears %d times in the frame, want 1", n)
+	}
+	if n := strings.Count(string(frame), "unique-semantics-payload"); n != len(recs) {
+		t.Fatalf("semantics appears %d times in the frame, want inline in all %d records", n, len(recs))
+	}
+
+	var d FrameDecoder
+	first, err := d.Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := d.Decode(append([]byte(nil), frame...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	if !shared(first[0].Process, first[63].Process) || !shared(first[0].Process, second[0].Process) {
+		t.Fatal("a connection's records do not share one Process string")
+	}
+	if _, ok := d.interned["unique-semantics-payload"]; ok {
+		t.Fatal("Semantics entered the intern map")
+	}
+	// Scribbling over the frame must not reach a decoded record.
+	for i := range frame {
+		frame[i] = 'x'
+	}
+	if first[0].Process != "proc-with-a-long-name" || first[0].Semantics != "unique-semantics-payload" || first[0].Op.Operation != "op" {
+		t.Fatalf("decoded record aliases the frame buffer: %+v", first[0])
+	}
+}
+
+// A peer inventing identities cannot grow a connection's intern map past
+// its cap, and oversized strings never enter it.
+func TestBatchDecoderInternBound(t *testing.T) {
+	var d FrameDecoder
+	for f := 0; f < 2*maxInternedStrings/100; f++ {
+		recs := make([]Record, 100)
+		for i := range recs {
+			recs[i] = frameRecord("p", uint64(i+1))
+			recs[i].Op.Object = "obj-" + uuid.UUID{0: byte(f), 1: byte(i)}.String()
+		}
+		if _, err := d.Decode(encodeBatch(recs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(d.interned) != maxInternedStrings {
+		t.Fatalf("intern map holds %d strings, want the cap %d", len(d.interned), maxInternedStrings)
+	}
+	d = FrameDecoder{}
+	huge := frameRecord(strings.Repeat("p", maxInternedLen+1), 1)
+	if _, err := d.Decode(encodeBatch([]Record{huge})); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := d.interned[huge.Process]; ok {
+		t.Fatal("oversized string interned")
+	}
+	if cap(d.table) == 0 {
+		t.Fatal("table scratch not kept")
+	}
+	for _, s := range d.table[:cap(d.table)] {
+		if s != "" {
+			t.Fatal("table scratch still references a frame's strings")
+		}
+	}
+}
+
+// A decoder hands every frame out in the same slab, and a frame shows
+// nothing of the one before it: not in the fields a shorter record leaves
+// out, not past its end. A frame too large to keep gets a slab of its own.
+func TestDecoderReusesSlab(t *testing.T) {
+	frameA := codecRecords() // event blocks, link blocks, both, neither flag clear
+	frameB := []Record{      // neither block: only identity, thread and flags travel
+		{Kind: KindEvent, Process: "p9", Thread: 3},
+		{Kind: KindLink, ProcType: "sparc", Oneway: true},
+	}
+	var d FrameDecoder
+	a, err := d.Decode(encodeBatch(frameA))
+	if err != nil || !reflect.DeepEqual(a, frameA) {
+		t.Fatalf("frame A: %v %+v", err, a)
+	}
+	slab := &a[0]
+	b, err := d.Decode(encodeBatch(frameB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := decodeBatch(encodeBatch(frameB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(b, fresh) || !reflect.DeepEqual(b, frameB) {
+		t.Fatalf("frame B through a used decoder:\n got %+v\nwant %+v", b, fresh)
+	}
+	if &b[0] != slab {
+		t.Fatal("second frame did not reuse the first frame's slab")
+	}
+
+	big := make([]Record, maxSlabRecords+1)
+	for i := range big {
+		big[i] = Record{Kind: KindEvent, Process: "big", Seq: uint64(i + 1)}
+	}
+	got, err := d.Decode(encodeBatch(big))
+	if err != nil || len(got) != len(big) || got[len(got)-1].Seq != uint64(len(big)) {
+		t.Fatalf("over-cap frame: %v, %d records", err, len(got))
+	}
+	if cap(d.slab) > maxSlabRecords {
+		t.Fatalf("decoder keeps a slab of %d records, cap %d", cap(d.slab), maxSlabRecords)
+	}
+	if b, err = d.Decode(encodeBatch(frameB)); err != nil || &b[0] != slab || !reflect.DeepEqual(b, frameB) {
+		t.Fatalf("frame after the over-cap one: %v, reused=%v, %+v", err, err == nil && &b[0] == slab, b)
+	}
+}
+
+// corruptions derives the malformed frames the fuzz corpus seeds from a
+// valid one: cut inside every class of field, and each length or index
+// field lying about what follows it.
+func corruptions(valid []byte, recs []Record) map[string][]byte {
+	le := binary.LittleEndian
+	clone := func() []byte { return append([]byte(nil), valid...) }
+	// Walk the table to find where the record section starts.
+	off := 4
+	for i := uint32(0); i < le.Uint32(valid); i++ {
+		off += 4 + int(le.Uint32(valid[off:]))
+	}
+	recordCount := off
+	firstRecord := off + 4
+	semLen := firstRecord + 3 + identityStrings*4 + 8
+	out := map[string][]byte{
+		"cut-in-table-count":   valid[:2],
+		"cut-in-table-string":  valid[:4+4+1],
+		"cut-in-record-count":  valid[:recordCount+2],
+		"cut-in-record-header": valid[:firstRecord+2],
+		"cut-in-indexes":       valid[:firstRecord+3+5],
+		"cut-in-thread":        valid[:firstRecord+3+identityStrings*4+3],
+		"cut-in-semantics":     valid[:semLen+4+1],
+		"cut-in-event-block":   valid[:semLen+4+len(recs[0].Semantics)+20],
+		"cut-in-link-block":    valid[:len(valid)-7],
+		"trailing-byte":        append(clone(), 0),
+	}
+	b := clone()
+	le.PutUint32(b, 1<<30)
+	out["table-count-past-end"] = b
+	b = clone()
+	le.PutUint32(b[4:], 1<<30)
+	out["table-string-past-end"] = b
+	b = clone()
+	le.PutUint32(b[recordCount:], 1<<30)
+	out["record-count-past-end"] = b
+	b = clone()
+	le.PutUint32(b[firstRecord+3:], le.Uint32(valid))
+	out["index-out-of-range"] = b
+	b = clone()
+	le.PutUint32(b[semLen:], 1<<31)
+	out["semantics-past-end"] = b
+	b = clone()
+	b[firstRecord] = 9
+	out["bad-kind"] = b
+	b = clone()
+	b[firstRecord+1] |= 0x80
+	out["bad-flags"] = b
+	return out
+}
+
+// fuzzSeedRecords is the valid frame the corpus is derived from: an event
+// with Semantics first (so every field class has a known offset), a link
+// last.
+func fuzzSeedRecords() []Record {
+	all := codecRecords()
+	return []Record{all[4], all[3], all[7]}
+}
+
+// Every derived malformation is refused with the codec's own error — the
+// counts that claim a gigabyte included, which would not come back at all
+// if anything were sized by them — and is checked in as a fuzz seed.
+// UPDATE_FUZZ_CORPUS=1 rewrites the seeds after a layout change.
+func TestBatchDecodeRejectsMalformedFrames(t *testing.T) {
+	recs := fuzzSeedRecords()
+	valid := encodeBatch(recs)
+	if _, err := decodeBatch(valid); err != nil {
+		t.Fatal(err)
+	}
+	seeds := corruptions(valid, recs)
+	for name, body := range seeds {
+		got, err := decodeBatch(body)
+		if err == nil {
+			t.Errorf("%s: decoded %d records from a malformed frame", name, len(got))
+		} else if !strings.HasPrefix(err.Error(), "probe: decode frame: ") {
+			t.Errorf("%s: error %q lacks the codec's prefix", name, err)
+		}
+	}
+	seeds["valid"] = valid
+	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeBatch")
+	for name, body := range seeds {
+		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", body)
+		path := filepath.Join(dir, name)
+		if os.Getenv("UPDATE_FUZZ_CORPUS") != "" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if have, err := os.ReadFile(path); err != nil || string(have) != want {
+			t.Errorf("fuzz seed %s is missing or stale (%v); rerun with UPDATE_FUZZ_CORPUS=1", path, err)
+		}
+	}
+}
+
+// FuzzDecodeBatch: error or value, never a panic, never more records than
+// the bytes could hold; whatever decodes survives a re-encode unchanged, and
+// a decoder that has a frame behind it (a slab to reuse, strings interned)
+// answers exactly as a fresh one does.
+// Seeds are checked in under testdata/fuzz/FuzzDecodeBatch (the frames
+// corruptions derives); the valid frame is added here too so the fuzzer
+// keeps a live starting point if the layout moves.
+func FuzzDecodeBatch(f *testing.F) {
+	f.Add(encodeBatch(fuzzSeedRecords()))
+	f.Add(encodeBatch(codecRecords()))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var d FrameDecoder
+		recs, err := d.Decode(body)
+		if err != nil {
+			if recs != nil {
+				t.Fatalf("error %v with %d records", err, len(recs))
+			}
+			checkUsedDecoder(t, body, nil, true)
+			return
+		}
+		if len(recs) > len(body)/minRecordSize {
+			t.Fatalf("%d records out of %d bytes", len(recs), len(body))
+		}
+		checkUsedDecoder(t, body, recs, false)
+		again, err := decodeBatch(encodeBatch(recs))
+		if err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(again, recs) {
+			t.Fatal("records change across a re-encode")
+		}
+	})
+}
+
+// checkUsedDecoder decodes body with a decoder that has already decoded a
+// frame using every field, and requires what a fresh decoder gave: want, or
+// an error.
+func checkUsedDecoder(t *testing.T, body []byte, want []Record, wantErr bool) {
+	t.Helper()
+	var used FrameDecoder
+	if _, err := used.Decode(encodeBatch(codecRecords())); err != nil {
+		t.Fatal(err)
+	}
+	got, err := used.Decode(body)
+	if (err != nil) != wantErr || len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
+		t.Fatalf("used decoder: %v, %d records; fresh decoder: error=%v, %d records", err, len(got), wantErr, len(want))
+	}
+}

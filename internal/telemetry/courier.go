@@ -30,11 +30,7 @@ func DialCourier(addr, process string, dial func(string) (transport.Client, erro
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: courier dial %s: %w", addr, err)
 	}
-	hello, err := encodeHello(Hello{Version: ProtocolVersion, Process: process, ProcType: "collector"})
-	if err != nil {
-		client.Close()
-		return nil, err
-	}
+	hello := encodeHello(Hello{Version: ProtocolVersion, Process: process, ProcType: "collector"})
 	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello})
 	if err != nil {
 		client.Close()
@@ -56,7 +52,7 @@ func DialCourier(addr, process string, dial func(string) (transport.Client, erro
 // receiver accepted as new (duplicates it already held are rejected and
 // excluded from the count).
 func (c *Courier) Replay(recs []probe.Record) (accepted uint64, err error) {
-	rep, err := c.client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opReplay, Body: encodeBatch(recs)})
+	rep, err := c.client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opReplay, Body: probe.EncodeFrame(recs)})
 	if err != nil {
 		return 0, fmt.Errorf("telemetry: replay: %w", err)
 	}

@@ -1,7 +1,10 @@
 package telemetry
 
 import (
+	"encoding/binary"
 	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -25,8 +28,17 @@ func testRing(epoch uint64, addrs ...string) Ring {
 	return r
 }
 
+// What peers of earlier protocol versions put on the wire, byte for byte
+// (gob, captured from the last commit that spoke it): a v1-era hello with no
+// version octet, a v3 hello and a v3 server's ring-less hello reply.
+const (
+	gobHelloV1      = "E\x7f\x03\x01\x01\x05Hello\x01\xff\x80\x00\x01\x04\x01\aVersion\x01\x04\x00\x01\aProcess\x01\f\x00\x01\bProcType\x01\f\x00\x01\tDebugAddr\x01\f\x00\x00\x00\x0f\xff\x80\x01\x02\x01\x03old\x01\x03x86\x00"
+	gobHelloV3      = "\x03E\x7f\x03\x01\x01\x05Hello\x01\xff\x80\x00\x01\x04\x01\aVersion\x01\x04\x00\x01\aProcess\x01\f\x00\x01\bProcType\x01\f\x00\x01\tDebugAddr\x01\f\x00\x00\x00\x0f\xff\x80\x01\x06\x01\x03old\x01\x03x86\x00"
+	gobHelloReplyV3 = "\x03:\xff\x81\x03\x01\x01\nHelloReply\x01\xff\x82\x00\x01\x03\x01\aVersion\x01\x04\x00\x01\aHasRing\x01\x02\x00\x01\x04Ring\x01\xff\x84\x00\x00\x003\xff\x83\x03\x01\x01\x04Ring\x01\xff\x84\x00\x01\x03\x01\x05Epoch\x01\x06\x00\x01\x05Slots\x01\x04\x00\x01\aMembers\x01\xff\x88\x00\x00\x00%\xff\x87\x02\x01\x01\x16[]telemetry.RingMember\x01\xff\x88\x00\x01\xff\x86\x00\x00:\xff\x85\x03\x01\x01\nRingMember\x01\xff\x86\x00\x01\x04\x01\x02ID\x01\f\x00\x01\x04Addr\x01\f\x00\x01\x05Start\x01\x04\x00\x01\x03End\x01\x04\x00\x00\x00\a\xff\x82\x01\x06\x02\x00\x00"
+)
+
 // A version-mismatched handshake must fail with an error that names both
-// versions — not a gob decode error, and never a silent accept.
+// versions — not a decode error, and never a silent accept.
 func TestHandshakeVersionMismatchIsLoud(t *testing.T) {
 	srv, err := Listen("127.0.0.1:0", ServerConfig{})
 	if err != nil {
@@ -41,15 +53,7 @@ func TestHandshakeVersionMismatchIsLoud(t *testing.T) {
 
 	// A v1-era peer: raw gob with no version byte. The first gob byte is
 	// not ProtocolVersion, so the server must reject before decoding.
-	var legacy []byte
-	{
-		full, err := encodeHello(Hello{Version: 1, Process: "old", ProcType: "x86"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy = full[1:] // strip the version byte v1 never sent
-	}
-	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: legacy})
+	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: []byte(gobHelloV1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,36 +64,37 @@ func TestHandshakeVersionMismatchIsLoud(t *testing.T) {
 		t.Fatalf("rejection does not name the version problem: %q", msg)
 	}
 
-	// A framed peer one version behind (v2's gob ship frames would be
-	// garbage to this server): refused at hello, by version, before it can
-	// ship anything.
-	prev := ProtocolVersion - 1
-	old, err := encodeHello(Hello{Version: prev, Process: "old", ProcType: "x86"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err = client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: old})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Status == transport.StatusOK {
-		t.Fatalf("version-%d handshake accepted by version-%d server", prev, ProtocolVersion)
-	}
-	msg := string(rep.Body)
-	if !strings.Contains(msg, fmt.Sprintf("version %d", prev)) || !strings.Contains(msg, fmt.Sprintf("want %d", ProtocolVersion)) {
-		t.Fatalf("rejection does not name both versions: %q", msg)
-	}
-	if strings.Contains(msg, "decode") {
-		t.Fatalf("rejection reads as a decode failure: %q", msg)
+	// Framed peers of other versions — a real v3 shipper, whose hello is
+	// gob behind the version octet, and one speaking today's layout under
+	// another number: refused at hello, by version, before they can ship
+	// anything, the refusal naming both versions.
+	for claimed, hello := range map[int][]byte{
+		3:                   []byte(gobHelloV3),
+		ProtocolVersion + 1: encodeHello(Hello{Version: ProtocolVersion + 1, Process: "new", ProcType: "x86"}),
+	} {
+		rep, err = client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Status == transport.StatusOK {
+			t.Fatalf("version-%d handshake accepted by version-%d server", claimed, ProtocolVersion)
+		}
+		msg := string(rep.Body)
+		if !strings.Contains(msg, fmt.Sprintf("version %d", claimed)) || !strings.Contains(msg, fmt.Sprintf("want %d", ProtocolVersion)) {
+			t.Fatalf("rejection does not name both versions: %q", msg)
+		}
+		if strings.Contains(msg, "decode") {
+			t.Fatalf("rejection reads as a decode failure: %q", msg)
+		}
 	}
 }
 
-// The reverse flag day: a current shipper dialing a collector one version
-// behind. Whether that collector rejects the hello or answers it in its own
-// version, the shipper must end up with a version error in LastError —
-// never a decode error, never a connection it ships frames over.
+// The reverse flag day: a current shipper dialing a v3 collector. Whether
+// that collector rejects the hello or answers it in its own version (gob
+// behind the version octet), the shipper must end up with a version error in
+// LastError — never a decode error, never a connection it ships frames over.
 func TestShipperRefusesOlderServer(t *testing.T) {
-	prev := ProtocolVersion - 1
+	const prev = 3
 	tsrv, err := transport.ListenTCP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -101,11 +106,7 @@ func TestShipperRefusesOlderServer(t *testing.T) {
 		case opHello:
 			// An old collector lenient enough to accept: it answers in
 			// its own version.
-			body, err := encodeHelloReply(HelloReply{Version: prev})
-			if err != nil {
-				t.Error(err)
-			}
-			respond(transport.Reply{Status: transport.StatusOK, Body: body})
+			respond(transport.Reply{Status: transport.StatusOK, Body: []byte(gobHelloReplyV3)})
 		case opShip:
 			shipped.add(1)
 			respond(transport.Reply{Status: transport.StatusOK})
@@ -254,7 +255,7 @@ func TestReplayOperationAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	hello, _ := encodeHello(Hello{Version: ProtocolVersion, Process: "replayer", ProcType: "x86"})
+	hello := encodeHello(Hello{Version: ProtocolVersion, Process: "replayer", ProcType: "x86"})
 	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello}); err != nil || rep.Status != transport.StatusOK {
 		t.Fatalf("handshake: %v %v", rep, err)
 	}
@@ -370,3 +371,58 @@ type atomic64 struct {
 
 func (a *atomic64) add(d uint64) { a.mu.Lock(); a.n += d; a.mu.Unlock() }
 func (a *atomic64) load() uint64 { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
+
+// The six control messages read bytes they did not write. Each round-trips;
+// cut anywhere, or followed by a byte too many, each is an error, never a
+// panic; and a ring whose member count is forged sizes nothing by it.
+func TestControlDecodersRefuseHostileBytes(t *testing.T) {
+	hello := Hello{Version: ProtocolVersion, Process: "p1", ProcType: "x86", DebugAddr: "127.0.0.1:6060"}
+	reply := HelloReply{Version: ProtocolVersion, HasRing: true, Ring: testRing(7, "a:1", "b:2", "c:3")}
+	final := ShipperFinal{Appended: 10, Dropped: 3, Shipped: 7}
+	msgs := []struct {
+		name   string
+		body   []byte
+		decode func([]byte) (any, error)
+		want   any
+	}{
+		{"hello", encodeHello(hello), func(b []byte) (any, error) { return decodeHello(b) }, hello},
+		{"hello reply", encodeHelloReply(reply), func(b []byte) (any, error) { return decodeHelloReply(b) }, reply},
+		{"ring-less hello reply", encodeHelloReply(HelloReply{Version: ProtocolVersion}), func(b []byte) (any, error) { return decodeHelloReply(b) }, HelloReply{Version: ProtocolVersion}},
+		{"ring", encodeRing(reply.Ring), func(b []byte) (any, error) { return decodeRing(b) }, reply.Ring},
+		{"replay count", encodeCount(1 << 40), func(b []byte) (any, error) { return decodeCount(b) }, uint64(1 << 40)},
+		{"stats", encodeFinal(final), func(b []byte) (any, error) { return decodeFinal(b) }, final},
+		{"rate", encodeRate(0.125), func(b []byte) (any, error) { return decodeRate(b) }, 0.125},
+	}
+	for _, m := range msgs {
+		if got, err := m.decode(m.body); err != nil || !reflect.DeepEqual(got, m.want) {
+			t.Errorf("%s: round trip gives %+v, %v; want %+v", m.name, got, err, m.want)
+		}
+		for cut := 0; cut < len(m.body); cut++ {
+			if got, err := m.decode(m.body[:cut]); err == nil {
+				t.Errorf("%s cut at byte %d of %d decodes as %+v", m.name, cut, len(m.body), got)
+			}
+		}
+		if got, err := m.decode(append(append([]byte(nil), m.body...), 0)); err == nil {
+			t.Errorf("%s with a trailing byte decodes as %+v", m.name, got)
+		}
+	}
+
+	// epoch, slots, a member count of 2^32-1, and 24 bytes behind it.
+	forged := make([]byte, 40)
+	binary.LittleEndian.PutUint32(forged[12:], 1<<32-1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := decodeRing(forged)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Errorf("ring claiming 2^32-1 members in 40 bytes decodes as %+v", r)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Errorf("forged member count allocated %d bytes", grew)
+	}
+	// A count the remaining bytes could hold one per byte, but not as members.
+	binary.LittleEndian.PutUint32(forged[12:], 24)
+	if r, err := decodeRing(forged); err == nil {
+		t.Errorf("ring claiming 24 members in 24 bytes decodes as %+v", r)
+	}
+}

@@ -109,7 +109,7 @@ type PeerAccount struct {
 // the counters are atomic because PeerAccounting reads them from elsewhere;
 // the rest is guarded by Server.mu.
 type connState struct {
-	dec *batchDecoder // nil once the connection is gone
+	dec *probe.FrameDecoder // nil once the connection is gone
 
 	handshook        bool // a hello arrived: the connection has a ledger
 	peer             Peer
@@ -201,7 +201,7 @@ func (s *Server) conn(conn transport.ConnID) *connState {
 func (s *Server) connLocked(conn transport.ConnID) *connState {
 	st := s.conns[conn]
 	if st == nil {
-		st = &connState{dec: &batchDecoder{}}
+		st = &connState{dec: &probe.FrameDecoder{}}
 		s.conns[conn] = st
 	}
 	return st
@@ -237,17 +237,12 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 	}
 	switch req.Operation {
 	case opHello:
-		// decodeHello checks the leading version byte before touching
-		// gob, so a mismatched peer gets a version error, not a decode
-		// error. The Version field inside is checked too — the byte
-		// frames the payload, the field is what the peer claims.
+		// decodeHello checks the leading version octet before reading
+		// anything else, so a mismatched peer gets a version error, not a
+		// decode error.
 		h, err := decodeHello(req.Body)
 		if err != nil {
 			fail(err.Error())
-			return
-		}
-		if h.Version != ProtocolVersion {
-			fail(fmt.Sprintf("telemetry: protocol version %d, want %d", h.Version, ProtocolVersion))
 			return
 		}
 		peer := Peer{Process: h.Process, ProcType: h.ProcType, Conn: conn, DebugAddr: h.DebugAddr}
@@ -269,15 +264,10 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 				hr.Ring = ring
 			}
 		}
-		body, err := encodeHelloReply(hr)
-		if err != nil {
-			fail(err.Error())
-			return
-		}
-		respond(transport.Reply{Status: transport.StatusOK, Body: body})
+		respond(transport.Reply{Status: transport.StatusOK, Body: encodeHelloReply(hr)})
 	case opShip:
 		st := s.conn(conn)
-		recs, err := st.dec.decode(req.Body)
+		recs, err := st.dec.Decode(req.Body)
 		if err != nil {
 			fail(err.Error())
 			return
@@ -305,12 +295,7 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 			fail("telemetry: sampling not enabled")
 			return
 		}
-		body, err := encodeRate(s.cfg.SampleRate())
-		if err != nil {
-			fail(err.Error())
-			return
-		}
-		respond(transport.Reply{Status: transport.StatusOK, Body: body})
+		respond(transport.Reply{Status: transport.StatusOK, Body: encodeRate(s.cfg.SampleRate())})
 	case opRing:
 		if s.cfg.Ring == nil {
 			fail("telemetry: not a cluster member (no ring)")
@@ -321,18 +306,13 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 			fail("telemetry: ring unavailable")
 			return
 		}
-		body, err := encodeRing(ring)
-		if err != nil {
-			fail(err.Error())
-			return
-		}
-		respond(transport.Reply{Status: transport.StatusOK, Body: body})
+		respond(transport.Reply{Status: transport.StatusOK, Body: encodeRing(ring)})
 	case opReplay:
 		if s.cfg.Replay == nil {
 			fail("telemetry: replay not accepted here")
 			return
 		}
-		recs, err := s.conn(conn).dec.decode(req.Body)
+		recs, err := s.conn(conn).dec.Decode(req.Body)
 		if err != nil {
 			fail(err.Error())
 			return
@@ -340,12 +320,7 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 		accepted := s.cfg.Replay(recs)
 		s.replayed.Add(uint64(accepted))
 		s.replayBatches.Add(1)
-		body, err := encodeCount(uint64(accepted))
-		if err != nil {
-			fail(err.Error())
-			return
-		}
-		respond(transport.Reply{Status: transport.StatusOK, Body: body})
+		respond(transport.Reply{Status: transport.StatusOK, Body: encodeCount(uint64(accepted))})
 	case opFlush:
 		// Per-connection frames are handled in order, so replying here
 		// proves every prior ship frame from this peer was ingested.

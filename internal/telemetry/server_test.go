@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"causeway/internal/analysis"
-	"causeway/internal/collector"
 	"causeway/internal/logdb"
 	"causeway/internal/online"
 	"causeway/internal/probe"
@@ -97,7 +96,9 @@ func TestConcurrentIngestMatchesOffline(t *testing.T) {
 
 	// Offline truth: merge the local sinks.
 	offline := logdb.NewStore()
-	collector.FromSinks(offline, locals...)
+	for _, l := range locals {
+		offline.Insert(l.Snapshot()...)
+	}
 	if offline.Len() != store.Len() {
 		t.Fatalf("server store has %d records, local sinks have %d", store.Len(), offline.Len())
 	}

@@ -302,17 +302,12 @@ func (s *ShipperSink) connect() transport.Client {
 		s.lastErr.Store(err.Error())
 		return nil
 	}
-	hello, err := encodeHello(Hello{
+	hello := encodeHello(Hello{
 		Version:   ProtocolVersion,
 		Process:   s.cfg.Process.ID,
 		ProcType:  s.cfg.Process.Processor.Type,
 		DebugAddr: s.cfg.DebugAddr,
 	})
-	if err != nil {
-		s.lastErr.Store(err.Error())
-		client.Close()
-		return nil
-	}
 	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello})
 	if err != nil {
 		s.lastErr.Store(err.Error())
@@ -326,14 +321,11 @@ func (s *ShipperSink) connect() transport.Client {
 		client.Close()
 		return nil
 	}
+	// A server of another version is refused here, by the reply's leading
+	// version octet.
 	hr, err := decodeHelloReply(rep.Body)
 	if err != nil {
 		s.lastErr.Store(err.Error())
-		client.Close()
-		return nil
-	}
-	if hr.Version != ProtocolVersion {
-		s.lastErr.Store(fmt.Sprintf("telemetry: server protocol version %d, want %d", hr.Version, ProtocolVersion))
 		client.Close()
 		return nil
 	}
@@ -390,8 +382,8 @@ func (s *ShipperSink) loop() {
 	defer close(s.done)
 	var (
 		client  transport.Client
-		pending []probe.Record // taken from the ring, not yet acknowledged
-		enc     batchEncoder   // one encode buffer for the loop's lifetime
+		pending []probe.Record     // taken from the ring, not yet acknowledged
+		enc     probe.FrameEncoder // one encode buffer for the loop's lifetime
 		backoff = s.cfg.BackoffMin
 	)
 	disconnect := func() {
@@ -415,7 +407,7 @@ func (s *ShipperSink) loop() {
 			if len(pending) == 0 {
 				return true
 			}
-			payload := enc.encode(pending)
+			payload := enc.Encode(pending)
 			// Acknowledged shipment: the batch leaves pending only once
 			// the server confirms ingestion. A batch written onto a
 			// socket whose far end just died would otherwise be counted
@@ -572,7 +564,7 @@ func (s *ShipperSink) drain(client transport.Client, pending []probe.Record) {
 			return
 		}
 	}
-	var enc batchEncoder
+	var enc probe.FrameEncoder
 	for time.Now().Before(deadline) {
 		if len(pending) == 0 {
 			pending = s.take(pending, s.cfg.BatchSize)
@@ -580,7 +572,7 @@ func (s *ShipperSink) drain(client transport.Client, pending []probe.Record) {
 		if len(pending) == 0 {
 			break
 		}
-		payload := enc.encode(pending)
+		payload := enc.Encode(pending)
 		rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: payload})
 		if err != nil || rep.Status != transport.StatusOK {
 			return
@@ -599,10 +591,8 @@ func (s *ShipperSink) drain(client transport.Client, pending []probe.Record) {
 		Dropped:  s.dropped.Load() + uint64(len(pending)) + uint64(s.ring.Buffered()),
 		Shipped:  s.shipped.Load(),
 	}
-	if payload, err := encodeFinal(final); err == nil {
-		// Oneway like ship frames; the flush barrier below confirms it.
-		_ = client.Post(transport.Request{ObjectKey: ObjectKey, Operation: opStats, Body: payload})
-	}
+	// Oneway; the flush barrier below confirms it.
+	_ = client.Post(transport.Request{ObjectKey: ObjectKey, Operation: opStats, Body: encodeFinal(final)})
 	// Barrier: the sync reply proves the server handled every prior frame
 	// on this connection. A wedged server must not hang Close, so the wait
 	// is bounded by what remains of the drain budget.

@@ -227,10 +227,7 @@ func TestServerRejectsBadHandshake(t *testing.T) {
 	}
 	defer client.Close()
 
-	hello, err := encodeHello(Hello{Version: 99, Process: "p", ProcType: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	hello := encodeHello(Hello{Version: 99, Process: "p", ProcType: "x"})
 	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello})
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +262,7 @@ func TestServerToleratesMidStreamDisconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello, _ := encodeHello(Hello{Version: ProtocolVersion, Process: "crasher", ProcType: "x86"})
+	hello := encodeHello(Hello{Version: ProtocolVersion, Process: "crasher", ProcType: "x86"})
 	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello}); err != nil || rep.Status != transport.StatusOK {
 		t.Fatalf("handshake: %v %v", rep.Status, err)
 	}

@@ -11,39 +11,44 @@
 // Shipping rides the repo's own framed TCP transport (internal/transport):
 // every message is a length-prefixed transport frame whose Request carries
 // ObjectKey "causeway.telemetry" and one of seven operations. The two that
-// carry records use the cdr frame body batch.go lays out; the control
-// messages are cold and stay gob.
+// carry records carry one probe frame (internal/probe/frame.go — the same
+// frame a .ftlog file and /exportz are made of); the control messages are
+// fixed layouts in the same cdr conventions (little-endian integers,
+// uint32-length-prefixed strings). Nothing on the socket is self-describing:
+// a decoder reads exactly the fields below, bounds every count by the bytes
+// that remain, and refuses trailing bytes.
 //
-//	hello  (sync)   [version byte] + gob(Hello{Version, Process,
-//	                ProcType, DebugAddr}) — handshake; the server learns
-//	                the peer's identity from internal/topology terms and
-//	                replies StatusOK with [version byte] +
-//	                gob(HelloReply), which carries the cluster ring when
-//	                the collector belongs to one. The leading version
-//	                byte is checked before any decoding, in both
-//	                directions, so a mismatched peer fails loudly with a
-//	                version error instead of a confusing decode failure —
-//	                or worse, silently misrouting records around a ring it
-//	                cannot parse.
-//	ship   (sync)   record frame — one batch of records, in emission
-//	                order. The empty StatusOK reply acknowledges
-//	                ingestion; the shipper holds the batch until it
-//	                arrives.
-//	replay (sync)   record frame — a segment replay after a ring
-//	                rebalance; the reply is gob(uint64), the records the
-//	                receiver accepted as new.
-//	stats  (oneway) gob(ShipperFinal) — the shipper's closing account of
-//	                itself (appended/dropped/shipped), sent once during
+//	hello  (sync)   octet version, string process, string procType,
+//	                string debugAddr — handshake; the server learns the
+//	                peer's identity from internal/topology terms and
+//	                replies StatusOK with
+//	                  octet version, octet hasRing, [ring]
+//	                which carries the cluster ring when the collector
+//	                belongs to one. The leading version octet is checked
+//	                before anything else is read, in both directions, so a
+//	                mismatched peer fails loudly with a version error
+//	                instead of a confusing decode failure — or worse,
+//	                silently misrouting records around a ring it cannot
+//	                parse.
+//	ship   (sync)   frame — one batch of records, in emission order. The
+//	                empty StatusOK reply acknowledges ingestion; the
+//	                shipper holds the batch until it arrives.
+//	replay (sync)   frame — a segment replay after a ring rebalance; the
+//	                reply is uint64, the records the receiver accepted as
+//	                new.
+//	stats  (oneway) uint64 appended, uint64 dropped, uint64 shipped — the
+//	                shipper's closing account of itself, sent once during
 //	                drain so the collection side can report per-peer loss.
-//	rate   (sync)   empty — reply gob(float64), the head-sampling rate the
+//	rate   (sync)   empty — reply float64, the head-sampling rate the
 //	                collector wants applied.
-//	ring   (sync)   empty — reply gob(Ring), the current cluster ring.
+//	ring   (sync)   empty — reply ring, the current cluster ring:
+//	                  uint64 epoch, int32 slots, uint32 M,
+//	                  M x (string id, string addr, int32 start, int32 end)
 //	flush  (sync)   empty — a barrier; the reply proves every prior frame
 //	                on the connection was ingested (the transport reads
 //	                and dispatches per-connection frames sequentially).
 //
-// A record frame (protocol version 3) is a string table followed by
-// fixed-layout records:
+// A frame is a string table followed by fixed-layout records:
 //
 //	uint32 T, T x string         the frame's distinct Process, ProcType and
 //	                             Op.{Component,Interface,Operation,Object}
@@ -84,9 +89,9 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+
+	"causeway/internal/cdr"
 )
 
 // ObjectKey routes telemetry frames within the shared transport namespace.
@@ -95,7 +100,7 @@ const ObjectKey = "causeway.telemetry"
 // Operations of the shipping protocol.
 const (
 	opHello = "hello"
-	// opShip (sync) carries one record frame (batch.go); the empty StatusOK
+	// opShip (sync) carries one record frame (probe/frame.go); the empty StatusOK
 	// reply acknowledges ingestion. Shippers hold a batch as pending
 	// until the ack arrives, so a collector dying mid-frame loses
 	// nothing — the batch is retried on reconnect (or re-routed by
@@ -104,14 +109,14 @@ const (
 	opFlush = "flush"
 	opStats = "stats"
 	// opRate (sync, empty request) asks the collection daemon for the
-	// current head-sampling rate; the reply body is gob(float64). The
+	// current head-sampling rate; the reply body is one float64. The
 	// control loop that closes collectd's load-shedding feedback:
 	// shippers poll it periodically and apply the answer to their
 	// process's sampling.Controlled. Servers without sampling enabled
 	// reject the call and the shipper keeps its current rate.
 	opRate = "rate"
 	// opRing (sync, empty request) asks for the current cluster ring;
-	// the reply body is gob(Ring). Ring-aware shippers poll it so a
+	// the reply body is the ring layout. Ring-aware shippers poll it so a
 	// rebalance (collector joined or died) re-routes records without a
 	// reconnect. Collectors outside any cluster reject the call.
 	opRing = "ring"
@@ -120,7 +125,7 @@ const (
 	// deduplicates against records it already holds and accounts accepted
 	// records as Replayed, not freshly shipped — the bucket that keeps
 	// the tier-wide conservation ledger from double-counting a moved
-	// chain. The reply body is gob(uint64): how many records the
+	// chain. The reply body is one uint64: how many records the
 	// receiver accepted as new.
 	opReplay = "replay"
 )
@@ -130,14 +135,15 @@ const (
 // leading version byte on the handshake (both directions), the
 // HelloReply payload (cluster ring discovery), and the ring and replay
 // operations. Version 3 moved ship and replay frames from gob to the cdr
-// record frame; there is no negotiation — peers of different versions
-// refuse each other at hello.
-const ProtocolVersion = 3
+// record frame; version 4 moved the control messages to fixed cdr layouts
+// too (the frame body did not change). There is no negotiation — peers of
+// different versions refuse each other at hello.
+const ProtocolVersion = 4
 
-// Hello is the handshake payload: who is shipping. DebugAddr (optional,
-// since PR 5) advertises the peer's debug/introspection HTTP address so
-// the collection daemon can scrape its /metrics; gob tolerates its
-// absence, so the field needs no protocol-version bump.
+// Hello is the handshake payload: who is shipping. DebugAddr (optional)
+// advertises the peer's debug/introspection HTTP address so the collection
+// daemon can scrape its /metrics. Version travels as the leading octet — the
+// one byte a peer of any vintage can check before reading the rest.
 type Hello struct {
 	Version   int
 	Process   string // topology.Process.ID
@@ -145,41 +151,44 @@ type Hello struct {
 	DebugAddr string // optional debugserver address ("host:port")
 }
 
-// encodeHello prefixes the gob payload with the version byte — the one
-// byte a peer of any vintage can check before attempting to decode the
-// rest. The prefix comes from h.Version so tests can forge mismatches.
-func encodeHello(h Hello) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(byte(h.Version))
-	if err := gob.NewEncoder(&buf).Encode(h); err != nil {
-		return nil, fmt.Errorf("telemetry: encode hello: %w", err)
-	}
-	return buf.Bytes(), nil
+func encodeHello(h Hello) []byte {
+	var e cdr.Encoder
+	e.PutOctet(byte(h.Version))
+	e.PutString(h.Process)
+	e.PutString(h.ProcType)
+	e.PutString(h.DebugAddr)
+	return e.Bytes()
 }
 
-// checkVersion validates the leading protocol version byte and returns
-// the remaining payload. The error spells out both versions so a
-// mismatched deployment is diagnosable from either side's log.
-func checkVersion(b []byte, what string) ([]byte, error) {
+// checkVersion validates the leading protocol version octet and returns a
+// decoder over the remaining payload. The error spells out both versions so
+// a mismatched deployment is diagnosable from either side's log.
+func checkVersion(b []byte, what string) (*cdr.Decoder, error) {
 	if len(b) == 0 {
 		return nil, fmt.Errorf("telemetry: %s: empty body (peer predates protocol versioning; want version %d)", what, ProtocolVersion)
 	}
 	if b[0] != ProtocolVersion {
 		return nil, fmt.Errorf("telemetry: %s: protocol version %d, want %d (mismatched causeway versions between shipper and collector)", what, b[0], ProtocolVersion)
 	}
-	return b[1:], nil
+	return cdr.NewDecoder(b[1:]), nil
+}
+
+// finish closes a control-message decode: truncation anywhere in the
+// message and bytes left over are both the message's error.
+func finish(d *cdr.Decoder, what string) error {
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("telemetry: decode %s: %w", what, err)
+	}
+	return nil
 }
 
 func decodeHello(b []byte) (Hello, error) {
-	var h Hello
-	body, err := checkVersion(b, "hello")
+	d, err := checkVersion(b, "hello")
 	if err != nil {
-		return h, err
+		return Hello{}, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&h); err != nil {
-		return h, fmt.Errorf("telemetry: decode hello: %w", err)
-	}
-	return h, nil
+	h := Hello{Version: ProtocolVersion, Process: d.String(), ProcType: d.String(), DebugAddr: d.String()}
+	return h, finish(d, "hello")
 }
 
 // HelloReply is the server's handshake answer. HasRing reports whether
@@ -191,57 +200,73 @@ type HelloReply struct {
 	Ring    Ring
 }
 
-func encodeHelloReply(hr HelloReply) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteByte(byte(hr.Version))
-	if err := gob.NewEncoder(&buf).Encode(hr); err != nil {
-		return nil, fmt.Errorf("telemetry: encode hello reply: %w", err)
+func encodeHelloReply(hr HelloReply) []byte {
+	var e cdr.Encoder
+	e.PutOctet(byte(hr.Version))
+	e.PutBool(hr.HasRing)
+	if hr.HasRing {
+		putRing(&e, hr.Ring)
 	}
-	return buf.Bytes(), nil
+	return e.Bytes()
 }
 
 func decodeHelloReply(b []byte) (HelloReply, error) {
-	var hr HelloReply
-	body, err := checkVersion(b, "hello reply")
+	d, err := checkVersion(b, "hello reply")
 	if err != nil {
-		return hr, err
+		return HelloReply{}, err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&hr); err != nil {
-		return hr, fmt.Errorf("telemetry: decode hello reply: %w", err)
+	hr := HelloReply{Version: ProtocolVersion, HasRing: d.Bool()}
+	if hr.HasRing {
+		hr.Ring = getRing(d)
 	}
-	return hr, nil
+	return hr, finish(d, "hello reply")
 }
 
-func encodeRing(r Ring) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("telemetry: encode ring: %w", err)
+func putRing(e *cdr.Encoder, r Ring) {
+	e.PutUint64(r.Epoch)
+	e.PutInt32(int32(r.Slots))
+	e.PutUint32(uint32(len(r.Members)))
+	for _, m := range r.Members {
+		e.PutString(m.ID)
+		e.PutString(m.Addr)
+		e.PutInt32(int32(m.Start))
+		e.PutInt32(int32(m.End))
 	}
-	return buf.Bytes(), nil
+}
+
+// getRing sizes nothing by the member count: SeqLen refuses one larger than
+// the bytes that remain, and the slice grows a member at a time only while
+// the bytes for it were there, so a forged count buys no allocation.
+func getRing(d *cdr.Decoder) Ring {
+	r := Ring{Epoch: d.Uint64(), Slots: int(d.Int32())}
+	for n := d.SeqLen(); n > 0 && d.Err() == nil; n-- {
+		r.Members = append(r.Members, RingMember{ID: d.String(), Addr: d.String(), Start: int(d.Int32()), End: int(d.Int32())})
+	}
+	return r
+}
+
+func encodeRing(r Ring) []byte {
+	var e cdr.Encoder
+	putRing(&e, r)
+	return e.Bytes()
 }
 
 func decodeRing(b []byte) (Ring, error) {
-	var r Ring
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r); err != nil {
-		return r, fmt.Errorf("telemetry: decode ring: %w", err)
-	}
-	return r, nil
+	d := cdr.NewDecoder(b)
+	r := getRing(d)
+	return r, finish(d, "ring")
 }
 
-func encodeCount(n uint64) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(n); err != nil {
-		return nil, fmt.Errorf("telemetry: encode count: %w", err)
-	}
-	return buf.Bytes(), nil
+func encodeCount(n uint64) []byte {
+	var e cdr.Encoder
+	e.PutUint64(n)
+	return e.Bytes()
 }
 
 func decodeCount(b []byte) (uint64, error) {
-	var n uint64
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&n); err != nil {
-		return 0, fmt.Errorf("telemetry: decode count: %w", err)
-	}
-	return n, nil
+	d := cdr.NewDecoder(b)
+	n := d.Uint64()
+	return n, finish(d, "count")
 }
 
 // ShipperFinal is a shipper's own closing account of itself, sent on the
@@ -255,34 +280,28 @@ type ShipperFinal struct {
 	Shipped  uint64
 }
 
-func encodeFinal(f ShipperFinal) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(f); err != nil {
-		return nil, fmt.Errorf("telemetry: encode stats: %w", err)
-	}
-	return buf.Bytes(), nil
+func encodeFinal(f ShipperFinal) []byte {
+	var e cdr.Encoder
+	e.PutUint64(f.Appended)
+	e.PutUint64(f.Dropped)
+	e.PutUint64(f.Shipped)
+	return e.Bytes()
 }
 
 func decodeFinal(b []byte) (ShipperFinal, error) {
-	var f ShipperFinal
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&f); err != nil {
-		return f, fmt.Errorf("telemetry: decode stats: %w", err)
-	}
-	return f, nil
+	d := cdr.NewDecoder(b)
+	f := ShipperFinal{Appended: d.Uint64(), Dropped: d.Uint64(), Shipped: d.Uint64()}
+	return f, finish(d, "stats")
 }
 
-func encodeRate(rate float64) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rate); err != nil {
-		return nil, fmt.Errorf("telemetry: encode rate: %w", err)
-	}
-	return buf.Bytes(), nil
+func encodeRate(rate float64) []byte {
+	var e cdr.Encoder
+	e.PutFloat64(rate)
+	return e.Bytes()
 }
 
 func decodeRate(b []byte) (float64, error) {
-	var rate float64
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&rate); err != nil {
-		return 0, fmt.Errorf("telemetry: decode rate: %w", err)
-	}
-	return rate, nil
+	d := cdr.NewDecoder(b)
+	rate := d.Float64()
+	return rate, finish(d, "rate")
 }

@@ -15,8 +15,7 @@ import (
 type replayStore interface {
 	Insert(recs ...probe.Record)
 	InsertNew(recs ...probe.Record) int
-	RangeRecords(pred func(uuid.UUID) bool, emit func(probe.Record) error) error
-	Events(chain uuid.UUID) []probe.Record
+	logdb.Records
 	ChildChain(parent uuid.UUID, seq uint64) (uuid.UUID, bool)
 	Len() int
 }
@@ -177,7 +176,7 @@ func TestInsertRoutesMixedBatch(t *testing.T) {
 }
 
 // RangeRecords must emit exactly the records routing into the selected
-// hash range — events by chain, links by parent — in WriteStream order,
+// hash range — events by chain, links by parent — in WriteRecords order,
 // and a replay into a second store must reproduce the range faithfully.
 func TestRangeRecordsSelectsByRoutingUUID(t *testing.T) {
 	for _, b := range replayBackends {
@@ -213,11 +212,11 @@ func TestRangeRecordsSelectsByRoutingUUID(t *testing.T) {
 
 			emitted := 0
 			linksDone := false
-			if err := src.RangeRecords(pred, func(r probe.Record) error {
+			if err := logdb.RangeRecords(src, pred, func(r probe.Record) error {
 				switch r.Kind {
 				case probe.KindLink:
 					if linksDone {
-						t.Fatal("link emitted after events began (WriteStream order violated)")
+						t.Fatal("link emitted after events began (WriteRecords order violated)")
 					}
 					if !wantChains[r.LinkParent] {
 						t.Fatalf("link for unselected parent %s emitted", r.LinkParent.Short())

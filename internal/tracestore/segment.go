@@ -21,7 +21,7 @@ import (
 // the ones internal/probe's wire helpers define, shared with ship frames).
 // A crashed writer leaves at most one torn frame at the tail; recovery
 // truncates to the last complete frame and the readable prefix stands,
-// mirroring probe.ReadStream's ErrTruncated handling for gob logs.
+// mirroring probe.ReadFrames' ErrTruncated handling for record streams.
 const (
 	segMagic    = "CWTSEG1\n"
 	segHeader   = int64(len(segMagic))

@@ -8,7 +8,7 @@
 // appends records to length-prefixed binary segment files, and keeps only
 // a 28-byte location per event in memory. Torn segment tails from a
 // crashed collector are truncated on reopen, matching the torn-tail
-// contract probe.ReadStream established for gob logs, and a retention
+// contract probe.ReadFrames carries for record streams, and a retention
 // sweep compacts away completed chains past a configurable age so the
 // store can run unattended.
 //
@@ -18,7 +18,6 @@ package tracestore
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"causeway/internal/logdb"
 	"causeway/internal/probe"
 	"causeway/internal/uuid"
 )
@@ -222,16 +220,6 @@ func (s *Store) insert(recs []probe.Record, onlyNew bool) int {
 	return accepted
 }
 
-// RangeRecords streams every record whose routing UUID — a link's parent
-// chain, an event's own chain, exactly the rule shardOf applies —
-// satisfies pred, in WriteStream order. It is the segment-replay scan:
-// after a ring rebalance, pred selects the moved hash range and the
-// emitted records are shipped to the range's new owner. Segment read
-// failures surface as warnings and omissions, matching Events.
-func (s *Store) RangeRecords(pred func(uuid.UUID) bool, emit func(probe.Record) error) error {
-	return logdb.RangeRecords(s, pred, emit)
-}
-
 // Chains returns every chain UUID in the store, sorted — the same
 // deterministic order logdb.Chains yields, which keeps reconstruction
 // output identical across backends.
@@ -312,45 +300,6 @@ func (s *Store) Dropped() int {
 	return n
 }
 
-// ComputeStats aggregates the same run statistics logdb reports, scanning
-// records back from disk shard by shard.
-func (s *Store) ComputeStats() logdb.Stats {
-	var st logdb.Stats
-	methods := map[string]bool{}
-	ifaces := map[string]bool{}
-	comps := map[string]bool{}
-	procs := map[string]bool{}
-	threads := map[string]bool{}
-	for _, sh := range s.shards {
-		for _, c := range sh.chainList() {
-			st.Chains++
-			recs, err := sh.eventsOf(c)
-			if err != nil {
-				s.warn(fmt.Sprintf("stats %s: %v", c, err))
-			}
-			for _, r := range recs {
-				st.Records++
-				if r.Event.ProbeNumber() == 1 {
-					st.Calls++
-				}
-				methods[r.Op.Interface+"::"+r.Op.Operation] = true
-				ifaces[r.Op.Interface] = true
-				comps[r.Op.Component] = true
-				procs[r.Process] = true
-				threads[fmt.Sprintf("%s/%d", r.Process, r.Thread)] = true
-			}
-		}
-		_, l, _, _ := sh.counts()
-		st.Links += l
-	}
-	st.Methods = len(methods)
-	st.Interfaces = len(ifaces)
-	st.Components = len(comps)
-	st.Processes = len(procs)
-	st.Threads = len(threads)
-	return st
-}
-
 // Flush pushes buffered appends in every shard to the OS.
 func (s *Store) Flush() error {
 	var first error
@@ -391,12 +340,3 @@ func (s *Store) Sweep(olderThan time.Duration) (int, error) {
 	}
 	return dropped, first
 }
-
-// WriteStream exports the whole store as a gob record stream — the same
-// format probe.StreamSink writes and logdb.LoadFile reads, so `causectl
-// export` output feeds the existing analyzer unchanged, in the order
-// logdb.WriteStream uses.
-func (s *Store) WriteStream(w io.Writer) error { return logdb.WriteStream(s, w) }
-
-// SaveFile persists the export stream to path.
-func (s *Store) SaveFile(path string) error { return logdb.SaveFile(s, path) }

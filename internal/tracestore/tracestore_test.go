@@ -2,6 +2,7 @@ package tracestore
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"causeway/internal/analysis"
 	"causeway/internal/ftl"
 	"causeway/internal/logdb"
 	"causeway/internal/probe"
+	"causeway/internal/render"
 	"causeway/internal/uuid"
 	"causeway/internal/workload"
 )
@@ -116,7 +119,7 @@ func TestStoreMatchesLogdb(t *testing.T) {
 	if got, want := len(ts.Links()), len(ref.Links()); got != want {
 		t.Fatalf("Links: got %d want %d", got, want)
 	}
-	if got, want := ts.ComputeStats(), ref.ComputeStats(); got != want {
+	if got, want := logdb.ComputeStats(ts), logdb.ComputeStats(ref); got != want {
 		t.Fatalf("ComputeStats:\n got  %+v\n want %+v", got, want)
 	}
 	if w := ts.Warnings(); len(w) != 0 {
@@ -459,42 +462,56 @@ func TestSweepJudgesChainsAsTheAnalyzerDoes(t *testing.T) {
 	}
 }
 
-// TestExportStream round-trips the store through WriteStream into logdb —
-// the `causectl export` path — and checks nothing is lost.
-func TestExportStream(t *testing.T) {
+// TestExportRoundTrip is the `causectl export` / /exportz / -out path on both
+// backends: a Figure-5-shaped run (oneway links included), inserted shuffled,
+// written as a record stream and loaded into a fresh logdb, renders the
+// byte-identical DSCG and computes equal statistics.
+func TestExportRoundTrip(t *testing.T) {
 	sys, err := workload.Generate(workload.Config{
-		Processes: 2, Threads: 2, Components: 4, Interfaces: 4, Methods: 8,
-		Calls: 120, Seed: 3,
+		Processes: 3, Threads: 4, Components: 8, Interfaces: 6, Methods: 15,
+		Calls: 600, OnewayPermille: 100, Seed: 3, Aspects: probe.AspectLatency,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts, err := Open(t.TempDir(), Options{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ts.Close()
+	var recs []probe.Record
 	for _, sink := range sys.Sinks {
-		ts.Insert(sink.Snapshot()...)
+		recs = append(recs, sink.Snapshot()...)
 	}
-	var buf bytes.Buffer
-	if err := ts.WriteStream(&buf); err != nil {
-		t.Fatal(err)
+	rand.New(rand.NewSource(11)).Shuffle(len(recs), func(i, j int) { recs[i], recs[j] = recs[j], recs[i] })
+	for i := range recs {
+		// No byte form carries a time's monotonic reading; drop it up front so
+		// the memory backend measures the wall windows the stream will hold.
+		recs[i].WallStart, recs[i].WallEnd = recs[i].WallStart.Round(0), recs[i].WallEnd.Round(0)
 	}
-	db := logdb.NewStore()
-	recs, err := probe.ReadStream(&buf)
-	if err != nil {
-		t.Fatal(err)
+	dscg := func(src analysis.Source) string {
+		g := analysis.ReconstructFrom(src)
+		g.ComputeLatency()
+		return render.DSCGString(g)
 	}
-	db.Insert(recs...)
-	if got, want := db.Len(), ts.Len(); got != want {
-		t.Fatalf("export round-trip: %d records, want %d", got, want)
-	}
-	ref := sys.Store()
-	for _, c := range ref.Chains() {
-		if got, want := len(db.Events(c)), len(ref.Events(c)); got != want {
-			t.Fatalf("export chain %s: %d events want %d", c, got, want)
-		}
+	for _, b := range replayBackends {
+		t.Run(b.name, func(t *testing.T) {
+			src, closeSrc := b.open(t, t.TempDir(), 4)
+			defer closeSrc()
+			src.Insert(recs...)
+			if len(src.Links()) == 0 {
+				t.Fatal("workload recorded no oneway link")
+			}
+			var buf bytes.Buffer
+			if err := logdb.WriteRecords(src, &buf); err != nil {
+				t.Fatal(err)
+			}
+			db := logdb.NewStore()
+			if n, warn, err := db.Load(&buf); err != nil || warn != 0 || n != len(recs) || db.Len() != src.Len() {
+				t.Fatalf("loaded %d of %d records (store %d), %d warnings, %v", n, len(recs), db.Len(), warn, err)
+			}
+			if got, want := dscg(db), dscg(src); got != want || got == "" {
+				t.Fatalf("DSCG changes across the export: %d bytes, want %d", len(got), len(want))
+			}
+			if got, want := logdb.ComputeStats(db), logdb.ComputeStats(src); got != want {
+				t.Fatalf("ComputeStats:\n got  %+v\n want %+v", got, want)
+			}
+		})
 	}
 }
 

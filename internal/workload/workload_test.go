@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"causeway/internal/analysis"
+	"causeway/internal/logdb"
 )
 
 func TestGenerateSmallRun(t *testing.T) {
@@ -16,7 +17,7 @@ func TestGenerateSmallRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := sys.Store()
-	st := db.ComputeStats()
+	st := logdb.ComputeStats(db)
 	if st.Calls < 2000 {
 		t.Fatalf("calls = %d, want >= 2000", st.Calls)
 	}

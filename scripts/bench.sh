@@ -18,7 +18,7 @@ cd "$(dirname "$0")/.."
 BENCHES='BenchmarkSyncCallProbePath|BenchmarkHotPath|BenchmarkFigure1ProbeOverhead|BenchmarkFigure2Tunnel|BenchmarkClusterIngest|BenchmarkExemplarOverhead|BenchmarkShipFrameCodec'
 
 go test -run '^$' -bench "$BENCHES" -benchtime "${BENCHTIME:-10000x}" -benchmem \
-    . ./internal/cluster ./internal/metrics ./internal/telemetry \
+    . ./internal/cluster ./internal/metrics ./internal/probe \
   | go run ./cmd/benchreport -out BENCH_9.json \
       -against BENCH_4.json,BENCH_7.json -tolerance "${TOLERANCE:-0.30}" "$@"
 
