@@ -1,0 +1,305 @@
+package tracestore
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+	"unsafe"
+
+	"causeway/internal/analysis"
+	"causeway/internal/ftl"
+	"causeway/internal/logdb"
+	"causeway/internal/probe"
+	"causeway/internal/render"
+	"causeway/internal/uuid"
+)
+
+// nestedChain is one root call with calls nested calls inside its skeleton
+// — the shape of a real chain, and a clean Figure-4 parse.
+func nestedChain(c uuid.UUID, calls int, iface string, wall time.Time) []probe.Record {
+	seq := uint64(0)
+	add := func(out []probe.Record, e ftl.Event) []probe.Record {
+		seq++
+		return append(out, ev(c, seq, e, iface, wall))
+	}
+	out := add(add(nil, ftl.StubStart), ftl.SkelStart)
+	for i := 0; i < calls; i++ {
+		out = add(add(add(add(out, ftl.StubStart), ftl.SkelStart), ftl.SkelEnd), ftl.StubEnd)
+	}
+	return add(add(out, ftl.SkelEnd), ftl.StubEnd)
+}
+
+// layoutBatch is one call into both stores.
+type layoutBatch struct {
+	recs    []probe.Record
+	onlyNew bool
+}
+
+// layoutBatches builds interleaved mixed batches over chains: seq ties
+// (a resent record with the same seq), out-of-sequence arrivals (a chain's
+// second half in the first batch), links, one chain long enough to span
+// several segment rotations, and an InsertNew replay that carries
+// duplicates inside one batch. swept are the chains a Sweep(time.Hour)
+// must drop: old, clean, complete.
+func layoutBatches() (batches []layoutBatch, swept map[uuid.UUID]bool) {
+	rng := rand.New(rand.NewSource(21))
+	old := time.Now().Add(-2 * time.Hour).Round(0)
+	fresh := time.Now().Round(0)
+	swept = make(map[uuid.UUID]bool)
+	const nchains = 40
+	halves := [2][][]probe.Record{}
+	for k := 0; k < nchains; k++ {
+		c := chainID(byte(k + 1))
+		wall, iface := fresh, "IFresh"
+		if k%3 == 0 {
+			wall, iface = old, "IOld"
+		}
+		calls := 1 + rng.Intn(4)
+		if k == 7 {
+			calls = 24 // spans rotations
+		}
+		recs := nestedChain(c, calls, iface, wall)
+		switch {
+		case k%5 == 1:
+			// A resend: the same seq twice, told apart by thread.
+			tie := recs[2]
+			tie.Thread = 8
+			recs = slices.Insert(recs, 3, tie)
+		case k%4 == 2:
+			// A oneway fork at the first nested stub start.
+			recs = slices.Insert(recs, 3, link(c, recs[2].Seq, chainID(byte(k+101))))
+		}
+		if k%3 == 0 && k%5 != 1 {
+			swept[c] = true
+		}
+		mid := len(recs) / 2
+		first, second := recs[:mid], recs[mid:]
+		if k%6 == 4 {
+			first, second = second, first // out of sequence
+		}
+		halves[0] = append(halves[0], first)
+		halves[1] = append(halves[1], second)
+	}
+	for _, h := range halves {
+		// Round-robin over the chains: no two records of a chain adjacent.
+		var b []probe.Record
+		for i := 0; ; i++ {
+			more := false
+			for _, recs := range h {
+				if i < len(recs) {
+					b = append(b, recs[i])
+					more = true
+				}
+			}
+			if !more {
+				break
+			}
+		}
+		batches = append(batches, layoutBatch{recs: b})
+	}
+	// A replay: part of what is held, two new chains, all of it twice.
+	var replay []probe.Record
+	for i := 0; i < len(batches[0].recs); i += 3 {
+		replay = append(replay, batches[0].recs[i])
+	}
+	for k := 0; k < 2; k++ {
+		replay = append(replay, nestedChain(chainID(byte(200+k)), 2, "IReplayed", fresh)...)
+	}
+	rng.Shuffle(len(replay), func(i, j int) { replay[i], replay[j] = replay[j], replay[i] })
+	batches = append(batches, layoutBatch{recs: append(replay, replay...), onlyNew: true})
+	return batches, swept
+}
+
+// feed inserts batches into s — all of them, or only the records keep
+// admits — and returns what each InsertNew accepted.
+func feed(s replayStore, batches []layoutBatch, keep func(*probe.Record) bool) []int {
+	var accepted []int
+	for _, b := range batches {
+		recs := b.recs
+		if keep != nil {
+			recs = nil
+			for i := range b.recs {
+				if keep(&b.recs[i]) {
+					recs = append(recs, b.recs[i])
+				}
+			}
+		}
+		if b.onlyNew {
+			accepted = append(accepted, s.InsertNew(recs...))
+		} else {
+			s.Insert(recs...)
+		}
+	}
+	return accepted
+}
+
+// sameAsLogdb checks every read a store offers against the logdb reference.
+func sameAsLogdb(t *testing.T, label string, ts *Store, ref *logdb.Store) {
+	t.Helper()
+	if got, want := ts.Len(), ref.Len(); got != want {
+		t.Fatalf("%s: Len %d, want %d", label, got, want)
+	}
+	chains := ts.Chains()
+	if want := ref.Chains(); !reflect.DeepEqual(chains, want) {
+		t.Fatalf("%s: %d chains, want %d", label, len(chains), len(want))
+	}
+	for _, c := range chains {
+		sameRecords(t, label+" events "+c.Short(), ts.Events(c), ref.Events(c))
+	}
+	sameRecords(t, label+" links", ts.Links(), byParent(ref.Links()))
+	if got, want := logdb.ComputeStats(ts), logdb.ComputeStats(ref); got != want {
+		t.Fatalf("%s: ComputeStats\n got  %+v\n want %+v", label, got, want)
+	}
+	rangeOf := func(src logdb.Records) []probe.Record {
+		var out []probe.Record
+		pred := func(u uuid.UUID) bool { return uuid.Hash64(u)%3 != 0 }
+		links := 0
+		if err := logdb.RangeRecords(src, pred, func(r probe.Record) error {
+			if r.Kind == probe.KindLink {
+				links++
+			}
+			out = append(out, r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		byParent(out[:links])
+		return out
+	}
+	sameRecords(t, label+" RangeRecords", rangeOf(ts), rangeOf(ref))
+	dscg := func(src analysis.Source) string {
+		g := analysis.ReconstructFrom(src)
+		g.ComputeLatency()
+		return render.DSCGString(g)
+	}
+	if got, want := dscg(ts), dscg(ref); got != want || got == "" {
+		t.Fatalf("%s: DSCG differs (%d bytes, want %d)", label, len(got), len(want))
+	}
+	if w := ts.Warnings(); len(w) != 0 {
+		t.Fatalf("%s: warnings %v", label, w)
+	}
+}
+
+// byParent sorts links the way tracestore's Links does; logdb keeps them
+// in insertion order.
+func byParent(links []probe.Record) []probe.Record {
+	sort.SliceStable(links, func(i, j int) bool {
+		if c := uuid.Compare(links[i].LinkParent, links[j].LinkParent); c != 0 {
+			return c < 0
+		}
+		return links[i].LinkParentSeq < links[j].LinkParentSeq
+	})
+	return links
+}
+
+// readRuns pins the layout: each Events call must read its chain in exactly
+// as many ReadAts as the chain has contiguous runs on disk. It returns the
+// runs and the records read over all chains.
+func readRuns(t *testing.T, label string, ts *Store) (runs, recs int) {
+	t.Helper()
+	for _, sh := range ts.shards {
+		sh.mu.Lock()
+		want := make(map[uuid.UUID]int, len(sh.chains))
+		for c, ci := range sh.chains {
+			locs := slices.Clone(ci.locs)
+			slices.SortFunc(locs, func(a, b recLoc) int {
+				if a.seg != b.seg {
+					return int(a.seg - b.seg)
+				}
+				return int(a.off - b.off)
+			})
+			n := 1
+			for i := 1; i < len(locs); i++ {
+				if locs[i].seg != locs[i-1].seg || locs[i].off != locs[i-1].off+int64(locs[i-1].size)+frameHeader {
+					n++
+				}
+			}
+			want[c] = n
+		}
+		sh.mu.Unlock()
+		for c, n := range want {
+			sh.mu.Lock()
+			sh.reads = 0
+			sh.mu.Unlock()
+			got := len(ts.Events(c))
+			sh.mu.Lock()
+			reads := sh.reads
+			sh.mu.Unlock()
+			if reads != n {
+				t.Fatalf("%s: chain %s read in %d ReadAts, it lies in %d runs", label, c.Short(), reads, n)
+			}
+			runs += n
+			recs += got
+		}
+	}
+	return runs, recs
+}
+
+// The chain-contiguous layout and the run-reading path change nothing a
+// reader can see: before and after reopen, and after a sweep compacts, every
+// query agrees with logdb fed the same batches, and each chain costs one
+// read per contiguous run.
+func TestChainContiguousLayoutMatchesLogdb(t *testing.T) {
+	batches, swept := layoutBatches()
+	dir := t.TempDir()
+	ts, err := Open(dir, Options{Shards: 4, SegmentMaxBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { ts.Close() }()
+	ref := logdb.NewStore()
+	if got, want := feed(ts, batches, nil), feed(ref, batches, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("InsertNew accepted %v, logdb %v", got, want)
+	}
+
+	long := chainID(8)
+	sh := ts.shards[ts.shardIndex(long)]
+	segs := map[int32]bool{}
+	for _, l := range sh.chains[long].locs {
+		segs[l.seg] = true
+	}
+	if len(segs) < 3 {
+		t.Fatalf("the long chain lies in %d segments; the test needs it to span rotations", len(segs))
+	}
+
+	sameAsLogdb(t, "live", ts, ref)
+	runs, recs := readRuns(t, "live", ts)
+	if runs*3 > recs {
+		t.Fatalf("live: %d records in %d runs; a chain's records are not grouped", recs, runs)
+	}
+
+	if err := ts.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ts, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	sameAsLogdb(t, "reopened", ts, ref)
+	if r, _ := readRuns(t, "reopened", ts); r != runs {
+		t.Fatalf("reopened: %d runs, %d before", r, runs)
+	}
+
+	n, err := ts.Sweep(time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(swept) {
+		t.Fatalf("Sweep dropped %d chains, want %d", n, len(swept))
+	}
+	kept := logdb.NewStore()
+	feed(kept, batches, func(r *probe.Record) bool { return !swept[routeKey(r)] })
+	sameAsLogdb(t, "swept", ts, kept)
+	// Compaction rewrites each survivor whole: one run a chain.
+	if runs, _ := readRuns(t, "swept", ts); runs != len(ts.Chains()) {
+		t.Fatalf("swept: %d runs over %d chains", runs, len(ts.Chains()))
+	}
+}
+
+func TestRecLocSize(t *testing.T) {
+	if got := unsafe.Sizeof(recLoc{}); got != 24 {
+		t.Fatalf("recLoc is %d bytes, want 24", got)
+	}
+}

@@ -55,20 +55,34 @@ func encodePayload(e *cdr.Encoder, r *probe.Record) {
 	e.PutRaw(r.LinkChild[:])
 }
 
-// decodePayload parses one frame payload.
-func decodePayload(buf []byte) (probe.Record, error) {
+// decodePayload parses one frame payload into r, writing every field.
+// Without withStrings an event's seven strings — all of it that costs an
+// allocation, and nothing the recovery scan indexes — are checked by their
+// length prefix and left as they were in r, never built. A link, which the
+// index keeps whole, is always decoded whole. Both modes accept exactly the
+// same payloads: every field is consumed, Finish must pass, and the kind
+// must be known (FuzzOpenSegment holds the recovery scan to that).
+func decodePayload(buf []byte, r *probe.Record, withStrings bool) error {
 	d := cdr.NewDecoder(buf)
-	var r probe.Record
 	r.Kind = probe.RecordKind(d.Octet())
 	r.SetWireFlags(d.Octet())
-	r.Process = d.String()
-	r.ProcType = d.String()
+	withStrings = withStrings || r.Kind == probe.KindLink
+	if withStrings {
+		r.Process = d.String()
+		r.ProcType = d.String()
+	} else {
+		skipStrings(d, 2)
+	}
 	r.Thread = d.Uint64()
-	r.Op.Component = d.String()
-	r.Op.Interface = d.String()
-	r.Op.Operation = d.String()
-	r.Op.Object = d.String()
-	r.Semantics = d.String()
+	if withStrings {
+		r.Op.Component = d.String()
+		r.Op.Interface = d.String()
+		r.Op.Operation = d.String()
+		r.Op.Object = d.String()
+		r.Semantics = d.String()
+	} else {
+		skipStrings(d, 5)
+	}
 	copy(r.Chain[:], d.Raw(uuid.Size))
 	r.Event = ftl.Event(d.Octet())
 	r.Seq = d.Uint64()
@@ -80,12 +94,20 @@ func decodePayload(buf []byte) (probe.Record, error) {
 	r.LinkParentSeq = d.Uint64()
 	copy(r.LinkChild[:], d.Raw(uuid.Size))
 	if err := d.Finish(); err != nil {
-		return probe.Record{}, fmt.Errorf("tracestore: record payload: %w", err)
+		return fmt.Errorf("tracestore: record payload: %w", err)
 	}
 	if r.Kind != probe.KindEvent && r.Kind != probe.KindLink {
-		return probe.Record{}, fmt.Errorf("tracestore: record kind %d", r.Kind)
+		return fmt.Errorf("tracestore: record kind %d", r.Kind)
 	}
-	return r, nil
+	return nil
+}
+
+// skipStrings consumes n length-prefixed strings with the bounds check
+// Decoder.String applies, building none of them.
+func skipStrings(d *cdr.Decoder, n int) {
+	for ; n > 0; n-- {
+		d.BytesNoCopy()
+	}
 }
 
 // segmentWriter appends frames to one segment file through a buffer, so
@@ -164,24 +186,16 @@ func (w *segmentWriter) sync() error {
 	return w.f.Sync()
 }
 
-// readPayloadAt reads and decodes the record whose payload lies at
-// [off, off+size) of f. *os.File.ReadAt is safe for concurrent use, so
-// queries on different shards read in parallel.
-func readPayloadAt(f *os.File, off int64, size uint32) (probe.Record, error) {
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		return probe.Record{}, fmt.Errorf("tracestore: read record: %w", err)
-	}
-	return decodePayload(buf)
-}
-
 // scanSegment walks every complete frame of f from the header on, calling
-// fn with each decoded record and its payload location. It returns the
-// byte offset of the last complete frame's end. A tail cut mid-frame — the
-// signature a crashed writer leaves — returns an error wrapping
-// probe.ErrTruncated; the caller truncates to goodSize and the readable
-// prefix stands. Any other decode failure is a hard error.
-func scanSegment(f *os.File, fn func(rec probe.Record, off int64, size uint32)) (goodSize int64, err error) {
+// fn with each record and its payload location. fn borrows the record for
+// the call, and an event's strings are empty: the scan decodes what the
+// index keeps (decodePayload without strings) into one reused record, from
+// one reused payload buffer. It returns the byte offset of the last
+// complete frame's end. A tail cut mid-frame — the signature a crashed
+// writer leaves — returns an error wrapping probe.ErrTruncated; the caller
+// truncates to goodSize and the readable prefix stands. Any other decode
+// failure is a hard error.
+func scanSegment(f *os.File, fn func(rec *probe.Record, off int64, size uint32)) (goodSize int64, err error) {
 	info, err := f.Stat()
 	if err != nil {
 		return 0, fmt.Errorf("tracestore: stat segment: %w", err)
@@ -201,6 +215,8 @@ func scanSegment(f *os.File, fn func(rec probe.Record, off int64, size uint32)) 
 	}
 	good := segHeader
 	var len4 [frameHeader]byte
+	var payload []byte
+	var rec probe.Record
 	for good < total {
 		if total-good < frameHeader {
 			return good, fmt.Errorf("tracestore: frame length torn at %d: %w", good, probe.ErrTruncated)
@@ -215,15 +231,18 @@ func scanSegment(f *os.File, fn func(rec probe.Record, off int64, size uint32)) 
 		if total-good-frameHeader < int64(size) {
 			return good, fmt.Errorf("tracestore: frame payload torn at %d: %w", good, probe.ErrTruncated)
 		}
-		payload := make([]byte, size)
+		if cap(payload) < int(size) {
+			payload = make([]byte, size)
+		}
+		payload = payload[:size]
 		if _, err := readFull(br, payload); err != nil {
 			return good, fmt.Errorf("tracestore: frame payload at %d: %w", good, err)
 		}
-		rec, err := decodePayload(payload)
-		if err != nil {
+		rec = probe.Record{}
+		if err := decodePayload(payload, &rec, false); err != nil {
 			return good, fmt.Errorf("tracestore: frame at %d: %w", good, err)
 		}
-		fn(rec, good+frameHeader, size)
+		fn(&rec, good+frameHeader, size)
 		good += frameHeader + int64(size)
 	}
 	return good, nil

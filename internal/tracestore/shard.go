@@ -1,10 +1,12 @@
 package tracestore
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,15 +19,25 @@ import (
 )
 
 // recLoc locates one event record on disk: which segment, and where its
-// payload lies within it. 28 bytes per record in RAM versus the full
-// probe.Record that logdb keeps resident — that ratio is what lets a store
-// hold runs larger than memory.
+// payload lies within it. 24 bytes per record in RAM (TestRecLocSize)
+// versus the full probe.Record that logdb keeps resident — that ratio is
+// what lets a store hold runs larger than memory.
 type recLoc struct {
 	seq  uint64
-	seg  int
 	off  int64
+	seg  int32
 	size uint32
 }
+
+// maxRunBytes caps one read of the read path: eventsLocked merges a chain's
+// byte-adjacent records into runs of at most this many bytes (a record
+// larger than that is a run of its own).
+const maxRunBytes = 1 << 20
+
+// maxKeptScratch bounds, in records, the scratch a shard or the store keeps
+// between calls (a ship frame is a few hundred): one outsized batch or chain
+// does not pin what it made the scratch grow to.
+const maxKeptScratch = 4096
 
 // chainIndex is one chain's in-memory index. Like logdb's chainRows it is
 // sorted by seq lazily under a dirty flag; unlike logdb only locations are
@@ -61,6 +73,13 @@ type shard struct {
 	sticky  error // first disk failure; shard keeps serving reads
 	dropped int   // records lost to sticky failures
 	swept   int   // records removed by retention sweeps, counted at commit
+
+	// Scratch reused under mu: grouping an insert by chain, and reading a
+	// chain back in runs.
+	group  grouper
+	order  []int32 // a chain's record positions in disk order
+	runBuf []byte
+	reads  int // ReadAt calls of the read path (tests pin the layout with it)
 }
 
 func segName(id int) string { return fmt.Sprintf("%06d.seg", id) }
@@ -177,8 +196,8 @@ func (sh *shard) recoverSegment(id int, now time.Time, warn func(string)) (int64
 	if err != nil {
 		return 0, fmt.Errorf("tracestore: open segment: %w", err)
 	}
-	good, err := scanSegment(f, func(rec probe.Record, off int64, size uint32) {
-		sh.indexRecord(&rec, id, off, size, now)
+	good, err := scanSegment(f, func(rec *probe.Record, off int64, size uint32) {
+		sh.indexRecord(rec, id, off, size, now)
 	})
 	if err != nil {
 		if !errors.Is(err, probe.ErrTruncated) {
@@ -220,7 +239,7 @@ func (sh *shard) indexRecord(rec *probe.Record, seg int, off int64, size uint32,
 		if !ci.dirty && len(ci.locs) > 0 && rec.Seq < ci.locs[len(ci.locs)-1].seq {
 			ci.dirty = true
 		}
-		ci.locs = append(ci.locs, recLoc{seq: rec.Seq, seg: seg, off: off, size: size})
+		ci.locs = append(ci.locs, recLoc{seq: rec.Seq, off: off, seg: int32(seg), size: size})
 		touch := rec.WallEnd
 		if touch.IsZero() {
 			touch = rec.WallStart
@@ -240,31 +259,102 @@ func (sh *shard) indexRecord(rec *probe.Record, seg int, off int64, size uint32,
 
 // insert appends to the shard the records of recs that hash here: all of
 // them from start on when next is nil, else the index list that begins at
-// start and follows next to -1. With onlyNew set, records the shard has
-// already indexed — events are identified by (chain, seq), links by
-// (parent, parent seq) — are skipped: a rebalanced hash range replayed from
-// segments may overlap records the new owner already received live, and
-// accepting them twice would double-count chains in the conservation ledger
-// (and duplicate events under the analyzer). It returns how many records it
-// appended. Disk failures turn sticky: the failing record and all after it
-// are dropped and counted rather than wedging the live ingest path, and the
+// start and follows next to -1. It writes them grouped by chain (grouper),
+// so a chain's records sit next to each other in the segment and read back
+// in one run. With onlyNew set, records the shard has already indexed —
+// events are identified by (chain, seq), links by (parent, parent seq) —
+// are skipped: a rebalanced hash range replayed from segments may overlap
+// records the new owner already received live, and accepting them twice
+// would double-count chains in the conservation ledger (and duplicate
+// events under the analyzer). It returns how many records it appended.
+// Disk failures turn sticky: the failing record and all after it are
+// dropped and counted rather than wedging the live ingest path, and the
 // index only ever describes bytes that reached the writer.
 func (sh *shard) insert(recs []probe.Record, start int, next []int32, now time.Time, onlyNew bool) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	accepted := 0
-	for i := start; i >= 0 && i < len(recs); {
+	for _, i := range sh.group.byChain(recs, start, next) {
 		r := &recs[i]
 		if !(onlyNew && sh.dupLocked(r)) && sh.appendLocked(r, now) {
 			accepted++
 		}
+	}
+	sh.group.release()
+	return accepted
+}
+
+// grouper orders a shard's part of a batch by chain — an event's own, a
+// link's parent (routeKey) — stably and in linear time: chains in the order
+// they first appear, each chain's records, links included, in batch order.
+// A shard receives its share of a mixed batch as a few records of many
+// interleaved chains; written as they came, no two records of a chain would
+// be adjacent on disk. The scratch is reused, so grouping allocates nothing
+// in steady state.
+type grouper struct {
+	part  []int32             // the part's record indices, in batch order
+	group map[uuid.UUID]int32 // chain → its group number
+	of    []int32             // group number of part[p]
+	slot  []int32             // per group: its size, then its next slot in order
+	order []int32             // the part regrouped
+}
+
+// byChain returns the record indices of the part — recs[start:] when next
+// is nil, else the list start, next[start], … to -1 — grouped by chain. A
+// part of one chain, which every assembler eviction is, comes back as it
+// is, ungrouped.
+func (g *grouper) byChain(recs []probe.Record, start int, next []int32) []int32 {
+	g.part = g.part[:0]
+	first := routeKey(&recs[start])
+	one := true
+	for i := start; i >= 0 && i < len(recs); {
+		g.part = append(g.part, int32(i))
+		one = one && routeKey(&recs[i]) == first
 		if next == nil {
 			i++
 		} else {
 			i = int(next[i])
 		}
 	}
-	return accepted
+	if one {
+		return g.part
+	}
+	if g.group == nil {
+		g.group = make(map[uuid.UUID]int32)
+	}
+	clear(g.group)
+	g.of, g.slot = g.of[:0], g.slot[:0]
+	for _, i := range g.part {
+		k := routeKey(&recs[i])
+		id, ok := g.group[k]
+		if !ok {
+			id = int32(len(g.slot))
+			g.group[k] = id
+			g.slot = append(g.slot, 0)
+		}
+		g.of = append(g.of, id)
+		g.slot[id]++
+	}
+	at := int32(0)
+	for id, n := range g.slot {
+		g.slot[id] = at
+		at += n
+	}
+	g.order = slices.Grow(g.order[:0], len(g.part))[:len(g.part)]
+	for p, i := range g.part {
+		id := g.of[p]
+		g.order[g.slot[id]] = i
+		g.slot[id]++
+	}
+	return g.order
+}
+
+// release drops scratch an outsized part made grow: a kept map is cleared
+// on every grouping, so its size is a cost per call.
+func (g *grouper) release() {
+	if cap(g.part) > maxKeptScratch {
+		*g = grouper{}
+	}
 }
 
 // appendLocked writes one record and indexes it; false when the record
@@ -362,7 +452,7 @@ func (sh *shard) eventsOf(chain uuid.UUID) ([]probe.Record, error) {
 	if ci == nil {
 		return nil, nil
 	}
-	return sh.eventsLocked(chain, ci)
+	return sh.eventsLocked(ci)
 }
 
 // chainList returns the shard's chain UUIDs, unsorted (the store merges
@@ -452,7 +542,7 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 		if !ci.last.Before(cutoff) {
 			continue
 		}
-		recs, rerr := sh.eventsLocked(c, ci)
+		recs, rerr := sh.eventsLocked(ci)
 		if rerr != nil {
 			return 0, rerr
 		}
@@ -504,7 +594,7 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 	}
 	sort.Slice(survivors, func(i, j int) bool { return uuid.Compare(survivors[i], survivors[j]) < 0 })
 	for _, c := range survivors {
-		recs, rerr := sh.eventsLocked(c, sh.chains[c])
+		recs, rerr := sh.eventsLocked(sh.chains[c])
 		if rerr != nil {
 			w.close()
 			os.Remove(tmp)
@@ -517,7 +607,7 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 				os.Remove(tmp)
 				return 0, fmt.Errorf("tracestore: compact: %w", werr)
 			}
-			newLocs = append(newLocs, newLoc{chain: c, loc: recLoc{seq: recs[i].Seq, seg: newID, off: off, size: size}})
+			newLocs = append(newLocs, newLoc{chain: c, loc: recLoc{seq: recs[i].Seq, off: off, seg: int32(newID), size: size}})
 		}
 	}
 	if err := w.sync(); err != nil {
@@ -585,8 +675,12 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 	return len(victims), nil
 }
 
-// eventsLocked is eventsOf with the lock already held.
-func (sh *shard) eventsLocked(chain uuid.UUID, ci *chainIndex) ([]probe.Record, error) {
+// eventsLocked is eventsOf with the lock already held. It reads the chain
+// in runs: the chain's locations in (segment, offset) order, byte-adjacent
+// records merged — never across a segment, at most maxRunBytes a run — and
+// each run read with one ReadAt into the shard's run buffer and decoded
+// from there. The records come back in seq order, ties in insertion order.
+func (sh *shard) eventsLocked(ci *chainIndex) ([]probe.Record, error) {
 	if err := sh.flushLocked(); err != nil {
 		return nil, err
 	}
@@ -594,17 +688,64 @@ func (sh *shard) eventsLocked(chain uuid.UUID, ci *chainIndex) ([]probe.Record, 
 		sort.SliceStable(ci.locs, func(i, j int) bool { return ci.locs[i].seq < ci.locs[j].seq })
 		ci.dirty = false
 	}
-	out := make([]probe.Record, 0, len(ci.locs))
-	for _, loc := range ci.locs {
-		f, err := sh.reader(loc.seg)
+	locs := ci.locs
+	order := sh.diskOrder(locs)
+	out := make([]probe.Record, len(locs))
+	for p := 0; p < len(order); {
+		first := locs[order[p]]
+		end := first.off + int64(first.size)
+		q := p + 1
+		for ; q < len(order); q++ {
+			l := locs[order[q]]
+			if l.seg != first.seg || l.off != end+frameHeader || l.off+int64(l.size)-first.off > maxRunBytes {
+				break
+			}
+			end = l.off + int64(l.size)
+		}
+		f, err := sh.reader(int(first.seg))
 		if err != nil {
 			return nil, err
 		}
-		rec, err := readPayloadAt(f, loc.off, loc.size)
-		if err != nil {
-			return nil, err
+		if n := int(end - first.off); cap(sh.runBuf) < n {
+			sh.runBuf = make([]byte, n)
 		}
-		out = append(out, rec)
+		run := sh.runBuf[:end-first.off]
+		sh.reads++
+		if _, err := f.ReadAt(run, first.off); err != nil {
+			return nil, fmt.Errorf("tracestore: read records: %w", err)
+		}
+		for ; p < q; p++ {
+			l := locs[order[p]]
+			if err := decodePayload(run[l.off-first.off:][:l.size], &out[order[p]], true); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if cap(sh.runBuf) > maxRunBytes {
+		sh.runBuf = nil
+	}
+	if cap(sh.order) > maxKeptScratch {
+		sh.order = nil
 	}
 	return out, nil
+}
+
+// diskOrder returns the positions of locs in (segment, offset) order. A
+// chain written in seq order is already in it, and needs no sort.
+func (sh *shard) diskOrder(locs []recLoc) []int32 {
+	sh.order = slices.Grow(sh.order[:0], len(locs))[:len(locs)]
+	sorted := true
+	for i := range sh.order {
+		sh.order[i] = int32(i)
+		sorted = sorted && (i == 0 || locs[i-1].seg < locs[i].seg || locs[i-1].seg == locs[i].seg && locs[i-1].off < locs[i].off)
+	}
+	if !sorted {
+		slices.SortFunc(sh.order, func(a, b int32) int {
+			if c := cmp.Compare(locs[a].seg, locs[b].seg); c != 0 {
+				return c
+			}
+			return cmp.Compare(locs[a].off, locs[b].off)
+		})
+	}
+	return sh.order
 }

@@ -5,12 +5,14 @@
 // shipper connections for hours. tracestore partitions chains by Function
 // UUID hash across independently locked shards (a chain's constant-size
 // UUID keys all of its events, so no operation ever crosses a shard),
-// appends records to length-prefixed binary segment files, and keeps only
-// a 28-byte location per event in memory. Torn segment tails from a
-// crashed collector are truncated on reopen, matching the torn-tail
-// contract probe.ReadFrames carries for record streams, and a retention
-// sweep compacts away completed chains past a configurable age so the
-// store can run unattended.
+// appends records to length-prefixed binary segment files — a shard's part
+// of a batch grouped by chain, so a chain reads back in a few contiguous
+// runs rather than a read per record — and keeps only a 24-byte location
+// per event in memory. Torn segment tails from a crashed collector are
+// truncated on reopen, matching the torn-tail contract probe.ReadFrames
+// carries for record streams, and a retention sweep compacts away
+// completed chains past a configurable age so the store can run
+// unattended.
 //
 // The store satisfies analysis.Source, so both Reconstruct and
 // ReconstructParallel run against it unchanged.
@@ -20,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,6 +61,22 @@ type Store struct {
 
 	warnMu   sync.Mutex
 	warnings []string
+
+	routeMu sync.Mutex
+	routes  []*route // free routing scratch for mixed batches
+}
+
+// maxFreeRoutes bounds the free routing scratch: one per mixed batch routed
+// at once, which is one per inserting goroutine. A free list rather than a
+// sync.Pool, which the race detector empties at random: the alloc ceiling
+// runs under -race in CI.
+const maxFreeRoutes = 16
+
+// route threads a mixed batch into one index list per shard: head[k] is
+// shard k's first record, next[i] the record after i in its shard, -1 ends
+// a list.
+type route struct {
+	head, next []int32
 }
 
 // Open creates or reopens the store rooted at dir, recovering every
@@ -146,14 +165,17 @@ func (s *Store) shardIndex(c uuid.UUID) int {
 	return int(uuid.Hash64(c) & s.mask)
 }
 
-// shardOf routes a record: events by their chain, links by the parent
-// chain, so ChildChain lookups hit the same shard that indexed the link.
-func (s *Store) shardOf(r *probe.Record) int {
+// routeKey is the chain a record belongs to for routing and on-disk
+// grouping: an event's own, a link's parent — so ChildChain lookups hit the
+// same shard that indexed the link.
+func routeKey(r *probe.Record) uuid.UUID {
 	if r.Kind == probe.KindLink {
-		return s.shardIndex(r.LinkParent)
+		return r.LinkParent
 	}
-	return s.shardIndex(r.Chain)
+	return r.Chain
 }
+
+func (s *Store) shardOf(r *probe.Record) int { return s.shardIndex(routeKey(r)) }
 
 func (s *Store) warn(msg string) {
 	s.warnMu.Lock()
@@ -185,8 +207,8 @@ func (s *Store) InsertNew(recs ...probe.Record) int { return s.insert(recs, true
 // insert routes recs to their shards, each shard's lock taken once. A batch
 // of one shard — every chain the streaming assembler evicts, since a chain
 // hashes to one shard — goes to it as it is. A mixed batch is threaded into
-// one index list per shard (next[i] is the next record of record i's shard),
-// which the shard walks under its lock; no record is copied either way.
+// one index list per shard (a route), which the shard walks under its lock;
+// no record is copied either way, and the route is recycled.
 func (s *Store) insert(recs []probe.Record, onlyNew bool) int {
 	if len(recs) == 0 {
 		return 0
@@ -195,29 +217,51 @@ func (s *Store) insert(recs []probe.Record, onlyNew bool) int {
 	first := s.shardOf(&recs[0])
 	mixed := false
 	for i := 1; i < len(recs) && !mixed; i++ {
-		// A run of one chain's events needs no hashing to be seen as such.
-		sameChain := recs[i].Kind == probe.KindEvent && recs[i-1].Kind == probe.KindEvent && recs[i].Chain == recs[i-1].Chain
-		mixed = !sameChain && s.shardOf(&recs[i]) != first
+		// A run of one chain's records needs no hashing to be seen as such.
+		mixed = routeKey(&recs[i]) != routeKey(&recs[i-1]) && s.shardOf(&recs[i]) != first
 	}
 	if !mixed {
 		return s.shards[first].insert(recs, 0, nil, now, onlyNew)
 	}
-	head := make([]int32, len(s.shards))
-	for k := range head {
-		head[k] = -1
+	rt := s.takeRoute()
+	for k := range rt.head {
+		rt.head[k] = -1
 	}
-	next := make([]int32, len(recs))
+	rt.next = slices.Grow(rt.next[:0], len(recs))[:len(recs)]
 	for i := len(recs) - 1; i >= 0; i-- {
 		k := s.shardOf(&recs[i])
-		next[i], head[k] = head[k], int32(i)
+		rt.next[i], rt.head[k] = rt.head[k], int32(i)
 	}
 	accepted := 0
 	for k, sh := range s.shards {
-		if head[k] >= 0 {
-			accepted += sh.insert(recs, int(head[k]), next, now, onlyNew)
+		if rt.head[k] >= 0 {
+			accepted += sh.insert(recs, int(rt.head[k]), rt.next, now, onlyNew)
 		}
 	}
+	s.putRoute(rt)
 	return accepted
+}
+
+func (s *Store) takeRoute() *route {
+	s.routeMu.Lock()
+	defer s.routeMu.Unlock()
+	if n := len(s.routes); n > 0 {
+		rt := s.routes[n-1]
+		s.routes = s.routes[:n-1]
+		return rt
+	}
+	return &route{head: make([]int32, len(s.shards))}
+}
+
+func (s *Store) putRoute(rt *route) {
+	if cap(rt.next) > maxKeptScratch {
+		rt.next = nil
+	}
+	s.routeMu.Lock()
+	defer s.routeMu.Unlock()
+	if len(s.routes) < maxFreeRoutes {
+		s.routes = append(s.routes, rt)
+	}
 }
 
 // Chains returns every chain UUID in the store, sorted — the same

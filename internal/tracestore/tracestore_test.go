@@ -262,7 +262,7 @@ func TestRecoverEveryTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := segHeader
-	if _, err := scanSegment(f, func(_ probe.Record, off int64, size uint32) {
+	if _, err := scanSegment(f, func(_ *probe.Record, off int64, size uint32) {
 		end = off + int64(size)
 		frameEnds = append(frameEnds, end)
 	}); err != nil {
@@ -688,5 +688,49 @@ func TestStoreInsertSingleChainAllocFree(t *testing.T) {
 	}
 	if got := len(s.Events(c)); got != (runs+2)*batch {
 		t.Fatalf("chain holds %d events after the runs, want %d", got, (runs+2)*batch)
+	}
+}
+
+// A mixed batch — the persist queue's links and stragglers, a store-direct
+// ship frame, a replay — is routed and grouped by chain with recycled
+// scratch: once the indexes have room, an Insert allocates nothing either.
+func TestStoreInsertMixedBatchAllocFree(t *testing.T) {
+	s, err := Open(t.TempDir(), Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const chains, perChain, runs = 12, 8, 50
+	wall := time.Date(2026, 9, 26, 12, 0, 0, 0, time.UTC)
+	var recs []probe.Record
+	for seq := uint64(1); seq <= perChain; seq++ {
+		for c := byte(1); c <= chains; c++ {
+			recs = append(recs, ev(chainID(c), seq, ftl.StubStart, "I", wall))
+			if seq == 2 {
+				recs = append(recs, link(chainID(c), seq, chainID(c+100)))
+			}
+		}
+	}
+	s.Insert(recs...)
+	used := 0
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		used += min(1, len(sh.chains))
+		for _, ci := range sh.chains {
+			ci.locs = append(make([]recLoc, 0, (runs+3)*perChain), ci.locs...)
+		}
+		sh.links = append(make([]probe.Record, 0, (runs+3)*len(sh.links)), sh.links...)
+		sh.mu.Unlock()
+	}
+	if used < 2 {
+		t.Fatalf("the batch landed in %d shard(s); the test needs a mixed one", used)
+	}
+	if a := testing.AllocsPerRun(runs, func() { s.Insert(recs...) }); a != 0 {
+		t.Errorf("a mixed Insert of %d records over %d chains allocates %v, want 0", len(recs), chains, a)
+	}
+	for c := byte(1); c <= chains; c++ {
+		if got := len(s.Events(chainID(c))); got != (runs+2)*perChain {
+			t.Fatalf("chain %d holds %d events after the runs, want %d", c, got, (runs+2)*perChain)
+		}
 	}
 }
