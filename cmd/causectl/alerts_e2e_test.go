@@ -13,7 +13,6 @@ import (
 	"causeway/internal/benchgen/instrecho"
 	"causeway/internal/logdb"
 	"causeway/internal/metrics"
-	"causeway/internal/online"
 	"causeway/internal/probe"
 	"causeway/internal/sampling"
 	"causeway/internal/streamrecon"
@@ -41,7 +40,6 @@ func (laggyEcho) Fire(string) error          { return nil }
 // the retained chain as a complete DSCG.
 func TestAlertExemplarSurvivesEvictionAndRenders(t *testing.T) {
 	reg := metrics.NewRegistry()
-	monitor := online.NewMonitor(online.Config{Metrics: reg})
 	pins := sampling.NewPinSet()
 	store := logdb.NewStore()
 	// SlowThreshold far above every call keeps chains "normal", so with
@@ -51,12 +49,13 @@ func TestAlertExemplarSurvivesEvictionAndRenders(t *testing.T) {
 		Quiescence:    20 * time.Millisecond,
 		SlowThreshold: time.Hour,
 		Tail:          &sampling.TailPolicy{NormalRate: 0, Pins: pins},
+		Metrics:       reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{
-		Sinks: []probe.Sink{monitor, asm},
+		Sinks: []probe.Sink{asm},
 	})
 	if err != nil {
 		t.Fatal(err)

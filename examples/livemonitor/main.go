@@ -6,9 +6,10 @@
 // One in-binary collection daemon listens on TCP loopback. Four monitored
 // ORB processes — one echo server and three clients — each ship their
 // probe records to it live (ProcessConfig.ShipTo) while also writing their
-// own per-process .ftlog. An online monitor rides the daemon's ingest path
-// and prints completed roots and slow calls as they happen, across process
-// boundaries, with no quiescent-state collection step.
+// own per-process .ftlog. The daemon's chain table (internal/streamrecon)
+// rides its ingest path and prints completed roots and slow calls as they
+// happen, across process boundaries, with no quiescent-state collection
+// step.
 //
 // At the end the example proves the networked path is lossless: the DSCG
 // characterized from the daemon's live-merged store is identical to the
@@ -26,8 +27,8 @@
 //
 //	go run ./examples/livemonitor -faults -seed 7
 //
-// With -stream the collector assembles chains incrementally
-// (internal/streamrecon): every chain is evicted to the store the moment
+// With -stream the same table also assembles chains for the store: every
+// chain is evicted to the store the moment
 // it completes — printed live — instead of merging records record by
 // record, and the run fails unless the streaming store's DSCG is
 // byte-identical to the offline per-process-log one. -rate arms
@@ -57,7 +58,6 @@ import (
 	"causeway/internal/debugserver"
 	"causeway/internal/faultinject"
 	"causeway/internal/logdb"
-	"causeway/internal/probe"
 	"causeway/internal/streamrecon"
 	"causeway/internal/telemetry"
 )
@@ -199,12 +199,12 @@ func run(rc runConfig) (sum summary, err error) {
 	// it are what the server's SLO evaluator (-slo) burns against.
 	reg := causeway.NewMetricsRegistry()
 
-	// The collection daemon: an online monitor rides the ingest path, so
+	// The collection daemon: its chain table rides the ingest path, so
 	// slow calls surface while the application is still running.
 	var slowCount, rootCount atomic.Int64
-	monitor := causeway.NewOnlineMonitor(causeway.OnlineConfig{
+	table := streamrecon.Config{
 		Metrics: reg,
-		OnRoot: func(ev causeway.RootEvent) {
+		OnRoot: func(ev streamrecon.RootEvent) {
 			rootCount.Add(1)
 			if ev.Root.Broken {
 				fmt.Printf("live: %s::%s broken on chain %s: %s\n",
@@ -215,32 +215,28 @@ func run(rc runConfig) (sum summary, err error) {
 				ev.Root.Op.Interface, ev.Root.Op.Operation, ev.Chain.Short(),
 				ev.Root.Latency.Round(time.Microsecond))
 		},
-		OnSlow: func(ev causeway.RootEvent) {
+		OnSlow: func(ev streamrecon.RootEvent) {
 			slowCount.Add(1)
 			fmt.Printf("live: SLOW CALL %s::%s took %v (threshold 10ms) — a management layer would react here\n",
 				ev.Root.Op.Interface, ev.Root.Op.Operation, ev.Root.Latency.Round(time.Microsecond))
 		},
 		SlowThreshold: 10 * time.Millisecond,
-	})
-	// In stream mode the store is fed by the assembler's evictions, not
-	// record by record off the wire: each chain lands whole, the moment it
+	}
+	// In stream mode the store is fed by the table's evictions, not record
+	// by record off the wire: each chain lands whole, the moment it
 	// completes, and its completion prints live.
-	var streamCfg *streamrecon.Config
 	if stream {
-		streamCfg = &streamrecon.Config{
-			Quiescence:    50 * time.Millisecond,
-			SlowThreshold: 10 * time.Millisecond,
-			OnComplete: func(c streamrecon.Completion) {
-				status := c.Reason
-				if c.Slow {
-					status += " SLOW"
-				}
-				if c.Broken {
-					status += " broken"
-				}
-				fmt.Printf("stream: chain %s evicted whole — %s::%s, %d node(s), %s\n",
-					c.Chain.Short(), c.Op.Interface, c.Op.Operation, c.Nodes, status)
-			},
+		table.Quiescence = 50 * time.Millisecond
+		table.OnComplete = func(c streamrecon.Completion) {
+			status := c.Reason
+			if c.Slow {
+				status += " SLOW"
+			}
+			if c.Broken {
+				status += " broken"
+			}
+			fmt.Printf("stream: chain %s evicted whole — %s::%s, %d node(s), %s\n",
+				c.Chain.Short(), c.Op.Interface, c.Op.Operation, c.Nodes, status)
 		}
 	}
 
@@ -254,8 +250,8 @@ func run(rc runConfig) (sum summary, err error) {
 		node, err := cluster.StartNode(cluster.NodeConfig{
 			Listen: "127.0.0.1:0",
 			Store:  stores[i],
-			Stream: streamCfg,
-			Sinks:  []probe.Sink{monitor},
+			Table:  table,
+			Stream: stream,
 			OnConnect: func(p telemetry.Peer) {
 				fmt.Printf("collector: process %q (%s) connected\n", p.Process, p.ProcType)
 			},
@@ -277,33 +273,31 @@ func run(rc runConfig) (sum summary, err error) {
 	}
 	store := stores[0]
 
-	// The assembler owns no goroutine; the deployment drives it.
-	asm := nodes[0].Assembler()
-	stopTicks := func() {} // idempotent: stops the assembler's tick driver
-	if asm != nil {
-		tickStop, tickDone := make(chan struct{}), make(chan struct{})
-		go func() {
-			defer close(tickDone)
-			ticker := time.NewTicker(10 * time.Millisecond)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-tickStop:
-					return
-				case <-ticker.C:
-					asm.Tick()
+	// The chain tables own no goroutine; the deployment drives them.
+	tickStop, tickDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(tickDone)
+		ticker := time.NewTicker(10 * time.Millisecond)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-tickStop:
+				return
+			case <-ticker.C:
+				for _, node := range nodes {
+					node.Table().Tick()
 				}
 			}
-		}()
-		var once sync.Once
-		stopTicks = func() {
-			once.Do(func() {
-				close(tickStop)
-				<-tickDone
-			})
 		}
-		defer stopTicks()
+	}()
+	var once sync.Once
+	stopTicks := func() { // idempotent: stops the tick driver
+		once.Do(func() {
+			close(tickStop)
+			<-tickDone
+		})
 	}
+	defer stopTicks()
 
 	// The ring computed over the full address list shards chains across
 	// the tier; it is known only once every collector is listening, and
@@ -597,7 +591,7 @@ func run(rc runConfig) (sum summary, err error) {
 	}
 
 	// Shut the processes down: each Close drains its shipper (bounded) and
-	// flushes its log file. Then stop the collector and flush the monitor.
+	// flushes its log file. Then stop the collectors and drain their tables.
 	for _, p := range procs {
 		stats := p.ShipperStats()
 		if err := p.Close(); err != nil {
@@ -612,19 +606,22 @@ func run(rc runConfig) (sum summary, err error) {
 			return sum, err
 		}
 	}
-	monitor.Flush()
-
-	if asm != nil {
-		// Give quiescence-based completion a chance to evict every chain
-		// cleanly, then flush whatever is left (broken remnants under
-		// -faults) so the store holds everything that arrived.
-		deadline := time.Now().Add(5 * time.Second)
-		for asm.OpenChains() > 0 && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		stopTicks()
-		if n := asm.FlushOpen(); n > 0 {
-			fmt.Printf("stream: drain flushed %d still-open chain(s)\n", n)
+	// Give quiescence-based completion a chance to evict every chain
+	// cleanly, then flush whatever is left (broken remnants under -faults)
+	// so the store holds everything that arrived.
+	asm := nodes[0].Table()
+	for deadline := time.Now().Add(5 * time.Second); stream && asm.OpenChains() > 0 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
+	stopTicks()
+	flushed, open := 0, 0
+	for _, node := range nodes {
+		flushed += node.Table().FlushOpen()
+		open += node.Table().OpenChains()
+	}
+	if stream {
+		if flushed > 0 {
+			fmt.Printf("stream: drain flushed %d still-open chain(s)\n", flushed)
 		}
 		led := asm.Ledger()
 		fmt.Printf("\nstream: %d chain(s) evicted live; assembler ledger appended=%d persisted=%d discarded=%d shed=%d buffered=%d\n",
@@ -635,7 +632,7 @@ func run(rc runConfig) (sum summary, err error) {
 	}
 
 	fmt.Printf("\n%d roots completed live, %d of %d calls flagged slow; open chains at shutdown: %d\n",
-		rootCount.Load(), slowCount.Load(), clients*callsPerClient, monitor.OpenChains())
+		rootCount.Load(), slowCount.Load(), clients*callsPerClient, open)
 
 	// In cluster mode, first fold the per-collector partials into one
 	// fleet store and prove the sharding was clean: every chain landed
@@ -728,7 +725,7 @@ func run(rc runConfig) (sum summary, err error) {
 		return sum, fmt.Errorf("networked DSCG differs from per-process-file DSCG")
 	}
 	sum.Warnings, sum.RetainedChains = networked.Warnings, len(networked.Graph.Trees)
-	if asm != nil {
+	if stream {
 		sum.StreamRecords = networked.Stats.Records
 		fmt.Printf("\nstreaming collection is lossless: DSCG from the streaming store (%d records) == DSCG from %d per-process logs\n",
 			networked.Stats.Records, len(procs))

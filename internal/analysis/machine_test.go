@@ -34,10 +34,10 @@ func renderParsed(p *ParsedChain) string {
 	return sb.String()
 }
 
-// A machine that recycles its nodes from chain to chain parses every chain
-// as a fresh machine does, whatever the previous chain left in the nodes:
-// healthy chains, every single-record loss, shuffles, and chains both longer
-// and shorter than the one before.
+// A machine that recycles its nodes from chain to chain through a pool
+// parses every chain as a fresh machine does, whatever the previous chain
+// left in the nodes: healthy chains, every single-record loss, shuffles,
+// and chains both longer and shorter than the one before.
 func TestRecycledMachineParsesAsAFreshOne(t *testing.T) {
 	var healthy []probe.Record
 	for _, r := range fullLog() {
@@ -59,7 +59,8 @@ func TestRecycledMachineParsesAsAFreshOne(t *testing.T) {
 		chains = append(chains, c, healthy)
 	}
 
-	var m ChainMachine
+	pool := &NodePool{}
+	m := ChainMachine{Pool: pool}
 	var out ParsedChain
 	for i, events := range chains {
 		fresh := ParseChainEvents(uuid.UUID{0: 0xa}, events)
@@ -83,9 +84,12 @@ func TestRecycledMachineParsesAsAFreshOne(t *testing.T) {
 		if out.Clean() != fresh.Clean() {
 			t.Fatalf("chain %d: Clean %v, fresh %v", i, out.Clean(), fresh.Clean())
 		}
+		for _, root := range out.Roots {
+			pool.Put(root)
+		}
 	}
-	if m.used > len(m.nodes) || len(m.nodes) > len(healthy) {
-		t.Fatalf("machine holds %d nodes, %d in use, after chains of at most %d records", len(m.nodes), m.used, len(healthy))
+	if len(pool.free) > len(healthy) {
+		t.Fatalf("pool holds %d nodes after chains of at most %d records", len(pool.free), len(healthy))
 	}
 
 }

@@ -28,15 +28,16 @@ type NodeConfig struct {
 	// (logdb in memory, tracestore with -store) and closes it after
 	// Node.Close.
 	Store Store
-	// Stream selects streaming assembly (-stream, with -quiesce, -stale,
-	// -slow, -tail): records flow server -> assembler -> Store, a chain
-	// at a time. The node fills in its Store. Nil is store-direct ingest,
+	// Table configures the node's chain table, which every ingested
+	// record reaches in arrival order: the live monitor's callbacks (-slow,
+	// -roots) and, when streaming, assembly (-quiesce, -stale, -tail). The
+	// node fills in its Store.
+	Table streamrecon.Config
+	// Stream selects streaming assembly (-stream): records flow server ->
+	// table -> Store, a chain at a time. Otherwise ingest is store-direct,
 	// record by record — the mode that loses nothing buffered when a
-	// collector is killed.
-	Stream *streamrecon.Config
-	// Sinks additionally receive every ingested record in arrival order
-	// (the online monitor).
-	Sinks []probe.Sink
+	// collector is killed — and the table is the live monitor alone.
+	Stream bool
 	// OnConnect fires after each shipper handshake.
 	OnConnect func(telemetry.Peer)
 	// SampleRate serves the head-sampling rate to shippers (-rate,
@@ -55,18 +56,18 @@ type NodeConfig struct {
 }
 
 // Node is one collector's data plane, composed once: the store, the
-// telemetry server in front of it, the streaming assembler between them
-// when streaming, the ring it serves, replay acceptance, automated
+// telemetry server in front of it, the chain table beside it (between them
+// when streaming), the ring it serves, replay acceptance, automated
 // membership once started, the conservation ledger over all of those,
 // and the debug-plane handlers that expose them. cmd/collectd is flags
 // plus a report loop around a Node; the equivalence suites and
 // examples/livemonitor build their tiers from the same type, so the
 // kill/rejoin proofs exercise the code the daemon ships.
 type Node struct {
-	cfg NodeConfig
-	srv *telemetry.Server
-	asm *streamrecon.Assembler // nil when store-direct
-	id  string
+	cfg   NodeConfig
+	srv   *telemetry.Server
+	table *streamrecon.Assembler
+	id    string
 
 	ringMu sync.Mutex
 	ring   telemetry.Ring
@@ -91,7 +92,6 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 	}
 	srvCfg := telemetry.ServerConfig{
 		Store:      cfg.Store,
-		Sinks:      cfg.Sinks,
 		OnConnect:  cfg.OnConnect,
 		SampleRate: cfg.SampleRate,
 		Ring: func() (telemetry.Ring, bool) {
@@ -104,18 +104,14 @@ func StartNode(cfg NodeConfig) (*Node, error) {
 		// once.
 		Replay: func(recs []probe.Record) int { return cfg.Store.InsertNew(recs...) },
 	}
-	if cfg.Stream != nil {
-		asmCfg := *cfg.Stream
-		asmCfg.Store = cfg.Store
-		asm, err := streamrecon.New(asmCfg)
-		if err != nil {
-			return nil, err
-		}
-		n.asm = asm
-		// The store is fed only by assembler evictions.
-		srvCfg.Store = nil
-		srvCfg.Sinks = append(append([]probe.Sink(nil), cfg.Sinks...), asm)
+	tableCfg := cfg.Table
+	tableCfg.Store = nil
+	if cfg.Stream {
+		// The store is fed only by the table's evictions.
+		tableCfg.Store, srvCfg.Store = cfg.Store, nil
 	}
+	n.table = streamrecon.NewMonitor(tableCfg)
+	srvCfg.Sinks = []probe.Sink{n.table}
 	srv, err := telemetry.Listen(cfg.Listen, srvCfg)
 	if err != nil {
 		return nil, err
@@ -138,9 +134,9 @@ func (n *Node) ID() string { return n.id }
 // per-peer accounting.
 func (n *Node) Server() *telemetry.Server { return n.srv }
 
-// Assembler returns the streaming assembler, nil when store-direct. It
-// owns no goroutine: the caller drives Tick and, at drain, FlushOpen.
-func (n *Node) Assembler() *streamrecon.Assembler { return n.asm }
+// Table returns the chain table. It owns no goroutine: the caller drives
+// Tick and, at drain, FlushOpen.
+func (n *Node) Table() *streamrecon.Assembler { return n.table }
 
 // Membership returns the automated membership, nil until StartMembership.
 func (n *Node) Membership() *Membership { return n.mem.Load() }
@@ -192,8 +188,8 @@ type lossCounter interface {
 }
 
 // Ledger computes this collector's conservation account from the
-// counters themselves. A streaming collector's buckets are the
-// assembler's; a store-direct collector persists everything it ingests,
+// counters themselves. A streaming collector's buckets are the chain
+// table's; a store-direct collector persists everything it ingests,
 // minus what the store dropped or swept. Replayed records land in the
 // store synchronously (the accepted count is the replayer's
 // acknowledgement), so they appear in both Replayed and Persisted;
@@ -202,8 +198,8 @@ type lossCounter interface {
 func (n *Node) Ledger() Ledger {
 	st := n.srv.Stats()
 	var led Ledger
-	if n.asm != nil {
-		led = FromAssembler(n.asm.Ledger())
+	if n.cfg.Stream {
+		led = FromAssembler(n.table.Ledger())
 	} else {
 		var lost uint64
 		if lc, ok := n.cfg.Store.(lossCounter); ok {
@@ -226,8 +222,8 @@ func (n *Node) Ledger() Ledger {
 }
 
 // WriteMetrics renders everything the node counts — ingest, the ledger
-// with its balanced verdict, the assembler and membership when present —
-// as one registry source.
+// with its balanced verdict, the chain table when streaming and membership
+// when present — as one registry source.
 func (n *Node) WriteMetrics(w io.Writer) {
 	st := n.srv.Stats()
 	fmt.Fprintf(w, "causeway_server_records_total %d\n", st.Records)
@@ -242,8 +238,8 @@ func (n *Node) WriteMetrics(w io.Writer) {
 		fmt.Fprintf(w, "causeway_store_swept_records_total %d\n", lc.Swept())
 		fmt.Fprintf(w, "causeway_store_dropped_records_total %d\n", lc.Dropped())
 	}
-	if n.asm != nil {
-		n.asm.WriteMetrics(w)
+	if n.cfg.Stream {
+		n.table.WriteMetrics(w)
 	}
 	if m := n.Membership(); m != nil {
 		m.WriteMetrics(w)
@@ -267,8 +263,8 @@ func (n *Node) Handlers() map[string]http.HandlerFunc {
 		"/memberz":    n.whenMember((*Membership).ServeMemberz),
 		"/rebalancez": n.whenMember((*Membership).ServeRebalance),
 	}
-	if n.asm != nil {
-		h["/feedz"] = n.asm.ServeFeed
+	if n.cfg.Stream {
+		h["/feedz"] = n.table.ServeFeed
 	}
 	return h
 }

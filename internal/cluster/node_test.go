@@ -1,15 +1,24 @@
 package cluster
 
 import (
+	"cmp"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"causeway/internal/logdb"
+	"causeway/internal/pps"
+	"causeway/internal/probe"
+	"causeway/internal/streamrecon"
 	"causeway/internal/telemetry"
 	"causeway/internal/topology"
+	"causeway/internal/transport"
 	"causeway/internal/uuid"
 )
 
@@ -227,5 +236,109 @@ func TestFetchLedgerHostileInput(t *testing.T) {
 	// caller drop the error.
 	if tier := Sum(Ledger{Appended: 1, Persisted: 1}, unknownLedger); tier.Balanced() {
 		t.Fatalf("tier with an unread member balances: %s", tier)
+	}
+}
+
+// A streaming node's chain table is the one sink on its telemetry server,
+// and it parses a chain in full only when the chain still parks records at
+// quiescence: fed the PPS workload with every chain in seq order, it
+// judges exactly the chains a retry renumbered past a seq gap — one here —
+// and evicts the rest on the verdicts their closed roots left.
+func TestStreamingNodeParsesOnlyGappedChains(t *testing.T) {
+	pipeline, err := pps.Build(pps.Options{
+		Network:      transport.NewInprocNetwork(),
+		Layout:       pps.FourProcess(),
+		Instrumented: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pipeline.Shutdown()
+	if err := pipeline.RunJobs(4, 2, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := pipeline.AwaitQuiescent(4, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	recs := pipeline.Records()
+	slices.SortStableFunc(recs, func(a, b probe.Record) int { return cmp.Compare(a.Seq, b.Seq) })
+	// A retried call: one chain's records from its third on renumbered at
+	// the ORB's seq stride.
+	retried := recs[len(recs)-1].Chain
+	for i := range recs {
+		if recs[i].Kind == probe.KindEvent && recs[i].Chain == retried && recs[i].Seq >= 3 {
+			recs[i].Seq += 4096
+		}
+	}
+	gapped := make(map[uuid.UUID]bool)
+	next := make(map[uuid.UUID]uint64)
+	for _, r := range recs {
+		if r.Kind == probe.KindEvent {
+			gapped[r.Chain] = gapped[r.Chain] || r.Seq > next[r.Chain]+1
+			next[r.Chain] = r.Seq
+		}
+	}
+	wantJudged := 0
+	for _, g := range gapped {
+		if g {
+			wantJudged++
+		}
+	}
+	if wantJudged != 1 {
+		t.Fatalf("%d chains have a seq gap, want the one retried", wantJudged)
+	}
+
+	clock := time.Unix(1000, 0)
+	var clockMu sync.Mutex
+	now := func() time.Time {
+		clockMu.Lock()
+		defer clockMu.Unlock()
+		return clock
+	}
+	store := logdb.NewStore()
+	node, err := StartNode(NodeConfig{
+		Listen: "127.0.0.1:0",
+		Store:  store,
+		Stream: true,
+		Table:  streamrecon.Config{Quiescence: 100 * time.Millisecond, Clock: now},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	sh, err := telemetry.NewShipper(telemetry.ShipperConfig{
+		Addr:    node.Addr(),
+		Process: topology.Process{ID: "pps", Processor: topology.Processor{ID: "pps", Type: "x86"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		sh.Append(r)
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	table := node.Table()
+	waitFor(t, func() bool { return table.Ledger().Appended == uint64(len(recs)) }, "ingest")
+	clockMu.Lock()
+	clock = clock.Add(time.Second)
+	clockMu.Unlock()
+	table.Tick()
+
+	if open := table.OpenChains(); open != 0 {
+		t.Fatalf("%d chains still open after quiescence", open)
+	}
+	var metrics strings.Builder
+	node.WriteMetrics(&metrics)
+	want := fmt.Sprintf("causeway_assembler_chains_judged_total %d\n", wantJudged)
+	if !strings.Contains(metrics.String(), want) {
+		t.Fatalf("metrics lack %q:\n%s", want, metrics.String())
+	}
+	if led := node.Ledger(); !led.Balanced() || led.Persisted != uint64(len(recs)) || store.Len() != len(recs) {
+		t.Fatalf("ledger %s, store holds %d of %d records", led, store.Len(), len(recs))
+	}
+	if n := table.Completions(); n != uint64(len(gapped)) {
+		t.Fatalf("%d completions for %d chains", n, len(gapped))
 	}
 }

@@ -4,7 +4,7 @@
 //
 //	/metrics      text exposition of the process's metrics.Registry
 //	/statusz      process identity, armed aspects, uptime, build info
-//	/chainz       recent completed chain roots from the online monitor
+//	/chainz       recent completed chain roots from the chain table
 //	/alertz       SLO alert state (JSON, cursor-friendly), when armed
 //	/healthz      liveness ("ok")
 //	/debug/pprof  the standard Go profiling endpoints
@@ -25,7 +25,7 @@ import (
 
 	"causeway/internal/alerting"
 	"causeway/internal/metrics"
-	"causeway/internal/online"
+	"causeway/internal/streamrecon"
 )
 
 // Config assembles one process's introspection server.
@@ -36,8 +36,9 @@ type Config struct {
 	// Registry is the process's metrics registry, rendered by /metrics.
 	// Optional: /metrics still serves the process-level series without it.
 	Registry *metrics.Registry
-	// Monitor, when set, feeds /chainz with recent completed roots.
-	Monitor *online.Monitor
+	// Monitor, when set, is the chain table that feeds /chainz with recent
+	// completed roots.
+	Monitor *streamrecon.Assembler
 	// Process and ProcType identify the process on /statusz and in the
 	// exposition's build-info series.
 	Process  string

@@ -190,9 +190,10 @@ func judged(t *testing.T, a *Assembler) int {
 	return n
 }
 
-// TestChainJudgedOnlyWhenChanged: a quiescent chain that parsed incomplete
-// is not parsed again tick after tick — only a new record, or StaleAfter,
-// earns it another judgement. Evictions are what they always were.
+// TestChainJudgedOnlyWhenChanged: only a chain that parks records is
+// parsed, and only once per change — not tick after tick. A chain whose
+// records arrived in order is never parsed: its verdict was tallied as its
+// roots closed. Evictions are what they always were.
 func TestChainJudgedOnlyWhenChanged(t *testing.T) {
 	clock := newFakeClock()
 	a, store := newAssembler(t, clock, nil)
@@ -200,9 +201,12 @@ func TestChainJudgedOnlyWhenChanged(t *testing.T) {
 	op := probe.OpID{Component: "c", Interface: "I", Operation: "slow", Object: "o"}
 	ctx := p.StubStart(op, false)
 	sctx := p.SkelStart(op, ctx.Wire, false)
-	feed(a, sink.Snapshot())
-	sink.Reset()
+	reply := p.SkelEnd(sctx)
+	p.StubEnd(ctx, reply)
+	recs := sink.Snapshot()
 
+	// In order, still in progress: waited on, never parsed.
+	a.AppendBatch(recs[:2])
 	clock.Advance(200 * time.Millisecond) // past Quiescence, far from StaleAfter
 	for i := 0; i < 20; i++ {
 		if n := a.Tick(); n != 0 {
@@ -210,35 +214,36 @@ func TestChainJudgedOnlyWhenChanged(t *testing.T) {
 		}
 		clock.Advance(50 * time.Millisecond)
 	}
-	if n := judged(t, a); n != 1 {
-		t.Fatalf("incomplete chain judged %d times over 20 ticks, want 1", n)
+	if n := judged(t, a); n != 0 {
+		t.Fatalf("in-order chain parsed %d times over 20 ticks, want 0", n)
 	}
 
-	// One more record — still incomplete — earns exactly one more.
-	reply := p.SkelEnd(sctx)
-	feed(a, sink.Snapshot())
-	sink.Reset()
-	if a.Tick() != 0 || judged(t, a) != 1 {
-		t.Fatal("chain judged before it went quiescent again")
-	}
+	// The stub_end arrives before the skel_end it follows: parked, so the
+	// chain is parsed once when quiescent, not again until it changes.
+	a.Append(recs[3])
 	clock.Advance(200 * time.Millisecond)
-	for i := 0; i < 5; i++ {
-		a.Tick()
+	for i := 0; i < 20; i++ {
+		if n := a.Tick(); n != 0 {
+			t.Fatalf("tick %d evicted a chain missing its skel_end", i)
+		}
 		clock.Advance(50 * time.Millisecond)
 	}
-	if n := judged(t, a); n != 2 {
-		t.Fatalf("judged %d times after one new record, want 2", n)
+	if n := judged(t, a); n != 1 {
+		t.Fatalf("chain with a parked record judged %d times over 20 ticks, want 1", n)
 	}
 
-	// The closing record completes it: judged once more, and evicted.
-	p.StubEnd(ctx, reply)
-	feed(a, sink.Snapshot())
+	// The missing record unparks the rest and closes the chain: evicted on
+	// its tally, with no further parse.
+	a.Append(recs[2])
+	if a.Tick() != 0 {
+		t.Fatal("chain evicted before it went quiescent again")
+	}
 	clock.Advance(200 * time.Millisecond)
 	if n := a.Tick(); n != 1 {
 		t.Fatalf("completed chain not evicted (%d)", n)
 	}
-	if n := judged(t, a); n != 3 {
-		t.Fatalf("judged %d times, want 3", n)
+	if n := judged(t, a); n != 1 {
+		t.Fatalf("judged %d times, want 1", n)
 	}
 	if comps, _ := a.Feed(0, 0); len(comps) != 1 || comps[0].Reason != "complete" || comps[0].Broken {
 		t.Fatalf("completions = %+v", comps)
@@ -249,15 +254,21 @@ func TestChainJudgedOnlyWhenChanged(t *testing.T) {
 	checkLedger(t, a)
 }
 
-// An unchanged incomplete chain is skipped only until StaleAfter: then it is
-// judged regardless and leaves as broken.
+// An unchanged chain with a parked record is skipped only until StaleAfter:
+// then it is judged regardless and leaves as broken. A hung call with
+// nothing parked leaves then too, unparsed.
 func TestSkippedChainStillGoesStale(t *testing.T) {
 	clock := newFakeClock()
 	a, _ := newAssembler(t, clock, nil)
 	p, sink := newProbes(t, 4)
 	op := probe.OpID{Component: "c", Interface: "I", Operation: "hang", Object: "o"}
+	ctx := p.StubStart(op, false)
+	p.SkelEnd(p.SkelStart(op, ctx.Wire, false))
+	recs := sink.Snapshot()
+	p.Tunnel().Clear()
 	p.StubStart(op, false)
-	feed(a, sink.Snapshot())
+	hung := sink.Snapshot()[3]
+	a.AppendBatch([]probe.Record{recs[0], recs[2], hung}) // skel_start lost
 	clock.Advance(time.Second)
 	a.Tick()
 	a.Tick()
@@ -265,11 +276,14 @@ func TestSkippedChainStillGoesStale(t *testing.T) {
 		t.Fatalf("judged %d times before StaleAfter, want 1", n)
 	}
 	clock.Advance(10 * time.Second)
-	if n := a.Tick(); n != 1 {
-		t.Fatalf("stale chain not evicted (%d)", n)
+	if n := a.Tick(); n != 2 {
+		t.Fatalf("stale chains not evicted (%d)", n)
 	}
-	if comps, _ := a.Feed(0, 0); comps[0].Reason != "stale" || !comps[0].Broken {
-		t.Fatalf("completion = %+v", comps[0])
+	comps, _ := a.Feed(0, 0)
+	for _, c := range comps {
+		if c.Reason != "stale" || !c.Broken || c.Roots != 1 {
+			t.Fatalf("completion = %+v", c)
+		}
 	}
 	if n := judged(t, a); n != 2 {
 		t.Fatalf("judged %d times, want 2", n)
