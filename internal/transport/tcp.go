@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,22 +53,29 @@ func readFrame(r io.Reader) ([]byte, error) {
 // readFrameInto reads one frame, reusing buf's capacity when it suffices.
 // The result aliases buf (or a replacement that should be kept for the next
 // call); it is valid only until the next readFrameInto on the same buffer.
+// Beyond buf's capacity the buffer grows with the bytes that arrive, at
+// most doubling each time — never by what the length field claims — so a
+// header announcing a huge frame with little behind it costs little.
 func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into buf too: a local array would escape through
+	// the io.Reader call, an allocation per frame.
+	buf = slices.Grow(buf[:0], 4)
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(buf[:4]))
 	if n > maxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n, max(n, 512))
-	} else {
-		buf = buf[:n]
-	}
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), max(cap(buf), 512)))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		if buf = buf[:len(buf)+got]; err != nil {
+			return nil, err
+		}
 	}
 	return buf, nil
 }
