@@ -29,8 +29,8 @@ type ServerConfig struct {
 	// relational store the offline analyzer later reads. Its Insert borrows
 	// the connection's decode slab (see probe.RecordStore).
 	Store RecordStore
-	// Sinks additionally receive every record in arrival order — e.g. an
-	// online.Monitor for live reconstruction. Sinks must be safe for
+	// Sinks additionally receive every record in arrival order — e.g. a
+	// collector's chain table (streamrecon.Assembler). Sinks must be safe for
 	// concurrent use: batches from different connections are ingested
 	// concurrently (per-connection order is preserved). A sink that
 	// implements probe.BatchSink receives each frame's records in one
