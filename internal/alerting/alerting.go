@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -114,7 +115,8 @@ func (r Rule) withDefaults() Rule {
 	return r
 }
 
-// validate rejects rules the evaluator cannot run.
+// validate rejects rules the evaluator cannot run. The comparisons are
+// written so that NaN fails them.
 func (r Rule) validate() error {
 	if r.Name == "" {
 		return fmt.Errorf("rule missing name")
@@ -122,14 +124,23 @@ func (r Rule) validate() error {
 	if r.Iface == "" {
 		return fmt.Errorf("rule %s: iface required", r.Name)
 	}
-	if r.Target <= 0 || r.Target >= 1 {
+	if !(r.Target > 0 && r.Target < 1) {
 		return fmt.Errorf("rule %s: target %v outside (0,1)", r.Name, r.Target)
+	}
+	if r.Objective < 0 {
+		return fmt.Errorf("rule %s: objective %v is negative", r.Name, r.Objective)
+	}
+	if r.FastWindow <= 0 || r.ResolveAfter <= 0 {
+		return fmt.Errorf("rule %s: fast window %v and resolve %v must be positive", r.Name, r.FastWindow, r.ResolveAfter)
 	}
 	if r.SlowWindow < r.FastWindow {
 		return fmt.Errorf("rule %s: slow window %v shorter than fast %v", r.Name, r.SlowWindow, r.FastWindow)
 	}
-	if r.Burn <= 0 {
-		return fmt.Errorf("rule %s: burn threshold must be positive", r.Name)
+	if !(r.Burn > 0 && r.Burn <= math.MaxFloat64) {
+		return fmt.Errorf("rule %s: burn threshold %v must be positive and finite", r.Name, r.Burn)
+	}
+	if r.MaxExemplars <= 0 {
+		return fmt.Errorf("rule %s: exemplars %d must be positive", r.Name, r.MaxExemplars)
 	}
 	return nil
 }

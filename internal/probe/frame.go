@@ -3,6 +3,7 @@ package probe
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"time"
 
 	"causeway/internal/cdr"
@@ -10,19 +11,18 @@ import (
 	"causeway/internal/uuid"
 )
 
-// A frame is the one stream form of a batch of records: the body of the
+// A frame is the one byte form of a batch of records: the body of the
 // telemetry plane's ship and replay messages and, behind a length prefix,
-// the unit of a record stream (sink.go — .ftlog files, /exportz). It is
-// laid out in the repo's own cdr conventions — little-endian integers,
-// uint32-length-prefixed strings, raw 16-byte UUIDs, and wire.go's shared
-// flags octet and time encoding:
+// the unit of a record stream (sink.go — .ftlog files, /exportz, trace store
+// segments). It is laid out in the repo's own cdr conventions —
+// little-endian integers, uint32-length-prefixed strings, raw 16-byte UUIDs:
 //
 //	uint32 T                     string-table entries
 //	T x string                   the frame's distinct identity strings
 //	uint32 N                     records
 //	N x record:
 //	  octet  kind                KindEvent | KindLink
-//	  octet  flags               Wire* bits | wireHasEvent | wireHasLink
+//	  octet  flags               the wire* bits below
 //	  octet  event               ftl.Event
 //	  6 x uint32                 table indexes: Process, ProcType,
 //	                             Op.Component, Op.Interface, Op.Operation,
@@ -32,7 +32,8 @@ import (
 //	  [wireHasEvent]             chain[16] seq wallStart wallEnd cpuStart cpuEnd
 //	  [wireHasLink]              linkParent[16] linkParentSeq linkChild[16]
 //
-// The identity strings repeat from record to record (a process emits the
+// A wall time is its Unix nanoseconds, the zero time wireTimeNone. The
+// identity strings repeat from record to record (a process emits the
 // same six for every probe of an operation), so they travel once per frame
 // and records refer to them by index; the decoder resolves each entry once
 // per frame and every record of the frame shares the resolved string.
@@ -43,9 +44,17 @@ import (
 // record carries no link block and a link record no event block — which is
 // what keeps an event record at 95 bytes plus its Semantics.
 const (
-	wireHasEvent = 1 << 4
-	wireHasLink  = 1 << 5
-	wireKnown    = WireOneway | WireCollocated | WireLatencyArmed | WireCPUArmed | wireHasEvent | wireHasLink
+	// The flags octet: a record's four booleans, then which blocks follow.
+	wireOneway = 1 << iota
+	wireCollocated
+	wireLatencyArmed
+	wireCPUArmed
+	wireHasEvent
+	wireHasLink
+	wireKnown = 1<<iota - 1
+
+	// wireTimeNone encodes the zero time.Time, whose UnixNano is undefined.
+	wireTimeNone = int64(math.MinInt64)
 
 	identityStrings = 6
 	// minRecordSize is a record with empty semantics and neither block:
@@ -78,6 +87,45 @@ func hasEventBlock(r *Record) bool {
 
 func hasLinkBlock(r *Record) bool {
 	return r.LinkParent != (uuid.UUID{}) || r.LinkParentSeq != 0 || r.LinkChild != (uuid.UUID{})
+}
+
+// flagsOf packs r's booleans and which blocks follow into the flags octet.
+func flagsOf(r *Record) byte {
+	var flags byte
+	if r.Oneway {
+		flags |= wireOneway
+	}
+	if r.Collocated {
+		flags |= wireCollocated
+	}
+	if r.LatencyArmed {
+		flags |= wireLatencyArmed
+	}
+	if r.CPUArmed {
+		flags |= wireCPUArmed
+	}
+	if hasEventBlock(r) {
+		flags |= wireHasEvent
+	}
+	if hasLinkBlock(r) {
+		flags |= wireHasLink
+	}
+	return flags
+}
+
+func putTime(e *cdr.Encoder, t time.Time) {
+	if t.IsZero() {
+		e.PutInt64(wireTimeNone)
+		return
+	}
+	e.PutInt64(t.UnixNano())
+}
+
+func getTime(d *cdr.Decoder) time.Time {
+	if v := d.Int64(); v != wireTimeNone {
+		return time.Unix(0, v)
+	}
+	return time.Time{}
 }
 
 // Encode renders recs as one frame body. The result aliases the encoder's
@@ -121,14 +169,7 @@ func (b *FrameEncoder) Encode(recs []Record) []byte {
 	refs := b.refs
 	for i := range recs {
 		r := &recs[i]
-		flags := r.WireFlags()
-		event, link := hasEventBlock(r), hasLinkBlock(r)
-		if event {
-			flags |= wireHasEvent
-		}
-		if link {
-			flags |= wireHasLink
-		}
+		flags := flagsOf(r)
 		e.PutOctet(byte(r.Kind))
 		e.PutOctet(flags)
 		e.PutOctet(byte(r.Event))
@@ -138,15 +179,15 @@ func (b *FrameEncoder) Encode(recs []Record) []byte {
 		refs = refs[identityStrings:]
 		e.PutUint64(r.Thread)
 		e.PutString(r.Semantics)
-		if event {
+		if flags&wireHasEvent != 0 {
 			e.PutRaw(r.Chain[:])
 			e.PutUint64(r.Seq)
-			PutWireTime(e, r.WallStart)
-			PutWireTime(e, r.WallEnd)
+			putTime(e, r.WallStart)
+			putTime(e, r.WallEnd)
 			e.PutInt64(int64(r.CPUStart))
 			e.PutInt64(int64(r.CPUEnd))
 		}
-		if link {
+		if flags&wireHasLink != 0 {
 			e.PutRaw(r.LinkParent[:])
 			e.PutUint64(r.LinkParentSeq)
 			e.PutRaw(r.LinkChild[:])
@@ -281,8 +322,8 @@ func decodeRecords(dec *cdr.Decoder, table []string, slab []Record) ([]Record, e
 		if flags&wireHasEvent != 0 {
 			copy(r.Chain[:], dec.Raw(uuid.Size))
 			r.Seq = dec.Uint64()
-			r.WallStart = GetWireTime(dec)
-			r.WallEnd = GetWireTime(dec)
+			r.WallStart = getTime(dec)
+			r.WallEnd = getTime(dec)
 			r.CPUStart = time.Duration(dec.Int64())
 			r.CPUEnd = time.Duration(dec.Int64())
 		}
@@ -300,7 +341,8 @@ func decodeRecords(dec *cdr.Decoder, table []string, slab []Record) ([]Record, e
 		if flags&^wireKnown != 0 {
 			return nil, fmt.Errorf("record %d: flags %#x", i, flags)
 		}
-		r.SetWireFlags(flags)
+		r.Oneway, r.Collocated = flags&wireOneway != 0, flags&wireCollocated != 0
+		r.LatencyArmed, r.CPUArmed = flags&wireLatencyArmed != 0, flags&wireCPUArmed != 0
 	}
 	return recs, dec.Finish()
 }

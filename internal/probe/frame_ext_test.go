@@ -13,10 +13,10 @@ import (
 	"causeway/internal/workload"
 )
 
-// The frame codec returns exactly what the trace store's payload codec
-// returns for the same record — the two formats share their field
-// conventions (wire.go), so a record that reaches the store over the wire
-// equals one inserted directly.
+// The frame codec returns exactly what the trace store reads back for the
+// same record — the store's segments are frames too, written a chain's run
+// at a time and read back a chain at a time — so a record that reaches the
+// store over the wire equals one inserted directly.
 func TestBatchCodecMatchesStoreCodec(t *testing.T) {
 	recs := probe.CodecRecords()
 	var dec probe.FrameDecoder

@@ -67,7 +67,7 @@ func codecRecords() []Record {
 
 // The frame codec returns every field as it was given
 // (TestBatchCodecMatchesStoreCodec, in the external test package, holds it
-// against the trace store's payload codec).
+// against what the trace store reads back).
 func TestBatchCodecRoundTrip(t *testing.T) {
 	recs := codecRecords()
 	got, err := decodeBatch(encodeBatch(recs))

@@ -50,19 +50,19 @@ func (s *MemorySink) Reset() {
 }
 
 // A record stream — a per-process .ftlog file, a collector's -out file, the
-// body /exportz serves — is streamMagic followed by frames (frame.go), each
-// behind its length:
+// body /exportz serves, a trace store's segment file — is StreamMagic
+// followed by frames (frame.go), each behind its length:
 //
 //	"CWFTLOG1"                   8-byte magic
 //	repeated: uint32 L, L bytes  one frame body, L <= MaxFrameBytes
 //
-// It has one torn-tail rule, carried by ReadFrames: a stream ends cleanly
+// It has one torn-tail rule, carried by FrameReader: a stream ends cleanly
 // only on a frame boundary (an empty stream, from a writer that never
 // flushed, is such an end); a stream cut inside the magic, a length or a
 // body yields its complete frames and ErrTruncated; anything else — a wrong
 // magic, a length over the cap, a frame that does not decode — is a hard
 // error.
-const streamMagic = "CWFTLOG1"
+const StreamMagic = "CWFTLOG1"
 
 // MaxFrameBytes caps one frame of a record stream at the transport's own
 // frame limit: whatever could be shipped can be written, and a corrupt
@@ -92,7 +92,7 @@ var _ SpanSink = (*StreamSink)(nil)
 // NewStreamSink wraps w in a buffered stream writer and buffers the magic.
 func NewStreamSink(w io.Writer) *StreamSink {
 	s := &StreamSink{bw: bufio.NewWriter(w)}
-	_, s.err = s.bw.WriteString(streamMagic)
+	_, s.err = s.bw.WriteString(StreamMagic)
 	return s
 }
 
@@ -151,52 +151,94 @@ var ErrTruncated = errors.New("probe: record stream truncated mid-frame")
 // frame's records. recs is the reader's decode slab, borrowed as
 // BatchSink.AppendBatch's argument is: fn copies what it keeps and retains
 // nothing. The error follows the stream's one torn-tail rule (see
-// streamMagic); in every case fn has seen all the complete frames before
-// the fault. Nothing is allocated by what a length field claims: the body
-// buffer grows as bytes arrive.
+// StreamMagic); in every case fn has seen all the complete frames before
+// the fault.
 func ReadFrames(r io.Reader, fn func(recs []Record)) error {
-	in := frameReader{br: bufio.NewReader(r)}
-	var magic [len(streamMagic)]byte
-	switch n, err := io.ReadFull(in.br, magic[:]); {
-	case errors.Is(err, io.EOF):
-		return nil
-	case string(magic[:n]) != streamMagic[:n]:
-		return fmt.Errorf("probe: not a record stream: starts %q, want %q (a .ftlog written before the frame stream, as gob, must be recorded again)", magic[:n], streamMagic)
-	case errors.Is(err, io.ErrUnexpectedEOF):
-		return fmt.Errorf("probe: stream magic torn: %w", ErrTruncated)
-	case err != nil:
-		return err
-	}
-	var dec FrameDecoder
-	for frame := 0; ; frame++ {
-		switch err := in.next(); {
-		case errors.Is(err, io.EOF):
+	in := NewFrameReader(r)
+	for {
+		recs, _, err := in.Next()
+		if err == io.EOF {
 			return nil
-		case errors.Is(err, io.ErrUnexpectedEOF):
-			return fmt.Errorf("probe: frame %d torn: %w", frame, ErrTruncated)
-		case err != nil:
-			return fmt.Errorf("probe: frame %d: %w", frame, err)
 		}
-		recs, err := dec.Decode(in.body.Bytes())
 		if err != nil {
-			return fmt.Errorf("probe: frame %d: %w", frame, err)
+			return err
 		}
 		fn(recs)
 	}
 }
 
-// frameReader reads a stream's length-prefixed frame bodies into one buffer,
-// which grows with the bytes read and never by what a length field claims.
-type frameReader struct {
-	br   *bufio.Reader
-	hdr  [4]byte
-	lim  io.LimitedReader
-	body bytes.Buffer
+// FrameReader reads a record stream one frame at a time and knows where each
+// frame lies: ReadFrames loops over it, and the trace store's recovery scan,
+// which indexes records by the frame that holds them, calls it directly.
+// Nothing is allocated by what a length field claims: the body buffer grows
+// as bytes arrive.
+type FrameReader struct {
+	br    *bufio.Reader
+	hdr   [4]byte
+	lim   io.LimitedReader
+	body  bytes.Buffer
+	dec   FrameDecoder
+	off   int64 // the stream read whole: the magic and every complete frame
+	frame int   // complete frames read, which names a faulty one
 }
 
-// next reads one frame body. io.EOF means the stream ended on the frame
-// boundary, io.ErrUnexpectedEOF that it ended inside the frame.
-func (f *frameReader) next() error {
+// NewFrameReader reads r, through r itself when it is a *bufio.Reader of at
+// least the default size.
+func NewFrameReader(r io.Reader) *FrameReader {
+	return &FrameReader{br: bufio.NewReader(r)}
+}
+
+// Offset is how much of the stream has been read whole — the magic and every
+// complete frame: after a torn tail, the length of the readable prefix.
+func (f *FrameReader) Offset() int64 { return f.off }
+
+// Next reads the next frame and returns its records — the reader's decode
+// slab, valid until the next call — and the stream offset of its body, which
+// ends at Offset. The error is io.EOF where the stream ends cleanly, and
+// otherwise follows the one torn-tail rule (see StreamMagic).
+func (f *FrameReader) Next() (recs []Record, body int64, err error) {
+	if f.off == 0 {
+		if err := f.readMagic(); err != nil {
+			return nil, 0, err
+		}
+	}
+	switch err := f.readFrame(); {
+	case errors.Is(err, io.EOF):
+		return nil, 0, io.EOF
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return nil, 0, fmt.Errorf("probe: frame %d torn: %w", f.frame, ErrTruncated)
+	case err != nil:
+		return nil, 0, fmt.Errorf("probe: frame %d: %w", f.frame, err)
+	}
+	if recs, err = f.dec.Decode(f.body.Bytes()); err != nil {
+		return nil, 0, fmt.Errorf("probe: frame %d: %w", f.frame, err)
+	}
+	body = f.off + int64(len(f.hdr))
+	f.off = body + int64(f.body.Len())
+	f.frame++
+	return recs, body, nil
+}
+
+// readMagic reads the stream's magic; io.EOF means the stream is empty.
+func (f *FrameReader) readMagic() error {
+	var magic [len(StreamMagic)]byte
+	switch n, err := io.ReadFull(f.br, magic[:]); {
+	case errors.Is(err, io.EOF):
+		return io.EOF
+	case string(magic[:n]) != StreamMagic[:n]:
+		return fmt.Errorf("probe: not a record stream: starts %q, want %q (a .ftlog written before the frame stream, as gob, must be recorded again)", magic[:n], StreamMagic)
+	case errors.Is(err, io.ErrUnexpectedEOF):
+		return fmt.Errorf("probe: stream magic torn: %w", ErrTruncated)
+	case err != nil:
+		return err
+	}
+	f.off = int64(len(StreamMagic))
+	return nil
+}
+
+// readFrame reads one frame body. io.EOF means the stream ended on the
+// frame boundary, io.ErrUnexpectedEOF that it ended inside the frame.
+func (f *FrameReader) readFrame() error {
 	if _, err := io.ReadFull(f.br, f.hdr[:]); err != nil {
 		return err
 	}

@@ -100,7 +100,7 @@ func TestReadFramesTornAtEveryByte(t *testing.T) {
 	recs, stream, ends := threeFrames(t)
 	counts := []int{2, 1, 3}
 	for cut := 0; cut <= len(stream); cut++ {
-		whole, records, onBoundary := 0, 0, cut == 0 || cut == len(streamMagic)
+		whole, records, onBoundary := 0, 0, cut == 0 || cut == len(StreamMagic)
 		for i, end := range ends {
 			if cut >= end {
 				whole, records = i+1, records+counts[i]
@@ -143,7 +143,7 @@ func hostileStreams(t testing.TB) map[string][]byte {
 	_, valid, ends := threeFrames(t)
 	le := binary.LittleEndian
 	withLength := func(n uint32, behind int) []byte {
-		return append(le.AppendUint32([]byte(streamMagic), n), make([]byte, behind)...)
+		return append(le.AppendUint32([]byte(StreamMagic), n), make([]byte, behind)...)
 	}
 	badFrame := append([]byte(nil), valid...)
 	badFrame[ends[0]+4+4+3] ^= 0x80 // second frame: high byte of the first table string's length
@@ -152,8 +152,8 @@ func hostileStreams(t testing.TB) map[string][]byte {
 		"length-over-cap":               withLength(MaxFrameBytes+1, 10),
 		"length-60MiB-10-bytes-behind":  withLength(60<<20, 10), // torn, not hostile: the cap allows it
 		"zero-length-frame":             withLength(0, 0),
-		"zero-length-frame-then-frames": append(withLength(0, 0), valid[len(streamMagic):]...),
-		"wrong-magic":                   append([]byte("CWTSEG1\n"), valid[len(streamMagic):]...),
+		"zero-length-frame-then-frames": append(withLength(0, 0), valid[len(StreamMagic):]...),
+		"wrong-magic":                   append([]byte("CWTSEG1\n"), valid[len(StreamMagic):]...),
 		"short-wrong-magic":             []byte("CWX"),
 		"gob-era-file":                  []byte(gobEraLog),
 		"malformed-second-frame":        badFrame,
@@ -187,7 +187,7 @@ func TestReadFramesRefusesHostileStreams(t *testing.T) {
 	}
 	_, seeds["valid"], _ = threeFrames(t)
 	seeds["torn-in-body"] = seeds["valid"][:len(seeds["valid"])-7]
-	seeds["torn-in-length"] = seeds["valid"][:len(streamMagic)+2]
+	seeds["torn-in-length"] = seeds["valid"][:len(StreamMagic)+2]
 	dir := filepath.Join("testdata", "fuzz", "FuzzReadStream")
 	for name, stream := range seeds {
 		want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", stream)

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
-	"causeway/internal/cdr"
 	"causeway/internal/ftl"
 	"causeway/internal/probe"
 )
@@ -29,67 +29,71 @@ func openSegment(t testing.TB, seg []byte) (*Store, error) {
 	return Open(dir, Options{})
 }
 
-func payloadOf(r probe.Record) []byte {
-	var e cdr.Encoder
-	encodePayload(&e, &r)
-	return e.Bytes()
-}
-
-// segmentOf is a segment file: the magic, then each payload behind its
+// segmentOf is a segment file: the magic, then each frame body behind its
 // length.
-func segmentOf(payloads ...[]byte) []byte {
-	seg := []byte(segMagic)
-	for _, p := range payloads {
-		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(p)))
-		seg = append(seg, p...)
+func segmentOf(bodies ...[]byte) []byte {
+	seg := []byte(probe.StreamMagic)
+	for _, b := range bodies {
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(b)))
+		seg = append(seg, b...)
 	}
 	return seg
 }
 
-// segmentSeeds are FuzzOpenSegment's checked-in seeds: a valid segment,
-// its torn tails, and the malformed frames recovery must refuse. want is
-// the records a store recovers from the seed, -1 for a hard error.
+func frameOf(recs ...probe.Record) []byte { return probe.EncodeFrame(recs) }
+
+// eventRecordBytes is one event record inside a frame with no Semantics and
+// no link block (probe/frame.go): it ends the frame of a lone ev record.
+const eventRecordBytes = 95
+
+// cwtseg1Segment is a segment of one event as the per-record layout stored
+// it before segments were record streams.
+const cwtseg1Segment = "CWTSEG1\n\xa0\x00\x00\x00\x01\x04\x06\x00\x00\x00proc00\x00\x00\x00\x00\a\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00comp\r\x00\x00\x00IJobSubmitter\x02\x00\x00\x00op\x00\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00B\x01\x01\x00\x00\x00\x00\x00\x00\x0090*6\xfe\x9c\x97\x17yr96\xfe\x9c\x97\x17\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00"
+
+// segmentSeeds are FuzzOpenSegment's checked-in seeds: a valid segment as a
+// shard writes it, its torn tails, the malformed frames recovery must
+// refuse, and a segment of the old layout. want is the records a store
+// recovers from the seed, -1 for a hard error.
 func segmentSeeds() (seeds map[string][]byte, want map[string]int) {
 	wall := time.Unix(1700000000, 12345)
 	c, child := chainID(3), chainID(4)
-	recs := []probe.Record{
+	run := []probe.Record{
 		ev(c, 1, ftl.StubStart, "IJobSubmitter", wall),
 		ev(c, 2, ftl.SkelStart, "IJobSubmitter", wall),
 		link(c, 2, child),
-		ev(child, 1, ftl.SkelStart, "ISpool", time.Time{}),
-		ev(c, 3, ftl.SkelEnd, "IJobSubmitter", wall),
 	}
-	recs[1].Semantics = "in: job=42"
-	var payloads [][]byte
-	for _, r := range recs {
-		payloads = append(payloads, payloadOf(r))
-	}
-	valid := segmentOf(payloads...)
-	event, lnk := payloads[0], payloads[2]
+	run[1].Semantics = "in: job=42"
+	valid := segmentOf(
+		frameOf(run...),
+		frameOf(ev(child, 1, ftl.SkelStart, "ISpool", time.Time{})),
+		frameOf(ev(c, 3, ftl.SkelEnd, "IJobSubmitter", wall)),
+	)
+	event, lnk := frameOf(run[0]), frameOf(run[2])
 
-	stringPastEnd := append([]byte(nil), event...)
-	binary.LittleEndian.PutUint32(stringPastEnd[2:], 1<<20) // Process's length
-	unknownKind := append([]byte(nil), event...)
-	unknownKind[0] = 7
+	stringPastEnd := frameOf(run[0])
+	binary.LittleEndian.PutUint32(stringPastEnd[4:], 1<<20) // the first table string's length
+	unknownKind := frameOf(run[0])
+	unknownKind[len(unknownKind)-eventRecordBytes] = 7
 	seeds = map[string][]byte{
 		"valid":                 valid,
 		"torn-in-payload":       valid[:len(valid)-7],
 		"torn-in-length":        valid[:segHeader+2],
 		"torn-header":           valid[:5],
-		"wrong-magic":           append([]byte("CWFTLOG1"), valid[segHeader:]...),
-		"length-over-cap":       append(segmentOf(), binary.LittleEndian.AppendUint32(nil, maxFramePayload+1)...),
+		"wrong-magic":           append([]byte("CWFTLOG2"), valid[segHeader:]...),
+		"cwtseg1-era":           []byte(cwtseg1Segment),
+		"length-over-cap":       binary.LittleEndian.AppendUint32(segmentOf(), probe.MaxFrameBytes+1),
 		"zero-length-frame":     segmentOf(event, nil),
 		"event-string-past-end": segmentOf(event, stringPastEnd),
 		"event-trailing-byte":   segmentOf(event, append(event[:len(event):len(event)], 0)),
 		"event-short":           segmentOf(event, event[:len(event)-1]),
 		"link-short":            segmentOf(event, lnk[:len(lnk)-1]),
 		"unknown-kind":          segmentOf(event, unknownKind),
-		"event-with-no-strings": segmentOf(payloadOf(probe.Record{Kind: probe.KindEvent, Chain: c, Seq: 9})),
+		"event-with-no-strings": segmentOf(frameOf(probe.Record{Kind: probe.KindEvent, Chain: c, Seq: 9})),
 		"link-then-torn-event":  append(segmentOf(lnk), segmentOf(event)[segHeader:segHeader+20]...),
 	}
 	want = map[string]int{
-		"valid":                 len(recs),
-		"torn-in-payload":       len(recs) - 1,
+		"valid":                 len(run) + 2,
+		"torn-in-payload":       len(run) + 1,
 		"torn-in-length":        0,
 		"torn-header":           0,
 		"event-with-no-strings": 1,
@@ -103,11 +107,11 @@ func segmentSeeds() (seeds map[string][]byte, want map[string]int) {
 	return seeds, want
 }
 
-// Recovery indexes a segment without building an event's strings, so it
-// must refuse exactly what the full decode refuses: every malformed frame
-// is a hard error, a torn tail leaves the complete frames. UPDATE_FUZZ_CORPUS=1
-// rewrites FuzzOpenSegment's checked-in seeds from these segments after a
-// layout change.
+// Recovery reads a segment through probe.FrameReader, so it keeps the record
+// stream's one torn-tail rule: every malformed frame is a hard error, a torn
+// tail leaves the complete frames, and a segment of the old per-record
+// layout is refused by name. UPDATE_FUZZ_CORPUS=1 rewrites FuzzOpenSegment's
+// checked-in seeds from these segments after a layout change.
 func TestOpenSegmentRefusesMalformedFrames(t *testing.T) {
 	seeds, want := segmentSeeds()
 	for name, seg := range seeds {
@@ -118,6 +122,8 @@ func TestOpenSegmentRefusesMalformedFrames(t *testing.T) {
 				t.Errorf("%s: opened, want a hard error", name)
 			} else if errors.Is(err, probe.ErrTruncated) {
 				t.Errorf("%s: %v reads as a torn tail, want a hard error", name, err)
+			} else if name == "cwtseg1-era" && !strings.Contains(err.Error(), "CWTSEG1 segment") {
+				t.Errorf("%s: refused without naming the old layout: %v", name, err)
 			}
 			continue
 		}
@@ -155,9 +161,8 @@ func TestOpenSegmentRefusesMalformedFrames(t *testing.T) {
 
 // FuzzOpenSegment: arbitrary bytes as shard-000's segment. Open returns an
 // error, or a store on which every indexed chain's Events reads back without
-// a new warning and, with the links, Len() records — whatever the
-// index-only recovery scan accepted, the full decode on the read path
-// accepts too.
+// a new warning and, with the links, Len() records — whatever recovery
+// indexed at a frame, the read path finds in that frame.
 func FuzzOpenSegment(f *testing.F) {
 	seeds, _ := segmentSeeds()
 	f.Add(seeds["valid"])

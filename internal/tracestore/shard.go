@@ -1,9 +1,11 @@
 package tracestore
 
 import (
+	"bufio"
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -18,10 +20,11 @@ import (
 	"causeway/internal/uuid"
 )
 
-// recLoc locates one event record on disk: which segment, and where its
-// payload lies within it. 24 bytes per record in RAM (TestRecLocSize)
-// versus the full probe.Record that logdb keeps resident — that ratio is
-// what lets a store hold runs larger than memory.
+// recLoc locates one event record on disk: its seq, and the frame that
+// holds it — which segment, and where the frame's body lies within it. 24
+// bytes per record in RAM (TestRecLocSize) versus the full probe.Record that
+// logdb keeps resident — that ratio is what lets a store hold runs larger
+// than memory.
 type recLoc struct {
 	seq  uint64
 	off  int64
@@ -30,8 +33,9 @@ type recLoc struct {
 }
 
 // maxRunBytes caps one read of the read path: eventsLocked merges a chain's
-// byte-adjacent records into runs of at most this many bytes (a record
-// larger than that is a run of its own).
+// byte-adjacent frames into runs of at most this many bytes (a frame larger
+// than that is a run of its own). It also bounds the encode buffer a shard
+// keeps between frames.
 const maxRunBytes = 1 << 20
 
 // maxKeptScratch bounds, in records, the scratch a shard or the store keeps
@@ -39,9 +43,10 @@ const maxRunBytes = 1 << 20
 // does not pin what it made the scratch grow to.
 const maxKeptScratch = 4096
 
-// chainIndex is one chain's in-memory index. Like logdb's chainRows it is
-// sorted by seq lazily under a dirty flag; unlike logdb only locations are
-// kept, the records themselves stay on disk.
+// chainIndex is one chain's in-memory index: only locations are kept, the
+// records themselves stay on disk. locs is in disk order — the order the
+// records were written, which every append, recovery and compaction keeps —
+// and dirty says that order is not seq order, so a read sorts.
 type chainIndex struct {
 	locs  []recLoc
 	dirty bool
@@ -71,13 +76,16 @@ type shard struct {
 	readers  map[int]*os.File
 
 	sticky  error // first disk failure; shard keeps serving reads
-	dropped int   // records lost to sticky failures
+	dropped int   // records lost to sticky failures or too large for a frame
 	swept   int   // records removed by retention sweeps, counted at commit
 
-	// Scratch reused under mu: grouping an insert by chain, and reading a
-	// chain back in runs.
+	// Codec state and scratch reused under mu: grouping an insert by chain
+	// and encoding each chain's run as a frame, and reading a chain back in
+	// runs of frames.
 	group  grouper
-	order  []int32 // a chain's record positions in disk order
+	run    []probe.Record // a chain's run when it is not a stretch of the batch
+	enc    probe.FrameEncoder
+	dec    probe.FrameDecoder
 	runBuf []byte
 	reads  int // ReadAt calls of the read path (tests pin the layout with it)
 }
@@ -188,40 +196,56 @@ func (sh *shard) writeGC(floor int) error {
 	return nil
 }
 
-// recoverSegment scans segment id, rebuilding the index, and truncates a
-// torn tail in place. Returns the segment's recovered size.
-func (sh *shard) recoverSegment(id int, now time.Time, warn func(string)) (int64, error) {
+// recoverSegment reads segment id as the record stream it is, indexing each
+// frame's records at the frame, and truncates a torn tail in place. Returns
+// the segment's recovered size.
+func (sh *shard) recoverSegment(id int, now time.Time, warn func(string)) (good int64, err error) {
 	path := sh.segPath(id)
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return 0, fmt.Errorf("tracestore: open segment: %w", err)
 	}
-	good, err := scanSegment(f, func(rec *probe.Record, off int64, size uint32) {
-		sh.indexRecord(rec, id, off, size, now)
-	})
-	if err != nil {
-		if !errors.Is(err, probe.ErrTruncated) {
-			f.Close()
-			return 0, err
+	defer func() {
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if terr := f.Truncate(good); terr != nil {
-			f.Close()
-			return 0, fmt.Errorf("tracestore: truncate torn tail: %w", terr)
+	}()
+	br := bufio.NewReaderSize(f, 1<<16)
+	if head, _ := br.Peek(len(oldSegMagic)); string(head) == oldSegMagic {
+		return 0, fmt.Errorf("tracestore: %s is a CWTSEG1 segment, the per-record layout segments had before they were record streams; nothing reads it, so the store must be built again", path)
+	}
+	in := probe.NewFrameReader(br)
+	for {
+		recs, body, rerr := in.Next()
+		if rerr != nil {
+			err = rerr
+			break
+		}
+		size := uint32(in.Offset() - body)
+		for i := range recs {
+			sh.indexRecord(&recs[i], id, body, size, now)
+		}
+	}
+	good = in.Offset()
+	switch {
+	case err == io.EOF:
+	case errors.Is(err, probe.ErrTruncated):
+		if err := f.Truncate(good); err != nil {
+			return 0, fmt.Errorf("tracestore: truncate torn tail: %w", err)
 		}
 		if warn != nil {
 			warn(fmt.Sprintf("%s: torn tail truncated to %d bytes (%v)", path, good, err))
 		}
+	default:
+		return 0, fmt.Errorf("tracestore: %s: %w", path, err)
 	}
 	if good < segHeader {
-		// Header itself was torn; rewrite it so the segment is appendable.
-		if _, werr := f.WriteAt([]byte(segMagic), 0); werr != nil {
-			f.Close()
-			return 0, fmt.Errorf("tracestore: repair header: %w", werr)
+		// An empty segment, or one with a torn header: write the header so
+		// the segment is appendable.
+		if _, err := f.WriteAt([]byte(probe.StreamMagic), 0); err != nil {
+			return 0, fmt.Errorf("tracestore: repair header: %w", err)
 		}
 		good = segHeader
-	}
-	if err := f.Close(); err != nil {
-		return 0, err
 	}
 	return good, nil
 }
@@ -259,29 +283,52 @@ func (sh *shard) indexRecord(rec *probe.Record, seg int, off int64, size uint32,
 
 // insert appends to the shard the records of recs that hash here: all of
 // them from start on when next is nil, else the index list that begins at
-// start and follows next to -1. It writes them grouped by chain (grouper),
-// so a chain's records sit next to each other in the segment and read back
-// in one run. With onlyNew set, records the shard has already indexed —
-// events are identified by (chain, seq), links by (parent, parent seq) —
-// are skipped: a rebalanced hash range replayed from segments may overlap
-// records the new owner already received live, and accepting them twice
-// would double-count chains in the conservation ledger (and duplicate
-// events under the analyzer). It returns how many records it appended.
-// Disk failures turn sticky: the failing record and all after it are
-// dropped and counted rather than wedging the live ingest path, and the
-// index only ever describes bytes that reached the writer.
+// start and follows next to -1. It groups them by chain (grouper) and
+// writes each chain's run as one frame, so a chain's records sit together
+// in the segment and read back with one decode. With onlyNew set, records
+// the shard has already indexed — events are identified by (chain, seq),
+// links by (parent, parent seq) — are skipped: a rebalanced hash range
+// replayed from segments may overlap records the new owner already received
+// live, and accepting them twice would double-count chains in the
+// conservation ledger (and duplicate events under the analyzer). It returns
+// how many records it appended. Disk failures turn sticky: the failing run
+// and all after it are dropped and counted rather than wedging the live
+// ingest path, and the index only ever describes bytes that reached the
+// writer.
 func (sh *shard) insert(recs []probe.Record, start int, next []int32, now time.Time, onlyNew bool) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	accepted := 0
-	for _, i := range sh.group.byChain(recs, start, next) {
-		r := &recs[i]
-		if !(onlyNew && sh.dupLocked(r)) && sh.appendLocked(r, now) {
-			accepted++
-		}
+	order, ends := sh.group.byChain(recs, start, next)
+	from := int32(0)
+	for _, to := range ends {
+		accepted += sh.appendLocked(sh.runOf(recs, order[from:to], onlyNew), now)
+		from = to
 	}
 	sh.group.release()
+	if cap(sh.run) > maxKeptScratch {
+		sh.run = nil
+	}
 	return accepted
+}
+
+// runOf returns the records at idx — one chain's run, in batch order — as
+// one slice: a stretch of recs itself when they are one, else a copy in the
+// shard's run scratch. With onlyNew it leaves out what the shard has
+// indexed and what the run repeats.
+func (sh *shard) runOf(recs []probe.Record, idx []int32, onlyNew bool) []probe.Record {
+	first, n := int(idx[0]), len(idx)
+	if !onlyNew && int(idx[n-1])-first == n-1 {
+		return recs[first : first+n]
+	}
+	run := sh.run[:0]
+	for _, i := range idx {
+		if r := &recs[i]; !(onlyNew && sh.dupLocked(r, run)) {
+			run = append(run, *r)
+		}
+	}
+	sh.run = run
+	return run
 }
 
 // grouper orders a shard's part of a batch by chain — an event's own, a
@@ -289,21 +336,21 @@ func (sh *shard) insert(recs []probe.Record, start int, next []int32, now time.T
 // they first appear, each chain's records, links included, in batch order.
 // A shard receives its share of a mixed batch as a few records of many
 // interleaved chains; written as they came, no two records of a chain would
-// be adjacent on disk. The scratch is reused, so grouping allocates nothing
-// in steady state.
+// share a frame. The scratch is reused, so grouping allocates nothing in
+// steady state.
 type grouper struct {
 	part  []int32             // the part's record indices, in batch order
 	group map[uuid.UUID]int32 // chain → its group number
 	of    []int32             // group number of part[p]
-	slot  []int32             // per group: its size, then its next slot in order
+	slot  []int32             // per group: its size, then where its run ends
 	order []int32             // the part regrouped
 }
 
 // byChain returns the record indices of the part — recs[start:] when next
-// is nil, else the list start, next[start], … to -1 — grouped by chain. A
-// part of one chain, which every assembler eviction is, comes back as it
-// is, ungrouped.
-func (g *grouper) byChain(recs []probe.Record, start int, next []int32) []int32 {
+// is nil, else the list start, next[start], … to -1 — grouped by chain, and
+// where each chain's run ends in them. A part of one chain, which every
+// assembler eviction is, comes back as it is, ungrouped.
+func (g *grouper) byChain(recs []probe.Record, start int, next []int32) (order, ends []int32) {
 	g.part = g.part[:0]
 	first := routeKey(&recs[start])
 	one := true
@@ -317,7 +364,8 @@ func (g *grouper) byChain(recs []probe.Record, start int, next []int32) []int32 
 		}
 	}
 	if one {
-		return g.part
+		g.slot = append(g.slot[:0], int32(len(g.part)))
+		return g.part, g.slot
 	}
 	if g.group == nil {
 		g.group = make(map[uuid.UUID]int32)
@@ -346,7 +394,7 @@ func (g *grouper) byChain(recs []probe.Record, start int, next []int32) []int32 
 		g.order[g.slot[id]] = i
 		g.slot[id]++
 	}
-	return g.order
+	return g.order, g.slot
 }
 
 // release drops scratch an outsized part made grow: a kept map is cleared
@@ -357,49 +405,97 @@ func (g *grouper) release() {
 	}
 }
 
-// appendLocked writes one record and indexes it; false when the record
-// was dropped (sticky disk failure).
-func (sh *shard) appendLocked(r *probe.Record, now time.Time) bool {
-	if sh.sticky != nil {
-		sh.dropped++
-		return false
-	}
-	if sh.active.size >= sh.maxBytes {
+// appendLocked writes a chain's run and indexes it, returning how many
+// records it wrote. The rest are dropped and counted: all of them once a
+// disk failure has turned sticky, and a record whose frame alone would pass
+// probe.MaxFrameBytes — no reader would take it back.
+func (sh *shard) appendLocked(run []probe.Record, now time.Time) int {
+	if sh.sticky == nil && sh.active.size >= sh.maxBytes {
 		if err := sh.rotateLocked(); err != nil {
 			sh.sticky = err
-			sh.dropped++
-			return false
 		}
 	}
-	off, size, err := sh.active.append(r)
-	if err != nil {
-		sh.sticky = fmt.Errorf("tracestore: append: %w", err)
-		sh.dropped++
-		return false
+	n := 0
+	if sh.sticky == nil {
+		var err error
+		n, err = sh.writeFrames(sh.active, run, func(recs []probe.Record, off int64, size uint32) {
+			for i := range recs {
+				sh.indexRecord(&recs[i], sh.activeID, off, size, now)
+			}
+		})
+		if err != nil {
+			sh.sticky = fmt.Errorf("tracestore: append: %w", err)
+		}
 	}
-	sh.indexRecord(r, sh.activeID, off, size, now)
-	return true
+	sh.dropped += len(run) - n
+	return n
 }
 
-// dupLocked reports whether the shard already indexed r's identity.
-func (sh *shard) dupLocked(r *probe.Record) bool {
-	switch r.Kind {
-	case probe.KindEvent:
-		ci := sh.chains[r.Chain]
-		if ci == nil {
-			return false
+// writeFrames writes recs to w as one frame or, where that frame would pass
+// probe.MaxFrameBytes, each half the same way; a record too large for a
+// frame of its own is left out (one read back from a segment never is).
+// wrote sees each frame's records and where its body lies. It returns how
+// many records it wrote, stopping at a write error.
+func (sh *shard) writeFrames(w *segmentWriter, recs []probe.Record, wrote func(recs []probe.Record, off int64, size uint32)) (int, error) {
+	if len(recs) == 0 {
+		return 0, nil
+	}
+	body := sh.enc.Encode(recs)
+	if len(body) > maxRunBytes {
+		sh.enc = probe.FrameEncoder{} // body keeps the outsized buffer alive, the shard does not
+	}
+	if len(body) > probe.MaxFrameBytes {
+		if len(recs) == 1 {
+			return 0, nil
 		}
-		for _, loc := range ci.locs {
-			if loc.seq == r.Seq {
-				return true
-			}
+		half := len(recs) / 2
+		n, err := sh.writeFrames(w, recs[:half], wrote)
+		if err != nil {
+			return n, err
 		}
-	case probe.KindLink:
-		if _, ok := sh.byParent[chainSeq{r.LinkParent, r.LinkParentSeq}]; ok {
+		m, err := sh.writeFrames(w, recs[half:], wrote)
+		return n + m, err
+	}
+	off, err := w.append(body)
+	if err != nil {
+		return 0, err
+	}
+	wrote(recs, off, uint32(len(body)))
+	return len(recs), nil
+}
+
+// dupLocked reports whether the shard already indexed r's identity, or run
+// — the records about to be written with it — holds it.
+func (sh *shard) dupLocked(r *probe.Record, run []probe.Record) bool {
+	id := identity(r)
+	for i := range run {
+		if run[i].Kind == r.Kind && identity(&run[i]) == id {
 			return true
 		}
 	}
+	switch r.Kind {
+	case probe.KindEvent:
+		if ci := sh.chains[r.Chain]; ci != nil {
+			for _, loc := range ci.locs {
+				if loc.seq == r.Seq {
+					return true
+				}
+			}
+		}
+	case probe.KindLink:
+		_, ok := sh.byParent[id]
+		return ok
+	}
 	return false
+}
+
+// identity is what InsertNew tells records apart by: an event's (chain,
+// seq), a link's (parent, parent seq).
+func identity(r *probe.Record) chainSeq {
+	if r.Kind == probe.KindLink {
+		return chainSeq{r.LinkParent, r.LinkParentSeq}
+	}
+	return chainSeq{r.Chain, r.Seq}
 }
 
 // rotateLocked seals the active segment and starts the next one.
@@ -452,7 +548,7 @@ func (sh *shard) eventsOf(chain uuid.UUID) ([]probe.Record, error) {
 	if ci == nil {
 		return nil, nil
 	}
-	return sh.eventsLocked(ci)
+	return sh.eventsLocked(chain, ci)
 }
 
 // chainList returns the shard's chain UUIDs, unsorted (the store merges
@@ -542,7 +638,7 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 		if !ci.last.Before(cutoff) {
 			continue
 		}
-		recs, rerr := sh.eventsLocked(ci)
+		recs, rerr := sh.eventsLocked(c, ci)
 		if rerr != nil {
 			return 0, rerr
 		}
@@ -554,14 +650,20 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 		return 0, nil
 	}
 
-	// Phase 2: rewrite survivors into the next segment id. Links whose
-	// parent chain was dropped go with it (their child is gone too: a
-	// child chain shares the parent's wall-clock era, and an incomplete
-	// child keeps its own chain alive but not its link).
+	// Phase 2: rewrite survivors into the next segment id — the kept links
+	// first, then one run a surviving chain. Links whose parent chain was
+	// dropped go with it (their child is gone too: a child chain shares the
+	// parent's wall-clock era, and an incomplete child keeps its own chain
+	// alive but not its link).
 	newID := sh.activeID + 1
 	tmp := filepath.Join(sh.dir, "compact.tmp")
 	w, err := createSegment(tmp)
 	if err != nil {
+		return 0, err
+	}
+	abort := func(err error) (int, error) {
+		w.close()
+		os.Remove(tmp)
 		return 0, err
 	}
 	type newLoc struct {
@@ -579,12 +681,10 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 			sweptRecs++
 			continue
 		}
-		if _, _, werr := w.append(&l); werr != nil {
-			w.close()
-			os.Remove(tmp)
-			return 0, fmt.Errorf("tracestore: compact: %w", werr)
-		}
 		keptLinks = append(keptLinks, l)
+	}
+	if _, err := sh.writeFrames(w, keptLinks, func([]probe.Record, int64, uint32) {}); err != nil {
+		return abort(fmt.Errorf("tracestore: compact: %w", err))
 	}
 	survivors := make([]uuid.UUID, 0, len(sh.chains)-len(victims))
 	for c := range sh.chains {
@@ -594,26 +694,20 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 	}
 	sort.Slice(survivors, func(i, j int) bool { return uuid.Compare(survivors[i], survivors[j]) < 0 })
 	for _, c := range survivors {
-		recs, rerr := sh.eventsLocked(sh.chains[c])
-		if rerr != nil {
-			w.close()
-			os.Remove(tmp)
-			return 0, rerr
+		recs, err := sh.eventsLocked(c, sh.chains[c])
+		if err != nil {
+			return abort(err)
 		}
-		for i := range recs {
-			off, size, werr := w.append(&recs[i])
-			if werr != nil {
-				w.close()
-				os.Remove(tmp)
-				return 0, fmt.Errorf("tracestore: compact: %w", werr)
+		if _, err := sh.writeFrames(w, recs, func(recs []probe.Record, off int64, size uint32) {
+			for i := range recs {
+				newLocs = append(newLocs, newLoc{chain: c, loc: recLoc{seq: recs[i].Seq, off: off, seg: int32(newID), size: size}})
 			}
-			newLocs = append(newLocs, newLoc{chain: c, loc: recLoc{seq: recs[i].Seq, off: off, seg: int32(newID), size: size}})
+		}); err != nil {
+			return abort(fmt.Errorf("tracestore: compact: %w", err))
 		}
 	}
 	if err := w.sync(); err != nil {
-		w.close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("tracestore: compact: %w", err)
+		return abort(fmt.Errorf("tracestore: compact: %w", err))
 	}
 	if err := w.close(); err != nil {
 		os.Remove(tmp)
@@ -675,28 +769,27 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 	return len(victims), nil
 }
 
-// eventsLocked is eventsOf with the lock already held. It reads the chain
-// in runs: the chain's locations in (segment, offset) order, byte-adjacent
-// records merged — never across a segment, at most maxRunBytes a run — and
-// each run read with one ReadAt into the shard's run buffer and decoded
-// from there. The records come back in seq order, ties in insertion order.
-func (sh *shard) eventsLocked(ci *chainIndex) ([]probe.Record, error) {
+// eventsLocked is eventsOf with the lock already held. It reads the chain's
+// frames in disk order, byte-adjacent frames merged into runs — never across
+// a segment, at most maxRunBytes a run — each run with one ReadAt into the
+// shard's run buffer. It decodes each frame once and copies out the chain's
+// events (a frame's links belong to the chain but are not its events). The
+// records come back in seq order, ties in insertion order.
+func (sh *shard) eventsLocked(chain uuid.UUID, ci *chainIndex) ([]probe.Record, error) {
 	if err := sh.flushLocked(); err != nil {
 		return nil, err
 	}
-	if ci.dirty {
-		sort.SliceStable(ci.locs, func(i, j int) bool { return ci.locs[i].seq < ci.locs[j].seq })
-		ci.dirty = false
-	}
 	locs := ci.locs
-	order := sh.diskOrder(locs)
-	out := make([]probe.Record, len(locs))
-	for p := 0; p < len(order); {
-		first := locs[order[p]]
+	out := make([]probe.Record, 0, len(locs))
+	for p := 0; p < len(locs); {
+		first := locs[p]
 		end := first.off + int64(first.size)
 		q := p + 1
-		for ; q < len(order); q++ {
-			l := locs[order[q]]
+		for ; q < len(locs); q++ {
+			l := locs[q]
+			if l.seg == first.seg && l.off+int64(l.size) == end {
+				continue // another event of the frame last taken in
+			}
 			if l.seg != first.seg || l.off != end+frameHeader || l.off+int64(l.size)-first.off > maxRunBytes {
 				break
 			}
@@ -715,37 +808,26 @@ func (sh *shard) eventsLocked(ci *chainIndex) ([]probe.Record, error) {
 			return nil, fmt.Errorf("tracestore: read records: %w", err)
 		}
 		for ; p < q; p++ {
-			l := locs[order[p]]
-			if err := decodePayload(run[l.off-first.off:][:l.size], &out[order[p]], true); err != nil {
-				return nil, err
+			l := locs[p]
+			if p > 0 && l.seg == locs[p-1].seg && l.off == locs[p-1].off {
+				continue
+			}
+			recs, err := sh.dec.Decode(run[l.off-first.off:][:l.size])
+			if err != nil {
+				return nil, fmt.Errorf("tracestore: read records: %w", err)
+			}
+			for i := range recs {
+				if recs[i].Kind == probe.KindEvent && recs[i].Chain == chain {
+					out = append(out, recs[i])
+				}
 			}
 		}
+	}
+	if ci.dirty {
+		slices.SortStableFunc(out, func(a, b probe.Record) int { return cmp.Compare(a.Seq, b.Seq) })
 	}
 	if cap(sh.runBuf) > maxRunBytes {
 		sh.runBuf = nil
 	}
-	if cap(sh.order) > maxKeptScratch {
-		sh.order = nil
-	}
 	return out, nil
-}
-
-// diskOrder returns the positions of locs in (segment, offset) order. A
-// chain written in seq order is already in it, and needs no sort.
-func (sh *shard) diskOrder(locs []recLoc) []int32 {
-	sh.order = slices.Grow(sh.order[:0], len(locs))[:len(locs)]
-	sorted := true
-	for i := range sh.order {
-		sh.order[i] = int32(i)
-		sorted = sorted && (i == 0 || locs[i-1].seg < locs[i].seg || locs[i-1].seg == locs[i].seg && locs[i-1].off < locs[i].off)
-	}
-	if !sorted {
-		slices.SortFunc(sh.order, func(a, b int32) int {
-			if c := cmp.Compare(locs[a].seg, locs[b].seg); c != 0 {
-				return c
-			}
-			return cmp.Compare(locs[a].off, locs[b].off)
-		})
-	}
-	return sh.order
 }

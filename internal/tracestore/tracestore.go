@@ -4,15 +4,18 @@
 // analysis, the wrong one for a collection daemon that ingests many
 // shipper connections for hours. tracestore partitions chains by Function
 // UUID hash across independently locked shards (a chain's constant-size
-// UUID keys all of its events, so no operation ever crosses a shard),
-// appends records to length-prefixed binary segment files — a shard's part
-// of a batch grouped by chain, so a chain reads back in a few contiguous
-// runs rather than a read per record — and keeps only a 24-byte location
-// per event in memory. Torn segment tails from a crashed collector are
-// truncated on reopen, matching the torn-tail contract probe.ReadFrames
-// carries for record streams, and a retention sweep compacts away
-// completed chains past a configurable age so the store can run
-// unattended.
+// UUID keys all of its events, so no operation ever crosses a shard), and
+// appends records to segment files that are record streams, the same bytes
+// as a .ftlog (probe/sink.go): a shard's part of a batch is grouped by
+// chain and each chain's run written as one probe frame, so a chain reads
+// back in a few contiguous runs of frames rather than a read per record,
+// and a closed store loads through logdb.LoadGlob("<dir>/shard-*/*.seg")
+// with no tracestore code. Only a 24-byte location per event — the frame
+// that holds it — stays in memory. Reopening reads each segment through
+// probe.FrameReader, so a crashed collector's torn tails are truncated
+// under the record stream's one torn-tail rule, and a retention sweep
+// compacts away completed chains past a configurable age so the store can
+// run unattended.
 //
 // The store satisfies analysis.Source, so both Reconstruct and
 // ReconstructParallel run against it unchanged.
@@ -193,7 +196,8 @@ func (s *Store) Warnings() []string {
 }
 
 // Insert appends records, borrowing recs for the call (probe.RecordStore):
-// each is encoded into its shard's segment and only its location kept.
+// each chain's records are framed into its shard's segment and only their
+// location kept.
 func (s *Store) Insert(recs ...probe.Record) { s.insert(recs, false) }
 
 // InsertNew appends only records the store has not indexed yet — events
@@ -207,8 +211,9 @@ func (s *Store) InsertNew(recs ...probe.Record) int { return s.insert(recs, true
 // insert routes recs to their shards, each shard's lock taken once. A batch
 // of one shard — every chain the streaming assembler evicts, since a chain
 // hashes to one shard — goes to it as it is. A mixed batch is threaded into
-// one index list per shard (a route), which the shard walks under its lock;
-// no record is copied either way, and the route is recycled.
+// one index list per shard (a route), which the shard walks under its lock,
+// and the route is recycled. Routing copies no record; a shard copies a
+// chain's run only to frame it when the run is not a stretch of the batch.
 func (s *Store) insert(recs []probe.Record, onlyNew bool) int {
 	if len(recs) == 0 {
 		return 0
@@ -334,7 +339,9 @@ func (s *Store) Swept() int {
 	return n
 }
 
-// Dropped reports records lost to shard disk failures.
+// Dropped reports records lost to shard disk failures, and records too
+// large for a frame of their own (probe.MaxFrameBytes), which are never
+// written.
 func (s *Store) Dropped() int {
 	n := 0
 	for _, sh := range s.shards {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,7 +57,7 @@ func link(parent uuid.UUID, seq uint64, child uuid.UUID) probe.Record {
 }
 
 // sameRecord compares records field-wise, using time.Equal for the wall
-// fields: the segment codec stores wall nanoseconds, so the monotonic
+// fields: the frame codec stores wall nanoseconds, so the monotonic
 // reading time.Now attaches is (deliberately) not round-tripped.
 func sameRecord(a, b probe.Record) bool {
 	if !a.WallStart.Equal(b.WallStart) || !a.WallEnd.Equal(b.WallEnd) {
@@ -179,6 +180,42 @@ func TestReopen(t *testing.T) {
 	}
 }
 
+// The store reopens whatever it accepted: a record with a 17 MiB Semantics —
+// within the transport's 64 MiB frame, past what segments once capped a
+// payload at — survives Close and Open beside a normal one. A record whose
+// frame alone would pass probe.MaxFrameBytes could not be read back, so it
+// is dropped and counted, never written.
+func TestStoreReopensWhatItAccepted(t *testing.T) {
+	dir := t.TempDir()
+	ts, err := Open(dir, Options{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Unix(1700000000, 0)
+	c, big := chainID(1), chainID(2)
+	recs := []probe.Record{ev(c, 1, ftl.StubStart, "IJob", wall), ev(big, 1, ftl.StubStart, "IJob", wall)}
+	recs[1].Semantics = strings.Repeat("s", 17<<20)
+	ts.Insert(recs...)
+	huge := ev(chainID(3), 1, ftl.StubStart, "IJob", wall)
+	huge.Semantics = strings.Repeat("h", probe.MaxFrameBytes)
+	ts.Insert(huge)
+	if ts.Dropped() != 1 || ts.Len() != 2 {
+		t.Fatalf("after inserting a record too large for a frame: Dropped %d, Len %d; want 1 and 2", ts.Dropped(), ts.Len())
+	}
+	if err := ts.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ts, err = Open(dir, Options{}); err != nil {
+		t.Fatalf("reopening a store holding a 17 MiB record: %v", err)
+	}
+	defer ts.Close()
+	sameRecords(t, "normal", ts.Events(c), recs[:1])
+	sameRecords(t, "17 MiB", ts.Events(big), recs[1:])
+	if n := len(ts.Chains()); n != 2 {
+		t.Fatalf("reopened store holds %d chains, want 2", n)
+	}
+}
+
 // TestRotation forces many small segments and checks reads span them.
 func TestRotation(t *testing.T) {
 	dir := t.TempDir()
@@ -245,32 +282,24 @@ func TestRecoverEveryTruncation(t *testing.T) {
 		ev(c, 3, ftl.SkelEnd, "IJobSubmitter", wall),
 		ev(c, 4, ftl.StubEnd, "IJobSubmitter", wall),
 	}
-	ts.Insert(recs...)
+	// Each Insert is one frame: a lone event, two events with the link
+	// between them, a lone event. frameEnds[i] is the file size at which
+	// the first i+1 frames are readable.
+	frames := [][]probe.Record{recs[:1], recs[1:4], recs[4:]}
+	var frameEnds []int64
+	for _, f := range frames {
+		ts.Insert(f...)
+		frameEnds = append(frameEnds, ts.shards[0].active.size)
+	}
 	if err := ts.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segPath := filepath.Join(master, "shard-000", segName(0))
-	full, err := os.ReadFile(segPath)
+	full, err := os.ReadFile(filepath.Join(master, "shard-000", segName(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// frameEnds[i] = file size at which exactly i+1 records are readable.
-	var frameEnds []int64
-	f, err := os.Open(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	end := segHeader
-	if _, err := scanSegment(f, func(_ *probe.Record, off int64, size uint32) {
-		end = off + int64(size)
-		frameEnds = append(frameEnds, end)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if len(frameEnds) != len(recs) {
-		t.Fatalf("reference scan: %d frames want %d", len(frameEnds), len(recs))
+	if int64(len(full)) != frameEnds[len(frameEnds)-1] {
+		t.Fatalf("segment holds %d bytes, the writer counted %d", len(full), frameEnds[len(frameEnds)-1])
 	}
 
 	manifest, err := os.ReadFile(filepath.Join(master, manifestName))
@@ -292,19 +321,20 @@ func TestRecoverEveryTruncation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
-		wantComplete := 0
-		for _, e := range frameEnds {
+		// A cut exactly at a frame boundary, at the bare header or before
+		// anything (an empty stream) leaves a clean file; anything else
+		// tears a frame and must warn.
+		wantComplete, atBoundary := 0, cut == 0 || cut == int(segHeader)
+		for i, e := range frameEnds {
 			if int64(cut) >= e {
-				wantComplete++
+				wantComplete += len(frames[i])
 			}
+			atBoundary = atBoundary || int64(cut) == e
 		}
 		if got := re.Len(); got != wantComplete {
 			re.Close()
 			t.Fatalf("cut %d: recovered %d records, want %d", cut, got, wantComplete)
 		}
-		// A cut exactly at a frame boundary (or at the bare header) leaves
-		// a clean file; anything else tears a frame and must warn.
-		atBoundary := cut == int(segHeader) || (wantComplete > 0 && int64(cut) == frameEnds[wantComplete-1])
 		if warns := re.Warnings(); atBoundary && len(warns) != 0 {
 			re.Close()
 			t.Fatalf("cut %d: clean boundary warned: %v", cut, warns)
