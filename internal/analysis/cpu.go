@@ -25,19 +25,31 @@ import (
 //
 // All differences are same-thread by construction: probes 2 and 3 run on
 // the dispatch thread; a child's probes 1 and 4 run on F's thread.
+//
+// Trees are annotated on up to GOMAXPROCS goroutines. A subtree with no
+// metered node keeps nil DescCPU/InclusiveCPU maps, which read as empty, so
+// a run without the CPU aspect allocates nothing here.
 func (g *DSCG) ComputeCPU() {
-	for _, t := range g.Trees {
+	g.forEachTree(func(t *Tree) {
 		for _, r := range t.Roots {
-			computeCPU(r)
+			cpuPass(r)
 		}
-	}
+	})
 }
 
-func computeCPU(n *Node) map[string]time.Duration {
-	// Post-order: children first, so DC can be summed from their results.
-	desc := make(map[string]time.Duration)
+// cpuPass annotates the subtree rooted at n post-order, so DC is summed
+// from the children's results, and returns n's inclusive CPU: nil when no
+// node in the subtree is metered. Every node owns its maps.
+func cpuPass(n *Node) map[string]time.Duration {
+	var desc map[string]time.Duration
 	for _, c := range n.Children {
-		inc := computeCPU(c)
+		inc := cpuPass(c)
+		if inc == nil {
+			continue
+		}
+		if desc == nil {
+			desc = make(map[string]time.Duration, len(inc))
+		}
 		for k, v := range inc {
 			desc[k] += v
 		}
@@ -52,6 +64,10 @@ func computeCPU(n *Node) map[string]time.Duration {
 		}
 		n.SelfCPU = self
 		n.HasCPU = true
+	}
+	if desc == nil && !n.HasCPU {
+		n.InclusiveCPU = nil
+		return nil
 	}
 
 	// Inclusive = self (charged to this node's processor type) + descendents.

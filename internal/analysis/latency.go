@@ -23,68 +23,72 @@ import (
 // windows (probes 2 and 3), which also lie inside the P1–P4 span.
 // Collocated invocations fire degenerated probes whose two events share a
 // window, so each contributes its two distinct windows once.
+//
+// It is one post-order pass per tree: each node is annotated from the
+// serial cost its children return, so the pass is linear in the nodes. The
+// trees are disjoint, so they are annotated on up to GOMAXPROCS goroutines.
+// A node whose span or compensated latency would be negative — the wall
+// clock stepped back between its probes — is left without latency.
 func (g *DSCG) ComputeLatency() {
-	g.Walk(func(n *Node) { computeLatency(n) })
+	g.forEachTree(func(t *Tree) {
+		for _, r := range t.Roots {
+			latencyPass(r)
+		}
+	})
 }
 
-func computeLatency(n *Node) {
-	var raw time.Duration
+// ComputeLatencySubtree annotates latency metrics on root and all its
+// descendants without requiring a full DSCG — the collector's chain table
+// uses it on each completed top-level invocation.
+func ComputeLatencySubtree(root *Node) { latencyPass(root) }
+
+// latencyPass annotates the subtree rooted at n and returns the probe-window
+// time it contributes to its caller's span.
+func latencyPass(n *Node) time.Duration {
+	var children time.Duration
+	for _, c := range n.Children {
+		children += latencyPass(c)
+	}
+	annotateLatency(n, children)
 	switch {
 	case n.Oneway:
-		// Skel-side latency is the primary metric: the callee's execution.
-		if !windowed(n.SkelStart) || !windowed(n.SkelEnd) {
-			return
-		}
-		raw = n.SkelEnd.WallStart.Sub(n.SkelStart.WallEnd)
-	case n.Collocated:
-		if !windowed(n.SkelStart) || !windowed(n.SkelEnd) {
-			return
-		}
-		raw = n.SkelEnd.WallStart.Sub(n.SkelStart.WallEnd)
-	default:
-		if !windowed(n.StubStart) || !windowed(n.StubEnd) {
-			return
-		}
-		raw = n.StubEnd.WallStart.Sub(n.StubStart.WallEnd)
-	}
-
-	overhead := time.Duration(0)
-	for _, c := range n.Children {
-		overhead += serialProbeCost(c)
-	}
-	if !n.Oneway && !n.Collocated {
-		// Remote synchronous: own skeleton-side windows lie in the span.
-		overhead += window(n.SkelStart) + window(n.SkelEnd)
-	}
-
-	n.RawLatency = raw
-	n.Overhead = overhead
-	n.Latency = raw - overhead
-	n.HasLatency = true
-}
-
-// serialProbeCost returns the probe-window time the invocation subtree
-// rooted at c contributes to its caller's span.
-func serialProbeCost(c *Node) time.Duration {
-	var cost time.Duration
-	switch {
-	case c.Oneway:
 		// R = {1,4}: only the stub-side windows run in the caller's thread.
-		return window(c.StubStart) + window(c.StubEnd)
-	case c.Collocated:
+		return window(n.StubStart) + window(n.StubEnd)
+	case n.Collocated:
 		// Degenerated probes: the start pair shares one activation whose
 		// full extent is the second record's window (same WallStart, later
 		// WallEnd), and likewise for the end pair. Count each activation
 		// once, by its widest record.
-		cost = window(c.SkelStart) + window(c.StubEnd)
+		return window(n.SkelStart) + window(n.StubEnd) + children
 	default:
 		// R = {1,2,3,4}.
-		cost = window(c.StubStart) + window(c.SkelStart) + window(c.SkelEnd) + window(c.StubEnd)
+		return window(n.StubStart) + window(n.SkelStart) + window(n.SkelEnd) + window(n.StubEnd) + children
 	}
-	for _, cc := range c.Children {
-		cost += serialProbeCost(cc)
+}
+
+// annotateLatency sets n's latency from its span and overhead, children
+// being the serial probe cost of its children.
+func annotateLatency(n *Node, children time.Duration) {
+	start, end := n.StubStart, n.StubEnd
+	overhead := children
+	if n.Oneway || n.Collocated {
+		// Skel-side latency is the primary metric: the callee's execution.
+		start, end = n.SkelStart, n.SkelEnd
+	} else {
+		// Remote synchronous: own skeleton-side windows lie in the span.
+		overhead += window(n.SkelStart) + window(n.SkelEnd)
 	}
-	return cost
+	if !windowed(start) || !windowed(end) {
+		return
+	}
+	raw := end.WallStart.Sub(start.WallEnd)
+	if raw < 0 || raw-overhead < 0 {
+		return
+	}
+	n.RawLatency = raw
+	n.Overhead = overhead
+	n.Latency = raw - overhead
+	n.HasLatency = true
 }
 
 func windowed(r *probe.Record) bool {
@@ -154,11 +158,4 @@ func opLess(a, b probe.OpID) bool {
 		return a.Operation < b.Operation
 	}
 	return a.Object < b.Object
-}
-
-// ComputeLatencySubtree annotates latency metrics on root and all its
-// descendants without requiring a full DSCG — the online monitor uses it
-// on each completed top-level invocation.
-func ComputeLatencySubtree(root *Node) {
-	root.Walk(func(n *Node) { computeLatency(n) })
 }

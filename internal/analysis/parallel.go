@@ -26,26 +26,43 @@ func ReconstructParallel(db Source, workers int) *DSCG {
 	if workers == 1 || len(chains) < 2 {
 		return ReconstructFrom(db)
 	}
-	if workers > len(chains) {
-		workers = len(chains)
-	}
-
 	parsed := make([]ParsedChain, len(chains))
+	parallelFor(len(chains), workers, func(i int) {
+		parsed[i] = ParseChainEvents(chains[i], db.Events(chains[i]))
+	})
+	return AssembleParsed(db, chains, parsed)
+}
+
+// forEachTree runs fn on every tree of g on up to GOMAXPROCS goroutines.
+// After AssembleParsed every node belongs to exactly one tree, so per-tree
+// passes touch disjoint nodes.
+func (g *DSCG) forEachTree(fn func(*Tree)) {
+	parallelFor(len(g.Trees), runtime.GOMAXPROCS(0), func(i int) { fn(g.Trees[i]) })
+}
+
+// parallelFor calls fn(i) for every i in [0, n) on up to workers goroutines
+// that take indexes from an atomic counter; with one worker it is a plain
+// loop on the caller's goroutine.
+func parallelFor(n, workers int, fn func(int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chains) {
-					return
-				}
-				parsed[i] = ParseChainEvents(chains[i], db.Events(chains[i]))
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return AssembleParsed(db, chains, parsed)
 }

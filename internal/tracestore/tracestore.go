@@ -25,11 +25,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"causeway/internal/probe"
@@ -84,7 +86,11 @@ type route struct {
 
 // Open creates or reopens the store rooted at dir, recovering every
 // shard's segments (truncating torn tails, dropping segments below the
-// compaction watermark).
+// compaction watermark). No operation crosses a shard, so shards recover
+// concurrently, on up to GOMAXPROCS goroutines; the result is the same as
+// recovering them in order: warnings in shard order, and on failure the
+// error of the lowest-numbered failing shard, with every opened shard
+// closed again.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = defaultShards
@@ -108,15 +114,45 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s := &Store{dir: dir, mask: uint64(shards - 1)}
 	s.shards = make([]*shard, shards)
-	for i := range s.shards {
-		sh, err := openShard(filepath.Join(dir, fmt.Sprintf("shard-%03d", i)), opts.SegmentMaxBytes, s.warn)
+	warns := make([][]string, shards)
+	errs := make([]error, shards)
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), shards)
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			// Workers stop taking shards once one has failed. Shards are
+			// taken in ascending order, so every shard below a failed one
+			// was taken before it and the lowest failing shard is found.
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= shards {
+					return
+				}
+				s.shards[i], errs[i] = openShard(filepath.Join(dir, fmt.Sprintf("shard-%03d", i)), opts.SegmentMaxBytes,
+					func(msg string) { warns[i] = append(warns[i], msg) })
+				if errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			for _, prev := range s.shards[:i] {
-				prev.close()
+			for _, sh := range s.shards {
+				if sh != nil {
+					sh.close()
+				}
 			}
 			return nil, err
 		}
-		s.shards[i] = sh
+	}
+	for _, w := range warns {
+		s.warnings = append(s.warnings, w...)
 	}
 	return s, nil
 }
