@@ -105,11 +105,7 @@ type echoCaller interface {
 	Echo(string) (string, error)
 }
 
-func benchORBPair(b *testing.B, instrumented, collocated bool, iters int) (echoCaller, func()) {
-	return benchORBPairOpt(b, instrumented, collocated, false, iters)
-}
-
-func benchORBPairOpt(b *testing.B, instrumented, collocated, collocOff bool, iters int) (echoCaller, func()) {
+func benchORBPair(b testing.TB, instrumented, collocated, collocOff bool, iters int) (echoCaller, func()) {
 	b.Helper()
 	net := transport.NewInprocNetwork()
 	mk := func(name string) *orb.ORB {
@@ -173,25 +169,29 @@ func benchORBPairOpt(b *testing.B, instrumented, collocated, collocOff bool, ite
 	return stub, cleanup
 }
 
+// figure1Arms are Figure 1's deployments: the plain and instrumented
+// compilations of one IDL source over both remote and collocated paths.
+var figure1Arms = []struct {
+	name                                string
+	instrumented, collocated, collocOff bool
+}{
+	{"remote/plain", false, false, false},
+	{"remote/instrumented", true, false, false},
+	{"collocated/plain", false, true, false},
+	{"collocated/instrumented", true, true, false},
+	// Ablation: same-process call with the optimization disabled — what
+	// every collocated call would cost without §2.2's fast path.
+	{"collocation-disabled/plain", false, true, true},
+	{"collocation-disabled/instrumented", true, true, true},
+}
+
 // BenchmarkFigure1ProbeOverhead measures the cost the four probes add to a
 // call, comparing the plain and instrumented compilations of one IDL
 // source over both remote and collocated paths.
 func BenchmarkFigure1ProbeOverhead(b *testing.B) {
-	for _, c := range []struct {
-		name                                string
-		instrumented, collocated, collocOff bool
-	}{
-		{"remote/plain", false, false, false},
-		{"remote/instrumented", true, false, false},
-		{"collocated/plain", false, true, false},
-		{"collocated/instrumented", true, true, false},
-		// Ablation: same-process call with the optimization disabled —
-		// what every collocated call would cost without §2.2's fast path.
-		{"collocation-disabled/plain", false, true, true},
-		{"collocation-disabled/instrumented", true, true, true},
-	} {
+	for _, c := range figure1Arms {
 		b.Run(c.name, func(b *testing.B) {
-			stub, cleanup := benchORBPairOpt(b, c.instrumented, c.collocated, c.collocOff, 0)
+			stub, cleanup := benchORBPair(b, c.instrumented, c.collocated, c.collocOff, 0)
 			defer cleanup()
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -18,6 +18,7 @@ import (
 	"causeway/internal/metrics"
 	"causeway/internal/probe"
 	"causeway/internal/topology"
+	"causeway/internal/uuid"
 )
 
 // Ceilings per synchronous invocation. The measured steady-state counts at
@@ -35,11 +36,17 @@ const (
 // per-bucket exemplar slot stamps cost zero additional allocations per
 // invocation on top of the probe path (sharded counters, preallocated
 // histograms, all-atomic seqlock slots).
+//
+// The pair mints chain UUIDs from a SequentialGenerator because under -race
+// crypto/rand.Read allocates: with random IDs, the child chain each oneway
+// begins adds a race-only allocation per call, and on top of sync.Pool's
+// race-mode drops the oneway count reads 4 against its ceiling of 3 in ~4%
+// of runs. Neither generator allocates in a regular build.
 func measureHotPath(t *testing.T, transportKind string, collocated bool, oneway bool) float64 {
 	t.Helper()
 	reg := metrics.NewRegistry()
 	reg.ArmExemplars()
-	stub, fired, cleanup := hotPathPair(t, transportKind, collocated, reg)
+	stub, fired, cleanup := hotPathPair(t, transportKind, collocated, reg, &uuid.SequentialGenerator{Seed: 1})
 	defer cleanup()
 	call := func() {
 		if _, err := stub.Echo("x"); err != nil {
@@ -54,17 +61,23 @@ func measureHotPath(t *testing.T, transportKind string, collocated bool, oneway 
 			<-fired
 		}
 	}
+	return steadyAllocs(call)
+}
+
+// steadyAllocs warms call's pools, then returns its fewest allocations per
+// call over up to five samples.
+func steadyAllocs(call func()) float64 {
 	// Warm the pools (encoders, frame buffers, reply channels, interning)
 	// so the measurement sees steady state, not first-use growth.
 	for i := 0; i < 50; i++ {
 		call()
 	}
-	// AllocsPerRun counts process-wide, and the dispatch side runs on its
-	// own goroutine: under -race its parking can add sudog/scheduler
-	// allocations, sometimes for a whole sample at a time. That noise is
-	// one-sided, so take the minimum of several samples — a real hot-path
-	// regression raises every one of them — with a pause between samples
-	// so a bad scheduling regime does not persist across all of them.
+	// AllocsPerRun counts process-wide, and under -race sync.Pool drops a
+	// quarter of its Puts at random, so pooled buffers on either side of
+	// the call re-allocate now and then. That noise is one-sided, so take
+	// the minimum of several samples — a real hot-path regression raises
+	// every one of them — with a pause between samples so a bad scheduling
+	// regime does not persist across all of them.
 	best := testing.AllocsPerRun(200, call)
 	for i := 0; i < 4 && best > 0; i++ {
 		time.Sleep(time.Millisecond)
@@ -96,6 +109,38 @@ func TestOnewayAllocCeiling(t *testing.T) {
 func TestCollocatedAllocCeiling(t *testing.T) {
 	if a := measureHotPath(t, "inproc", true, false); a > maxAllocsCollocated {
 		t.Fatalf("collocated invocation allocates %v, ceiling %d", a, maxAllocsCollocated)
+	}
+}
+
+// Figure 1's deployments (BenchmarkFigure1ProbeOverhead) run the default
+// thread-per-request policy, so each call also starts the dispatch
+// goroutine the pool-policy pairs above never pay for. Measured 6 per call
+// on both compilations and 1 collocated; one alloc of slack as above.
+const (
+	maxAllocsFigure1Call       = 7
+	maxAllocsFigure1Collocated = 2
+)
+
+// TestFigure1AllocCeiling pins every arm of Figure 1, plain and
+// instrumented alike.
+func TestFigure1AllocCeiling(t *testing.T) {
+	for _, arm := range figure1Arms {
+		t.Run(arm.name, func(t *testing.T) {
+			stub, cleanup := benchORBPair(t, arm.instrumented, arm.collocated, arm.collocOff, 0)
+			defer cleanup()
+			ceiling := maxAllocsFigure1Call
+			if arm.collocated && !arm.collocOff {
+				ceiling = maxAllocsFigure1Collocated
+			}
+			a := steadyAllocs(func() {
+				if _, err := stub.Echo("x"); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if a > float64(ceiling) {
+				t.Fatalf("Figure-1 %s call allocates %v, ceiling %d", arm.name, a, ceiling)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,9 @@
 // Hot-path benchmarks: the marginal cost of one monitored invocation,
 // measured where the paper's Figure-1 claim lives — the synchronous
-// stub→skeleton→stub round trip with all four probes firing. These are the
-// benchmarks scripts/bench.sh trends into BENCH_4.json; the companion
-// alloc-regression tests in hotpath_alloc_test.go pin the ceilings they
-// establish.
+// stub→skeleton→stub round trip with all four probes firing. The companion
+// alloc-regression tests in hotpath_alloc_test.go pin their allocation
+// counts; the end-to-end cost of a monitored call is measured by the
+// repository benchmark under bench/.
 //
 // All variants use the thread-pool policy so steady-state dispatch cost is
 // measured, not goroutine spawn, and a CountingSink so probe cost is not
@@ -20,20 +20,23 @@ import (
 	"causeway/internal/probe"
 	"causeway/internal/topology"
 	"causeway/internal/transport"
+	"causeway/internal/uuid"
 )
 
 // hotPathPair builds an instrumented client/server ORB pair for hot-path
 // measurement. transportKind is "inproc" or "tcp". A non-nil registry arms
 // the in-process metrics plane on both sides, so the alloc ceilings and the
 // metrics-overhead benchmark measure the monitored configuration a real
-// deployment runs.
-func hotPathPair(b testing.TB, transportKind string, collocated bool, reg *metrics.Registry) (*instrecho.EchoStub, chan string, func()) {
+// deployment runs. chains mints the pair's chain UUIDs; nil means random,
+// as deployed.
+func hotPathPair(b testing.TB, transportKind string, collocated bool, reg *metrics.Registry, chains uuid.Generator) (*instrecho.EchoStub, chan string, func()) {
 	b.Helper()
 	net := transport.NewInprocNetwork()
 	mk := func(name string) *orb.ORB {
 		probes, err := probe.New(probe.Config{
 			Process: topology.Process{ID: name, Processor: topology.Processor{ID: name, Type: "x86"}},
 			Sink:    &probe.CountingSink{},
+			Chains:  chains,
 			Metrics: reg,
 		})
 		if err != nil {
@@ -104,7 +107,7 @@ func (s hotPathServant) Fire(payload string) error {
 // synchronous instrumented invocation over the in-process transport, stub
 // start to stub end, four probes firing, thread-pool dispatch.
 func BenchmarkSyncCallProbePath(b *testing.B) {
-	stub, _, cleanup := hotPathPair(b, "inproc", false, nil)
+	stub, _, cleanup := hotPathPair(b, "inproc", false, nil, nil)
 	defer cleanup()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -121,7 +124,7 @@ func BenchmarkSyncCallProbePath(b *testing.B) {
 // metrics plane is under 5% on this pair.
 func BenchmarkMetricsOverhead(b *testing.B) {
 	run := func(b *testing.B, reg *metrics.Registry) {
-		stub, _, cleanup := hotPathPair(b, "inproc", false, reg)
+		stub, _, cleanup := hotPathPair(b, "inproc", false, reg, nil)
 		defer cleanup()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -139,7 +142,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 // connection — the variant that exercises pooled frame buffers and the
 // coalesced single-write transport path.
 func BenchmarkHotPathSyncTCP(b *testing.B) {
-	stub, _, cleanup := hotPathPair(b, "tcp", false, nil)
+	stub, _, cleanup := hotPathPair(b, "tcp", false, nil, nil)
 	defer cleanup()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -154,7 +157,7 @@ func BenchmarkHotPathSyncTCP(b *testing.B) {
 // servant acknowledges through a channel and the loop waits for it, so
 // exactly one call is in flight and queue growth never distorts the number.
 func BenchmarkHotPathOneway(b *testing.B) {
-	stub, fired, cleanup := hotPathPair(b, "inproc", false, nil)
+	stub, fired, cleanup := hotPathPair(b, "inproc", false, nil, nil)
 	defer cleanup()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -169,7 +172,7 @@ func BenchmarkHotPathOneway(b *testing.B) {
 // BenchmarkHotPathCollocated measures the collocation-optimized fast path:
 // same process, both degenerate probe pairs firing, no marshalling.
 func BenchmarkHotPathCollocated(b *testing.B) {
-	stub, _, cleanup := hotPathPair(b, "inproc", true, nil)
+	stub, _, cleanup := hotPathPair(b, "inproc", true, nil, nil)
 	defer cleanup()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -15,6 +15,7 @@ import (
 	"causeway/internal/probe"
 	"causeway/internal/telemetry"
 	"causeway/internal/topology"
+	"causeway/internal/transport"
 	"causeway/internal/uuid"
 )
 
@@ -198,6 +199,47 @@ func TestRoutedShipperLandsChainsWhole(t *testing.T) {
 				t.Fatalf("collector %d missing the link for its chain %s", i, c.Short())
 			}
 		}
+	}
+}
+
+// TestRoutedShipperAppendAllocFree pins the routed append at zero
+// allocations on a warm ring, as telemetry's TestAppendAllocFree pins one
+// shipper's: a chain hash, a ring lookup and the owner's ring-buffer push.
+// The members are parked in an hour-long reconnect backoff so their
+// background loops cannot contribute mallocs of their own.
+func TestRoutedShipperAppendAllocFree(t *testing.T) {
+	ring, err := Assign(1, DefaultSlots, Members("a", "b", "c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmpl := routerTemplate("alloc")
+	tmpl.BufferSize = 1 << 15
+	tmpl.BackoffMin, tmpl.BackoffMax = time.Hour, time.Hour
+	tmpl.DrainTimeout = 10 * time.Millisecond
+	dialErr := errors.New("collector down")
+	tmpl.Dial = func(string) (transport.Client, error) { return nil, dialErr }
+	rs, err := NewRouted(RouterConfig{Ring: ring, Shipper: tmpl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	// Let every member fail its first dial and settle into the backoff.
+	time.Sleep(20 * time.Millisecond)
+
+	gen := &uuid.SequentialGenerator{Seed: 42}
+	var pool []probe.Record
+	for len(pool) < 300 {
+		pool = append(pool, chainRecords(gen.NewUUID(), gen.NewUUID())...)
+	}
+	i := 0
+	if a := testing.AllocsPerRun(500, func() {
+		rs.Append(pool[i%len(pool)])
+		i++
+	}); a != 0 {
+		t.Fatalf("routed Append allocates %v per record, want 0", a)
+	}
+	if st := rs.Combined(); st.Appended == 0 {
+		t.Fatalf("no record reached a member ring: %+v", st)
 	}
 }
 

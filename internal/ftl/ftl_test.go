@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"causeway/internal/gls"
 	"causeway/internal/uuid"
 )
 
@@ -144,6 +145,42 @@ func TestConstantWireSize(t *testing.T) {
 	}
 	if got := len(f.Encode(nil)); got != first {
 		t.Fatalf("wire size changed with depth: %d -> %d", first, got)
+	}
+}
+
+// TestHiddenParamCodecAllocFree pins the hidden parameter's per-hop codec
+// (BenchmarkFigure2Tunnel/hidden-param-codec) at zero allocations: an FTL
+// encodes into the caller's buffer and decodes by value.
+func TestHiddenParamCodecAllocFree(t *testing.T) {
+	f := FTL{Chain: uuid.New()}
+	buf := make([]byte, 0, WireSize)
+	if a := testing.AllocsPerRun(1000, func() {
+		f.NextSeq()
+		buf = f.Encode(buf[:0])
+		if out, _, err := Decode(buf); err != nil || out != f {
+			t.Fatalf("Decode = %+v, %v; want %+v", out, err, f)
+		}
+	}); a != 0 {
+		t.Fatalf("hidden-parameter encode+decode allocates %v per hop, want 0", a)
+	}
+}
+
+// TestTunnelStoreFetchAllocFree pins the tunnel's per-hop TSS operations
+// (BenchmarkFigure2Tunnel/tss-store-fetch) at zero allocations on a
+// registered goroutine, the identity every dispatch goroutine has.
+func TestTunnelStoreFetchAllocFree(t *testing.T) {
+	gls.Register()
+	defer gls.Unregister()
+	tun := NewTunnel(nil)
+	defer tun.Clear()
+	f := FTL{Chain: uuid.New()}
+	if a := testing.AllocsPerRun(1000, func() {
+		tun.Store(f)
+		if got, ok := tun.Current(); !ok || got != f {
+			t.Fatalf("Current = %+v, %v; want %+v", got, ok, f)
+		}
+	}); a != 0 {
+		t.Fatalf("tunnel store+fetch allocates %v per hop, want 0", a)
 	}
 }
 

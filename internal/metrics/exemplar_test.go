@@ -217,24 +217,28 @@ func TestChainIDString(t *testing.T) {
 	}
 }
 
-// TestExemplarObserveAllocFree pins the armed chain-carrying observe path
-// at zero allocations — the probe hot path budget must not move when
-// exemplars are on.
+// TestExemplarObserveAllocFree pins the chain-carrying observe path at zero
+// allocations with exemplars off and on (BenchmarkExemplarOverhead's two
+// arms) — the probe hot path budget must not move when exemplars are on.
 func TestExemplarObserveAllocFree(t *testing.T) {
-	var h Histogram
-	h.ArmExemplars()
-	c := chainID(7)
-	if a := testing.AllocsPerRun(1000, func() {
-		h.ObserveEx(3*time.Millisecond, c, 42)
-	}); a != 0 {
-		t.Fatalf("armed ObserveEx allocates %v/op, want 0", a)
+	for _, armed := range []bool{false, true} {
+		var h Histogram
+		if armed {
+			h.ArmExemplars()
+		}
+		c := chainID(7)
+		if a := testing.AllocsPerRun(1000, func() {
+			h.ObserveEx(3*time.Millisecond, c, 42)
+		}); a != 0 {
+			t.Fatalf("ObserveEx (armed=%v) allocates %v/op, want 0", armed, a)
+		}
 	}
 }
 
 // BenchmarkExemplarOverhead compares the chain-carrying observe path with
 // exemplars off and on: stamping the LWW slot must cost a handful of
-// atomics, not a measurable regression (bench.sh puts both series in the
-// trajectory).
+// atomics, not a measurable regression. TestExemplarObserveAllocFree pins
+// the armed path's allocations.
 func BenchmarkExemplarOverhead(b *testing.B) {
 	c := chainID(5)
 	b.Run("off", func(b *testing.B) {

@@ -365,8 +365,9 @@ func TestTeeAndCountingSinks(t *testing.T) {
 }
 
 // The four probes of a sync call with no ORB around them. Not named
-// BenchmarkSyncCallProbePath: that is the root package's whole-call row in
-// the BENCH_*.json trajectories, and scripts/bench.sh runs both packages.
+// BenchmarkSyncCallProbePath: that is the root package's whole-call
+// benchmark, and CI's bench smoke step runs both packages under one
+// -bench pattern.
 func BenchmarkSyncCallProbesOnly(b *testing.B) {
 	sink := &CountingSink{}
 	p, err := New(Config{Process: testProcess(), Sink: sink})
