@@ -81,8 +81,13 @@ func Self() G {
 			return g
 		}
 	}
+	parses.Add(1)
 	return G(GoroutineID())
 }
+
+// parses counts the Self calls that fell back to the stack parse; tests pin
+// a registered goroutine's probes at none.
+var parses atomic.Uint64
 
 // SelfID is Self().ID() without the handle wrapper: the gid resolve used by
 // the Store convenience methods.

@@ -6,6 +6,7 @@ import (
 
 	"causeway/internal/busy"
 	"causeway/internal/cputime"
+	"causeway/internal/ftl"
 	"causeway/internal/orb"
 	"causeway/internal/pps/ppsgen"
 	"causeway/internal/probe"
@@ -111,7 +112,8 @@ type Pipeline struct {
 	Tracker    ppsgen.JobTracker
 	ClientORB  *orb.ORB
 
-	notifier *notifier
+	notifier     *notifier
+	instrumented bool
 }
 
 // procTypes gives the 4-process configuration the paper's platform mix.
@@ -136,8 +138,9 @@ func Build(opts Options) (*Pipeline, error) {
 
 	nproc := opts.Layout.processCount()
 	p := &Pipeline{
-		Sinks:      make(map[string]*probe.MemorySink, nproc+1),
-		Deployment: topology.NewDeployment(),
+		Sinks:        make(map[string]*probe.MemorySink, nproc+1),
+		Deployment:   topology.NewDeployment(),
+		instrumented: opts.Instrumented,
 	}
 
 	newProcess := func(id string, ptype string, seed uint64) (*orb.ORB, error) {
@@ -294,16 +297,37 @@ func (p *Pipeline) RunJobs(n int, pages int32, color bool) error {
 // Events returns the notifications the notifier received.
 func (p *Pipeline) Events() []string { return p.notifier.Events() }
 
-// AwaitQuiescent waits until asynchronous notifications for n jobs landed.
+// AwaitQuiescent waits until asynchronous notifications for n jobs landed
+// and, on an instrumented pipeline, every notification's dispatch has closed:
+// Notify logs its event before the notifier skeleton's skel_end probe fires,
+// so a snapshot taken on the event alone can miss that record.
 func (p *Pipeline) AwaitQuiescent(jobs int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for len(p.notifier.Events()) < jobs {
+	for {
+		n := len(p.notifier.Events())
+		closed := n
+		if p.instrumented {
+			closed = p.notifyEnds()
+		}
+		if n >= jobs && closed >= n {
+			return nil
+		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("pps: only %d/%d notifications after %v", len(p.notifier.Events()), jobs, timeout)
+			return fmt.Errorf("pps: %d/%d notifications, %d of them closed, after %v", n, jobs, closed, timeout)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return nil
+}
+
+// notifyEnds counts the notifier dispatches that have closed.
+func (p *Pipeline) notifyEnds() int {
+	n := 0
+	for _, r := range p.Records() {
+		if r.Event == ftl.SkelEnd && r.Op.Component == CompNotifier {
+			n++
+		}
+	}
+	return n
 }
 
 // Records snapshots every process's monitoring records.

@@ -2,6 +2,7 @@ package probe
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -252,7 +253,30 @@ func (d *FrameDecoder) intern(b []byte) string {
 // is the decoder's slab: it is valid until the next Decode, which is why the
 // telemetry server's sinks and stores and ReadFrames' callback borrow a
 // frame's records and never keep them.
-func (d *FrameDecoder) Decode(body []byte) ([]Record, error) {
+func (d *FrameDecoder) Decode(body []byte) ([]Record, error) { return d.decode(body, nil, false) }
+
+// DecodeInto is Decode into dst's backing array when the frame's records fit
+// its capacity — dst[:n] is overwritten whole and returned, the caller owns
+// it — and into the decoder's slab when they do not. The trace store's scan
+// decodes a chain's frames straight into the chain's slot of one slab with
+// it.
+func (d *FrameDecoder) DecodeInto(body []byte, dst []Record) ([]Record, error) {
+	return d.decode(body, dst, false)
+}
+
+// DecodeIndex is Decode for an index that keeps a location per event and
+// every link whole: it checks every bound Decode checks, fails wherever
+// Decode fails and otherwise returns the same records, except that an event
+// record comes back with its six identity strings and its Semantics empty —
+// no string is interned or allocated for it. A frame that holds a link
+// record decodes in full.
+func (d *FrameDecoder) DecodeIndex(body []byte) ([]Record, error) { return d.decode(body, nil, true) }
+
+// errLinkInIndex stops an index decode at a link record: the frame is
+// decoded again in full.
+var errLinkInIndex = errors.New("link record in an index decode")
+
+func (d *FrameDecoder) decode(body []byte, dst []Record, index bool) ([]Record, error) {
 	dec := cdr.NewDecoder(body)
 	nstr := dec.Uint32()
 	if int64(nstr) > int64(dec.Remaining()/minStringSize) {
@@ -260,9 +284,14 @@ func (d *FrameDecoder) Decode(body []byte) ([]Record, error) {
 	}
 	table := d.table[:0]
 	for i := uint32(0); i < nstr && dec.Err() == nil; i++ {
-		table = append(table, d.intern(dec.BytesNoCopy()))
+		if b := dec.BytesNoCopy(); !index {
+			table = append(table, d.intern(b))
+		}
 	}
-	recs, err := decodeRecords(dec, table, d.slab)
+	recs, err := decodeRecords(dec, table, nstr, dst, d.slab, index)
+	if err == errLinkInIndex {
+		return d.decode(body, dst, false)
+	}
 	// Keep the scratch, not the strings: a frame's one-off identities must
 	// not stay reachable from an idle connection.
 	clear(table)
@@ -272,8 +301,9 @@ func (d *FrameDecoder) Decode(body []byte) ([]Record, error) {
 	}
 	// The slab does keep its frame's strings until the next frame overwrites
 	// them — one frame's worth per live connection, let go at disconnect. A
-	// frame too large to keep decodes into a slab of its own.
-	if cap(recs) > cap(d.slab) && cap(recs) <= maxSlabRecords {
+	// frame too large to keep decodes into a slab of its own; a frame
+	// decoded into the caller's dst leaves the slab as it was.
+	if len(recs) > cap(dst) && cap(recs) > cap(d.slab) && cap(recs) <= maxSlabRecords {
 		d.slab = recs[:0]
 	}
 	if err != nil {
@@ -282,10 +312,12 @@ func (d *FrameDecoder) Decode(body []byte) ([]Record, error) {
 	return recs, nil
 }
 
-// decodeRecords parses the record section against a resolved table, into
-// slab when the frame fits it. Every slot it returns is written whole, so
-// nothing of the frame the slab held before shows through.
-func decodeRecords(dec *cdr.Decoder, table []string, slab []Record) ([]Record, error) {
+// decodeRecords parses the record section against a table of ntable
+// entries, into dst when the frame fits it, else into slab when it fits
+// that. Every slot it returns is written whole, so nothing of the frame the
+// slab held before shows through. An index decode resolves no string of an
+// event record, and a link record stops it with errLinkInIndex.
+func decodeRecords(dec *cdr.Decoder, table []string, ntable uint32, dst, slab []Record, index bool) ([]Record, error) {
 	nrec := dec.Uint32()
 	if err := dec.Err(); err != nil {
 		return nil, err
@@ -294,31 +326,43 @@ func decodeRecords(dec *cdr.Decoder, table []string, slab []Record) ([]Record, e
 		return nil, fmt.Errorf("%d records in %d bytes", nrec, dec.Remaining())
 	}
 	var recs []Record
-	if int(nrec) <= cap(slab) {
+	switch {
+	case int(nrec) <= cap(dst):
+		recs = dst[:nrec]
+	case int(nrec) <= cap(slab):
 		recs = slab[:nrec]
-	} else {
+	default:
 		recs = make([]Record, nrec)
 	}
 	for i := range recs {
 		r := &recs[i]
 		*r = Record{Kind: RecordKind(dec.Octet())}
+		if index && r.Kind == KindLink {
+			return nil, errLinkInIndex
+		}
 		flags := dec.Octet()
 		r.Event = ftl.Event(dec.Octet())
 		var ids [identityStrings]string
 		for j := range ids {
 			idx := dec.Uint32()
-			if idx >= uint32(len(table)) {
+			if idx >= ntable {
 				if err := dec.Err(); err != nil {
 					return nil, fmt.Errorf("record %d: %w", i, err)
 				}
-				return nil, fmt.Errorf("record %d: string index %d outside table of %d", i, idx, len(table))
+				return nil, fmt.Errorf("record %d: string index %d outside table of %d", i, idx, ntable)
 			}
-			ids[j] = table[idx]
+			if !index {
+				ids[j] = table[idx]
+			}
 		}
 		r.Process, r.ProcType = ids[0], ids[1]
 		r.Op = OpID{Component: ids[2], Interface: ids[3], Operation: ids[4], Object: ids[5]}
 		r.Thread = dec.Uint64()
-		r.Semantics = dec.String()
+		if index {
+			dec.BytesNoCopy()
+		} else {
+			r.Semantics = dec.String()
+		}
 		if flags&wireHasEvent != 0 {
 			copy(r.Chain[:], dec.Raw(uuid.Size))
 			r.Seq = dec.Uint64()

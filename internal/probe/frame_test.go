@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -212,6 +213,69 @@ func TestDecoderReusesSlab(t *testing.T) {
 	}
 }
 
+// indexed is what DecodeIndex answers for recs, the records Decode gives for
+// a frame: an event record without its identity strings and Semantics,
+// unless the frame holds a link record, which makes it decode in full.
+func indexed(recs []Record) []Record {
+	out := slices.Clone(recs)
+	for i := range out {
+		if out[i].Kind == KindLink {
+			return slices.Clone(recs)
+		}
+		out[i].Process, out[i].ProcType, out[i].Op, out[i].Semantics = "", "", OpID{}, ""
+	}
+	return out
+}
+
+// The index decode interns nothing for a frame of events and hands a frame
+// that holds a link over to the full decode.
+// DecodeInto writes into the caller's array when the frame fits it and
+// leaves the decoder's slab as it was; when it does not fit, it decodes
+// into the slab, never past dst's capacity.
+func TestDecodeIndexAndInto(t *testing.T) {
+	events := codecRecords()[:7]
+	for name, recs := range map[string][]Record{"events": events, "with a link": codecRecords()} {
+		var d FrameDecoder
+		got, err := d.DecodeIndex(encodeBatch(recs))
+		if err != nil || !reflect.DeepEqual(got, indexed(recs)) {
+			t.Fatalf("%s: DecodeIndex = %v, %+v", name, err, got)
+		}
+		if interned := len(d.interned) > 0; interned != (name == "with a link") {
+			t.Fatalf("%s: the index decode interned %d strings", name, len(d.interned))
+		}
+	}
+	frame := encodeBatch(events)
+	var d FrameDecoder
+	dst := make([]Record, len(events)+1)
+	got, err := d.DecodeInto(frame, dst[:0:len(events)])
+	if err != nil || &got[0] != &dst[0] || !reflect.DeepEqual(got, events) {
+		t.Fatalf("DecodeInto a fitting dst: %v, in place %v", err, err == nil && &got[0] == &dst[0])
+	}
+	if d.slab != nil {
+		t.Fatal("DecodeInto a fitting dst gave the decoder its slab")
+	}
+	sentinel := Record{Kind: KindEvent, Process: "neighbour"}
+	dst[len(events)-1] = sentinel
+	dst[len(events)] = sentinel
+	got, err = d.DecodeInto(frame, dst[:0:len(events)-1])
+	if err != nil || &got[0] == &dst[0] || !reflect.DeepEqual(got, events) {
+		t.Fatalf("DecodeInto a short dst: %v, in place %v", err, err == nil && &got[0] == &dst[0])
+	}
+	if dst[len(events)-1] != sentinel || dst[len(events)] != sentinel {
+		t.Fatal("DecodeInto wrote past dst's capacity")
+	}
+}
+
+// Recovery indexes a segment's frames of events without a string: neither
+// the identity strings nor Semantics are allocated.
+func TestDecodeIndexAllocFree(t *testing.T) {
+	frame := encodeBatch(codecRecords()[:7])
+	var d FrameDecoder
+	if n := testing.AllocsPerRun(100, func() { d.DecodeIndex(frame) }); n != 0 {
+		t.Fatalf("DecodeIndex of a frame of events allocates %v times", n)
+	}
+}
+
 // corruptions derives the malformed frames the fuzz corpus seeds from a
 // valid one: cut inside every class of field, and each length or index
 // field lying about what follows it.
@@ -312,7 +376,10 @@ func TestBatchDecodeRejectsMalformedFrames(t *testing.T) {
 // FuzzDecodeBatch: error or value, never a panic, never more records than
 // the bytes could hold; whatever decodes survives a re-encode unchanged, and
 // a decoder that has a frame behind it (a slab to reuse, strings interned)
-// answers exactly as a fresh one does.
+// answers exactly as a fresh one does. The index decode recovery reads
+// segments with, and DecodeInto on a dst one record short of the frame and
+// on one that fits it, agree with Decode on error versus value and on every
+// field they fill.
 // Seeds are checked in under testdata/fuzz/FuzzDecodeBatch (the frames
 // corruptions derives); the valid frame is added here too so the fuzzer
 // keeps a live starting point if the layout moves.
@@ -327,12 +394,14 @@ func FuzzDecodeBatch(f *testing.F) {
 				t.Fatalf("error %v with %d records", err, len(recs))
 			}
 			checkUsedDecoder(t, body, nil, true)
+			checkIndexAndInto(t, body, nil, true)
 			return
 		}
 		if len(recs) > len(body)/minRecordSize {
 			t.Fatalf("%d records out of %d bytes", len(recs), len(body))
 		}
 		checkUsedDecoder(t, body, recs, false)
+		checkIndexAndInto(t, body, recs, false)
 		again, err := decodeBatch(encodeBatch(recs))
 		if err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
@@ -355,5 +424,30 @@ func checkUsedDecoder(t *testing.T, body []byte, want []Record, wantErr bool) {
 	got, err := used.Decode(body)
 	if (err != nil) != wantErr || len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
 		t.Fatalf("used decoder: %v, %d records; fresh decoder: error=%v, %d records", err, len(got), wantErr, len(want))
+	}
+}
+
+// checkIndexAndInto requires of DecodeIndex and DecodeInto what Decode gave
+// for body: want, or an error.
+func checkIndexAndInto(t *testing.T, body []byte, want []Record, wantErr bool) {
+	t.Helper()
+	var d FrameDecoder
+	got, err := d.DecodeIndex(body)
+	if (err != nil) != wantErr || !reflect.DeepEqual(got, indexed(want)) && len(want) > 0 {
+		t.Fatalf("DecodeIndex: %v, %d records; Decode: error=%v, %d records", err, len(got), wantErr, len(want))
+	}
+	for _, room := range []int{len(want), len(want) - 1} {
+		if room < 0 {
+			continue
+		}
+		dst := make([]Record, room+1)
+		dst[room] = Record{Kind: KindEvent, Process: "neighbour"}
+		got, err := d.DecodeInto(body, dst[:0:room])
+		if (err != nil) != wantErr || len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("DecodeInto %d slots: %v, %d records; Decode: error=%v, %d records", room, err, len(got), wantErr, len(want))
+		}
+		if dst[room].Process != "neighbour" {
+			t.Fatalf("DecodeInto %d slots wrote past them", room)
+		}
 	}
 }

@@ -196,7 +196,14 @@ func (f *FrameReader) Offset() int64 { return f.off }
 // slab, valid until the next call — and the stream offset of its body, which
 // ends at Offset. The error is io.EOF where the stream ends cleanly, and
 // otherwise follows the one torn-tail rule (see StreamMagic).
-func (f *FrameReader) Next() (recs []Record, body int64, err error) {
+func (f *FrameReader) Next() (recs []Record, body int64, err error) { return f.next(false) }
+
+// NextIndex is Next through FrameDecoder.DecodeIndex: the same frames, the
+// same errors, and event records without their strings — what the trace
+// store's recovery scan indexes.
+func (f *FrameReader) NextIndex() (recs []Record, body int64, err error) { return f.next(true) }
+
+func (f *FrameReader) next(index bool) (recs []Record, body int64, err error) {
 	if f.off == 0 {
 		if err := f.readMagic(); err != nil {
 			return nil, 0, err
@@ -210,7 +217,7 @@ func (f *FrameReader) Next() (recs []Record, body int64, err error) {
 	case err != nil:
 		return nil, 0, fmt.Errorf("probe: frame %d: %w", f.frame, err)
 	}
-	if recs, err = f.dec.Decode(f.body.Bytes()); err != nil {
+	if recs, err = f.dec.decode(f.body.Bytes(), nil, index); err != nil {
 		return nil, 0, fmt.Errorf("probe: frame %d: %w", f.frame, err)
 	}
 	body = f.off + int64(len(f.hdr))

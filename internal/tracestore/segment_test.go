@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -74,6 +75,9 @@ func segmentSeeds() (seeds map[string][]byte, want map[string]int) {
 	binary.LittleEndian.PutUint32(stringPastEnd[4:], 1<<20) // the first table string's length
 	unknownKind := frameOf(run[0])
 	unknownKind[len(unknownKind)-eventRecordBytes] = 7
+	// Two chains' events in one frame: more records than either chain's
+	// slot of a scan holds.
+	other := ev(child, 1, ftl.SkelStart, "ISpool", wall)
 	seeds = map[string][]byte{
 		"valid":                 valid,
 		"torn-in-payload":       valid[:len(valid)-7],
@@ -90,6 +94,8 @@ func segmentSeeds() (seeds map[string][]byte, want map[string]int) {
 		"unknown-kind":          segmentOf(event, unknownKind),
 		"event-with-no-strings": segmentOf(frameOf(probe.Record{Kind: probe.KindEvent, Chain: c, Seq: 9})),
 		"link-then-torn-event":  append(segmentOf(lnk), segmentOf(event)[segHeader:segHeader+20]...),
+		"link-bearing-frame":    segmentOf(frameOf(run[2], run[0], run[1])),
+		"frame-overflows-slot":  segmentOf(frameOf(run[0], other, run[1]), frameOf(ev(c, 3, ftl.SkelEnd, "IJobSubmitter", wall))),
 	}
 	want = map[string]int{
 		"valid":                 len(run) + 2,
@@ -98,6 +104,8 @@ func segmentSeeds() (seeds map[string][]byte, want map[string]int) {
 		"torn-header":           0,
 		"event-with-no-strings": 1,
 		"link-then-torn-event":  1,
+		"link-bearing-frame":    len(run),
+		"frame-overflows-slot":  4,
 	}
 	for name := range seeds {
 		if _, ok := want[name]; !ok {
@@ -134,7 +142,7 @@ func TestOpenSegmentRefusesMalformedFrames(t *testing.T) {
 		if got := s.Len(); got != want[name] {
 			t.Errorf("%s: recovered %d records, want %d", name, got, want[name])
 		}
-		torn := name != "valid" && name != "event-with-no-strings"
+		torn := strings.HasPrefix(name, "torn-") || name == "link-then-torn-event"
 		if warned := len(s.Warnings()) > 0; warned != torn {
 			t.Errorf("%s: warnings %v, want a torn-tail warning %v", name, s.Warnings(), torn)
 		}
@@ -162,7 +170,8 @@ func TestOpenSegmentRefusesMalformedFrames(t *testing.T) {
 // FuzzOpenSegment: arbitrary bytes as shard-000's segment. Open returns an
 // error, or a store on which every indexed chain's Events reads back without
 // a new warning and, with the links, Len() records — whatever recovery
-// indexed at a frame, the read path finds in that frame.
+// indexed at a frame, the read path finds in that frame — and the shard's
+// scan hands each chain, once, exactly what Events returns.
 func FuzzOpenSegment(f *testing.F) {
 	seeds, _ := segmentSeeds()
 	f.Add(seeds["valid"])
@@ -182,6 +191,18 @@ func FuzzOpenSegment(f *testing.F) {
 		}
 		if n != s.Len() {
 			t.Fatalf("read back %d records, the index holds %d", n, s.Len())
+		}
+		scanned := scanAll(t, s)
+		if w := s.Warnings(); len(w) != warned {
+			t.Fatalf("the scan warned: %v", w[warned:])
+		}
+		if len(scanned) != len(s.Chains()) {
+			t.Fatalf("the scan handed over %d chains of %d", len(scanned), len(s.Chains()))
+		}
+		for _, c := range s.Chains() {
+			if got, want := scanned[c], s.Events(c); !reflect.DeepEqual(got, want) {
+				t.Fatalf("chain %s: the scan handed over %d events, Events returns %d", c.Short(), len(got), len(want))
+			}
 		}
 	})
 }

@@ -26,16 +26,24 @@ import (
 // logdb keeps resident — that ratio is what lets a store hold runs larger
 // than memory.
 type recLoc struct {
-	seq  uint64
+	seq uint64
+	frameAt
+}
+
+// frameAt is where a frame's body lies: which segment, at what offset, how
+// many bytes.
+type frameAt struct {
 	off  int64
 	seg  int32
 	size uint32
 }
 
-// maxRunBytes caps one read of the read path: eventsLocked merges a chain's
-// byte-adjacent frames into runs of at most this many bytes (a frame larger
-// than that is a run of its own). It also bounds the encode buffer a shard
-// keeps between frames.
+func (f frameAt) end() int64 { return f.off + int64(f.size) }
+
+// maxRunBytes caps one read of the read path: readRuns merges byte-adjacent
+// frames into runs of at most this many bytes (a frame larger than that is a
+// run of its own). It also bounds the encode buffer a shard keeps between
+// frames.
 const maxRunBytes = 1 << 20
 
 // maxKeptScratch bounds, in records, the scratch a shard or the store keeps
@@ -198,7 +206,9 @@ func (sh *shard) writeGC(floor int) error {
 
 // recoverSegment reads segment id as the record stream it is, indexing each
 // frame's records at the frame, and truncates a torn tail in place. Returns
-// the segment's recovered size.
+// the segment's recovered size. Frames are read through the index decode,
+// which validates a frame as a full decode does but builds no string of an
+// event record: the index keeps 24 bytes of one.
 func (sh *shard) recoverSegment(id int, now time.Time, warn func(string)) (good int64, err error) {
 	path := sh.segPath(id)
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -216,7 +226,7 @@ func (sh *shard) recoverSegment(id int, now time.Time, warn func(string)) (good 
 	}
 	in := probe.NewFrameReader(br)
 	for {
-		recs, body, rerr := in.Next()
+		recs, body, rerr := in.NextIndex()
 		if rerr != nil {
 			err = rerr
 			break
@@ -263,7 +273,7 @@ func (sh *shard) indexRecord(rec *probe.Record, seg int, off int64, size uint32,
 		if !ci.dirty && len(ci.locs) > 0 && rec.Seq < ci.locs[len(ci.locs)-1].seq {
 			ci.dirty = true
 		}
-		ci.locs = append(ci.locs, recLoc{seq: rec.Seq, off: off, seg: int32(seg), size: size})
+		ci.locs = append(ci.locs, recLoc{seq: rec.Seq, frameAt: frameAt{off: off, seg: int32(seg), size: size}})
 		touch := rec.WallEnd
 		if touch.IsZero() {
 			touch = rec.WallStart
@@ -700,7 +710,7 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 		}
 		if _, err := sh.writeFrames(w, recs, func(recs []probe.Record, off int64, size uint32) {
 			for i := range recs {
-				newLocs = append(newLocs, newLoc{chain: c, loc: recLoc{seq: recs[i].Seq, off: off, seg: int32(newID), size: size}})
+				newLocs = append(newLocs, newLoc{chain: c, loc: recLoc{seq: recs[i].Seq, frameAt: frameAt{off: off, seg: int32(newID), size: size}}})
 			}
 		}); err != nil {
 			return abort(fmt.Errorf("tracestore: compact: %w", err))
@@ -770,64 +780,215 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 }
 
 // eventsLocked is eventsOf with the lock already held. It reads the chain's
-// frames in disk order, byte-adjacent frames merged into runs — never across
-// a segment, at most maxRunBytes a run — each run with one ReadAt into the
-// shard's run buffer. It decodes each frame once and copies out the chain's
-// events (a frame's links belong to the chain but are not its events). The
-// records come back in seq order, ties in insertion order.
+// frames in disk order through readRuns, decodes each frame once and copies
+// out the chain's events (a frame's links belong to the chain but are not
+// its events). The records come back in seq order, ties in insertion order.
 func (sh *shard) eventsLocked(chain uuid.UUID, ci *chainIndex) ([]probe.Record, error) {
 	if err := sh.flushLocked(); err != nil {
 		return nil, err
 	}
 	locs := ci.locs
 	out := make([]probe.Record, 0, len(locs))
-	for p := 0; p < len(locs); {
-		first := locs[p]
-		end := first.off + int64(first.size)
-		q := p + 1
-		for ; q < len(locs); q++ {
-			l := locs[q]
-			if l.seg == first.seg && l.off+int64(l.size) == end {
-				continue // another event of the frame last taken in
-			}
-			if l.seg != first.seg || l.off != end+frameHeader || l.off+int64(l.size)-first.off > maxRunBytes {
-				break
-			}
-			end = l.off + int64(l.size)
-		}
-		f, err := sh.reader(int(first.seg))
+	err := sh.readRuns(len(locs), func(p int) frameAt { return locs[p].frameAt }, func(p int, body []byte, err error) error {
 		if err != nil {
-			return nil, err
+			return err
 		}
-		if n := int(end - first.off); cap(sh.runBuf) < n {
-			sh.runBuf = make([]byte, n)
+		if p > 0 && locs[p].frameAt == locs[p-1].frameAt {
+			return nil // another event of the frame just decoded
 		}
-		run := sh.runBuf[:end-first.off]
-		sh.reads++
-		if _, err := f.ReadAt(run, first.off); err != nil {
-			return nil, fmt.Errorf("tracestore: read records: %w", err)
+		recs, err := sh.dec.Decode(body)
+		if err != nil {
+			return fmt.Errorf("tracestore: read records: %w", err)
 		}
-		for ; p < q; p++ {
-			l := locs[p]
-			if p > 0 && l.seg == locs[p-1].seg && l.off == locs[p-1].off {
-				continue
-			}
-			recs, err := sh.dec.Decode(run[l.off-first.off:][:l.size])
-			if err != nil {
-				return nil, fmt.Errorf("tracestore: read records: %w", err)
-			}
-			for i := range recs {
-				if recs[i].Kind == probe.KindEvent && recs[i].Chain == chain {
-					out = append(out, recs[i])
-				}
+		for i := range recs {
+			if recs[i].Kind == probe.KindEvent && recs[i].Chain == chain {
+				out = append(out, recs[i])
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if ci.dirty {
-		slices.SortStableFunc(out, func(a, b probe.Record) int { return cmp.Compare(a.Seq, b.Seq) })
-	}
-	if cap(sh.runBuf) > maxRunBytes {
-		sh.runBuf = nil
+		sortBySeq(out)
 	}
 	return out, nil
+}
+
+func sortBySeq(recs []probe.Record) {
+	slices.SortStableFunc(recs, func(a, b probe.Record) int { return cmp.Compare(a.Seq, b.Seq) })
+}
+
+// readRuns reads n frames named in disk order — frame(p) is the p-th — with
+// byte-adjacent frames merged into runs, never across a segment and at most
+// maxRunBytes a run (a frame larger than that is a run of its own), each run
+// with one ReadAt into the shard's run buffer. It hands fn each frame's body,
+// valid until fn returns — a frame named twice in a row once per naming —
+// or, for every frame of a run that could not be read, the read's error and
+// no body. It stops at the first error fn returns.
+func (sh *shard) readRuns(n int, frame func(p int) frameAt, fn func(p int, body []byte, err error) error) error {
+	defer func() {
+		if cap(sh.runBuf) > maxRunBytes {
+			sh.runBuf = nil
+		}
+	}()
+	for p := 0; p < n; {
+		first := frame(p)
+		end := first.end()
+		q := p + 1
+		for ; q < n; q++ {
+			f := frame(q)
+			if f.seg == first.seg && f.end() == end {
+				continue // the frame last taken in, named again
+			}
+			if f.seg != first.seg || f.off != end+frameHeader || f.end()-first.off > maxRunBytes {
+				break
+			}
+			end = f.end()
+		}
+		run, err := sh.readRun(first.seg, first.off, end)
+		for ; p < q; p++ {
+			var body []byte
+			if err == nil {
+				f := frame(p)
+				body = run[f.off-first.off:][:f.size]
+			}
+			if ferr := fn(p, body, err); ferr != nil {
+				return ferr
+			}
+		}
+	}
+	return nil
+}
+
+// readRun reads segment seg's bytes [off, end) into the run buffer.
+func (sh *shard) readRun(seg int32, off, end int64) ([]byte, error) {
+	f, err := sh.reader(int(seg))
+	if err != nil {
+		return nil, err
+	}
+	if n := int(end - off); cap(sh.runBuf) < n {
+		sh.runBuf = make([]byte, n)
+	}
+	run := sh.runBuf[:end-off]
+	sh.reads++
+	if _, err := f.ReadAt(run, off); err != nil {
+		return nil, fmt.Errorf("tracestore: read records: %w", err)
+	}
+	return run, nil
+}
+
+// chainSlot is one chain of a scan: its index, and its events, decoded into
+// the chain's slot of the shard's slab — a slice whose capacity is the
+// chain's indexed event count, so no frame decoded into it can reach the
+// next chain's slot.
+type chainSlot struct {
+	chain  uuid.UUID
+	ci     *chainIndex
+	events []probe.Record
+	failed bool // a read or decode failed: the chain is read again alone
+}
+
+// scanFrame is one frame of a scan, and the slot of the chain that holds it.
+type scanFrame struct {
+	frameAt
+	slot int32
+}
+
+// scan hands fn every chain of the shard with its events, as eventsOf would
+// return them, reading the shard once: under the lock it decodes each of the
+// shard's frames, in disk order and through readRuns, straight into its
+// chain's slot of one slab of the shard's events; fn runs after the lock is
+// released. A chain whose read or decode fails, or whose frames hold other
+// than the events its index counts, is read again through eventsLocked,
+// which gives what Events gives — its warning included, through warn. The
+// slab is the events' one backing array: a caller that keeps one chain's
+// events keeps the whole shard's.
+func (sh *shard) scan(warn func(string), fn func(chain uuid.UUID, events []probe.Record)) {
+	sh.mu.Lock()
+	slots := sh.scanLocked(warn)
+	sh.mu.Unlock()
+	for i := range slots {
+		fn(slots[i].chain, slots[i].events)
+	}
+}
+
+func (sh *shard) scanLocked(warn func(string)) []chainSlot {
+	// Slots in chain order: the DSCG's trees come in chain order, and its
+	// passes walk each tree's events where they lie.
+	slots := make([]chainSlot, 0, len(sh.chains))
+	total := 0
+	for c, ci := range sh.chains {
+		slots = append(slots, chainSlot{chain: c, ci: ci})
+		total += len(ci.locs)
+	}
+	slices.SortFunc(slots, func(a, b chainSlot) int { return uuid.Compare(a.chain, b.chain) })
+	slab := make([]probe.Record, total)
+	var frames []scanFrame
+	for i := range slots {
+		s := &slots[i]
+		n := len(s.ci.locs)
+		s.events, slab = slab[:0:n], slab[n:]
+		for p, l := range s.ci.locs {
+			if p == 0 || l.frameAt != s.ci.locs[p-1].frameAt {
+				frames = append(frames, scanFrame{frameAt: l.frameAt, slot: int32(i)})
+			}
+		}
+	}
+	slices.SortFunc(frames, func(a, b scanFrame) int {
+		if c := cmp.Compare(a.seg, b.seg); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.off, b.off)
+	})
+	if sh.flushLocked() == nil {
+		sh.readRuns(len(frames), func(p int) frameAt { return frames[p].frameAt }, func(p int, body []byte, err error) error {
+			if s := &slots[frames[p].slot]; err != nil {
+				s.failed = true
+			} else if !s.failed {
+				s.failed = !sh.decodeChain(s, body)
+			}
+			return nil
+		})
+	}
+	for i := range slots {
+		s := &slots[i]
+		if s.failed || len(s.events) != len(s.ci.locs) {
+			var err error
+			if s.events, err = sh.eventsLocked(s.chain, s.ci); err != nil {
+				warn(fmt.Sprintf("events %s: %v", s.chain, err))
+			}
+		} else if s.ci.dirty {
+			sortBySeq(s.events)
+		}
+	}
+	return slots
+}
+
+// decodeChain decodes body into the free part of s's slot and keeps the
+// chain's events. It reports false when the frame does not decode or holds
+// more of the chain's events than the slot has room for.
+func (sh *shard) decodeChain(s *chainSlot, body []byte) bool {
+	kept := s.events
+	recs, err := sh.dec.DecodeInto(body, kept[len(kept):cap(kept)])
+	if err != nil {
+		return false
+	}
+	for i := range recs {
+		r := &recs[i]
+		if r.Kind != probe.KindEvent || r.Chain != s.chain {
+			continue
+		}
+		n := len(kept)
+		if n == cap(kept) {
+			return false
+		}
+		kept = kept[:n+1]
+		if &kept[n] != r { // an event decoded in place may already sit where it is kept
+			kept[n] = *r
+		}
+	}
+	s.events = kept
+	return true
 }

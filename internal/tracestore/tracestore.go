@@ -18,7 +18,8 @@
 // run unattended.
 //
 // The store satisfies analysis.Source, so both Reconstruct and
-// ReconstructParallel run against it unchanged.
+// ReconstructParallel run against it unchanged, and analysis.Scanner, so
+// ReconstructParallel reads it a shard at a time in disk order.
 package tracestore
 
 import (
@@ -326,6 +327,19 @@ func (s *Store) Events(chain uuid.UUID) []probe.Record {
 		s.warn(fmt.Sprintf("events %s: %v", chain, err))
 	}
 	return recs
+}
+
+// Parts and ScanPart make the store an analysis.Scanner, a shard a part:
+// ReconstructParallel reads the store one shard at a time, each in one pass
+// over its segments in disk order, instead of a chain at a time.
+func (s *Store) Parts() int { return len(s.shards) }
+
+// ScanPart calls fn once for each chain of shard p with the chain's events
+// as Events returns them, a failed read's warning included. fn runs with no
+// lock held and may keep events; every chain of the shard shares their
+// backing array, so keeping one chain's events keeps the shard's.
+func (s *Store) ScanPart(p int, fn func(chain uuid.UUID, events []probe.Record)) {
+	s.shards[p].scan(s.warn, fn)
 }
 
 // ChildChain resolves the oneway link recorded for (parent, seq).

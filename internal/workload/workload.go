@@ -19,6 +19,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"causeway/internal/gls"
 	"causeway/internal/logdb"
 	"causeway/internal/probe"
 	"causeway/internal/topology"
@@ -158,6 +159,10 @@ func Generate(cfg Config) (*System, error) {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
+			// Every probe of the run fires on this goroutine: registered, it
+			// resolves itself without a stack parse, under its runtime id.
+			gls.Register()
+			defer gls.Unregister()
 			w := &worker{
 				sys:  sys,
 				cfg:  cfg,
