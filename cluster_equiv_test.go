@@ -60,6 +60,21 @@ func startNode(t *testing.T, addr string, store cluster.Store) *cluster.Node {
 	return node
 }
 
+// heldBy is what a collector holds: its store, plus the records its chain
+// table keeps for the store until their chains complete — what the store
+// holds once the node drains (Close).
+func heldBy(n *cluster.Node, store cluster.Store) int {
+	return store.Len() + int(n.Table().Ledger().Buffered)
+}
+
+// drain closes every node, which sends what its chain table still holds to
+// its store.
+func drain(nodes []*cluster.Node) {
+	for _, n := range nodes {
+		n.Close()
+	}
+}
+
 // setRing installs r on every collector of the tier — bumping the epoch
 // is how these tests rebalance by hand, exactly as restarting collectd
 // with a new -peers list would.
@@ -196,12 +211,13 @@ func TestClusterEquivalencePPS(t *testing.T) {
 	}
 	total := func() int {
 		n := 0
-		for _, db := range stores {
-			n += db.Len()
+		for i, db := range stores {
+			n += heldBy(nodes[i], db)
 		}
 		return n
 	}
 	clusterWaitFor(t, func() bool { return total() == len(records) }, "cluster ingest of the PPS workload")
+	drain(nodes)
 	assertChainsWhole(t, ring, addrs, stores)
 
 	for i, db := range stores {
@@ -291,12 +307,13 @@ func TestClusterEquivalenceLivemonitor(t *testing.T) {
 	}
 	total := func() int {
 		n := 0
-		for _, db := range stores {
-			n += db.Len()
+		for i, db := range stores {
+			n += heldBy(nodes[i], db)
 		}
 		return n
 	}
 	clusterWaitFor(t, func() bool { return total() == int(shipped) }, "cluster ingest of the echo workload")
+	drain(nodes)
 	assertChainsWhole(t, ring, addrs, stores)
 
 	// The single-collector view is the union of arrivals — what one
@@ -397,7 +414,7 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 				n := 0
 				for i := range stores {
 					if i != victim {
-						n += stores[i].Len()
+						n += heldBy(nodes[i], stores[i])
 					}
 				}
 				return n
@@ -408,12 +425,12 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 				rs.Append(r)
 			}
 			clusterWaitFor(t, func() bool {
-				return survivorLen()+stores[victim].Len() == cut1
+				return survivorLen()+heldBy(nodes[victim], stores[victim]) == cut1
 			}, "phase-1 ingest")
 
 			// Kill the victim mid-run; the survivors take over its range at
 			// epoch 2 and the router re-routes.
-			victimLen := stores[victim].Len()
+			victimLen := heldBy(nodes[victim], stores[victim])
 			if err := nodes[victim].Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -498,6 +515,9 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 				if i == victim {
 					continue
 				}
+				// The range's chains still in the survivor's table go to its
+				// store first, as a membership donation sends them.
+				nodes[i].Table().EvictWhere(cluster.MovedTo(ring2, ring3, addrs[victim]))
 				res, err := cluster.Replay(cluster.ReplayConfig{
 					Source: stores[i],
 					Range:  cluster.MovedTo(ring2, ring3, addrs[victim]),
@@ -531,8 +551,9 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 			// Physical copies: every record once, plus one extra copy of
 			// each record a replay moved (source segments keep theirs).
 			expectTotal := len(recs) + int(outAccepted+backAccepted)
-			totalLen := func() int { return survivorLen() + stores[victim].Len() }
+			totalLen := func() int { return survivorLen() + heldBy(nodes[victim], stores[victim]) }
 			clusterWaitFor(t, func() bool { return totalLen() == expectTotal }, "phase-3 ingest")
+			drain(nodes)
 			if outAccepted+backAccepted == 0 {
 				t.Fatalf("seed %d produced no replay traffic; schedule has no power", seed)
 			}

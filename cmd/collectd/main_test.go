@@ -332,7 +332,8 @@ func TestCollectdRejectsArgs(t *testing.T) {
 }
 
 // TestCollectdStreamMode exercises the streaming pipeline end to end:
-// records flow server → assembler → on-disk store as chains complete,
+// records flow server → journal → assembler → on-disk store as chains
+// complete,
 // /feedz serves the eviction feed live, the rate operation serves the
 // adaptive head-sampling rate to shippers, and the drain proves the
 // assembler ledger and the per-peer shipper ledger both balance.
@@ -345,7 +346,6 @@ func TestCollectdStreamMode(t *testing.T) {
 		done <- run([]string{
 			"-listen", "127.0.0.1:0",
 			"-store", storeDir,
-			"-stream",
 			"-quiesce", "30ms",
 			"-stale", "10s",
 			"-adaptive",
@@ -455,6 +455,9 @@ func TestCollectdStreamMode(t *testing.T) {
 	defer ts.Close()
 	if ts.Len() != 24 {
 		t.Fatalf("reopened store holds %d records, want 24", ts.Len())
+	}
+	if left, _ := filepath.Glob(filepath.Join(storeDir, "journal", "*")); len(left) != 0 {
+		t.Fatalf("journal holds %v after a clean drain", left)
 	}
 }
 

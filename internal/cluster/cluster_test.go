@@ -116,7 +116,7 @@ type ingestNode struct {
 func startIngest(t *testing.T, ringFn func() (telemetry.Ring, bool)) *ingestNode {
 	t.Helper()
 	store := logdb.NewStore()
-	srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Store: store, Ring: ringFn})
+	srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}, Ring: ringFn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,12 +517,12 @@ func sumShipperStats(members map[string]telemetry.ShipperStats) telemetry.Shippe
 // arrived after the swap.
 func TestRoutedShipperMidChainEpochSwap(t *testing.T) {
 	storeA, storeB := newOrderStore(), newOrderStore()
-	srvA, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Store: storeA})
+	srvA, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: storeA}}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srvA.Close()
-	srvB, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Store: storeB})
+	srvB, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: storeB}}})
 	if err != nil {
 		t.Fatal(err)
 	}

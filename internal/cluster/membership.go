@@ -11,6 +11,7 @@ import (
 
 	"causeway/internal/telemetry"
 	"causeway/internal/transport"
+	"causeway/internal/uuid"
 )
 
 // Membership automates what PR 7 left to the operator: noticing a dead
@@ -159,6 +160,10 @@ type MembershipConfig struct {
 	HTTPTimeout time.Duration
 	// Clock overrides time.Now (tests).
 	Clock func() time.Time
+
+	// evict, set by the node, sends the chains of a range the node's chain
+	// table still holds to Store before the range is donated out of it.
+	evict func(match func(uuid.UUID) bool) int
 }
 
 // NewMembership validates cfg, builds the initial ring over the full
@@ -462,6 +467,9 @@ func (m *Membership) donate(force bool) DonationResult {
 			continue
 		}
 		pred := MovedFrom(base, cur, self, target.ID)
+		if m.cfg.evict != nil {
+			m.cfg.evict(pred)
+		}
 		r, err := Replay(ReplayConfig{
 			Source:  m.cfg.Store,
 			Range:   pred,

@@ -51,7 +51,7 @@ func TestReplayIntoMemoryStoreDedupsLiveRecords(t *testing.T) {
 	if err := sh.Close(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return store.Len() == 2 }, "live ingest")
+	waitFor(t, func() bool { return node.Ledger().Appended == 2 }, "live ingest")
 
 	// The donor held the whole chain and replays all of it.
 	donor := logdb.NewStore()
@@ -291,7 +291,6 @@ func TestStreamingNodeParsesOnlyGappedChains(t *testing.T) {
 	node, err := StartNode(NodeConfig{
 		Listen: "127.0.0.1:0",
 		Store:  store,
-		Stream: true,
 		Table:  streamrecon.Config{Quiescence: 100 * time.Millisecond, Clock: now},
 	})
 	if err != nil {

@@ -202,14 +202,14 @@ type BatchSink interface {
 }
 
 // RecordStore is where collected records come to rest: the insertion side
-// of the merged relational store (§3). The telemetry server and the
-// streaming assembler write through it and need nothing else; the full
+// of the merged relational store (§3). The collector's chain table writes
+// through it and needs nothing else (StoreSink puts one behind a sink); the full
 // store interface a collector node composes over (cluster.Store) embeds
 // it. *logdb.Store and *tracestore.Store both satisfy it.
 type RecordStore interface {
-	// Insert stores recs. Like BatchSink.AppendBatch it borrows them: the
-	// server passes its decode slab and the assembler chain storage it
-	// recycles the moment Insert returns, so an implementation copies (or
+	// Insert stores recs. Like BatchSink.AppendBatch it borrows them: a
+	// decode slab, or chain storage the assembler recycles the moment
+	// Insert returns, so an implementation copies (or
 	// encodes) what it keeps and must not retain recs or a pointer into it.
 	Insert(recs ...Record)
 }

@@ -87,7 +87,7 @@ func (s *sliceStore) Insert(recs ...probe.Record) {
 // keeping the slab: the next frame's decode writes where it would read.
 func TestServerFanOutBorrowsSlab(t *testing.T) {
 	plain, batched, store := &perRecordSink{}, &batchRecordSink{}, &sliceStore{}
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Store: store, Sinks: []probe.Sink{plain, batched}})
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}, plain, batched}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"causeway/internal/logdb"
+	"causeway/internal/probe"
 )
 
 // expositionValue extracts one series' integer value from a text
@@ -76,7 +77,7 @@ func TestPeerAccountingConcurrentShippers(t *testing.T) {
 		perShip  = 500
 	)
 	store := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Store: store})
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,7 +229,7 @@ func TestReplayOperationAccounting(t *testing.T) {
 	seen := make(map[uint64]bool)
 	var mu sync.Mutex
 	srv, err := Listen("127.0.0.1:0", ServerConfig{
-		Store: store,
+		Sinks: []probe.Sink{probe.StoreSink{Store: store}},
 		Replay: func(recs []probe.Record) int {
 			mu.Lock()
 			defer mu.Unlock()
@@ -345,7 +345,7 @@ func TestDetachReturnsUndelivered(t *testing.T) {
 // Detach with a live server returns only what was not acknowledged.
 func TestDetachAfterDeliveryReturnsNothingExtra(t *testing.T) {
 	store := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Store: store})
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}})
 	if err != nil {
 		t.Fatal(err)
 	}

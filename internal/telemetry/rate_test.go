@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"causeway/internal/logdb"
+	"causeway/internal/probe"
 	"causeway/internal/sampling"
 )
 
@@ -16,7 +17,7 @@ func TestRatePollingAppliesServerRate(t *testing.T) {
 	var served atomic.Uint64 // rate bits, settable mid-test
 	served.Store(rateBits(0.25))
 	srv, err := Listen("127.0.0.1:0", ServerConfig{
-		Store:      logdb.NewStore(),
+		Sinks:      []probe.Sink{probe.StoreSink{Store: logdb.NewStore()}},
 		SampleRate: func() float64 { return rateFromBits(served.Load()) },
 	})
 	if err != nil {
@@ -58,7 +59,7 @@ func TestRatePollingAppliesServerRate(t *testing.T) {
 // connection stays healthy for shipping.
 func TestRatePollingToleratesDisabledServer(t *testing.T) {
 	store := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Store: store})
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}})
 	if err != nil {
 		t.Fatal(err)
 	}

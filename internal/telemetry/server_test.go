@@ -68,7 +68,7 @@ func TestConcurrentIngestMatchesOffline(t *testing.T) {
 		},
 	})
 	store := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Store: store, Sinks: []probe.Sink{monitor}})
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}, monitor}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -418,6 +418,12 @@ func (s *ShipperSink) loop() {
 			if err != nil {
 				return false
 			}
+			if rep.Status == transport.StatusUserException {
+				// The collector could not keep the frame: the batch is not
+				// acknowledged and goes again at the next flush.
+				s.lastErr.Store(fmt.Sprintf("telemetry: ship not kept: %s", rep.Body))
+				return true
+			}
 			if rep.Status != transport.StatusOK {
 				// Protocol rejection: nothing a retry can fix.
 				s.lastErr.Store(fmt.Sprintf("telemetry: ship rejected: %s", rep.Body))

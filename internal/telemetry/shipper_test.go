@@ -49,7 +49,7 @@ func fastShipperDrain(t *testing.T, addr, proc string, buffer int, drain time.Du
 
 func TestShipperDeliversAllRecords(t *testing.T) {
 	store := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Store: store})
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestShipperDropOldestBounded(t *testing.T) {
 
 func TestShipperReconnectsAfterServerRestart(t *testing.T) {
 	store1 := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Store: store1})
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestShipperReconnectsAfterServerRestart(t *testing.T) {
 	// Restart on the same address; the shipper reconnects and traffic
 	// flows into the new server.
 	store2 := logdb.NewStore()
-	srv2, err := Listen(addr, ServerConfig{Store: store2})
+	srv2, err := Listen(addr, ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestServerRejectsBadHandshake(t *testing.T) {
 
 func TestServerToleratesMidStreamDisconnect(t *testing.T) {
 	store := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Store: store})
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,6 +223,10 @@ func (s *Store) warn(msg string) {
 	s.warnMu.Unlock()
 }
 
+// Dir returns the directory the store is rooted at. A collector keeps its
+// frame journal beside the shards, in Dir()/journal.
+func (s *Store) Dir() string { return s.dir }
+
 // Warnings returns recovery and read warnings accumulated so far.
 func (s *Store) Warnings() []string {
 	s.warnMu.Lock()

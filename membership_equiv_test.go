@@ -160,7 +160,7 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 				n := 0
 				for i := range stores {
 					if i != victim {
-						n += stores[i].Len()
+						n += heldBy(nodes[i], stores[i])
 					}
 				}
 				return n
@@ -183,7 +183,7 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 				rs.Append(r)
 			}
 			clusterWaitFor(t, func() bool {
-				return survivorLen()+stores[victim].Len() == cut1
+				return survivorLen()+heldBy(nodes[victim], stores[victim]) == cut1
 			}, "phase-1 ingest")
 
 			// Kill the victim: membership, debug plane, server, store.
@@ -358,6 +358,7 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 
 			// The fleet view: dedup absorbs exactly the donated copies and
 			// the DSCG matches the single-collector baseline.
+			drain(nodes)
 			fleet, dups := mergeFleet(t, addrs, stores)
 			if fleet.Len() != len(recs) {
 				t.Fatalf("fleet holds %d of %d records after the automated kill/rejoin", fleet.Len(), len(recs))

@@ -83,7 +83,7 @@ func TestParallelEquivalencePPS(t *testing.T) {
 // identically under sequential and parallel reconstruction.
 func TestParallelEquivalenceLivemonitor(t *testing.T) {
 	store := logdb.NewStore()
-	srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Store: store})
+	srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,8 +123,7 @@ func TestStreamingEquivalenceLivemonitor(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{
-		Store: batch,
-		Sinks: []probe.Sink{asm},
+		Sinks: []probe.Sink{probe.StoreSink{Store: batch}, asm},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,8 +330,7 @@ func TestStreamingSamplingFaultSeeds(t *testing.T) {
 				t.Fatal(err)
 			}
 			srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{
-				Store: arrivals,
-				Sinks: []probe.Sink{asm},
+				Sinks: []probe.Sink{probe.StoreSink{Store: arrivals}, asm},
 			})
 			if err != nil {
 				t.Fatal(err)
