@@ -26,7 +26,7 @@ func followRequested(args []string) bool {
 	return false
 }
 
-// cmdFollow tails the completion feed of a running `collectd -stream`:
+// cmdFollow tails the completion feed of a running `collectd`:
 // it polls /feedz on the daemon's debug server with a cursor, printing
 // each chain the assembler evicts, live, until interrupted or -for
 // elapses. The cursor protocol makes polling lossless while the feed

@@ -15,7 +15,7 @@
 //	chains [-iface substr] [-min dur] [-status all|complete|anomalous]
 //	        list root chains (slowest first)
 //	chains -follow [-addr host:port] [-poll dur] [-for dur] [-iface substr]
-//	        tail live chain completions from a running `collectd -stream`
+//	        tail live chain completions from a running `collectd`
 //	        by polling its /feedz debug endpoint (no store needed)
 //	show <uuid-or-prefix>
 //	        one chain's call tree plus its per-interface latency breakdown

@@ -96,9 +96,13 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 
 // RecoverLedger reconstructs a dead collector's ledger side from its
 // surviving segments: everything on disk was appended and persisted
-// (its in-memory counters died with it; records it shed or never
-// flushed are gone and unknowable, which is exactly why the ledger is
-// recovered from what is durable). Pair it with Replay results —
+// (its in-memory counters died with it, which is why the ledger is
+// recovered from what is durable). What it acknowledged but had not
+// written to a segment — chains open in its table, evictions in the
+// segment writers' buffers — is in its journal beside the segments, and
+// the collector replays that into the store, counted the same way, when
+// it starts again; records it shed were counted out and are gone. Pair
+// it with Replay results —
 // Retired += Accepted — to keep the dead member's account balanced as
 // its ranges move to new owners.
 func RecoverLedger(store Store) Ledger {

@@ -3,8 +3,9 @@
 // analysis happens only "when the application ceases to exist or reaches a
 // quiescent state" (§3) beyond a single process: Fig.5-scale multi-process
 // deployments stream their scattered logs to one collection daemon
-// (cmd/collectd) which feeds both the relational store (offline analyzer)
-// and the online monitor (live slow-call / anomaly callbacks).
+// (cmd/collectd), whose chain table both monitors them live (slow-call /
+// anomaly callbacks) and assembles them into the relational store the
+// offline analyzer reads.
 //
 // # Transport and frame format
 //
@@ -31,8 +32,13 @@
 //	                silently misrouting records around a ring it cannot
 //	                parse.
 //	ship   (sync)   frame — one batch of records, in emission order. The
-//	                empty StatusOK reply acknowledges ingestion; the
-//	                shipper holds the batch until it arrives.
+//	                empty StatusOK reply acknowledges that the collector
+//	                has kept the frame (ServerConfig.Journal: a collector
+//	                over a disk store has appended it to its journal) and
+//	                handed its records to the sinks; the shipper holds the
+//	                batch until it arrives. A user-exception reply means
+//	                the frame was not kept: the shipper sends it again at
+//	                its next flush.
 //	replay (sync)   frame — a segment replay after a ring rebalance; the
 //	                reply is uint64, the records the receiver accepted as
 //	                new.
@@ -101,7 +107,8 @@ const ObjectKey = "causeway.telemetry"
 const (
 	opHello = "hello"
 	// opShip (sync) carries one record frame (probe/frame.go); the empty StatusOK
-	// reply acknowledges ingestion. Shippers hold a batch as pending
+	// reply acknowledges that the frame is kept (journaled, where the
+	// collector journals) and ingested. Shippers hold a batch as pending
 	// until the ack arrives, so a collector dying mid-frame loses
 	// nothing — the batch is retried on reconnect (or re-routed by
 	// Detach), and receivers deduplicate by record identity.
