@@ -721,8 +721,8 @@ func TestStoreInsertSingleChainAllocFree(t *testing.T) {
 	}
 }
 
-// A mixed batch — the persist queue's links and stragglers, a store-direct
-// ship frame, a replay — is routed and grouped by chain with recycled
+// A mixed batch — the persist queue's links and stragglers, a replay, a
+// journal replayed at start — is routed and grouped by chain with recycled
 // scratch: once the indexes have room, an Insert allocates nothing either.
 func TestStoreInsertMixedBatchAllocFree(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{Shards: 4})
