@@ -149,11 +149,9 @@ type ProcessConfig struct {
 	// Retry enables bounded, jittered retry for idempotent references and
 	// oneway posts; the zero value disables retry.
 	Retry RetryPolicy
-	// WrapClient and WrapHandler wrap the transports the ORB dials and
-	// serves — the fault-injection hooks (see internal/faultinject).
+	// WrapClient wraps every transport client the ORB dials — the
+	// fault-injection hook (see internal/faultinject).
 	WrapClient func(transport.Client) transport.Client
-	// WrapHandler wraps the request handler on every served endpoint.
-	WrapHandler func(transport.Handler) transport.Handler
 	// DebugAddr, when set, mounts the process's introspection HTTP server
 	// there ("127.0.0.1:0" picks an ephemeral port; read it back with
 	// Process.DebugAddr). It serves /metrics, /statusz, /chainz, /healthz
@@ -169,15 +167,10 @@ type ProcessConfig struct {
 	// by a deterministic hash of its Function UUID, and the decision
 	// travels in the FTL so every downstream process agrees — chains are
 	// recorded whole or not at all. 0 (the zero value) and 1 keep every
-	// chain.
+	// chain. A shipping process starts at this rate and then follows the
+	// rate its collector serves (cmd/collectd -rate/-adaptive), polled
+	// once a second; a collector that serves none leaves it here.
 	ChainSampleRate float64
-	// AdaptiveSampling, with ShipTo set, lets the collection daemon
-	// steer this process's sampling rate: the shipper polls the
-	// collector's current rate and applies it, starting from
-	// ChainSampleRate (or 1.0 when unset) until the first answer
-	// arrives. The collector's AIMD governor (cmd/collectd -adaptive)
-	// closes the loop.
-	AdaptiveSampling bool
 	// SLO, when non-empty, arms the in-process alerting plane: the rules
 	// are evaluated against this process's registry by a background
 	// ticker (multi-window burn rate, pending→firing→resolved), exemplar
@@ -315,7 +308,8 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		}
 		p.debug = dbg
 	}
-	if cfg.AdaptiveSampling || (cfg.ChainSampleRate > 0 && cfg.ChainSampleRate < 1) {
+	shipping := cfg.ShipTo != "" || len(cfg.ShipToCluster) > 0
+	if shipping || (cfg.ChainSampleRate > 0 && cfg.ChainSampleRate < 1) {
 		rate := cfg.ChainSampleRate
 		if rate <= 0 || rate >= 1 {
 			rate = 1
@@ -327,12 +321,9 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		return fail(errors.New("causeway: set ShipTo or ShipToCluster, not both"))
 	}
 	if cfg.ShipTo != "" {
-		shipCfg := telemetry.ShipperConfig{Addr: cfg.ShipTo, Process: proc}
+		shipCfg := telemetry.ShipperConfig{Addr: cfg.ShipTo, Process: proc, RateTarget: p.sampler}
 		if p.debug != nil {
 			shipCfg.DebugAddr = p.debug.Addr()
-		}
-		if cfg.AdaptiveSampling && p.sampler != nil {
-			shipCfg.RateTarget = p.sampler
 		}
 		sh, err := telemetry.NewShipper(shipCfg)
 		if err != nil {
@@ -349,12 +340,9 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		if err != nil {
 			return fail(fmt.Errorf("causeway: cluster: %w", err))
 		}
-		tmpl := telemetry.ShipperConfig{Process: proc}
+		tmpl := telemetry.ShipperConfig{Process: proc, RateTarget: p.sampler}
 		if p.debug != nil {
 			tmpl.DebugAddr = p.debug.Addr()
-		}
-		if cfg.AdaptiveSampling && p.sampler != nil {
-			tmpl.RateTarget = p.sampler
 		}
 		routed, err := cluster.NewRouted(cluster.RouterConfig{Ring: ring, Shipper: tmpl})
 		if err != nil {
@@ -413,7 +401,6 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		CallTimeout:        cfg.CallTimeout,
 		Retry:              cfg.Retry,
 		WrapClient:         cfg.WrapClient,
-		WrapHandler:        cfg.WrapHandler,
 		Metrics:            p.metrics,
 	})
 	if err != nil {

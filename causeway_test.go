@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"causeway/internal/benchgen/instrecho"
+	"causeway/internal/cluster"
+	"causeway/internal/logdb"
 )
 
 type upperServant struct{}
@@ -247,3 +249,78 @@ func TestOnlineMonitorViaFacade(t *testing.T) {
 }
 
 func recordCount(p *Process) int { return len(p.Records()) }
+
+// TestShippingProcessFollowsServedRate: every shipping process polls the
+// head-sampling rate its collector serves and applies it to the chains it
+// begins; a collector that serves no rate leaves the process at its
+// configured rate.
+func TestShippingProcessFollowsServedRate(t *testing.T) {
+	startNode := func(rate func() float64) *cluster.Node {
+		t.Helper()
+		node, err := cluster.StartNode(cluster.NodeConfig{Listen: "127.0.0.1:0", Store: logdb.NewStore(), SampleRate: rate})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		return node
+	}
+	steering := startNode(func() float64 { return 0 })
+	silent := startNode(nil)
+
+	net := NewNetwork()
+	steered, err := NewProcess(ProcessConfig{Name: "steered", Network: net, Instrumented: true, ShipTo: steering.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer steered.Close()
+	kept, err := NewProcess(ProcessConfig{Name: "kept", Instrumented: true, ShipTo: silent.Addr(), ChainSampleRate: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kept.Close()
+	if r := steered.SamplingRate(); r != 1 {
+		t.Fatalf("steered process starts at rate %g, want 1", r)
+	}
+
+	if err := instrecho.RegisterEcho(steered.ORB, "echo", "c", upperServant{}); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := steered.ORB.ListenInproc("steered")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub := instrecho.NewEchoStub(steered.ORB.RefTo(ep, "echo", "Echo", "c"))
+	call := func() {
+		t.Helper()
+		if _, err := stub.Echo("x"); err != nil {
+			t.Fatal(err)
+		}
+		steered.NewChain()
+	}
+	call()
+	before := len(steered.Records())
+	if before == 0 {
+		t.Fatal("a chain begun at rate 1 left no records")
+	}
+
+	// The shipper polls once a second.
+	deadline := time.Now().Add(10 * time.Second)
+	for steered.SamplingRate() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("served rate 0 never applied: rate %g", steered.SamplingRate())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	for i := 0; i < 5; i++ {
+		call()
+	}
+	if after := len(steered.Records()); after != before {
+		t.Fatalf("rate 0 still recorded chains: %d records, was %d", after, before)
+	}
+
+	// The other shipper started with this one and has polled by now too.
+	time.Sleep(500 * time.Millisecond)
+	if r := kept.SamplingRate(); r != 0.5 {
+		t.Fatalf("a collector serving no rate moved the process to %g, want 0.5", r)
+	}
+}

@@ -1,7 +1,8 @@
-// Command causectl queries a collected trace store without waiting for a
-// full offline analysis pass: list causal chains, inspect one chain's call
-// tree, rank interfaces by latency percentile, or export the store as a
-// merged .ftlog the offline analyzer (cmd/analyzer) accepts unchanged.
+// Command causectl is the offline analyzer (§3) and the query tool for a
+// collected trace store: print the full characterization (DSCG, latency
+// table, CCSG), list causal chains, inspect one chain's call tree, rank
+// interfaces by latency percentile, or export the store as one merged
+// .ftlog that `causectl -logs` reads back unchanged.
 //
 // It reads either a sharded on-disk trace store written by
 // `collectd -store DIR` or a glob of per-process .ftlog files.
@@ -12,6 +13,12 @@
 //
 // Commands:
 //
+//	report [-dscg N] [-depth N] [-latency | -ccsg | -ccsgxml | -seqchart | -topology | -stats]
+//	        run statistics, then the DSCG (at most N nodes, 0 = all; depth
+//	        -1 = unlimited) with -latency's per-operation latency table, or
+//	        instead the CCSG as text or XML (Figure 6 format), an
+//	        OVATION-style per-process sequence chart (latency-aspect logs),
+//	        the component-interaction topology, or the statistics alone
 //	chains [-iface substr] [-min dur] [-status all|complete|anomalous]
 //	        list root chains (slowest first)
 //	chains -follow [-addr host:port] [-poll dur] [-for dur] [-iface substr]
@@ -22,7 +29,7 @@
 //	top [-n N] [-by p50|p95|p99|max|total|calls]
 //	        rank interfaces by latency percentile (streaming digest)
 //	export [-format ftlog|chrome] <out>
-//	        write the merged record stream for cmd/analyzer, or the DSCG
+//	        write the merged record stream (read back with -logs), or the DSCG
 //	        as Chrome trace-event JSON (chrome://tracing, ui.perfetto.dev)
 //	cluster [status] -peers dbg1,dbg2,...
 //	        inspect a running collector cluster over its debug servers:
@@ -78,7 +85,7 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: causectl [-store dir | -logs glob] <chains|show|top|export|cluster|alerts> [args]")
+		return fmt.Errorf("usage: causectl [-store dir | -logs glob] <report|chains|show|top|export|cluster|alerts> [args]")
 	}
 	if fs.Arg(0) == "chains" && followRequested(fs.Args()[1:]) {
 		// Follow mode talks to a running collectd, not a store.
@@ -105,6 +112,8 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("exactly one of -store or -logs is required")
 	}
 
+	start := time.Now()
+	tornTails := 0
 	var src source
 	if *storeDir != "" {
 		ts, err := tracestore.Open(*storeDir, tracestore.Options{})
@@ -115,16 +124,21 @@ func run(args []string, w io.Writer) error {
 		src = ts
 	} else {
 		db := logdb.NewStore()
-		if _, warnings, err := db.LoadGlob(*logsGlob); err != nil {
+		_, warnings, err := db.LoadGlob(*logsGlob)
+		if err != nil {
 			return err
-		} else if warnings > 0 {
+		}
+		if warnings > 0 {
 			fmt.Fprintln(w, logdb.TornTails(warnings))
 		}
+		tornTails = warnings
 		src = db
 	}
 
 	cmd, rest := fs.Arg(0), fs.Args()[1:]
 	switch cmd {
+	case "report":
+		return cmdReport(w, src, *workers, start, tornTails, rest)
 	case "chains":
 		return cmdChains(w, src, *workers, rest)
 	case "show":
@@ -134,7 +148,7 @@ func run(args []string, w io.Writer) error {
 	case "export":
 		return cmdExport(w, src, *workers, rest)
 	default:
-		return fmt.Errorf("unknown command %q (want chains, show, top, export, cluster, or alerts)", cmd)
+		return fmt.Errorf("unknown command %q (want report, chains, show, top, export, cluster, or alerts)", cmd)
 	}
 }
 
@@ -370,12 +384,16 @@ func cmdTop(w io.Writer, src source, workers int, args []string) error {
 
 func cmdExport(w io.Writer, src source, workers int, args []string) error {
 	fs := flag.NewFlagSet("causectl export", flag.ContinueOnError)
-	format := fs.String("format", "ftlog", "output format: ftlog (analyzer input) | chrome (trace-event JSON for Perfetto)")
+	format := fs.String("format", "ftlog", "output format: ftlog (causectl -logs input) | chrome (trace-event JSON for Perfetto)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: causectl export [-format ftlog|chrome] <out>")
+	}
+	// Validate before creating: a bad -format must not truncate <out>.
+	if *format != "ftlog" && *format != "chrome" {
+		return fmt.Errorf("bad -format %q (want ftlog or chrome)", *format)
 	}
 	path := fs.Arg(0)
 	f, err := os.Create(path)
@@ -390,8 +408,6 @@ func cmdExport(w io.Writer, src source, workers int, args []string) error {
 		if err = render.ChromeTrace(f, g); err == nil {
 			fmt.Fprintf(w, "exported Chrome trace (%d spans) — open in chrome://tracing or ui.perfetto.dev\n", g.Nodes())
 		}
-	default:
-		err = fmt.Errorf("bad -format %q (want ftlog or chrome)", *format)
 	}
 	if err != nil {
 		f.Close()

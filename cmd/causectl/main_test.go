@@ -354,4 +354,18 @@ func TestArgumentValidation(t *testing.T) {
 	if err := run([]string{"-logs", "nope*.ftlog"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("missing command accepted")
 	}
+	// A bad -format is refused before the output file is touched.
+	dir := t.TempDir()
+	glob := writeSampleLog(t, dir, false)
+	victim := filepath.Join(dir, "p1.ftlog")
+	before, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-logs", glob, "export", "-format", "json", victim}, &bytes.Buffer{}); err == nil {
+		t.Fatal("export with bad -format succeeded")
+	}
+	if after, err := os.ReadFile(victim); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("bad -format changed the existing output file: %d → %d bytes (%v)", len(before), len(after), err)
+	}
 }

@@ -9,13 +9,14 @@
 // debug server that `causectl chains -follow` tails live. On shutdown
 // (SIGINT or -duration expiry) it drains the table into the store,
 // optionally writes the merged store as a single .ftlog for the offline
-// analyzer, and prints the Dynamic System Call Graph.
+// analyzer (`causectl -logs FILE report`), and prints the Dynamic System
+// Call Graph.
 //
 // This lifts the paper's §3 restriction that collection happens "when the
 // application ceases to exist or reaches a quiescent state": the same
 // characterization pipeline now runs against live traffic from any number
-// of processes, and the post-drain artifacts are byte-compatible with
-// cmd/analyzer's inputs.
+// of processes, and the post-drain artifacts are the same record stream as
+// per-process logs, so `causectl report` reads them unchanged.
 //
 // A ship frame is acknowledged only once it is kept: with -store, the
 // collector appends every frame verbatim to <store>/journal before the
@@ -24,9 +25,11 @@
 // the store when it starts again, so no acknowledged record is lost with the
 // process (a host crash can still lose what the OS had not written; there
 // is no fsync). With -rate/-adaptive the daemon also owns the fleet's
-// head-sampling rate: shippers poll it over the telemetry protocol, and
-// the AIMD governor (internal/sampling) lowers it when the daemon's own
-// metrics show overload.
+// head-sampling rate: every shipping process polls it once a second over
+// the telemetry protocol and applies it to the chains it begins, and the
+// AIMD governor (internal/sampling) lowers it when the daemon's own
+// metrics show overload. Without -rate a poll is refused and each process
+// keeps its own ChainSampleRate.
 //
 // Usage:
 //
@@ -370,11 +373,11 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	}
 
 	// The AIMD governor rides the reporting loop: each tick it reads the
-	// daemon's own metrics plane — ingest rate, assembler backlog, records
-	// lost anywhere downstream — and steers the rate the server serves.
+	// daemon's own metrics plane — assembler backlog, records lost anywhere
+	// downstream — and steers the rate the server serves.
 	var gov *sampling.Governor
 	if *adaptive {
-		gov = sampling.NewGovernor(sampler.Rate(), sampling.GovernorConfig{})
+		gov = sampling.NewGovernor(sampler.Rate())
 	}
 	// lostRecords totals every record lost after ingest: chain table
 	// shedding and store disk failures. The governor keys off its delta.
@@ -426,9 +429,8 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 				if gov != nil {
 					lost := lostRecords()
 					next := gov.Tick(sampling.Signals{
-						IngestPerSec: rate,
-						Backlog:      chains.OpenChains(),
-						DropsDelta:   lost - lastLost,
+						Backlog:    chains.OpenChains(),
+						DropsDelta: lost - lastLost,
 					})
 					lastLost = lost
 					if next != sampler.Rate() {

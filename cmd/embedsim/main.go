@@ -1,12 +1,12 @@
 // Command embedsim generates a commercial-embedded-system-scale synthetic
 // run (§4 / Figure 5: 195,000 calls over 801 methods in 155 interfaces
 // from 176 components, 32 threads, 4 processes) and writes each logical
-// process's monitoring log to a file for cmd/analyzer.
+// process's monitoring log to a file for `causectl report`.
 //
 // Usage:
 //
 //	embedsim -out /tmp/embed -calls 195000
-//	analyzer -stats '/tmp/embed/*.ftlog'
+//	causectl -logs '/tmp/embed/*.ftlog' report -stats
 package main
 
 import (
@@ -63,7 +63,7 @@ func run(args []string, w io.Writer) error {
 		}
 		written += db.Len()
 	}
-	fmt.Fprintf(w, "wrote %d records to %s/*.ftlog — analyze with:\n  go run ./cmd/analyzer -stats '%s/*.ftlog'\n",
+	fmt.Fprintf(w, "wrote %d records to %s/*.ftlog — analyze with:\n  go run ./cmd/causectl -logs '%s/*.ftlog' report -stats\n",
 		written, *out, *out)
 	return nil
 }

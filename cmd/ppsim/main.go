@@ -1,12 +1,12 @@
 // Command ppsim runs the Printing Pipeline Simulator and writes each
 // logical process's monitoring log to a file, demonstrating the paper's
 // two-phase workflow: instrumented run first, offline collection and
-// characterization (cmd/analyzer) second.
+// characterization (causectl report) second.
 //
 // Usage:
 //
 //	ppsim -out /tmp/ppsrun -jobs 5 -pages 3
-//	analyzer -latency '/tmp/ppsrun/*.ftlog'
+//	causectl -logs '/tmp/ppsrun/*.ftlog' report -latency
 package main
 
 import (
@@ -112,7 +112,7 @@ func run(args []string, w io.Writer) error {
 		}
 		written += db.Len()
 	}
-	fmt.Fprintf(w, "wrote %d records to %s/*.ftlog — analyze with:\n  go run ./cmd/analyzer -latency '%s/*.ftlog'\n",
+	fmt.Fprintf(w, "wrote %d records to %s/*.ftlog — analyze with:\n  go run ./cmd/causectl -logs '%s/*.ftlog' report -latency\n",
 		written, *out, *out)
 	return nil
 }

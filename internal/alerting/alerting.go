@@ -239,9 +239,10 @@ type Config struct {
 	// OnTransition, when set, is called for every state change, outside
 	// the evaluator lock, in transition order.
 	OnTransition func(Transition)
-	// MaxTransitions bounds the transition ring. Zero selects 256.
-	MaxTransitions int
 }
+
+// maxTransitions bounds the transition ring.
+const maxTransitions = 256
 
 // sample is one Eval's cumulative reading of a rule's series.
 type sample struct {
@@ -465,13 +466,9 @@ func (e *Evaluator) shiftLocked(rs *ruleState, to State, now time.Time) Transiti
 		FastBurn: rs.fastBurn, SlowBurn: rs.slowBurn,
 		Exemplars: rs.exemplarChains(),
 	}
-	maxT := e.cfg.MaxTransitions
-	if maxT <= 0 {
-		maxT = 256
-	}
 	e.transitions = append(e.transitions, t)
-	if len(e.transitions) > maxT {
-		e.transitions = append(e.transitions[:0], e.transitions[len(e.transitions)-maxT:]...)
+	if len(e.transitions) > maxTransitions {
+		e.transitions = append(e.transitions[:0], e.transitions[len(e.transitions)-maxTransitions:]...)
 	}
 	return t
 }

@@ -155,9 +155,6 @@ type MembershipConfig struct {
 	Ledgers func(debugAddr string) (Ledger, error)
 	// Dial overrides the replay transport (tests).
 	Dial func(addr string) (transport.Client, error)
-	// HTTPTimeout bounds each probe/fetch (default: Interval, capped
-	// at 2s).
-	HTTPTimeout time.Duration
 	// Clock overrides time.Now (tests).
 	Clock func() time.Time
 
@@ -184,13 +181,8 @@ func NewMembership(cfg MembershipConfig) (*Membership, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	if cfg.HTTPTimeout <= 0 {
-		cfg.HTTPTimeout = cfg.Interval
-		if cfg.HTTPTimeout > 2*time.Second {
-			cfg.HTTPTimeout = 2 * time.Second
-		}
-	}
-	client := &http.Client{Timeout: cfg.HTTPTimeout}
+	// Each probe/fetch is bounded by one heartbeat interval, capped at 2s.
+	client := &http.Client{Timeout: min(cfg.Interval, 2*time.Second)}
 	if cfg.Probe == nil {
 		cfg.Probe = func(debugAddr string) bool {
 			resp, err := client.Get("http://" + debugAddr + "/healthz")

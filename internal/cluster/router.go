@@ -319,13 +319,6 @@ func (s *RoutedShipper) Combined() telemetry.ShipperStats {
 	return out
 }
 
-func min(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // WriteMetrics renders the router's counters in exposition format,
 // including the combined shipper series under the usual names so
 // dashboards work unchanged against clustered processes.

@@ -64,9 +64,10 @@ type Config struct {
 	// Instrumented true and PreventMingling false the runtime reproduces
 	// the causal-chain mingling the paper describes.
 	PreventMingling bool
-	// QueueDepth bounds each STA message queue (default 64).
-	QueueDepth int
 }
+
+// queueDepth bounds each STA message queue.
+const queueDepth = 64
 
 // Runtime is a COM-like runtime instance.
 type Runtime struct {
@@ -94,9 +95,6 @@ type object struct {
 func NewRuntime(cfg Config) (*Runtime, error) {
 	if cfg.Probes == nil {
 		return nil, errors.New("com: config requires Probes")
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
 	}
 	return &Runtime{
 		cfg:        cfg,
@@ -147,7 +145,7 @@ func (rt *Runtime) NewSTA(name string) *Apartment {
 		rt:    rt,
 		kind:  STA,
 		name:  name,
-		queue: make(chan *callMsg, rt.cfg.QueueDepth),
+		queue: make(chan *callMsg, queueDepth),
 		done:  make(chan struct{}),
 	}
 	go a.messageLoop()

@@ -84,9 +84,6 @@ type Config struct {
 	// the fault-injection and tracing hook. The wrapped client is what
 	// gets cached per endpoint.
 	WrapClient func(transport.Client) transport.Client
-	// WrapHandler, when set, wraps the ORB's request handler on every
-	// endpoint it serves — the server-side fault-injection hook.
-	WrapHandler func(transport.Handler) transport.Handler
 	// Metrics, when set, receives invocation-layer failure counters
 	// (timeouts, retries, system exceptions, per-op errors) and is handed
 	// to every TCP transport the ORB dials or serves for wire-traffic
@@ -228,11 +225,7 @@ func (o *ORB) netStats() *metrics.NetStats {
 }
 
 func (o *ORB) serveOn(srv transport.Server) (string, error) {
-	h := transport.Handler(o.handleRequest)
-	if o.cfg.WrapHandler != nil {
-		h = o.cfg.WrapHandler(h)
-	}
-	if err := srv.Serve(h); err != nil {
+	if err := srv.Serve(o.handleRequest); err != nil {
 		srv.Close()
 		return "", err
 	}

@@ -13,7 +13,6 @@ import (
 	"causeway/internal/topology"
 	"causeway/internal/transport"
 	"causeway/internal/uuid"
-	"causeway/internal/vclock"
 )
 
 // Component names, in pipeline order.
@@ -94,13 +93,6 @@ type Options struct {
 	Work WorkFunc
 	// MeterFor supplies each process's CPU meter (nil: none).
 	MeterFor func(proc string) cputime.Meter
-	// ClockFor supplies each process's wall clock (nil: system clock).
-	ClockFor func(proc string) vclock.Clock
-	// RasterBytes sizes rendered sheets (default 256).
-	RasterBytes int
-	// EndpointPrefix namespaces the inproc endpoints so several pipelines
-	// can share one network.
-	EndpointPrefix string
 }
 
 // Pipeline is a deployed PPS instance.
@@ -154,14 +146,9 @@ func Build(opts Options) (*Pipeline, error) {
 		if opts.MeterFor != nil {
 			meter = opts.MeterFor(id)
 		}
-		var clock vclock.Clock
-		if opts.ClockFor != nil {
-			clock = opts.ClockFor(id)
-		}
 		probes, err := probe.New(probe.Config{
 			Process: proc,
 			Aspects: opts.Aspects,
-			Clock:   clock,
 			Meter:   meter,
 			Sink:    sink,
 			Chains:  &uuid.SequentialGenerator{Seed: seed},
@@ -182,7 +169,7 @@ func Build(opts Options) (*Pipeline, error) {
 
 	endpoints := make([]string, nproc)
 	for i := 0; i < nproc; i++ {
-		id := fmt.Sprintf("%spps%d", opts.EndpointPrefix, i)
+		id := fmt.Sprintf("pps%d", i)
 		o, err := newProcess(id, procTypes[i%len(procTypes)], uint64(i)+10)
 		if err != nil {
 			p.Shutdown()
@@ -198,7 +185,7 @@ func Build(opts Options) (*Pipeline, error) {
 	}
 
 	// A dedicated client process drives the pipeline.
-	clientORB, err := newProcess(opts.EndpointPrefix+"ppsclient", "x86", 99)
+	clientORB, err := newProcess("ppsclient", "x86", 99)
 	if err != nil {
 		p.Shutdown()
 		return nil, err
@@ -255,7 +242,7 @@ func Build(opts Options) (*Pipeline, error) {
 		register(CompSubmitter, ppsgen.RegisterJobSubmitter(orbOf(CompSubmitter), CompSubmitter, CompSubmitter, sub)),
 		register(CompSpooler, ppsgen.RegisterSpooler(orbOf(CompSpooler), CompSpooler, CompSpooler, sp)),
 		register(CompInterpreter, ppsgen.RegisterInterpreter(orbOf(CompInterpreter), CompInterpreter, CompInterpreter, &interpreter{work: opts.Work})),
-		register(CompRenderer, ppsgen.RegisterRenderer(orbOf(CompRenderer), CompRenderer, CompRenderer, &renderer{work: opts.Work, rasterBytes: opts.RasterBytes})),
+		register(CompRenderer, ppsgen.RegisterRenderer(orbOf(CompRenderer), CompRenderer, CompRenderer, &renderer{work: opts.Work})),
 		register(CompColor, ppsgen.RegisterColorConverter(orbOf(CompColor), CompColor, CompColor, &colorConverter{work: opts.Work})),
 		register(CompHalftoner, ppsgen.RegisterHalftoner(orbOf(CompHalftoner), CompHalftoner, CompHalftoner, &halftoner{work: opts.Work})),
 		register(CompCompressor, ppsgen.RegisterCompressor(orbOf(CompCompressor), CompCompressor, CompCompressor, &compressor{work: opts.Work})),

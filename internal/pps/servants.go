@@ -129,19 +129,16 @@ func (i *interpreter) Interpret(job ppsgen.Job, page int32) (int32, error) {
 // renderer is component 4: rasterization.
 type renderer struct {
 	work WorkFunc
-	// rasterBytes sizes the produced sheet payloads.
-	rasterBytes int
 }
+
+// rasterBytes sizes the produced sheet payloads.
+const rasterBytes = 256
 
 var _ ppsgen.Renderer = (*renderer)(nil)
 
 func (r *renderer) Render(job ppsgen.Job, page int32) (ppsgen.Sheet, error) {
 	r.work(5)
-	n := r.rasterBytes
-	if n <= 0 {
-		n = 256
-	}
-	raster := make([]byte, n)
+	raster := make([]byte, rasterBytes)
 	for i := range raster {
 		raster[i] = byte(int(job.Id) + int(page) + i)
 	}

@@ -1,35 +1,29 @@
 package sampling
 
 // Signals are the metrics-plane observations the Governor steers by,
-// gathered once per control tick by the collector: its own ingest rate,
-// the streaming assembler's open-chain backlog, and the delta of
-// records lost anywhere (shipper rings, store disk errors, assembler
-// shedding) since the previous tick.
+// gathered once per control tick by the collector: the streaming
+// assembler's open-chain backlog, and the delta of records lost anywhere
+// (shipper rings, store disk errors, assembler shedding) since the
+// previous tick.
 type Signals struct {
-	IngestPerSec float64 // records/s arriving at the collector
-	Backlog      int     // open chains buffered in the assembler
-	DropsDelta   uint64  // records lost since the last tick
+	Backlog    int    // open chains buffered in the assembler
+	DropsDelta uint64 // records lost since the last tick
 }
 
-// GovernorConfig bounds the AIMD controller. Zero values select the
-// documented defaults.
-type GovernorConfig struct {
-	// Min is the floor the rate never drops below (default 0.01), so
-	// a fraction of chains is always observed even under overload.
-	Min float64
-	// DecreaseFactor multiplies the rate on an overloaded tick
-	// (default 0.5 — halve on congestion, TCP-style).
-	DecreaseFactor float64
-	// IncreaseStep is added to the rate on a healthy tick
-	// (default 0.05).
-	IncreaseStep float64
-	// MaxBacklog is the assembler open-chain count above which a tick
-	// is overloaded (default 10000).
-	MaxBacklog int
-	// MaxIngestPerSec is the record arrival rate above which a tick is
-	// overloaded. Zero disables the ingest signal.
-	MaxIngestPerSec float64
-}
+// The AIMD controller's bounds.
+const (
+	// minRate is the floor the rate never drops below, so a fraction
+	// of chains is always observed even under overload.
+	minRate = 0.01
+	// decreaseFactor multiplies the rate on an overloaded tick (halve
+	// on congestion, TCP-style).
+	decreaseFactor = 0.5
+	// increaseStep is added to the rate on a healthy tick.
+	increaseStep = 0.05
+	// maxBacklog is the assembler open-chain count above which a tick
+	// is overloaded.
+	maxBacklog = 10000
+)
 
 // Governor is the AIMD sampling-rate controller — the Guardian-style
 // monitoring loop: observe the plane's own metrics, steer the head
@@ -37,51 +31,24 @@ type GovernorConfig struct {
 // concurrent use; the collector ticks it from one goroutine and
 // publishes the result through a Controlled sampler.
 type Governor struct {
-	cfg  GovernorConfig
 	rate float64
 }
 
-// NewGovernor returns a governor starting at rate, applying defaults
-// for unset config fields.
-func NewGovernor(rate float64, cfg GovernorConfig) *Governor {
-	if cfg.Min <= 0 {
-		cfg.Min = 0.01
-	}
-	if cfg.DecreaseFactor <= 0 || cfg.DecreaseFactor >= 1 {
-		cfg.DecreaseFactor = 0.5
-	}
-	if cfg.IncreaseStep <= 0 {
-		cfg.IncreaseStep = 0.05
-	}
-	if cfg.MaxBacklog <= 0 {
-		cfg.MaxBacklog = 10000
-	}
+// NewGovernor returns a governor starting at rate.
+func NewGovernor(rate float64) *Governor {
 	// The controller contract says the published rate never leaves
-	// [Min, 1] — Tick maintains it, so the starting rate must honor it
-	// too, or a governor seeded below its own floor reports a rate it
+	// [minRate, 1] — Tick maintains it, so the starting rate must honor
+	// it too, or a governor seeded below its own floor reports a rate it
 	// could never have steered to.
-	r := clamp01(rate)
-	if r < cfg.Min {
-		r = cfg.Min
-	}
-	return &Governor{cfg: cfg, rate: r}
+	return &Governor{rate: max(clamp01(rate), minRate)}
 }
 
 // Rate returns the current steering decision.
 func (g *Governor) Rate() float64 { return g.rate }
 
-// Overloaded reports whether s trips any configured overload signal.
+// Overloaded reports whether s trips an overload signal.
 func (g *Governor) Overloaded(s Signals) bool {
-	if s.DropsDelta > 0 {
-		return true
-	}
-	if s.Backlog > g.cfg.MaxBacklog {
-		return true
-	}
-	if g.cfg.MaxIngestPerSec > 0 && s.IngestPerSec > g.cfg.MaxIngestPerSec {
-		return true
-	}
-	return false
+	return s.DropsDelta > 0 || s.Backlog > maxBacklog
 }
 
 // Tick feeds one control-loop observation and returns the new rate:
@@ -89,15 +56,9 @@ func (g *Governor) Overloaded(s Signals) bool {
 // 1) when healthy.
 func (g *Governor) Tick(s Signals) float64 {
 	if g.Overloaded(s) {
-		g.rate *= g.cfg.DecreaseFactor
-		if g.rate < g.cfg.Min {
-			g.rate = g.cfg.Min
-		}
+		g.rate = max(g.rate*decreaseFactor, minRate)
 	} else {
-		g.rate += g.cfg.IncreaseStep
-		if g.rate > 1 {
-			g.rate = 1
-		}
+		g.rate = min(g.rate+increaseStep, 1)
 	}
 	return g.rate
 }

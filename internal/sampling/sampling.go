@@ -33,7 +33,7 @@
 // # Adaptive control
 //
 // Governor closes the loop: an AIMD controller (multiplicative decrease
-// on overload signals — ingest rate, assembler backlog, drop deltas —
+// on overload signals — assembler backlog and drop deltas —
 // additive increase when healthy) steers the head-sampling rate that
 // collectd serves back to its shippers, so the deployment sheds load by
 // itself under pressure.

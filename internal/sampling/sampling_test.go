@@ -168,11 +168,11 @@ func TestTailDecorrelatedFromHead(t *testing.T) {
 }
 
 func TestGovernorAIMD(t *testing.T) {
-	g := NewGovernor(1.0, GovernorConfig{})
+	g := NewGovernor(1.0)
 	if g.Rate() != 1.0 {
 		t.Fatalf("start rate %g", g.Rate())
 	}
-	// Overload signals: drops, backlog, ingest (when configured).
+	// Overload signals: drops and backlog.
 	if r := g.Tick(Signals{DropsDelta: 1}); r != 0.5 {
 		t.Fatalf("after drop tick rate = %g, want 0.5", r)
 	}
@@ -199,37 +199,17 @@ func TestGovernorAIMD(t *testing.T) {
 }
 
 func TestGovernorStartRateBounds(t *testing.T) {
-	// A start rate below the configured floor is lifted onto it — the
-	// governor never reports a rate Tick could not have produced.
-	g := NewGovernor(0.001, GovernorConfig{Min: 0.05})
-	if g.Rate() != 0.05 {
-		t.Fatalf("start below floor: rate = %g, want 0.05", g.Rate())
-	}
-	// The default floor applies the same way.
-	if r := NewGovernor(0.0001, GovernorConfig{}).Rate(); r != 0.01 {
-		t.Fatalf("start below default floor: rate = %g, want 0.01", r)
+	// A start rate below the floor is lifted onto it — the governor
+	// never reports a rate Tick could not have produced.
+	if r := NewGovernor(0.0001).Rate(); r != minRate {
+		t.Fatalf("start below floor: rate = %g, want %g", r, minRate)
 	}
 	// And the ceiling clamps from above.
-	if r := NewGovernor(17.3, GovernorConfig{}).Rate(); r != 1 {
+	if r := NewGovernor(17.3).Rate(); r != 1 {
 		t.Fatalf("start above ceiling: rate = %g, want 1", r)
 	}
 	// In-range rates pass through untouched.
-	if r := NewGovernor(0.4, GovernorConfig{}).Rate(); r != 0.4 {
+	if r := NewGovernor(0.4).Rate(); r != 0.4 {
 		t.Fatalf("in-range start mangled: %g", r)
-	}
-}
-
-func TestGovernorIngestSignal(t *testing.T) {
-	g := NewGovernor(1.0, GovernorConfig{MaxIngestPerSec: 1000})
-	if !g.Overloaded(Signals{IngestPerSec: 1500}) {
-		t.Fatal("ingest overload not detected")
-	}
-	if g.Overloaded(Signals{IngestPerSec: 500}) {
-		t.Fatal("healthy ingest flagged as overload")
-	}
-	// Unconfigured ingest signal stays disabled.
-	g2 := NewGovernor(1.0, GovernorConfig{})
-	if g2.Overloaded(Signals{IngestPerSec: 1e12}) {
-		t.Fatal("disabled ingest signal fired")
 	}
 }

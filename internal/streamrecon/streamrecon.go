@@ -146,8 +146,6 @@ type Config struct {
 	// records were handed to the store. It runs outside the table lock but
 	// serialized with other evictions.
 	OnComplete func(Completion)
-	// FeedSize bounds the completion feed ring. Default 256.
-	FeedSize int
 	// FeedGen identifies this table's feed on /feedz. Completion IDs
 	// restart from 1 whenever a collector restarts, so a tail that only
 	// compares cursors misses a restart whose fresh feed races past its old
@@ -171,10 +169,15 @@ type Config struct {
 	// ComputeLatencySubtree pass the offline analyzer runs, so the /metrics
 	// quantiles agree exactly with offline InterfaceStat quantiles.
 	Metrics *metrics.Registry
-	// RecentRoots bounds the ring of completed-root summaries kept for
-	// introspection (/chainz). Default 64.
-	RecentRoots int
 }
+
+const (
+	// feedSize bounds the completion feed ring.
+	feedSize = 256
+	// recentRoots bounds the ring of completed-root summaries kept for
+	// introspection (/chainz).
+	recentRoots = 64
+)
 
 // RootEvent describes one closed top-level invocation.
 type RootEvent struct {
@@ -432,12 +435,6 @@ func NewMonitor(cfg Config) *Assembler {
 		cfg.StaleAfter = 30 * time.Second
 	}
 	cfg.StaleAfter = max(cfg.StaleAfter, cfg.Quiescence)
-	if cfg.FeedSize <= 0 {
-		cfg.FeedSize = 256
-	}
-	if cfg.RecentRoots <= 0 {
-		cfg.RecentRoots = 64
-	}
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
@@ -450,8 +447,8 @@ func NewMonitor(cfg Config) *Assembler {
 		chains:  make(map[uuid.UUID]*chain),
 		cursors: make(map[uuid.UUID]cursor),
 		rotated: cfg.Clock(),
-		feed:    make([]Completion, cfg.FeedSize),
-		recent:  make([]RootSummary, cfg.RecentRoots),
+		feed:    make([]Completion, feedSize),
+		recent:  make([]RootSummary, recentRoots),
 	}
 	a.mach.Pool = &a.nodes
 	return a
@@ -1102,7 +1099,7 @@ func (a *Assembler) SetMetrics(reg *metrics.Registry) {
 	}
 }
 
-// RecentRoots returns up to the last RecentRoots completed top-level
+// RecentRoots returns up to the last recentRoots completed top-level
 // invocations, newest first — the /chainz data source.
 func (a *Assembler) RecentRoots() []RootSummary {
 	a.mu.Lock()

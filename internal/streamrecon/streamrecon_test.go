@@ -464,12 +464,11 @@ func TestFlushOpenDrainsEverything(t *testing.T) {
 
 func TestFeedCursorAndRingWrap(t *testing.T) {
 	clock := newFakeClock()
-	a, _ := newAssembler(t, clock, func(c *Config) {
-		c.FeedSize = 4
-	})
+	a, _ := newAssembler(t, clock, nil)
 	p, sink := newProbes(t, 8)
 	op := probe.OpID{Component: "c", Interface: "I", Operation: "f", Object: "o"}
-	for i := 0; i < 6; i++ {
+	const calls = feedSize + 2
+	for i := 0; i < calls; i++ {
 		oneCall(p, op)
 	}
 	feed(a, sink.Snapshot())
@@ -477,21 +476,21 @@ func TestFeedCursorAndRingWrap(t *testing.T) {
 	a.Tick()
 
 	comps, newest := a.Feed(0, 0)
-	if newest != 6 {
-		t.Fatalf("newest = %d, want 6", newest)
+	if newest != calls {
+		t.Fatalf("newest = %d, want %d", newest, calls)
 	}
-	// Ring of 4: only ids 3..6 retained.
-	if len(comps) != 4 || comps[0].ID != 3 || comps[3].ID != 6 {
-		t.Fatalf("feed after wrap = %+v", comps)
+	// The ring wrapped: only the last feedSize ids are retained.
+	if len(comps) != feedSize || comps[0].ID != 3 || comps[feedSize-1].ID != calls {
+		t.Fatalf("feed after wrap: %d entries, ids %d..%d", len(comps), comps[0].ID, comps[len(comps)-1].ID)
 	}
 	// Cursor-based tailing: nothing new at the cursor.
-	if more, n2 := a.Feed(newest, 0); len(more) != 0 || n2 != 6 {
+	if more, n2 := a.Feed(newest, 0); len(more) != 0 || n2 != calls {
 		t.Fatalf("Feed(newest) = %v, %d", more, n2)
 	}
 	// Partial reads honor max.
-	part, _ := a.Feed(2, 2)
-	if len(part) != 2 || part[0].ID != 5 {
-		t.Fatalf("Feed(2, max=2) = %+v", part)
+	part, _ := a.Feed(calls-4, 2)
+	if len(part) != 2 || part[0].ID != calls-1 {
+		t.Fatalf("Feed(%d, max=2) = %+v", calls-4, part)
 	}
 	// ids are strictly increasing in feed order.
 	for i := 1; i < len(comps); i++ {

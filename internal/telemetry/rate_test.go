@@ -86,6 +86,9 @@ func TestRatePollingToleratesDisabledServer(t *testing.T) {
 	if target.Rate() != 0.5 {
 		t.Fatalf("rejected polls changed the rate to %g", target.Rate())
 	}
+	if bf := srv.Stats().BadFrames; bf != 0 {
+		t.Fatalf("rejected polls counted %d bad frames", bf)
+	}
 	if store.Len() != 50 {
 		t.Fatalf("store holds %d records, want 50", store.Len())
 	}

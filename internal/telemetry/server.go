@@ -317,7 +317,12 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 		}
 	case opRate:
 		if s.cfg.SampleRate == nil {
-			fail("telemetry: sampling not enabled")
+			// Every shipping process polls; a collector that steers no
+			// rate refuses the poll without counting a bad frame, and the
+			// process keeps its own rate.
+			if !req.Oneway {
+				respond(transport.Reply{Status: transport.StatusUserException, Body: []byte("telemetry: sampling not enabled")})
+			}
 			return
 		}
 		respond(transport.Reply{Status: transport.StatusOK, Body: encodeRate(s.cfg.SampleRate())})
