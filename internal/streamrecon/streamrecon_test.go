@@ -397,14 +397,20 @@ func TestStragglerToPersistedChainReachesStore(t *testing.T) {
 	}
 }
 
-// TestBacklogShedsOldestChainWhole: over MaxBuffered, the oldest open
+// capBuffered sets the table's backlog cap for one test.
+func capBuffered(t *testing.T, n int) {
+	old := maxBuffered
+	maxBuffered = n
+	t.Cleanup(func() { maxBuffered = old })
+}
+
+// TestBacklogShedsOldestChainWhole: over the backlog cap, the oldest open
 // chain is dropped head-consistently — buffered records and all later
 // ones — with every record counted.
 func TestBacklogShedsOldestChainWhole(t *testing.T) {
+	capBuffered(t, 5)
 	clock := newFakeClock()
-	a, _ := newAssembler(t, clock, func(c *Config) {
-		c.MaxBuffered = 5
-	})
+	a, _ := newAssembler(t, clock, nil)
 	p, sink := newProbes(t, 6)
 	op := probe.OpID{Component: "c", Interface: "I", Operation: "shed", Object: "o"}
 	oneCall(p, op) // chain A: 4 records
@@ -429,6 +435,40 @@ func TestBacklogShedsOldestChainWhole(t *testing.T) {
 	comps, _ := a.Feed(0, 0)
 	if len(comps) != 1 || comps[0].Reason != "shed" || comps[0].Persisted {
 		t.Fatalf("feed = %+v", comps)
+	}
+}
+
+// A producer that never lets a chain go quiet — eight chains fed round
+// robin, a record each every 20 ms (the quiescence is 100 ms), each for 16
+// records of complete calls before the producer moves on to a fresh one —
+// wants more held at once than the cap allows: after every Append the held
+// records are within the cap and the ledger balances, and records leave
+// both ways, persisted by the ticks and shed.
+func TestBacklogBoundedUnderUnquietProducer(t *testing.T) {
+	const limit, live, perChain, total = 100, 8, 16, 20000
+	capBuffered(t, limit)
+	clock := newFakeClock()
+	a, store := newAssembler(t, clock, nil)
+	events := [4]ftl.Event{ftl.StubStart, ftl.SkelStart, ftl.SkelEnd, ftl.StubEnd}
+	for n := 0; n < total; n++ {
+		slot, round := n%live, n/live
+		gen := round / perChain
+		seq := uint64(round%perChain + 1)
+		a.Append(probe.Record{
+			Kind: probe.KindEvent, Process: "p", Chain: uuid.UUID{0: byte(slot), 1: byte(gen), 2: byte(gen >> 8)},
+			Seq: seq, Event: events[(seq-1)%4], Op: probe.OpID{Interface: "I", Operation: "busy"},
+		})
+		if led := checkLedger(t, a); led.Buffered > limit {
+			t.Fatalf("after %d records the table holds %d, cap %d", n+1, led.Buffered, limit)
+		}
+		if slot == live-1 {
+			clock.Advance(20 * time.Millisecond)
+			a.Tick()
+		}
+	}
+	led := checkLedger(t, a)
+	if led.Appended != total || led.Shed == 0 || led.Persisted == 0 || store.Len() != int(led.Persisted) {
+		t.Fatalf("ledger %+v, store holds %d: want %d appended, some shed and some persisted", led, store.Len(), total)
 	}
 }
 

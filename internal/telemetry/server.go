@@ -136,7 +136,9 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		conns: make(map[transport.ConnID]*connState),
 	}
 	t.OnDisconnect(s.forget)
-	if err := t.Serve(s.handle); err != nil {
+	// handle decodes, journals and delivers a frame before it returns, and
+	// every one of those copies what it keeps: it borrows the body.
+	if err := t.ServeLent(s.handle); err != nil {
 		t.Close()
 		return nil, err
 	}
@@ -238,7 +240,8 @@ func (s *Server) forget(conn transport.ConnID) {
 // handle processes one frame. The transport calls it synchronously from
 // the per-connection read loop, so one connection's frames are ingested in
 // arrival order — the property that preserves per-process record order
-// end to end.
+// end to end. req.Body is the connection's read buffer, lent for the call
+// (TCPServer.ServeLent): nothing handle calls may keep it.
 func (s *Server) handle(conn transport.ConnID, req transport.Request, respond transport.Responder) {
 	fail := func(msg string) {
 		s.badFrames.Add(1)

@@ -307,6 +307,104 @@ func TestChainContiguousLayoutMatchesLogdb(t *testing.T) {
 	}
 }
 
+// chainView is what a shard's index holds for one chain.
+type chainView struct {
+	locs  []recLoc
+	dirty bool
+	last  time.Time
+}
+
+// indexView copies every shard's index: each chain's entry, and the event
+// count.
+func indexView(s *Store) (chains map[uuid.UUID]chainView, events int) {
+	chains = make(map[uuid.UUID]chainView)
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for c, ci := range sh.chains {
+			chains[c] = chainView{slices.Clone(ci.locs), ci.dirty, ci.last}
+		}
+		events += sh.events
+		sh.mu.Unlock()
+	}
+	return chains, events
+}
+
+// The index a store builds as it writes is the index recovery builds from
+// the segments it wrote: for every chain the same locations in the same
+// order and the same dirty flag, the same event count, and — for a chain
+// whose records carry wall times, where the touch is not the clock at
+// indexing — the same newest touch. The writes are mixed batches (ties,
+// out-of-sequence halves, links, an InsertNew replay) and one-chain inserts
+// as the chain table makes them: whole chains, chunks in sequence and out
+// of it, a chain without wall times, across segment rotations.
+func TestWriteIndexMatchesRecoveredIndex(t *testing.T) {
+	dir := t.TempDir()
+	ts, err := Open(dir, Options{Shards: 4, SegmentMaxBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, _ := layoutBatches()
+	feed(ts, batches, nil)
+	wall := time.Now().Round(0)
+	noWall := chainID(160)
+	for k := 0; k < 6; k++ {
+		c := chainID(byte(150 + k))
+		recs := nestedChain(c, 1+3*k, "ISingle", wall)
+		switch k {
+		case 0, 1:
+			ts.Insert(recs...)
+		case 2:
+			for i := 0; i < len(recs); i += 4 {
+				ts.Insert(recs[i:min(i+4, len(recs))]...)
+			}
+		case 3:
+			mid := len(recs) / 2
+			ts.Insert(recs[mid:]...)
+			ts.Insert(recs[:mid]...)
+		case 4:
+			ts.Insert(recs[:3]...)
+			ts.Insert(append(recs[3:5:5], link(c, recs[4].Seq, chainID(170)))...)
+			ts.Insert(recs[5:]...)
+		case 5:
+			recs = nestedChain(noWall, 3, "INoWall", time.Time{})
+			ts.Insert(recs[:7]...)
+			ts.Insert(recs[7:]...)
+		}
+	}
+	written, events := indexView(ts)
+	if err := ts.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ts, err = Open(dir, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	recovered, recEvents := indexView(ts)
+	if events != recEvents || len(written) != len(recovered) {
+		t.Fatalf("written index: %d events in %d chains; recovered: %d in %d", events, len(written), recEvents, len(recovered))
+	}
+	dirty := 0
+	for c, w := range written {
+		r, ok := recovered[c]
+		switch {
+		case !ok:
+			t.Fatalf("chain %s not recovered", c)
+		case !slices.Equal(w.locs, r.locs):
+			t.Fatalf("chain %s: written locations %v, recovered %v", c, w.locs, r.locs)
+		case w.dirty != r.dirty:
+			t.Fatalf("chain %s: written dirty=%v, recovered %v", c, w.dirty, r.dirty)
+		case c != noWall && !w.last.Equal(r.last):
+			t.Fatalf("chain %s: written last touch %v, recovered %v", c, w.last, r.last)
+		}
+		if w.dirty {
+			dirty++
+		}
+	}
+	if dirty == 0 {
+		t.Fatal("no chain is out of seq order; the test needs one")
+	}
+}
+
 func TestRecLocSize(t *testing.T) {
 	if got := unsafe.Sizeof(recLoc{}); got != 24 {
 		t.Fatalf("recLoc is %d bytes, want 24", got)

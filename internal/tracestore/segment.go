@@ -25,12 +25,20 @@ const (
 	oldSegMagic = "CWTSEG1\n"
 )
 
+// segWriteBuf is the segment writer's buffer: frames leave it in writes of
+// this size. The journal, not this buffer, bounds what a killed collector
+// loses, so its size is set by cost alone; 64 KB was measured against the
+// 4 KB default, which made one write(2) per ~38 records.
+const segWriteBuf = 64 << 10
+
 // segmentWriter appends frames to one segment file through a buffer, so the
 // ingest hot path pays an in-memory copy rather than a syscall per frame.
-// size tracks the logical file size including buffered bytes.
+// The buffer is allocated by the first append: a store opened only to be
+// read allocates none. size tracks the logical file size including buffered
+// bytes.
 type segmentWriter struct {
 	f    *os.File
-	bw   *bufio.Writer
+	bw   *bufio.Writer // nil until the first append
 	size int64
 	len4 [frameHeader]byte
 }
@@ -41,12 +49,11 @@ func createSegment(path string) (*segmentWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tracestore: create segment: %w", err)
 	}
-	w := &segmentWriter{f: f, bw: bufio.NewWriter(f), size: segHeader}
-	if _, err := w.bw.WriteString(probe.StreamMagic); err != nil {
+	if _, err := f.WriteString(probe.StreamMagic); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("tracestore: segment header: %w", err)
 	}
-	return w, nil
+	return &segmentWriter{f: f, size: segHeader}, nil
 }
 
 // appendSegment opens an existing (recovered) segment for further appends
@@ -60,12 +67,15 @@ func appendSegment(path string, size int64) (*segmentWriter, error) {
 		f.Close()
 		return nil, fmt.Errorf("tracestore: seek segment: %w", err)
 	}
-	return &segmentWriter{f: f, bw: bufio.NewWriter(f), size: size}, nil
+	return &segmentWriter{f: f, size: size}, nil
 }
 
 // append writes one frame body behind its length and returns the body's
 // offset, which the in-memory index retains for ReadAt-backed queries.
 func (w *segmentWriter) append(body []byte) (off int64, err error) {
+	if w.bw == nil {
+		w.bw = bufio.NewWriterSize(w.f, segWriteBuf)
+	}
 	binary.LittleEndian.PutUint32(w.len4[:], uint32(len(body)))
 	if _, err := w.bw.Write(w.len4[:]); err != nil {
 		return 0, err
@@ -78,10 +88,15 @@ func (w *segmentWriter) append(body []byte) (off int64, err error) {
 	return off, nil
 }
 
-func (w *segmentWriter) flush() error { return w.bw.Flush() }
+func (w *segmentWriter) flush() error {
+	if w.bw == nil {
+		return nil
+	}
+	return w.bw.Flush()
+}
 
 func (w *segmentWriter) close() error {
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		w.f.Close()
 		return err
 	}
@@ -91,7 +106,7 @@ func (w *segmentWriter) close() error {
 // sync flushes the buffer and fsyncs the file (compaction uses it before
 // the rename that commits a rewritten segment).
 func (w *segmentWriter) sync() error {
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		return err
 	}
 	return w.f.Sync()

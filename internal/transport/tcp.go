@@ -282,7 +282,8 @@ func appendReplyFrame(dst []byte, rep Reply) []byte {
 // connection invokes the same few operations over and over, and the
 // m[string(b)] lookup form is recognized by the compiler as allocation-free,
 // so after the first call of each kind no string is allocated per request.
-// The body is copied (dispatch may outlive the read buffer's next reuse).
+// The body is a view of fr's buffer: the server copies it unless its handler
+// borrows it (TCPServer.ServeLent).
 func decodeRequest(fr *frameReader, interned map[string]string) (Request, error) {
 	var req Request
 	var err error
@@ -300,12 +301,8 @@ func decodeRequest(fr *frameReader, interned map[string]string) (Request, error)
 	if req.Operation, err = fr.internedStr(interned); err != nil {
 		return req, err
 	}
-	body, err := fr.bytes()
-	if err != nil {
-		return req, err
-	}
-	req.Body = append([]byte(nil), body...)
-	return req, nil
+	req.Body, err = fr.bytes()
+	return req, err
 }
 
 func decodeReply(fr *frameReader) (Reply, error) {
@@ -370,6 +367,7 @@ type TCPServer struct {
 	nextID  atomic.Uint64
 	net     *metrics.NetStats // nil when unmetered; set before Serve
 	onDisc  func(ConnID)      // nil when nobody keeps per-connection state; set before Serve
+	lent    bool              // ServeLent: the handler borrows req.Body for the call
 }
 
 var _ Server = (*TCPServer)(nil)
@@ -392,14 +390,23 @@ func (s *TCPServer) SetMetrics(ns *metrics.NetStats) { s.net = ns }
 // keeps per-connection state lets go of it. It must be called before Serve.
 func (s *TCPServer) OnDisconnect(fn func(ConnID)) { s.onDisc = fn }
 
-// Serve implements Server; it starts the accept loop and returns.
-func (s *TCPServer) Serve(h Handler) error {
+// Serve implements Server; it starts the accept loop and returns. Each
+// request's Body is the handler's own copy, which it may keep.
+func (s *TCPServer) Serve(h Handler) error { return s.serve(h, false) }
+
+// ServeLent is Serve for a handler that is done with req.Body when it
+// returns: the body is lent from the connection's read buffer for the call
+// and overwritten by the next request, so a request costs no copy of it.
+// The connection reads its next request only after the handler returns.
+func (s *TCPServer) ServeLent(h Handler) error { return s.serve(h, true) }
+
+func (s *TCPServer) serve(h Handler, lent bool) error {
 	s.mu.Lock()
 	if s.handler != nil {
 		s.mu.Unlock()
 		return errors.New("transport: already serving")
 	}
-	s.handler = h
+	s.handler, s.lent = h, lent
 	s.mu.Unlock()
 
 	s.wg.Add(1)
@@ -465,8 +472,9 @@ func (s *TCPServer) connLoop(conn net.Conn, id ConnID) {
 	var writeMu sync.Mutex
 	// One read buffer and one write buffer per connection, reused for every
 	// message on the connection. The read buffer comes from the frame pool
-	// and is safe to reuse across requests because decodeRequest copies the
-	// body out. The write buffer is guarded by writeMu but deliberately NOT
+	// and is safe to reuse across requests because the body is copied out,
+	// or lent to a handler that has returned before the next read. The
+	// write buffer is guarded by writeMu but deliberately NOT
 	// pooled: respond closures can outlive connLoop (a dispatch may finish
 	// after the connection died), so returning it at loop exit could hand a
 	// buffer to the pool while a late responder still writes into it.
@@ -492,6 +500,9 @@ func (s *TCPServer) connLoop(conn net.Conn, id ConnID) {
 		req, err := decodeRequest(fr, interned)
 		if err != nil {
 			return
+		}
+		if !s.lent {
+			req.Body = append([]byte(nil), req.Body...)
 		}
 		respond := Responder(func(Reply) {})
 		if !req.Oneway {
