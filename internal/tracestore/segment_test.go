@@ -206,3 +206,39 @@ func FuzzOpenSegment(f *testing.F) {
 		}
 	})
 }
+
+// Recovery indexes a frame that interleaves chains, as older segments hold,
+// at each chain's run: every chain gets its events in order, and none is
+// given room for the other chains' records.
+func TestRecoveredInterleavedFrameIndexesEachChain(t *testing.T) {
+	const chains, perChain = 8, 4
+	wall := time.Unix(1700000000, 0)
+	var recs []probe.Record
+	for seq := uint64(1); seq <= perChain; seq++ {
+		for c := byte(0); c < chains; c++ {
+			recs = append(recs, ev(chainID(10+c), seq, ftl.SkelStart, "ISpool", wall))
+		}
+	}
+	s, err := openSegment(t, segmentOf(frameOf(recs...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Len() != len(recs) {
+		t.Fatalf("recovered %d records, want %d", s.Len(), len(recs))
+	}
+	for c := byte(0); c < chains; c++ {
+		ci := s.shards[0].chains[chainID(10+c)]
+		if ci == nil || len(ci.locs) != perChain || ci.dirty {
+			t.Fatalf("chain %d: index %+v, want %d clean locations", c, ci, perChain)
+		}
+		for i, loc := range ci.locs {
+			if loc.seq != uint64(i+1) {
+				t.Fatalf("chain %d: location %d has seq %d", c, i, loc.seq)
+			}
+		}
+		if cap(ci.locs) >= 2*perChain {
+			t.Errorf("chain %d: %d locations reserve room for %d", c, perChain, cap(ci.locs))
+		}
+	}
+}
