@@ -24,12 +24,15 @@
 // the store. A collector killed with `kill -9` replays its journal into
 // the store when it starts again, so no acknowledged record is lost with the
 // process (a host crash can still lose what the OS had not written; there
-// is no fsync). With -rate/-adaptive the daemon also owns the fleet's
-// head-sampling rate: every shipping process polls it once a second over
-// the telemetry protocol and applies it to the chains it begins, and the
-// AIMD governor (internal/sampling) lowers it when the daemon's own
-// metrics show overload. Without -rate a poll is refused and each process
-// keeps its own ChainSampleRate.
+// is no fsync). Nor does overload lose it: a collector whose chain table
+// holds its backlog cap refuses ship frames unacknowledged until chains
+// leave, and the shippers keep them and send them again. With
+// -rate/-adaptive the daemon also owns the fleet's head-sampling rate:
+// every shipping process polls it once a second over the telemetry
+// protocol and applies it to the chains it begins, and the AIMD governor
+// (internal/sampling) lowers it when the daemon's own metrics show
+// overload, refused frames among them. Without -rate a poll is refused
+// and each process keeps its own ChainSampleRate.
 //
 // Usage:
 //
@@ -237,7 +240,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	// the fleet-merged view, since the chain table observes every
 	// shipped record's compensated latency into it. Exemplar chains of
 	// pending/firing alerts pin into the streaming tail policy so
-	// retention and shedding keep the evidence an operator will ask for.
+	// retention keeps the evidence an operator will ask for.
 	var alerts *alerting.Evaluator
 	var alertPins *sampling.PinSet
 	if *alertsFile != "" {
@@ -373,20 +376,18 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	}
 
 	// The AIMD governor rides the reporting loop: each tick it reads the
-	// daemon's own metrics plane — assembler backlog, records lost anywhere
-	// downstream — and steers the rate the server serves.
+	// daemon's own metrics plane — assembler backlog, frames the server
+	// refused, records the store lost to disk failures — and steers the
+	// rate the server serves.
 	var gov *sampling.Governor
 	if *adaptive {
 		gov = sampling.NewGovernor(sampler.Rate())
 	}
-	// lostRecords totals every record lost after ingest: chain table
-	// shedding and store disk failures. The governor keys off its delta.
 	lostRecords := func() uint64 {
-		n := chains.Ledger().Shed
-		if disk != nil {
-			n += uint64(disk.Dropped())
+		if disk == nil {
+			return 0
 		}
-		return n
+		return uint64(disk.Dropped())
 	}
 
 	// Periodic self-report: ingest rate and live-parse progress.
@@ -396,7 +397,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		defer close(reporterDone)
 		ticker := time.NewTicker(*report)
 		defer ticker.Stop()
-		var last, lastLost uint64
+		var last, lastLost, lastRefused uint64
 		lastT := time.Now()
 		for {
 			select {
@@ -409,9 +410,9 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 				last, lastT = st.Records, now
 				node.Tick()
 				led := node.Ledger()
-				fmt.Fprintf(w, "collectd: %d records (%.0f/s), %d batches, %d peers, %d open chains, %d evicted (%d records persisted, %d discarded, %d shed), %d roots, %d slow, %d anomalies\n",
+				fmt.Fprintf(w, "collectd: %d records (%.0f/s), %d batches, %d peers, %d open chains, %d evicted (%d records persisted, %d discarded), %d roots, %d slow, %d anomalies\n",
 					st.Records, rate, st.Batches, st.Peers, chains.OpenChains(), chains.Completions(),
-					led.Persisted, led.Discarded, led.Shed,
+					led.Persisted, led.Discarded,
 					rootCount.Load(), slowCount.Load(), anomalyCount.Load())
 				if alerts != nil {
 					alerts.Eval()
@@ -429,10 +430,11 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 				if gov != nil {
 					lost := lostRecords()
 					next := gov.Tick(sampling.Signals{
-						Backlog:    chains.OpenChains(),
-						DropsDelta: lost - lastLost,
+						Backlog:      chains.OpenChains(),
+						DropsDelta:   lost - lastLost,
+						RefusedDelta: st.Refused - lastRefused,
 					})
-					lastLost = lost
+					lastLost, lastRefused = lost, st.Refused
 					if next != sampler.Rate() {
 						sampler.SetRate(next)
 						fmt.Fprintf(w, "collectd: sampling rate -> %.3g\n", next)
@@ -457,11 +459,11 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	led := chains.Ledger()
 	fmt.Fprintf(w, "collectd: streaming drain evicted %d open chain(s)\n", chains.Completions()-evicted)
 	balance := "balanced"
-	if led.Buffered != 0 || led.Appended != led.Persisted+led.Discarded+led.Shed {
+	if led.Buffered != 0 || led.Appended != led.Persisted+led.Discarded {
 		balance = "UNBALANCED"
 	}
-	fmt.Fprintf(w, "collectd: assembler ledger: appended=%d persisted=%d discarded=%d shed=%d buffered=%d (%s)\n",
-		led.Appended, led.Persisted, led.Discarded, led.Shed, led.Buffered, balance)
+	fmt.Fprintf(w, "collectd: assembler ledger: appended=%d persisted=%d discarded=%d buffered=%d (%s)\n",
+		led.Appended, led.Persisted, led.Discarded, led.Buffered, balance)
 
 	st := srv.Stats()
 	fmt.Fprintf(w, "collectd: drained %d records in %d batches from %d peer connection(s); %d roots, %d slow, %d anomalies\n",

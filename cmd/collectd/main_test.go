@@ -433,7 +433,7 @@ func TestCollectdStreamMode(t *testing.T) {
 		"collectd: serving head-sampling rate 1 (adaptive)",
 		"evicted (",
 		"collectd: streaming drain evicted 0 open chain(s)",
-		"collectd: assembler ledger: appended=24 persisted=24 discarded=0 shed=0 buffered=0 (balanced)",
+		"collectd: assembler ledger: appended=24 persisted=24 discarded=0 buffered=0 (balanced)",
 		"drained 24 records",
 		"peer stream-proc (x86): ingested 24 records",
 		"shipper appended=24 shipped=24 dropped=0",

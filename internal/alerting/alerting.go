@@ -17,8 +17,8 @@
 // loop: while a rule is pending or firing, the evaluator harvests the
 // exemplar chains stamped into the offending histogram's over-objective
 // buckets (metrics.Histogram.ExemplarsAbove) and pins them into a
-// sampling.PinSet, so tail sampling and assembler shedding cannot drop
-// the very chains that explain the alert. A fired alert therefore
+// sampling.PinSet, so tail sampling cannot drop the very chains that
+// explain the alert. A fired alert therefore
 // carries chain UUIDs that `causectl show` resolves to complete DSCGs.
 package alerting
 

@@ -19,7 +19,7 @@
 // Conservation is the second invariant: rebalancing must lose no chain
 // and count none twice. Every collector keeps the ledger equation
 //
-//	Appended + Replayed == Persisted + Discarded + Shed + Buffered + Retired
+//	Appended + Replayed == Persisted + Discarded + Buffered + Retired
 //
 // where Replayed counts records accepted (post-dedup) from segment
 // replay and Retired counts records whose range moved away. The

@@ -409,8 +409,8 @@ func TestAggregatorMergesPerFrame(t *testing.T) {
 
 func TestLedgerConservation(t *testing.T) {
 	// A live collector that ingested 100, persisted 90, discarded 6,
-	// shed 4, then lost a 30-record range to a rebalance.
-	src := Ledger{Appended: 100, Persisted: 90, Discarded: 6, Shed: 4}
+	// still buffers 4, then lost a 30-record range to a rebalance.
+	src := Ledger{Appended: 100, Persisted: 90, Discarded: 6, Buffered: 4}
 	if !src.Balanced() {
 		t.Fatalf("source ledger unbalanced before move: %s", src)
 	}

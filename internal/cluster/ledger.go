@@ -12,10 +12,12 @@ import (
 // collector ever accepted — fresh from a shipper (Appended) or via
 // segment replay (Replayed) — must sit in exactly one bucket:
 //
-//	Appended + Replayed == Persisted + Discarded + Shed + Buffered + Retired
+//	Appended + Replayed == Persisted + Discarded + Buffered + Retired
 //
-// Persisted/Discarded/Shed/Buffered are the assembler's buckets
-// unchanged. Retired counts records whose hash range moved away and
+// Persisted/Discarded/Buffered are the assembler's buckets unchanged:
+// every record the collector acknowledged reaches the store or a counted
+// tail-policy discard, since the table drops nothing and overload is
+// refused at the server before the ack. Retired counts records whose hash range moved away and
 // were accepted by the new owner — they left this collector's ledger
 // because they entered another's as Replayed. The replayer retires
 // exactly what the receiver accepts (duplicates the receiver already
@@ -29,7 +31,6 @@ type Ledger struct {
 	Appended  uint64 `json:"appended"`
 	Persisted uint64 `json:"persisted"`
 	Discarded uint64 `json:"discarded"`
-	Shed      uint64 `json:"shed"`
 	Buffered  uint64 `json:"buffered"`
 	Replayed  uint64 `json:"replayed"`
 	Retired   uint64 `json:"retired"`
@@ -57,7 +58,6 @@ func FromAssembler(l streamrecon.Ledger) Ledger {
 		Appended:  l.Appended,
 		Persisted: l.Persisted,
 		Discarded: l.Discarded,
-		Shed:      l.Shed,
 		Buffered:  l.Buffered,
 	}
 }
@@ -66,7 +66,7 @@ func FromAssembler(l streamrecon.Ledger) Ledger {
 // record fell outside it (NoOwner is an unconditional violation).
 func (l Ledger) Balanced() bool {
 	return l.NoOwner == 0 &&
-		l.Appended+l.Replayed == l.Persisted+l.Discarded+l.Shed+l.Buffered+l.Retired
+		l.Appended+l.Replayed == l.Persisted+l.Discarded+l.Buffered+l.Retired
 }
 
 // Add returns the bucket-wise sum — the tier-wide ledger when applied
@@ -77,7 +77,6 @@ func (l Ledger) Add(o Ledger) Ledger {
 		Appended:  l.Appended + o.Appended,
 		Persisted: l.Persisted + o.Persisted,
 		Discarded: l.Discarded + o.Discarded,
-		Shed:      l.Shed + o.Shed,
 		Buffered:  l.Buffered + o.Buffered,
 		Replayed:  l.Replayed + o.Replayed,
 		Retired:   l.Retired + o.Retired,
@@ -119,8 +118,8 @@ func (l Ledger) String() string {
 	if l.NoOwner > 0 {
 		extra = fmt.Sprintf(" no_owner=%d", l.NoOwner)
 	}
-	return fmt.Sprintf("appended=%d replayed=%d persisted=%d discarded=%d shed=%d buffered=%d retired=%d%s (%s)",
-		l.Appended, l.Replayed, l.Persisted, l.Discarded, l.Shed, l.Buffered, l.Retired, extra, verdict)
+	return fmt.Sprintf("appended=%d replayed=%d persisted=%d discarded=%d buffered=%d retired=%d%s (%s)",
+		l.Appended, l.Replayed, l.Persisted, l.Discarded, l.Buffered, l.Retired, extra, verdict)
 }
 
 // WriteMetrics emits the ledger in exposition format.
@@ -128,7 +127,6 @@ func (l Ledger) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "causeway_cluster_ledger_appended_total %d\n", l.Appended)
 	fmt.Fprintf(w, "causeway_cluster_ledger_persisted_total %d\n", l.Persisted)
 	fmt.Fprintf(w, "causeway_cluster_ledger_discarded_total %d\n", l.Discarded)
-	fmt.Fprintf(w, "causeway_cluster_ledger_shed_total %d\n", l.Shed)
 	fmt.Fprintf(w, "causeway_cluster_ledger_buffered %d\n", l.Buffered)
 	fmt.Fprintf(w, "causeway_cluster_ledger_replayed_total %d\n", l.Replayed)
 	fmt.Fprintf(w, "causeway_cluster_ledger_retired_total %d\n", l.Retired)

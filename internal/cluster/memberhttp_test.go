@@ -18,7 +18,7 @@ import (
 // TestFetchLedgerHostileInput case that serves each one.
 func ledgerReplies() map[string]string {
 	return map[string]string{
-		"well-formed":        `{"appended":5,"persisted":3,"discarded":0,"shed":0,"buffered":0,"replayed":1,"retired":3,"no_owner":0}`,
+		"well-formed":        `{"appended":5,"persisted":3,"discarded":0,"buffered":0,"replayed":1,"retired":3,"no_owner":0}`,
 		"truncated":          `{"appended":5,"persis`,
 		"empty body":         ``,
 		"non-200":            `{"appended":0}`,

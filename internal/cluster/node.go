@@ -309,6 +309,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "causeway_server_batches_total %d\n", st.Batches)
 	fmt.Fprintf(w, "causeway_server_peers_total %d\n", st.Peers)
 	fmt.Fprintf(w, "causeway_server_bad_frames_total %d\n", st.BadFrames)
+	fmt.Fprintf(w, "causeway_server_refused_frames_total %d\n", st.Refused)
 	fmt.Fprintf(w, "causeway_server_replay_batches_total %d\n", st.ReplayBatches)
 	n.Ledger().WriteMetrics(w)
 	if lc, ok := n.cfg.Store.(lossCounter); ok {

@@ -180,7 +180,7 @@ func TestFetchLedgerHostileInput(t *testing.T) {
 				for i := 0; i < 10; i++ {
 					io.WriteString(w, pad)
 				}
-				io.WriteString(w, `"shed":0}`)
+				io.WriteString(w, `"buffered":0}`)
 			}},
 	}
 	replies := ledgerReplies()

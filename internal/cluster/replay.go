@@ -101,10 +101,9 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 // written to a segment — chains open in its table, evictions in the
 // segment writers' buffers — is in its journal beside the segments, and
 // the collector replays that into the store, counted the same way, when
-// it starts again; records it shed were counted out and are gone. Pair
-// it with Replay results —
-// Retired += Accepted — to keep the dead member's account balanced as
-// its ranges move to new owners.
+// it starts again. Pair it with Replay results — Retired += Accepted — to
+// keep the dead member's account balanced as its ranges move to new
+// owners.
 func RecoverLedger(store Store) Ledger {
 	n := uint64(store.Len())
 	return Ledger{Appended: n, Persisted: n}

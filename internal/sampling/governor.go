@@ -2,12 +2,14 @@ package sampling
 
 // Signals are the metrics-plane observations the Governor steers by,
 // gathered once per control tick by the collector: the streaming
-// assembler's open-chain backlog, and the delta of records lost anywhere
-// (shipper rings, store disk errors, assembler shedding) since the
-// previous tick.
+// assembler's open-chain backlog, the delta of records lost anywhere
+// (shipper rings, store disk errors), and the delta of ship frames the
+// collector refused (its chain table at the backlog cap, or its journal
+// failing), since the previous tick.
 type Signals struct {
-	Backlog    int    // open chains buffered in the assembler
-	DropsDelta uint64 // records lost since the last tick
+	Backlog      int    // open chains buffered in the assembler
+	DropsDelta   uint64 // records lost since the last tick
+	RefusedDelta uint64 // ship frames refused since the last tick
 }
 
 // The AIMD controller's bounds.
@@ -48,7 +50,7 @@ func (g *Governor) Rate() float64 { return g.rate }
 
 // Overloaded reports whether s trips an overload signal.
 func (g *Governor) Overloaded(s Signals) bool {
-	return s.DropsDelta > 0 || s.Backlog > maxBacklog
+	return s.DropsDelta > 0 || s.RefusedDelta > 0 || s.Backlog > maxBacklog
 }
 
 // Tick feeds one control-loop observation and returns the new rate:

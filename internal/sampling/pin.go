@@ -9,9 +9,8 @@ import (
 // PinSet is a concurrent set of chains that retention must keep
 // regardless of sampling rates or buffer pressure. The alerting plane
 // pins the exemplar chains of pending and firing alerts into it so the
-// causal evidence behind an SLO violation survives tail sampling and
-// assembler shedding — an alert that names a chain the store already
-// dropped would be useless.
+// causal evidence behind an SLO violation survives tail sampling — an
+// alert that names a chain the store already dropped would be useless.
 //
 // The set is small (a bounded number of exemplars per alert rule), so a
 // plain RWMutex map wins over anything cleverer: Pinned sits on the

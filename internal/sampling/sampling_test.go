@@ -172,16 +172,19 @@ func TestGovernorAIMD(t *testing.T) {
 	if g.Rate() != 1.0 {
 		t.Fatalf("start rate %g", g.Rate())
 	}
-	// Overload signals: drops and backlog.
+	// Overload signals: drops, backlog, and frames the collector refused.
 	if r := g.Tick(Signals{DropsDelta: 1}); r != 0.5 {
 		t.Fatalf("after drop tick rate = %g, want 0.5", r)
 	}
 	if r := g.Tick(Signals{Backlog: 20000}); r != 0.25 {
 		t.Fatalf("after backlog tick rate = %g, want 0.25", r)
 	}
+	if r := g.Tick(Signals{RefusedDelta: 3}); r != 0.125 {
+		t.Fatalf("after refusal tick rate = %g, want 0.125", r)
+	}
 	// Healthy ticks climb back additively.
-	if r := g.Tick(Signals{}); math.Abs(r-0.3) > 1e-9 {
-		t.Fatalf("after healthy tick rate = %g, want 0.3", r)
+	if r := g.Tick(Signals{}); math.Abs(r-0.175) > 1e-9 {
+		t.Fatalf("after healthy tick rate = %g, want 0.175", r)
 	}
 	for i := 0; i < 100; i++ {
 		g.Tick(Signals{})

@@ -61,10 +61,15 @@
 // At eviction the table consults a tail-retention policy
 // (sampling.TailPolicy): slow, broken, and anomalous chains are always
 // persisted; normal chains pass a deterministic rate test. Every record is
-// accounted for in a ledger — persisted, discarded (tail policy), or shed
-// (backlog cap) — so the daemon can prove no record vanished uncounted:
+// accounted for in a ledger — persisted, discarded (tail policy), or still
+// buffered — so the daemon can prove no record vanished uncounted:
 //
-//	Appended == Persisted + Discarded + Shed + Buffered
+//	Appended == Persisted + Discarded + Buffered
+//
+// The table never drops a record it was handed. What bounds it under
+// overload is Backlogged: once it holds maxBuffered records the telemetry
+// server refuses ship frames unacknowledged, and the shippers keep them
+// until chains leave by quiescence or StaleAfter.
 //
 // # Stragglers and forgetting
 //
@@ -73,7 +78,7 @@
 // to the store at the first Tick that finds their invocations closed (so a
 // sibling root issued after an eviction still reaches the offline analyzer
 // and the store-level DSCG equals the batch one), a discarded chain's are
-// counted discarded, a shed chain's shed; the first two still reach OnRoot.
+// counted discarded; both still reach OnRoot.
 //
 // Cursors are remembered in two generations, the older forgotten whole
 // every StaleAfter, so forgetting costs nothing per chain under the lock: a
@@ -103,6 +108,7 @@ import (
 	"io"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"causeway/internal/analysis"
@@ -166,18 +172,13 @@ type Config struct {
 	Metrics *metrics.Registry
 }
 
-// maxBuffered caps the records a table with a store holds for open chains:
-// when an Append passes it, the oldest open chain is shed whole
-// (head-consistently: its buffered records are dropped and counted, and so
-// is every later record of that chain). 1<<21 records is about 570 MB of
-// chunk slots. A table holds roughly its ingest rate times Quiescence, so
-// it starts shedding near 4 M records/s at the default 500 ms (1 M/s at
-// 2 s); the Figure-5 stream at saturation has held at most 410 173, a
-// fifth of the cap. Shed records were acknowledged and journaled, but
-// shedding moves HeldFrom past them, so their journal file retires and
-// they are lost for good: the cap trades them, counted in Shed, for a
-// collector that stays up. A variable only so that a test can set a
-// small cap.
+// maxBuffered is the backlog cap: a table with a store that holds this
+// many records reports Backlogged, and the telemetry server refuses ship
+// frames until chains leave. 1<<21 records is about 570 MB of chunk slots.
+// A table holds roughly its ingest rate times Quiescence, so it pushes back
+// near 4 M records/s at the default 500 ms (1 M/s at 2 s); the Figure-5
+// stream at saturation has held at most 410 173, a fifth of the cap. A
+// variable only so that a test can set a small cap.
 var maxBuffered = 1 << 21
 
 const (
@@ -236,27 +237,30 @@ type Completion struct {
 	// Verdict flags; a chain that did not parse clean is Broken.
 	Slow, Broken, Anomalous bool
 	// Persisted reports whether the records reached the store; false
-	// means the tail policy discarded them or the backlog cap shed them.
+	// means the tail policy discarded them.
 	Persisted bool
 	// Reason is why the chain left the table: "complete" (quiescent with
-	// every invocation closed, or judged clean), "stale", "flush", or
-	// "shed".
+	// every invocation closed, or judged clean), "stale", or "flush".
 	Reason string
 	// When is the eviction time: the clock reading of the Tick (or
-	// FlushOpen, or shedding Append) that evicted the chain.
+	// FlushOpen) that evicted the chain.
 	When time.Time
 }
 
 // Ledger is the table's record accounting snapshot. The invariant
-// Appended == Persisted + Discarded + Shed + Buffered holds at every
-// quiescent instant (between Append/Tick calls). A table without a store
-// counts nothing.
+// Appended == Persisted + Discarded + Buffered holds at every quiescent
+// instant (between Append/Tick calls). A table without a store counts
+// nothing.
 type Ledger struct {
 	Appended  uint64 // records received
 	Persisted uint64 // records handed to the store
 	Discarded uint64 // records dropped by the tail policy, counted
-	Shed      uint64 // records dropped by the backlog cap, counted
-	Buffered  uint64 // records currently held for open chains
+	// Shed is always zero: the table drops no record it was handed (a
+	// backlogged table is pushed back on at the server instead). The field
+	// stays only because the benchmark harness still reads it; it goes
+	// when that harness runs the collector as a node.
+	Shed     uint64
+	Buffered uint64 // records currently held for open chains
 }
 
 // Chain storage comes in chunks of chunkRecs records (a little over 4 KB).
@@ -306,7 +310,6 @@ const (
 	undecided decision = iota
 	decidedPersist
 	decidedDiscard
-	decidedShed
 )
 
 // emitter identifies the probe activation behind an event within one
@@ -402,8 +405,12 @@ type Assembler struct {
 	keys   []seqAt
 	sorted []probe.Record
 
-	appended, persisted, discarded, shed uint64
-	buffered                             int
+	appended, persisted, discarded uint64
+	buffered                       int
+	// backlogged mirrors buffered >= maxBuffered as of the last unlock, so
+	// that Backlogged — asked once per ship frame — does not queue for mu
+	// behind another connection's batch.
+	backlogged atomic.Bool
 
 	feed  []Completion
 	feedN uint64 // completions ever; feedN%len(feed) is the next slot
@@ -466,7 +473,7 @@ func NewMonitor(cfg Config) *Assembler {
 // Append implements probe.Sink.
 func (a *Assembler) Append(r probe.Record) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
+	defer a.unlock()
 	a.appendLocked(&r, a.cfg.Clock())
 }
 
@@ -479,11 +486,18 @@ func (a *Assembler) AppendSpan(recs []probe.Record) { a.AppendBatch(recs) }
 // reading.
 func (a *Assembler) AppendBatch(recs []probe.Record) {
 	a.mu.Lock()
-	defer a.mu.Unlock()
+	defer a.unlock()
 	now := a.cfg.Clock()
 	for i := range recs {
 		a.appendLocked(&recs[i], now)
 	}
+}
+
+// unlock releases a.mu after an append or an eviction pass, noting first
+// whether the table is backlogged.
+func (a *Assembler) unlock() {
+	a.backlogged.Store(a.buffered >= maxBuffered)
+	a.mu.Unlock()
 }
 
 // appendLocked takes one record that arrived at now. Called under a.mu.
@@ -514,14 +528,7 @@ func (a *Assembler) appendLocked(r *probe.Record, now time.Time) {
 	}
 	c := a.chains[r.Chain]
 	if c == nil {
-		cur := a.recall(r.Chain)
-		if store && cur.decided == decidedShed {
-			a.shed++
-			cur.last = at
-			a.cursors[r.Chain] = cur
-			return
-		}
-		c = a.hold(r.Chain, cur, at)
+		c = a.hold(r.Chain, a.recall(r.Chain), at)
 		c.first = a.appended
 	}
 	c.last = at
@@ -539,9 +546,6 @@ func (a *Assembler) appendLocked(r *probe.Record, now time.Time) {
 		a.discarded++
 	} else {
 		a.buffered++
-	}
-	if c.decided == undecided && a.buffered > maxBuffered {
-		a.shedOldestLocked(c, now)
 	}
 }
 
@@ -742,45 +746,6 @@ func rootEnd(root *analysis.Node) time.Time {
 	return time.Time{}
 }
 
-// shedOldestLocked drops the oldest open chain whole (skipping the one
-// that just grew, unless it is the only one). Chains pinned by the
-// alerting plane (Tail.Pins) are passed over — they are the causal
-// evidence behind an active alert — unless every candidate is pinned, in
-// which case the oldest sheds anyway so the buffer stays bounded.
-// Called under a.mu.
-func (a *Assembler) shedOldestLocked(justGrew *chain, now time.Time) {
-	var pins *sampling.PinSet
-	if a.cfg.Tail != nil {
-		pins = a.cfg.Tail.Pins
-	}
-	var victim, oldest *chain
-	for _, c := range a.chains {
-		if c.decided != undecided || c == justGrew && len(a.chains) > 1 {
-			continue
-		}
-		if oldest == nil || c.last < oldest.last {
-			oldest = c
-		}
-		if !pins.Pinned(c.id) && (victim == nil || c.last < victim.last) {
-			victim = c
-		}
-	}
-	if victim == nil {
-		victim = oldest
-	}
-	if victim == nil {
-		return
-	}
-	a.finishChain(victim)
-	victim.decided = decidedShed
-	a.unhold(victim)
-	a.shed += uint64(victim.n)
-	a.buffered -= victim.n
-	victim.wipe()
-	a.recycle(victim.recBuf)
-	a.pushFeedLocked(Completion{Chain: victim.id, Reason: "shed", When: now})
-}
-
 // recycle returns a wiped buffer's chunks to the free list, up to its
 // bound; the buffer is not used again. Called under a.mu.
 func (a *Assembler) recycle(b recBuf) {
@@ -836,7 +801,7 @@ func (a *Assembler) Tick() int {
 		a.rotated, a.older, a.cursors = now, a.cursors, make(map[uuid.UUID]cursor)
 		a.generation++
 	}
-	a.mu.Unlock()
+	a.unlock()
 
 	return a.finish(flush, evs)
 }
@@ -1064,7 +1029,7 @@ func (a *Assembler) flush(match func(uuid.UUID) bool) int {
 	if a.cfg.Store == nil && match == nil {
 		a.cursors, a.older = make(map[uuid.UUID]cursor), nil
 	}
-	a.mu.Unlock()
+	a.unlock()
 
 	return a.finish(flush, evs)
 }
@@ -1151,6 +1116,12 @@ func (a *Assembler) OpenChains() int {
 	return len(a.chains)
 }
 
+// Backlogged reports whether a table with a store holds maxBuffered records
+// or more: the telemetry server then refuses ship frames, unacknowledged,
+// until chains leave by quiescence or StaleAfter. A table without a store
+// is never backlogged.
+func (a *Assembler) Backlogged() bool { return a.backlogged.Load() }
+
 // Ledger snapshots the record accounting.
 func (a *Assembler) Ledger() Ledger {
 	a.mu.Lock()
@@ -1163,7 +1134,6 @@ func (a *Assembler) ledgerLocked() Ledger {
 		Appended:  a.appended,
 		Persisted: a.persisted,
 		Discarded: a.discarded,
-		Shed:      a.shed,
 		Buffered:  uint64(a.buffered),
 	}
 }
@@ -1185,7 +1155,6 @@ func (a *Assembler) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "causeway_assembler_records_appended_total %d\n", led.Appended)
 	fmt.Fprintf(w, "causeway_assembler_records_persisted_total %d\n", led.Persisted)
 	fmt.Fprintf(w, "causeway_assembler_records_discarded_total %d\n", led.Discarded)
-	fmt.Fprintf(w, "causeway_assembler_records_shed_total %d\n", led.Shed)
 	fmt.Fprintf(w, "causeway_assembler_records_buffered %d\n", led.Buffered)
 	fmt.Fprintf(w, "causeway_assembler_chains_completed_total %d\n", completions)
 	fmt.Fprintf(w, "causeway_assembler_chains_judged_total %d\n", judgements)

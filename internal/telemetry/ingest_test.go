@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"errors"
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -237,5 +239,128 @@ func TestServerForgetsClosedConnections(t *testing.T) {
 	accts := srv.PeerAccounting()
 	if len(accts) != 1 || accts[0].Peer.Process != "p" || accts[0].Batches != 1 || accts[0].Records != uint64(len(codecRecords())) {
 		t.Fatalf("ledger after the closes: %+v", accts)
+	}
+}
+
+// backlogSink is a sink that pushes back while full is set.
+type backlogSink struct {
+	perRecordSink
+	full atomic.Bool
+}
+
+func (s *backlogSink) Backlogged() bool { return s.full.Load() }
+
+// A backlogged sink's ship frames are refused before the journal sees
+// them, and counted Refused, not BadFrames; a journal failure is a refusal
+// too; a replay frame is taken whatever the sink says.
+func TestServerRefusesShipFramesWhileBacklogged(t *testing.T) {
+	sink := &backlogSink{}
+	var journaled atomic.Int64
+	var journalErr atomic.Pointer[error]
+	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Sinks: []probe.Sink{sink},
+		Journal: func([]byte) error {
+			journaled.Add(1)
+			if e := journalErr.Load(); e != nil {
+				return *e
+			}
+			return nil
+		},
+		Replay: func(recs []probe.Record) int { return len(recs) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client, err := transport.DialTCP(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	send := func(op string, body []byte) transport.Status {
+		t.Helper()
+		rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: op, Body: body})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Status
+	}
+	frame := encodeBatch(codecRecords())
+
+	sink.full.Store(true)
+	if st := send(opShip, frame); st != transport.StatusUserException {
+		t.Fatalf("ship to a backlogged sink answered %v, want a refusal", st)
+	}
+	if st := send(opReplay, frame); st != transport.StatusOK {
+		t.Fatalf("replay beside a backlogged sink answered %v", st)
+	}
+	if st := srv.Stats(); st.Refused != 1 || st.BadFrames != 0 || st.Records != 0 || st.Replayed != uint64(len(codecRecords())) || journaled.Load() != 1 {
+		t.Fatalf("after a refused ship and a replay: %+v, %d frames journaled", st, journaled.Load())
+	}
+
+	sink.full.Store(false)
+	failed := errors.New("disk full")
+	journalErr.Store(&failed)
+	if st := send(opShip, frame); st != transport.StatusUserException {
+		t.Fatalf("ship the journal failed on answered %v, want a refusal", st)
+	}
+	journalErr.Store(nil)
+	if st := send(opShip, []byte{1, 2, 3}); st != transport.StatusSystemException {
+		t.Fatalf("a malformed ship frame answered %v", st)
+	}
+	if st := send(opShip, frame); st != transport.StatusOK {
+		t.Fatalf("ship once the backlog cleared answered %v", st)
+	}
+	if st := srv.Stats(); st.Refused != 2 || st.BadFrames != 1 || st.Records != uint64(len(codecRecords())) {
+		t.Fatalf("after a journal refusal, a bad frame and an accepted one: %+v", st)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.recs) != len(codecRecords()) {
+		t.Fatalf("the sink holds %d records, want one frame's %d", len(sink.recs), len(codecRecords()))
+	}
+}
+
+// A shipper whose batch is refused sends it again at its flush tick, not at
+// every append, and a Close that finds the collector backlogged keeps
+// trying within its drain budget.
+func TestShipperResendsRefusedBatchAtFlushTick(t *testing.T) {
+	sink := &backlogSink{}
+	sink.full.Store(true)
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{sink}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sh, err := NewShipper(ShipperConfig{
+		Addr: srv.Addr(), Process: testProc("p"), BufferSize: 4096,
+		FlushInterval: 50 * time.Millisecond, DrainTimeout: 5 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	start := time.Now()
+	for i := 1; i <= n; i++ {
+		sh.Append(testRecord("p", uint64(i)))
+		if i%10 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor(t, func() bool { return srv.Stats().Refused > 0 }, "a refusal")
+	// One send per flush tick, give or take the first, over the appends.
+	if refused, ticks := srv.Stats().Refused, uint64(time.Since(start)/(50*time.Millisecond)); refused > ticks+2 {
+		t.Fatalf("%d refusals in %d flush ticks: the shipper resent at the producer's rate", refused, ticks)
+	}
+	closed := make(chan struct{})
+	go func() { sh.Close(); close(closed) }()
+	time.Sleep(100 * time.Millisecond)
+	sink.full.Store(false)
+	<-closed
+	if st := sh.Stats(); st.Shipped != n || st.Dropped != 0 {
+		t.Fatalf("after the backlog cleared during Close: %+v", st)
+	}
+	if got := srv.Stats().Records; got != n {
+		t.Fatalf("the server took %d records, want %d", got, n)
 	}
 }

@@ -33,7 +33,7 @@ func fullChain(chain uuid.UUID) []probe.Record {
 // design's accepted cost, and exactly what the ledger has to stay honest
 // about: every record that reaches the assembler sits in one bucket, the
 // chains torn by the outage evict as broken rather than lingering, and
-// Appended == Persisted + Discarded + Shed + Buffered holds throughout.
+// Appended == Persisted + Discarded + Buffered holds throughout.
 func TestShipperReconnectMidChainKeepsLedgerBalanced(t *testing.T) {
 	asm, err := streamrecon.New(streamrecon.Config{
 		Store:      logdb.NewStore(),
@@ -121,7 +121,7 @@ func TestShipperReconnectMidChainKeepsLedgerBalanced(t *testing.T) {
 	asm.Tick()
 	asm.FlushOpen()
 	led := asm.Ledger()
-	if led.Appended != led.Persisted+led.Discarded+led.Shed+led.Buffered {
+	if led.Appended != led.Persisted+led.Discarded+led.Buffered {
 		t.Fatalf("ledger unbalanced after reconnect: %+v", led)
 	}
 	if led.Appended < uint64(len(heads)) || led.Appended > uint64(len(heads)+len(tails)) {

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -35,7 +36,11 @@ type ServerConfig struct {
 	// concurrent use: batches from different connections are ingested
 	// concurrently (per-connection order is preserved). A sink that
 	// implements probe.BatchSink receives each frame's records in one
-	// AppendBatch call instead of one Append per record.
+	// AppendBatch call instead of one Append per record. A sink that
+	// implements Backlogger is asked once per ship frame, before the
+	// journal, whether it holds too much: while one says so, ship frames
+	// are refused unacknowledged and the shippers send them again. Replay
+	// frames are never refused for it.
 	Sinks []probe.Sink
 	// OnConnect, when set, fires after each successful handshake.
 	OnConnect func(Peer)
@@ -57,12 +62,20 @@ type ServerConfig struct {
 	Replay func(recs []probe.Record) (accepted int)
 }
 
+// Backlogger is a sink that can push back: while Backlogged reports true,
+// the server refuses ship frames (streamrecon.Assembler at its backlog
+// cap).
+type Backlogger interface {
+	Backlogged() bool
+}
+
 // ServerStats snapshots a collection server's counters.
 type ServerStats struct {
 	Records       uint64 // records ingested via ship frames
 	Batches       uint64 // ship frames ingested
 	Peers         uint64 // successful handshakes (a reconnecting process counts again)
 	BadFrames     uint64 // frames that failed to decode or arrived out of protocol
+	Refused       uint64 // frames refused unacknowledged: a sink backlogged, or the journal failed
 	Replayed      uint64 // records accepted as new from replay frames
 	ReplayBatches uint64 // replay frames ingested
 }
@@ -91,6 +104,7 @@ type Server struct {
 	batches       atomic.Uint64
 	handshook     atomic.Uint64
 	badFrames     atomic.Uint64
+	refused       atomic.Uint64
 	replayed      atomic.Uint64
 	replayBatches atomic.Uint64
 }
@@ -169,6 +183,7 @@ func (s *Server) Stats() ServerStats {
 		Batches:       s.batches.Load(),
 		Peers:         s.handshook.Load(),
 		BadFrames:     s.badFrames.Load(),
+		Refused:       s.refused.Load(),
 		Replayed:      s.replayed.Load(),
 		ReplayBatches: s.replayBatches.Load(),
 	}
@@ -249,9 +264,11 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 			respond(transport.Reply{Status: transport.StatusSystemException, Body: []byte(msg)})
 		}
 	}
-	// refuse answers a frame the journal did not keep: not a protocol
-	// fault, so the shipper keeps the batch and sends it again.
+	// refuse answers a frame the collector did not keep — a sink is
+	// backlogged, or the journal failed: not a protocol fault, so the
+	// shipper keeps the batch and sends it again.
 	refuse := func(err error) {
+		s.refused.Add(1)
 		if !req.Oneway {
 			respond(transport.Reply{Status: transport.StatusUserException, Body: []byte(err.Error())})
 		}
@@ -291,6 +308,10 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 		}
 		respond(transport.Reply{Status: transport.StatusOK, Body: encodeHelloReply(hr)})
 	case opShip:
+		if s.backlogged() {
+			refuse(errBacklogged)
+			return
+		}
 		st := s.conn(conn)
 		recs, err := st.dec.Decode(req.Body)
 		if err != nil {
@@ -365,6 +386,19 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 	default:
 		fail("telemetry: unknown operation " + req.Operation)
 	}
+}
+
+// errBacklogged is the refusal a ship frame gets while a sink is backlogged.
+var errBacklogged = errors.New("telemetry: collector backlogged")
+
+// backlogged reports whether any sink that can push back is backlogged.
+func (s *Server) backlogged() bool {
+	for _, sink := range s.cfg.Sinks {
+		if b, ok := sink.(Backlogger); ok && b.Backlogged() {
+			return true
+		}
+	}
+	return false
 }
 
 // journaled hands a decoded frame's body to the Journal hook and, once it

@@ -385,6 +385,7 @@ func (s *ShipperSink) loop() {
 		pending []probe.Record     // taken from the ring, not yet acknowledged
 		enc     probe.FrameEncoder // one encode buffer for the loop's lifetime
 		backoff = s.cfg.BackoffMin
+		refused bool // the collector did not keep the pending batch
 	)
 	disconnect := func() {
 		if client != nil {
@@ -400,6 +401,7 @@ func (s *ShipperSink) loop() {
 	// reconnects; truncating (never nilling) it keeps its backing array —
 	// and the encoder's buffer — live for the next batch.
 	ship := func() bool {
+		refused = false
 		for {
 			if len(pending) == 0 {
 				pending = s.take(pending, s.cfg.BatchSize)
@@ -422,6 +424,7 @@ func (s *ShipperSink) loop() {
 				// The collector could not keep the frame: the batch is not
 				// acknowledged and goes again at the next flush.
 				s.lastErr.Store(fmt.Sprintf("telemetry: ship not kept: %s", rep.Body))
+				refused = true
 				return true
 			}
 			if rep.Status != transport.StatusOK {
@@ -480,6 +483,13 @@ func (s *ShipperSink) loop() {
 			disconnect()
 			continue
 		}
+		// A refused batch waits for the flush tick, not the next append:
+		// a collector that pushes back is not asked again at the
+		// producers' rate.
+		wake := s.wake
+		if refused {
+			wake = nil
+		}
 		select {
 		case <-s.stop:
 			s.drain(client, pending)
@@ -487,7 +497,7 @@ func (s *ShipperSink) loop() {
 		case <-s.detach:
 			s.detached <- pending
 			return
-		case <-s.wake:
+		case <-wake:
 		case <-ticker.C:
 		case <-rateCh:
 			if !s.pollRate(client) {
@@ -580,6 +590,11 @@ func (s *ShipperSink) drain(client transport.Client, pending []probe.Record) {
 		}
 		payload := enc.Encode(pending)
 		rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: payload})
+		if err == nil && rep.Status == transport.StatusUserException {
+			// Not kept: try again after a flush interval, within the budget.
+			time.Sleep(min(s.cfg.FlushInterval, time.Until(deadline)))
+			continue
+		}
 		if err != nil || rep.Status != transport.StatusOK {
 			return
 		}

@@ -429,7 +429,7 @@ func TestStreamingSamplingFaultSeeds(t *testing.T) {
 				}
 			}
 			led := asm.Ledger()
-			if led.Buffered != 0 || led.Appended != led.Persisted+led.Discarded+led.Shed {
+			if led.Buffered != 0 || led.Appended != led.Persisted+led.Discarded {
 				t.Fatalf("assembler ledger does not balance: %+v", led)
 			}
 			t.Logf("seed %d: %d chains arrived, ledger %+v", seed, len(chains), led)
