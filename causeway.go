@@ -126,7 +126,11 @@ type ProcessConfig struct {
 	// metering is meaningful; implied by Monitor == MonitorCPU.
 	PinDispatch bool
 	// Online, when set, receives this process's records live in addition
-	// to the persistent log — the §6 on-line management extension.
+	// to the persistent log — the §6 on-line management extension. Like
+	// the log, it gets each span on the calling goroutine and loses none,
+	// so its callbacks run there too, under the monitor's table lock: they
+	// must be fast, and must not make instrumented calls into a process
+	// that feeds the same monitor.
 	Online *OnlineMonitor
 	// ShipTo, when set, streams this process's records live to a telemetry
 	// collection daemon (cmd/collectd) at this TCP address, in addition to
@@ -215,7 +219,6 @@ type Process struct {
 	mem     *probe.MemorySink
 	file    *os.File
 	stream  *probe.StreamSink
-	ring    *probe.RingSink
 	shipper *telemetry.ShipperSink
 	routed  *cluster.RoutedShipper
 	metrics *metrics.Registry
@@ -353,17 +356,6 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		sink = probe.TeeSink{sink, routed}
 	}
 
-	// The whole sink fan sits behind a lock-free span ring: probe sites pay
-	// one shard push (uncontended callers drain their own span inline, so
-	// single-threaded flows — and the online monitor's synchronous root
-	// callbacks — keep their timing), and concurrent dispatches never
-	// serialize behind the stream/shipper locks. The ring's conservation
-	// counters export under causeway_probe_* so any shed is visible.
-	ringSink := probe.NewRingSink(sink)
-	p.ring = ringSink
-	p.metrics.RegisterSource("probe_ring", ringSink.WriteMetrics)
-	sink = ringSink
-
 	var aspects probe.Aspect
 	var meter cputime.Meter
 	switch cfg.Monitor {
@@ -454,9 +446,6 @@ func (p *Process) Records() []Record {
 	if p.mem == nil {
 		return nil
 	}
-	if p.ring != nil {
-		p.ring.Flush()
-	}
 	return p.mem.Snapshot()
 }
 
@@ -519,11 +508,6 @@ func (p *Process) Close() error {
 		p.alertStop = nil
 	}
 	p.ORB.Shutdown()
-	if p.ring != nil {
-		// Every in-flight dispatch has returned; push the last resident
-		// spans through the fan before the downstream sinks close.
-		p.ring.Flush()
-	}
 	if p.shipper != nil {
 		p.shipper.Close()
 	}

@@ -1,15 +1,18 @@
 package causeway
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"causeway/internal/benchgen/instrecho"
 	"causeway/internal/cluster"
 	"causeway/internal/logdb"
+	"causeway/internal/probe"
 )
 
 type upperServant struct{}
@@ -249,6 +252,94 @@ func TestOnlineMonitorViaFacade(t *testing.T) {
 }
 
 func recordCount(p *Process) int { return len(p.Records()) }
+
+// TestProcessLogLosslessUnderSlowMonitor: the probes hand each span to the
+// process's log and online monitor on the calling goroutine, so a slow
+// monitor slows the callers down but never costs the log a record. Two
+// processes share a monitor whose OnRoot spins for 20µs while 16 callers
+// run concurrently; every call must leave its 2 records in each log and
+// reach OnRoot once.
+func TestProcessLogLosslessUnderSlowMonitor(t *testing.T) {
+	const (
+		callers = 16
+		calls   = 128
+	)
+	var roots atomic.Int64
+	monitor := NewOnlineMonitor(OnlineConfig{OnRoot: func(RootEvent) {
+		for start := time.Now(); time.Since(start) < 20*time.Microsecond; {
+		}
+		roots.Add(1)
+	}})
+	dir := t.TempDir()
+	net := NewNetwork()
+	server, err := NewProcess(ProcessConfig{
+		Name: "server", Network: net, Instrumented: true, Online: monitor,
+		LogPath: filepath.Join(dir, "server.ftlog"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := instrecho.RegisterEcho(server.ORB, "echo", "c", upperServant{}); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := server.ORB.ListenInproc("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewProcess(ProcessConfig{
+		Name: "client", Network: net, Instrumented: true, Online: monitor,
+		LogPath: filepath.Join(dir, "client.ftlog"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stub := instrecho.NewEchoStub(client.ORB.RefTo(ep, "echo", "Echo", "c"))
+			for i := 0; i < calls; i++ {
+				if _, err := stub.Echo("x"); err != nil {
+					errs <- err
+					return
+				}
+				client.NewChain()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, name := range []string{"client", "server"} {
+		f, err := os.Open(filepath.Join(dir, name+".ftlog"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := probe.ReadStream(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 2*callers*calls {
+			t.Errorf("%s log holds %d records, want %d (2 per call)", name, len(recs), 2*callers*calls)
+		}
+	}
+	if got := roots.Load(); got != callers*calls {
+		t.Errorf("OnRoot fired %d times, want once per call (%d)", got, callers*calls)
+	}
+}
 
 // TestShippingProcessFollowsServedRate: every shipping process polls the
 // head-sampling rate its collector serves and applies it to the chains it

@@ -147,18 +147,17 @@ func TestFigure1AllocCeiling(t *testing.T) {
 // TestRegisteredSpanProbePathAllocFree pins the probe layer itself at zero
 // allocations per invocation for a registered goroutine: all four collocated
 // probes fire, the span batches into one pooled buffer, and the flush lands
-// in a span-capable ring-fronted sink — no step may allocate.
+// directly in a span-capable sink, as a process's probes flush into its
+// sink fan — no step may allocate.
 func TestRegisteredSpanProbePathAllocFree(t *testing.T) {
 	if !gls.FastPathEnabled() {
 		t.Skip("gls fast path unavailable on this platform")
 	}
 	gls.Register()
 	defer gls.Unregister()
-	count := &probe.CountingSink{}
-	ring := probe.NewRingSink(count)
 	p, err := probe.New(probe.Config{
 		Process: topology.Process{ID: "p", Processor: topology.Processor{ID: "c", Type: "x86"}},
-		Sink:    ring,
+		Sink:    &probe.CountingSink{},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,318 +1,28 @@
 package probe
 
 import (
-	"fmt"
-	"io"
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
-// SpanRing is a bounded, lock-free, sharded span buffer: the storage layer
-// shared by RingSink (probe fan-out) and the telemetry shipper. Producers
-// select a shard by goroutine id and enqueue whole spans (1–4 records) into
-// a Vyukov-style MPMC ring; consumers pop spans from any shard. When a
-// shard fills, the producer evicts the oldest resident span (drop-oldest:
-// the freshest observations survive); if the needed cell is wedged by a
-// consumer mid-delivery, the incoming span is shed after a bounded number
-// of attempts so a stalled consumer can never block a probe site. All loss
-// is counted by the caller via Push's return value.
+// SpanRing is a bounded, lock-free span buffer: the telemetry shipper's
+// ring between the probe sites and its background sender. Producers
+// enqueue whole spans (1–4 records) into a Vyukov-style MPMC ring, which
+// is lock-free for any number of producers and keeps one global FIFO;
+// consumers pop spans oldest first. When the ring fills, the producer
+// evicts the oldest resident span (drop-oldest: the freshest observations
+// survive); if the needed cell is wedged by a consumer mid-delivery, the
+// incoming span is shed after a bounded number of attempts so a stalled
+// consumer can never block a probe site. All loss is counted by the
+// caller via Push's return value.
 type SpanRing struct {
-	shards    []ringShard
-	shardMask uint64
-	buffered  atomic.Int64 // records currently resident
-}
-
-// NewSpanRing builds a ring with shards×shardCap span cells (both rounded
-// up to powers of two). Shard cell arrays are allocated lazily on first
-// use, so idle shards cost a few words.
-func NewSpanRing(shards, shardCap int) *SpanRing {
-	shards = ceilPow2(shards)
-	shardCap = ceilPow2(shardCap)
-	r := &SpanRing{
-		shards:    make([]ringShard, shards),
-		shardMask: uint64(shards - 1),
-	}
-	for i := range r.shards {
-		r.shards[i].capacity = shardCap
-	}
-	return r
-}
-
-func ceilPow2(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// Push enqueues one span on the shard selected by gid. It returns the
-// number of records dropped: evicted resident records (ring full), plus the
-// incoming records themselves if the span had to be shed.
-func (r *SpanRing) Push(gid uint64, recs []Record) (dropped int) {
-	if len(recs) == 0 {
-		return 0
-	}
-	sh := &r.shards[gid&r.shardMask]
-	stored, evicted := sh.push(recs)
-	delta := -evicted
-	dropped = evicted
-	if stored {
-		delta += len(recs)
-	} else {
-		dropped += len(recs)
-	}
-	if delta != 0 {
-		r.buffered.Add(int64(delta))
-	}
-	return dropped
-}
-
-// PopInto appends resident spans to dst (whole spans at a time, oldest
-// first within each shard) until at least max records were taken or the
-// ring is observed empty, and returns the extended slice.
-func (r *SpanRing) PopInto(dst []Record, max int) []Record {
-	taken := 0
-	for taken < max {
-		any := false
-		for i := range r.shards {
-			sh := &r.shards[i]
-			for taken < max {
-				c, rel := sh.reserve()
-				if c == nil {
-					break
-				}
-				n := int(c.n)
-				dst = append(dst, c.recs[:n]...)
-				c.clear()
-				c.seq.Store(rel)
-				taken += n
-				any = true
-			}
-		}
-		if !any {
-			break
-		}
-	}
-	if taken != 0 {
-		r.buffered.Add(int64(-taken))
-	}
-	return dst
-}
-
-// Buffered reports the number of resident records.
-func (r *SpanRing) Buffered() int { return int(r.buffered.Load()) }
-
-// Preallocate forces every shard's cell array into existence now, moving
-// the one-time allocation to construction. Rings with a large configured
-// capacity (the telemetry shipper) preallocate so no probe site ever pays
-// a multi-megabyte make-and-zero on first use.
-func (r *SpanRing) Preallocate() {
-	for i := range r.shards {
-		if sh := &r.shards[i]; !sh.ready.Load() {
-			sh.init()
-		}
-	}
-}
-
-// Quiescent reports that no shard holds a resident span. It is
-// conservative: a producer mid-enqueue counts as non-quiescent.
-func (r *SpanRing) Quiescent() bool {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		if sh.ready.Load() && sh.head.Load() != sh.tail.Load() {
-			return false
-		}
-	}
-	return true
-}
-
-// RingSink decouples probe emission from downstream sink work with a
-// SpanRing in front of the sink fan-out, drained by a *combining drainer*:
-// the producer that wins a CAS on the combiner flag drains every shard into
-// the downstream sink; contending producers just deposit and leave, their
-// spans carried out by whoever holds the flag.
-//
-// This keeps two properties the monitoring plane depends on:
-//
-//   - Synchronous visibility when uncontended: a lone caller drains its own
-//     span inline before Append returns, so single-threaded flows (and the
-//     online monitor's promptness) observe exactly the unbatched timeline.
-//   - Lock-freedom under contention: concurrent callers pay one ring push
-//     (a CAS + a cell copy) and never serialize behind the downstream
-//     mutexes; the current combiner absorbs that work.
-//
-// Loss (ring overflow under a wedged downstream) is bounded, drop-oldest,
-// and counted: records_total == forwarded_total + dropped_total + buffered
-// once the ring is quiescent. The counters are exported as causeway_probe_*
-// series so ring sheds stay conserved fleet-wide.
-type RingSink struct {
-	down     Sink
-	downSpan SpanSink // non-nil when down accepts whole spans
-
-	ring      *SpanRing
-	combining atomic.Bool
-
-	batches   atomic.Uint64 // spans accepted
-	records   atomic.Uint64 // records accepted
-	dropped   atomic.Uint64 // records shed by the ring
-	forwarded atomic.Uint64 // records delivered downstream
-}
-
-var _ SpanSink = (*RingSink)(nil)
-
-const (
-	defaultRingShards   = 8
-	defaultRingShardCap = 64
-)
-
-// NewRingSink builds a ring over down with the default geometry (8 shards ×
-// 64 span cells).
-func NewRingSink(down Sink) *RingSink {
-	return NewRingSinkSize(down, defaultRingShards, defaultRingShardCap)
-}
-
-// NewRingSinkSize is NewRingSink with explicit geometry; both counts are
-// rounded up to powers of two.
-func NewRingSinkSize(down Sink, shards, shardCap int) *RingSink {
-	r := &RingSink{down: down, ring: NewSpanRing(shards, shardCap)}
-	if ss, ok := down.(SpanSink); ok {
-		r.downSpan = ss
-	}
-	return r
-}
-
-// Append implements Sink: a single record is a one-record span.
-func (r *RingSink) Append(rec Record) {
-	var tmp [1]Record
-	tmp[0] = rec
-	r.appendSpan(tmp[:], rec.Thread)
-}
-
-// AppendSpan implements SpanSink.
-func (r *RingSink) AppendSpan(recs []Record) {
-	if len(recs) == 0 {
-		return
-	}
-	r.appendSpan(recs, recs[0].Thread)
-}
-
-func (r *RingSink) appendSpan(recs []Record, gid uint64) {
-	r.batches.Add(1)
-	r.records.Add(uint64(len(recs)))
-	if d := r.ring.Push(gid, recs); d > 0 {
-		r.dropped.Add(uint64(d))
-	}
-	r.drainIfIdle()
-}
-
-// drainIfIdle elects the caller combiner if nobody holds the flag and
-// drains every shard. The release-and-recheck loop closes the classic
-// lost-wakeup window: a producer whose span lands after the combiner's
-// sweep but whose CAS fails is guaranteed visible to the combiner's
-// post-release emptiness check (both are sequentially consistent atomics).
-func (r *RingSink) drainIfIdle() {
-	for r.combining.CompareAndSwap(false, true) {
-		r.drainAll()
-		r.combining.Store(false)
-		if r.ring.Quiescent() {
-			return
-		}
-	}
-}
-
-func (r *RingSink) drainAll() {
-	ring := r.ring
-	for {
-		any := false
-		for i := range ring.shards {
-			sh := &ring.shards[i]
-			for {
-				c, rel := sh.reserve()
-				if c == nil {
-					break
-				}
-				any = true
-				n := int(c.n)
-				if r.downSpan != nil {
-					r.downSpan.AppendSpan(c.recs[:n])
-				} else {
-					for j := 0; j < n; j++ {
-						r.down.Append(c.recs[j])
-					}
-				}
-				c.clear()
-				c.seq.Store(rel)
-				ring.buffered.Add(int64(-n))
-				r.forwarded.Add(uint64(n))
-			}
-		}
-		if !any {
-			return
-		}
-	}
-}
-
-// Flush delivers every resident span downstream and returns once the rings
-// are empty. Concurrent appends may refill them; Flush only guarantees a
-// point of emptiness was reached.
-func (r *RingSink) Flush() {
-	for {
-		r.drainIfIdle()
-		if r.ring.Quiescent() {
-			return
-		}
-		runtime.Gosched() // another combiner holds the flag; let it finish
-	}
-}
-
-// RingStats is a snapshot of the ring's conservation counters.
-type RingStats struct {
-	Batches   uint64 // spans accepted
-	Records   uint64 // records accepted
-	Dropped   uint64 // records shed (ring full, oldest evicted)
-	Forwarded uint64 // records delivered downstream
-}
-
-// Stats snapshots the counters.
-func (r *RingSink) Stats() RingStats {
-	return RingStats{
-		Batches:   r.batches.Load(),
-		Records:   r.records.Load(),
-		Dropped:   r.dropped.Load(),
-		Forwarded: r.forwarded.Load(),
-	}
-}
-
-// WriteMetrics emits the ring's conservation counters in text exposition
-// format; the debug server merges them into /metrics, and the collectd
-// fleet scraper folds the _total series across processes.
-func (r *RingSink) WriteMetrics(w io.Writer) {
-	s := r.Stats()
-	fmt.Fprintf(w, "causeway_probe_span_batches_total %d\n", s.Batches)
-	fmt.Fprintf(w, "causeway_probe_ring_records_total %d\n", s.Records)
-	fmt.Fprintf(w, "causeway_probe_ring_dropped_total %d\n", s.Dropped)
-	fmt.Fprintf(w, "causeway_probe_ring_forwarded_total %d\n", s.Forwarded)
-}
-
-// ringShard is one bounded MPMC span ring (Vyukov-style: a per-cell
-// sequence number arbitrates producers and consumers without locks). Cells
-// are allocated on first use so processes with few active goroutine shards
-// stay small.
-type ringShard struct {
 	head atomic.Uint64 // next cell to consume
 	_    [56]byte      // keep producers and consumers off one cache line
 	tail atomic.Uint64 // next cell to produce
 	_    [56]byte
 
-	ready    atomic.Bool // cells allocated and published
-	initMu   sync.Mutex
-	capacity int
-	cells    []ringCell // immutable once ready
+	cells    []ringCell
+	buffered atomic.Int64 // records currently resident
 }
 
 // ringCell holds one span. seq follows the Vyukov protocol: seq==pos means
@@ -331,18 +41,69 @@ func (c *ringCell) clear() {
 	c.n = 0
 }
 
-func (sh *ringShard) init() {
-	sh.initMu.Lock()
-	if !sh.ready.Load() {
-		cells := make([]ringCell, sh.capacity)
-		for i := range cells {
-			cells[i].seq.Store(uint64(i))
-		}
-		sh.cells = cells
-		sh.ready.Store(true)
+// NewSpanRing builds a ring of capacity span cells, rounded up to a power
+// of two and at least two, and allocates them now, so the one-time
+// make-and-zero (the shipper's capacity runs into the hundreds of
+// thousands) never lands on a probe site. The floor is the protocol's: in
+// a one-cell ring a resident span's seq also reads as free to the next
+// producer, which would overwrite it uncounted.
+func NewSpanRing(capacity int) *SpanRing {
+	n := 2
+	for n < capacity {
+		n <<= 1
 	}
-	sh.initMu.Unlock()
+	r := &SpanRing{cells: make([]ringCell, n)}
+	for i := range r.cells {
+		r.cells[i].seq.Store(uint64(i))
+	}
+	return r
 }
+
+// Push enqueues one span. It returns the number of records dropped:
+// evicted resident records (ring full), plus the incoming records
+// themselves if the span had to be shed.
+func (r *SpanRing) Push(recs []Record) (dropped int) {
+	if len(recs) == 0 {
+		return 0
+	}
+	stored, evicted := r.push(recs)
+	delta := -evicted
+	dropped = evicted
+	if stored {
+		delta += len(recs)
+	} else {
+		dropped += len(recs)
+	}
+	if delta != 0 {
+		r.buffered.Add(int64(delta))
+	}
+	return dropped
+}
+
+// PopInto appends resident spans to dst (whole spans at a time, oldest
+// first) until at least max records were taken or the ring is observed
+// empty, and returns the extended slice.
+func (r *SpanRing) PopInto(dst []Record, max int) []Record {
+	taken := 0
+	for taken < max {
+		c, rel := r.reserve()
+		if c == nil {
+			break
+		}
+		n := int(c.n)
+		dst = append(dst, c.recs[:n]...)
+		c.clear()
+		c.seq.Store(rel)
+		taken += n
+	}
+	if taken != 0 {
+		r.buffered.Add(int64(-taken))
+	}
+	return dst
+}
+
+// Buffered reports the number of resident records.
+func (r *SpanRing) Buffered() int { return int(r.buffered.Load()) }
 
 // push enqueues one span, evicting the oldest resident span when the ring
 // is full (drop-oldest). If the cell the producer needs is wedged — a
@@ -350,30 +111,27 @@ func (sh *ringShard) init() {
 // span is shed instead after a bounded number of attempts, so a stalled
 // consumer can never block a probe site. Returns whether the span was
 // stored and how many resident records were evicted.
-func (sh *ringShard) push(recs []Record) (stored bool, evicted int) {
-	if !sh.ready.Load() {
-		sh.init()
-	}
-	mask := uint64(len(sh.cells) - 1)
+func (r *SpanRing) push(recs []Record) (stored bool, evicted int) {
+	mask := uint64(len(r.cells) - 1)
 	const maxAttempts = 64
 	attempts := 0
 	for {
-		t := sh.tail.Load()
-		c := &sh.cells[t&mask]
+		t := r.tail.Load()
+		c := &r.cells[t&mask]
 		s := c.seq.Load()
 		switch {
 		case s == t:
-			if sh.tail.CompareAndSwap(t, t+1) {
+			if r.tail.CompareAndSwap(t, t+1) {
 				c.n = uint32(copy(c.recs[:], recs))
 				c.seq.Store(t + 1)
 				return true, evicted
 			}
 		case s < t:
 			// Full: shed the oldest span so the freshest survives.
-			h := sh.head.Load()
-			oc := &sh.cells[h&mask]
+			h := r.head.Load()
+			oc := &r.cells[h&mask]
 			os := oc.seq.Load()
-			if os == h+1 && sh.head.CompareAndSwap(h, h+1) {
+			if os == h+1 && r.head.CompareAndSwap(h, h+1) {
 				evicted += int(oc.n)
 				oc.clear()
 				oc.seq.Store(h + mask + 1)
@@ -395,20 +153,17 @@ func (sh *ringShard) push(recs []Record) (stored bool, evicted int) {
 
 // reserve claims the oldest readable span for delivery. It returns the
 // claimed cell and the sequence value to store on release, or (nil, 0) when
-// the shard has nothing readable. Safe for concurrent consumers. Callers
+// the ring has nothing readable. Safe for concurrent consumers. Callers
 // must clear() the cell and store the release value when done; the ring's
 // buffered counter is the caller's to maintain.
-func (sh *ringShard) reserve() (*ringCell, uint64) {
-	if !sh.ready.Load() {
-		return nil, 0
-	}
-	mask := uint64(len(sh.cells) - 1)
+func (r *SpanRing) reserve() (*ringCell, uint64) {
+	mask := uint64(len(r.cells) - 1)
 	for {
-		h := sh.head.Load()
-		c := &sh.cells[h&mask]
+		h := r.head.Load()
+		c := &r.cells[h&mask]
 		s := c.seq.Load()
 		if s == h+1 {
-			if sh.head.CompareAndSwap(h, h+1) {
+			if r.head.CompareAndSwap(h, h+1) {
 				return c, h + mask + 1
 			}
 			continue

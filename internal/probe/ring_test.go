@@ -1,8 +1,9 @@
 package probe
 
 import (
-	"strings"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"causeway/internal/ftl"
@@ -136,152 +137,163 @@ func TestSpanBatching(t *testing.T) {
 	}
 }
 
-// TestRingSinkDelivers checks the combining drainer forwards spans
-// downstream synchronously when uncontended.
-func TestRingSinkDelivers(t *testing.T) {
-	rec := &spanRecorder{}
-	ring := NewRingSink(rec)
-	ring.AppendSpan([]Record{{Kind: KindEvent, Thread: 1, Seq: 1}, {Kind: KindEvent, Thread: 1, Seq: 2}})
-	if len(rec.batches) != 1 || len(rec.batches[0]) != 2 {
-		t.Fatalf("span not delivered inline: %+v", rec.batches)
+// spanOf builds an n-record span whose records carry seq.
+func spanOf(n int, seq uint64) []Record {
+	recs := make([]Record, n)
+	for i := range recs {
+		recs[i] = Record{Kind: KindEvent, Thread: 1, Seq: seq}
 	}
-	ring.Append(Record{Kind: KindEvent, Thread: 2, Seq: 3})
-	if len(rec.flat) != 3 {
-		t.Fatalf("single append not delivered: %d records", len(rec.flat))
+	return recs
+}
+
+// TestSpanRingEvictsOldest fills a four-cell ring and overflows it: each
+// push past capacity evicts the oldest resident span and reports its
+// records, and what remains pops whole spans in FIFO order.
+func TestSpanRingEvictsOldest(t *testing.T) {
+	r := NewSpanRing(4)
+	for i := 0; i < 4; i++ {
+		if d := r.Push(spanOf(2, uint64(i))); d != 0 {
+			t.Fatalf("push %d into a ring with room dropped %d", i, d)
+		}
 	}
-	s := ring.Stats()
-	if s.Batches != 2 || s.Records != 3 || s.Forwarded != 3 || s.Dropped != 0 {
-		t.Fatalf("stats %+v", s)
+	for i := 4; i < 6; i++ {
+		if d := r.Push(spanOf(2, uint64(i))); d != 2 {
+			t.Fatalf("push %d into a full ring dropped %d, want the oldest span's 2", i, d)
+		}
+	}
+	if got := r.Buffered(); got != 8 {
+		t.Fatalf("buffered %d, want 8", got)
+	}
+	got := r.PopInto(nil, 1<<10)
+	if len(got) != 8 {
+		t.Fatalf("popped %d records, want 8", len(got))
+	}
+	for i, rec := range got {
+		if want := uint64(2 + i/2); rec.Seq != want {
+			t.Fatalf("record %d has seq %d, want %d (the two oldest spans evicted)", i, rec.Seq, want)
+		}
+	}
+	if got := r.Buffered(); got != 0 {
+		t.Fatalf("buffered %d after draining, want 0", got)
 	}
 }
 
-// gateSink blocks deliveries until released, letting a test wedge the
-// combiner inside the downstream sink.
-type gateSink struct {
-	entered chan struct{}
-	release chan struct{}
-	once    sync.Once
-	n       int
-}
-
-func (g *gateSink) Append(Record) {
-	g.once.Do(func() {
-		close(g.entered)
-		<-g.release
-	})
-	g.n++
-}
-
-// TestRingSinkForcedDrop wedges the combiner in a blocked downstream sink,
-// overflows a tiny single-shard ring from a second goroutine, and checks
-// drop-oldest semantics plus counter conservation:
-//
-//	records == forwarded + dropped    (after Flush)
-func TestRingSinkForcedDrop(t *testing.T) {
-	gate := &gateSink{entered: make(chan struct{}), release: make(chan struct{})}
-	ring := NewRingSinkSize(gate, 1, 4)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// Becomes the combiner and blocks inside gate.Append.
-		ring.AppendSpan([]Record{{Kind: KindEvent, Thread: 9, Seq: 0}})
-	}()
-	<-gate.entered
-
-	// The combiner is wedged, so these pile into the 4-cell ring; the
-	// overflow must evict the oldest resident spans.
-	const extra = 12
-	for i := 0; i < extra; i++ {
-		ring.AppendSpan([]Record{
-			{Kind: KindEvent, Thread: 9, Seq: uint64(i)},
-			{Kind: KindEvent, Thread: 9, Seq: uint64(i)},
-		})
+// TestSpanRingOneCellConserves asks for a one-cell ring, which the Vyukov
+// protocol cannot run (its resident span reads as free to the next
+// producer): the ring rounds up to two cells, and every record pushed is
+// popped or counted dropped.
+func TestSpanRingOneCellConserves(t *testing.T) {
+	r := NewSpanRing(1)
+	dropped := 0
+	for i := 0; i < 3; i++ {
+		dropped += r.Push(spanOf(1, uint64(i)))
 	}
-	s := ring.Stats()
-	if s.Dropped == 0 {
-		t.Fatal("no drops despite a wedged combiner and an overflowing ring")
-	}
-
-	close(gate.release)
-	<-done
-	ring.Flush()
-
-	s = ring.Stats()
-	if s.Records != s.Forwarded+s.Dropped {
-		t.Fatalf("conservation violated: records=%d forwarded=%d dropped=%d",
-			s.Records, s.Forwarded, s.Dropped)
-	}
-	if s.Records != 1+2*extra {
-		t.Fatalf("records=%d, want %d", s.Records, 1+2*extra)
-	}
-	if s.Forwarded == 0 {
-		t.Fatal("nothing forwarded despite release and flush")
-	}
-
-	// The loss must be visible in the exposition the fleet scraper sums.
-	var sb strings.Builder
-	ring.WriteMetrics(&sb)
-	if !strings.Contains(sb.String(), "causeway_probe_ring_dropped_total") ||
-		!strings.Contains(sb.String(), "causeway_probe_span_batches_total") {
-		t.Fatalf("metrics exposition missing ring series:\n%s", sb.String())
+	got := r.PopInto(nil, 8)
+	if len(got)+dropped != 3 || dropped != 1 || got[0].Seq != 1 {
+		t.Fatalf("popped %+v and dropped %d of 3 records, want seqs 1 and 2 with 1 dropped", got, dropped)
 	}
 }
 
-// TestRingSinkConcurrent hammers the ring from many goroutines; under
-// -race this doubles as the memory-safety proof for the combining drain.
-func TestRingSinkConcurrent(t *testing.T) {
-	count := &CountingSink{}
-	ring := NewRingSinkSize(count, 8, 1024)
+// TestSpanRingShedsWhenOldestWedged holds the oldest cell mid-delivery
+// through reserve, so a producer facing a full ring has nothing it may
+// evict: after the bounded attempts it sheds its own span, counts it, and
+// returns. Once the consumer releases the cell, pushes store again.
+func TestSpanRingShedsWhenOldestWedged(t *testing.T) {
+	r := NewSpanRing(2)
+	r.Push(spanOf(1, 0))
+	r.Push(spanOf(1, 1))
+	held, rel := r.reserve()
+	if held == nil || held.recs[0].Seq != 0 {
+		t.Fatal("reserve did not claim the oldest span")
+	}
+	if got := r.PopInto(nil, 1); len(got) != 1 || got[0].Seq != 1 {
+		t.Fatalf("popped %+v, want the second span", got)
+	}
+
+	// The ring is full (one cell held, the next is the held one's slot
+	// again) and its oldest cell is not evictable.
+	if d := r.Push(spanOf(3, 2)); d != 3 {
+		t.Fatalf("push against a wedged cell dropped %d, want the incoming 3", d)
+	}
+	if got := r.Buffered(); got != 1 {
+		t.Fatalf("buffered %d, want only the held span", got)
+	}
+
+	held.clear()
+	held.seq.Store(rel)
+	r.buffered.Add(-1)
+	if d := r.Push(spanOf(2, 3)); d != 0 {
+		t.Fatalf("push after release dropped %d", d)
+	}
+	if got := r.PopInto(nil, 8); len(got) != 2 || got[0].Seq != 3 {
+		t.Fatalf("popped %+v, want the span pushed after release", got)
+	}
+}
+
+// TestSpanRingConcurrent hammers a small ring from 24 producers while one
+// consumer pops; under -race this doubles as the memory-safety proof for
+// the cell protocol. Every pushed record is popped or counted dropped.
+func TestSpanRingConcurrent(t *testing.T) {
+	r := NewSpanRing(64)
 	const (
-		goroutines = 24
-		spans      = 200
+		producers = 24
+		spans     = 200
 	)
+	var dropped atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for g := 0; g < producers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < spans; i++ {
-				ring.AppendSpan([]Record{
-					{Kind: KindEvent, Thread: uint64(g), Seq: uint64(i)},
-					{Kind: KindEvent, Thread: uint64(g), Seq: uint64(i)},
-				})
+				dropped.Add(int64(r.Push(spanOf(1+(g+i)%4, uint64(i)))))
 			}
 		}(g)
 	}
+	stop := make(chan struct{})
+	popped := make(chan int)
+	go func() {
+		n := 0
+		var buf []Record
+		for {
+			select {
+			case <-stop:
+				popped <- n + len(r.PopInto(buf[:0], 1<<20))
+				return
+			default:
+			}
+			buf = r.PopInto(buf[:0], 16)
+			n += len(buf)
+			if len(buf) == 0 {
+				runtime.Gosched()
+			}
+		}
+	}()
 	wg.Wait()
-	ring.Flush()
-	s := ring.Stats()
-	if s.Records != s.Forwarded+s.Dropped {
-		t.Fatalf("conservation violated: %+v", s)
+	close(stop)
+	got := <-popped
+
+	pushed := 0
+	for g := 0; g < producers; g++ {
+		for i := 0; i < spans; i++ {
+			pushed += 1 + (g+i)%4
+		}
 	}
-	if got := count.Count(); got != int(s.Forwarded) {
-		t.Fatalf("downstream saw %d records, ring forwarded %d", got, s.Forwarded)
+	if int64(pushed) != int64(got)+dropped.Load() {
+		t.Fatalf("conservation violated: pushed %d, popped %d, dropped %d", pushed, got, dropped.Load())
 	}
-	if s.Records != goroutines*spans*2 {
-		t.Fatalf("records=%d, want %d", s.Records, goroutines*spans*2)
+	if b := r.Buffered(); b != 0 {
+		t.Fatalf("buffered %d after the final drain, want 0", b)
 	}
 }
 
-// TestRingSpanAppendAllocFree pins the registered-goroutine span append at
-// zero allocations end to end (ring push + combining drain + counting).
-func TestRingSpanAppendAllocFree(t *testing.T) {
-	if !gls.FastPathEnabled() {
-		t.Skip("gls fast path unavailable")
-	}
-	gls.Register()
-	defer gls.Unregister()
-	count := &CountingSink{}
-	ring := NewRingSink(count)
-	span := []Record{
-		{Kind: KindEvent, Thread: 1, Seq: 1},
-		{Kind: KindEvent, Thread: 1, Seq: 2},
-		{Kind: KindEvent, Thread: 1, Seq: 3},
-		{Kind: KindEvent, Thread: 1, Seq: 4},
-	}
-	allocs := testing.AllocsPerRun(500, func() { ring.AppendSpan(span) })
+// TestSpanRingPushAllocFree pins the producer path at zero allocations,
+// with and without eviction.
+func TestSpanRingPushAllocFree(t *testing.T) {
+	r := NewSpanRing(8)
+	span := spanOf(4, 1)
+	allocs := testing.AllocsPerRun(500, func() { r.Push(span) })
 	if allocs != 0 {
-		t.Fatalf("span append allocates %.1f/op, want 0", allocs)
+		t.Fatalf("span push allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -117,7 +117,7 @@ type ShipperStats struct {
 
 // ShipperSink is a probe.Sink that streams records to a telemetry Server
 // over TCP. The probe hot path (Append/AppendSpan) is lock-free: records
-// land in a sharded probe.SpanRing with one CAS and one cell copy, and
+// land in a probe.SpanRing with one CAS and one cell copy, and
 // never perform I/O, block on the sender, or contend on a mutex. Encoding,
 // framing, connection management, and reconnect with exponential backoff +
 // jitter all happen on one background goroutine.
@@ -162,19 +162,9 @@ func NewShipper(cfg ShipperConfig) (*ShipperSink, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
-	// Geometry: one shard — a Vyukov ring is lock-free with any number of
-	// producers, and a single shard preserves both the exact BufferSize
-	// capacity bound and the global FIFO order the mutex ring gave the
-	// shipper (spans of one goroutine must not overtake each other, and
-	// a single-goroutine workload must see the full configured bound).
-	// Preallocate so the one-time cell-array make-and-zero (BufferSize can
-	// be configured into the hundreds of thousands) happens here, not under
-	// the first probe on the hot path.
-	ring := probe.NewSpanRing(1, cfg.BufferSize)
-	ring.Preallocate()
 	s := &ShipperSink{
 		cfg:      cfg,
-		ring:     ring,
+		ring:     probe.NewSpanRing(cfg.BufferSize),
 		wake:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -194,8 +184,7 @@ func (s *ShipperSink) Append(r probe.Record) {
 }
 
 // AppendSpan implements probe.SpanSink: the records of one invocation span
-// enter the ring as a unit — one shard selection, one CAS — and ship
-// together.
+// enter the ring as a unit — one CAS, one cell copy — and ship together.
 func (s *ShipperSink) AppendSpan(recs []probe.Record) {
 	if len(recs) == 0 {
 		return
@@ -205,7 +194,7 @@ func (s *ShipperSink) AppendSpan(recs []probe.Record) {
 		s.dropped.Add(uint64(len(recs)))
 		return
 	}
-	if d := s.ring.Push(recs[0].Thread, recs); d > 0 {
+	if d := s.ring.Push(recs); d > 0 {
 		s.dropped.Add(uint64(d))
 	}
 	select {
