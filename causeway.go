@@ -132,21 +132,18 @@ type ProcessConfig struct {
 	// must be fast, and must not make instrumented calls into a process
 	// that feeds the same monitor.
 	Online *OnlineMonitor
-	// ShipTo, when set, streams this process's records live to a telemetry
-	// collection daemon (cmd/collectd) at this TCP address, in addition to
-	// the local log/memory sink. Shipping never blocks a probe: records
-	// buffer in a bounded ring and the oldest are dropped under
-	// backpressure (see internal/telemetry).
+	// ShipTo, when set, streams this process's records live to the
+	// collector tier (cmd/collectd) in addition to the local log/memory
+	// sink. It names one collector's TCP address, or the comma-separated
+	// list `collectd -peers` takes. Each record routes to the collector
+	// owning its chain's hash range (see internal/cluster), so every chain
+	// lands whole on one collector. The addresses seed a provisional ring;
+	// the ring any of those collectors serves supersedes it, and
+	// rebalances re-route buffered records. A one-address ring is the
+	// standalone collector. Shipping never blocks a probe: records buffer
+	// in a bounded ring and the oldest are dropped under backpressure (see
+	// internal/telemetry).
 	ShipTo string
-	// ShipToCluster, when set, streams this process's records to an
-	// ingest-collector cluster instead of a single daemon: each record
-	// routes to the collector owning its chain's hash range (see
-	// internal/cluster), so every chain lands whole on exactly one
-	// collector. The addresses seed a provisional ring; the authoritative
-	// ring served in the collectors' handshakes supersedes it and
-	// rebalances re-route buffered records. Mutually exclusive with
-	// ShipTo.
-	ShipToCluster []string
 	// CallTimeout bounds every synchronous invocation issued through this
 	// process's references; zero means wait forever.
 	CallTimeout time.Duration
@@ -219,8 +216,7 @@ type Process struct {
 	mem     *probe.MemorySink
 	file    *os.File
 	stream  *probe.StreamSink
-	shipper *telemetry.ShipperSink
-	routed  *cluster.RoutedShipper
+	shipper *cluster.RoutedShipper
 	metrics *metrics.Registry
 	debug   *debugserver.Server
 	sampler *sampling.Controlled
@@ -254,6 +250,9 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		cfg.Online.SetMetrics(p.metrics)
 	}
 	fail := func(err error) (*Process, error) {
+		if p.shipper != nil {
+			p.shipper.Close()
+		}
 		if p.debug != nil {
 			p.debug.Close()
 		}
@@ -311,8 +310,7 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		}
 		p.debug = dbg
 	}
-	shipping := cfg.ShipTo != "" || len(cfg.ShipToCluster) > 0
-	if shipping || (cfg.ChainSampleRate > 0 && cfg.ChainSampleRate < 1) {
+	if cfg.ShipTo != "" || (cfg.ChainSampleRate > 0 && cfg.ChainSampleRate < 1) {
 		rate := cfg.ChainSampleRate
 		if rate <= 0 || rate >= 1 {
 			rate = 1
@@ -320,40 +318,26 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		p.sampler = sampling.NewControlled(rate)
 		p.metrics.RegisterSource("sampling", p.sampler.WriteMetrics)
 	}
-	if cfg.ShipTo != "" && len(cfg.ShipToCluster) > 0 {
-		return fail(errors.New("causeway: set ShipTo or ShipToCluster, not both"))
-	}
 	if cfg.ShipTo != "" {
-		shipCfg := telemetry.ShipperConfig{Addr: cfg.ShipTo, Process: proc, RateTarget: p.sampler}
-		if p.debug != nil {
-			shipCfg.DebugAddr = p.debug.Addr()
+		// Epoch 0 marks the configured ring provisional: any ring a
+		// collector serves (epoch >= 1) supersedes it on first contact.
+		// Assign refuses a list with no address, or one named twice.
+		addrs := cluster.SplitAddrs(cfg.ShipTo)
+		ring, err := cluster.Assign(0, cluster.DefaultSlots, cluster.Members(addrs...))
+		if err != nil {
+			return fail(fmt.Errorf("causeway: ShipTo: %w", err))
 		}
-		sh, err := telemetry.NewShipper(shipCfg)
+		tmpl := telemetry.ShipperConfig{Process: proc, RateTarget: p.sampler}
+		if p.debug != nil {
+			tmpl.DebugAddr = p.debug.Addr()
+		}
+		sh, err := cluster.NewRouted(cluster.RouterConfig{Ring: ring, Shipper: tmpl})
 		if err != nil {
 			return fail(fmt.Errorf("causeway: shipper: %w", err))
 		}
 		p.shipper = sh
 		p.metrics.RegisterSource("shipper", sh.WriteMetrics)
 		sink = probe.TeeSink{sink, sh}
-	}
-	if len(cfg.ShipToCluster) > 0 {
-		// Epoch 0 marks the configured ring provisional: any ring a
-		// collector serves (epoch >= 1) supersedes it on first contact.
-		ring, err := cluster.Assign(0, cluster.DefaultSlots, cluster.Members(cfg.ShipToCluster...))
-		if err != nil {
-			return fail(fmt.Errorf("causeway: cluster: %w", err))
-		}
-		tmpl := telemetry.ShipperConfig{Process: proc, RateTarget: p.sampler}
-		if p.debug != nil {
-			tmpl.DebugAddr = p.debug.Addr()
-		}
-		routed, err := cluster.NewRouted(cluster.RouterConfig{Ring: ring, Shipper: tmpl})
-		if err != nil {
-			return fail(fmt.Errorf("causeway: cluster shipper: %w", err))
-		}
-		p.routed = routed
-		p.metrics.RegisterSource("shipper", routed.WriteMetrics)
-		sink = probe.TeeSink{sink, routed}
 	}
 
 	var aspects probe.Aspect
@@ -474,24 +458,21 @@ func (p *Process) SamplingRate() float64 {
 // ShipperStats reports the record shipper's counters; the zero value when
 // the process does not ship.
 func (p *Process) ShipperStats() telemetry.ShipperStats {
-	if p.routed != nil {
-		return p.routed.Combined()
-	}
 	if p.shipper == nil {
 		return telemetry.ShipperStats{}
 	}
-	return p.shipper.Stats()
+	return p.shipper.Combined()
 }
 
 // ClusterRing reports the ownership ring the process's routed shipper
-// currently routes by. ok is false when the process does not ship to a
-// cluster. Callers waiting out a rebalance poll this for the epoch bump
+// currently routes by. ok is false when the process does not ship.
+// Callers waiting out a rebalance poll this for the epoch bump
 // before draining, so no record is caught mid-re-route by Close.
 func (p *Process) ClusterRing() (ring telemetry.Ring, ok bool) {
-	if p.routed == nil {
+	if p.shipper == nil {
 		return telemetry.Ring{}, false
 	}
-	return p.routed.Stats().Ring, true
+	return p.shipper.Ring(), true
 }
 
 // Alerts returns the process's SLO alert evaluator, nil when
@@ -510,9 +491,6 @@ func (p *Process) Close() error {
 	p.ORB.Shutdown()
 	if p.shipper != nil {
 		p.shipper.Close()
-	}
-	if p.routed != nil {
-		p.routed.Close()
 	}
 	if p.debug != nil {
 		p.debug.Close()

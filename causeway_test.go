@@ -202,6 +202,11 @@ func TestProcessConfigValidation(t *testing.T) {
 	if _, err := NewProcess(ProcessConfig{Name: "x", LogPath: "/nonexistent-dir/y.ftlog"}); err == nil {
 		t.Fatal("bad log path accepted")
 	}
+	for _, shipTo := range []string{" , ", "127.0.0.1:1,127.0.0.1:1"} {
+		if _, err := NewProcess(ProcessConfig{Name: "x", ShipTo: shipTo}); err == nil {
+			t.Fatalf("ShipTo %q accepted", shipTo)
+		}
+	}
 }
 
 func TestOnlineMonitorViaFacade(t *testing.T) {

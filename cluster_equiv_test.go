@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,8 +239,8 @@ func TestClusterEquivalencePPS(t *testing.T) {
 }
 
 // TestClusterEquivalenceLivemonitor rides the facade path: a networked
-// echo deployment where every process ships via ShipToCluster to three
-// live collectors, and the aggregated fleet view must characterize
+// echo deployment where every process names all three live collectors in
+// ShipTo, and the aggregated fleet view must characterize
 // identically to one store holding everything that arrived.
 func TestClusterEquivalenceLivemonitor(t *testing.T) {
 	var nodes []*cluster.Node
@@ -261,10 +262,10 @@ func TestClusterEquivalenceLivemonitor(t *testing.T) {
 
 	newProc := func(name string) *causeway.Process {
 		p, err := causeway.NewProcess(causeway.ProcessConfig{
-			Name:          name,
-			Instrumented:  true,
-			Monitor:       causeway.MonitorLatency,
-			ShipToCluster: addrs,
+			Name:         name,
+			Instrumented: true,
+			Monitor:      causeway.MonitorLatency,
+			ShipTo:       strings.Join(addrs, ","),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -334,6 +335,92 @@ func TestClusterEquivalenceLivemonitor(t *testing.T) {
 	if got := characterize(t, analysis.ReconstructParallel(fleet, 4)); got != want {
 		t.Fatal("fleet characterization diverges from the single-collector union")
 	}
+}
+
+// TestClusterEquivalenceShipToOneMember: a process that names one member
+// of a two-collector tier still routes by the ring that member serves. The
+// echo server ships to collector A only and its client to collector B
+// only, yet each chain — client and server records alike — lands whole on
+// its ring owner.
+func TestClusterEquivalenceShipToOneMember(t *testing.T) {
+	var nodes []*cluster.Node
+	var stores []*logdb.Store
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		db := logdb.NewStore()
+		node := startNode(t, "", db)
+		defer node.Close()
+		nodes = append(nodes, node)
+		stores = append(stores, db)
+		addrs = append(addrs, node.Addr())
+	}
+	ring, err := cluster.Assign(1, cluster.DefaultSlots, cluster.Members(addrs...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	setRing(nodes, ring)
+
+	newProc := func(name, shipTo string) *causeway.Process {
+		p, err := causeway.NewProcess(causeway.ProcessConfig{
+			Name:         name,
+			Instrumented: true,
+			Monitor:      causeway.MonitorLatency,
+			ShipTo:       shipTo,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A span appended before the served ring arrives rides the
+		// provisional one-member ring to the collector the process names.
+		if _, ok := p.ClusterRing(); !ok {
+			t.Fatalf("process %s ships but routes by no ring", name)
+		}
+		clusterWaitFor(t, func() bool {
+			r, _ := p.ClusterRing()
+			return r.Epoch == ring.Epoch
+		}, name+" to adopt the ring its collector serves")
+		return p
+	}
+	server := newProc("server", addrs[0])
+	if err := instrecho.RegisterEcho(server.ORB, "svc", "svc-comp", echoOK{}); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := server.ORB.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := newProc("client", addrs[1])
+	stub := instrecho.NewEchoStub(client.ORB.RefTo(ep, "svc", "Echo", "svc-comp"))
+	for i := 1; i <= 40; i++ {
+		if _, err := stub.Echo(fmt.Sprintf("req-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+		client.NewChain()
+	}
+	var shipped uint64
+	for _, p := range []*causeway.Process{client, server} {
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := p.ShipperStats()
+		if st.Dropped != 0 || st.Buffered != 0 {
+			t.Fatalf("process shipper lost records: %+v", st)
+		}
+		shipped += st.Shipped
+	}
+	if shipped != 4*40 {
+		t.Fatalf("shipped %d records, want 4 per call over 40 calls", shipped)
+	}
+	clusterWaitFor(t, func() bool {
+		return heldBy(nodes[0], stores[0])+heldBy(nodes[1], stores[1]) == int(shipped)
+	}, "tier ingest of the echo workload")
+	drain(nodes)
+	for i, db := range stores {
+		if db.Len() == 0 {
+			t.Fatalf("collector %s owns none of the 40 chains", addrs[i])
+		}
+	}
+	assertChainsWhole(t, ring, addrs, stores)
 }
 
 // TestClusterKillRejoinReplaySeeds is the rebalance gauntlet: a

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"causeway/internal/alerting"
+	"causeway/internal/cluster"
 )
 
 // cmdAlerts renders the SLO alert state of one or more running
@@ -28,7 +29,7 @@ func cmdAlerts(w io.Writer, args []string) error {
 		return fmt.Errorf("usage: causectl alerts -addr dbg1[,dbg2,...] [-since cursor] [-firing]")
 	}
 	var firstErr error
-	for _, a := range splitList(*addr) {
+	for _, a := range cluster.SplitAddrs(*addr) {
 		st, err := alerting.FetchStatus(a, *since, *timeout)
 		if err != nil {
 			fmt.Fprintf(w, "%s: %v\n", a, err)

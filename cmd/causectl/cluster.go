@@ -41,7 +41,7 @@ func cmdCluster(w io.Writer, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	peers := splitList(*peersFlag)
+	peers := cluster.SplitAddrs(*peersFlag)
 	if len(peers) == 0 {
 		return fmt.Errorf("usage: causectl cluster [status|rebalance] -peers dbg1,dbg2,... [-timeout dur]")
 	}
@@ -202,16 +202,6 @@ func clusterRebalance(w io.Writer, client *http.Client, peers []string) error {
 		return fmt.Errorf("one or more donations incomplete")
 	}
 	return nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // fetchRingz pulls one peer's /ringz: the summary line and the member

@@ -4,24 +4,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
 	"causeway/internal/cluster"
 	"causeway/internal/debugserver"
 	"causeway/internal/metrics"
 )
-
-// splitPeers parses a comma-separated peer list, dropping empties.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
 
 // aggConfig carries the flag values runAggregate needs out of run().
 type aggConfig struct {

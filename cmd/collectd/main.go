@@ -1,6 +1,7 @@
 // Command collectd is the live telemetry collection daemon: application
 // processes ship their probe records to it over TCP while they run
-// (ProcessConfig.ShipTo / telemetry.ShipperSink), and every record takes
+// (ProcessConfig.ShipTo, through a cluster.RoutedShipper: a collector
+// without -peers is a one-member ring), and every record takes
 // one path: the chain table (internal/streamrecon), then a merged
 // relational store. The table reconstructs causality live —
 // printing completed roots, slow calls, and anomalies as they happen — and
@@ -159,7 +160,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	}
 	if *aggregate {
 		return runAggregate(aggConfig{
-			peers:     splitPeers(*peers),
+			peers:     cluster.SplitAddrs(*peers),
 			storeDir:  *storeDir,
 			outPath:   *outPath,
 			dscgNodes: *dscgNodes,
@@ -175,7 +176,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	if *tailRate < 0 || *tailRate > 1 {
 		return fmt.Errorf("-tail %g out of range [0, 1]", *tailRate)
 	}
-	peerList, debugList := splitPeers(*peers), splitPeers(*peerDebug)
+	peerList, debugList := cluster.SplitAddrs(*peers), cluster.SplitAddrs(*peerDebug)
 	if *heartbeat > 0 {
 		if len(peerList) == 0 || len(debugList) == 0 || *debugAddr == "" {
 			return fmt.Errorf("-heartbeat needs -peers, -peer-debug, and -debug")

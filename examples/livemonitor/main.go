@@ -378,6 +378,7 @@ func run(rc runConfig) (sum summary, err error) {
 		LogPath:         filepath.Join(dir, "server.ftlog"),
 		Metrics:         reg,
 		DebugAddr:       rc.debugAddr,
+		ShipTo:          strings.Join(tierAddrs, ","),
 		ChainSampleRate: rate,
 	}
 	if rc.slo > 0 {
@@ -395,11 +396,6 @@ func run(rc runConfig) (sum summary, err error) {
 			ResolveAfter: 500 * time.Millisecond,
 		}}
 		serverCfg.SLOInterval = 50 * time.Millisecond
-	}
-	if clusterN > 1 {
-		serverCfg.ShipToCluster = tierAddrs
-	} else {
-		serverCfg.ShipTo = tierAddrs[0]
 	}
 	server, err := causeway.NewProcess(serverCfg)
 	if err != nil {
@@ -429,12 +425,8 @@ func run(rc runConfig) (sum summary, err error) {
 			Monitor:         causeway.MonitorLatency,
 			LogPath:         filepath.Join(dir, fmt.Sprintf("client-%d.ftlog", c)),
 			Metrics:         reg,
+			ShipTo:          strings.Join(tierAddrs, ","),
 			ChainSampleRate: rate,
-		}
-		if clusterN > 1 {
-			cfg.ShipToCluster = tierAddrs
-		} else {
-			cfg.ShipTo = tierAddrs[0]
 		}
 		if faults {
 			// One seeded injector per client keeps the schedule fully

@@ -32,6 +32,7 @@ package cluster
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"causeway/internal/telemetry"
 	"causeway/internal/uuid"
@@ -90,6 +91,18 @@ func Assign(epoch uint64, slots int, members []telemetry.RingMember) (telemetry.
 		return telemetry.Ring{}, err
 	}
 	return r, nil
+}
+
+// SplitAddrs parses a comma-separated address list — a -peers flag, a
+// process's ShipTo — trimming blanks and dropping empty entries.
+func SplitAddrs(s string) []string {
+	var out []string
+	for _, a := range strings.Split(s, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // Members builds the member list for Assign from telemetry addresses

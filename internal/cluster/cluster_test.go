@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync"
@@ -240,6 +241,56 @@ func TestRoutedShipperAppendAllocFree(t *testing.T) {
 	}
 	if st := rs.Combined(); st.Appended == 0 {
 		t.Fatalf("no record reached a member ring: %+v", st)
+	}
+}
+
+// A routed shipper exposes every causeway_shipper_* series one shipper
+// does, so dashboards read a process the same whatever it ships to. Its
+// ring polls at a collector that serves no ring are not bad frames.
+func TestRoutedShipperMetricsMatchShipper(t *testing.T) {
+	node := startIngest(t, nil)
+	ring, err := Assign(0, DefaultSlots, Members(node.srv.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := NewRouted(RouterConfig{Ring: ring, Shipper: routerTemplate("p1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	recs := chainRecords(uuid.New(), uuid.New())
+	rs.AppendSpan(recs)
+	waitFor(t, func() bool { return rs.Combined().Shipped == uint64(len(recs)) }, "records shipped")
+	time.Sleep(4 * routerTemplate("p1").RingPollInterval)
+
+	var buf bytes.Buffer
+	rs.WriteMetrics(&buf)
+	got := make(map[string]string)
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "causeway_shipper_") {
+			got[name] = value
+		}
+	}
+	want := map[string]string{
+		"causeway_shipper_appended_total":   fmt.Sprint(len(recs)),
+		"causeway_shipper_dropped_total":    "0",
+		"causeway_shipper_shipped_total":    fmt.Sprint(len(recs)),
+		"causeway_shipper_batches_total":    "",
+		"causeway_shipper_bytes_total":      "",
+		"causeway_shipper_reconnects_total": "0",
+		"causeway_shipper_connected":        "1",
+		"causeway_shipper_buffered":         "0",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("routed exposition has %d causeway_shipper_* series, want %d:\n%s", len(got), len(want), buf.String())
+	}
+	for name, v := range want {
+		if g, ok := got[name]; !ok || (v != "" && g != v) {
+			t.Fatalf("%s = %q (present %v), want %q:\n%s", name, g, ok, v, buf.String())
+		}
+	}
+	if bad := node.srv.Stats().BadFrames; bad != 0 {
+		t.Fatalf("standalone collector counted %d bad frame(s) from ring polls", bad)
 	}
 }
 

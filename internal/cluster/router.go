@@ -100,21 +100,12 @@ func (s *RoutedShipper) newMemberSink(m telemetry.RingMember) (*telemetry.Shippe
 	return sink, nil
 }
 
-// Append implements probe.Sink: O(1) plus one hash, never blocks.
+// Append implements probe.Sink as a one-record span: O(1) plus one hash,
+// never blocks.
 func (s *RoutedShipper) Append(r probe.Record) {
-	s.mu.RLock()
-	m, ok := s.ring.OwnerOf(telemetry.RouteUUID(&r))
-	var sink *telemetry.ShipperSink
-	if ok {
-		sink = s.sinks[m.ID]
-	}
-	s.mu.RUnlock()
-	if sink == nil {
-		// Unreachable on a validated ring; counted, never silent.
-		s.noOwner.Add(1)
-		return
-	}
-	sink.Append(r)
+	var tmp [1]probe.Record
+	tmp[0] = r
+	s.AppendSpan(tmp[:])
 }
 
 // AppendSpan implements probe.SpanSink: the records of one invocation span
@@ -133,6 +124,7 @@ func (s *RoutedShipper) AppendSpan(recs []probe.Record) {
 	}
 	s.mu.RUnlock()
 	if sink == nil {
+		// Unreachable on a validated ring; counted, never silent.
 		s.noOwner.Add(uint64(len(recs)))
 		return
 	}
@@ -319,18 +311,12 @@ func (s *RoutedShipper) Combined() telemetry.ShipperStats {
 	return out
 }
 
-// WriteMetrics renders the router's counters in exposition format,
-// including the combined shipper series under the usual names so
-// dashboards work unchanged against clustered processes.
+// WriteMetrics renders the router's counters in exposition format: the
+// combined causeway_shipper_* series a single shipper exposes, then the
+// ring's own.
 func (s *RoutedShipper) WriteMetrics(w io.Writer) {
 	rs := s.Stats()
-	st := s.Combined()
-	fmt.Fprintf(w, "causeway_shipper_appended_total %d\n", st.Appended)
-	fmt.Fprintf(w, "causeway_shipper_dropped_total %d\n", st.Dropped)
-	fmt.Fprintf(w, "causeway_shipper_shipped_total %d\n", st.Shipped)
-	fmt.Fprintf(w, "causeway_shipper_batches_total %d\n", st.Batches)
-	fmt.Fprintf(w, "causeway_shipper_bytes_total %d\n", st.Bytes)
-	fmt.Fprintf(w, "causeway_shipper_buffered %d\n", st.Buffered)
+	telemetry.WriteShipperMetrics(w, s.Combined())
 	fmt.Fprintf(w, "causeway_cluster_ring_epoch %d\n", rs.Ring.Epoch)
 	fmt.Fprintf(w, "causeway_cluster_ring_members %d\n", len(rs.Ring.Members))
 	fmt.Fprintf(w, "causeway_cluster_rebalances_total %d\n", rs.Rebalances)

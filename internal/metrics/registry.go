@@ -201,15 +201,6 @@ func (r *Registry) VisitOps(fn func(OpKey, *OpStats)) {
 	}
 }
 
-// VisitIfaces calls fn for every interface chain-latency histogram.
-func (r *Registry) VisitIfaces(fn func(string, *Histogram)) {
-	if m := r.ifaces.Load(); m != nil {
-		for name, h := range *m {
-			fn(name, h)
-		}
-	}
-}
-
 // Named returns (creating on first use) a free-form counter exposed
 // under the given series name — the hook for loss-path counters that
 // have no typed family (torn-tail recoveries, injected faults).

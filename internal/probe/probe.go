@@ -516,15 +516,8 @@ type SkelCtx struct {
 	mStart time.Time
 }
 
-// SkelStartSem is SkelStart with application semantics attached: sem is
-// the rendered input-parameter list the generated skeleton produced.
-func (p *Probes) SkelStartSem(op OpID, wire ftl.FTL, oneway bool, sem string) SkelCtx {
-	return p.SkelStartSemG(gls.Self(), op, wire, oneway, sem)
-}
-
-// SkelStartSemG is SkelStartSem for a dispatch loop that already resolved
-// its goroutine identity (the ORB resolves Self once per request and
-// threads it through the generated skeleton).
+// SkelStartSemG is SkelStartG with application semantics attached: sem
+// is the rendered input-parameter list the generated skeleton produced.
 func (p *Probes) SkelStartSemG(self gls.G, op OpID, wire ftl.FTL, oneway bool, sem string) SkelCtx {
 	w := p.openWindowAt(self.ID())
 	wire.NextSeq()
@@ -545,6 +538,9 @@ func (p *Probes) SkelEndSem(ctx SkelCtx, sem string) ftl.FTL {
 	w := p.openWindowAt(ctx.gid)
 	f, ok := p.tunnel.CurrentG(w.gid)
 	if !ok {
+		// The implementation (or a buggy scheduler) cleared the slot; the
+		// chain is broken and the analyzer will flag an abnormal
+		// transition. Emit with a nil chain rather than dropping silently.
 		f = ftl.FTL{}
 	}
 	f.NextSeq()
@@ -569,15 +565,7 @@ func (p *Probes) SkelStart(op OpID, wire ftl.FTL, oneway bool) SkelCtx {
 // SkelStartG is SkelStart for a dispatch loop that already resolved its
 // goroutine identity.
 func (p *Probes) SkelStartG(self gls.G, op OpID, wire ftl.FTL, oneway bool) SkelCtx {
-	w := p.openWindowAt(self.ID())
-	wire.NextSeq()
-	p.tunnel.StoreG(w.gid, wire)
-	ctx := SkelCtx{op: op, oneway: oneway, gid: w.gid, sp: p.newSpan()}
-	if ctx.ms, ctx.mStart = p.opStats(op, w); ctx.ms != nil {
-		ctx.ms.Dispatches.AddAt(w.gid, 1)
-	}
-	p.emit(ctx.sp, w, op, wire, ftl.SkelStart, oneway, false)
-	return ctx
+	return p.SkelStartSemG(self, op, wire, oneway, "")
 }
 
 // SkelEnd is probe 3: the end of the skeleton when the function execution
@@ -585,25 +573,7 @@ func (p *Probes) SkelStartG(self gls.G, op OpID, wire ftl.FTL, oneway bool) Skel
 // emits skel_end, clears the dispatch thread's annotation, and returns the
 // FTL to marshal into the reply (synchronous calls only; oneway replies
 // discard it).
-func (p *Probes) SkelEnd(ctx SkelCtx) ftl.FTL {
-	w := p.openWindowAt(ctx.gid)
-	f, ok := p.tunnel.CurrentG(w.gid)
-	if !ok {
-		// The implementation (or a buggy scheduler) cleared the slot; the
-		// chain is broken and the analyzer will flag an abnormal
-		// transition. Emit with a nil chain rather than dropping silently.
-		f = ftl.FTL{}
-	}
-	f.NextSeq()
-	p.tunnel.ClearG(w.gid)
-	if ctx.ms != nil {
-		end := p.metricEnd(w)
-		ctx.ms.SkelTime.ObserveEx(end.Sub(ctx.mStart), metricChain(f), end.UnixNano())
-	}
-	p.emit(ctx.sp, w, ctx.op, f, ftl.SkelEnd, ctx.oneway, false)
-	p.flushSpan(ctx.sp)
-	return f
-}
+func (p *Probes) SkelEnd(ctx SkelCtx) ftl.FTL { return p.SkelEndSem(ctx, "") }
 
 // CollocCtx carries state across a collocation-optimized call.
 type CollocCtx struct {

@@ -8,15 +8,11 @@ import (
 )
 
 // Courier is a synchronous telemetry client for cluster-internal
-// traffic — segment replay after a rebalance, ring fetches, flush
-// barriers. Unlike ShipperSink it blocks and returns errors: the
+// traffic — segment replay after a rebalance and flush barriers. Unlike ShipperSink it blocks and returns errors: the
 // callers are operators and rebalance machinery, not probe hot paths,
 // and they need to know whether the bytes arrived.
 type Courier struct {
 	client transport.Client
-	// Hello is the server's handshake reply, kept so callers can read
-	// the ring the target advertised without a second round trip.
-	Hello HelloReply
 }
 
 // DialCourier connects and handshakes as process (shown in the peer
@@ -40,12 +36,11 @@ func DialCourier(addr, process string, dial func(string) (transport.Client, erro
 		client.Close()
 		return nil, fmt.Errorf("telemetry: courier handshake rejected by %s: %s", addr, rep.Body)
 	}
-	hr, err := decodeHelloReply(rep.Body)
-	if err != nil {
+	if _, err := decodeHelloReply(rep.Body); err != nil {
 		client.Close()
 		return nil, err
 	}
-	return &Courier{client: client, Hello: hr}, nil
+	return &Courier{client: client}, nil
 }
 
 // Replay ships one batch of replayed records and returns how many the
@@ -60,18 +55,6 @@ func (c *Courier) Replay(recs []probe.Record) (accepted uint64, err error) {
 		return 0, fmt.Errorf("telemetry: replay rejected: %s", rep.Body)
 	}
 	return decodeCount(rep.Body)
-}
-
-// Ring fetches the server's current cluster ring.
-func (c *Courier) Ring() (Ring, error) {
-	rep, err := c.client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opRing})
-	if err != nil {
-		return Ring{}, fmt.Errorf("telemetry: ring fetch: %w", err)
-	}
-	if rep.Status != transport.StatusOK {
-		return Ring{}, fmt.Errorf("telemetry: ring fetch rejected: %s", rep.Body)
-	}
-	return decodeRing(rep.Body)
 }
 
 // Flush is the ingestion barrier: when it returns, every frame this

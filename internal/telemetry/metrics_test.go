@@ -45,7 +45,7 @@ func TestShipperDropCountedInMetrics(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	sh.WriteMetrics(&buf)
+	WriteShipperMetrics(&buf, sh.Stats())
 	text := buf.String()
 
 	dropped := expositionValue(t, text, "causeway_shipper_dropped_total")

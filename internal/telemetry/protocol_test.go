@@ -288,8 +288,9 @@ func TestReplayOperationAccounting(t *testing.T) {
 	}
 }
 
-// A server without a Replay callback rejects replay frames; a server
-// without a Ring rejects ring queries.
+// A server without a Replay callback rejects replay frames as bad; a
+// server without a Ring refuses ring polls, which every shipping process
+// sends, without counting them bad.
 func TestClusterOpsRejectedWhenStandalone(t *testing.T) {
 	srv, err := Listen("127.0.0.1:0", ServerConfig{})
 	if err != nil {
@@ -302,12 +303,18 @@ func TestClusterOpsRejectedWhenStandalone(t *testing.T) {
 	}
 	defer client.Close()
 
-	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opRing}); err != nil || rep.Status == transport.StatusOK {
-		t.Fatalf("standalone server served a ring: %v %v", rep, err)
+	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opRing}); err != nil || rep.Status != transport.StatusUserException {
+		t.Fatalf("standalone server answered a ring poll with %v %v, want a user exception", rep, err)
+	}
+	if bad := srv.Stats().BadFrames; bad != 0 {
+		t.Fatalf("ring poll counted as %d bad frame(s)", bad)
 	}
 	batch := encodeBatch([]probe.Record{testRecord("p", 1)})
 	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opReplay, Body: batch}); err != nil || rep.Status == transport.StatusOK {
 		t.Fatalf("standalone server accepted a replay: %v %v", rep, err)
+	}
+	if bad := srv.Stats().BadFrames; bad != 1 {
+		t.Fatalf("replay frame counted as %d bad frame(s), want 1", bad)
 	}
 }
 

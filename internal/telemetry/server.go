@@ -351,13 +351,18 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 		}
 		respond(transport.Reply{Status: transport.StatusOK, Body: encodeRate(s.cfg.SampleRate())})
 	case opRing:
-		if s.cfg.Ring == nil {
-			fail("telemetry: not a cluster member (no ring)")
-			return
+		var ring Ring
+		ok := s.cfg.Ring != nil
+		if ok {
+			ring, ok = s.cfg.Ring()
 		}
-		ring, ok := s.cfg.Ring()
 		if !ok {
-			fail("telemetry: ring unavailable")
+			// Every shipping process polls its ring too; a collector that
+			// serves none refuses the poll as it refuses a rate poll, and
+			// the process keeps routing by the ring it has.
+			if !req.Oneway {
+				respond(transport.Reply{Status: transport.StatusUserException, Body: []byte("telemetry: no cluster ring served here")})
+			}
 			return
 		}
 		respond(transport.Reply{Status: transport.StatusOK, Body: encodeRing(ring)})

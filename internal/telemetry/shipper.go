@@ -248,12 +248,11 @@ func (s *ShipperSink) Stats() ShipperStats {
 	return st
 }
 
-// WriteMetrics renders the shipper's counters as exposition series — the
-// source form metrics.Registry.RegisterSource consumes. The drop counter
-// is the monitoring plane's own loss accounting: records the ring
-// rotated out under backpressure (or that Close could not deliver).
-func (s *ShipperSink) WriteMetrics(w io.Writer) {
-	st := s.Stats()
+// WriteShipperMetrics renders shipper counters as the causeway_shipper_*
+// exposition series, for one shipper or a routed shipper's combined view.
+// The drop counter is the monitoring plane's own loss accounting: records
+// a ring rotated out under backpressure (or that Close could not deliver).
+func WriteShipperMetrics(w io.Writer, st ShipperStats) {
 	fmt.Fprintf(w, "causeway_shipper_appended_total %d\n", st.Appended)
 	fmt.Fprintf(w, "causeway_shipper_dropped_total %d\n", st.Dropped)
 	fmt.Fprintf(w, "causeway_shipper_shipped_total %d\n", st.Shipped)
