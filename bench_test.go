@@ -30,6 +30,7 @@ import (
 	"causeway/internal/benchgen/plainecho"
 	"causeway/internal/bridge"
 	"causeway/internal/busy"
+	"causeway/internal/cluster"
 	"causeway/internal/com"
 	"causeway/internal/cputime"
 	"causeway/internal/ftl"
@@ -671,13 +672,13 @@ func BenchmarkSinkOverhead(b *testing.B) {
 		}
 	})
 	b.Run("shipper-connected", func(b *testing.B) {
-		srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{})
+		node, err := cluster.StartNode(cluster.NodeConfig{Listen: "127.0.0.1:0", Store: logdb.NewStore()})
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer srv.Close()
+		defer node.Close()
 		sink, err := telemetry.NewShipper(telemetry.ShipperConfig{
-			Addr:    srv.Addr(),
+			Addr:    node.Addr(),
 			Process: topology.Process{ID: "p", Processor: topology.Processor{ID: "p", Type: "x86"}},
 		})
 		if err != nil {

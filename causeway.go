@@ -35,11 +35,11 @@ import (
 	"causeway/internal/debugserver"
 	"causeway/internal/logdb"
 	"causeway/internal/metrics"
-	"causeway/internal/online"
 	"causeway/internal/orb"
 	"causeway/internal/probe"
 	"causeway/internal/render"
 	"causeway/internal/sampling"
+	"causeway/internal/streamrecon"
 	"causeway/internal/telemetry"
 	"causeway/internal/topology"
 	"causeway/internal/transport"
@@ -618,11 +618,11 @@ func (r *Report) WriteCCSGText(w io.Writer) error {
 type (
 	// OnlineMonitor incrementally reconstructs causality from a live
 	// record stream and fires callbacks as top-level invocations complete.
-	OnlineMonitor = online.Monitor
+	OnlineMonitor = streamrecon.Assembler
 	// OnlineConfig wires the online monitor's callbacks.
-	OnlineConfig = online.Config
+	OnlineConfig = streamrecon.Config
 	// RootEvent describes one completed top-level invocation.
-	RootEvent = online.RootEvent
+	RootEvent = streamrecon.RootEvent
 )
 
 // NewOnlineMonitor builds a live causality monitor. Set it as
@@ -630,7 +630,7 @@ type (
 // monitor sees whole cross-process chains) and it fires OnRoot/OnSlow as
 // top-level invocations complete, while the persistent log still flows.
 func NewOnlineMonitor(cfg OnlineConfig) *OnlineMonitor {
-	return online.NewMonitor(cfg)
+	return streamrecon.NewMonitor(cfg)
 }
 
 // ShipperStats re-exports the telemetry shipper's self-observability

@@ -52,13 +52,14 @@
 //	-dscg N         print at most N DSCG nodes after drain (0 = all, -1 = skip)
 //	-workers N      parallel DSCG reconstruction workers post-drain (0 = GOMAXPROCS)
 //	-slow dur       slow-call threshold for live flagging (default 100ms)
-//	-report dur     period of the records/s + open-chains report (default 5s)
+//	-report dur     period of the records/s + open-chains report, alert evaluation,
+//	                fleet scrape, -retain sweep and governor (default 5s; > 0)
 //	-duration dur   stop after this long (default 0 = run until SIGINT)
 //	-roots          print every completed root live (noisy; slow calls always print)
 //	-debug addr     mount the daemon's debug server here, with the collector's own
 //	                endpoints: /ledgerz /exportz /ringz /memberz /rebalancez /feedz
 //	-quiesce dur    idle time before a chain counts complete, or its parked records
-//	                are judged
+//	                are judged; the chain table is ticked every tenth of it
 //	-stale dur      give up on still-incomplete chains after this and evict them as
 //	                broken; also how long finished chains are remembered, and how
 //	                often the journal starts a new file
@@ -157,6 +158,9 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	}
 	if fs.NArg() != 0 {
 		return fmt.Errorf("usage: collectd [flags]")
+	}
+	if *report <= 0 {
+		return fmt.Errorf("-report %v must be positive", *report)
 	}
 	if *aggregate {
 		return runAggregate(aggConfig{
@@ -391,11 +395,16 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		return uint64(disk.Dropped())
 	}
 
-	// Periodic self-report: ingest rate and live-parse progress.
+	// The chain table is ticked at a tenth of its quiescence, so a complete
+	// chain leaves it within about 1.1 quiescence periods whatever -report
+	// is. The periodic self-report — ingest rate and live-parse progress —
+	// and everything else periodic ride -report.
 	reporterDone := make(chan struct{})
 	reporterStop := make(chan struct{})
 	go func() {
 		defer close(reporterDone)
+		tick := time.NewTicker(max(chains.Quiescence()/10, time.Millisecond))
+		defer tick.Stop()
 		ticker := time.NewTicker(*report)
 		defer ticker.Stop()
 		var last, lastLost, lastRefused uint64
@@ -404,12 +413,13 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 			select {
 			case <-reporterStop:
 				return
+			case <-tick.C:
+				node.Tick()
 			case <-ticker.C:
 				st := srv.Stats()
 				now := time.Now()
 				rate := ingestRate(st.Records, last, now.Sub(lastT))
 				last, lastT = st.Records, now
-				node.Tick()
 				led := node.Ledger()
 				fmt.Fprintf(w, "collectd: %d records (%.0f/s), %d batches, %d peers, %d open chains, %d evicted (%d records persisted, %d discarded), %d roots, %d slow, %d anomalies\n",
 					st.Records, rate, st.Batches, st.Peers, chains.OpenChains(), chains.Completions(),

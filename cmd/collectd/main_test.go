@@ -325,9 +325,64 @@ func TestCollectdDrainOnce(t *testing.T) {
 	})
 }
 
+// Each is refused before the daemon binds or starts anything: a report
+// period that is not positive would panic the reporter's ticker (in ingest
+// mode after the listener is bound), or the aggregator's.
 func TestCollectdRejectsArgs(t *testing.T) {
-	if err := run([]string{"positional"}, &bytes.Buffer{}, nil); err == nil {
-		t.Fatal("positional arguments accepted")
+	for _, args := range [][]string{
+		{"positional"},
+		{"-listen", "127.0.0.1:0", "-report", "0"},
+		{"-aggregate", "-peers", "127.0.0.1:1", "-report", "-1s"},
+	} {
+		if err := run(args, &bytes.Buffer{}, nil); err == nil {
+			t.Errorf("run(%q) accepted", args)
+		}
+	}
+}
+
+// The chain table is ticked on its quiescence, not on -report: with a report
+// period of an hour, chains that completed leave the table while the daemon
+// runs, and none is left for the drain.
+func TestCollectdTicksOnQuiescence(t *testing.T) {
+	out := &lockedBuffer{}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{"-listen", "127.0.0.1:0", "-report", "1h", "-quiesce", "20ms", "-dscg", "-1", "-debug", "127.0.0.1:0"}, out, stop)
+	}()
+	addr := listenAddr(t, out)
+	dbgAddr := bannerSuffix(t, out, "collectd: debug server on ")
+	proc := topology.Process{ID: "ticked", Processor: topology.Processor{ID: "ticked", Type: "x86"}}
+	sh, err := telemetry.NewShipper(telemetry.ShipperConfig{Addr: addr, Process: proc, FlushInterval: 2 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := probe.New(probe.Config{Process: proc, Sink: sh, Chains: &uuid.SequentialGenerator{Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := probe.OpID{Component: "comp", Interface: "Tick", Operation: "ping", Object: "o"}
+	for c := 0; c < 5; c++ {
+		ctx := p.StubStart(op, false)
+		p.StubEnd(ctx, p.SkelEnd(p.SkelStart(op, ctx.Wire, false)))
+		p.Tunnel().Clear()
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	awaitFeed(t, out, dbgAddr, 5)
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	got := out.String()
+	for _, want := range []string{
+		"collectd: streaming drain evicted 0 open chain(s)",
+		"collectd: assembler ledger: appended=20 persisted=20 discarded=0 buffered=0 (balanced)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("output missing %q;\n%s", want, got)
+		}
 	}
 }
 
@@ -386,24 +441,7 @@ func TestCollectdStreamMode(t *testing.T) {
 	}
 
 	// The live feed sees all 6 chains complete while the daemon runs.
-	var page streamrecon.FeedPage
-	deadline := time.Now().Add(10 * time.Second)
-	for page.Cursor < 6 {
-		if time.Now().After(deadline) {
-			t.Fatalf("feed cursor stuck at %d; output:\n%s", page.Cursor, out.String())
-		}
-		time.Sleep(5 * time.Millisecond)
-		resp, err := http.Get("http://" + dbgAddr + "/feedz")
-		if err != nil {
-			continue
-		}
-		page = streamrecon.FeedPage{}
-		err = json.NewDecoder(resp.Body).Decode(&page)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	page := awaitFeed(t, out, dbgAddr, 6)
 	if len(page.Completions) != 6 {
 		t.Fatalf("feed window holds %d completions, want 6", len(page.Completions))
 	}
@@ -459,6 +497,31 @@ func TestCollectdStreamMode(t *testing.T) {
 	if left, _ := filepath.Glob(filepath.Join(storeDir, "journal", "*")); len(left) != 0 {
 		t.Fatalf("journal holds %v after a clean drain", left)
 	}
+}
+
+// awaitFeed polls the daemon's /feedz until n chains have left its chain
+// table, and returns the page that showed it.
+func awaitFeed(t *testing.T, out *lockedBuffer, dbgAddr string, n uint64) streamrecon.FeedPage {
+	t.Helper()
+	var page streamrecon.FeedPage
+	deadline := time.Now().Add(10 * time.Second)
+	for page.Cursor < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("feed cursor stuck at %d, want %d; output:\n%s", page.Cursor, n, out.String())
+		}
+		time.Sleep(5 * time.Millisecond)
+		resp, err := http.Get("http://" + dbgAddr + "/feedz")
+		if err != nil {
+			continue
+		}
+		page = streamrecon.FeedPage{}
+		err = json.NewDecoder(resp.Body).Decode(&page)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return page
 }
 
 // bannerSuffix polls the daemon output for a line with the given prefix

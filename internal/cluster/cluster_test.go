@@ -5,17 +5,20 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"causeway/internal/ftl"
 	"causeway/internal/logdb"
 	"causeway/internal/probe"
+	"causeway/internal/streamrecon"
 	"causeway/internal/telemetry"
 	"causeway/internal/topology"
+	"causeway/internal/tracestore"
 	"causeway/internal/transport"
 	"causeway/internal/uuid"
 )
@@ -109,21 +112,26 @@ func chainRecords(chain, child uuid.UUID) []probe.Record {
 	}
 }
 
+// ingestNode is a collector as cmd/collectd runs it — a Node — over a store
+// in memory. It serves no ring until SetRing, and drains when the test ends.
 type ingestNode struct {
-	srv   *telemetry.Server
+	*Node
 	store *logdb.Store
 }
 
-func startIngest(t *testing.T, ringFn func() (telemetry.Ring, bool)) *ingestNode {
+func startIngest(t *testing.T) ingestNode {
 	t.Helper()
 	store := logdb.NewStore()
-	srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}, Ring: ringFn})
+	n, err := StartNode(NodeConfig{Listen: "127.0.0.1:0", Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	return &ingestNode{srv: srv, store: store}
+	t.Cleanup(func() { n.Close() })
+	return ingestNode{Node: n, store: store}
 }
+
+// received is how many records the collector has taken off the wire.
+func (n ingestNode) received() int { return int(n.srv.Stats().Records) }
 
 func routerTemplate(proc string) telemetry.ShipperConfig {
 	return telemetry.ShipperConfig{
@@ -152,7 +160,7 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 // Every chain must land whole — events and the links its parent span
 // recorded — on exactly one collector, the one the ring names.
 func TestRoutedShipperLandsChainsWhole(t *testing.T) {
-	nodes := []*ingestNode{startIngest(t, nil), startIngest(t, nil), startIngest(t, nil)}
+	nodes := []ingestNode{startIngest(t), startIngest(t), startIngest(t)}
 	addrs := []string{nodes[0].srv.Addr(), nodes[1].srv.Addr(), nodes[2].srv.Addr()}
 	ring, err := Assign(1, 64, Members(addrs...))
 	if err != nil {
@@ -188,6 +196,9 @@ func TestRoutedShipperLandsChainsWhole(t *testing.T) {
 		t.Fatalf("combined stats = %+v, want %d appended+shipped", st, total)
 	}
 	for i, n := range nodes {
+		if err := n.Close(); err != nil { // the chain table drains into the store
+			t.Fatal(err)
+		}
 		if got := n.store.Len(); got != want[addrs[i]] {
 			t.Fatalf("collector %d holds %d records, want %d", i, got, want[addrs[i]])
 		}
@@ -248,7 +259,7 @@ func TestRoutedShipperAppendAllocFree(t *testing.T) {
 // does, so dashboards read a process the same whatever it ships to. Its
 // ring polls at a collector that serves no ring are not bad frames.
 func TestRoutedShipperMetricsMatchShipper(t *testing.T) {
-	node := startIngest(t, nil)
+	node := startIngest(t)
 	ring, err := Assign(0, DefaultSlots, Members(node.srv.Addr()))
 	if err != nil {
 		t.Fatal(err)
@@ -298,22 +309,13 @@ func TestRoutedShipperMetricsMatchShipper(t *testing.T) {
 // ring polls and re-routes: records buffered toward a member that lost
 // a range must reach the new owner, not the old one.
 func TestRoutedShipperFollowsRebalance(t *testing.T) {
-	var mu sync.Mutex
-	var current telemetry.Ring
-	ringFn := func() (telemetry.Ring, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		return current, current.Slots > 0
-	}
-	a := startIngest(t, ringFn)
-	b := startIngest(t, ringFn)
-	ringAB, err := Assign(1, 64, Members(a.srv.Addr(), b.srv.Addr()))
+	a, b := startIngest(t), startIngest(t)
+	ringAB, err := Assign(1, 64, Members(a.Addr(), b.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	current = ringAB
-	mu.Unlock()
+	a.SetRing(ringAB)
+	b.SetRing(ringAB)
 
 	rs, err := NewRouted(RouterConfig{Ring: ringAB, Shipper: routerTemplate("p1")})
 	if err != nil {
@@ -331,22 +333,21 @@ func TestRoutedShipperFollowsRebalance(t *testing.T) {
 		rs.Append(r)
 	}
 	waitFor(t, func() bool {
-		return a.store.Len()+b.store.Len() == len(all)
+		return a.received()+b.received() == len(all)
 	}, "initial delivery across two collectors")
 
 	// Rebalance: a takes the whole ring (b is leaving). Served by both
 	// collectors; the router learns it from its ring polls.
-	ringA, err := Assign(2, 64, Members(a.srv.Addr()))
+	ringA, err := Assign(2, 64, Members(a.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	current = ringA
-	mu.Unlock()
+	a.SetRing(ringA)
+	b.SetRing(ringA)
 	waitFor(t, func() bool { return rs.Ring().Epoch == 2 }, "rebalanced ring applied")
 
 	// Everything appended now must land on a, regardless of chain hash.
-	before := b.store.Len()
+	before := b.received()
 	var second []probe.Record
 	for i := 0; i < chains; i++ {
 		second = append(second, chainRecords(gen.NewUUID(), gen.NewUUID())...)
@@ -355,10 +356,10 @@ func TestRoutedShipperFollowsRebalance(t *testing.T) {
 		rs.Append(r)
 	}
 	waitFor(t, func() bool {
-		return a.store.Len()+b.store.Len() == len(all)+len(second)
+		return a.received()+b.received() == len(all)+len(second)
 	}, "post-rebalance delivery")
-	if b.store.Len() != before {
-		t.Fatalf("collector b received %d records after losing its range", b.store.Len()-before)
+	if b.received() != before {
+		t.Fatalf("collector b received %d records after losing its range", b.received()-before)
 	}
 	if st := rs.Stats(); st.Rebalances == 0 || st.NoOwner != 0 {
 		t.Fatalf("router stats after rebalance: %+v", st)
@@ -515,32 +516,36 @@ func TestLedgerNoOwnerNeverBalances(t *testing.T) {
 	}
 }
 
-// orderStore records per-chain arrival order — the fixture for proving
-// a mid-chain rebalance never reorders a chain's events on any single
-// collector.
-type orderStore struct {
-	mu   sync.Mutex
-	seqs map[uuid.UUID][]uint64
-	n    int
-}
-
-func newOrderStore() *orderStore { return &orderStore{seqs: make(map[uuid.UUID][]uint64)} }
-
-func (o *orderStore) Insert(recs ...probe.Record) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for _, r := range recs {
-		o.n += 1
-		if r.Kind == probe.KindEvent {
-			o.seqs[r.Chain] = append(o.seqs[r.Chain], r.Seq)
+// arrivalSeqs reads the frame journal a node keeps beside the store in dir
+// — every frame it acknowledged, written in the order the frames arrived —
+// and returns each chain's event seqs in that order: the fixture for
+// proving a mid-chain rebalance never reorders a chain's events on any
+// single collector.
+func arrivalSeqs(t *testing.T, dir string) map[uuid.UUID][]uint64 {
+	t.Helper()
+	jdir := filepath.Join(dir, "journal")
+	names, err := journalFiles(jdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := make(map[uuid.UUID][]uint64)
+	for _, name := range names {
+		f, err := os.Open(filepath.Join(jdir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := probe.ReadStream(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if r.Kind == probe.KindEvent {
+				seqs[r.Chain] = append(seqs[r.Chain], r.Seq)
+			}
 		}
 	}
-}
-
-func (o *orderStore) Len() int {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.n
+	return seqs
 }
 
 // sumShipperStats folds the monotonic counters of a member-stats map —
@@ -567,19 +572,21 @@ func sumShipperStats(members map[string]telemetry.ShipperStats) telemetry.Shippe
 // records rode the original shipper, were detached and re-routed, or
 // arrived after the swap.
 func TestRoutedShipperMidChainEpochSwap(t *testing.T) {
-	storeA, storeB := newOrderStore(), newOrderStore()
-	srvA, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: storeA}}})
-	if err != nil {
-		t.Fatal(err)
+	// Disk nodes, for the frame journal each keeps beside its store.
+	dirs := []string{t.TempDir(), t.TempDir()}
+	var nodes []*Node
+	var stores []*tracestore.Store
+	for _, dir := range dirs {
+		node, ts := openDiskNode(t, dir, streamrecon.Config{})
+		defer ts.Close()
+		defer node.Close()
+		nodes, stores = append(nodes, node), append(stores, ts)
 	}
-	defer srvA.Close()
-	srvB, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: storeB}}})
-	if err != nil {
-		t.Fatal(err)
+	received := func() int {
+		return int(nodes[0].srv.Stats().Records + nodes[1].srv.Stats().Records)
 	}
-	defer srvB.Close()
 
-	ring1, err := Assign(1, 64, Members(srvA.Addr(), srvB.Addr()))
+	ring1, err := Assign(1, 64, Members(nodes[0].Addr(), nodes[1].Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,9 +626,7 @@ func TestRoutedShipperMidChainEpochSwap(t *testing.T) {
 			rs.Append(ev(c, seq))
 		}
 	}
-	waitFor(t, func() bool {
-		return storeA.Len()+storeB.Len() == chains*half
-	}, "first-half delivery")
+	waitFor(t, func() bool { return received() == chains*half }, "first-half delivery")
 	waitFor(t, func() bool {
 		buffered := 0
 		for _, st := range rs.Stats().Members {
@@ -657,18 +662,17 @@ func TestRoutedShipperMidChainEpochSwap(t *testing.T) {
 	if st.Appended != chains*full || st.Dropped != 0 {
 		t.Fatalf("combined stats after swap: %+v, want %d appended, 0 dropped", st, chains*full)
 	}
-	if storeA.Len()+storeB.Len() != chains*full {
-		t.Fatalf("stores hold %d records, want %d", storeA.Len()+storeB.Len(), chains*full)
+	if n := received(); n != chains*full {
+		t.Fatalf("collectors received %d records, want %d", n, chains*full)
 	}
 	// Per-chain order per collector: every chain's events arrive in
-	// strictly increasing seq on whichever store received them, and the
-	// two stores partition each chain without overlap.
+	// strictly increasing seq on whichever collector received them, and
+	// the two collectors partition each chain without overlap.
+	arrived := []map[uuid.UUID][]uint64{arrivalSeqs(t, dirs[0]), arrivalSeqs(t, dirs[1])}
 	for _, c := range ids {
 		seen := make(map[uint64]int)
-		for _, store := range []*orderStore{storeA, storeB} {
-			store.mu.Lock()
-			seqs := append([]uint64(nil), store.seqs[c]...)
-			store.mu.Unlock()
+		for _, at := range arrived {
+			seqs := at[c]
 			for i := 1; i < len(seqs); i++ {
 				if seqs[i] <= seqs[i-1] {
 					t.Fatalf("chain %s reordered across the epoch swap: %v", c.Short(), seqs)
@@ -686,5 +690,15 @@ func TestRoutedShipperMidChainEpochSwap(t *testing.T) {
 				t.Fatalf("chain %s seq %d delivered %d times", c.Short(), s, n)
 			}
 		}
+	}
+	held := 0
+	for i, n := range nodes {
+		if err := n.Close(); err != nil {
+			t.Fatal(err)
+		}
+		held += stores[i].Len()
+	}
+	if held != chains*full {
+		t.Fatalf("stores hold %d records after the drain, want %d", held, chains*full)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 	"causeway/internal/debugserver"
 	"causeway/internal/metrics"
-	"causeway/internal/online"
+	"causeway/internal/streamrecon"
 )
 
 func get(t *testing.T, url string) string {
@@ -33,7 +33,7 @@ func TestEndpoints(t *testing.T) {
 	reg := metrics.NewRegistry()
 	reg.Op(metrics.OpKey{Interface: "IGamma", Operation: "Run"}).Calls.Add(3)
 	reg.ObserveChain("IGamma", 250*time.Microsecond)
-	mon := online.NewMonitor(online.Config{})
+	mon := streamrecon.NewMonitor(streamrecon.Config{})
 
 	srv, err := debugserver.Start(debugserver.Config{
 		Addr:         "127.0.0.1:0",

@@ -203,9 +203,9 @@ type BatchSink interface {
 
 // RecordStore is where collected records come to rest: the insertion side
 // of the merged relational store (§3). The collector's chain table writes
-// through it and needs nothing else (StoreSink puts one behind a sink); the full
-// store interface a collector node composes over (cluster.Store) embeds
-// it. *logdb.Store and *tracestore.Store both satisfy it.
+// through it and needs nothing else; the full store interface a collector
+// node composes over (cluster.Store) embeds it. *logdb.Store and
+// *tracestore.Store both satisfy it.
 type RecordStore interface {
 	// Insert stores recs. Like BatchSink.AppendBatch it borrows them: a
 	// decode slab, or chain storage the assembler recycles the moment

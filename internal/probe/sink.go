@@ -272,18 +272,6 @@ func ReadStream(r io.Reader) ([]Record, error) {
 	return out, err
 }
 
-// StoreSink makes a RecordStore a BatchSink: each batch — a span, a ship
-// frame — is one Insert, borrowed exactly as both contracts borrow it.
-type StoreSink struct{ Store RecordStore }
-
-var _ BatchSink = StoreSink{}
-
-// Append implements Sink.
-func (s StoreSink) Append(r Record) { s.Store.Insert(r) }
-
-// AppendBatch implements BatchSink.
-func (s StoreSink) AppendBatch(recs []Record) { s.Store.Insert(recs...) }
-
 // TeeSink duplicates records to multiple sinks.
 type TeeSink []Sink
 

@@ -1,4 +1,4 @@
-package online
+package streamrecon
 
 import (
 	"cmp"
@@ -15,7 +15,6 @@ import (
 	"causeway/internal/analysis"
 	"causeway/internal/ftl"
 	"causeway/internal/probe"
-	"causeway/internal/streamrecon"
 	"causeway/internal/uuid"
 )
 
@@ -118,27 +117,22 @@ type verdict struct {
 	hasLatency               bool
 }
 
-// keepStore keeps every record it is handed, by value.
-type keepStore struct{ recs []probe.Record }
-
-func (s *keepStore) Insert(recs ...probe.Record) { s.recs = append(s.recs, recs...) }
-
 // viaAssembler feeds the arrivals to a streaming assembler over a store,
 // drains it, and reports each chain's eviction verdict and the records the
 // store was handed. watched gives it a root consumer, so it applies each
 // record as it arrives rather than at the drain.
 func viaAssembler(t *testing.T, arrivals []probe.Record, watched bool) (map[uuid.UUID]verdict, []probe.Record) {
 	t.Helper()
-	store := &keepStore{}
+	store := &orderStore{}
 	out := make(map[uuid.UUID]verdict)
-	var onRoot func(streamrecon.RootEvent)
+	var onRoot func(RootEvent)
 	if watched {
-		onRoot = func(streamrecon.RootEvent) {}
+		onRoot = func(RootEvent) {}
 	}
-	asm, err := streamrecon.New(streamrecon.Config{
+	asm, err := New(Config{
 		OnRoot: onRoot,
 		Store:  store,
-		OnComplete: func(c streamrecon.Completion) {
+		OnComplete: func(c Completion) {
 			out[c.Chain] = verdict{
 				clean: !c.Broken && !c.Anomalous, broken: c.Broken, anomalous: c.Anomalous,
 				roots: c.Roots, nodes: c.Nodes, latency: c.Latency, hasLatency: c.HasLatency,

@@ -1,4 +1,4 @@
-package online
+package streamrecon
 
 import (
 	"math/rand"
@@ -16,7 +16,8 @@ import (
 	"causeway/internal/vclock"
 )
 
-// liveHarness drives real probes straight into the online monitor.
+// liveHarness drives real probes straight into a table without a store:
+// the live monitor.
 type liveHarness struct {
 	p     *probe.Probes
 	clock *vclock.Virtual
@@ -203,7 +204,7 @@ type capture struct {
 	anomalies []analysis.Anomaly
 }
 
-func (c *capture) monitor() *Monitor {
+func (c *capture) monitor() *Assembler {
 	return NewMonitor(Config{
 		OnRoot:    func(ev RootEvent) { c.roots = append(c.roots, ev.Root) },
 		OnAnomaly: func(a analysis.Anomaly) { c.anomalies = append(c.anomalies, a) },

@@ -1,7 +1,6 @@
 package streamrecon
 
 import (
-	"cmp"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -46,7 +45,7 @@ func nestedChain(t *testing.T, seed uint64, children int) []probe.Record {
 
 func bySeqStable(recs []probe.Record) []probe.Record {
 	out := slices.Clone(recs)
-	slices.SortStableFunc(out, func(x, y probe.Record) int { return cmp.Compare(x.Seq, y.Seq) })
+	slices.SortStableFunc(out, bySeq)
 	return out
 }
 

@@ -1034,6 +1034,11 @@ func (a *Assembler) flush(match func(uuid.UUID) bool) int {
 	return a.finish(flush, evs)
 }
 
+// Quiescence is how long a chain must go quiet before the table counts it
+// complete: Config.Quiescence, or its default. A driver that ticks at a
+// fraction of it lets a complete chain leave within about that much more.
+func (a *Assembler) Quiescence() time.Duration { return a.cfg.Quiescence }
+
 // Generation counts the table's generations: it advances at the Tick that
 // forgets the older generation of cursors, once every StaleAfter.
 func (a *Assembler) Generation() uint64 {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"errors"
+	"maps"
 	"reflect"
 	"sort"
 	"sync"
@@ -11,6 +12,7 @@ import (
 
 	"causeway/internal/ftl"
 	"causeway/internal/probe"
+	"causeway/internal/streamrecon"
 	"causeway/internal/transport"
 	"causeway/internal/uuid"
 	"causeway/internal/workload"
@@ -83,13 +85,19 @@ func (s *sliceStore) Insert(recs ...probe.Record) {
 	s.mu.Unlock()
 }
 
-// A per-record sink, a frame-at-a-time sink and a store behind one server
-// all borrow the same slab; after a hundred frames of every size each holds
-// exactly what was shipped. The race detector is what would catch a callee
-// keeping the slab: the next frame's decode writes where it would read.
+// A per-record sink, a frame-at-a-time sink and a chain table over a store
+// behind one server all borrow the same slab; after a hundred frames of
+// every size the sinks hold exactly what was shipped, in order, and once the
+// table drains its store holds the same records. The race detector is what
+// would catch a callee keeping the slab: the next frame's decode writes
+// where it would read.
 func TestServerFanOutBorrowsSlab(t *testing.T) {
 	plain, batched, store := &perRecordSink{}, &batchRecordSink{}, &sliceStore{}
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}, plain, batched}})
+	table, err := streamrecon.New(streamrecon.Config{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{table, plain, batched}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +127,21 @@ func TestServerFanOutBorrowsSlab(t *testing.T) {
 			t.Fatalf("ship %d: %v %+v", i, err, rep)
 		}
 	}
-	for name, got := range map[string][]probe.Record{"Sink": plain.recs, "BatchSink": batched.recs, "Store": store.recs} {
+	for name, got := range map[string][]probe.Record{"Sink": plain.recs, "BatchSink": batched.recs} {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s holds %d records that are not the %d shipped", name, len(got), len(want))
 		}
+	}
+	table.FlushOpen()
+	count := func(recs []probe.Record) map[probe.Record]int {
+		m := make(map[probe.Record]int, len(recs))
+		for _, r := range recs {
+			m[r]++
+		}
+		return m
+	}
+	if !maps.Equal(count(store.recs), count(want)) {
+		t.Errorf("the table's store holds %d records that are not the %d shipped", len(store.recs), len(want))
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"causeway/internal/logdb"
 	"causeway/internal/probe"
 )
 
@@ -76,8 +75,8 @@ func TestPeerAccountingConcurrentShippers(t *testing.T) {
 		shippers = 8
 		perShip  = 500
 	)
-	store := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}})
+	mem := &probe.MemorySink{}
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{mem}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestPeerAccountingConcurrentShippers(t *testing.T) {
 	if sum != total {
 		t.Fatalf("peer ledgers sum to %d records, server ingested %d", sum, total)
 	}
-	if store.Len() != total {
-		t.Fatalf("store has %d records, want %d", store.Len(), total)
+	if mem.Len() != total {
+		t.Fatalf("server sink holds %d records, want %d", mem.Len(), total)
 	}
 }

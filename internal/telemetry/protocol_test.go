@@ -225,11 +225,11 @@ func TestShipperLearnsRingFromHandshakeAndPolls(t *testing.T) {
 // Replay frames deduplicate via the configured callback and are
 // accounted separately from fresh ship traffic.
 func TestReplayOperationAccounting(t *testing.T) {
-	store := logdb.NewStore()
+	store, shipped := logdb.NewStore(), &probe.MemorySink{}
 	seen := make(map[uint64]bool)
 	var mu sync.Mutex
 	srv, err := Listen("127.0.0.1:0", ServerConfig{
-		Sinks: []probe.Sink{probe.StoreSink{Store: store}},
+		Sinks: []probe.Sink{shipped},
 		Replay: func(recs []probe.Record) int {
 			mu.Lock()
 			defer mu.Unlock()
@@ -283,8 +283,8 @@ func TestReplayOperationAccounting(t *testing.T) {
 	if st.Records != 0 || st.Batches != 0 {
 		t.Fatalf("replay leaked into fresh-ship accounting: %+v", st)
 	}
-	if store.Len() != 2 {
-		t.Fatalf("store has %d records, want 2", store.Len())
+	if store.Len() != 2 || shipped.Len() != 0 {
+		t.Fatalf("store has %d records, want 2; the ship sink has %d, want 0", store.Len(), shipped.Len())
 	}
 }
 
@@ -351,8 +351,7 @@ func TestDetachReturnsUndelivered(t *testing.T) {
 
 // Detach with a live server returns only what was not acknowledged.
 func TestDetachAfterDeliveryReturnsNothingExtra(t *testing.T) {
-	store := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}})
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{&probe.MemorySink{}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"causeway/internal/logdb"
 	"causeway/internal/probe"
 	"causeway/internal/sampling"
 )
@@ -17,7 +16,7 @@ func TestRatePollingAppliesServerRate(t *testing.T) {
 	var served atomic.Uint64 // rate bits, settable mid-test
 	served.Store(rateBits(0.25))
 	srv, err := Listen("127.0.0.1:0", ServerConfig{
-		Sinks:      []probe.Sink{probe.StoreSink{Store: logdb.NewStore()}},
+		Sinks:      []probe.Sink{&probe.MemorySink{}},
 		SampleRate: func() float64 { return rateFromBits(served.Load()) },
 	})
 	if err != nil {
@@ -58,8 +57,8 @@ func TestRatePollingAppliesServerRate(t *testing.T) {
 // rejects rate queries; the shipper keeps its current rate and the
 // connection stays healthy for shipping.
 func TestRatePollingToleratesDisabledServer(t *testing.T) {
-	store := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}})
+	mem := &probe.MemorySink{}
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{mem}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +88,8 @@ func TestRatePollingToleratesDisabledServer(t *testing.T) {
 	if bf := srv.Stats().BadFrames; bf != 0 {
 		t.Fatalf("rejected polls counted %d bad frames", bf)
 	}
-	if store.Len() != 50 {
-		t.Fatalf("store holds %d records, want 50", store.Len())
+	if mem.Len() != 50 {
+		t.Fatalf("server sink holds %d records, want 50", mem.Len())
 	}
 	if st := sh.Stats(); st.Dropped != 0 {
 		t.Fatalf("dropped %d records", st.Dropped)

@@ -9,9 +9,9 @@ import (
 
 	"causeway/internal/analysis"
 	"causeway/internal/logdb"
-	"causeway/internal/online"
 	"causeway/internal/probe"
 	"causeway/internal/render"
+	"causeway/internal/streamrecon"
 	"causeway/internal/uuid"
 )
 
@@ -49,26 +49,31 @@ func driveProcess(t *testing.T, name string, seed uint64, calls int, sink probe.
 	}
 }
 
-// TestConcurrentIngestMatchesOffline is the networked analog of the online
-// package's equivalence property: many simulated processes hammer one
-// telemetry server concurrently (through real shippers over TCP loopback),
-// and after drain the DSCG reconstructed from the server's merged store is
-// identical to the one reconstructed from each process's local memory
-// sink. An online monitor rides the server's ingest path and must observe
-// every completed root. Run under -race in CI.
+// TestConcurrentIngestMatchesOffline is the networked analog of the chain
+// table's equivalence property: many simulated processes hammer one
+// telemetry server concurrently (through real shippers over TCP loopback)
+// whose one sink is a chain table over a store, as a collector's is. The
+// table must deliver every completed root live, and after the drain the
+// DSCG reconstructed from the store it evicted into is identical to the
+// one reconstructed from each process's local memory sink. Run under
+// -race in CI.
 func TestConcurrentIngestMatchesOffline(t *testing.T) {
 	const procs = 6
 	const callsPerProc = 40
 
 	var liveRoots atomic.Int64
-	monitor := online.NewMonitor(online.Config{
-		OnRoot: func(online.RootEvent) { liveRoots.Add(1) },
+	store := logdb.NewStore()
+	table, err := streamrecon.New(streamrecon.Config{
+		Store:  store,
+		OnRoot: func(streamrecon.RootEvent) { liveRoots.Add(1) },
 		OnAnomaly: func(a analysis.Anomaly) {
-			t.Errorf("online anomaly during ingest: %v", a)
+			t.Errorf("live anomaly during ingest: %v", a)
 		},
 	})
-	store := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}, monitor}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{table}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +98,18 @@ func TestConcurrentIngestMatchesOffline(t *testing.T) {
 		}(i, sh)
 	}
 	wg.Wait()
+	if got, want := liveRoots.Load(), int64(procs*callsPerProc); got != want {
+		t.Fatalf("chain table saw %d roots through the ingest path, want %d", got, want)
+	}
+	table.FlushOpen()
 
 	// Offline truth: merge the local sinks.
 	offline := logdb.NewStore()
 	for _, l := range locals {
 		offline.Insert(l.Snapshot()...)
 	}
-	if offline.Len() != store.Len() {
-		t.Fatalf("server store has %d records, local sinks have %d", store.Len(), offline.Len())
+	if led := table.Ledger(); offline.Len() != store.Len() || led.Buffered != 0 || led.Persisted != uint64(offline.Len()) {
+		t.Fatalf("store has %d records (table ledger %+v), local sinks have %d", store.Len(), led, offline.Len())
 	}
 
 	renderDSCG := func(db *logdb.Store) string {
@@ -116,12 +125,6 @@ func TestConcurrentIngestMatchesOffline(t *testing.T) {
 	}
 	if networked, local := renderDSCG(store), renderDSCG(offline); networked != local {
 		t.Fatalf("networked DSCG differs from per-process-sink DSCG:\n--- networked ---\n%s\n--- local ---\n%s", networked, local)
-	}
-	if got, want := liveRoots.Load(), int64(procs*callsPerProc); got != want {
-		t.Fatalf("online monitor saw %d roots through the ingest path, want %d", got, want)
-	}
-	if monitor.OpenChains() != 0 {
-		t.Fatalf("%d chains still open after drain", monitor.OpenChains())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"causeway/internal/ftl"
-	"causeway/internal/logdb"
 	"causeway/internal/probe"
 	"causeway/internal/topology"
 	"causeway/internal/transport"
@@ -48,8 +47,8 @@ func fastShipperDrain(t *testing.T, addr, proc string, buffer int, drain time.Du
 }
 
 func TestShipperDeliversAllRecords(t *testing.T) {
-	store := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}})
+	mem := &probe.MemorySink{}
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{mem}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +69,8 @@ func TestShipperDeliversAllRecords(t *testing.T) {
 	if !connectsOnce(st) {
 		t.Fatalf("connects = %d, want 1", st.Connects)
 	}
-	if store.Len() != n {
-		t.Fatalf("server store has %d records, want %d", store.Len(), n)
+	if mem.Len() != n {
+		t.Fatalf("server sink holds %d records, want %d", mem.Len(), n)
 	}
 	if ss := srv.Stats(); ss.Records != n || ss.Peers != 1 || ss.BadFrames != 0 {
 		t.Fatalf("server stats = %+v", ss)
@@ -142,8 +141,8 @@ func TestShipperDropOldestBounded(t *testing.T) {
 }
 
 func TestShipperReconnectsAfterServerRestart(t *testing.T) {
-	store1 := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store1}}})
+	mem1 := &probe.MemorySink{}
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{mem1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +150,7 @@ func TestShipperReconnectsAfterServerRestart(t *testing.T) {
 
 	sh := fastShipper(t, addr, "p1", 4096)
 	sh.Append(testRecord("p1", 1))
-	waitFor(t, func() bool { return store1.Len() == 1 }, "first record shipped")
+	waitFor(t, func() bool { return mem1.Len() == 1 }, "first record shipped")
 
 	// Kill the server mid-stream. A write into the dying socket can still
 	// succeed locally, so keep the traffic flowing until the shipper
@@ -165,8 +164,8 @@ func TestShipperReconnectsAfterServerRestart(t *testing.T) {
 
 	// Restart on the same address; the shipper reconnects and traffic
 	// flows into the new server.
-	store2 := logdb.NewStore()
-	srv2, err := Listen(addr, ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store2}}})
+	mem2 := &probe.MemorySink{}
+	srv2, err := Listen(addr, ServerConfig{Sinks: []probe.Sink{mem2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +173,7 @@ func TestShipperReconnectsAfterServerRestart(t *testing.T) {
 	waitForDriving(t, func() {
 		sh.Append(testRecord("p1", seq))
 		seq++
-	}, func() bool { return store2.Len() >= 1 }, "records delivered after reconnect")
+	}, func() bool { return mem2.Len() >= 1 }, "records delivered after reconnect")
 
 	if err := sh.Close(); err != nil {
 		t.Fatal(err)
@@ -249,8 +248,8 @@ func TestServerRejectsBadHandshake(t *testing.T) {
 }
 
 func TestServerToleratesMidStreamDisconnect(t *testing.T) {
-	store := logdb.NewStore()
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}})
+	mem := &probe.MemorySink{}
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{mem}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +269,7 @@ func TestServerToleratesMidStreamDisconnect(t *testing.T) {
 	if err := client.Post(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: batch}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, func() bool { return store.Len() == 1 }, "crasher's batch ingested")
+	waitFor(t, func() bool { return mem.Len() == 1 }, "crasher's batch ingested")
 	client.Close() // abrupt disconnect
 
 	// A healthy shipper on a fresh connection is unaffected.
@@ -279,8 +278,8 @@ func TestServerToleratesMidStreamDisconnect(t *testing.T) {
 	if err := sh.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if store.Len() != 2 {
-		t.Fatalf("store has %d records, want 2", store.Len())
+	if mem.Len() != 2 {
+		t.Fatalf("server sink holds %d records, want 2", mem.Len())
 	}
 	if ss := srv.Stats(); ss.Peers != 2 {
 		t.Fatalf("peers = %d, want 2", ss.Peers)

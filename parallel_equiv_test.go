@@ -20,7 +20,6 @@ import (
 	"causeway/internal/pps"
 	"causeway/internal/probe"
 	"causeway/internal/render"
-	"causeway/internal/telemetry"
 	"causeway/internal/transport"
 )
 
@@ -79,22 +78,20 @@ func TestParallelEquivalencePPS(t *testing.T) {
 
 // TestParallelEquivalenceLivemonitor mirrors examples/livemonitor: an
 // echo server and three clients over TCP loopback ship their records live
-// to a collection server, and the merged store must characterize
-// identically under sequential and parallel reconstruction.
+// to a collector (the cluster.Node collectd runs), and the store it drains
+// into must characterize identically under sequential and parallel
+// reconstruction.
 func TestParallelEquivalenceLivemonitor(t *testing.T) {
 	store := logdb.NewStore()
-	srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{Sinks: []probe.Sink{probe.StoreSink{Store: store}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	node := startNode(t, "", store)
+	defer node.Close()
 
 	newProc := func(name string) *causeway.Process {
 		p, err := causeway.NewProcess(causeway.ProcessConfig{
 			Name:         name,
 			Instrumented: true,
 			Monitor:      causeway.MonitorLatency,
-			ShipTo:       srv.Addr(),
+			ShipTo:       node.Addr(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +124,7 @@ func TestParallelEquivalenceLivemonitor(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := srv.Close(); err != nil {
+	if err := node.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() == 0 {

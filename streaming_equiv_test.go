@@ -8,6 +8,7 @@
 package causeway_test
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -16,13 +17,13 @@ import (
 	"causeway"
 	"causeway/internal/analysis"
 	"causeway/internal/benchgen/instrecho"
+	"causeway/internal/cluster"
 	"causeway/internal/faultinject"
 	"causeway/internal/logdb"
 	"causeway/internal/pps"
 	"causeway/internal/probe"
 	"causeway/internal/sampling"
 	"causeway/internal/streamrecon"
-	"causeway/internal/telemetry"
 	"causeway/internal/topology"
 	"causeway/internal/transport"
 	"causeway/internal/uuid"
@@ -108,34 +109,29 @@ func TestStreamingEquivalencePPS(t *testing.T) {
 	assertStreamingEquivalent(t, pipeline.Records())
 }
 
-// TestStreamingEquivalenceLivemonitor rides the true streaming path: the
-// assembler is a sink on a live telemetry server, fed concurrently with
-// a batch store by the same networked echo deployment, and both views
-// must characterize identically once every chain has been evicted.
+// TestStreamingEquivalenceLivemonitor rides the true streaming path: a
+// collector (the cluster.Node collectd runs) takes a networked echo
+// deployment's records through its chain table into its store, and once
+// quiescence has evicted every chain that store must characterize
+// identically to the records the processes themselves kept.
 func TestStreamingEquivalenceLivemonitor(t *testing.T) {
-	batch := logdb.NewStore()
 	stream := logdb.NewStore()
-	asm, err := streamrecon.New(streamrecon.Config{
-		Store:      stream,
-		Quiescence: 20 * time.Millisecond,
+	node, err := cluster.StartNode(cluster.NodeConfig{
+		Listen: "127.0.0.1:0",
+		Store:  stream,
+		Table:  streamrecon.Config{Quiescence: 20 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{
-		Sinks: []probe.Sink{probe.StoreSink{Store: batch}, asm},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	defer node.Close()
 
 	newProc := func(name string) *causeway.Process {
 		p, err := causeway.NewProcess(causeway.ProcessConfig{
 			Name:         name,
 			Instrumented: true,
 			Monitor:      causeway.MonitorLatency,
-			ShipTo:       srv.Addr(),
+			ShipTo:       node.Addr(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -162,29 +158,32 @@ func TestStreamingEquivalenceLivemonitor(t *testing.T) {
 			client.NewChain()
 		}
 	}
+	batch := logdb.NewStore()
 	for _, p := range procs {
 		if err := p.Close(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
+		if st := p.ShipperStats(); st.Dropped != 0 {
+			t.Fatalf("a process dropped %d records; equivalence needs lossless delivery", st.Dropped)
+		}
+		batch.Insert(asShipped(t, p.Records())...)
 	}
 
 	// Tick until quiescence has evicted every chain (real clock).
+	table := node.Table()
 	deadline := time.Now().Add(10 * time.Second)
-	for asm.OpenChains() > 0 {
+	for table.OpenChains() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d chains never evicted; ledger %+v", asm.OpenChains(), asm.Ledger())
+			t.Fatalf("%d chains never evicted; ledger %+v", table.OpenChains(), table.Ledger())
 		}
 		time.Sleep(5 * time.Millisecond)
-		asm.Tick()
+		node.Tick()
 	}
-	asm.Tick() // flush any queued links
+	node.Tick() // flush any queued links
 	if batch.Len() == 0 {
-		t.Fatal("no records reached the collection server")
+		t.Fatal("the processes recorded nothing")
 	}
-	led := asm.Ledger()
+	led := table.Ledger()
 	if led.Buffered != 0 || led.Persisted != uint64(batch.Len()) {
 		t.Fatalf("ledger %+v, batch holds %d", led, batch.Len())
 	}
@@ -192,6 +191,27 @@ func TestStreamingEquivalenceLivemonitor(t *testing.T) {
 	if got := characterize(t, analysis.ReconstructParallel(stream, 4)); got != want {
 		t.Fatal("live streaming characterization diverges from batch store")
 	}
+}
+
+// asShipped is recs as a collector receives them: through the record codec
+// every ship frame and store segment uses, which keeps a record's wall-clock
+// times and drops the monotonic readings a process's own copy carries (and
+// latency would be measured by).
+func asShipped(t *testing.T, recs []probe.Record) []probe.Record {
+	t.Helper()
+	var buf bytes.Buffer
+	sink := probe.NewStreamSink(&buf)
+	for _, r := range recs {
+		sink.Append(r)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	out, err := probe.ReadStream(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // sampledWorkload drives a fixed probe-level workload — sync calls plus
@@ -311,7 +331,7 @@ func TestHeadSamplingExactChainSet(t *testing.T) {
 // TestStreamingSamplingFaultSeeds is the cross-process propagation
 // check: a networked echo deployment under seeded transport fault
 // injection, head sampling at rate 0.5, and a drop-all-normal tail
-// policy at the collector. For each seed: no chain arrives half-sampled
+// policy at the collector (a cluster.Node). For each seed: no chain arrives half-sampled
 // (a chain's records appear only if its head — or its parent's head —
 // kept it), every broken chain that arrived survives the tail policy,
 // and the assembler ledger balances.
@@ -319,29 +339,25 @@ func TestStreamingSamplingFaultSeeds(t *testing.T) {
 	for _, seed := range []int64{1, 1234, 987654321} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			const rate = 0.5
-			arrivals := logdb.NewStore()
 			retained := logdb.NewStore()
-			asm, err := streamrecon.New(streamrecon.Config{
-				Store:      retained,
-				Quiescence: 20 * time.Millisecond,
-				Tail:       &sampling.TailPolicy{NormalRate: 0},
+			node, err := cluster.StartNode(cluster.NodeConfig{
+				Listen: "127.0.0.1:0",
+				Store:  retained,
+				Table: streamrecon.Config{
+					Quiescence: 20 * time.Millisecond,
+					Tail:       &sampling.TailPolicy{NormalRate: 0},
+				},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv, err := telemetry.Listen("127.0.0.1:0", telemetry.ServerConfig{
-				Sinks: []probe.Sink{probe.StoreSink{Store: arrivals}, asm},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
+			defer node.Close()
 
 			server, err := causeway.NewProcess(causeway.ProcessConfig{
 				Name:         "server",
 				Instrumented: true,
 				Monitor:      causeway.MonitorLatency,
-				ShipTo:       srv.Addr(),
+				ShipTo:       node.Addr(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -364,7 +380,7 @@ func TestStreamingSamplingFaultSeeds(t *testing.T) {
 					Name:            fmt.Sprintf("client-%d", c),
 					Instrumented:    true,
 					Monitor:         causeway.MonitorLatency,
-					ShipTo:          srv.Addr(),
+					ShipTo:          node.Addr(),
 					ChainSampleRate: rate,
 					WrapClient:      inj.WrapClient,
 					CallTimeout:     100 * time.Millisecond,
@@ -388,15 +404,21 @@ func TestStreamingSamplingFaultSeeds(t *testing.T) {
 					}
 				}
 			}
+			// What arrived at the collector is what the processes shipped:
+			// their own records, none dropped on the way.
+			arrivals := logdb.NewStore()
 			for _, p := range procs {
 				if err := p.Close(); err != nil {
 					t.Fatal(err)
 				}
+				if st := p.ShipperStats(); st.Dropped != 0 {
+					t.Fatalf("a process dropped %d records before they reached the collector", st.Dropped)
+				}
+				arrivals.Insert(p.Records()...)
 			}
-			if err := srv.Close(); err != nil {
+			if err := node.Close(); err != nil {
 				t.Fatal(err)
 			}
-			asm.FlushOpen()
 
 			chains, parents := chainSets(arrivalRecords(arrivals))
 			if len(chains) == 0 {
@@ -428,7 +450,7 @@ func TestStreamingSamplingFaultSeeds(t *testing.T) {
 					t.Fatalf("broken chain %s: retained %d of %d records", chain, len(retainedRecs), len(recs))
 				}
 			}
-			led := asm.Ledger()
+			led := node.Table().Ledger()
 			if led.Buffered != 0 || led.Appended != led.Persisted+led.Discarded {
 				t.Fatalf("assembler ledger does not balance: %+v", led)
 			}
