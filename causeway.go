@@ -116,7 +116,10 @@ type ProcessConfig struct {
 	// Monitor selects the armed aspect.
 	Monitor Aspect
 	// LogPath, when set, streams records to this file (collect later with
-	// AnalyzeFiles); otherwise records buffer in memory.
+	// AnalyzeFiles). A process that neither logs nor ships (ShipTo) keeps
+	// its records in memory for Records; a shipping process without a log
+	// keeps none, so Records is nil for it and its memory stays bounded by
+	// the shipper's ring.
 	LogPath string
 	// Policy selects the server threading architecture.
 	Policy PolicyKind
@@ -133,9 +136,10 @@ type ProcessConfig struct {
 	// that feeds the same monitor.
 	Online *OnlineMonitor
 	// ShipTo, when set, streams this process's records live to the
-	// collector tier (cmd/collectd) in addition to the local log/memory
-	// sink. It names one collector's TCP address, or the comma-separated
-	// list `collectd -peers` takes. Each record routes to the collector
+	// collector tier (cmd/collectd), in addition to the log when LogPath
+	// is set; a shipping process keeps no records in memory. It names one
+	// collector's TCP address, or the comma-separated list `collectd
+	// -peers` takes. Each record routes to the collector
 	// owning its chain's hash range (see internal/cluster), so every chain
 	// lands whole on one collector. The addresses seed a provisional ring;
 	// the ring any of those collectors serves supersedes it, and
@@ -260,8 +264,11 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		return nil, err
 	}
 
+	// Records go to the log, the shipper, or — when the process has
+	// neither — memory, so a long-running shipping process grows nothing.
 	var sink probe.Sink
-	if cfg.LogPath != "" {
+	switch {
+	case cfg.LogPath != "":
 		f, err := os.Create(cfg.LogPath)
 		if err != nil {
 			return nil, fmt.Errorf("causeway: create log: %w", err)
@@ -269,12 +276,12 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		p.file = f
 		p.stream = probe.NewStreamSink(f)
 		sink = p.stream
-	} else {
+	case cfg.ShipTo == "":
 		p.mem = &probe.MemorySink{}
 		sink = p.mem
 	}
 	if cfg.Online != nil {
-		sink = probe.TeeSink{sink, cfg.Online}
+		sink = tee(sink, cfg.Online)
 	}
 
 	// The alerting evaluator is built before the debug server so /alertz
@@ -337,7 +344,7 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		}
 		p.shipper = sh
 		p.metrics.RegisterSource("shipper", sh.WriteMetrics)
-		sink = probe.TeeSink{sink, sh}
+		sink = tee(sink, sh)
 	}
 
 	var aspects probe.Aspect
@@ -408,6 +415,15 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 	return p, nil
 }
 
+// tee adds b to the sinks a process's records go to; a is nil until the
+// first is chosen.
+func tee(a, b probe.Sink) probe.Sink {
+	if a == nil {
+		return b
+	}
+	return probe.TeeSink{a, b}
+}
+
 // aspectString names the armed aspects for /statusz.
 func (a Aspect) aspectString() string {
 	switch a {
@@ -425,7 +441,8 @@ func (a Aspect) aspectString() string {
 // independent top-level transactions.
 func (p *Process) NewChain() { p.ORB.Probes().Tunnel().Clear() }
 
-// Records returns the in-memory records (nil when logging to a file).
+// Records returns the in-memory records: nil for a process that logs to a
+// file or ships to a collector.
 func (p *Process) Records() []Record {
 	if p.mem == nil {
 		return nil

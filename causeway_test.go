@@ -3,6 +3,7 @@ package causeway
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,8 @@ import (
 	"causeway/internal/cluster"
 	"causeway/internal/logdb"
 	"causeway/internal/probe"
+	"causeway/internal/sampling"
+	"causeway/internal/streamrecon"
 )
 
 type upperServant struct{}
@@ -394,7 +397,7 @@ func TestShippingProcessFollowsServedRate(t *testing.T) {
 		steered.NewChain()
 	}
 	call()
-	before := len(steered.Records())
+	before := steered.ShipperStats().Appended
 	if before == 0 {
 		t.Fatal("a chain begun at rate 1 left no records")
 	}
@@ -410,7 +413,7 @@ func TestShippingProcessFollowsServedRate(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		call()
 	}
-	if after := len(steered.Records()); after != before {
+	if after := steered.ShipperStats().Appended; after != before {
 		t.Fatalf("rate 0 still recorded chains: %d records, was %d", after, before)
 	}
 
@@ -418,5 +421,91 @@ func TestShippingProcessFollowsServedRate(t *testing.T) {
 	time.Sleep(500 * time.Millisecond)
 	if r := kept.SamplingRate(); r != 0.5 {
 		t.Fatalf("a collector serving no rate moved the process to %g, want 0.5", r)
+	}
+}
+
+// TestShippingProcessMemoryBounded: a process that ships and keeps no log
+// holds no copy of its records, so however many calls it makes its heap
+// stays within the shipper's ring, which is allocated up front. The
+// collector keeps nothing either: its tail policy drops every clean chain
+// once quiescence evicts it, and its table soon forgets the chain.
+func TestShippingProcessMemoryBounded(t *testing.T) {
+	node, err := cluster.StartNode(cluster.NodeConfig{
+		Listen: "127.0.0.1:0",
+		Store:  logdb.NewStore(),
+		Table: streamrecon.Config{
+			Quiescence: 10 * time.Millisecond,
+			StaleAfter: 20 * time.Millisecond,
+			Tail:       &sampling.TailPolicy{NormalRate: 0},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	net := NewNetwork()
+	server, err := NewProcess(ProcessConfig{Name: "server", Network: net, Instrumented: true, ShipTo: node.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	if err := instrecho.RegisterEcho(server.ORB, "echo", "c", upperServant{}); err != nil {
+		t.Fatal(err)
+	}
+	ep, err := server.ORB.ListenInproc("server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewProcess(ProcessConfig{Name: "client", Network: net, Instrumented: true, ShipTo: node.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	stub := instrecho.NewEchoStub(client.ORB.RefTo(ep, "echo", "Echo", "c"))
+
+	// settledHeap makes calls, ticking the collector as collectd does,
+	// waits until both processes have shipped everything and the
+	// collector has let every chain go, and returns the live heap.
+	settledHeap := func(calls int) uint64 {
+		t.Helper()
+		for i := 1; i <= calls; i++ {
+			if _, err := stub.Echo("x"); err != nil {
+				t.Fatal(err)
+			}
+			client.NewChain()
+			if i%100 == 0 {
+				node.Tick()
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			c, s := client.ShipperStats(), server.ShipperStats()
+			if c.Shipped == c.Appended && s.Shipped == s.Appended && node.Table().OpenChains() == 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("not settled: client %+v, server %+v, %d open chains", c, s, node.Table().OpenChains())
+			}
+			time.Sleep(5 * time.Millisecond)
+			node.Tick()
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	const calls = 20000
+	before := settledHeap(2000)
+	after := settledHeap(calls)
+	// The rings were allocated with the processes; what a call may leave
+	// behind is nothing, so the bound is a constant for the runtime's and
+	// the collector's own churn.
+	const bound = 4 << 20
+	if after > before && after-before > bound {
+		t.Fatalf("heap grew %d KB over %d calls (%d B a call), want at most %d KB", (after-before)>>10, calls, (after-before)/calls, bound>>10)
+	}
+	t.Logf("heap %d KB → %d KB over %d calls", before>>10, after>>10, calls)
+	if client.Records() != nil || server.Records() != nil {
+		t.Fatal("a shipping process without a log kept its records")
 	}
 }

@@ -28,7 +28,7 @@ const (
 	maxAllocsSyncInproc = 6 // measured 5: reply chan, respond+dispatch closures, reply buf, 2 string decodes
 	maxAllocsSyncTCP    = 9 // measured 7: adds reply-body copy and wait bookkeeping
 	maxAllocsOneway     = 3 // measured 2: body copy for async dispatch, dispatch closure
-	maxAllocsCollocated = 2 // measured 1: servant result string concat path
+	maxAllocsCollocated = 1 // measured 0: the collocation check compares precomputed endpoints
 )
 
 // measureHotPath runs with the metrics plane armed — including exemplar
@@ -115,10 +115,10 @@ func TestCollocatedAllocCeiling(t *testing.T) {
 // Figure 1's deployments (BenchmarkFigure1ProbeOverhead) run the default
 // thread-per-request policy, so each call also starts the dispatch
 // goroutine the pool-policy pairs above never pay for. Measured 6 per call
-// on both compilations and 1 collocated; one alloc of slack as above.
+// on both compilations and 0 collocated; one alloc of slack as above.
 const (
 	maxAllocsFigure1Call       = 7
-	maxAllocsFigure1Collocated = 2
+	maxAllocsFigure1Collocated = 1
 )
 
 // TestFigure1AllocCeiling pins every arm of Figure 1, plain and

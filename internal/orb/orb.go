@@ -125,8 +125,12 @@ type ORB struct {
 	mu      sync.Mutex
 	objects map[string]*registration
 	servers []transport.Server
-	clients map[string]transport.Client
-	closed  bool
+	// endpoints holds every form of every server's address a reference
+	// may carry, computed once at listen so the collocation check per
+	// call compares strings and builds none.
+	endpoints []string
+	clients   map[string]transport.Client
+	closed    bool
 }
 
 // New validates cfg and builds the runtime.
@@ -229,14 +233,19 @@ func (o *ORB) serveOn(srv transport.Server) (string, error) {
 		srv.Close()
 		return "", err
 	}
+	addr := srv.Addr()
+	endpoint := addr
+	if !strings.Contains(addr, "://") {
+		endpoint = "tcp://" + addr
+	}
 	o.mu.Lock()
 	o.servers = append(o.servers, srv)
-	o.mu.Unlock()
-	addr := srv.Addr()
-	if !strings.Contains(addr, "://") {
-		addr = "tcp://" + addr
+	o.endpoints = append(o.endpoints, addr)
+	if endpoint != addr {
+		o.endpoints = append(o.endpoints, endpoint)
 	}
-	return addr, nil
+	o.mu.Unlock()
+	return endpoint, nil
 }
 
 // handleRequest schedules the dispatch of one incoming request according
@@ -339,7 +348,7 @@ func (o *ORB) Shutdown() {
 	o.closed = true
 	servers := o.servers
 	clients := o.clients
-	o.servers = nil
+	o.servers, o.endpoints = nil, nil
 	o.clients = make(map[string]transport.Client)
 	o.mu.Unlock()
 

@@ -3,6 +3,7 @@ package orb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"causeway/internal/ftl"
@@ -83,13 +84,7 @@ func (r *Ref) LocalServant() (any, bool) {
 func (o *ORB) servesEndpoint(endpoint string) bool {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	for _, s := range o.servers {
-		addr := s.Addr()
-		if addr == endpoint || "tcp://"+addr == endpoint {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(o.endpoints, endpoint)
 }
 
 // Invoke performs a synchronous request carrying a pre-marshalled body and

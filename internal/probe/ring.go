@@ -59,12 +59,15 @@ func NewSpanRing(capacity int) *SpanRing {
 	return r
 }
 
-// Push enqueues one span. It returns the number of records dropped:
+// Push enqueues one span. It returns the number of records dropped —
 // evicted resident records (ring full), plus the incoming records
-// themselves if the span had to be shed.
-func (r *SpanRing) Push(recs []Record) (dropped int) {
+// themselves if the span had to be shed — and the resident count this push
+// left, read off the same atomic add that applied it. So the count before
+// the push, buffered-(len(recs)-dropped), is exact too, and a producer
+// learns from its own push alone whether it turned the ring non-empty.
+func (r *SpanRing) Push(recs []Record) (dropped, buffered int) {
 	if len(recs) == 0 {
-		return 0
+		return 0, r.Buffered()
 	}
 	stored, evicted := r.push(recs)
 	delta := -evicted
@@ -74,10 +77,7 @@ func (r *SpanRing) Push(recs []Record) (dropped int) {
 	} else {
 		dropped += len(recs)
 	}
-	if delta != 0 {
-		r.buffered.Add(int64(delta))
-	}
-	return dropped
+	return dropped, int(r.buffered.Add(int64(delta)))
 }
 
 // PopInto appends resident spans to dst (whole spans at a time, oldest

@@ -148,17 +148,18 @@ func spanOf(n int, seq uint64) []Record {
 
 // TestSpanRingEvictsOldest fills a four-cell ring and overflows it: each
 // push past capacity evicts the oldest resident span and reports its
-// records, and what remains pops whole spans in FIFO order.
+// records, every push reports the resident count it left, and what remains
+// pops whole spans in FIFO order.
 func TestSpanRingEvictsOldest(t *testing.T) {
 	r := NewSpanRing(4)
 	for i := 0; i < 4; i++ {
-		if d := r.Push(spanOf(2, uint64(i))); d != 0 {
-			t.Fatalf("push %d into a ring with room dropped %d", i, d)
+		if d, n := r.Push(spanOf(2, uint64(i))); d != 0 || n != 2*(i+1) {
+			t.Fatalf("push %d into a ring with room dropped %d and left %d resident, want 0 and %d", i, d, n, 2*(i+1))
 		}
 	}
 	for i := 4; i < 6; i++ {
-		if d := r.Push(spanOf(2, uint64(i))); d != 2 {
-			t.Fatalf("push %d into a full ring dropped %d, want the oldest span's 2", i, d)
+		if d, n := r.Push(spanOf(2, uint64(i))); d != 2 || n != 8 {
+			t.Fatalf("push %d into a full ring dropped %d and left %d resident, want the oldest span's 2 and 8", i, d, n)
 		}
 	}
 	if got := r.Buffered(); got != 8 {
@@ -186,7 +187,8 @@ func TestSpanRingOneCellConserves(t *testing.T) {
 	r := NewSpanRing(1)
 	dropped := 0
 	for i := 0; i < 3; i++ {
-		dropped += r.Push(spanOf(1, uint64(i)))
+		d, _ := r.Push(spanOf(1, uint64(i)))
+		dropped += d
 	}
 	got := r.PopInto(nil, 8)
 	if len(got)+dropped != 3 || dropped != 1 || got[0].Seq != 1 {
@@ -212,7 +214,7 @@ func TestSpanRingShedsWhenOldestWedged(t *testing.T) {
 
 	// The ring is full (one cell held, the next is the held one's slot
 	// again) and its oldest cell is not evictable.
-	if d := r.Push(spanOf(3, 2)); d != 3 {
+	if d, _ := r.Push(spanOf(3, 2)); d != 3 {
 		t.Fatalf("push against a wedged cell dropped %d, want the incoming 3", d)
 	}
 	if got := r.Buffered(); got != 1 {
@@ -222,7 +224,7 @@ func TestSpanRingShedsWhenOldestWedged(t *testing.T) {
 	held.clear()
 	held.seq.Store(rel)
 	r.buffered.Add(-1)
-	if d := r.Push(spanOf(2, 3)); d != 0 {
+	if d, _ := r.Push(spanOf(2, 3)); d != 0 {
 		t.Fatalf("push after release dropped %d", d)
 	}
 	if got := r.PopInto(nil, 8); len(got) != 2 || got[0].Seq != 3 {
@@ -246,7 +248,8 @@ func TestSpanRingConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < spans; i++ {
-				dropped.Add(int64(r.Push(spanOf(1+(g+i)%4, uint64(i)))))
+				d, _ := r.Push(spanOf(1+(g+i)%4, uint64(i)))
+				dropped.Add(int64(d))
 			}
 		}(g)
 	}

@@ -339,47 +339,3 @@ func TestServerRefusesShipFramesWhileBacklogged(t *testing.T) {
 		t.Fatalf("the sink holds %d records, want one frame's %d", len(sink.recs), len(codecRecords()))
 	}
 }
-
-// A shipper whose batch is refused sends it again at its flush tick, not at
-// every append, and a Close that finds the collector backlogged keeps
-// trying within its drain budget.
-func TestShipperResendsRefusedBatchAtFlushTick(t *testing.T) {
-	sink := &backlogSink{}
-	sink.full.Store(true)
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{sink}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	sh, err := NewShipper(ShipperConfig{
-		Addr: srv.Addr(), Process: testProc("p"), BufferSize: 4096,
-		FlushInterval: 50 * time.Millisecond, DrainTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 2000
-	start := time.Now()
-	for i := 1; i <= n; i++ {
-		sh.Append(testRecord("p", uint64(i)))
-		if i%10 == 0 {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	waitFor(t, func() bool { return srv.Stats().Refused > 0 }, "a refusal")
-	// One send per flush tick, give or take the first, over the appends.
-	if refused, ticks := srv.Stats().Refused, uint64(time.Since(start)/(50*time.Millisecond)); refused > ticks+2 {
-		t.Fatalf("%d refusals in %d flush ticks: the shipper resent at the producer's rate", refused, ticks)
-	}
-	closed := make(chan struct{})
-	go func() { sh.Close(); close(closed) }()
-	time.Sleep(100 * time.Millisecond)
-	sink.full.Store(false)
-	<-closed
-	if st := sh.Stats(); st.Shipped != n || st.Dropped != 0 {
-		t.Fatalf("after the backlog cleared during Close: %+v", st)
-	}
-	if got := srv.Stats().Records; got != n {
-		t.Fatalf("the server took %d records, want %d", got, n)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -26,8 +27,11 @@ type ShipperConfig struct {
 	BufferSize int
 	// BatchSize caps records per ship frame; default 256.
 	BatchSize int
-	// FlushInterval is the background flush period for partially filled
-	// batches; default 25ms.
+	// FlushInterval is the least time between two ship frames; default
+	// 1ms. A full batch ships at once, and so does a record that finds the
+	// shipper idle for a FlushInterval; a partial batch otherwise waits
+	// until FlushInterval has passed since the previous frame, so records
+	// arriving faster than the collector's round trip share frames.
 	FlushInterval time.Duration
 	// BackoffMin/BackoffMax bound the reconnect backoff (exponential with
 	// jitter); defaults 50ms and 5s.
@@ -70,7 +74,7 @@ func (c *ShipperConfig) applyDefaults() error {
 		c.BatchSize = c.BufferSize
 	}
 	if c.FlushInterval <= 0 {
-		c.FlushInterval = 25 * time.Millisecond
+		c.FlushInterval = time.Millisecond
 	}
 	if c.BackoffMin <= 0 {
 		c.BackoffMin = 50 * time.Millisecond
@@ -185,6 +189,13 @@ func (s *ShipperSink) Append(r probe.Record) {
 
 // AppendSpan implements probe.SpanSink: the records of one invocation span
 // enter the ring as a unit — one CAS, one cell copy — and ship together.
+//
+// It wakes the loop only when its push turned the ring non-empty (the loop
+// may be waiting with nothing to send) or filled a batch (the loop may be
+// spacing out a partial one). Both are read off the count the push itself
+// left: the loop sleeps on the wake only after seeing the ring empty, and
+// whichever later push takes the count above zero sees that it did, so no
+// record is left waiting for a wake that never comes.
 func (s *ShipperSink) AppendSpan(recs []probe.Record) {
 	if len(recs) == 0 {
 		return
@@ -194,12 +205,16 @@ func (s *ShipperSink) AppendSpan(recs []probe.Record) {
 		s.dropped.Add(uint64(len(recs)))
 		return
 	}
-	if d := s.ring.Push(recs); d > 0 {
+	d, n := s.ring.Push(recs)
+	if d > 0 {
 		s.dropped.Add(uint64(d))
 	}
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	prev := n - (len(recs) - d)
+	if (prev <= 0 && n > 0) || (prev < s.cfg.BatchSize && n >= s.cfg.BatchSize) {
+		select {
+		case s.wake <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -364,7 +379,8 @@ func (s *ShipperSink) pollRing(client transport.Client) bool {
 	return true
 }
 
-// loop is the background encoder/sender: batch, ship, flush on a timer,
+// loop is the background encoder/sender: batch, ship full batches at once
+// and partial ones no sooner than FlushInterval after the previous frame,
 // reconnect with exponential backoff + jitter, drain on stop.
 func (s *ShipperSink) loop() {
 	defer close(s.done)
@@ -373,7 +389,8 @@ func (s *ShipperSink) loop() {
 		pending []probe.Record     // taken from the ring, not yet acknowledged
 		enc     probe.FrameEncoder // one encode buffer for the loop's lifetime
 		backoff = s.cfg.BackoffMin
-		refused bool // the collector did not keep the pending batch
+		last    time.Time // when the previous ship frame went out
+		retryAt time.Time // a refused pending batch goes again no sooner
 	)
 	disconnect := func() {
 		if client != nil {
@@ -384,20 +401,37 @@ func (s *ShipperSink) loop() {
 	}
 	defer disconnect()
 
-	// ship sends pending plus everything buffered; false on send failure.
-	// A non-empty pending is an unacknowledged batch retried across
-	// reconnects; truncating (never nilling) it keeps its backing array —
-	// and the encoder's buffer — live for the next batch.
-	ship := func() bool {
-		refused = false
+	// ship sends every frame that is due and returns how long until the
+	// next one is: zero when the ring is empty, so only a wake is awaited.
+	// ok is false on send failure. A non-empty pending is an
+	// unacknowledged batch retried across reconnects; truncating (never
+	// nilling) it keeps its backing array — and the encoder's buffer —
+	// live for the next batch.
+	ship := func() (next time.Duration, ok bool) {
 		for {
-			if len(pending) == 0 {
-				pending = s.take(pending, s.cfg.BatchSize)
-			}
-			if len(pending) == 0 {
-				return true
+			if len(pending) > 0 {
+				if wait := time.Until(retryAt); wait > 0 {
+					return wait, true
+				}
+			} else {
+				n := s.ring.Buffered()
+				if n <= 0 {
+					return 0, true
+				}
+				if n < s.cfg.BatchSize {
+					if wait := s.cfg.FlushInterval - time.Since(last); wait > 0 {
+						return wait, true
+					}
+				}
+				if pending = s.take(pending, s.cfg.BatchSize); len(pending) == 0 {
+					// The oldest cell's producer is between claiming it and
+					// filling it; it is about to finish.
+					runtime.Gosched()
+					continue
+				}
 			}
 			payload := enc.Encode(pending)
+			last = time.Now()
 			// Acknowledged shipment: the batch leaves pending only once
 			// the server confirms ingestion. A batch written onto a
 			// socket whose far end just died would otherwise be counted
@@ -406,14 +440,15 @@ func (s *ShipperSink) loop() {
 			// stores deduplicate by record identity.
 			rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: payload})
 			if err != nil {
-				return false
+				return 0, false
 			}
 			if rep.Status == transport.StatusUserException {
 				// The collector could not keep the frame: the batch is not
-				// acknowledged and goes again at the next flush.
+				// acknowledged and goes again after a backoff, not at the
+				// producers' rate.
 				s.lastErr.Store(fmt.Sprintf("telemetry: ship not kept: %s", rep.Body))
-				refused = true
-				return true
+				retryAt = time.Now().Add(Jitter(s.cfg.BackoffMin))
+				continue
 			}
 			if rep.Status != transport.StatusOK {
 				// Protocol rejection: nothing a retry can fix.
@@ -431,8 +466,10 @@ func (s *ShipperSink) loop() {
 		}
 	}
 
-	ticker := time.NewTicker(s.cfg.FlushInterval)
-	defer ticker.Stop()
+	// One timer paces partial batches and refused ones; it is armed only
+	// while something waits to ship.
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
 	var rateCh <-chan time.Time
 	if s.cfg.RateTarget != nil {
 		rt := time.NewTicker(s.cfg.RatePollInterval)
@@ -467,16 +504,21 @@ func (s *ShipperSink) loop() {
 			}
 			backoff = s.cfg.BackoffMin
 		}
-		if !ship() {
+		next, ok := ship()
+		if !ok {
 			disconnect()
 			continue
 		}
-		// A refused batch waits for the flush tick, not the next append:
-		// a collector that pushes back is not asked again at the
-		// producers' rate.
-		wake := s.wake
-		if refused {
-			wake = nil
+		var due <-chan time.Time
+		if next > 0 {
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(next)
+			due = timer.C
 		}
 		select {
 		case <-s.stop:
@@ -485,8 +527,8 @@ func (s *ShipperSink) loop() {
 		case <-s.detach:
 			s.detached <- pending
 			return
-		case <-wake:
-		case <-ticker.C:
+		case <-s.wake:
+		case <-due:
 		case <-rateCh:
 			if !s.pollRate(client) {
 				disconnect()
@@ -579,8 +621,8 @@ func (s *ShipperSink) drain(client transport.Client, pending []probe.Record) {
 		payload := enc.Encode(pending)
 		rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: payload})
 		if err == nil && rep.Status == transport.StatusUserException {
-			// Not kept: try again after a flush interval, within the budget.
-			time.Sleep(min(s.cfg.FlushInterval, time.Until(deadline)))
+			// Not kept: try again after a backoff, within the budget.
+			time.Sleep(min(Jitter(s.cfg.BackoffMin), time.Until(deadline)))
 			continue
 		}
 		if err != nil || rep.Status != transport.StatusOK {

@@ -6,10 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -161,4 +163,65 @@ func TestDecodeFrameFuzzSeeds(t *testing.T) {
 // being encoded and decoded again.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Fuzz(checkDecodeFrame)
+}
+
+// countingConn counts the Read calls made on a connection.
+type countingConn struct {
+	net.Conn
+	reads atomic.Int64
+}
+
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// Both connection loops read through a buffer: N small frames, each
+// written in one piece, cost at most N+1 reads (the last one sees the
+// close), where reading header and body straight off the socket costs 2N.
+func TestConnLoopsReadSmallFrameOnce(t *testing.T) {
+	const frames = 64
+	t.Run("server", func(t *testing.T) {
+		near, far := net.Pipe()
+		conn := &countingConn{Conn: near}
+		var handled atomic.Int64
+		s := &TCPServer{conns: make(map[net.Conn]struct{})}
+		s.handler = func(ConnID, Request, Responder) { handled.Add(1) }
+		s.wg.Add(1)
+		go s.connLoop(conn, 1)
+		for i := 0; i < frames; i++ {
+			frame := appendRequestFrame(nil, Request{ID: uint64(i + 1), Oneway: true, ObjectKey: "k", Operation: "op", Body: []byte("small")})
+			if _, err := far.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		far.Close()
+		s.wg.Wait()
+		if handled.Load() != frames {
+			t.Fatalf("handled %d of %d requests", handled.Load(), frames)
+		}
+		if n := conn.reads.Load(); n > frames+1 {
+			t.Fatalf("%d requests took %d reads, want at most %d", frames, n, frames+1)
+		}
+	})
+	t.Run("client", func(t *testing.T) {
+		near, far := net.Pipe()
+		conn := &countingConn{Conn: near}
+		c := &TCPClient{conn: conn, pending: make(map[uint64]chan Reply), done: make(chan struct{})}
+		go c.readLoop()
+		for i := 0; i < frames; i++ {
+			frame := appendReplyFrame(nil, Reply{ID: uint64(i + 1), Status: StatusOK, Body: []byte("small")})
+			if _, err := far.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		far.Close()
+		<-c.done
+		if c.Discarded() != frames {
+			t.Fatalf("read %d of %d replies", c.Discarded(), frames)
+		}
+		if n := conn.reads.Load(); n > frames+1 {
+			t.Fatalf("%d replies took %d reads, want at most %d", frames, n, frames+1)
+		}
+	})
 }

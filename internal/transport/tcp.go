@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -79,6 +80,12 @@ func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
 	}
 	return buf, nil
 }
+
+// newConnReader buffers a connection's reads, so a small frame's header
+// and body — and whatever frames arrived behind them — cost one read
+// syscall, not two a frame. Frames are still copied out into the frame
+// buffer, so what a lent body aliases is unchanged.
+func newConnReader(conn net.Conn) *bufio.Reader { return bufio.NewReaderSize(conn, 4096) }
 
 // maxPooledFrameCap clamps what the frame pool retains, so one huge message
 // does not pin its buffer for the life of the process.
@@ -480,10 +487,11 @@ func (s *TCPServer) connLoop(conn net.Conn, id ConnID) {
 	// buffer to the pool while a late responder still writes into it.
 	readBuf := getFrameBuf()
 	defer putFrameBuf(readBuf)
+	rd := newConnReader(conn)
 	var writeBuf []byte
 	interned := make(map[string]string, 8)
 	for {
-		frame, err := readFrameInto(conn, *readBuf)
+		frame, err := readFrameInto(rd, *readBuf)
 		if err != nil {
 			return
 		}
@@ -643,8 +651,9 @@ func (c *TCPClient) readLoop() {
 	// copies the body out, so the next read may overwrite it.
 	readBuf := getFrameBuf()
 	defer putFrameBuf(readBuf)
+	rd := newConnReader(c.conn)
 	for {
-		frame, err := readFrameInto(c.conn, *readBuf)
+		frame, err := readFrameInto(rd, *readBuf)
 		if err != nil {
 			c.failPending(err)
 			return

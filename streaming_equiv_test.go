@@ -8,8 +8,8 @@
 package causeway_test
 
 import (
-	"bytes"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -113,7 +113,7 @@ func TestStreamingEquivalencePPS(t *testing.T) {
 // collector (the cluster.Node collectd runs) takes a networked echo
 // deployment's records through its chain table into its store, and once
 // quiescence has evicted every chain that store must characterize
-// identically to the records the processes themselves kept.
+// identically to the records the processes themselves logged.
 func TestStreamingEquivalenceLivemonitor(t *testing.T) {
 	stream := logdb.NewStore()
 	node, err := cluster.StartNode(cluster.NodeConfig{
@@ -126,12 +126,14 @@ func TestStreamingEquivalenceLivemonitor(t *testing.T) {
 	}
 	defer node.Close()
 
+	dir := t.TempDir()
 	newProc := func(name string) *causeway.Process {
 		p, err := causeway.NewProcess(causeway.ProcessConfig{
 			Name:         name,
 			Instrumented: true,
 			Monitor:      causeway.MonitorLatency,
 			ShipTo:       node.Addr(),
+			LogPath:      filepath.Join(dir, name+".ftlog"),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -166,8 +168,10 @@ func TestStreamingEquivalenceLivemonitor(t *testing.T) {
 		if st := p.ShipperStats(); st.Dropped != 0 {
 			t.Fatalf("a process dropped %d records; equivalence needs lossless delivery", st.Dropped)
 		}
-		batch.Insert(asShipped(t, p.Records())...)
 	}
+	// The logs are written with the codec every ship frame uses, so they
+	// hold the records as the collector received them.
+	loadLogs(t, batch, dir)
 
 	// Tick until quiescence has evicted every chain (real clock).
 	table := node.Table()
@@ -193,25 +197,13 @@ func TestStreamingEquivalenceLivemonitor(t *testing.T) {
 	}
 }
 
-// asShipped is recs as a collector receives them: through the record codec
-// every ship frame and store segment uses, which keeps a record's wall-clock
-// times and drops the monotonic readings a process's own copy carries (and
-// latency would be measured by).
-func asShipped(t *testing.T, recs []probe.Record) []probe.Record {
+// loadLogs merges every process log in dir into db; a shipping process
+// keeps no records in memory, so its log is the reference copy.
+func loadLogs(t *testing.T, db *logdb.Store, dir string) {
 	t.Helper()
-	var buf bytes.Buffer
-	sink := probe.NewStreamSink(&buf)
-	for _, r := range recs {
-		sink.Append(r)
+	if _, warnings, err := db.LoadGlob(filepath.Join(dir, "*.ftlog")); err != nil || warnings != 0 {
+		t.Fatalf("loading the process logs: %d torn tails, %v", warnings, err)
 	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out, err := probe.ReadStream(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 // sampledWorkload drives a fixed probe-level workload — sync calls plus
@@ -353,11 +345,13 @@ func TestStreamingSamplingFaultSeeds(t *testing.T) {
 			}
 			defer node.Close()
 
+			dir := t.TempDir()
 			server, err := causeway.NewProcess(causeway.ProcessConfig{
 				Name:         "server",
 				Instrumented: true,
 				Monitor:      causeway.MonitorLatency,
 				ShipTo:       node.Addr(),
+				LogPath:      filepath.Join(dir, "server.ftlog"),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -381,6 +375,7 @@ func TestStreamingSamplingFaultSeeds(t *testing.T) {
 					Instrumented:    true,
 					Monitor:         causeway.MonitorLatency,
 					ShipTo:          node.Addr(),
+					LogPath:         filepath.Join(dir, fmt.Sprintf("client-%d.ftlog", c)),
 					ChainSampleRate: rate,
 					WrapClient:      inj.WrapClient,
 					CallTimeout:     100 * time.Millisecond,
@@ -404,8 +399,8 @@ func TestStreamingSamplingFaultSeeds(t *testing.T) {
 					}
 				}
 			}
-			// What arrived at the collector is what the processes shipped:
-			// their own records, none dropped on the way.
+			// What arrived at the collector is what the processes logged
+			// and shipped, none dropped on the way.
 			arrivals := logdb.NewStore()
 			for _, p := range procs {
 				if err := p.Close(); err != nil {
@@ -414,8 +409,8 @@ func TestStreamingSamplingFaultSeeds(t *testing.T) {
 				if st := p.ShipperStats(); st.Dropped != 0 {
 					t.Fatalf("a process dropped %d records before they reached the collector", st.Dropped)
 				}
-				arrivals.Insert(p.Records()...)
 			}
+			loadLogs(t, arrivals, dir)
 			if err := node.Close(); err != nil {
 				t.Fatal(err)
 			}
