@@ -1,5 +1,5 @@
 // Equivalence tests for the tiered collector cluster: a workload fanned
-// across a 3-collector ingest tier, then aggregated, must characterize
+// across a 3-collector ingest tier, then merged, must characterize
 // byte-identically to a single collector holding every record — in the
 // steady state on the repo's two reference workloads, and across a
 // collector killed and rejoined mid-run with its hash ranges replayed
@@ -86,19 +86,17 @@ func setRing(nodes []*cluster.Node, r telemetry.Ring) {
 }
 
 // mergeFleet folds every collector's export stream into one fleet store
-// through the deduplicating aggregator, as `collectd -aggregate` does,
-// and returns the store with the number of records the merge rejected as
-// already held.
-func mergeFleet[S cluster.Store](t *testing.T, addrs []string, stores []S) (fleet *logdb.Store, dups int) {
+// with cluster.MergeStream, as `causectl -peers` does, and returns the
+// store with the number of records the merge rejected as already held.
+func mergeFleet[S cluster.Store](t *testing.T, stores []S) (fleet *logdb.Store, dups int) {
 	t.Helper()
 	fleet = logdb.NewStore()
-	agg := cluster.NewAggregator(fleet)
-	for i, db := range stores {
+	for _, db := range stores {
 		var buf bytes.Buffer
 		if err := logdb.WriteRecords(db, &buf); err != nil {
 			t.Fatal(err)
 		}
-		_, d, err := agg.MergeStream(addrs[i], &buf)
+		_, d, err := cluster.MergeStream(fleet, &buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +224,7 @@ func TestClusterEquivalencePPS(t *testing.T) {
 			t.Fatalf("collector %s ingested nothing; slot spans too coarse for the workload", addrs[i])
 		}
 	}
-	fleet, dups := mergeFleet(t, addrs, stores)
+	fleet, dups := mergeFleet(t, stores)
 	if dups != 0 {
 		t.Fatalf("steady-state merge rejected %d duplicates", dups)
 	}
@@ -240,7 +238,7 @@ func TestClusterEquivalencePPS(t *testing.T) {
 
 // TestClusterEquivalenceLivemonitor rides the facade path: a networked
 // echo deployment where every process names all three live collectors in
-// ShipTo, and the aggregated fleet view must characterize
+// ShipTo, and the merged fleet view must characterize
 // identically to one store holding everything that arrived.
 func TestClusterEquivalenceLivemonitor(t *testing.T) {
 	var nodes []*cluster.Node
@@ -325,7 +323,7 @@ func TestClusterEquivalenceLivemonitor(t *testing.T) {
 	}
 	want := characterize(t, analysis.ReconstructParallel(union, 4))
 
-	fleet, dups := mergeFleet(t, addrs, stores)
+	fleet, dups := mergeFleet(t, stores)
 	if dups != 0 {
 		t.Fatalf("steady-state merge rejected %d duplicates", dups)
 	}
@@ -684,7 +682,7 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 
 			// The fleet view: dedup absorbs exactly the replay copies, and
 			// characterization matches the single-collector baseline.
-			fleet, dups := mergeFleet(t, addrs, stores)
+			fleet, dups := mergeFleet(t, stores)
 			if fleet.Len() != len(recs) {
 				t.Fatalf("fleet holds %d of %d records after kill/rejoin", fleet.Len(), len(recs))
 			}

@@ -4,12 +4,16 @@
 // interfaces by latency percentile, or export the store as one merged
 // .ftlog that `causectl -logs` reads back unchanged.
 //
-// It reads either a sharded on-disk trace store written by
-// `collectd -store DIR` or a glob of per-process .ftlog files.
+// It reads a sharded on-disk trace store written by `collectd -store DIR`,
+// a glob of per-process .ftlog files, or — with -peers — a running
+// collector tier: each collector's /exportz record stream, pulled once per
+// invocation and merged into one fleet store. Chain-range ownership keeps
+// the collectors' stores disjoint, so the fleet view is built at query
+// time and no collector keeps a second copy of the tier's records.
 //
 // Usage:
 //
-//	causectl [-store dir | -logs glob] [-workers N] <command> [args]
+//	causectl [-store dir | -logs glob | -peers dbg1,dbg2,...] [-workers N] <command> [args]
 //
 // Commands:
 //
@@ -51,6 +55,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -80,49 +85,63 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("causectl", flag.ContinueOnError)
 	storeDir := fs.String("store", "", "sharded trace store directory (collectd -store)")
 	logsGlob := fs.String("logs", "", "glob of per-process .ftlog files")
+	peers := fs.String("peers", "", "comma-separated debug addresses of a running collector tier: merge every collector's /exportz into one fleet store")
 	workers := fs.Int("workers", 0, "parallel reconstruction workers (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() == 0 {
-		return fmt.Errorf("usage: causectl [-store dir | -logs glob] <report|chains|show|top|export|cluster|alerts> [args]")
+		return fmt.Errorf("usage: causectl [-store dir | -logs glob | -peers dbg1,dbg2,...] <report|chains|show|top|export|cluster|alerts> [args]")
+	}
+	sources := 0
+	for _, s := range []string{*storeDir, *logsGlob, *peers} {
+		if s != "" {
+			sources++
+		}
 	}
 	if fs.Arg(0) == "chains" && followRequested(fs.Args()[1:]) {
 		// Follow mode talks to a running collectd, not a store.
-		if *storeDir != "" || *logsGlob != "" {
-			return fmt.Errorf("chains -follow reads a running collectd's /feedz, not -store/-logs")
+		if sources > 0 {
+			return fmt.Errorf("chains -follow reads a running collectd's /feedz, not -store/-logs/-peers")
 		}
 		return cmdFollow(w, fs.Args()[1:])
 	}
 	if fs.Arg(0) == "cluster" {
 		// Cluster mode talks to the collectors' debug servers, not a store.
-		if *storeDir != "" || *logsGlob != "" {
-			return fmt.Errorf("cluster reads running collectors' debug servers, not -store/-logs")
+		if sources > 0 {
+			return fmt.Errorf("cluster reads running collectors' debug servers named by its own -peers (causectl cluster status -peers ...), not a top-level -store/-logs/-peers")
 		}
 		return cmdCluster(w, fs.Args()[1:])
 	}
 	if fs.Arg(0) == "alerts" {
 		// Alert state is live: read from running evaluators' /alertz.
-		if *storeDir != "" || *logsGlob != "" {
-			return fmt.Errorf("alerts reads running evaluators' /alertz endpoints, not -store/-logs")
+		if sources > 0 {
+			return fmt.Errorf("alerts reads running evaluators' /alertz endpoints, not -store/-logs/-peers")
 		}
 		return cmdAlerts(w, fs.Args()[1:])
 	}
-	if (*storeDir == "") == (*logsGlob == "") {
-		return fmt.Errorf("exactly one of -store or -logs is required")
+	if sources != 1 {
+		return fmt.Errorf("exactly one of -store, -logs or -peers is required")
 	}
 
 	start := time.Now()
 	tornTails := 0
 	var src source
-	if *storeDir != "" {
+	switch {
+	case *storeDir != "":
 		ts, err := tracestore.Open(*storeDir, tracestore.Options{})
 		if err != nil {
 			return err
 		}
 		defer ts.Close()
 		src = ts
-	} else {
+	case *peers != "":
+		fleet, err := pullFleet(cluster.SplitAddrs(*peers))
+		if err != nil {
+			return err
+		}
+		src = fleet
+	default:
 		db := logdb.NewStore()
 		_, warnings, err := db.LoadGlob(*logsGlob)
 		if err != nil {
@@ -150,6 +169,43 @@ func run(args []string, w io.Writer) error {
 	default:
 		return fmt.Errorf("unknown command %q (want report, chains, show, top, export, cluster, or alerts)", cmd)
 	}
+}
+
+// pullFleet GETs every collector's /exportz once and folds the streams into
+// one store with cluster.MergeStream. A member that cannot be reached,
+// answers other than 200 or sends a torn body fails the query with its
+// address: a report over the members that did answer would pass a partial
+// fleet off as the whole.
+func pullFleet(peers []string) (*logdb.Store, error) {
+	if len(peers) == 0 {
+		return nil, fmt.Errorf("-peers lists no collector debug addresses")
+	}
+	// One request per member, so no connection is kept; the body streams
+	// a whole store, so only the wait for the response header is bounded.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.DisableKeepAlives = true
+	tr.ResponseHeaderTimeout = 10 * time.Second
+	client := &http.Client{Transport: tr}
+	fleet := logdb.NewStore()
+	for _, p := range peers {
+		if err := pullPeer(client, fleet, p); err != nil {
+			return nil, fmt.Errorf("peer %s: %w", p, err)
+		}
+	}
+	return fleet, nil
+}
+
+func pullPeer(client *http.Client, fleet *logdb.Store, addr string) error {
+	resp, err := client.Get("http://" + addr + "/exportz")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("/exportz answered %s", resp.Status)
+	}
+	_, _, err = cluster.MergeStream(fleet, resp.Body)
+	return err
 }
 
 // reconstruct builds the DSCG with latency/CPU metrics attached.

@@ -354,6 +354,27 @@ func TestArgumentValidation(t *testing.T) {
 	if err := run([]string{"-logs", "nope*.ftlog"}, &bytes.Buffer{}); err == nil {
 		t.Fatal("missing command accepted")
 	}
+	// -peers is a third source, exclusive with the other two and never
+	// empty; the live subcommands name their collectors with their own flags.
+	for _, args := range [][]string{
+		{"-peers", "127.0.0.1:1", "-store", "x", "report"},
+		{"-peers", "127.0.0.1:1", "-logs", "y", "report"},
+		{"-peers", "", "report"},
+		{"-peers", " , ", "report"},
+		{"-peers", "127.0.0.1:1", "cluster", "status", "-peers", "127.0.0.1:1"},
+		{"-peers", "127.0.0.1:1", "alerts", "-addr", "127.0.0.1:1"},
+		{"-peers", "127.0.0.1:1", "chains", "-follow", "-addr", "127.0.0.1:1"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Errorf("run(%q) accepted", args)
+		} else if !strings.Contains(err.Error(), "-peers") {
+			t.Errorf("run(%q) refused without naming -peers: %v", args, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("run(%q) printed before refusing:\n%s", args, out.String())
+		}
+	}
 	// A bad -format is refused before the output file is touched.
 	dir := t.TempDir()
 	glob := writeSampleLog(t, dir, false)

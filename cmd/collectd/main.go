@@ -146,13 +146,12 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	adaptive := fs.Bool("adaptive", false, "steer the served sampling rate by load (AIMD)")
 	tailRate := fs.Float64("tail", 1, "tail retention rate for normal chains (0..1); slow, broken and anomalous chains are always kept")
 	alertsFile := fs.String("alerts", "", "SLO rules file: evaluate burn-rate alerts over the daemon's series each report tick")
-	peers := fs.String("peers", "", "comma-separated ingest-tier peer addresses: telemetry addresses of every ingest collector (this one included) to compute the ownership ring, or their debug addresses with -aggregate")
+	peers := fs.String("peers", "", "comma-separated ingest-tier peer addresses: telemetry addresses of every ingest collector (this one included) to compute the ownership ring")
 	advertise := fs.String("advertise", "", "this collector's address in -peers (default: the -listen address)")
 	ringEpoch := fs.Uint64("ring-epoch", 1, "ownership-ring epoch to serve; bump when restarting with a changed -peers list so shippers re-route")
 	heartbeat := fs.Duration("heartbeat", 0, "automated cluster membership: probe peers' debug planes on this jittered interval (0 = off; needs -peers, -peer-debug, -debug)")
 	suspectAfter := fs.Int("suspect-after", 3, "consecutive missed heartbeats before a peer is declared dead and evicted from the ring")
 	peerDebug := fs.String("peer-debug", "", "comma-separated debug addresses parallel to -peers, where each peer's /healthz and /memberz are served")
-	aggregate := fs.Bool("aggregate", false, "aggregator mode: pull -peers debug /exportz streams into one fleet store instead of ingesting shippers")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -161,18 +160,6 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	}
 	if *report <= 0 {
 		return fmt.Errorf("-report %v must be positive", *report)
-	}
-	if *aggregate {
-		return runAggregate(aggConfig{
-			peers:     cluster.SplitAddrs(*peers),
-			storeDir:  *storeDir,
-			outPath:   *outPath,
-			dscgNodes: *dscgNodes,
-			workers:   *workers,
-			report:    *report,
-			duration:  *duration,
-			debugAddr: *debugAddr,
-		}, out, stop)
 	}
 	if *sampleRate <= 0 || *sampleRate > 1 {
 		return fmt.Errorf("-rate %g out of range (0, 1]", *sampleRate)

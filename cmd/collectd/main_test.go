@@ -326,13 +326,12 @@ func TestCollectdDrainOnce(t *testing.T) {
 }
 
 // Each is refused before the daemon binds or starts anything: a report
-// period that is not positive would panic the reporter's ticker (in ingest
-// mode after the listener is bound), or the aggregator's.
+// period that is not positive would panic the reporter's ticker after the
+// listener is bound.
 func TestCollectdRejectsArgs(t *testing.T) {
 	for _, args := range [][]string{
 		{"positional"},
 		{"-listen", "127.0.0.1:0", "-report", "0"},
-		{"-aggregate", "-peers", "127.0.0.1:1", "-report", "-1s"},
 	} {
 		if err := run(args, &bytes.Buffer{}, nil); err == nil {
 			t.Errorf("run(%q) accepted", args)

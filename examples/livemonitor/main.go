@@ -618,9 +618,8 @@ func run(rc runConfig) (sum summary, err error) {
 	// whole on exactly one collector, so the merge sees zero duplicates.
 	if clusterN > 1 {
 		fleet := logdb.NewStore()
-		agg := cluster.NewAggregator(fleet)
 		owner := make(map[string]string)
-		splitChains, totalDups := 0, 0
+		splitChains, merged, totalDups := 0, 0, 0
 		for i, st := range stores {
 			for _, c := range st.Chains() {
 				if prev, ok := owner[c.String()]; ok {
@@ -640,9 +639,9 @@ func run(rc runConfig) (sum summary, err error) {
 			if err := logdb.WriteRecords(st, &buf); err != nil {
 				return sum, err
 			}
-			acc, dups, err := agg.MergeStream(tierAddrs[i], &buf)
+			acc, dups, err := cluster.MergeStream(fleet, &buf)
 			if err != nil {
-				return sum, err
+				return sum, fmt.Errorf("merge collector %s: %w", tierAddrs[i], err)
 			}
 			// Duplicates across collectors mean double-counting — except
 			// after a kill, where a record acked just as the collector died
@@ -651,10 +650,11 @@ func run(rc runConfig) (sum summary, err error) {
 			if dups != 0 && killAfter == 0 {
 				return sum, fmt.Errorf("collector %s overlapped %d record(s) with the rest of the tier", tierAddrs[i], dups)
 			}
+			merged += acc
 			totalDups += dups
 			fmt.Printf("cluster: collector %s held %d record(s) across %d chain(s)\n", tierAddrs[i], acc, len(st.Chains()))
 		}
-		sum.Collectors, sum.MergedRecords = clusterN, int(agg.Stats().Accepted)
+		sum.Collectors, sum.MergedRecords = clusterN, merged
 		sum.Duplicates, sum.StraddlingChains = totalDups, splitChains
 		fmt.Printf("cluster: fleet store merged %d record(s) from %d collectors, %d duplicate(s)\n", sum.MergedRecords, clusterN, totalDups)
 		if killAfter > 0 {

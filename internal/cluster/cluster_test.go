@@ -366,42 +366,7 @@ func TestRoutedShipperFollowsRebalance(t *testing.T) {
 	}
 }
 
-// The aggregator's dedup makes the fleet view identical whether partials
-// overlap or not.
-func TestAggregatorDeduplicates(t *testing.T) {
-	fleet := logdb.NewStore()
-	agg := NewAggregator(fleet)
-	gen := &uuid.SequentialGenerator{Seed: 31}
-	var all []probe.Record
-	for i := 0; i < 50; i++ {
-		all = append(all, chainRecords(gen.NewUUID(), gen.NewUUID())...)
-	}
-	// Three "collectors" with overlapping views: disjoint thirds plus a
-	// full duplicate of the middle third.
-	third := len(all) / 3
-	acc1, d1 := agg.MergeRecords("c1", all[:third])
-	acc2, d2 := agg.MergeRecords("c2", all[third:2*third])
-	acc3, d3 := agg.MergeRecords("c3", all[2*third:])
-	accDup, dDup := agg.MergeRecords("c2-replayed", all[third:2*third])
-	if d1+d2+d3 != 0 {
-		t.Fatalf("disjoint merges reported duplicates: %d %d %d", d1, d2, d3)
-	}
-	if acc1+acc2+acc3 != len(all) {
-		t.Fatalf("accepted %d, want %d", acc1+acc2+acc3, len(all))
-	}
-	if accDup != 0 || dDup != third {
-		t.Fatalf("duplicate merge accepted=%d dups=%d, want 0/%d", accDup, dDup, third)
-	}
-	if fleet.Len() != len(all) {
-		t.Fatalf("fleet store holds %d, want %d", fleet.Len(), len(all))
-	}
-	st := agg.Stats()
-	if st.Accepted != uint64(len(all)) || st.Duplicate != uint64(third) {
-		t.Fatalf("aggregate stats: %+v", st)
-	}
-}
-
-// frameSpy notes the size of every InsertNew the aggregator makes.
+// frameSpy notes the size of every InsertNew MergeStream makes.
 type frameSpy struct {
 	*logdb.Store
 	calls []int
@@ -412,11 +377,11 @@ func (f *frameSpy) InsertNew(recs ...probe.Record) int {
 	return f.Store.InsertNew(recs...)
 }
 
-// A pulled /exportz body merges frame by frame — the aggregator never holds
+// A pulled /exportz body merges frame by frame — MergeStream never holds
 // more of a peer's store than one frame. A body cut inside its seventh frame
 // merges the six before it and reports the tear; the next full pull accepts
 // only what the first one missed.
-func TestAggregatorMergesPerFrame(t *testing.T) {
+func TestMergeStreamPerFrame(t *testing.T) {
 	const frames, perFrame = 10, 256
 	peer := logdb.NewStore()
 	gen := &uuid.SequentialGenerator{Seed: 41}
@@ -435,8 +400,7 @@ func TestAggregatorMergesPerFrame(t *testing.T) {
 	cut := off + 4 + int(binary.LittleEndian.Uint32(body.Bytes()[off:]))/2
 
 	fleet := &frameSpy{Store: logdb.NewStore()}
-	agg := NewAggregator(fleet)
-	acc, dups, err := agg.MergeStream("peer", bytes.NewReader(body.Bytes()[:cut]))
+	acc, dups, err := MergeStream(fleet, bytes.NewReader(body.Bytes()[:cut]))
 	if !errors.Is(err, probe.ErrTruncated) {
 		t.Fatalf("torn body: error %v, want ErrTruncated", err)
 	}
@@ -447,15 +411,12 @@ func TestAggregatorMergesPerFrame(t *testing.T) {
 		t.Fatalf("store fed in calls of %v records, want one call per frame %v", fleet.calls, want)
 	}
 
-	acc, dups, err = agg.MergeStream("peer", bytes.NewReader(body.Bytes()))
+	acc, dups, err = MergeStream(fleet, bytes.NewReader(body.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if acc != peer.Len()-6*perFrame || dups != 6*perFrame || fleet.Len() != peer.Len() {
 		t.Fatalf("full pull accepted %d and rejected %d (store %d), want %d and %d", acc, dups, fleet.Len(), peer.Len()-6*perFrame, 6*perFrame)
-	}
-	if st := agg.Stats(); st.Accepted != uint64(peer.Len()) || st.Sources["peer"] != uint64(peer.Len()) {
-		t.Fatalf("aggregate stats: %+v", st)
 	}
 }
 

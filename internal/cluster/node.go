@@ -330,7 +330,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 // Handlers returns the node's debug-plane endpoints, to mount on any
 // debug server (debugserver.Config.Extra):
 //
-//	/exportz     the store as a record stream — the aggregator's pull side
+//	/exportz     the store as a record stream — what `causectl -peers` reads
 //	/ringz       the served ring as text (404 while none is served)
 //	/ledgerz     the conservation ledger as JSON (FetchLedger reads it)
 //	/memberz     the membership view as JSON   } 503 until
@@ -338,7 +338,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 //	/feedz       the chain table's eviction feed
 func (n *Node) Handlers() map[string]http.HandlerFunc {
 	return map[string]http.HandlerFunc{
-		"/exportz":    ExportHandler(n.cfg.Store),
+		"/exportz":    exportHandler(n.cfg.Store),
 		"/ringz":      n.serveRing,
 		"/ledgerz":    n.serveLedger,
 		"/memberz":    n.whenMember((*Membership).ServeMemberz),
@@ -347,10 +347,10 @@ func (n *Node) Handlers() map[string]http.HandlerFunc {
 	}
 }
 
-// ExportHandler streams store as the record stream logdb.WriteRecords and
-// `causectl export` emit — the aggregator's pull side, which both a node
-// and the aggregator's own fleet store serve at /exportz.
-func ExportHandler(store Store) http.HandlerFunc {
+// exportHandler streams store as the record stream logdb.WriteRecords and
+// `causectl export` emit, which `causectl -peers` folds into one fleet
+// store with MergeStream.
+func exportHandler(store Store) http.HandlerFunc {
 	return func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		// Once the stream has begun the headers are gone; on an error

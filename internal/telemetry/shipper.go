@@ -23,7 +23,10 @@ type ShipperConfig struct {
 	// address, advertised in the handshake so the collection daemon can
 	// scrape the peer's /metrics into a fleet view.
 	DebugAddr string
-	// BufferSize bounds the ring buffer (records); default 8192.
+	// BufferSize bounds the ring's span cells, not its records: a cell
+	// holds one span of up to 4 records (one for a plain Append), so the
+	// ring buffers up to 4x BufferSize records before it drops the
+	// oldest. Rounded up to a power of two; default 8192.
 	BufferSize int
 	// BatchSize caps records per ship frame; default 256.
 	BatchSize int

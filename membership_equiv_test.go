@@ -359,7 +359,7 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 			// The fleet view: dedup absorbs exactly the donated copies and
 			// the DSCG matches the single-collector baseline.
 			drain(nodes)
-			fleet, dups := mergeFleet(t, addrs, stores)
+			fleet, dups := mergeFleet(t, stores)
 			if fleet.Len() != len(recs) {
 				t.Fatalf("fleet holds %d of %d records after the automated kill/rejoin", fleet.Len(), len(recs))
 			}
