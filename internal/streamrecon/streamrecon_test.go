@@ -3,6 +3,7 @@ package streamrecon
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +42,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // newProbes builds a probe set whose records land in a MemorySink.
-func newProbes(t *testing.T, seed uint64) (*probe.Probes, *probe.MemorySink) {
+func newProbes(t testing.TB, seed uint64) (*probe.Probes, *probe.MemorySink) {
 	t.Helper()
 	sink := &probe.MemorySink{}
 	p, err := probe.New(probe.Config{
@@ -176,15 +177,20 @@ func TestIncompleteChainWaitsThenGoesStale(t *testing.T) {
 // judged reads causeway_assembler_chains_judged_total off WriteMetrics.
 func judged(t *testing.T, a *Assembler) int {
 	t.Helper()
+	return series(t, a, "causeway_assembler_chains_judged_total")
+}
+
+// series reads one series off WriteMetrics.
+func series(t *testing.T, a *Assembler, name string) int {
+	t.Helper()
 	var sb strings.Builder
 	a.WriteMetrics(&sb)
-	const name = "causeway_assembler_chains_judged_total "
-	i := strings.Index(sb.String(), name)
+	i := strings.Index(sb.String(), name+" ")
 	if i < 0 {
-		t.Fatalf("no %sin:\n%s", name, sb.String())
+		t.Fatalf("no %s in:\n%s", name, sb.String())
 	}
 	var n int
-	if _, err := fmt.Sscanf(sb.String()[i+len(name):], "%d", &n); err != nil {
+	if _, err := fmt.Sscanf(sb.String()[i+len(name)+1:], "%d", &n); err != nil {
 		t.Fatal(err)
 	}
 	return n
@@ -552,11 +558,48 @@ func TestWriteMetrics(t *testing.T) {
 		"causeway_assembler_records_buffered 4",
 		"causeway_assembler_chains_completed_total 0",
 		"causeway_assembler_chains_judged_total 0",
+		"causeway_assembler_chains_remembered 0",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("metrics missing %q:\n%s", want, sb.String())
 		}
 	}
+}
+
+// Every chain that left the table is remembered, in one generation or
+// the other, until the older is forgotten: the gauge counts both.
+func TestRememberedChainsGauge(t *testing.T) {
+	const n = 30
+	clock := newFakeClock()
+	a, _ := newAssembler(t, clock, nil) // StaleAfter 10s
+	base := nestedChain(t, 14, 0)
+	for i := 0; i < n; i++ {
+		recs := slices.Clone(base)
+		for j := range recs {
+			recs[j].Chain[0] = byte(i + 1)
+		}
+		a.AppendBatch(recs)
+		if i == n/2 { // the first half leave, then age into the older generation
+			clock.Advance(time.Second)
+			a.Tick()
+			clock.Advance(10 * time.Second)
+			a.Tick()
+		}
+	}
+	clock.Advance(time.Second)
+	a.Tick()
+	if got := series(t, a, "causeway_assembler_chains_remembered"); got != n || a.Generation() != 1 || len(a.older) != n/2+1 {
+		t.Fatalf("%d chains remembered (%d in the older generation) in generation %d after %d left, want %d (%d) in generation 1",
+			got, len(a.older), a.Generation(), n, n, n/2+1)
+	}
+	for i := 0; i < 2; i++ {
+		clock.Advance(11 * time.Second)
+		a.Tick()
+	}
+	if got := series(t, a, "causeway_assembler_chains_remembered"); got != 0 {
+		t.Fatalf("%d chains remembered two generations on, want 0", got)
+	}
+	checkLedger(t, a)
 }
 
 func TestNewRejectsNilStore(t *testing.T) {

@@ -1,0 +1,160 @@
+package streamrecon
+
+import (
+	"encoding/binary"
+	"slices"
+	"sort"
+	"testing"
+	"time"
+
+	"causeway/internal/metrics"
+	"causeway/internal/probe"
+	"causeway/internal/uuid"
+	"causeway/internal/workload"
+)
+
+// chainTemplate is one chain's records in arrival order, with every chain
+// id it carries (its own, a link's parent and child) replaced by an index
+// into the template set, so that a pass can give the set fresh ids.
+type chainTemplate struct {
+	recs                 []probe.Record
+	chain, parent, child []uint32
+}
+
+// templates turns chains (each in arrival order) into templates, numbering
+// the ids they carry in order of first appearance.
+func templates(chains [][]probe.Record) []chainTemplate {
+	index := map[uuid.UUID]uint32{}
+	idx := func(id uuid.UUID) uint32 {
+		i, ok := index[id]
+		if !ok {
+			i = uint32(len(index))
+			index[id] = i
+		}
+		return i
+	}
+	out := make([]chainTemplate, len(chains))
+	for i, recs := range chains {
+		t := chainTemplate{recs: slices.Clone(recs)}
+		for _, r := range recs {
+			t.chain = append(t.chain, idx(r.Chain))
+			t.parent = append(t.parent, idx(r.LinkParent))
+			t.child = append(t.child, idx(r.LinkChild))
+		}
+		out[i] = t
+	}
+	return out
+}
+
+// echoChains is the echo-closed workload's chain: one synchronous call,
+// four records, the server's pair arriving before the client's.
+func echoChains(b *testing.B) []chainTemplate {
+	recs := nestedChain(b, 21, 0) // stub_start, skel_start, skel_end, stub_end
+	return templates([][]probe.Record{{recs[1], recs[2], recs[0], recs[3]}})
+}
+
+// figure5Chains is a synthetic run of the paper's Figure-5 system, each
+// chain's records arriving process by process, as each process's shipper
+// sends its own; link records travel with the chain that forked. One
+// client thread makes the run, and so the benchmark, deterministic.
+func figure5Chains(b *testing.B) []chainTemplate {
+	sys, err := workload.Generate(workload.Config{Calls: 4000, Threads: 1, Seed: 3, Aspects: probe.AspectLatency})
+	if err != nil {
+		b.Fatal(err)
+	}
+	procs := make([]string, 0, len(sys.Sinks))
+	for p := range sys.Sinks {
+		procs = append(procs, p)
+	}
+	sort.Strings(procs)
+	byChain := map[uuid.UUID][]probe.Record{}
+	var order []uuid.UUID
+	for _, p := range procs {
+		for _, r := range sys.Sinks[p].Snapshot() {
+			id := r.Chain
+			if r.Kind == probe.KindLink {
+				id = r.LinkParent
+			}
+			if _, ok := byChain[id]; !ok {
+				order = append(order, id)
+			}
+			byChain[id] = append(byChain[id], r)
+		}
+	}
+	chains := make([][]probe.Record, len(order))
+	for i, id := range order {
+		chains[i] = byChain[id]
+	}
+	return templates(chains)
+}
+
+// BenchmarkChainTable runs the chain table as collectd builds it — a
+// store, Metrics, OnRoot and SlowThreshold — on a fake clock, and reports
+// its cost per chain from arrival to eviction. Records arrive in 72-record
+// ship frames, and the table ticks every 1000 chains with the clock a tenth
+// of Quiescence later, so it holds about ten ticks' chains, as a collector
+// ticking at that rate does; it is filled to that size before the timer
+// starts.
+func BenchmarkChainTable(b *testing.B) {
+	b.Run("echo", func(b *testing.B) { benchChainTable(b, echoChains(b)) })
+	b.Run("figure5", func(b *testing.B) { benchChainTable(b, figure5Chains(b)) })
+}
+
+func benchChainTable(b *testing.B, tmpl []chainTemplate) {
+	const frameRecs, chainsPerTick = 72, 1000
+	clock := newFakeClock()
+	roots := 0
+	a, err := New(Config{
+		Store:         &nullStore{},
+		Metrics:       metrics.NewRegistry(),
+		OnRoot:        func(RootEvent) { roots++ },
+		SlowThreshold: 100 * time.Millisecond,
+		Clock:         clock.Now,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	id := func(pass int, i uint32) (u uuid.UUID) {
+		binary.BigEndian.PutUint64(u[:], uint64(pass)+1)
+		binary.BigEndian.PutUint32(u[8:], i)
+		return u
+	}
+	frame := make([]probe.Record, 0, frameRecs)
+	records := 0
+	chain := func(i int) {
+		pass, t := i/len(tmpl), &tmpl[i%len(tmpl)]
+		for j := range t.recs {
+			frame = append(frame, t.recs[j])
+			r := &frame[len(frame)-1]
+			r.Chain = id(pass, t.chain[j])
+			if r.Kind == probe.KindLink {
+				r.LinkParent, r.LinkChild = id(pass, t.parent[j]), id(pass, t.child[j])
+			}
+			if len(frame) == frameRecs {
+				a.AppendBatch(frame)
+				frame = frame[:0]
+			}
+		}
+		records += len(t.recs)
+		if i%chainsPerTick == chainsPerTick-1 {
+			clock.Advance(a.Quiescence() / 10)
+			a.Tick()
+		}
+	}
+	// Fill the table to its steady size before measuring.
+	const warm = 12 * chainsPerTick
+	for i := 0; i < warm; i++ {
+		chain(i)
+	}
+	records = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := warm; i < warm+b.N; i++ {
+		chain(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(records)/float64(b.N), "records/chain")
+	if roots == 0 {
+		b.Fatal("no root delivered")
+	}
+}
