@@ -1,8 +1,11 @@
 package streamrecon
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -380,27 +383,37 @@ func TestOnlineConcurrentChains(t *testing.T) {
 // A root handed to OnRoot and not kept is garbage the moment the callback
 // returns — the monitor's per-chain state, which lives on for the chain's
 // later siblings, must not pin the finished tree (a popped stack slot left
-// uncleared would, through the slice's backing array) nor the chunk its
+// uncleared would, through the slice's backing array) nor any chunk its
 // records were copied into.
 func TestFinishedRootIsCollectable(t *testing.T) {
-	freed := make(chan string, 2)
+	freed := make(chan string, 8)
 	roots := 0
+	left := map[string]bool{"tree": true}
 	m := NewMonitor(Config{OnRoot: func(ev RootEvent) {
 		roots++
 		if roots == 1 {
 			runtime.SetFinalizer(ev.Root, func(*analysis.Node) { freed <- "tree" })
-			// The tree's eight records fill the one chunk they were copied
-			// into (server spans arrive early and are parked there too), so
-			// the lowest record address is the chunk's.
-			var first *probe.Record
+			// The tree's eight records were copied into the chain's head
+			// and one chunk (server spans arrive early and are parked
+			// there too), each filled from its first slot. Sorted by
+			// address, the records form one contiguous run per
+			// allocation, and each run starts at its allocation's first
+			// byte: every allocation gets a finalizer.
+			var recs []*probe.Record
 			ev.Root.Walk(func(n *analysis.Node) {
-				for _, r := range []*probe.Record{n.StubStart, n.SkelStart, n.SkelEnd, n.StubEnd} {
-					if first == nil || uintptr(unsafe.Pointer(r)) < uintptr(unsafe.Pointer(first)) {
-						first = r
-					}
-				}
+				recs = append(recs, n.StubStart, n.SkelStart, n.SkelEnd, n.StubEnd)
 			})
-			runtime.SetFinalizer(first, func(*probe.Record) { freed <- "records" })
+			addr := func(r *probe.Record) uintptr { return uintptr(unsafe.Pointer(r)) }
+			slices.SortFunc(recs, func(x, y *probe.Record) int { return cmp.Compare(addr(x), addr(y)) })
+			recs = slices.Compact(recs)
+			for i, r := range recs {
+				if i > 0 && addr(r) == addr(recs[i-1])+unsafe.Sizeof(probe.Record{}) {
+					continue
+				}
+				what := fmt.Sprintf("records at %d", i)
+				left[what] = true
+				runtime.SetFinalizer(r, func(*probe.Record) { freed <- what })
+			}
 		}
 	}})
 	h := newLiveHarness(t, m, probe.AspectLatency)
@@ -408,8 +421,11 @@ func TestFinishedRootIsCollectable(t *testing.T) {
 	if roots != 1 {
 		t.Fatalf("%d roots delivered, want 1", roots)
 	}
+	if n := len(left) - 1; n != 2 {
+		t.Fatalf("the tree's records sit in %d allocations, want 2 (the head and a chunk)", n)
+	}
 	deadline := time.After(5 * time.Second)
-	for left := map[string]bool{"tree": true, "records": true}; len(left) > 0; {
+	for len(left) > 0 {
 		runtime.GC()
 		select {
 		case what := <-freed:
