@@ -173,8 +173,9 @@ type ProcessConfig struct {
 	// travels in the FTL so every downstream process agrees — chains are
 	// recorded whole or not at all. 0 (the zero value) and 1 keep every
 	// chain. A shipping process starts at this rate and then follows the
-	// rate its collector serves (cmd/collectd -rate/-adaptive), polled
-	// once a second; a collector that serves none leaves it here.
+	// rate its collector serves (cmd/collectd -rate/-adaptive), taken from
+	// the handshake and polled once a second after it; a collector that
+	// serves none leaves it here.
 	ChainSampleRate float64
 	// SLO, when non-empty, arms the in-process alerting plane: the rules
 	// are evaluated against this process's registry by a background

@@ -349,10 +349,10 @@ func TestProcessLogLosslessUnderSlowMonitor(t *testing.T) {
 	}
 }
 
-// TestShippingProcessFollowsServedRate: every shipping process polls the
-// head-sampling rate its collector serves and applies it to the chains it
-// begins; a collector that serves no rate leaves the process at its
-// configured rate.
+// TestShippingProcessFollowsServedRate: every shipping process takes the
+// head-sampling rate its collector serves, at the handshake and at each
+// poll after it, and applies it to the chains it begins; a collector that
+// serves no rate leaves the process at its configured rate.
 func TestShippingProcessFollowsServedRate(t *testing.T) {
 	startNode := func(rate func() float64) *cluster.Node {
 		t.Helper()
@@ -363,7 +363,13 @@ func TestShippingProcessFollowsServedRate(t *testing.T) {
 		t.Cleanup(func() { node.Close() })
 		return node
 	}
-	steering := startNode(func() float64 { return 0 })
+	var lowered atomic.Bool // the steering collector serves 1 until the test lowers it to 0
+	steering := startNode(func() float64 {
+		if lowered.Load() {
+			return 0
+		}
+		return 1
+	})
 	silent := startNode(nil)
 
 	net := NewNetwork()
@@ -402,7 +408,8 @@ func TestShippingProcessFollowsServedRate(t *testing.T) {
 		t.Fatal("a chain begun at rate 1 left no records")
 	}
 
-	// The shipper polls once a second.
+	// The collector lowers its rate; the shipper polls once a second.
+	lowered.Store(true)
 	deadline := time.Now().Add(10 * time.Second)
 	for steered.SamplingRate() != 0 {
 		if time.Now().After(deadline) {

@@ -31,7 +31,7 @@ import (
 )
 
 // clusterWaitFor polls until cond holds; the async hops here are oneway
-// ship frames and ring polls, which settle in milliseconds.
+// ship frames and polls, which settle in milliseconds.
 func clusterWaitFor(t *testing.T, cond func() bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -106,17 +106,17 @@ func mergeFleet[S cluster.Store](t *testing.T, stores []S) (fleet *logdb.Store, 
 }
 
 // fanoutTemplate is the per-member shipper template for a routed
-// shipper: fast flushes and a tight ring poll so rebalances propagate
-// within a few milliseconds.
+// shipper: fast flushes and a tight poll so rebalances propagate within a
+// few milliseconds.
 func fanoutTemplate(name string) telemetry.ShipperConfig {
 	return telemetry.ShipperConfig{
-		Process:          topology.Process{ID: name, Processor: topology.Processor{ID: name, Type: "x86"}},
-		BufferSize:       8192,
-		FlushInterval:    2 * time.Millisecond,
-		BackoffMin:       5 * time.Millisecond,
-		BackoffMax:       50 * time.Millisecond,
-		DrainTimeout:     5 * time.Second,
-		RingPollInterval: 5 * time.Millisecond,
+		Process:       topology.Process{ID: name, Processor: topology.Processor{ID: name, Type: "x86"}},
+		BufferSize:    8192,
+		FlushInterval: 2 * time.Millisecond,
+		BackoffMin:    5 * time.Millisecond,
+		BackoffMax:    50 * time.Millisecond,
+		DrainTimeout:  5 * time.Second,
+		PollInterval:  5 * time.Millisecond,
 	}
 }
 

@@ -151,10 +151,22 @@ func startFleet(t *testing.T, chains int) runningFleet {
 	}
 	client := newProc("client")
 	stub := instrecho.NewEchoStub(client.ORB.RefTo(ep, "svc", "Echo", "svc-comp"))
-	for i := 0; i < chains; i++ {
+	// Chain UUIDs are random, so a few chains can all hash away from a
+	// member; keep calling past chains until every member owns one.
+	owners := map[string]bool{}
+	for i := 0; i < chains || len(owners) < len(addrs); i++ {
+		if i == chains+1000 {
+			t.Fatalf("%d chains reach only %d of %d members", i, len(owners), len(addrs))
+		}
 		if _, err := stub.Echo(fmt.Sprint("req-", i)); err != nil {
 			t.Fatal(err)
 		}
+		f, ok := client.ORB.Probes().Tunnel().Current()
+		if !ok {
+			t.Fatal("the client holds no chain after a call")
+		}
+		owner, _ := ring.OwnerOf(f.Chain)
+		owners[owner.Addr] = true
 		client.NewChain()
 	}
 	var shipped int

@@ -29,11 +29,11 @@
 // holds its backlog cap refuses ship frames unacknowledged until chains
 // leave, and the shippers keep them and send them again. With
 // -rate/-adaptive the daemon also owns the fleet's head-sampling rate:
-// every shipping process polls it once a second over the telemetry
-// protocol and applies it to the chains it begins, and the AIMD governor
-// (internal/sampling) lowers it when the daemon's own metrics show
-// overload, refused frames among them. Without -rate a poll is refused
-// and each process keeps its own ChainSampleRate.
+// every shipping process takes it from its handshake reply, polls it once
+// a second after that, and applies it to the chains it begins, and the
+// AIMD governor (internal/sampling) lowers it when the daemon's own
+// metrics show overload, refused frames among them. Without -rate the
+// replies carry no rate and each process keeps its own ChainSampleRate.
 //
 // Usage:
 //
@@ -220,8 +220,8 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	}
 
 	// Head-consistent sampling: the daemon owns the authoritative rate and
-	// serves it over the telemetry rate operation; shippers poll it and
-	// decide keep/drop once per chain at the chain head.
+	// serves it in every telemetry hello and poll reply; shippers apply it
+	// and decide keep/drop once per chain at the chain head.
 	var sampler *sampling.Controlled
 	if *adaptive || *sampleRate < 1 {
 		sampler = sampling.NewControlled(*sampleRate)

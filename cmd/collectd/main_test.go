@@ -388,8 +388,8 @@ func TestCollectdTicksOnQuiescence(t *testing.T) {
 // TestCollectdStreamMode exercises the streaming pipeline end to end:
 // records flow server → journal → assembler → on-disk store as chains
 // complete,
-// /feedz serves the eviction feed live, the rate operation serves the
-// adaptive head-sampling rate to shippers, and the drain proves the
+// /feedz serves the eviction feed live, the hello and poll replies serve
+// the adaptive head-sampling rate to shippers, and the drain proves the
 // assembler ledger and the per-peer shipper ledger both balance.
 func TestCollectdStreamMode(t *testing.T) {
 	storeDir := filepath.Join(t.TempDir(), "trace")
@@ -417,7 +417,7 @@ func TestCollectdStreamMode(t *testing.T) {
 	proc := topology.Process{ID: "stream-proc", Processor: topology.Processor{ID: "stream-proc", Type: "x86"}}
 	sh, err := telemetry.NewShipper(telemetry.ShipperConfig{
 		Addr: addr, Process: proc, FlushInterval: 2 * time.Millisecond,
-		RateTarget: target, RatePollInterval: 2 * time.Millisecond,
+		RateTarget: target, PollInterval: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

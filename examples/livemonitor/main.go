@@ -545,7 +545,7 @@ func run(rc runConfig) (sum summary, err error) {
 
 	// After a kill, wait until every shipper routes by the post-kill ring
 	// with an empty buffer: records bound for the dead member sit buffered
-	// until a ring poll re-routes them, and draining mid-re-route would
+	// until a poll re-routes them, and draining mid-re-route would
 	// count them dropped.
 	if killAfter > 0 {
 		deadline := time.Now().Add(10 * time.Second)

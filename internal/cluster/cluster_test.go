@@ -135,13 +135,13 @@ func (n ingestNode) received() int { return int(n.srv.Stats().Records) }
 
 func routerTemplate(proc string) telemetry.ShipperConfig {
 	return telemetry.ShipperConfig{
-		Process:          topology.Process{ID: proc, Processor: topology.Processor{ID: proc + "-cpu", Type: "x86"}},
-		BufferSize:       4096,
-		FlushInterval:    2 * time.Millisecond,
-		BackoffMin:       5 * time.Millisecond,
-		BackoffMax:       50 * time.Millisecond,
-		DrainTimeout:     3 * time.Second,
-		RingPollInterval: 5 * time.Millisecond,
+		Process:       topology.Process{ID: proc, Processor: topology.Processor{ID: proc + "-cpu", Type: "x86"}},
+		BufferSize:    4096,
+		FlushInterval: 2 * time.Millisecond,
+		BackoffMin:    5 * time.Millisecond,
+		BackoffMax:    50 * time.Millisecond,
+		DrainTimeout:  3 * time.Second,
+		PollInterval:  5 * time.Millisecond,
 	}
 }
 
@@ -257,7 +257,7 @@ func TestRoutedShipperAppendAllocFree(t *testing.T) {
 
 // A routed shipper exposes every causeway_shipper_* series one shipper
 // does, so dashboards read a process the same whatever it ships to. Its
-// ring polls at a collector that serves no ring are not bad frames.
+// polls at a collector that serves no ring are not bad frames.
 func TestRoutedShipperMetricsMatchShipper(t *testing.T) {
 	node := startIngest(t)
 	ring, err := Assign(0, DefaultSlots, Members(node.srv.Addr()))
@@ -272,7 +272,7 @@ func TestRoutedShipperMetricsMatchShipper(t *testing.T) {
 	recs := chainRecords(uuid.New(), uuid.New())
 	rs.AppendSpan(recs)
 	waitFor(t, func() bool { return rs.Combined().Shipped == uint64(len(recs)) }, "records shipped")
-	time.Sleep(4 * routerTemplate("p1").RingPollInterval)
+	time.Sleep(4 * routerTemplate("p1").PollInterval)
 
 	var buf bytes.Buffer
 	rs.WriteMetrics(&buf)
@@ -301,12 +301,12 @@ func TestRoutedShipperMetricsMatchShipper(t *testing.T) {
 		}
 	}
 	if bad := node.srv.Stats().BadFrames; bad != 0 {
-		t.Fatalf("standalone collector counted %d bad frame(s) from ring polls", bad)
+		t.Fatalf("standalone collector counted %d bad frame(s) from polls", bad)
 	}
 }
 
 // A newer ring served by any member propagates through the handshake /
-// ring polls and re-routes: records buffered toward a member that lost
+// polls and re-routes: records buffered toward a member that lost
 // a range must reach the new owner, not the old one.
 func TestRoutedShipperFollowsRebalance(t *testing.T) {
 	a, b := startIngest(t), startIngest(t)
@@ -337,7 +337,7 @@ func TestRoutedShipperFollowsRebalance(t *testing.T) {
 	}, "initial delivery across two collectors")
 
 	// Rebalance: a takes the whole ring (b is leaving). Served by both
-	// collectors; the router learns it from its ring polls.
+	// collectors; the router learns it from its polls.
 	ringA, err := Assign(2, 64, Members(a.Addr()))
 	if err != nil {
 		t.Fatal(err)
@@ -363,6 +363,46 @@ func TestRoutedShipperFollowsRebalance(t *testing.T) {
 	}
 	if st := rs.Stats(); st.Rebalances == 0 || st.NoOwner != 0 {
 		t.Fatalf("router stats after rebalance: %+v", st)
+	}
+}
+
+// A served ring whose member has no address is refused whole: the router
+// keeps routing by the ring it has, rather than adopting one whose member
+// it cannot dial and dropping that member's records as NoOwner.
+func TestRoutedShipperRefusesRingWithoutAddr(t *testing.T) {
+	node := startIngest(t)
+	ring, err := Assign(1, 64, Members(node.srv.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := NewRouted(RouterConfig{Ring: ring, Shipper: routerTemplate("p1")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+
+	bad, err := Assign(2, 64, Members(node.srv.Addr(), "b:2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Members[1].Addr = ""
+	rs.UpdateRing(bad)
+	// The ring loop applies what it is offered within microseconds; give a
+	// wrongly accepted ring ample time to land.
+	time.Sleep(50 * time.Millisecond)
+
+	gen := &uuid.SequentialGenerator{Seed: 5}
+	var all []probe.Record
+	for i := 0; i < 64; i++ {
+		all = append(all, chainRecords(gen.NewUUID(), gen.NewUUID())...)
+	}
+	for _, r := range all {
+		rs.Append(r)
+	}
+	waitFor(t, func() bool { return node.received()+int(rs.Stats().NoOwner) == len(all) }, "every record delivered or counted")
+	if st := rs.Stats(); st.Ring.Epoch != 1 || st.Rebalances != 0 || st.NoOwner != 0 {
+		t.Fatalf("after a ring with an addressless member: epoch %d, %d rebalances, %d records without owner; want 1, 0, 0",
+			st.Ring.Epoch, st.Rebalances, st.NoOwner)
 	}
 }
 

@@ -35,7 +35,7 @@ import (
 //
 //   - Distribution. The proposer installs the new ring locally, which
 //     its telemetry server hands to every shipper through the existing
-//     handshake/ring-poll path; other members adopt it by observing a
+//     handshake/poll path; other members adopt it by observing a
 //     higher epoch on a peer's /memberz. RoutedShippers re-route
 //     without operator action either way.
 //

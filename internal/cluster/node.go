@@ -43,7 +43,7 @@ type NodeConfig struct {
 	// OnConnect fires after each shipper handshake.
 	OnConnect func(telemetry.Peer)
 	// SampleRate serves the head-sampling rate to shippers (-rate,
-	// -adaptive); nil rejects rate polls.
+	// -adaptive) in every hello and poll reply; nil serves none.
 	SampleRate func() float64
 	// Peers is the ingest tier's member list (-peers) and Epoch the ring
 	// epoch to compute from it (-ring-epoch): the ring served from the
@@ -238,7 +238,7 @@ func (n *Node) Ring() telemetry.Ring {
 }
 
 // SetRing advances the served ring; connected shippers pick it up
-// through the normal ring poll, no reconnect. Only a higher epoch is
+// at their next poll, no reconnect. Only a higher epoch is
 // installed: a reborn collector's membership starts from its configured
 // epoch before it adopts the tier's, and that stale ring must not
 // replace a newer one already served.

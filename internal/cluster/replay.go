@@ -42,11 +42,12 @@ type ReplayResult struct {
 }
 
 // Replay scans cfg.Source for the moved range and ships it to the
-// target in batches over the replay operation, ending with a flush
-// barrier. The receiver deduplicates; Accepted is the count it took as
-// new, which is exactly what the source's ledger retires — the pairing
-// that keeps sum(Replayed) == sum(Retired) across the tier and every
-// chain counted once.
+// target in batches over the replay operation. Each batch's reply is the
+// receiver's count, so when Replay returns the target has handled every
+// batch. The receiver deduplicates; Accepted is the count it took as new,
+// which is exactly what the source's ledger retires — the pairing that
+// keeps sum(Replayed) == sum(Retired) across the tier and every chain
+// counted once.
 func Replay(cfg ReplayConfig) (ReplayResult, error) {
 	var res ReplayResult
 	if cfg.Source == nil || cfg.Range == nil || cfg.Target == "" {
@@ -91,7 +92,7 @@ func Replay(cfg ReplayConfig) (ReplayResult, error) {
 	if err := send(); err != nil {
 		return res, err
 	}
-	return res, courier.Flush()
+	return res, nil
 }
 
 // RecoverLedger reconstructs a dead collector's ledger side from its

@@ -15,13 +15,13 @@ import (
 type RouterConfig struct {
 	// Ring is the initial ownership map — usually Assign over the same
 	// -peers list every collector was started with, at epoch 0; the
-	// authoritative ring arriving in each member's handshake reply (or a
-	// ring poll) supersedes it the moment any epoch advances.
+	// authoritative ring arriving in each member's handshake or poll
+	// reply supersedes it the moment any epoch advances.
 	Ring telemetry.Ring
 	// Shipper is the per-member shipper template: Addr and OnRing are
 	// set per member, every other field (process identity, buffer
-	// sizes, backoff, drain budget, rate polling) applies to each
-	// member's shipper unchanged.
+	// sizes, backoff, drain budget, rate target, poll interval) applies
+	// to each member's shipper unchanged.
 	Shipper telemetry.ShipperConfig
 }
 

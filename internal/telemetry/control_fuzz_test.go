@@ -11,9 +11,9 @@ import (
 	"testing"
 )
 
-// controlDecoders are the six control-message decoders a collector or a
+// controlDecoders are the four control-message decoders a collector or a
 // shipper runs over bytes any peer sent. One fuzz input is a message: its
-// first byte picks the decoder (modulo six), the rest is the body.
+// first byte picks the decoder (modulo four), the rest is the body.
 var controlDecoders = []struct {
 	name   string
 	decode func([]byte) (any, error)
@@ -22,9 +22,7 @@ var controlDecoders = []struct {
 }{
 	{"hello", func(b []byte) (any, error) { return decodeHello(b) }, func(v any) []byte { return encodeHello(v.(Hello)) }, false},
 	{"hello reply", func(b []byte) (any, error) { return decodeHelloReply(b) }, func(v any) []byte { return encodeHelloReply(v.(HelloReply)) }, true},
-	{"ring", func(b []byte) (any, error) { return decodeRing(b) }, func(v any) []byte { return encodeRing(v.(Ring)) }, true},
 	{"stats", func(b []byte) (any, error) { return decodeFinal(b) }, func(v any) []byte { return encodeFinal(v.(ShipperFinal)) }, false},
-	{"rate", func(b []byte) (any, error) { return decodeRate(b) }, func(v any) []byte { return encodeRate(v.(float64)) }, false},
 	{"count", func(b []byte) (any, error) { return decodeCount(b) }, func(v any) []byte { return encodeCount(v.(uint64)) }, false},
 }
 
@@ -54,8 +52,12 @@ func checkControlDecode(t *testing.T, data []byte) {
 	}
 	again, err := m.decode(m.encode(v))
 	same := reflect.DeepEqual(again, v)
-	if r, ok := v.(float64); ok && err == nil {
-		same = math.Float64bits(again.(float64)) == math.Float64bits(r) // NaN is itself too
+	if hr, ok := v.(HelloReply); ok && err == nil {
+		// A NaN rate is itself too: compare its bits, the rest as values.
+		ar := again.(HelloReply)
+		same = math.Float64bits(ar.Rate) == math.Float64bits(hr.Rate)
+		ar.Rate, hr.Rate = 0, 0
+		same = same && reflect.DeepEqual(ar, hr)
 	}
 	if err != nil || !same {
 		t.Fatalf("%s %+v re-encoded decodes as %+v, %v", m.name, v, again, err)
@@ -63,29 +65,32 @@ func checkControlDecode(t *testing.T, data []byte) {
 }
 
 // controlSeeds spells one input per message, valid, and the hostile shapes:
-// a ring forging its member count, a body cut short, a byte too many, and a
-// handshake from another protocol version.
+// a ring forging its member count, a body cut short, a byte too many, a NaN
+// rate and a handshake from another protocol version.
 func controlSeeds() map[string][]byte {
 	msg := func(kind byte, body []byte) []byte { return append([]byte{kind}, body...) }
 	ring := testRing(7, "a:1", "b:2", "c:3")
 	forged := make([]byte, 40) // epoch, slots, a member count of 2^32-1, and 24 bytes behind it
 	binary.LittleEndian.PutUint32(forged[12:], 1<<32-1)
 	hello := encodeHello(Hello{Version: ProtocolVersion, Process: "p1", ProcType: "x86", DebugAddr: "127.0.0.1:6060"})
+	reply := encodeHelloReply(HelloReply{Version: ProtocolVersion, HasRing: true, Ring: ring, HasRate: true, Rate: 0.125})
+	forgedCount := append([]byte(nil), reply...) // the same reply, its ring claiming 2^32-1 members
+	binary.LittleEndian.PutUint32(forgedCount[14:], 1<<32-1)
 	return map[string][]byte{
-		"hello":              msg(0, hello),
-		"hello-old-version":  msg(0, append([]byte{ProtocolVersion - 1}, hello[1:]...)),
-		"hello-cut":          msg(0, hello[:len(hello)-3]),
-		"hello-reply":        msg(1, encodeHelloReply(HelloReply{Version: ProtocolVersion, HasRing: true, Ring: ring})),
-		"hello-reply-bare":   msg(1, encodeHelloReply(HelloReply{Version: ProtocolVersion})),
-		"hello-reply-forged": msg(1, append([]byte{ProtocolVersion, 1}, forged...)),
-		"ring":               msg(2, encodeRing(ring)),
-		"ring-forged-count":  msg(2, forged),
-		"ring-trailing-byte": msg(2, append(encodeRing(ring), 0)),
-		"stats":              msg(3, encodeFinal(ShipperFinal{Appended: 10, Dropped: 3, Shipped: 7})),
-		"rate":               msg(4, encodeRate(0.125)),
-		"rate-nan":           msg(4, encodeRate(math.NaN())),
-		"count":              msg(5, encodeCount(1<<40)),
-		"count-cut":          msg(5, encodeCount(7)[:5]),
+		"hello":                     msg(0, hello),
+		"hello-old-version":         msg(0, append([]byte{ProtocolVersion - 1}, hello[1:]...)),
+		"hello-cut":                 msg(0, hello[:len(hello)-3]),
+		"hello-reply":               msg(1, encodeHelloReply(HelloReply{Version: ProtocolVersion, HasRing: true, Ring: ring})),
+		"hello-reply-bare":          msg(1, encodeHelloReply(HelloReply{Version: ProtocolVersion})),
+		"hello-reply-forged":        msg(1, append([]byte{ProtocolVersion, 1}, forged...)),
+		"hello-reply-rate":          msg(1, encodeHelloReply(HelloReply{Version: ProtocolVersion, HasRate: true, Rate: 0.125})),
+		"hello-reply-ring-rate":     msg(1, reply),
+		"hello-reply-rate-nan":      msg(1, encodeHelloReply(HelloReply{Version: ProtocolVersion, HasRate: true, Rate: math.NaN()})),
+		"hello-reply-trailing-byte": msg(1, append(reply, 0)),
+		"ring-forged-count":         msg(1, forgedCount),
+		"stats":                     msg(2, encodeFinal(ShipperFinal{Appended: 10, Dropped: 3, Shipped: 7})),
+		"count":                     msg(3, encodeCount(1<<40)),
+		"count-cut":                 msg(3, encodeCount(7)[:5]),
 	}
 }
 

@@ -8,9 +8,10 @@ import (
 )
 
 // Courier is a synchronous telemetry client for cluster-internal
-// traffic — segment replay after a rebalance and flush barriers. Unlike ShipperSink it blocks and returns errors: the
-// callers are operators and rebalance machinery, not probe hot paths,
-// and they need to know whether the bytes arrived.
+// traffic — segment replay after a rebalance. Unlike ShipperSink it
+// blocks and returns errors: the callers are operators and rebalance
+// machinery, not probe hot paths, and the reply to each replay proves its
+// bytes arrived and were handled.
 type Courier struct {
 	client transport.Client
 }
@@ -55,19 +56,6 @@ func (c *Courier) Replay(recs []probe.Record) (accepted uint64, err error) {
 		return 0, fmt.Errorf("telemetry: replay rejected: %s", rep.Body)
 	}
 	return decodeCount(rep.Body)
-}
-
-// Flush is the ingestion barrier: when it returns, every frame this
-// courier sent before it has been handled by the server.
-func (c *Courier) Flush() error {
-	rep, err := c.client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opFlush})
-	if err != nil {
-		return fmt.Errorf("telemetry: flush: %w", err)
-	}
-	if rep.Status != transport.StatusOK {
-		return fmt.Errorf("telemetry: flush rejected: %s", rep.Body)
-	}
-	return nil
 }
 
 // Close tears the connection down.

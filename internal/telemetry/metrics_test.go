@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"causeway/internal/probe"
+	"causeway/internal/transport"
 )
 
 // expositionValue extracts one series' integer value from a text
@@ -131,5 +132,90 @@ func TestPeerAccountingConcurrentShippers(t *testing.T) {
 	}
 	if mem.Len() != total {
 		t.Fatalf("server sink holds %d records, want %d", mem.Len(), total)
+	}
+}
+
+// opLog is a transport.Client that notes every request it sends.
+type opLog struct {
+	transport.Client
+	mu  sync.Mutex
+	ops []string // operation, "(oneway)" appended to posts
+}
+
+func (c *opLog) note(op string) {
+	c.mu.Lock()
+	c.ops = append(c.ops, op)
+	c.mu.Unlock()
+}
+
+func (c *opLog) Call(req transport.Request) (transport.Reply, error) {
+	c.note(req.Operation)
+	return c.Client.Call(req)
+}
+
+func (c *opLog) Post(req transport.Request) error {
+	c.note(req.Operation + " (oneway)")
+	return c.Client.Post(req)
+}
+
+// TestCloseReportsClosingAccount: once Close returns, the server holds the
+// shipper's closing account and it matches the shipper's own counters. The
+// account is the last message the shipper sends, as a sync call whose
+// reply is all the confirmation there is.
+func TestCloseReportsClosingAccount(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{&probe.MemorySink{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	var conns []*opLog
+	sh, err := NewShipper(ShipperConfig{
+		Addr:          srv.Addr(),
+		Process:       testProc("p1"),
+		FlushInterval: 2 * time.Millisecond,
+		DrainTimeout:  5 * time.Second,
+		Dial: func(addr string) (transport.Client, error) {
+			c, err := transport.DialTCP(addr)
+			if err != nil {
+				return nil, err
+			}
+			l := &opLog{Client: c}
+			conns = append(conns, l) // the loop dials; Close orders this before the reads below
+			return l, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 300
+	for i := 1; i <= n; i++ {
+		sh.Append(testRecord("p1", uint64(i)))
+	}
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := sh.Stats()
+	accts := srv.PeerAccounting()
+	if len(accts) != 1 || !accts[0].Reported {
+		t.Fatalf("after Close the server holds %+v, want one reported peer", accts)
+	}
+	want := ShipperFinal{Appended: st.Appended, Dropped: st.Dropped, Shipped: st.Shipped}
+	if got := accts[0].Shipper; got != want || want.Shipped != n {
+		t.Fatalf("closing account = %+v, want %+v with %d shipped", got, want, n)
+	}
+	if accts[0].Records != n {
+		t.Fatalf("server ingested %d records from the peer, want %d", accts[0].Records, n)
+	}
+	if len(conns) != 1 {
+		t.Fatalf("shipper dialed %d times, want 1", len(conns))
+	}
+	ops := conns[0].ops
+	if len(ops) == 0 || ops[len(ops)-1] != opStats {
+		t.Fatalf("shipper's messages end %q, want a sync %q last", ops, opStats)
+	}
+	for _, op := range ops[:len(ops)-1] {
+		if op != opHello && op != opShip {
+			t.Fatalf("shipper sent %q before its closing account (all: %q)", op, ops)
+		}
 	}
 }

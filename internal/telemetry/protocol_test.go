@@ -162,8 +162,7 @@ func TestShipperSurfacesHandshakeRejection(t *testing.T) {
 	}, "handshake rejection surfaced in LastError")
 }
 
-// The handshake reply delivers the ring; ring polls deliver only newer
-// epochs.
+// The handshake reply delivers the ring; polls deliver only newer epochs.
 func TestShipperLearnsRingFromHandshakeAndPolls(t *testing.T) {
 	var mu sync.Mutex
 	ring := testRing(3, "a:1", "b:2")
@@ -182,14 +181,14 @@ func TestShipperLearnsRingFromHandshakeAndPolls(t *testing.T) {
 	var got sync.Map // epoch -> delivery count
 	var deliveries atomic64
 	sh, err := NewShipper(ShipperConfig{
-		Addr:             srv.Addr(),
-		Process:          testProc("p1"),
-		BufferSize:       64,
-		FlushInterval:    2 * time.Millisecond,
-		BackoffMin:       5 * time.Millisecond,
-		BackoffMax:       50 * time.Millisecond,
-		DrainTimeout:     time.Second,
-		RingPollInterval: 5 * time.Millisecond,
+		Addr:          srv.Addr(),
+		Process:       testProc("p1"),
+		BufferSize:    64,
+		FlushInterval: 2 * time.Millisecond,
+		BackoffMin:    5 * time.Millisecond,
+		BackoffMax:    50 * time.Millisecond,
+		DrainTimeout:  time.Second,
+		PollInterval:  5 * time.Millisecond,
 		OnRing: func(r Ring) {
 			n, _ := got.LoadOrStore(r.Epoch, new(atomic64))
 			n.(*atomic64).add(1)
@@ -289,8 +288,9 @@ func TestReplayOperationAccounting(t *testing.T) {
 }
 
 // A server without a Replay callback rejects replay frames as bad; a
-// server without a Ring refuses ring polls, which every shipping process
-// sends, without counting them bad.
+// server serving no ring and no rate answers a poll, which every routed
+// shipping process sends, StatusOK with both absent, and counts no bad
+// frame.
 func TestClusterOpsRejectedWhenStandalone(t *testing.T) {
 	srv, err := Listen("127.0.0.1:0", ServerConfig{})
 	if err != nil {
@@ -303,11 +303,15 @@ func TestClusterOpsRejectedWhenStandalone(t *testing.T) {
 	}
 	defer client.Close()
 
-	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opRing}); err != nil || rep.Status != transport.StatusUserException {
-		t.Fatalf("standalone server answered a ring poll with %v %v, want a user exception", rep, err)
+	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opPoll})
+	if err != nil || rep.Status != transport.StatusOK {
+		t.Fatalf("standalone server answered a poll with %v %v, want StatusOK", rep, err)
+	}
+	if hr, err := decodeHelloReply(rep.Body); err != nil || !reflect.DeepEqual(hr, HelloReply{Version: ProtocolVersion}) {
+		t.Fatalf("standalone server's poll reply = %+v, %v; want no ring and no rate", hr, err)
 	}
 	if bad := srv.Stats().BadFrames; bad != 0 {
-		t.Fatalf("ring poll counted as %d bad frame(s)", bad)
+		t.Fatalf("poll counted as %d bad frame(s)", bad)
 	}
 	batch := encodeBatch([]probe.Record{testRecord("p", 1)})
 	if rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opReplay, Body: batch}); err != nil || rep.Status == transport.StatusOK {
@@ -378,13 +382,16 @@ type atomic64 struct {
 func (a *atomic64) add(d uint64) { a.mu.Lock(); a.n += d; a.mu.Unlock() }
 func (a *atomic64) load() uint64 { a.mu.Lock(); defer a.mu.Unlock(); return a.n }
 
-// The six control messages read bytes they did not write. Each round-trips;
+// The four control messages read bytes they did not write. Each round-trips;
 // cut anywhere, or followed by a byte too many, each is an error, never a
-// panic; and a ring whose member count is forged sizes nothing by it.
+// panic; and a reply whose ring forges its member count sizes nothing by it.
 func TestControlDecodersRefuseHostileBytes(t *testing.T) {
 	hello := Hello{Version: ProtocolVersion, Process: "p1", ProcType: "x86", DebugAddr: "127.0.0.1:6060"}
 	reply := HelloReply{Version: ProtocolVersion, HasRing: true, Ring: testRing(7, "a:1", "b:2", "c:3")}
+	both := reply
+	both.HasRate, both.Rate = true, 0.125
 	final := ShipperFinal{Appended: 10, Dropped: 3, Shipped: 7}
+	decodeReply := func(b []byte) (any, error) { return decodeHelloReply(b) }
 	msgs := []struct {
 		name   string
 		body   []byte
@@ -392,12 +399,11 @@ func TestControlDecodersRefuseHostileBytes(t *testing.T) {
 		want   any
 	}{
 		{"hello", encodeHello(hello), func(b []byte) (any, error) { return decodeHello(b) }, hello},
-		{"hello reply", encodeHelloReply(reply), func(b []byte) (any, error) { return decodeHelloReply(b) }, reply},
-		{"ring-less hello reply", encodeHelloReply(HelloReply{Version: ProtocolVersion}), func(b []byte) (any, error) { return decodeHelloReply(b) }, HelloReply{Version: ProtocolVersion}},
-		{"ring", encodeRing(reply.Ring), func(b []byte) (any, error) { return decodeRing(b) }, reply.Ring},
+		{"hello reply", encodeHelloReply(reply), decodeReply, reply},
+		{"bare hello reply", encodeHelloReply(HelloReply{Version: ProtocolVersion}), decodeReply, HelloReply{Version: ProtocolVersion}},
+		{"hello reply with ring and rate", encodeHelloReply(both), decodeReply, both},
 		{"replay count", encodeCount(1 << 40), func(b []byte) (any, error) { return decodeCount(b) }, uint64(1 << 40)},
 		{"stats", encodeFinal(final), func(b []byte) (any, error) { return decodeFinal(b) }, final},
-		{"rate", encodeRate(0.125), func(b []byte) (any, error) { return decodeRate(b) }, 0.125},
 	}
 	for _, m := range msgs {
 		if got, err := m.decode(m.body); err != nil || !reflect.DeepEqual(got, m.want) {
@@ -413,22 +419,24 @@ func TestControlDecodersRefuseHostileBytes(t *testing.T) {
 		}
 	}
 
-	// epoch, slots, a member count of 2^32-1, and 24 bytes behind it.
-	forged := make([]byte, 40)
-	binary.LittleEndian.PutUint32(forged[12:], 1<<32-1)
+	// A reply carrying a ring of epoch, slots, a member count of 2^32-1,
+	// and 24 bytes behind it.
+	forged := make([]byte, 42)
+	forged[0], forged[1] = ProtocolVersion, 1
+	binary.LittleEndian.PutUint32(forged[14:], 1<<32-1)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	r, err := decodeRing(forged)
+	hr, err := decodeHelloReply(forged)
 	runtime.ReadMemStats(&after)
 	if err == nil {
-		t.Errorf("ring claiming 2^32-1 members in 40 bytes decodes as %+v", r)
+		t.Errorf("reply whose ring claims 2^32-1 members in 40 bytes decodes as %+v", hr)
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
 		t.Errorf("forged member count allocated %d bytes", grew)
 	}
 	// A count the remaining bytes could hold one per byte, but not as members.
-	binary.LittleEndian.PutUint32(forged[12:], 24)
-	if r, err := decodeRing(forged); err == nil {
-		t.Errorf("ring claiming 24 members in 24 bytes decodes as %+v", r)
+	binary.LittleEndian.PutUint32(forged[14:], 24)
+	if hr, err := decodeHelloReply(forged); err == nil {
+		t.Errorf("reply whose ring claims 24 members in 24 bytes decodes as %+v", hr)
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // TestRatePollingAppliesServerRate: a shipper configured with a
-// RateTarget polls the collector's rate operation and applies the
-// answer — the feedback half of adaptive sampling.
+// RateTarget polls the collector and applies the rate in each reply — the
+// feedback half of adaptive sampling.
 func TestRatePollingAppliesServerRate(t *testing.T) {
 	var served atomic.Uint64 // rate bits, settable mid-test
 	served.Store(rateBits(0.25))
@@ -26,11 +26,11 @@ func TestRatePollingAppliesServerRate(t *testing.T) {
 
 	target := sampling.NewControlled(1.0)
 	sh, err := NewShipper(ShipperConfig{
-		Addr:             srv.Addr(),
-		Process:          testProc("rated"),
-		FlushInterval:    2 * time.Millisecond,
-		RateTarget:       target,
-		RatePollInterval: 2 * time.Millisecond,
+		Addr:          srv.Addr(),
+		Process:       testProc("rated"),
+		FlushInterval: 2 * time.Millisecond,
+		RateTarget:    target,
+		PollInterval:  2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestRatePollingAppliesServerRate(t *testing.T) {
 }
 
 // TestRatePollingToleratesDisabledServer: a collector without sampling
-// rejects rate queries; the shipper keeps its current rate and the
+// answers polls with no rate; the shipper keeps its current rate and the
 // connection stays healthy for shipping.
 func TestRatePollingToleratesDisabledServer(t *testing.T) {
 	mem := &probe.MemorySink{}
@@ -66,11 +66,11 @@ func TestRatePollingToleratesDisabledServer(t *testing.T) {
 
 	target := sampling.NewControlled(0.5)
 	sh, err := NewShipper(ShipperConfig{
-		Addr:             srv.Addr(),
-		Process:          testProc("unrated"),
-		FlushInterval:    2 * time.Millisecond,
-		RateTarget:       target,
-		RatePollInterval: 2 * time.Millisecond,
+		Addr:          srv.Addr(),
+		Process:       testProc("unrated"),
+		FlushInterval: 2 * time.Millisecond,
+		RateTarget:    target,
+		PollInterval:  2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,21 +78,48 @@ func TestRatePollingToleratesDisabledServer(t *testing.T) {
 	for i := 1; i <= 50; i++ {
 		sh.Append(testRecord("unrated", uint64(i)))
 	}
-	time.Sleep(20 * time.Millisecond) // several rejected polls
+	time.Sleep(20 * time.Millisecond) // several rateless polls
 	if err := sh.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if target.Rate() != 0.5 {
-		t.Fatalf("rejected polls changed the rate to %g", target.Rate())
+		t.Fatalf("rateless polls changed the rate to %g", target.Rate())
 	}
 	if bf := srv.Stats().BadFrames; bf != 0 {
-		t.Fatalf("rejected polls counted %d bad frames", bf)
+		t.Fatalf("rateless polls counted %d bad frames", bf)
 	}
 	if mem.Len() != 50 {
 		t.Fatalf("server sink holds %d records, want 50", mem.Len())
 	}
 	if st := sh.Stats(); st.Dropped != 0 {
 		t.Fatalf("dropped %d records", st.Dropped)
+	}
+}
+
+// TestShipperTakesRateFromHandshake: the hello reply carries the
+// collector's rate, so a process follows it from its first connection, not
+// a poll later.
+func TestShipperTakesRateFromHandshake(t *testing.T) {
+	srv, err := Listen("127.0.0.1:0", ServerConfig{SampleRate: func() float64 { return 0.25 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	target := sampling.NewControlled(1.0)
+	sh, err := NewShipper(ShipperConfig{
+		Addr:         srv.Addr(),
+		Process:      testProc("rated"),
+		RateTarget:   target,
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	waitFor(t, func() bool { return sh.Stats().Connects == 1 }, "handshake")
+	if r := target.Rate(); r != 0.25 {
+		t.Fatalf("rate after the handshake = %g, want the collector's 0.25", r)
 	}
 }
 

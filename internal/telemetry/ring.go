@@ -16,8 +16,8 @@ import (
 // function of the chain id, computable identically by every shipper,
 // collector, and replayer without coordination.
 //
-// The ring travels in the telemetry handshake reply and the ring
-// operation; Epoch orders revisions so a shipper polling two collectors
+// The ring travels in the telemetry handshake reply, which a poll asks
+// for again; Epoch orders revisions so a shipper polling two collectors
 // mid-rebalance keeps the newest view.
 type Ring struct {
 	// Epoch increments on every rebalance; higher wins.
@@ -77,9 +77,9 @@ func (r Ring) OwnerOf(chain uuid.UUID) (RingMember, bool) {
 	return r.Owner(r.SlotOf(chain))
 }
 
-// Validate checks the structural invariants: power-of-two slot count and
-// member spans that tile [0, Slots) exactly, in order, with no gaps or
-// overlaps.
+// Validate checks the structural invariants: power-of-two slot count,
+// members that name themselves and an address to dial, and member spans
+// that tile [0, Slots) exactly, in order, with no gaps or overlaps.
 func (r Ring) Validate() error {
 	if r.Slots <= 0 || r.Slots&(r.Slots-1) != 0 {
 		return fmt.Errorf("telemetry: ring: slot count %d is not a power of two", r.Slots)
@@ -91,6 +91,9 @@ func (r Ring) Validate() error {
 	for i, m := range r.Members {
 		if m.ID == "" {
 			return fmt.Errorf("telemetry: ring: member %d has no id", i)
+		}
+		if m.Addr == "" {
+			return fmt.Errorf("telemetry: ring: member %s has no address", m.ID)
 		}
 		if m.Start != next {
 			return fmt.Errorf("telemetry: ring: member %s span starts at %d, want %d (gap or overlap)", m.ID, m.Start, next)

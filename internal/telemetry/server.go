@@ -44,14 +44,13 @@ type ServerConfig struct {
 	Sinks []probe.Sink
 	// OnConnect, when set, fires after each successful handshake.
 	OnConnect func(Peer)
-	// SampleRate, when set, serves the rate operation: the current
-	// head-sampling rate shippers should apply. nil rejects rate
-	// queries (sampling not enabled on this collector).
+	// SampleRate, when set, is the head-sampling rate shippers should
+	// apply: every hello and poll reply carries its current value. nil
+	// leaves the rate out (sampling not steered by this collector).
 	SampleRate func() float64
 	// Ring, when set, marks this collector as a cluster member: the
-	// current ring is returned in every handshake reply and served to
-	// ring polls. nil means standalone — HasRing false, ring queries
-	// rejected.
+	// current ring rides every hello and poll reply. nil, or false from
+	// it, means standalone — the replies carry no ring.
 	Ring func() (Ring, bool)
 	// Replay, when set, accepts replay batches (segment replays after a
 	// ring rebalance). It must deduplicate against records already held
@@ -299,14 +298,7 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 		if s.cfg.OnConnect != nil {
 			s.cfg.OnConnect(peer)
 		}
-		hr := HelloReply{Version: ProtocolVersion}
-		if s.cfg.Ring != nil {
-			if ring, ok := s.cfg.Ring(); ok {
-				hr.HasRing = true
-				hr.Ring = ring
-			}
-		}
-		respond(transport.Reply{Status: transport.StatusOK, Body: encodeHelloReply(hr)})
+		respond(transport.Reply{Status: transport.StatusOK, Body: s.reply()})
 	case opShip:
 		if s.backlogged() {
 			refuse(errBacklogged)
@@ -339,33 +331,11 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 		if !req.Oneway {
 			respond(transport.Reply{Status: transport.StatusOK})
 		}
-	case opRate:
-		if s.cfg.SampleRate == nil {
-			// Every shipping process polls; a collector that steers no
-			// rate refuses the poll without counting a bad frame, and the
-			// process keeps its own rate.
-			if !req.Oneway {
-				respond(transport.Reply{Status: transport.StatusUserException, Body: []byte("telemetry: sampling not enabled")})
-			}
-			return
-		}
-		respond(transport.Reply{Status: transport.StatusOK, Body: encodeRate(s.cfg.SampleRate())})
-	case opRing:
-		var ring Ring
-		ok := s.cfg.Ring != nil
-		if ok {
-			ring, ok = s.cfg.Ring()
-		}
-		if !ok {
-			// Every shipping process polls its ring too; a collector that
-			// serves none refuses the poll as it refuses a rate poll, and
-			// the process keeps routing by the ring it has.
-			if !req.Oneway {
-				respond(transport.Reply{Status: transport.StatusUserException, Body: []byte("telemetry: no cluster ring served here")})
-			}
-			return
-		}
-		respond(transport.Reply{Status: transport.StatusOK, Body: encodeRing(ring)})
+	case opPoll:
+		// A collector serving neither ring nor rate answers with both
+		// absent: every routed or rate-following shipper polls, and the
+		// poll is no fault.
+		respond(transport.Reply{Status: transport.StatusOK, Body: s.reply()})
 	case opReplay:
 		if s.cfg.Replay == nil {
 			fail("telemetry: replay not accepted here")
@@ -384,13 +354,22 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 		s.replayed.Add(uint64(accepted))
 		s.replayBatches.Add(1)
 		respond(transport.Reply{Status: transport.StatusOK, Body: encodeCount(uint64(accepted))})
-	case opFlush:
-		// Per-connection frames are handled in order, so replying here
-		// proves every prior ship frame from this peer was ingested.
-		respond(transport.Reply{Status: transport.StatusOK})
 	default:
 		fail("telemetry: unknown operation " + req.Operation)
 	}
+}
+
+// reply encodes what hello and poll answer: the ring and the rate, each
+// when this collector serves one.
+func (s *Server) reply() []byte {
+	hr := HelloReply{Version: ProtocolVersion}
+	if s.cfg.Ring != nil {
+		hr.Ring, hr.HasRing = s.cfg.Ring()
+	}
+	if s.cfg.SampleRate != nil {
+		hr.Rate, hr.HasRate = s.cfg.SampleRate(), true
+	}
+	return encodeHelloReply(hr)
 }
 
 // errBacklogged is the refusal a ship frame gets while a sink is backlogged.

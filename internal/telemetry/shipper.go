@@ -46,21 +46,20 @@ type ShipperConfig struct {
 	// Dial overrides the transport dialer (tests); default transport.DialTCP.
 	Dial func(addr string) (transport.Client, error)
 	// RateTarget, when set, receives the collector-steered head-sampling
-	// rate: the shipper polls the server's rate operation every
-	// RatePollInterval and applies each answer. *sampling.Controlled
-	// satisfies it; wire the same instance into probe.Config.Sampler and
-	// the process sheds chains at whatever rate the collector asks for.
+	// rate: from the handshake reply and then from every poll, whenever
+	// the collector steers one. *sampling.Controlled satisfies it; wire
+	// the same instance into probe.Config.Sampler and the process sheds
+	// chains at whatever rate the collector asks for.
 	RateTarget interface{ SetRate(float64) }
-	// RatePollInterval is how often the rate is polled; default 1s.
-	RatePollInterval time.Duration
-	// OnRing, when set, receives the cluster ring: once from the
-	// handshake reply (when the collector is a cluster member) and then
-	// from periodic ring polls, invoked only when the epoch advances.
-	// cluster.RoutedShipper uses it to re-route around rebalances.
+	// OnRing, when set, receives the cluster ring: from the handshake
+	// reply and then from every poll, when the collector is a cluster
+	// member, invoked only when the epoch advances. cluster.RoutedShipper
+	// uses it to re-route around rebalances.
 	OnRing func(Ring)
-	// RingPollInterval is how often the ring is polled when OnRing is
-	// set; default 1s.
-	RingPollInterval time.Duration
+	// PollInterval is how often a shipper with a RateTarget or an OnRing
+	// asks its collector for the ring and the rate again; default 1s. A
+	// shipper with neither never polls.
+	PollInterval time.Duration
 }
 
 func (c *ShipperConfig) applyDefaults() error {
@@ -82,7 +81,7 @@ func (c *ShipperConfig) applyDefaults() error {
 	if c.BackoffMin <= 0 {
 		c.BackoffMin = 50 * time.Millisecond
 	}
-	if c.BackoffMax < c.BackoffMin {
+	if c.BackoffMax <= 0 {
 		c.BackoffMax = 5 * time.Second
 	}
 	if c.BackoffMax < c.BackoffMin {
@@ -94,11 +93,8 @@ func (c *ShipperConfig) applyDefaults() error {
 	if c.Dial == nil {
 		c.Dial = func(addr string) (transport.Client, error) { return transport.DialTCP(addr) }
 	}
-	if c.RatePollInterval <= 0 {
-		c.RatePollInterval = time.Second
-	}
-	if c.RingPollInterval <= 0 {
-		c.RingPollInterval = time.Second
+	if c.PollInterval <= 0 {
+		c.PollInterval = time.Second
 	}
 	return nil
 }
@@ -153,8 +149,9 @@ type ShipperSink struct {
 	bytes     atomic.Uint64
 	connects  atomic.Uint64
 	connected atomic.Bool
-	ringEpoch atomic.Uint64 // newest ring epoch delivered to OnRing, +1
-	lastErr   atomic.Value  // string: most recent handshake/protocol error
+	lastErr   atomic.Value // string: most recent handshake/protocol error
+
+	ringEpoch uint64 // newest ring epoch delivered to OnRing, +1; the loop's own
 }
 
 var (
@@ -285,10 +282,9 @@ func WriteShipperMetrics(w io.Writer, st ShipperStats) {
 	fmt.Fprintf(w, "causeway_shipper_buffered %d\n", st.Buffered)
 }
 
-// Close drains the buffer (bounded by DrainTimeout), sends a flush barrier
-// so the server has ingested everything delivered, and stops the
-// background goroutine. Records that could not be delivered in time are
-// counted as dropped. Append after Close drops.
+// Close drains the buffer and sends the closing account, both bounded by
+// DrainTimeout, and stops the background goroutine. Records that could not
+// be delivered in time are counted as dropped. Append after Close drops.
 func (s *ShipperSink) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		<-s.done
@@ -336,48 +332,37 @@ func (s *ShipperSink) connect() transport.Client {
 		return nil
 	}
 	s.lastErr.Store("")
-	if hr.HasRing {
-		s.deliverRing(hr.Ring)
-	}
+	s.learn(hr)
 	s.connects.Add(1)
 	s.connected.Store(true)
 	return client
 }
 
-// deliverRing forwards a ring to OnRing when it is newer than the last
-// one delivered. Epochs are stored +1 so epoch 0 still registers.
-func (s *ShipperSink) deliverRing(r Ring) {
-	if s.cfg.OnRing == nil {
-		return
+// learn takes what a hello or poll reply carries: a ring newer than the
+// last one delivered goes to OnRing, a rate to RateTarget. connect and
+// poll both run on the loop goroutine, which owns ringEpoch. Epochs are
+// stored +1 so epoch 0 still registers.
+func (s *ShipperSink) learn(hr HelloReply) {
+	if hr.HasRing && s.cfg.OnRing != nil && hr.Ring.Epoch+1 > s.ringEpoch {
+		s.ringEpoch = hr.Ring.Epoch + 1
+		s.cfg.OnRing(hr.Ring)
 	}
-	for {
-		cur := s.ringEpoch.Load()
-		if r.Epoch+1 <= cur {
-			return
-		}
-		if s.ringEpoch.CompareAndSwap(cur, r.Epoch+1) {
-			s.cfg.OnRing(r)
-			return
-		}
+	if hr.HasRate && s.cfg.RateTarget != nil {
+		s.cfg.RateTarget.SetRate(hr.Rate)
 	}
 }
 
-// pollRing asks the server for the current ring; false on transport
-// failure. A protocol rejection (collector left the cluster, or never
-// was in one) is not an error — the shipper keeps its current view.
-func (s *ShipperSink) pollRing(client transport.Client) bool {
-	if client == nil {
-		return true
-	}
-	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opRing})
+// poll asks the collector for its reply again; false on transport
+// failure (the connection is dead).
+func (s *ShipperSink) poll(client transport.Client) bool {
+	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opPoll})
 	if err != nil {
 		return false
 	}
-	if rep.Status != transport.StatusOK {
-		return true
-	}
-	if r, err := decodeRing(rep.Body); err == nil {
-		s.deliverRing(r)
+	if rep.Status == transport.StatusOK {
+		if hr, err := decodeHelloReply(rep.Body); err == nil {
+			s.learn(hr)
+		}
 	}
 	return true
 }
@@ -473,17 +458,13 @@ func (s *ShipperSink) loop() {
 	// while something waits to ship.
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	var rateCh <-chan time.Time
-	if s.cfg.RateTarget != nil {
-		rt := time.NewTicker(s.cfg.RatePollInterval)
-		defer rt.Stop()
-		rateCh = rt.C
-	}
-	var ringCh <-chan time.Time
-	if s.cfg.OnRing != nil {
-		rt := time.NewTicker(s.cfg.RingPollInterval)
-		defer rt.Stop()
-		ringCh = rt.C
+	// One ticker polls for the ring and the rate, armed only for a
+	// shipper that takes either.
+	var pollCh <-chan time.Time
+	if s.cfg.OnRing != nil || s.cfg.RateTarget != nil {
+		pt := time.NewTicker(s.cfg.PollInterval)
+		defer pt.Stop()
+		pollCh = pt.C
 	}
 	for {
 		if client == nil {
@@ -532,12 +513,8 @@ func (s *ShipperSink) loop() {
 			return
 		case <-s.wake:
 		case <-due:
-		case <-rateCh:
-			if !s.pollRate(client) {
-				disconnect()
-			}
-		case <-ringCh:
-			if !s.pollRing(client) {
+		case <-pollCh:
+			if !s.poll(client) {
 				disconnect()
 			}
 		}
@@ -570,29 +547,8 @@ func (s *ShipperSink) Detach() []probe.Record {
 	return pending
 }
 
-// pollRate asks the server for the current head-sampling rate and
-// applies it to the configured target. It reports false on transport
-// failure (the connection is dead); a protocol-level rejection — the
-// server has sampling disabled — just keeps the current rate.
-func (s *ShipperSink) pollRate(client transport.Client) bool {
-	if client == nil {
-		return true
-	}
-	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opRate})
-	if err != nil {
-		return false
-	}
-	if rep.Status != transport.StatusOK {
-		return true
-	}
-	if rate, err := decodeRate(rep.Body); err == nil {
-		s.cfg.RateTarget.SetRate(rate)
-	}
-	return true
-}
-
 // drain makes a final bounded effort to deliver the remaining records and
-// confirm ingestion with a flush barrier.
+// the closing account.
 func (s *ShipperSink) drain(client transport.Client, pending []probe.Record) {
 	deadline := time.Now().Add(s.cfg.DrainTimeout)
 	defer func() {
@@ -645,24 +601,13 @@ func (s *ShipperSink) drain(client transport.Client, pending []probe.Record) {
 		Dropped:  s.dropped.Load() + uint64(len(pending)) + uint64(s.ring.Buffered()),
 		Shipped:  s.shipped.Load(),
 	}
-	// Oneway; the flush barrier below confirms it.
-	_ = client.Post(transport.Request{ObjectKey: ObjectKey, Operation: opStats, Body: encodeFinal(final)})
-	// Barrier: the sync reply proves the server handled every prior frame
-	// on this connection. A wedged server must not hang Close, so the wait
-	// is bounded by what remains of the drain budget.
-	remaining := time.Until(deadline)
-	if remaining <= 0 {
-		return
-	}
-	flushed := make(chan struct{})
-	go func() {
-		defer close(flushed)
-		_, _ = client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opFlush})
-	}()
-	select {
-	case <-flushed:
-	case <-time.After(remaining):
-		client.Close() // unblocks the pending Call
-		<-flushed
-	}
+	// A sync call: the reply proves the server holds the account and every
+	// frame before it. A wedged server must not hang Close, so the wait is
+	// bounded by what remains of the drain budget, and the account is
+	// written even when none remains. Its error changes nothing: the
+	// connection closes next either way.
+	_, _ = client.Call(transport.Request{
+		ObjectKey: ObjectKey, Operation: opStats, Body: encodeFinal(final),
+		Timeout: max(time.Until(deadline), time.Nanosecond),
+	})
 }

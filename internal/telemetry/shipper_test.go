@@ -313,3 +313,40 @@ func TestAppendAllocFree(t *testing.T) {
 		t.Fatalf("Append allocates %v per record, want 0", a)
 	}
 }
+
+// applyDefaults fills what is unset and keeps what is set: a BackoffMax
+// below BackoffMin is raised to it, never replaced by the default.
+func TestShipperConfigDefaults(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name             string
+		min, max         time.Duration
+		wantMin, wantMax time.Duration
+	}{
+		{"both unset", 0, 0, 50 * ms, 5 * time.Second},
+		{"both set", 10 * ms, 20 * ms, 10 * ms, 20 * ms},
+		{"max below min", 100 * ms, 60 * ms, 100 * ms, 100 * ms},
+		{"max below the default min", 0, 20 * ms, 50 * ms, 50 * ms},
+		{"min above the default max", 10 * time.Second, 0, 10 * time.Second, 10 * time.Second},
+		{"max negative", 100 * ms, -1, 100 * ms, 5 * time.Second},
+	} {
+		c := ShipperConfig{Addr: "127.0.0.1:1", BackoffMin: tc.min, BackoffMax: tc.max}
+		if err := c.applyDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		if c.BackoffMin != tc.wantMin || c.BackoffMax != tc.wantMax {
+			t.Errorf("%s: backoff [%v, %v] becomes [%v, %v], want [%v, %v]",
+				tc.name, tc.min, tc.max, c.BackoffMin, c.BackoffMax, tc.wantMin, tc.wantMax)
+		}
+	}
+	c := ShipperConfig{Addr: "127.0.0.1:1", BufferSize: 64, BatchSize: 1000}
+	if err := c.applyDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	if c.BatchSize != 64 || c.FlushInterval != ms || c.DrainTimeout != 2*time.Second || c.PollInterval != time.Second || c.Dial == nil {
+		t.Errorf("defaults: %+v", c)
+	}
+	if err := (&ShipperConfig{}).applyDefaults(); err == nil {
+		t.Error("a config without Addr accepted")
+	}
+}

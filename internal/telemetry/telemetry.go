@@ -11,7 +11,7 @@
 //
 // Shipping rides the repo's own framed TCP transport (internal/transport):
 // every message is a length-prefixed transport frame whose Request carries
-// ObjectKey "causeway.telemetry" and one of seven operations. The two that
+// ObjectKey "causeway.telemetry" and one of five operations. The two that
 // carry records carry one probe frame (internal/probe/frame.go — the same
 // frame a .ftlog file and /exportz are made of); the control messages are
 // fixed layouts in the same cdr conventions (little-endian integers,
@@ -22,10 +22,14 @@
 //	hello  (sync)   octet version, string process, string procType,
 //	                string debugAddr — handshake; the server learns the
 //	                peer's identity from internal/topology terms and
-//	                replies StatusOK with
-//	                  octet version, octet hasRing, [ring]
+//	                replies StatusOK with the collector's reply:
+//	                  octet version, octet hasRing, [ring],
+//	                  octet hasRate, [float64 rate]
+//	                  ring = uint64 epoch, int32 slots, uint32 M,
+//	                    M x (string id, string addr, int32 start, int32 end)
 //	                which carries the cluster ring when the collector
-//	                belongs to one. The leading version octet is checked
+//	                belongs to one and the head-sampling rate when it
+//	                steers one. The leading version octet is checked
 //	                before anything else is read, in both directions, so a
 //	                mismatched peer fails loudly with a version error
 //	                instead of a confusing decode failure — or worse,
@@ -42,17 +46,16 @@
 //	replay (sync)   frame — a segment replay after a ring rebalance; the
 //	                reply is uint64, the records the receiver accepted as
 //	                new.
-//	stats  (oneway) uint64 appended, uint64 dropped, uint64 shipped — the
+//	poll   (sync)   empty — the reply is hello's, read again: a shipper
+//	                that routes by the ring or follows the rate polls once
+//	                a PollInterval. A collector serving neither answers
+//	                StatusOK with both absent.
+//	stats  (sync)   uint64 appended, uint64 dropped, uint64 shipped — the
 //	                shipper's closing account of itself, sent once during
 //	                drain so the collection side can report per-peer loss.
-//	rate   (sync)   empty — reply float64, the head-sampling rate the
-//	                collector wants applied.
-//	ring   (sync)   empty — reply ring, the current cluster ring:
-//	                  uint64 epoch, int32 slots, uint32 M,
-//	                  M x (string id, string addr, int32 start, int32 end)
-//	flush  (sync)   empty — a barrier; the reply proves every prior frame
-//	                on the connection was ingested (the transport reads
-//	                and dispatches per-connection frames sequentially).
+//	                The empty reply proves the server holds it, and, since
+//	                the transport reads and dispatches one connection's
+//	                frames in order, every frame sent before it.
 //
 // A frame is a string table followed by fixed-layout records:
 //
@@ -86,7 +89,7 @@
 // A probe must never block on monitoring I/O (§2.1's interference
 // argument, restated for the network). ShipperSink.Append is O(1): it
 // writes into a bounded ring buffer and returns. When the buffer is full —
-// stalled server, dead link, reconnect storm — the OLDEST buffered record
+// stalled server, dead link, reconnect storm — the OLDEST buffered span
 // is dropped to admit the new one, and the drop is counted. Lost records
 // degrade the DSCG (the analyzer flags broken chains as abnormal
 // transitions, Figure 4) but never the application. Stats() exposes
@@ -112,21 +115,13 @@ const (
 	// until the ack arrives, so a collector dying mid-frame loses
 	// nothing — the batch is retried on reconnect (or re-routed by
 	// Detach), and receivers deduplicate by record identity.
-	opShip  = "ship"
-	opFlush = "flush"
+	opShip = "ship"
+	// opPoll (sync, empty request) asks for the handshake reply again: the
+	// current ring, so a rebalance (collector joined or died) re-routes
+	// records without a reconnect, and the current head-sampling rate, the
+	// control loop that closes collectd's load-shedding feedback.
+	opPoll  = "poll"
 	opStats = "stats"
-	// opRate (sync, empty request) asks the collection daemon for the
-	// current head-sampling rate; the reply body is one float64. The
-	// control loop that closes collectd's load-shedding feedback:
-	// shippers poll it periodically and apply the answer to their
-	// process's sampling.Controlled. Servers without sampling enabled
-	// reject the call and the shipper keeps its current rate.
-	opRate = "rate"
-	// opRing (sync, empty request) asks for the current cluster ring;
-	// the reply body is the ring layout. Ring-aware shippers poll it so a
-	// rebalance (collector joined or died) re-routes records without a
-	// reconnect. Collectors outside any cluster reject the call.
-	opRing = "ring"
 	// opReplay (sync) carries a record frame like ship, but marks
 	// the batch as a segment replay after a ring rebalance: the receiver
 	// deduplicates against records it already holds and accounts accepted
@@ -143,9 +138,11 @@ const (
 // HelloReply payload (cluster ring discovery), and the ring and replay
 // operations. Version 3 moved ship and replay frames from gob to the cdr
 // record frame; version 4 moved the control messages to fixed cdr layouts
-// too (the frame body did not change). There is no negotiation — peers of
-// different versions refuse each other at hello.
-const ProtocolVersion = 4
+// too (the frame body did not change). Version 5 put the rate in the
+// hello reply, replaced the ring and rate operations with poll, made stats
+// synchronous and dropped the flush barrier. There is no negotiation —
+// peers of different versions refuse each other at hello.
+const ProtocolVersion = 5
 
 // Hello is the handshake payload: who is shipping. DebugAddr (optional)
 // advertises the peer's debug/introspection HTTP address so the collection
@@ -198,13 +195,17 @@ func decodeHello(b []byte) (Hello, error) {
 	return h, finish(d, "hello")
 }
 
-// HelloReply is the server's handshake answer. HasRing reports whether
-// this collector is part of a cluster; when set, Ring is the current
-// chain-hash ownership map the shipper should route by.
+// HelloReply is the collector's answer to hello and to poll. HasRing
+// reports whether this collector is part of a cluster; when set, Ring is
+// the current chain-hash ownership map the shipper should route by.
+// HasRate reports whether it steers the head-sampling rate; when set, Rate
+// is the rate the shipper's process should apply.
 type HelloReply struct {
 	Version int
 	HasRing bool
 	Ring    Ring
+	HasRate bool
+	Rate    float64
 }
 
 func encodeHelloReply(hr HelloReply) []byte {
@@ -213,6 +214,10 @@ func encodeHelloReply(hr HelloReply) []byte {
 	e.PutBool(hr.HasRing)
 	if hr.HasRing {
 		putRing(&e, hr.Ring)
+	}
+	e.PutBool(hr.HasRate)
+	if hr.HasRate {
+		e.PutFloat64(hr.Rate)
 	}
 	return e.Bytes()
 }
@@ -225,6 +230,9 @@ func decodeHelloReply(b []byte) (HelloReply, error) {
 	hr := HelloReply{Version: ProtocolVersion, HasRing: d.Bool()}
 	if hr.HasRing {
 		hr.Ring = getRing(d)
+	}
+	if hr.HasRate = d.Bool(); hr.HasRate {
+		hr.Rate = d.Float64()
 	}
 	return hr, finish(d, "hello reply")
 }
@@ -252,18 +260,6 @@ func getRing(d *cdr.Decoder) Ring {
 	return r
 }
 
-func encodeRing(r Ring) []byte {
-	var e cdr.Encoder
-	putRing(&e, r)
-	return e.Bytes()
-}
-
-func decodeRing(b []byte) (Ring, error) {
-	d := cdr.NewDecoder(b)
-	r := getRing(d)
-	return r, finish(d, "ring")
-}
-
 func encodeCount(n uint64) []byte {
 	var e cdr.Encoder
 	e.PutUint64(n)
@@ -276,11 +272,11 @@ func decodeCount(b []byte) (uint64, error) {
 	return n, finish(d, "count")
 }
 
-// ShipperFinal is a shipper's own closing account of itself, sent on the
-// oneway stats frame just before the final flush barrier. It lets the
-// collection side report, per peer, how many records the process emitted,
-// how many its ring dropped, and how many reached the wire — numbers only
-// the shipper knows (the server sees arrivals, not losses).
+// ShipperFinal is a shipper's own closing account of itself, sent as the
+// last frame of its drain. It lets the collection side report, per peer,
+// how many records the process emitted, how many its ring dropped, and how
+// many reached the wire — numbers only the shipper knows (the server sees
+// arrivals, not losses).
 type ShipperFinal struct {
 	Appended uint64
 	Dropped  uint64
@@ -299,16 +295,4 @@ func decodeFinal(b []byte) (ShipperFinal, error) {
 	d := cdr.NewDecoder(b)
 	f := ShipperFinal{Appended: d.Uint64(), Dropped: d.Uint64(), Shipped: d.Uint64()}
 	return f, finish(d, "stats")
-}
-
-func encodeRate(rate float64) []byte {
-	var e cdr.Encoder
-	e.PutFloat64(rate)
-	return e.Bytes()
-}
-
-func decodeRate(b []byte) (float64, error) {
-	d := cdr.NewDecoder(b)
-	rate := d.Float64()
-	return rate, finish(d, "rate")
 }
