@@ -44,6 +44,20 @@ import (
 // are present exactly when any of their fields is non-zero — an event
 // record carries no link block and a link record no event block — which is
 // what keeps an event record at 95 bytes plus its Semantics.
+//
+// The decoder reads a record as three fixed blocks and its Semantics: the
+// 39-byte head (the three octets, the indexes, the thread, the semantics
+// length), then the 56-byte event block and the 40-byte link block when the
+// flags name them. Each block is checked against the bytes that remain
+// once, as a whole, and its fields are read at fixed offsets; the kind, the
+// flags and every table index are checked before the record is accepted.
+// The table and the counts are checked as they are read, each count against
+// the least its items could occupy. Decode and DecodeInto build Records.
+// DecodeIndex, what the trace store's recovery reads segments with, checks
+// exactly the same and builds an IndexEntry per record instead: every
+// scalar field — kind, the four flag booleans, event, thread, chain, seq,
+// wall start and end as Unix nanoseconds, CPU start and end — and no string
+// and no link block; a frame that holds a link record decodes in full.
 const (
 	// The flags octet: a record's four booleans, then which blocks follow.
 	wireOneway = 1 << iota
@@ -58,13 +72,6 @@ const (
 	wireTimeNone = int64(math.MinInt64)
 
 	identityStrings = 6
-	// minRecordSize is a record with empty semantics and neither block:
-	// three octets, the indexes, the thread, the semantics length. Counts
-	// read off the wire are bounded by the bytes that remain divided by
-	// the least each counted item occupies, so a hostile length field can
-	// never size an allocation beyond what the frame really carries.
-	minRecordSize = 3 + identityStrings*4 + 8 + 4
-	minStringSize = 4
 )
 
 // FrameEncoder encodes frames into one buffer reused frame after frame: the
@@ -145,13 +152,6 @@ func putTime(e *cdr.Encoder, t time.Time) {
 		return
 	}
 	e.PutInt64(t.UnixNano())
-}
-
-func getTime(d *cdr.Decoder) time.Time {
-	if v := d.Int64(); v != wireTimeNone {
-		return time.Unix(0, v)
-	}
-	return time.Time{}
 }
 
 // Encode renders recs as one frame body. The result aliases the encoder's
@@ -245,9 +245,9 @@ func EncodeFrame(recs []Record) []byte {
 // per-connection interner: past the cap the map stops growing and unseen
 // strings are allocated per frame, so a peer sending adversarially unique
 // (or huge) identities cannot exhaust memory. maxTableScratch and
-// maxSlabRecords bound the table scratch and the record slab a connection
-// keeps between frames the same way (a quarter of a megabyte of records; a
-// shipper's frame is 256 of them).
+// maxSlabRecords bound the table scratch and the record and entry slabs a
+// connection keeps between frames the same way (a quarter of a megabyte of
+// records; a shipper's frame is 256 of them).
 const (
 	maxInternedStrings = 1024
 	maxInternedLen     = 256
@@ -258,13 +258,15 @@ const (
 // FrameDecoder is the decode state of one frame source — a telemetry
 // connection, a record stream: the bounded intern map that makes every frame
 // of a process resolve its vocabulary to the same strings, and the table
-// scratch and record slab reused from frame to frame. Once a source's
-// vocabulary has been seen, decoding a frame allocates whatever Semantics
-// the records carry and nothing else. The zero value is ready to use.
+// scratch and the record and entry slabs reused from frame to frame. Once a
+// source's vocabulary has been seen, decoding a frame allocates whatever
+// Semantics the records carry and nothing else. The zero value is ready to
+// use.
 type FrameDecoder struct {
 	interned map[string]string
 	table    []string
 	slab     []Record
+	ents     []IndexEntry
 }
 
 // intern returns b as a string, shared with every earlier occurrence on
@@ -284,13 +286,55 @@ func (d *FrameDecoder) intern(b []byte) string {
 	return s
 }
 
+// IndexEntry is a record without its strings and its link block: every
+// other field a full decode gives, in a value that holds no pointer, so a
+// slab of them costs the garbage collector nothing to scan. WallStart and
+// WallEnd are Unix nanoseconds, NoWallTime for the zero time.Time.
+type IndexEntry struct {
+	Chain              uuid.UUID
+	Seq                uint64
+	Thread             uint64
+	WallStart, WallEnd int64
+	CPUStart, CPUEnd   time.Duration
+	Kind               RecordKind
+	Event              ftl.Event
+
+	Oneway, Collocated, LatencyArmed, CPUArmed bool
+}
+
+// NoWallTime is an IndexEntry's wall time for a record that carries none.
+const NoWallTime = wireTimeNone
+
+func wallNanos(t time.Time) int64 {
+	if t.IsZero() {
+		return NoWallTime
+	}
+	return t.UnixNano()
+}
+
+// AppendIndexEntries appends the entry of each of recs to dst: what
+// DecodeIndex gives for the frame recs encode to.
+func AppendIndexEntries(dst []IndexEntry, recs []Record) []IndexEntry {
+	for i := range recs {
+		r := &recs[i]
+		dst = append(dst, IndexEntry{
+			Chain: r.Chain, Seq: r.Seq, Thread: r.Thread,
+			WallStart: wallNanos(r.WallStart), WallEnd: wallNanos(r.WallEnd),
+			CPUStart: r.CPUStart, CPUEnd: r.CPUEnd,
+			Kind: r.Kind, Event: r.Event,
+			Oneway: r.Oneway, Collocated: r.Collocated, LatencyArmed: r.LatencyArmed, CPUArmed: r.CPUArmed,
+		})
+	}
+	return dst
+}
+
 // Decode parses one frame body. Any malformation — truncation, a count
 // larger than the bytes behind it, a table index out of range, an unknown
 // kind or flag bit, trailing bytes — is an error, never a panic. The result
 // is the decoder's slab: it is valid until the next Decode, which is why the
 // telemetry server's sinks and stores and ReadFrames' callback borrow a
 // frame's records and never keep them.
-func (d *FrameDecoder) Decode(body []byte) ([]Record, error) { return d.decode(body, nil, false) }
+func (d *FrameDecoder) Decode(body []byte) ([]Record, error) { return d.DecodeInto(body, nil) }
 
 // DecodeInto is Decode into dst's backing array when the frame's records fit
 // its capacity — dst[:n] is overwritten whole and returned, the caller owns
@@ -298,44 +342,20 @@ func (d *FrameDecoder) Decode(body []byte) ([]Record, error) { return d.decode(b
 // decodes a chain's frames straight into the chain's slot of one slab with
 // it.
 func (d *FrameDecoder) DecodeInto(body []byte, dst []Record) ([]Record, error) {
-	return d.decode(body, dst, false)
+	recs, err := d.decode(body, dst)
+	if err != nil {
+		return nil, fmt.Errorf("probe: decode frame: %w", err)
+	}
+	return recs, nil
 }
 
-// DecodeIndex is Decode for an index that keeps a location per event and
-// every link whole: it checks every bound Decode checks, fails wherever
-// Decode fails and otherwise returns the same records, except that an event
-// record comes back with its six identity strings and its Semantics empty —
-// no string is interned or allocated for it. A frame that holds a link
-// record decodes in full.
-func (d *FrameDecoder) DecodeIndex(body []byte) ([]Record, error) { return d.decode(body, nil, true) }
-
-// errLinkInIndex stops an index decode at a link record: the frame is
-// decoded again in full.
-var errLinkInIndex = errors.New("link record in an index decode")
-
-func (d *FrameDecoder) decode(body []byte, dst []Record, index bool) ([]Record, error) {
-	dec := cdr.NewDecoder(body)
-	nstr := dec.Uint32()
-	if int64(nstr) > int64(dec.Remaining()/minStringSize) {
-		return nil, fmt.Errorf("probe: decode frame: string table of %d entries in %d bytes", nstr, dec.Remaining())
+func (d *FrameDecoder) decode(body []byte, dst []Record) ([]Record, error) {
+	b, _, err := d.readTable(body, true)
+	var recs []Record
+	if err == nil {
+		recs, err = decodeRecords(b, d.table, dst, d.slab)
 	}
-	table := d.table[:0]
-	for i := uint32(0); i < nstr && dec.Err() == nil; i++ {
-		if b := dec.BytesNoCopy(); !index {
-			table = append(table, d.intern(b))
-		}
-	}
-	recs, err := decodeRecords(dec, table, nstr, dst, d.slab, index)
-	if err == errLinkInIndex {
-		return d.decode(body, dst, false)
-	}
-	// Keep the scratch, not the strings: a frame's one-off identities must
-	// not stay reachable from an idle connection.
-	clear(table)
-	d.table = nil
-	if cap(table) <= maxTableScratch {
-		d.table = table[:0]
-	}
+	d.keepTable()
 	// The slab does keep its frame's strings until the next frame overwrites
 	// them — one frame's worth per live connection, let go at disconnect. A
 	// frame too large to keep decodes into a slab of its own; a frame
@@ -343,87 +363,276 @@ func (d *FrameDecoder) decode(body []byte, dst []Record, index bool) ([]Record, 
 	if len(recs) > cap(dst) && cap(recs) > cap(d.slab) && cap(recs) <= maxSlabRecords {
 		d.slab = recs[:0]
 	}
-	if err != nil {
-		return nil, fmt.Errorf("probe: decode frame: %w", err)
-	}
-	return recs, nil
+	return recs, err
 }
 
-// decodeRecords parses the record section against a table of ntable
-// entries, into dst when the frame fits it, else into slab when it fits
-// that. Every slot it returns is written whole, so nothing of the frame the
-// slab held before shows through. An index decode resolves no string of an
-// event record, and a link record stops it with errLinkInIndex.
-func decodeRecords(dec *cdr.Decoder, table []string, ntable uint32, dst, slab []Record, index bool) ([]Record, error) {
-	nrec := dec.Uint32()
-	if err := dec.Err(); err != nil {
-		return nil, err
+// DecodeIndex is the decode of an index that keeps a location per event
+// and every link whole. It checks every bound Decode checks and fails
+// wherever Decode fails; otherwise ents holds each record's IndexEntry, and
+// no string is interned or allocated. A frame that holds a link record
+// decodes in full: recs is then its records, as Decode gives them, beside
+// their entries, and nil for a frame of events. Both are the decoder's
+// slabs, valid until its next decode.
+func (d *FrameDecoder) DecodeIndex(body []byte) (ents []IndexEntry, recs []Record, err error) {
+	b, ntable, err := d.readTable(body, false)
+	if err == nil {
+		ents, err = decodeEntries(b, ntable, d.ents)
+		if err == errLinkInIndex {
+			if recs, err = d.decode(body, nil); err == nil {
+				ents = AppendIndexEntries(d.ents[:0], recs)
+			}
+		}
 	}
-	if int64(nrec) > int64(dec.Remaining()/minRecordSize) {
-		return nil, fmt.Errorf("%d records in %d bytes", nrec, dec.Remaining())
+	if cap(ents) > cap(d.ents) && cap(ents) <= maxSlabRecords {
+		d.ents = ents[:0]
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("probe: decode frame: %w", err)
+	}
+	return ents, recs, nil
+}
+
+// errLinkInIndex stops an entry decode at a link record: the frame is
+// decoded again in full.
+var errLinkInIndex = errors.New("link record in an index decode")
+
+// readTable checks the string table at the head of body and returns the
+// bytes behind it and its entry count. With resolve set, it leaves in
+// d.table each entry resolved through the intern map.
+func (d *FrameDecoder) readTable(body []byte, resolve bool) (rest []byte, ntable uint32, err error) {
+	if len(body) < 4 {
+		return nil, 0, fmt.Errorf("%w: %d bytes for the string table's count", cdr.ErrShortBuffer, len(body))
+	}
+	nstr, b := binary.LittleEndian.Uint32(body), body[4:]
+	if int64(nstr) > int64(len(b)/minStringSize) {
+		return nil, 0, fmt.Errorf("string table of %d entries in %d bytes", nstr, len(b))
+	}
+	for i := uint32(0); i < nstr; i++ {
+		if len(b) < 4 {
+			return nil, 0, fmt.Errorf("%w: string %d's length cut off", cdr.ErrShortBuffer, i)
+		}
+		n := binary.LittleEndian.Uint32(b)
+		if b = b[4:]; uint64(n) > uint64(len(b)) {
+			return nil, 0, fmt.Errorf("%w: string %d of %d bytes in %d", cdr.ErrShortBuffer, i, n, len(b))
+		}
+		if resolve {
+			d.table = append(d.table, d.intern(b[:n]))
+		}
+		b = b[n:]
+	}
+	return b, nstr, nil
+}
+
+// keepTable keeps the table's scratch, not its strings: a frame's one-off
+// identities must not stay reachable from an idle connection. The frame's
+// records already hold what they resolved.
+func (d *FrameDecoder) keepTable() {
+	table := d.table
+	clear(table)
+	d.table = nil
+	if cap(table) <= maxTableScratch {
+		d.table = table[:0]
+	}
+}
+
+// Each record's three fixed blocks. A record's head is the least it
+// occupies: counts read off the wire are bounded by the bytes that remain
+// divided by the least each counted item occupies, so a hostile length
+// field can never size an allocation beyond what the frame really carries.
+const (
+	minRecordSize  = 3 + identityStrings*4 + 8 + 4 // kind, flags, event, indexes, thread, semantics length
+	eventBlockSize = uuid.Size + 8 + 4*8           // chain, seq, wall start and end, CPU start and end
+	linkBlockSize  = uuid.Size + 8 + uuid.Size     // parent, parent seq, child
+	minStringSize  = 4
+)
+
+// wireRecord is one record of a frame as it lies in the body: its head,
+// its Semantics, and its event and link blocks, nil when absent. Every
+// block is a fixed-size array checked against the body once, so its fields
+// are read at constant offsets with no further check.
+type wireRecord struct {
+	head      *[minRecordSize]byte
+	semantics []byte
+	event     *[eventBlockSize]byte
+	link      *[linkBlockSize]byte
+}
+
+// cut takes the record at the front of b, checking it whole: every block
+// the flags name present, each table index below ntable, the kind known and
+// no unknown flag bit set. It returns the bytes behind the record.
+func (w *wireRecord) cut(b []byte, ntable uint32) ([]byte, error) {
+	if len(b) < minRecordSize {
+		return nil, fmt.Errorf("%w: %d bytes left for a %d-byte record head", cdr.ErrShortBuffer, len(b), minRecordSize)
+	}
+	h := (*[minRecordSize]byte)(b)
+	le := binary.LittleEndian
+	for _, idx := range [identityStrings]uint32{le.Uint32(h[3:7]), le.Uint32(h[7:11]), le.Uint32(h[11:15]), le.Uint32(h[15:19]), le.Uint32(h[19:23]), le.Uint32(h[23:27])} {
+		if idx >= ntable {
+			return nil, fmt.Errorf("string index %d outside table of %d", idx, ntable)
+		}
+	}
+	n := le.Uint32(h[35:39])
+	if b = b[minRecordSize:]; uint64(n) > uint64(len(b)) {
+		return nil, fmt.Errorf("%w: semantics of %d bytes in %d", cdr.ErrShortBuffer, n, len(b))
+	}
+	*w = wireRecord{head: h, semantics: b[:n]}
+	b = b[n:]
+	flags := h[1]
+	if flags&wireHasEvent != 0 {
+		if len(b) < eventBlockSize {
+			return nil, fmt.Errorf("%w: %d bytes left for the event block", cdr.ErrShortBuffer, len(b))
+		}
+		w.event, b = (*[eventBlockSize]byte)(b), b[eventBlockSize:]
+	}
+	if flags&wireHasLink != 0 {
+		if len(b) < linkBlockSize {
+			return nil, fmt.Errorf("%w: %d bytes left for the link block", cdr.ErrShortBuffer, len(b))
+		}
+		w.link, b = (*[linkBlockSize]byte)(b), b[linkBlockSize:]
+	}
+	if kind := RecordKind(h[0]); kind != KindEvent && kind != KindLink {
+		return nil, fmt.Errorf("kind %d", kind)
+	}
+	if flags&^wireKnown != 0 {
+		return nil, fmt.Errorf("flags %#x", flags)
+	}
+	return b, nil
+}
+
+func (w *wireRecord) kind() RecordKind { return RecordKind(w.head[0]) }
+
+// ident is the record's identity string j, resolved through table.
+func (w *wireRecord) ident(table []string, j int) string {
+	return table[binary.LittleEndian.Uint32(w.head[3+4*j:])]
+}
+
+func wireTime(b []byte) time.Time {
+	if v := int64(binary.LittleEndian.Uint64(b)); v != wireTimeNone {
+		return time.Unix(0, v)
+	}
+	return time.Time{}
+}
+
+// recordCount reads the record section's count, bounded by the bytes
+// behind it, and returns those bytes.
+func recordCount(b []byte) (int, []byte, error) {
+	if len(b) < 4 {
+		return 0, nil, fmt.Errorf("%w: %d bytes for the record count", cdr.ErrShortBuffer, len(b))
+	}
+	n, b := binary.LittleEndian.Uint32(b), b[4:]
+	if int64(n) > int64(len(b)/minRecordSize) {
+		return 0, nil, fmt.Errorf("%d records in %d bytes", n, len(b))
+	}
+	return int(n), b, nil
+}
+
+// decodeRecords parses the record section b against table, into dst when
+// the frame fits it, else into slab when it fits that. Every slot it
+// returns is written whole, so nothing of the frame the slab held before
+// shows through.
+func decodeRecords(b []byte, table []string, dst, slab []Record) ([]Record, error) {
+	nrec, b, err := recordCount(b)
+	if err != nil {
+		return nil, err
 	}
 	var recs []Record
 	switch {
-	case int(nrec) <= cap(dst):
+	case nrec <= cap(dst):
 		recs = dst[:nrec]
-	case int(nrec) <= cap(slab):
+	case nrec <= cap(slab):
 		recs = slab[:nrec]
 	default:
 		recs = make([]Record, nrec)
 	}
+	ntable := uint32(len(table))
+	le := binary.LittleEndian
 	for i := range recs {
-		r := &recs[i]
-		*r = Record{Kind: RecordKind(dec.Octet())}
-		if index && r.Kind == KindLink {
-			return nil, errLinkInIndex
-		}
-		flags := dec.Octet()
-		r.Event = ftl.Event(dec.Octet())
-		var ids [identityStrings]string
-		for j := range ids {
-			idx := dec.Uint32()
-			if idx >= ntable {
-				if err := dec.Err(); err != nil {
-					return nil, fmt.Errorf("record %d: %w", i, err)
-				}
-				return nil, fmt.Errorf("record %d: string index %d outside table of %d", i, idx, ntable)
-			}
-			if !index {
-				ids[j] = table[idx]
-			}
-		}
-		r.Process, r.ProcType = ids[0], ids[1]
-		r.Op = OpID{Component: ids[2], Interface: ids[3], Operation: ids[4], Object: ids[5]}
-		r.Thread = dec.Uint64()
-		if index {
-			dec.BytesNoCopy()
-		} else {
-			r.Semantics = dec.String()
-		}
-		if flags&wireHasEvent != 0 {
-			copy(r.Chain[:], dec.Raw(uuid.Size))
-			r.Seq = dec.Uint64()
-			r.WallStart = getTime(dec)
-			r.WallEnd = getTime(dec)
-			r.CPUStart = time.Duration(dec.Int64())
-			r.CPUEnd = time.Duration(dec.Int64())
-		}
-		if flags&wireHasLink != 0 {
-			copy(r.LinkParent[:], dec.Raw(uuid.Size))
-			r.LinkParentSeq = dec.Uint64()
-			copy(r.LinkChild[:], dec.Raw(uuid.Size))
-		}
-		if err := dec.Err(); err != nil {
+		var w wireRecord
+		if b, err = w.cut(b, ntable); err != nil {
 			return nil, fmt.Errorf("record %d: %w", i, err)
 		}
-		if r.Kind != KindEvent && r.Kind != KindLink {
-			return nil, fmt.Errorf("record %d: kind %d", i, r.Kind)
-		}
-		if flags&^wireKnown != 0 {
-			return nil, fmt.Errorf("record %d: flags %#x", i, flags)
-		}
+		h, flags := w.head, w.head[1]
+		// Field by field into the zeroed slot: a composite literal would
+		// be built aside and copied in, 272 bytes twice per record.
+		r := &recs[i]
+		*r = Record{}
+		r.Kind = w.kind()
+		r.Process, r.ProcType = w.ident(table, 0), w.ident(table, 1)
+		r.Op.Component, r.Op.Interface = w.ident(table, 2), w.ident(table, 3)
+		r.Op.Operation, r.Op.Object = w.ident(table, 4), w.ident(table, 5)
+		r.Thread = le.Uint64(h[27:35])
+		r.Semantics = string(w.semantics)
+		r.Event = ftl.Event(h[2])
 		r.Oneway, r.Collocated = flags&wireOneway != 0, flags&wireCollocated != 0
 		r.LatencyArmed, r.CPUArmed = flags&wireLatencyArmed != 0, flags&wireCPUArmed != 0
+		if e := w.event; e != nil {
+			r.Chain = uuid.UUID(e[0:16])
+			r.Seq = le.Uint64(e[16:24])
+			r.WallStart = wireTime(e[24:32])
+			r.WallEnd = wireTime(e[32:40])
+			r.CPUStart = time.Duration(le.Uint64(e[40:48]))
+			r.CPUEnd = time.Duration(le.Uint64(e[48:56]))
+		}
+		if l := w.link; l != nil {
+			r.LinkParent = uuid.UUID(l[0:16])
+			r.LinkParentSeq = le.Uint64(l[16:24])
+			r.LinkChild = uuid.UUID(l[24:40])
+		}
 	}
-	return recs, dec.Finish()
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", len(b))
+	}
+	return recs, nil
+}
+
+// decodeEntries is decodeRecords into IndexEntry values, against a table
+// of ntable entries it does not resolve: into slab when the frame fits it.
+// A link record stops it with errLinkInIndex.
+func decodeEntries(b []byte, ntable uint32, slab []IndexEntry) ([]IndexEntry, error) {
+	nrec, b, err := recordCount(b)
+	if err != nil {
+		return nil, err
+	}
+	ents := slab
+	if nrec > cap(slab) {
+		ents = make([]IndexEntry, nrec)
+	}
+	ents = ents[:nrec]
+	le := binary.LittleEndian
+	for i := range ents {
+		var w wireRecord
+		if b, err = w.cut(b, ntable); err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
+		}
+		if w.kind() == KindLink {
+			return nil, errLinkInIndex
+		}
+		h, flags := w.head, w.head[1]
+		e := &ents[i]
+		*e = IndexEntry{
+			Thread:       le.Uint64(h[27:35]),
+			WallStart:    NoWallTime,
+			WallEnd:      NoWallTime,
+			Kind:         w.kind(),
+			Event:        ftl.Event(h[2]),
+			Oneway:       flags&wireOneway != 0,
+			Collocated:   flags&wireCollocated != 0,
+			LatencyArmed: flags&wireLatencyArmed != 0,
+			CPUArmed:     flags&wireCPUArmed != 0,
+		}
+		if ev := w.event; ev != nil {
+			e.Chain = uuid.UUID(ev[0:16])
+			e.Seq = le.Uint64(ev[16:24])
+			// The wire's wall time is Unix nanoseconds, and its
+			// wireTimeNone is NoWallTime.
+			e.WallStart = int64(le.Uint64(ev[24:32]))
+			e.WallEnd = int64(le.Uint64(ev[32:40]))
+			e.CPUStart = time.Duration(le.Uint64(ev[40:48]))
+			e.CPUEnd = time.Duration(le.Uint64(ev[48:56]))
+		}
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", len(b))
+	}
+	return ents, nil
 }

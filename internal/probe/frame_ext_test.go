@@ -10,6 +10,7 @@ import (
 
 	"causeway/internal/probe"
 	"causeway/internal/tracestore"
+	"causeway/internal/uuid"
 	"causeway/internal/workload"
 )
 
@@ -143,4 +144,64 @@ func BenchmarkShipFrameCodec(b *testing.B) {
 			}
 		}
 	})
+}
+
+// chainFrames regroups a generated run's records into one frame per chain,
+// every process's records of the chain in the order they were taken — the
+// trace store's frame for a chain's run.
+func chainFrames(tb testing.TB) [][]probe.Record {
+	tb.Helper()
+	var frames [][]probe.Record
+	at := make(map[uuid.UUID]int)
+	for _, f := range workloadFrames(tb, 256) {
+		for _, r := range f {
+			i, ok := at[r.Chain]
+			if !ok {
+				i = len(frames)
+				at[r.Chain] = i
+				frames = append(frames, nil)
+			}
+			frames[i] = append(frames[i], r)
+		}
+	}
+	return frames
+}
+
+// BenchmarkFrameDecode times the full decode (Decode into the decoder's
+// slab) and the index decode (DecodeIndex) of a shipper's 256-record frame
+// and of a trace-store segment frame that holds one chain, in ns/record.
+func BenchmarkFrameDecode(b *testing.B) {
+	for _, shape := range []struct {
+		name   string
+		frames [][]probe.Record
+	}{{"ship256", workloadFrames(b, 256)}, {"chain", chainFrames(b)}} {
+		var enc probe.FrameEncoder
+		bodies := make([][]byte, len(shape.frames))
+		records := 0
+		for i, f := range shape.frames {
+			bodies[i] = append([]byte(nil), enc.Encode(f)...)
+			records += len(f)
+		}
+		perRecord := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)*float64(len(bodies))/float64(records), "ns/record")
+		}
+		b.Run(shape.name+"/full", func(b *testing.B) {
+			var dec probe.FrameDecoder
+			for i := 0; i < b.N; i++ {
+				if _, err := dec.Decode(bodies[i%len(bodies)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRecord(b)
+		})
+		b.Run(shape.name+"/index", func(b *testing.B) {
+			var dec probe.FrameDecoder
+			for i := 0; i < b.N; i++ {
+				if _, _, err := dec.DecodeIndex(bodies[i%len(bodies)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRecord(b)
+		})
+	}
 }

@@ -271,22 +271,67 @@ func TestDecoderReusesSlab(t *testing.T) {
 	}
 }
 
-// indexed is what DecodeIndex answers for recs, the records Decode gives for
-// a frame: an event record without its identity strings and Semantics,
-// unless the frame holds a link record, which makes it decode in full.
-func indexed(recs []Record) []Record {
-	out := slices.Clone(recs)
-	for i := range out {
-		if out[i].Kind == KindLink {
-			return slices.Clone(recs)
-		}
-		out[i].Process, out[i].ProcType, out[i].Op, out[i].Semantics = "", "", OpID{}, ""
+// checkEntries requires ents to hold, field for field, what recs hold:
+// every IndexEntry field against the Record field of its name, a wall time
+// as its Unix nanoseconds or NoWallTime. A field IndexEntry gains is held
+// to Record's without a change here, and one Record lacks fails.
+func checkEntries(t *testing.T, ents []IndexEntry, recs []Record) {
+	t.Helper()
+	if len(ents) != len(recs) {
+		t.Fatalf("%d index entries for %d records", len(ents), len(recs))
 	}
-	return out
+	et := reflect.TypeOf(IndexEntry{})
+	for i := range ents {
+		e, r := reflect.ValueOf(ents[i]), reflect.ValueOf(recs[i])
+		for f := 0; f < et.NumField(); f++ {
+			name := et.Field(f).Name
+			rf := r.FieldByName(name)
+			if !rf.IsValid() {
+				t.Fatalf("IndexEntry.%s has no Record field to match", name)
+			}
+			got, want := e.Field(f).Interface(), rf.Interface()
+			if tm, ok := want.(time.Time); ok {
+				want = NoWallTime
+				if !tm.IsZero() {
+					want = tm.UnixNano()
+				}
+			}
+			if got != want {
+				t.Fatalf("record %d: entry's %s = %v, the full decode's %v", i, name, got, want)
+			}
+		}
+	}
 }
 
-// The index decode interns nothing for a frame of events and hands a frame
-// that holds a link over to the full decode.
+// An IndexEntry holds no pointer: a slab of them is never scanned by the
+// garbage collector, and keeps no frame's string reachable.
+func TestIndexEntryHoldsNoPointer(t *testing.T) {
+	var walk func(reflect.Type) bool
+	walk = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Int,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint:
+			return true
+		case reflect.Array:
+			return walk(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !walk(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	if !walk(reflect.TypeOf(IndexEntry{})) {
+		t.Fatal("IndexEntry holds a field that is, or contains, a pointer")
+	}
+}
+
+// The index decode interns nothing for a frame of events and gives each
+// record's entry, field for field what the full decode gives; a frame that
+// holds a link decodes in full beside its entries.
 // DecodeInto writes into the caller's array when the frame fits it and
 // leaves the decoder's slab as it was; when it does not fit, it decodes
 // into the slab, never past dst's capacity.
@@ -294,11 +339,16 @@ func TestDecodeIndexAndInto(t *testing.T) {
 	events := codecRecords()[:7]
 	for name, recs := range map[string][]Record{"events": events, "with a link": codecRecords()} {
 		var d FrameDecoder
-		got, err := d.DecodeIndex(encodeBatch(recs))
-		if err != nil || !reflect.DeepEqual(got, indexed(recs)) {
-			t.Fatalf("%s: DecodeIndex = %v, %+v", name, err, got)
+		ents, full, err := d.DecodeIndex(encodeBatch(recs))
+		if err != nil {
+			t.Fatalf("%s: DecodeIndex: %v", name, err)
 		}
-		if interned := len(d.interned) > 0; interned != (name == "with a link") {
+		checkEntries(t, ents, recs)
+		withLink := name == "with a link"
+		if withLink != (full != nil) || withLink && !reflect.DeepEqual(full, recs) {
+			t.Fatalf("%s: DecodeIndex's records = %+v", name, full)
+		}
+		if interned := len(d.interned) > 0; interned != withLink {
 			t.Fatalf("%s: the index decode interned %d strings", name, len(d.interned))
 		}
 	}
@@ -325,12 +375,32 @@ func TestDecodeIndexAndInto(t *testing.T) {
 }
 
 // Recovery indexes a segment's frames of events without a string: neither
-// the identity strings nor Semantics are allocated.
+// the identity strings nor Semantics are allocated, and the entries land in
+// the decoder's slab.
 func TestDecodeIndexAllocFree(t *testing.T) {
 	frame := encodeBatch(codecRecords()[:7])
 	var d FrameDecoder
 	if n := testing.AllocsPerRun(100, func() { d.DecodeIndex(frame) }); n != 0 {
 		t.Fatalf("DecodeIndex of a frame of events allocates %v times", n)
+	}
+}
+
+// A full decode into a dst that fits, of a vocabulary the decoder has
+// seen, allocates each non-empty Semantics and nothing else: the identity
+// strings come from the intern map, the records land in dst.
+func TestDecodeIntoAllocFreeBeyondSemantics(t *testing.T) {
+	recs := codecRecords()[:7]
+	semantics := 0
+	for _, r := range recs {
+		if r.Semantics != "" {
+			semantics++
+		}
+	}
+	frame := encodeBatch(recs)
+	dst := make([]Record, len(recs))
+	var d FrameDecoder
+	if n := testing.AllocsPerRun(100, func() { d.DecodeInto(frame, dst[:0]) }); n != float64(semantics) {
+		t.Fatalf("DecodeInto a fitting dst allocates %v times, want %d (one per non-empty Semantics)", n, semantics)
 	}
 }
 
@@ -432,21 +502,29 @@ func TestBatchDecodeRejectsMalformedFrames(t *testing.T) {
 }
 
 // FuzzDecodeBatch: error or value, never a panic, never more records than
-// the bytes could hold; whatever decodes survives a re-encode unchanged, and
-// a decoder that has a frame behind it (a slab to reuse, strings interned)
-// answers exactly as a fresh one does. The index decode recovery reads
-// segments with, and DecodeInto on a dst one record short of the frame and
-// on one that fits it, agree with Decode on error versus value and on every
-// field they fill.
+// the bytes could hold; the decoder agrees with refDecode, the per-field
+// decoder it replaced — the same records, or an error from both; whatever
+// decodes survives a re-encode unchanged, and a decoder that has a frame
+// behind it (a slab to reuse, strings interned) answers exactly as a fresh
+// one does. The index decode recovery reads segments with holds every field
+// of its entries to the full decode's, and it and DecodeInto on a dst one
+// record short of the frame and on one that fits it agree with Decode on
+// error versus value.
 // Seeds are checked in under testdata/fuzz/FuzzDecodeBatch (the frames
 // corruptions derives); the valid frame is added here too so the fuzzer
-// keeps a live starting point if the layout moves.
+// keeps a live starting point if the layout moves, and so is a frame of
+// events alone, which the index decode reads without a full decode.
 func FuzzDecodeBatch(f *testing.F) {
 	f.Add(encodeBatch(fuzzSeedRecords()))
 	f.Add(encodeBatch(codecRecords()))
+	f.Add(encodeBatch(codecRecords()[:7]))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var d FrameDecoder
 		recs, err := d.Decode(body)
+		ref, refErr := refDecode(body)
+		if (err != nil) != (refErr != nil) || len(recs) != len(ref) || len(ref) > 0 && !reflect.DeepEqual(recs, ref) {
+			t.Fatalf("decoder: %v, %d records; reference decoder: %v, %d records", err, len(recs), refErr, len(ref))
+		}
 		if err != nil {
 			if recs != nil {
 				t.Fatalf("error %v with %d records", err, len(recs))
@@ -502,13 +580,21 @@ func checkUsedEncoder(t *testing.T, recs []Record) {
 }
 
 // checkIndexAndInto requires of DecodeIndex and DecodeInto what Decode gave
-// for body: want, or an error.
+// for body: want, or an error. DecodeIndex's entries match want field for
+// field, and it gives the records too exactly when want holds a link.
 func checkIndexAndInto(t *testing.T, body []byte, want []Record, wantErr bool) {
 	t.Helper()
 	var d FrameDecoder
-	got, err := d.DecodeIndex(body)
-	if (err != nil) != wantErr || !reflect.DeepEqual(got, indexed(want)) && len(want) > 0 {
-		t.Fatalf("DecodeIndex: %v, %d records; Decode: error=%v, %d records", err, len(got), wantErr, len(want))
+	ents, full, err := d.DecodeIndex(body)
+	if (err != nil) != wantErr {
+		t.Fatalf("DecodeIndex: %v, %d entries; Decode: error=%v, %d records", err, len(ents), wantErr, len(want))
+	}
+	if !wantErr {
+		checkEntries(t, ents, want)
+		hasLink := slices.ContainsFunc(want, func(r Record) bool { return r.Kind == KindLink })
+		if hasLink != (full != nil) || hasLink && !reflect.DeepEqual(full, want) {
+			t.Fatalf("DecodeIndex gave %d records beside its entries; Decode's %d hold a link: %v", len(full), len(want), hasLink)
+		}
 	}
 	for _, room := range []int{len(want), len(want) - 1} {
 		if room < 0 {

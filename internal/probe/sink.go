@@ -196,34 +196,55 @@ func (f *FrameReader) Offset() int64 { return f.off }
 // slab, valid until the next call — and the stream offset of its body, which
 // ends at Offset. The error is io.EOF where the stream ends cleanly, and
 // otherwise follows the one torn-tail rule (see StreamMagic).
-func (f *FrameReader) Next() (recs []Record, body int64, err error) { return f.next(false) }
+func (f *FrameReader) Next() (recs []Record, body int64, err error) {
+	if err = f.read(); err != nil {
+		return nil, 0, err
+	}
+	if recs, err = f.dec.Decode(f.body.Bytes()); err != nil {
+		return nil, 0, fmt.Errorf("probe: frame %d: %w", f.frame, err)
+	}
+	return recs, f.advance(), nil
+}
 
-// NextIndex is Next through FrameDecoder.DecodeIndex: the same frames, the
-// same errors, and event records without their strings — what the trace
-// store's recovery scan indexes.
-func (f *FrameReader) NextIndex() (recs []Record, body int64, err error) { return f.next(true) }
+// NextIndex is Next through FrameDecoder.DecodeIndex: the same frames and
+// the same errors, each frame as its records' index entries, and as its
+// records too when it holds a link — what the trace store's recovery scan
+// indexes.
+func (f *FrameReader) NextIndex() (ents []IndexEntry, recs []Record, body int64, err error) {
+	if err = f.read(); err != nil {
+		return nil, nil, 0, err
+	}
+	if ents, recs, err = f.dec.DecodeIndex(f.body.Bytes()); err != nil {
+		return nil, nil, 0, fmt.Errorf("probe: frame %d: %w", f.frame, err)
+	}
+	return ents, recs, f.advance(), nil
+}
 
-func (f *FrameReader) next(index bool) (recs []Record, body int64, err error) {
+// read reads the next frame's body into f.body, the stream's magic first.
+func (f *FrameReader) read() error {
 	if f.off == 0 {
 		if err := f.readMagic(); err != nil {
-			return nil, 0, err
+			return err
 		}
 	}
 	switch err := f.readFrame(); {
 	case errors.Is(err, io.EOF):
-		return nil, 0, io.EOF
+		return io.EOF
 	case errors.Is(err, io.ErrUnexpectedEOF):
-		return nil, 0, fmt.Errorf("probe: frame %d torn: %w", f.frame, ErrTruncated)
+		return fmt.Errorf("probe: frame %d torn: %w", f.frame, ErrTruncated)
 	case err != nil:
-		return nil, 0, fmt.Errorf("probe: frame %d: %w", f.frame, err)
+		return fmt.Errorf("probe: frame %d: %w", f.frame, err)
 	}
-	if recs, err = f.dec.decode(f.body.Bytes(), nil, index); err != nil {
-		return nil, 0, fmt.Errorf("probe: frame %d: %w", f.frame, err)
-	}
-	body = f.off + int64(len(f.hdr))
+	return nil
+}
+
+// advance counts the frame just decoded as read whole and returns the
+// stream offset of its body.
+func (f *FrameReader) advance() int64 {
+	body := f.off + int64(len(f.hdr))
 	f.off = body + int64(f.body.Len())
 	f.frame++
-	return recs, body, nil
+	return body
 }
 
 // readMagic reads the stream's magic; io.EOF means the stream is empty.

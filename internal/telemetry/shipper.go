@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,7 +42,8 @@ type ShipperConfig struct {
 	BackoffMin time.Duration
 	BackoffMax time.Duration
 	// DrainTimeout bounds how long Close waits to deliver the remaining
-	// buffer; default 2s.
+	// buffer, a ship call the collector has not answered yet included;
+	// default 2s.
 	DrainTimeout time.Duration
 	// Dial overrides the transport dialer (tests); default transport.DialTCP.
 	Dial func(addr string) (transport.Client, error)
@@ -152,6 +154,15 @@ type ShipperSink struct {
 	lastErr   atomic.Value // string: most recent handshake/protocol error
 
 	ringEpoch uint64 // newest ring epoch delivered to OnRing, +1; the loop's own
+
+	// drainBy is when Close's budget ends, written before stop is closed.
+	// Once it has passed, cut is set and the live connection closed, and
+	// so is every connection made after: a call the collector never
+	// answers returns, and Close with it.
+	drainBy time.Time
+	liveMu  sync.Mutex
+	live    transport.Client
+	cut     bool
 }
 
 var (
@@ -284,15 +295,43 @@ func WriteShipperMetrics(w io.Writer, st ShipperStats) {
 
 // Close drains the buffer and sends the closing account, both bounded by
 // DrainTimeout, and stops the background goroutine. Records that could not
-// be delivered in time are counted as dropped. Append after Close drops.
+// be delivered in time are counted as dropped. Close returns soon after
+// DrainTimeout even when the collector leaves a ship call unanswered: the
+// connection is closed under the call once the budget is spent. Append
+// after Close drops.
 func (s *ShipperSink) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		<-s.done
 		return nil
 	}
+	s.drainBy = time.Now().Add(s.cfg.DrainTimeout)
 	close(s.stop)
+	cut := time.AfterFunc(s.cfg.DrainTimeout, s.cutLive)
 	<-s.done
+	cut.Stop()
 	return nil
+}
+
+// setLive makes c the connection Close cuts once its budget is spent; false
+// when that has happened already.
+func (s *ShipperSink) setLive(c transport.Client) bool {
+	s.liveMu.Lock()
+	defer s.liveMu.Unlock()
+	if s.cut {
+		return false
+	}
+	s.live = c
+	return true
+}
+
+// cutLive closes the live connection and refuses every later one.
+func (s *ShipperSink) cutLive() {
+	s.liveMu.Lock()
+	defer s.liveMu.Unlock()
+	s.cut = true
+	if s.live != nil {
+		s.live.Close()
+	}
 }
 
 // connect dials and handshakes once; nil on failure. Protocol-level
@@ -302,6 +341,10 @@ func (s *ShipperSink) connect() transport.Client {
 	client, err := s.cfg.Dial(s.cfg.Addr)
 	if err != nil {
 		s.lastErr.Store(err.Error())
+		return nil
+	}
+	if !s.setLive(client) {
+		client.Close()
 		return nil
 	}
 	hello := encodeHello(Hello{
@@ -547,10 +590,10 @@ func (s *ShipperSink) Detach() []probe.Record {
 	return pending
 }
 
-// drain makes a final bounded effort to deliver the remaining records and
-// the closing account.
+// drain makes a final effort to deliver the remaining records and the
+// closing account, every call bounded by what is left of Close's budget.
 func (s *ShipperSink) drain(client transport.Client, pending []probe.Record) {
-	deadline := time.Now().Add(s.cfg.DrainTimeout)
+	deadline := s.drainBy
 	defer func() {
 		if client != nil {
 			client.Close()
@@ -565,6 +608,9 @@ func (s *ShipperSink) drain(client transport.Client, pending []probe.Record) {
 		}
 	}()
 	if client == nil {
+		if !time.Now().Before(deadline) {
+			return
+		}
 		if client = s.connect(); client == nil {
 			return
 		}
@@ -578,7 +624,10 @@ func (s *ShipperSink) drain(client transport.Client, pending []probe.Record) {
 			break
 		}
 		payload := enc.Encode(pending)
-		rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: payload})
+		rep, err := client.Call(transport.Request{
+			ObjectKey: ObjectKey, Operation: opShip, Body: payload,
+			Timeout: max(time.Until(deadline), time.Nanosecond),
+		})
 		if err == nil && rep.Status == transport.StatusUserException {
 			// Not kept: try again after a backoff, within the budget.
 			time.Sleep(min(Jitter(s.cfg.BackoffMin), time.Until(deadline)))

@@ -350,3 +350,48 @@ func TestShipperConfigDefaults(t *testing.T) {
 		t.Error("a config without Addr accepted")
 	}
 }
+
+// A collector that answers the handshake but never a ship frame — a wedged
+// journal, a quiesce that never ends — cannot hold Close past its
+// DrainTimeout: the loop is blocked in a ship call when Close begins, and
+// Close still returns soon after the budget, with every record it could not
+// ship counted as dropped.
+func TestCloseBoundedByWedgedCollector(t *testing.T) {
+	tsrv, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tsrv.Close()
+	var ships atomic64
+	if err := tsrv.Serve(func(conn transport.ConnID, req transport.Request, respond transport.Responder) {
+		switch req.Operation {
+		case opHello:
+			respond(transport.Reply{Status: transport.StatusOK, Body: encodeHelloReply(HelloReply{Version: ProtocolVersion})})
+		case opShip:
+			ships.add(1) // and never answered
+		default:
+			if !req.Oneway {
+				respond(transport.Reply{Status: transport.StatusOK})
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sh := fastShipperDrain(t, tsrv.Addr(), "p1", 64, 100*time.Millisecond)
+	const n = 40
+	for i := 1; i <= n; i++ {
+		sh.Append(testRecord("p1", uint64(i)))
+	}
+	waitFor(t, func() bool { return ships.load() > 0 }, "a ship frame in flight")
+	start := time.Now()
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Close took %v against a collector that never answers, DrainTimeout 100ms", took)
+	}
+	st := sh.Stats()
+	if st.Appended != n || st.Shipped != 0 || st.Dropped != n || st.Buffered != 0 {
+		t.Fatalf("account after Close: %+v, want %d appended, all dropped", st, n)
+	}
+}

@@ -1,0 +1,83 @@
+package tracestore
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"causeway/internal/probe"
+	"causeway/internal/uuid"
+)
+
+// benchStore fills dir with about n records of nested chains of 4 to 16
+// events over 4 processes and 6 interfaces, inserted as the collector
+// inserts them: 256-record batches that interleave 32 chains in flight, so
+// a segment frame is one chain's run of a batch. It returns the records
+// written.
+func benchStore(tb testing.TB, dir string, n int) int {
+	tb.Helper()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	wall := time.Unix(1_700_000_000, 0)
+	var inflight [][]probe.Record
+	batch := make([]probe.Record, 0, 256)
+	written, chain := 0, 0
+	for written < n {
+		for len(inflight) < 32 {
+			var c uuid.UUID
+			chain++
+			c[0], c[1], c[2], c[15] = byte(chain), byte(chain>>8), byte(chain>>16), 0xbe
+			recs := nestedChain(c, chain%4, fmt.Sprintf("iface%d", chain%6), wall.Add(time.Duration(chain)*time.Microsecond))
+			for i := range recs {
+				recs[i].Process = fmt.Sprintf("proc%02d", (chain+i/2)%4)
+			}
+			inflight = append(inflight, recs)
+		}
+		// One record of each chain in flight a turn, until the batch fills.
+		for k := 0; k < len(inflight) && len(batch) < cap(batch); k++ {
+			batch = append(batch, inflight[k][0])
+			if inflight[k] = inflight[k][1:]; len(inflight[k]) == 0 {
+				inflight = append(inflight[:k], inflight[k+1:]...)
+				k--
+			}
+		}
+		if len(batch) == cap(batch) || len(inflight) < 32 {
+			s.Insert(batch...)
+			written += len(batch)
+			batch = batch[:0]
+		}
+	}
+	if err := s.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return written
+}
+
+// BenchmarkStoreOpenScan times the read side a whole-store query pays before
+// its analysis, in ns per stored record: Open, whose recovery reads every
+// frame of every segment through the index decode, and then every ScanPart,
+// which decodes each chain's frames in full into one slab per shard. The
+// store of about 3 M records is built once.
+func BenchmarkStoreOpenScan(b *testing.B) {
+	dir := b.TempDir()
+	records := benchStore(b, dir, 3_000_000)
+	run := func(b *testing.B, scan bool) {
+		for i := 0; i < b.N; i++ {
+			s, err := Open(dir, Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for p := 0; scan && p < s.Parts(); p++ {
+				s.ScanPart(p, func(uuid.UUID, []probe.Record) {})
+			}
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+	}
+	b.Run("open+scan", func(b *testing.B) { run(b, true) })
+	b.Run("open", func(b *testing.B) { run(b, false) })
+}

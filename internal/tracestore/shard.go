@@ -91,7 +91,8 @@ type shard struct {
 	// and encoding each chain's run as a frame, and reading a chain back in
 	// runs of frames.
 	group  grouper
-	run    []probe.Record // a chain's run when it is not a stretch of the batch
+	run    []probe.Record     // a chain's run when it is not a stretch of the batch
+	ents   []probe.IndexEntry // the entries of a run the shard writes, for its index
 	enc    probe.FrameEncoder
 	dec    probe.FrameDecoder
 	runBuf []byte
@@ -207,8 +208,9 @@ func (sh *shard) writeGC(floor int) error {
 // recoverSegment reads segment id as the record stream it is, indexing each
 // frame's records at the frame, and truncates a torn tail in place. Returns
 // the segment's recovered size. Frames are read through the index decode,
-// which validates a frame as a full decode does but builds no string of an
-// event record: the index keeps 24 bytes of one.
+// which validates a frame as a full decode does but builds a pointer-free
+// entry per record instead of a Record, and no string: the index keeps 24
+// bytes of an event. Only a frame that holds a link decodes in full.
 func (sh *shard) recoverSegment(id int, now time.Time, warn func(string)) (good int64, err error) {
 	path := sh.segPath(id)
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
@@ -226,12 +228,12 @@ func (sh *shard) recoverSegment(id int, now time.Time, warn func(string)) (good 
 	}
 	in := probe.NewFrameReader(br)
 	for {
-		recs, body, rerr := in.NextIndex()
+		ents, recs, body, rerr := in.NextIndex()
 		if rerr != nil {
 			err = rerr
 			break
 		}
-		sh.indexFrame(recs, id, body, uint32(in.Offset()-body), now)
+		sh.indexFrame(ents, recs, id, body, uint32(in.Offset()-body), now)
 	}
 	good = in.Offset()
 	switch {
@@ -257,17 +259,20 @@ func (sh *shard) recoverSegment(id int, now time.Time, warn func(string)) (good 
 	return good, nil
 }
 
-// indexFrame adds the records of one frame to the in-memory index. It looks
-// a chain up once per run of its events and grows the chain's locations by
-// the run's length: a frame the shard writes is one chain's run, while one
-// recovered from an older segment may interleave chains. A link is the only
-// record the index keeps whole, and it keeps a copy: recs is the caller's.
-func (sh *shard) indexFrame(recs []probe.Record, seg int, off int64, size uint32, now time.Time) {
+// indexFrame adds the records of one frame to the in-memory index: ents
+// are their entries and recs, which may be nil when no entry is a link,
+// the records themselves. It looks a chain up once per run of its events
+// and grows the chain's locations by the run's length: a frame the shard
+// writes is one chain's run, while one recovered from an older segment may
+// interleave chains. A link is the only record the index keeps whole, and
+// it keeps a copy: recs is the caller's.
+func (sh *shard) indexFrame(ents []probe.IndexEntry, recs []probe.Record, seg int, off int64, size uint32, now time.Time) {
 	at := frameAt{off: off, seg: int32(seg), size: size}
-	for i := 0; i < len(recs); {
-		rec := &recs[i]
-		if rec.Kind != probe.KindEvent {
-			if rec.Kind == probe.KindLink {
+	for i := 0; i < len(ents); {
+		e := &ents[i]
+		if e.Kind != probe.KindEvent {
+			if e.Kind == probe.KindLink {
+				rec := &recs[i]
 				sh.links = append(sh.links, *rec)
 				sh.byParent[chainSeq{rec.LinkParent, rec.LinkParentSeq}] = rec.LinkChild
 			}
@@ -275,14 +280,14 @@ func (sh *shard) indexFrame(recs []probe.Record, seg int, off int64, size uint32
 			continue
 		}
 		end := i + 1
-		for end < len(recs) && recs[end].Kind == probe.KindEvent && recs[end].Chain == rec.Chain {
+		for end < len(ents) && ents[end].Kind == probe.KindEvent && ents[end].Chain == e.Chain {
 			end++
 		}
-		ci := sh.chainOf(rec.Chain)
+		ci := sh.chainOf(e.Chain)
 		ci.locs = slices.Grow(ci.locs, end-i)
 		sh.events += end - i
 		for ; i < end; i++ {
-			ci.add(&recs[i], at, now)
+			ci.add(&ents[i], at, now)
 		}
 	}
 }
@@ -297,19 +302,20 @@ func (sh *shard) chainOf(chain uuid.UUID) *chainIndex {
 	return ci
 }
 
-// add locates event rec in the frame at at; its wall time, or now when it
-// carries none, is the chain's newest touch if it is newer.
-func (ci *chainIndex) add(rec *probe.Record, at frameAt, now time.Time) {
-	if !ci.dirty && len(ci.locs) > 0 && rec.Seq < ci.locs[len(ci.locs)-1].seq {
+// add locates the event of entry e in the frame at at; its wall time, or
+// now when it carries none, is the chain's newest touch if it is newer.
+func (ci *chainIndex) add(e *probe.IndexEntry, at frameAt, now time.Time) {
+	if !ci.dirty && len(ci.locs) > 0 && e.Seq < ci.locs[len(ci.locs)-1].seq {
 		ci.dirty = true
 	}
-	ci.locs = append(ci.locs, recLoc{seq: rec.Seq, frameAt: at})
-	touch := rec.WallEnd
-	if touch.IsZero() {
-		touch = rec.WallStart
+	ci.locs = append(ci.locs, recLoc{seq: e.Seq, frameAt: at})
+	wall := e.WallEnd
+	if wall == probe.NoWallTime {
+		wall = e.WallStart
 	}
-	if touch.IsZero() {
-		touch = now
+	touch := now
+	if wall != probe.NoWallTime {
+		touch = time.Unix(0, wall)
 	}
 	if touch.After(ci.last) {
 		ci.last = touch
@@ -343,6 +349,9 @@ func (sh *shard) insert(recs []probe.Record, start int, next []int32, now time.T
 	sh.group.release()
 	if cap(sh.run) > maxKeptScratch {
 		sh.run = nil
+	}
+	if cap(sh.ents) > maxKeptScratch {
+		sh.ents = nil
 	}
 	return accepted
 }
@@ -454,7 +463,8 @@ func (sh *shard) appendLocked(run []probe.Record, now time.Time) int {
 	if sh.sticky == nil {
 		var err error
 		n, err = sh.writeFrames(sh.active, run, func(recs []probe.Record, off int64, size uint32) {
-			sh.indexFrame(recs, sh.activeID, off, size, now)
+			sh.ents = probe.AppendIndexEntries(sh.ents[:0], recs)
+			sh.indexFrame(sh.ents, recs, sh.activeID, off, size, now)
 		})
 		if err != nil {
 			sh.sticky = fmt.Errorf("tracestore: append: %w", err)
