@@ -218,7 +218,7 @@ func TestOnlineMonitorViaFacade(t *testing.T) {
 	monitor := NewOnlineMonitor(OnlineConfig{OnRoot: func(ev RootEvent) {
 		mu.Lock()
 		defer mu.Unlock()
-		ops = append(ops, ev.Root.Op.Operation)
+		ops = append(ops, ev.Root.Op().Operation)
 	}})
 	net := NewNetwork()
 	server, err := NewProcess(ProcessConfig{

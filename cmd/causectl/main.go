@@ -296,7 +296,7 @@ func cmdChains(w io.Writer, src source, workers int, args []string) error {
 	var rows []row
 	for _, t := range g.Trees {
 		root := rootOf(t)
-		if *iface != "" && !strings.Contains(root.Op.Interface, *iface) {
+		if *iface != "" && !strings.Contains(root.Op().Interface, *iface) {
 			continue
 		}
 		lat, timed := treeLatency(t)
@@ -332,7 +332,7 @@ func cmdChains(w io.Writer, src source, workers int, args []string) error {
 			st = fmt.Sprintf("anomalous(%d)", n)
 		}
 		fmt.Fprintf(w, "%-*s %-44s %7d %12s %s\n",
-			width, prefixes[r.tree.Chain], root.Op.Interface+"::"+root.Op.Operation, nodes, lat, st)
+			width, prefixes[r.tree.Chain], root.Op().Interface+"::"+root.Op().Operation, nodes, lat, st)
 	}
 	fmt.Fprintf(w, "%d chain(s)\n", len(rows))
 	return nil

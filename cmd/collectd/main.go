@@ -201,13 +201,13 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 					outcome = "broken: " + ev.Root.BrokenReason
 				}
 				fmt.Fprintf(w, "live: root %s::%s chain=%s %s\n",
-					ev.Root.Op.Interface, ev.Root.Op.Operation, ev.Chain.Short(), outcome)
+					ev.Root.Op().Interface, ev.Root.Op().Operation, ev.Chain.Short(), outcome)
 			}
 		},
 		OnSlow: func(ev streamrecon.RootEvent) {
 			slowCount.Add(1)
 			fmt.Fprintf(w, "live: SLOW %s::%s took %v (threshold %v)\n",
-				ev.Root.Op.Interface, ev.Root.Op.Operation,
+				ev.Root.Op().Interface, ev.Root.Op().Operation,
 				ev.Root.Latency.Round(time.Microsecond), *slow)
 		},
 		SlowThreshold: *slow,

@@ -201,17 +201,17 @@ func run(rc runConfig) (sum summary, err error) {
 			rootCount.Add(1)
 			if ev.Root.Broken {
 				fmt.Printf("live: %s::%s broken on chain %s: %s\n",
-					ev.Root.Op.Interface, ev.Root.Op.Operation, ev.Chain.Short(), ev.Root.BrokenReason)
+					ev.Root.Op().Interface, ev.Root.Op().Operation, ev.Chain.Short(), ev.Root.BrokenReason)
 				return
 			}
 			fmt.Printf("live: %s::%s completed on chain %s (latency %v)\n",
-				ev.Root.Op.Interface, ev.Root.Op.Operation, ev.Chain.Short(),
+				ev.Root.Op().Interface, ev.Root.Op().Operation, ev.Chain.Short(),
 				ev.Root.Latency.Round(time.Microsecond))
 		},
 		OnSlow: func(ev streamrecon.RootEvent) {
 			slowCount.Add(1)
 			fmt.Printf("live: SLOW CALL %s::%s took %v (threshold 10ms) — a management layer would react here\n",
-				ev.Root.Op.Interface, ev.Root.Op.Operation, ev.Root.Latency.Round(time.Microsecond))
+				ev.Root.Op().Interface, ev.Root.Op().Operation, ev.Root.Latency.Round(time.Microsecond))
 		},
 		SlowThreshold: 10 * time.Millisecond,
 		OnComplete: func(c streamrecon.Completion) {

@@ -101,7 +101,7 @@ func TestHungServerTimeoutYieldsBrokenChainWarning(t *testing.T) {
 	}
 	found := false
 	report.Graph.Walk(func(n *causeway.Node) {
-		if n.Broken && n.Op.Operation == "echo" {
+		if n.Broken && n.Op().Operation == "echo" {
 			found = true
 		}
 	})

@@ -53,7 +53,7 @@ func describe(g *DSCG) string {
 	fmt.Fprintf(&sb, "nodes=%d trees=%d\n", g.Nodes(), len(g.Trees))
 	g.Walk(func(n *Node) {
 		fmt.Fprintf(&sb, "node %s broken=%v reason=%q records=%v%v%v%v\n",
-			n.Op.Operation, n.Broken, n.BrokenReason,
+			n.Op().Operation, n.Broken, n.BrokenReason,
 			n.StubStart != nil, n.SkelStart != nil, n.SkelEnd != nil, n.StubEnd != nil)
 	})
 	for _, bc := range g.Broken {

@@ -74,14 +74,15 @@ func BuildCCSG(g *DSCG) *CCSG {
 }
 
 func mergeCCSG(siblings *[]*CCSGNode, index map[ccsgKey]*CCSGNode, n *Node, typeSet map[string]bool) {
-	key := ccsgKey{n.Op.Interface, n.Op.Operation, n.Op.Object}
+	op := n.Op()
+	key := ccsgKey{op.Interface, op.Operation, op.Object}
 	node, ok := index[key]
 	if !ok {
 		node = &CCSGNode{
-			Interface: n.Op.Interface,
-			Operation: n.Op.Operation,
-			Object:    n.Op.Object,
-			Component: n.Op.Component,
+			Interface: op.Interface,
+			Operation: op.Operation,
+			Object:    op.Object,
+			Component: op.Component,
 			DescCPU:   make(map[string]time.Duration),
 		}
 		node.childIndex = make(map[ccsgKey]*CCSGNode)

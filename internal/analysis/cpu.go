@@ -95,7 +95,7 @@ func childStubSpanCPU(c *Node) time.Duration {
 	return c.StubEnd.CPUEnd - c.StubStart.CPUStart
 }
 
-func metered(r *probe.Record) bool {
+func metered(r *probe.Compact) bool {
 	return r != nil && r.CPUArmed
 }
 

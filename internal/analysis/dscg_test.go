@@ -95,7 +95,7 @@ func (h *harness) reconstruct() *DSCG {
 }
 
 func shape(n *Node) string {
-	s := n.Op.Operation
+	s := n.Op().Operation
 	if n.Oneway {
 		s += "!"
 	}
@@ -261,7 +261,7 @@ func TestAbnormalTransitionRestarts(t *testing.T) {
 	}
 	found := false
 	g.Walk(func(n *Node) {
-		if n.Op.Operation == "G" && n.StubStart != nil && n.StubEnd != nil {
+		if n.Op().Operation == "G" && n.StubStart != nil && n.StubEnd != nil {
 			found = true
 		}
 	})

@@ -297,7 +297,7 @@ func TestNodeCountAndWalkOrder(t *testing.T) {
 		t.Fatalf("Count = %d", root.Count())
 	}
 	var order []string
-	root.Walk(func(n *Node) { order = append(order, n.Op.Operation) })
+	root.Walk(func(n *Node) { order = append(order, n.Op().Operation) })
 	if len(order) != 2 || order[0] != "F" || order[1] != "G" {
 		t.Fatalf("Walk order = %v", order)
 	}

@@ -39,7 +39,7 @@ func (g *DSCG) Interactions() []Interaction {
 	edges := make(map[key]*Interaction)
 	var walk func(callerComp string, n *Node)
 	walk = func(callerComp string, n *Node) {
-		k := key{caller: callerComp, callee: n.Op.Component}
+		k := key{caller: callerComp, callee: n.Op().Component}
 		e, ok := edges[k]
 		if !ok {
 			e = &Interaction{Caller: k.caller, Callee: k.callee}
@@ -57,7 +57,7 @@ func (g *DSCG) Interactions() []Interaction {
 			e.Latencies++
 		}
 		for _, c := range n.Children {
-			walk(n.Op.Component, c)
+			walk(k.callee, c)
 		}
 	}
 	for _, t := range g.Trees {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"sort"
 	"time"
 
@@ -81,7 +82,7 @@ func annotateLatency(n *Node, children time.Duration) {
 	if !windowed(start) || !windowed(end) {
 		return
 	}
-	raw := end.WallStart.Sub(start.WallEnd)
+	raw := since(end.WallStart, start.WallEnd)
 	if raw < 0 || raw-overhead < 0 {
 		return
 	}
@@ -91,15 +92,30 @@ func annotateLatency(n *Node, children time.Duration) {
 	n.HasLatency = true
 }
 
-func windowed(r *probe.Record) bool {
-	return r != nil && r.LatencyArmed
+// windowed reports a record whose latency window is known: armed, with
+// both of its wall times. An armed record can cross the wire without them.
+func windowed(r *probe.Compact) bool {
+	return r != nil && r.LatencyArmed && r.WallStart != probe.NoWallTime && r.WallEnd != probe.NoWallTime
 }
 
-func window(r *probe.Record) time.Duration {
+func window(r *probe.Compact) time.Duration {
 	if !windowed(r) {
 		return 0
 	}
-	return r.WallEnd.Sub(r.WallStart)
+	return since(r.WallEnd, r.WallStart)
+}
+
+// since is end − start, two wall times in Unix nanoseconds, saturated at
+// the extremes as time.Time.Sub saturates.
+func since(end, start int64) time.Duration {
+	d := end - start
+	switch {
+	case start < 0 && d < end:
+		return math.MaxInt64
+	case start > 0 && d > end:
+		return math.MinInt64
+	}
+	return time.Duration(d)
 }
 
 // LatencyStat aggregates latency over the invocations of one operation,
@@ -122,10 +138,11 @@ func (g *DSCG) LatencyStats() []LatencyStat {
 		if !n.HasLatency {
 			return
 		}
-		s, ok := byOp[n.Op]
+		op := n.Op()
+		s, ok := byOp[op]
 		if !ok {
-			s = &LatencyStat{Op: n.Op, Min: n.Latency, Max: n.Latency}
-			byOp[n.Op] = s
+			s = &LatencyStat{Op: op, Min: n.Latency, Max: n.Latency}
+			byOp[op] = s
 		}
 		s.Count++
 		s.Total += n.Latency

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"causeway/internal/analysis"
+	"causeway/internal/ftl"
 	"causeway/internal/logdb"
 	"causeway/internal/probe"
 	"causeway/internal/render"
@@ -34,13 +35,15 @@ func serialProbeCost(c *analysis.Node) time.Duration {
 	return cost
 }
 
-func oracleWindowed(r *probe.Record) bool { return r != nil && r.LatencyArmed }
+func oracleWindowed(r *probe.Compact) bool {
+	return r != nil && r.LatencyArmed && !probe.WallTime(r.WallStart).IsZero() && !probe.WallTime(r.WallEnd).IsZero()
+}
 
-func oracleWindow(r *probe.Record) time.Duration {
+func oracleWindow(r *probe.Compact) time.Duration {
 	if !oracleWindowed(r) {
 		return 0
 	}
-	return r.WallEnd.Sub(r.WallStart)
+	return probe.WallTime(r.WallEnd).Sub(probe.WallTime(r.WallStart))
 }
 
 // oracleLatency annotates one node the way the per-node pass did, with the
@@ -53,7 +56,7 @@ func oracleLatency(n *analysis.Node) {
 	if !oracleWindowed(start) || !oracleWindowed(end) {
 		return
 	}
-	raw := end.WallStart.Sub(start.WallEnd)
+	raw := probe.WallTime(end.WallStart).Sub(probe.WallTime(start.WallEnd))
 	var overhead time.Duration
 	for _, c := range n.Children {
 		overhead += serialProbeCost(c)
@@ -76,7 +79,7 @@ func oracleCPU(n *analysis.Node) map[string]time.Duration {
 		}
 	}
 	n.DescCPU = desc
-	metered := func(r *probe.Record) bool { return r != nil && r.CPUArmed }
+	metered := func(r *probe.Compact) bool { return r != nil && r.CPUArmed }
 	if metered(n.SkelStart) && metered(n.SkelEnd) && n.SkelStart.Thread == n.SkelEnd.Thread {
 		self := n.SkelEnd.CPUStart - n.SkelStart.CPUEnd
 		for _, c := range n.Children {
@@ -170,7 +173,7 @@ func TestPassesMatchOracleAtAnyWidth(t *testing.T) {
 				if n.RawLatency != w.RawLatency || n.Overhead != w.Overhead || n.Latency != w.Latency ||
 					n.HasLatency != w.HasLatency || n.SelfCPU != w.SelfCPU || n.HasCPU != w.HasCPU ||
 					!maps.Equal(n.DescCPU, w.DescCPU) || !maps.Equal(n.InclusiveCPU, w.InclusiveCPU) {
-					t.Fatalf("aspect %d procs %d node %d (%s): got %+v, oracle %+v", aspect, procs, i, n.Op.Operation, *n, *w)
+					t.Fatalf("aspect %d procs %d node %d (%s): got %+v, oracle %+v", aspect, procs, i, n.Op().Operation, *n, *w)
 				}
 				switch {
 				case n.Oneway:
@@ -208,7 +211,7 @@ func TestPropertyLatencyNonNegative(t *testing.T) {
 			if n.HasLatency {
 				annotated++
 				if n.Latency < 0 || n.RawLatency < 0 {
-					t.Fatalf("seed %d: %s has latency %v (raw %v)", seed, n.Op.Operation, n.Latency, n.RawLatency)
+					t.Fatalf("seed %d: %s has latency %v (raw %v)", seed, n.Op().Operation, n.Latency, n.RawLatency)
 				}
 			}
 		})
@@ -240,7 +243,7 @@ func TestComputeCPUAllocFreeWithoutCPUData(t *testing.T) {
 	}
 	g.Walk(func(n *analysis.Node) {
 		if n.DescCPU != nil || n.InclusiveCPU != nil {
-			t.Fatalf("%s holds CPU maps with no CPU data", n.Op.Operation)
+			t.Fatalf("%s holds CPU maps with no CPU data", n.Op().Operation)
 		}
 	})
 }
@@ -255,9 +258,21 @@ func TestLatencyClockHygiene(t *testing.T) {
 	win := func(s, e int64) *probe.Record {
 		return &probe.Record{LatencyArmed: true, WallStart: at(s), WallEnd: at(e)}
 	}
+	syms := probe.NewSymbols(1)
+	node := func(name string, oneway bool, p1, p2, p3, p4 *probe.Record, children ...*analysis.Node) *analysis.Node {
+		n := &analysis.Node{Oneway: oneway, Syms: syms, Children: children}
+		for _, at := range []struct {
+			field **probe.Compact
+			r     *probe.Record
+		}{{&n.StubStart, p1}, {&n.SkelStart, p2}, {&n.SkelEnd, p3}, {&n.StubEnd, p4}} {
+			at.r.Op = probe.OpID{Interface: "I" + name, Operation: name}
+			*at.field = new(probe.Compact)
+			syms.Table(0).Convert(*at.field, at.r)
+		}
+		return n
+	}
 	call := func(name string, p1, p2, p3, p4 *probe.Record, children ...*analysis.Node) *analysis.Node {
-		return &analysis.Node{Op: probe.OpID{Interface: "I" + name, Operation: name},
-			StubStart: p1, SkelStart: p2, SkelEnd: p3, StubEnd: p4, Children: children}
+		return node(name, false, p1, p2, p3, p4, children...)
 	}
 	cases := []struct {
 		name string
@@ -273,8 +288,7 @@ func TestLatencyClockHygiene(t *testing.T) {
 		want: map[string]bool{"F": false},
 	}, {
 		name: "clock stepped back across a oneway callee",
-		root: &analysis.Node{Op: probe.OpID{Interface: "IF", Operation: "F"}, Oneway: true,
-			StubStart: win(0, 1), StubEnd: win(2, 3), SkelStart: win(50, 51), SkelEnd: win(40, 41)},
+		root: node("F", true, win(0, 1), win(50, 51), win(40, 41), win(2, 3)),
 		want: map[string]bool{"F": false},
 	}, {
 		name: "overhead greater than the span",
@@ -296,7 +310,7 @@ func TestLatencyClockHygiene(t *testing.T) {
 			inDigest[s.Interface[1:]] = s.Latency.Count() > 0
 		}
 		g.Walk(func(n *analysis.Node) {
-			op := n.Op.Operation
+			op := n.Op().Operation
 			if n.HasLatency != c.want[op] {
 				t.Errorf("%s: %s HasLatency %v, want %v (raw %v, O %v)", c.name, op, n.HasLatency, c.want[op], n.RawLatency, n.Overhead)
 			}
@@ -305,6 +319,65 @@ func TestLatencyClockHygiene(t *testing.T) {
 			}
 			if inStats[op] != c.want[op] || inDigest[op] != c.want[op] {
 				t.Errorf("%s: %s in LatencyStats %v, in its digest %v, want %v", c.name, op, inStats[op], inDigest[op], c.want[op])
+			}
+		})
+	}
+}
+
+// An armed probe record can cross the wire with no wall time, one or both
+// of its times being the frame's "none". Such a record has no latency
+// window: it adds nothing to its caller's overhead, and the node it starts
+// or ends gets no latency — not time.Time.Sub's saturated 2 562 047 h.
+func TestArmedRecordWithoutWallTimeHasNoLatency(t *testing.T) {
+	at := func(us int64) time.Time { return time.Unix(11, 0).Add(time.Duration(us) * time.Microsecond) }
+	chain := [16]byte{7}
+	f := probe.OpID{Interface: "IF", Operation: "F"}
+	g := probe.OpID{Interface: "IG", Operation: "G"}
+	call := func() []probe.Record {
+		var recs []probe.Record
+		add := func(op probe.OpID, e ftl.Event, start, end int64) {
+			recs = append(recs, probe.Record{
+				Kind: probe.KindEvent, Process: "p", Thread: 1, Op: op, LatencyArmed: true,
+				Chain: chain, Event: e, Seq: uint64(len(recs) + 1), WallStart: at(start), WallEnd: at(end),
+			})
+		}
+		add(f, ftl.StubStart, 0, 1)
+		add(f, ftl.SkelStart, 2, 3)
+		add(g, ftl.StubStart, 4, 5)
+		add(g, ftl.SkelStart, 6, 7)
+		add(g, ftl.SkelEnd, 20, 21)
+		add(g, ftl.StubEnd, 22, 23)
+		add(f, ftl.SkelEnd, 30, 31)
+		add(f, ftl.StubEnd, 32, 33)
+		return recs
+	}
+	for _, c := range []struct {
+		name  string
+		strip func(recs []probe.Record)
+		want  map[string]bool // HasLatency per operation
+	}{
+		{"F's stub_start has no wall time", func(r []probe.Record) { r[0].WallStart, r[0].WallEnd = time.Time{}, time.Time{} }, map[string]bool{"F": false, "G": true}},
+		{"G's stub_start has no wall time", func(r []probe.Record) { r[2].WallStart, r[2].WallEnd = time.Time{}, time.Time{} }, map[string]bool{"F": true, "G": false}},
+		{"F's skel_start has no wall start", func(r []probe.Record) { r[1].WallStart = time.Time{} }, map[string]bool{"F": true, "G": true}},
+		{"G's stub_end has no wall end", func(r []probe.Record) { r[5].WallEnd = time.Time{} }, map[string]bool{"F": true, "G": false}},
+	} {
+		recs := call()
+		c.strip(recs)
+		var enc probe.FrameEncoder
+		var dec probe.FrameDecoder
+		shipped, err := dec.Decode(enc.Encode(recs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := analysis.ParseChainEvents(chain, shipped)
+		if !p.Clean() || len(p.Roots) != 1 {
+			t.Fatalf("%s: %d roots, clean %v", c.name, len(p.Roots), p.Clean())
+		}
+		analysis.ComputeLatencySubtree(p.Roots[0])
+		p.Roots[0].Walk(func(n *analysis.Node) {
+			op := n.Op().Operation
+			if n.HasLatency != c.want[op] || n.Latency > time.Second || n.RawLatency > time.Second || n.Overhead > time.Second {
+				t.Errorf("%s: %s HasLatency %v (want %v), latency %v, raw %v, overhead %v", c.name, op, n.HasLatency, c.want[op], n.Latency, n.RawLatency, n.Overhead)
 			}
 		})
 	}

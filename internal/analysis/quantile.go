@@ -134,7 +134,7 @@ func (a *ifaceAgg) addTree(root *Node) {
 }
 
 func (a *ifaceAgg) addNode(n *Node) {
-	s := a.stat(n.Op.Interface)
+	s := a.stat(n.iface())
 	s.Calls++
 	if n.HasLatency {
 		s.Latency.Add(n.Latency)

@@ -51,9 +51,9 @@ func BuildGprofProfile(g *analysis.DSCG) *GprofProfile {
 	p := &GprofProfile{Counts: make(map[Arc]int)}
 	var walk func(parent probe.OpID, n *analysis.Node)
 	walk = func(parent probe.OpID, n *analysis.Node) {
-		p.Counts[Arc{Caller: parent, Callee: n.Op}]++
+		p.Counts[Arc{Caller: parent, Callee: n.Op()}]++
 		for _, c := range n.Children {
-			walk(n.Op, c)
+			walk(n.Op(), c)
 		}
 	}
 	for _, t := range g.Trees {
@@ -82,7 +82,7 @@ func TreeShapes(g *analysis.DSCG) []string {
 	var out []string
 	var render func(n *analysis.Node) string
 	render = func(n *analysis.Node) string {
-		s := n.Op.Operation
+		s := n.Op().Operation
 		if len(n.Children) == 0 {
 			return s
 		}
@@ -111,7 +111,7 @@ func CallPaths(g *analysis.DSCG) []string {
 	var out []string
 	var walk func(prefix string, n *analysis.Node)
 	walk = func(prefix string, n *analysis.Node) {
-		path := prefix + "/" + n.Op.Operation
+		path := prefix + "/" + n.Op().Operation
 		if len(n.Children) == 0 {
 			out = append(out, path)
 			return

@@ -144,7 +144,7 @@ func TestGeneratedInstrumentedEndToEnd(t *testing.T) {
 		t.Fatalf("Nodes = %d", g.Nodes())
 	}
 	ops := map[string]bool{}
-	g.Walk(func(n *analysis.Node) { ops[n.Op.Operation] = true })
+	g.Walk(func(n *analysis.Node) { ops[n.Op().Operation] = true })
 	if !ops["echo"] || !ops["fire"] {
 		t.Fatalf("ops = %v", ops)
 	}

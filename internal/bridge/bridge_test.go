@@ -151,16 +151,16 @@ func TestBridgeCausality(t *testing.T) {
 		t.Fatalf("trees=%d nodes=%d, want one tree of three nodes", len(g.Trees), g.Nodes())
 	}
 	root := g.Trees[0].Roots[0]
-	if root.Op.Interface != "Echo" {
-		t.Fatalf("root = %+v", root.Op)
+	if root.Op().Interface != "Echo" {
+		t.Fatalf("root = %+v", root.Op())
 	}
 	mid := root.Children[0]
-	if mid.Op.Interface != "ITransform" {
-		t.Fatalf("middle hop = %+v (causality did not cross into COM)", mid.Op)
+	if mid.Op().Interface != "ITransform" {
+		t.Fatalf("middle hop = %+v (causality did not cross into COM)", mid.Op())
 	}
 	leaf := mid.Children[0]
-	if leaf.Op.Interface != "Echo" || leaf.ServerProcess() != "backend" {
-		t.Fatalf("leaf = %+v on %s (causality did not cross back into CORBA)", leaf.Op, leaf.ServerProcess())
+	if leaf.Op().Interface != "Echo" || leaf.ServerProcess() != "backend" {
+		t.Fatalf("leaf = %+v on %s (causality did not cross back into CORBA)", leaf.Op(), leaf.ServerProcess())
 	}
 }
 

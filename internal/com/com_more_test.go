@@ -124,7 +124,7 @@ func TestCrossApartmentSTAtoSTA(t *testing.T) {
 		t.Fatalf("nodes=%d anomalies=%v", g.Nodes(), g.Anomalies)
 	}
 	outer := g.Trees[0].Roots[0]
-	if len(outer.Children) != 1 || outer.Children[0].Op.Interface != "IB" {
+	if len(outer.Children) != 1 || outer.Children[0].Op().Interface != "IB" {
 		t.Fatalf("chain did not cross apartments: %+v", outer)
 	}
 }

@@ -228,7 +228,7 @@ func TestSTAMinglingPrevented(t *testing.T) {
 	// echo, the intruding oneway echo, echo — all on C1's chain or forked.
 	var serve *analysis.Node
 	g.Walk(func(n *analysis.Node) {
-		if n.Op.Operation == "serve" {
+		if n.Op().Operation == "serve" {
 			serve = n
 		}
 	})
@@ -238,7 +238,7 @@ func TestSTAMinglingPrevented(t *testing.T) {
 	if len(serve.Children) != 3 {
 		ops := make([]string, 0, len(serve.Children))
 		for _, c := range serve.Children {
-			ops = append(ops, c.Op.Operation)
+			ops = append(ops, c.Op().Operation)
 		}
 		t.Fatalf("serve children = %v", ops)
 	}

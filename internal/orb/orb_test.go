@@ -144,8 +144,8 @@ func TestRemoteSyncCallInstrumented(t *testing.T) {
 		t.Fatalf("Nodes = %d", g.Nodes())
 	}
 	n := g.Trees[0].Roots[0]
-	if n.Op.Operation != "add" || n.ClientProcess() != "client" || n.ServerProcess() != "server" {
-		t.Fatalf("node = %+v", n.Op)
+	if n.Op().Operation != "add" || n.ClientProcess() != "client" || n.ServerProcess() != "server" {
+		t.Fatalf("node = %+v", n.Op())
 	}
 }
 

@@ -67,7 +67,7 @@ func TestPipelineProcessesJobsFourProcess(t *testing.T) {
 	// marks 2 sheets.
 	marks := 0
 	g.Walk(func(n *analysis.Node) {
-		if n.Op.Operation == "mark" {
+		if n.Op().Operation == "mark" {
 			marks++
 		}
 	})
@@ -141,7 +141,7 @@ func TestPipelineGrayscaleSkipsColorConverter(t *testing.T) {
 	}
 	g := reconstructPipeline(t, p)
 	g.Walk(func(n *analysis.Node) {
-		if n.Op.Operation == "convert" {
+		if n.Op().Operation == "convert" {
 			t.Error("grayscale job hit the color converter")
 		}
 	})

@@ -58,6 +58,10 @@ import (
 // scalar field — kind, the four flag booleans, event, thread, chain, seq,
 // wall start and end as Unix nanoseconds, CPU start and end — and no string
 // and no link block; a frame that holds a link record decodes in full.
+// DecodeCompact, what a query's scan reads segments with, checks the same
+// again and builds a Compact per record: the entry, and the ids in a
+// caller's SymbolTable of the record's strings, the frame's table interned
+// once per frame.
 const (
 	// The flags octet: a record's four booleans, then which blocks follow.
 	wireOneway = 1 << iota
@@ -245,9 +249,9 @@ func EncodeFrame(recs []Record) []byte {
 // per-connection interner: past the cap the map stops growing and unseen
 // strings are allocated per frame, so a peer sending adversarially unique
 // (or huge) identities cannot exhaust memory. maxTableScratch and
-// maxSlabRecords bound the table scratch and the record and entry slabs a
-// connection keeps between frames the same way (a quarter of a megabyte of
-// records; a shipper's frame is 256 of them).
+// maxSlabRecords bound the table scratch and the record, entry and compact
+// slabs a connection keeps between frames the same way (a quarter of a
+// megabyte of records; a shipper's frame is 256 of them).
 const (
 	maxInternedStrings = 1024
 	maxInternedLen     = 256
@@ -258,15 +262,17 @@ const (
 // FrameDecoder is the decode state of one frame source — a telemetry
 // connection, a record stream: the bounded intern map that makes every frame
 // of a process resolve its vocabulary to the same strings, and the table
-// scratch and the record and entry slabs reused from frame to frame. Once a
-// source's vocabulary has been seen, decoding a frame allocates whatever
-// Semantics the records carry and nothing else. The zero value is ready to
-// use.
+// scratch and the record, entry and compact slabs reused from frame to
+// frame. Once a source's vocabulary has been seen, decoding a frame
+// allocates whatever Semantics the records carry and nothing else. The zero
+// value is ready to use.
 type FrameDecoder struct {
 	interned map[string]string
 	table    []string
+	ids      []uint32 // the table as symbol ids, for DecodeCompact
 	slab     []Record
 	ents     []IndexEntry
+	compacts []Compact
 }
 
 // intern returns b as a string, shared with every earlier occurrence on
@@ -312,18 +318,22 @@ func wallNanos(t time.Time) int64 {
 	return t.UnixNano()
 }
 
+// entryOf is r's IndexEntry.
+func entryOf(r *Record) IndexEntry {
+	return IndexEntry{
+		Chain: r.Chain, Seq: r.Seq, Thread: r.Thread,
+		WallStart: wallNanos(r.WallStart), WallEnd: wallNanos(r.WallEnd),
+		CPUStart: r.CPUStart, CPUEnd: r.CPUEnd,
+		Kind: r.Kind, Event: r.Event,
+		Oneway: r.Oneway, Collocated: r.Collocated, LatencyArmed: r.LatencyArmed, CPUArmed: r.CPUArmed,
+	}
+}
+
 // AppendIndexEntries appends the entry of each of recs to dst: what
 // DecodeIndex gives for the frame recs encode to.
 func AppendIndexEntries(dst []IndexEntry, recs []Record) []IndexEntry {
 	for i := range recs {
-		r := &recs[i]
-		dst = append(dst, IndexEntry{
-			Chain: r.Chain, Seq: r.Seq, Thread: r.Thread,
-			WallStart: wallNanos(r.WallStart), WallEnd: wallNanos(r.WallEnd),
-			CPUStart: r.CPUStart, CPUEnd: r.CPUEnd,
-			Kind: r.Kind, Event: r.Event,
-			Oneway: r.Oneway, Collocated: r.Collocated, LatencyArmed: r.LatencyArmed, CPUArmed: r.CPUArmed,
-		})
+		dst = append(dst, entryOf(&recs[i]))
 	}
 	return dst
 }
@@ -350,7 +360,7 @@ func (d *FrameDecoder) DecodeInto(body []byte, dst []Record) ([]Record, error) {
 }
 
 func (d *FrameDecoder) decode(body []byte, dst []Record) ([]Record, error) {
-	b, _, err := d.readTable(body, true)
+	b, _, err := d.readTable(body, true, nil)
 	var recs []Record
 	if err == nil {
 		recs, err = decodeRecords(b, d.table, dst, d.slab)
@@ -374,7 +384,7 @@ func (d *FrameDecoder) decode(body []byte, dst []Record) ([]Record, error) {
 // their entries, and nil for a frame of events. Both are the decoder's
 // slabs, valid until its next decode.
 func (d *FrameDecoder) DecodeIndex(body []byte) (ents []IndexEntry, recs []Record, err error) {
-	b, ntable, err := d.readTable(body, false)
+	b, ntable, err := d.readTable(body, false, nil)
 	if err == nil {
 		ents, err = decodeEntries(b, ntable, d.ents)
 		if err == errLinkInIndex {
@@ -392,14 +402,40 @@ func (d *FrameDecoder) DecodeIndex(body []byte) (ents []IndexEntry, recs []Recor
 	return ents, recs, nil
 }
 
+// DecodeCompact is the decode of a query. It checks every bound Decode
+// checks and fails wherever Decode fails; otherwise each record becomes a
+// Compact whose strings are tab's — each entry of the frame's string table
+// interned once, each Semantics added — without the link block a link
+// record carries. The compacts are dst[:n] when the frame's records fit
+// dst's capacity, else the decoder's slab, valid until its next decode.
+func (d *FrameDecoder) DecodeCompact(body []byte, tab *SymbolTable, dst []Compact) ([]Compact, error) {
+	d.ids = d.ids[:0]
+	b, _, err := d.readTable(body, false, tab)
+	var cs []Compact
+	if err == nil {
+		cs, err = decodeCompacts(b, d.ids, tab, dst, d.compacts)
+	}
+	if len(cs) > cap(dst) && cap(cs) > cap(d.compacts) && cap(cs) <= maxSlabRecords {
+		d.compacts = cs[:0]
+	}
+	if cap(d.ids) > maxTableScratch {
+		d.ids = nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("probe: decode frame: %w", err)
+	}
+	return cs, nil
+}
+
 // errLinkInIndex stops an entry decode at a link record: the frame is
 // decoded again in full.
 var errLinkInIndex = errors.New("link record in an index decode")
 
 // readTable checks the string table at the head of body and returns the
 // bytes behind it and its entry count. With resolve set, it leaves in
-// d.table each entry resolved through the intern map.
-func (d *FrameDecoder) readTable(body []byte, resolve bool) (rest []byte, ntable uint32, err error) {
+// d.table each entry resolved through the intern map; with tab, in d.ids
+// each entry's symbol id in tab.
+func (d *FrameDecoder) readTable(body []byte, resolve bool, tab *SymbolTable) (rest []byte, ntable uint32, err error) {
 	if len(body) < 4 {
 		return nil, 0, fmt.Errorf("%w: %d bytes for the string table's count", cdr.ErrShortBuffer, len(body))
 	}
@@ -417,6 +453,8 @@ func (d *FrameDecoder) readTable(body []byte, resolve bool) (rest []byte, ntable
 		}
 		if resolve {
 			d.table = append(d.table, d.intern(b[:n]))
+		} else if tab != nil {
+			d.ids = append(d.ids, tab.internBytes(b[:n]))
 		}
 		b = b[n:]
 	}
@@ -506,11 +544,29 @@ func (w *wireRecord) ident(table []string, j int) string {
 	return table[binary.LittleEndian.Uint32(w.head[3+4*j:])]
 }
 
-func wireTime(b []byte) time.Time {
-	if v := int64(binary.LittleEndian.Uint64(b)); v != wireTimeNone {
-		return time.Unix(0, v)
+func wireTime(b []byte) time.Time { return WallTime(int64(binary.LittleEndian.Uint64(b))) }
+
+// entryInto writes the record's IndexEntry into e, every field.
+func (w *wireRecord) entryInto(e *IndexEntry) {
+	h, flags, le := w.head, w.head[1], binary.LittleEndian
+	e.Thread = le.Uint64(h[27:35])
+	e.Kind, e.Event = w.kind(), ftl.Event(h[2])
+	e.Oneway, e.Collocated = flags&wireOneway != 0, flags&wireCollocated != 0
+	e.LatencyArmed, e.CPUArmed = flags&wireLatencyArmed != 0, flags&wireCPUArmed != 0
+	if ev := w.event; ev != nil {
+		e.Chain = uuid.UUID(ev[0:16])
+		e.Seq = le.Uint64(ev[16:24])
+		// The wire's wall time is Unix nanoseconds, and its wireTimeNone
+		// is NoWallTime.
+		e.WallStart = int64(le.Uint64(ev[24:32]))
+		e.WallEnd = int64(le.Uint64(ev[32:40]))
+		e.CPUStart = time.Duration(le.Uint64(ev[40:48]))
+		e.CPUEnd = time.Duration(le.Uint64(ev[48:56]))
+		return
 	}
-	return time.Time{}
+	e.Chain, e.Seq = uuid.UUID{}, 0
+	e.WallStart, e.WallEnd = NoWallTime, NoWallTime
+	e.CPUStart, e.CPUEnd = 0, 0
 }
 
 // recordCount reads the record section's count, bounded by the bytes
@@ -585,6 +641,45 @@ func decodeRecords(b []byte, table []string, dst, slab []Record) ([]Record, erro
 	return recs, nil
 }
 
+// decodeCompacts is decodeRecords into Compact values, against a table
+// given as its entries' ids in tab: into dst when the frame fits it, else
+// into slab when it fits that.
+func decodeCompacts(b []byte, ids []uint32, tab *SymbolTable, dst, slab []Compact) ([]Compact, error) {
+	nrec, b, err := recordCount(b)
+	if err != nil {
+		return nil, err
+	}
+	var cs []Compact
+	switch {
+	case nrec <= cap(dst):
+		cs = dst[:nrec]
+	case nrec <= cap(slab):
+		cs = slab[:nrec]
+	default:
+		cs = make([]Compact, nrec)
+	}
+	ntable := uint32(len(ids))
+	le := binary.LittleEndian
+	for i := range cs {
+		var w wireRecord
+		if b, err = w.cut(b, ntable); err != nil {
+			return nil, fmt.Errorf("record %d: %w", i, err)
+		}
+		// Field by field into the slot: a composite literal would be
+		// built aside and copied in.
+		h, c := w.head, &cs[i]
+		w.entryInto(&c.IndexEntry)
+		c.Process, c.ProcType = ids[le.Uint32(h[3:7])], ids[le.Uint32(h[7:11])]
+		c.Op.Component, c.Op.Interface = ids[le.Uint32(h[11:15])], ids[le.Uint32(h[15:19])]
+		c.Op.Operation, c.Op.Object = ids[le.Uint32(h[19:23])], ids[le.Uint32(h[23:27])]
+		c.Semantics, c.Part = tab.add(string(w.semantics)), tab.part
+	}
+	if len(b) != 0 {
+		return nil, fmt.Errorf("%d trailing bytes", len(b))
+	}
+	return cs, nil
+}
+
 // decodeEntries is decodeRecords into IndexEntry values, against a table
 // of ntable entries it does not resolve: into slab when the frame fits it.
 // A link record stops it with errLinkInIndex.
@@ -598,7 +693,6 @@ func decodeEntries(b []byte, ntable uint32, slab []IndexEntry) ([]IndexEntry, er
 		ents = make([]IndexEntry, nrec)
 	}
 	ents = ents[:nrec]
-	le := binary.LittleEndian
 	for i := range ents {
 		var w wireRecord
 		if b, err = w.cut(b, ntable); err != nil {
@@ -607,29 +701,7 @@ func decodeEntries(b []byte, ntable uint32, slab []IndexEntry) ([]IndexEntry, er
 		if w.kind() == KindLink {
 			return nil, errLinkInIndex
 		}
-		h, flags := w.head, w.head[1]
-		e := &ents[i]
-		*e = IndexEntry{
-			Thread:       le.Uint64(h[27:35]),
-			WallStart:    NoWallTime,
-			WallEnd:      NoWallTime,
-			Kind:         w.kind(),
-			Event:        ftl.Event(h[2]),
-			Oneway:       flags&wireOneway != 0,
-			Collocated:   flags&wireCollocated != 0,
-			LatencyArmed: flags&wireLatencyArmed != 0,
-			CPUArmed:     flags&wireCPUArmed != 0,
-		}
-		if ev := w.event; ev != nil {
-			e.Chain = uuid.UUID(ev[0:16])
-			e.Seq = le.Uint64(ev[16:24])
-			// The wire's wall time is Unix nanoseconds, and its
-			// wireTimeNone is NoWallTime.
-			e.WallStart = int64(le.Uint64(ev[24:32]))
-			e.WallEnd = int64(le.Uint64(ev[32:40]))
-			e.CPUStart = time.Duration(le.Uint64(ev[40:48]))
-			e.CPUEnd = time.Duration(le.Uint64(ev[48:56]))
-		}
+		w.entryInto(&ents[i])
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("%d trailing bytes", len(b))

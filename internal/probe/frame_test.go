@@ -509,7 +509,9 @@ func TestBatchDecodeRejectsMalformedFrames(t *testing.T) {
 // one does. The index decode recovery reads segments with holds every field
 // of its entries to the full decode's, and it and DecodeInto on a dst one
 // record short of the frame and on one that fits it agree with Decode on
-// error versus value.
+// error versus value. The compact decode a query scans with agrees with
+// Decode too: its records, resolved through their symbols, are Decode's but
+// for the link blocks, or both decodes fail.
 // Seeds are checked in under testdata/fuzz/FuzzDecodeBatch (the frames
 // corruptions derives); the valid frame is added here too so the fuzzer
 // keeps a live starting point if the layout moves, and so is a frame of
@@ -531,6 +533,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 			checkUsedDecoder(t, body, nil, true)
 			checkIndexAndInto(t, body, nil, true)
+			checkCompact(t, body, nil, true)
 			return
 		}
 		if len(recs) > len(body)/minRecordSize {
@@ -538,6 +541,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		checkUsedDecoder(t, body, recs, false)
 		checkIndexAndInto(t, body, recs, false)
+		checkCompact(t, body, recs, false)
 		checkUsedEncoder(t, recs)
 		again, err := decodeBatch(encodeBatch(recs))
 		if err != nil {
@@ -576,6 +580,51 @@ func checkUsedEncoder(t *testing.T, recs []Record) {
 	}
 	if got, want := used.Encode(recs), EncodeFrame(recs); !bytes.Equal(got, want) {
 		t.Fatalf("used encoder wrote %d bytes that differ from a fresh encoder's %d", len(got), len(want))
+	}
+}
+
+// checkCompact requires of DecodeCompact what Decode gave for body: an
+// error, or want without its link blocks once resolved — through a fresh
+// symbol table and through one that has interned another frame's strings,
+// into the decoder's slab and into a dst that fits the frame, never writing
+// past it.
+func checkCompact(t *testing.T, body []byte, want []Record, wantErr bool) {
+	t.Helper()
+	want = slices.Clone(want)
+	for i := range want {
+		want[i].LinkParent, want[i].LinkParentSeq, want[i].LinkChild = uuid.UUID{}, 0, uuid.UUID{}
+	}
+	syms := NewSymbols(2)
+	var used FrameDecoder
+	if _, err := used.DecodeCompact(encodeBatch(codecRecords()), syms.Table(0), nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		syms       *Symbols
+		part, room int
+	}{{NewSymbols(1), 0, -1}, {syms, 0, -1}, {syms, 1, len(want)}} {
+		var slots, dst []Compact
+		if tc.room >= 0 {
+			slots = make([]Compact, tc.room+1)
+			slots[tc.room].Seq = 99
+			dst = slots[:0:tc.room]
+		}
+		got, err := used.DecodeCompact(body, tc.syms.Table(tc.part), dst)
+		if (err != nil) != wantErr || len(got) != len(want) {
+			t.Fatalf("DecodeCompact: %v, %d records; Decode: error=%v, %d records", err, len(got), wantErr, len(want))
+		}
+		for i := range got {
+			if got[i].Part != uint32(tc.part) {
+				t.Fatalf("DecodeCompact record %d: part %d, its table's %d", i, got[i].Part, tc.part)
+			}
+			var r Record
+			if tc.syms.Resolve(&r, &got[i]); !reflect.DeepEqual(r, want[i]) {
+				t.Fatalf("DecodeCompact record %d resolves to %+v, Decode gave %+v", i, r, want[i])
+			}
+		}
+		if tc.room >= 0 && slots[tc.room].Seq != 99 {
+			t.Fatalf("DecodeCompact into %d slots wrote past them", tc.room)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"causeway/internal/analysis"
 	"causeway/internal/probe"
@@ -42,10 +41,10 @@ type chromeTraceFile struct {
 func ChromeTrace(w io.Writer, g *analysis.DSCG) error {
 	// The trace epoch is the earliest probe timestamp anywhere; spans are
 	// placed relative to it (Chrome ts is not absolute time).
-	var epoch time.Time
+	epoch := probe.NoWallTime
 	g.Walk(func(n *analysis.Node) {
 		for _, r := range nodeRecords(n) {
-			if r != nil && !r.WallStart.IsZero() && (epoch.IsZero() || r.WallStart.Before(epoch)) {
+			if r != nil && r.WallStart != probe.NoWallTime && (epoch == probe.NoWallTime || r.WallStart < epoch) {
 				epoch = r.WallStart
 			}
 		}
@@ -55,7 +54,7 @@ func ChromeTrace(w io.Writer, g *analysis.DSCG) error {
 	procs := make(map[string]int)
 	g.Walk(func(n *analysis.Node) {
 		if r := spanRecord(n); r != nil {
-			procs[r.Process] = 0
+			procs[n.Syms.Process(r)] = 0
 		}
 	})
 	names := make([]string, 0, len(procs))
@@ -81,15 +80,15 @@ func ChromeTrace(w io.Writer, g *analysis.DSCG) error {
 	}
 
 	g.Walk(func(n *analysis.Node) {
-		r := spanRecord(n)
+		r, op := spanRecord(n), n.Op()
 		ev := chromeEvent{
-			Name: n.Op.Interface + "::" + n.Op.Operation,
+			Name: op.Interface + "::" + op.Operation,
 			Cat:  nodeCat(n),
 			Ph:   "X",
 			Args: map[string]any{
 				"chain":     n.Chain.String(),
-				"component": n.Op.Component,
-				"object":    n.Op.Object,
+				"component": op.Component,
+				"object":    op.Object,
 			},
 		}
 		if n.Broken {
@@ -97,10 +96,10 @@ func ChromeTrace(w io.Writer, g *analysis.DSCG) error {
 			ev.Args["broken_reason"] = n.BrokenReason
 		}
 		if r != nil {
-			ev.Pid = procs[r.Process]
+			ev.Pid = procs[n.Syms.Process(r)]
 			ev.Tid = r.Thread
-			if !r.WallStart.IsZero() && !epoch.IsZero() {
-				ev.Ts = float64(r.WallStart.Sub(epoch).Nanoseconds()) / 1e3
+			if r.WallStart != probe.NoWallTime && epoch != probe.NoWallTime {
+				ev.Ts = float64(r.WallStart-epoch) / 1e3
 			}
 			tracks[track{ev.Pid, ev.Tid}] = true
 		}
@@ -136,7 +135,7 @@ func ChromeTrace(w io.Writer, g *analysis.DSCG) error {
 // spanRecord picks the record whose process/thread/timestamp define the
 // node's span: the stub start on the caller side, else the skeleton
 // records a stub-less (oneway callee) or broken node still has.
-func spanRecord(n *analysis.Node) *probe.Record {
+func spanRecord(n *analysis.Node) *probe.Compact {
 	for _, r := range nodeRecords(n) {
 		if r != nil {
 			return r
@@ -146,8 +145,8 @@ func spanRecord(n *analysis.Node) *probe.Record {
 }
 
 // nodeRecords lists the node's probe records in span-preference order.
-func nodeRecords(n *analysis.Node) []*probe.Record {
-	return []*probe.Record{n.StubStart, n.SkelStart, n.SkelEnd, n.StubEnd}
+func nodeRecords(n *analysis.Node) [4]*probe.Compact {
+	return [4]*probe.Compact{n.StubStart, n.SkelStart, n.SkelEnd, n.StubEnd}
 }
 
 // nodeCat classifies the span for the viewer's category filter.

@@ -110,7 +110,7 @@ func TestChromeTrace(t *testing.T) {
 	// The root's span duration is the compensated latency in microseconds.
 	var root *analysis.Node
 	g.Walk(func(n *analysis.Node) {
-		if n.Op.Operation == "print" {
+		if n.Op().Operation == "print" {
 			root = n
 		}
 	})

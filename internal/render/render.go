@@ -73,7 +73,8 @@ func writeNode(w io.Writer, n *analysis.Node, depth, maxDepth, maxNodes int, wri
 	if n.Broken {
 		mark = "! "
 	}
-	label := fmt.Sprintf("%s%s%s::%s(%s)", indent, mark, n.Op.Interface, n.Op.Operation, n.Op.Object)
+	op := n.Op()
+	label := fmt.Sprintf("%s%s%s::%s(%s)", indent, mark, op.Interface, op.Operation, op.Object)
 	var notes []string
 	if n.Broken {
 		notes = append(notes, "broken: "+n.BrokenReason)

@@ -39,7 +39,7 @@ func bySeq(a, b probe.Record) int { return cmp.Compare(a.Seq, b.Seq) }
 // in order.
 func describeParse(roots []*analysis.Node, anomalies []analysis.Anomaly) string {
 	var sb strings.Builder
-	rec := func(r *probe.Record) string {
+	rec := func(r *probe.Compact) string {
 		if r == nil {
 			return "-"
 		}
@@ -48,7 +48,7 @@ func describeParse(roots []*analysis.Node, anomalies []analysis.Anomaly) string 
 	var walk func(n *analysis.Node, depth int)
 	walk = func(n *analysis.Node, depth int) {
 		fmt.Fprintf(&sb, "%*s%s oneway=%v colloc=%v [%s %s %s %s] broken=%v %q\n", depth*2, "",
-			n.Op.Operation, n.Oneway, n.Collocated,
+			n.Op().Operation, n.Oneway, n.Collocated,
 			rec(n.StubStart), rec(n.SkelStart), rec(n.SkelEnd), rec(n.StubEnd), n.Broken, n.BrokenReason)
 		for _, c := range n.Children {
 			walk(c, depth+1)

@@ -68,7 +68,7 @@ func (rr *randomTreeRunner) call(depth int) {
 
 // shapeOf serializes a node subtree for comparison.
 func shapeOf(n *analysis.Node) string {
-	s := n.Op.Operation
+	s := n.Op().Operation
 	if n.Oneway {
 		s += "!"
 	}
@@ -145,7 +145,7 @@ func TestPropertyOnlineMatchesOffline(t *testing.T) {
 		// on the child chain, which online emits as a separate root.
 		var onlineView func(n *analysis.Node, asCalleeRoot bool) string
 		onlineView = func(n *analysis.Node, asCalleeRoot bool) string {
-			s := n.Op.Operation
+			s := n.Op().Operation
 			if n.Oneway {
 				s += "!"
 			}

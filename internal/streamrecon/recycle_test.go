@@ -1,9 +1,12 @@
 package streamrecon
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -44,6 +47,19 @@ func nestedChain(t testing.TB, seed uint64, children int) []probe.Record {
 	return recs
 }
 
+// shipped is recs as a frame carries them — wall times as Unix
+// nanoseconds — which is what the table hands its store: it keeps records
+// compact and resolves them at eviction.
+func shipped(t testing.TB, recs []probe.Record) []probe.Record {
+	t.Helper()
+	var dec probe.FrameDecoder
+	out, err := dec.Decode(probe.EncodeFrame(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.Clone(out)
+}
+
 func bySeqStable(recs []probe.Record) []probe.Record {
 	out := slices.Clone(recs)
 	slices.SortStableFunc(out, bySeq)
@@ -68,7 +84,7 @@ func TestShuffledChainAcrossChunksReachesStoreInSeqOrder(t *testing.T) {
 	if comps, _ := a.Feed(0, 0); comps[0].Reason != "complete" || comps[0].Nodes != 25 {
 		t.Fatalf("completion = %+v", comps[0])
 	}
-	if !reflect.DeepEqual(store.recs, recs) {
+	if !reflect.DeepEqual(store.recs, shipped(t, recs)) {
 		t.Fatal("store did not receive the chain in seq order")
 	}
 
@@ -81,7 +97,7 @@ func TestShuffledChainAcrossChunksReachesStoreInSeqOrder(t *testing.T) {
 	}
 	a.AppendBatch(tied)
 	a.FlushOpen()
-	if !reflect.DeepEqual(store.recs, bySeqStable(tied)) {
+	if !reflect.DeepEqual(store.recs, shipped(t, bySeqStable(tied))) {
 		t.Fatal("equal seqs did not keep their arrival order")
 	}
 	checkLedger(t, a)
@@ -107,7 +123,7 @@ func TestArrivalBelowSortedTailIsSortedIn(t *testing.T) {
 	if comps, _ := a.Feed(0, 0); comps[0].Reason != "complete" || comps[0].Broken || comps[0].Anomalous {
 		t.Fatalf("completion = %+v", comps[0])
 	}
-	if !reflect.DeepEqual(store.recs, recs) {
+	if !reflect.DeepEqual(store.recs, shipped(t, recs)) {
 		t.Fatal("store did not receive the chain in seq order")
 	}
 }
@@ -216,7 +232,7 @@ func TestAssemblerFreeListBounded(t *testing.T) {
 	}
 	for i, c := range a.spare {
 		if c.head != nil || c.n != 0 || slices.ContainsFunc(c.chunks[:cap(c.chunks)], func(k *chunk) bool { return k != nil }) ||
-			slices.ContainsFunc(c.pending[:cap(c.pending)], func(r *probe.Record) bool { return r != nil }) {
+			slices.ContainsFunc(c.pending[:cap(c.pending)], func(r *probe.Compact) bool { return r != nil }) {
 			t.Fatalf("spare chain %d still points at records", i)
 		}
 	}
@@ -265,7 +281,7 @@ func TestEvictedChainIsOneInsert(t *testing.T) {
 			if len(store.calls) != 1 {
 				t.Fatalf("chain of %d records reached the store in %d Insert calls, want 1", len(tc.recs), len(store.calls))
 			}
-			if !reflect.DeepEqual(store.calls[0], bySeqStable(tc.recs)) {
+			if !reflect.DeepEqual(store.calls[0], shipped(t, bySeqStable(tc.recs))) {
 				t.Fatal("store did not receive the chain in seq order, ties in arrival order")
 			}
 			checkLedger(t, a)
@@ -300,7 +316,7 @@ func TestLinksReachStoreAChunkAtATime(t *testing.T) {
 			t.Fatalf("round %d: the store got %d links in %d Inserts, want the %d appended in order", round, len(got), len(store.calls), len(links))
 		}
 		a.mu.Lock()
-		free := len(a.free)
+		free := len(a.linkFree)
 		a.mu.Unlock()
 		if want := (len(links) + chunkRecs - 1) / chunkRecs; free != want {
 			t.Fatalf("round %d: %d chunks on the free list, want the link queue's %d", round, free, want)
@@ -511,4 +527,62 @@ func TestMonitorResumesForgottenChain(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The table's symbols stay bounded however many new names arrive: chains
+// whose every process, interface, operation and object name is new, a
+// quarter of a million names in all, leave the table holding one
+// generation of at most maxSymbols strings and maxSymbolBytes bytes (plus
+// what one chain adds), and the heap grows by less than 8 MB, not the 25 MB
+// the names take.
+func TestSymbolMemoryBoundedUnderNewNames(t *testing.T) {
+	const chains, batch = 60_000, 64
+	clock := newFakeClock()
+	a, _ := newAssembler(t, clock, func(c *Config) {
+		c.Store = &nullStore{}
+		c.StaleAfter = time.Second // cursors forgotten too: only symbols could grow
+	})
+	base := nestedChain(t, 9, 0)
+	name := func(kind string, i int) string { return fmt.Sprintf("%s-%08d-%s", kind, i, strings.Repeat("x", 32)) }
+	recs := make([]probe.Record, 0, batch*len(base))
+	var heap0 uint64
+	for i := 0; i < chains; i++ {
+		for _, r := range base {
+			r.Chain = uuid.UUID{0: 0xfe, 1: byte(i), 2: byte(i >> 8), 3: byte(i >> 16)}
+			r.Process, r.Op.Interface = name("process", i), name("interface", i)
+			r.Op.Operation, r.Op.Object = name("operation", i), name("object", i)
+			recs = append(recs, r)
+		}
+		if len(recs) < cap(recs) {
+			continue
+		}
+		a.AppendBatch(recs)
+		recs = recs[:0]
+		clock.Advance(200 * time.Millisecond)
+		a.Tick()
+		if i+1 == 1024 {
+			heap0 = heapInUse()
+		}
+	}
+	if open := a.OpenChains(); open != 0 {
+		t.Fatalf("%d chains still open", open)
+	}
+	a.mu.Lock()
+	tab := a.syms.Table(0)
+	strs, bytes := tab.Len(), tab.Bytes()
+	a.mu.Unlock()
+	if perChain := 4 * len(name("interface", 0)); strs > maxSymbols+4 || bytes > maxSymbolBytes+perChain {
+		t.Fatalf("the current symbols hold %d strings of %d bytes, bounds %d and %d", strs, bytes, maxSymbols, maxSymbolBytes)
+	}
+	if grown := int64(heapInUse()) - int64(heap0); grown > 8<<20 {
+		t.Fatalf("the heap grew by %d bytes over %d chains of new names", grown, chains-1024)
+	}
+}
+
+// heapInUse is the live heap after a collection.
+func heapInUse() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }

@@ -2,9 +2,11 @@ package tracestore
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
+	"causeway/internal/analysis"
 	"causeway/internal/probe"
 	"causeway/internal/uuid"
 )
@@ -58,7 +60,7 @@ func benchStore(tb testing.TB, dir string, n int) int {
 // BenchmarkStoreOpenScan times the read side a whole-store query pays before
 // its analysis, in ns per stored record: Open, whose recovery reads every
 // frame of every segment through the index decode, and then every ScanPart,
-// which decodes each chain's frames in full into one slab per shard. The
+// which decodes each chain's frames into one compact slab per shard. The
 // store of about 3 M records is built once.
 func BenchmarkStoreOpenScan(b *testing.B) {
 	dir := b.TempDir()
@@ -69,8 +71,9 @@ func BenchmarkStoreOpenScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			syms := probe.NewSymbols(s.Parts())
 			for p := 0; scan && p < s.Parts(); p++ {
-				s.ScanPart(p, func(uuid.UUID, []probe.Record) {})
+				s.ScanPart(p, syms.Table(p), func(uuid.UUID, []probe.Compact) {})
 			}
 			if err := s.Close(); err != nil {
 				b.Fatal(err)
@@ -80,4 +83,38 @@ func BenchmarkStoreOpenScan(b *testing.B) {
 	}
 	b.Run("open+scan", func(b *testing.B) { run(b, true) })
 	b.Run("open", func(b *testing.B) { run(b, false) })
+}
+
+// BenchmarkStoreQuery times a whole-store query as `causectl -store DIR
+// top` runs it, in ns and bytes allocated per stored record: Open, then
+// ReconstructParallel, ComputeLatency, ComputeCPU and InterfaceStats on
+// every core, then Close. The store of about 800 k records is built once.
+func BenchmarkStoreQuery(b *testing.B) {
+	dir := b.TempDir()
+	records := benchStore(b, dir, 800_000)
+	workers := runtime.GOMAXPROCS(0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := Open(dir, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		g := analysis.ReconstructParallel(s, workers)
+		g.ComputeLatency()
+		g.ComputeCPU()
+		if len(analysis.InterfaceStats(g, workers)) == 0 {
+			b.Fatal("no interface ranked")
+		}
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	perRecord := float64(b.N) * float64(records)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perRecord, "ns/record")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/perRecord, "B/record")
 }

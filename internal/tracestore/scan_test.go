@@ -19,18 +19,36 @@ import (
 	"causeway/internal/workload"
 )
 
-// scanAll collects what every shard's scan hands over, failing on a chain
-// handed over twice.
+// scanAll collects what every shard's scan hands over, resolved through the
+// scan's symbols, failing on a chain handed over twice.
 func scanAll(t testing.TB, s *Store) map[uuid.UUID][]probe.Record {
 	t.Helper()
 	out := make(map[uuid.UUID][]probe.Record)
+	syms := probe.NewSymbols(s.Parts())
 	for p := 0; p < s.Parts(); p++ {
-		s.ScanPart(p, func(c uuid.UUID, events []probe.Record) {
+		s.ScanPart(p, syms.Table(p), func(c uuid.UUID, events []probe.Compact) {
 			if _, dup := out[c]; dup {
 				t.Fatalf("chain %s handed over twice", c.Short())
 			}
-			out[c] = events
+			recs := make([]probe.Record, len(events))
+			for i := range events {
+				if events[i].Part != uint32(p) {
+					t.Fatalf("chain %s: shard %d's scan made a record of part %d", c.Short(), p, events[i].Part)
+				}
+				syms.Resolve(&recs[i], &events[i])
+			}
+			out[c] = recs
 		})
+	}
+	return out
+}
+
+// withoutLinkBlocks is recs with every link block cleared: what a compact
+// record keeps of them.
+func withoutLinkBlocks(recs []probe.Record) []probe.Record {
+	out := slices.Clone(recs)
+	for i := range out {
+		out[i].LinkParent, out[i].LinkParentSeq, out[i].LinkChild = uuid.UUID{}, 0, uuid.UUID{}
 	}
 	return out
 }
@@ -90,7 +108,7 @@ func scanReadsRuns(t *testing.T, ts *Store) {
 		}
 		sh.reads = 0
 		sh.mu.Unlock()
-		ts.ScanPart(k, func(uuid.UUID, []probe.Record) {})
+		ts.ScanPart(k, probe.NewSymbols(1).Table(0), func(uuid.UUID, []probe.Compact) {})
 		sh.mu.Lock()
 		reads := sh.reads
 		sh.mu.Unlock()

@@ -339,11 +339,13 @@ func (s *Store) Events(chain uuid.UUID) []probe.Record {
 func (s *Store) Parts() int { return len(s.shards) }
 
 // ScanPart calls fn once for each chain of shard p with the chain's events
-// as Events returns them, a failed read's warning included. fn runs with no
-// lock held and may keep events; every chain of the shard shares their
-// backing array, so keeping one chain's events keeps the shard's.
-func (s *Store) ScanPart(p int, fn func(chain uuid.UUID, events []probe.Record)) {
-	s.shards[p].scan(s.warn, fn)
+// as Events returns them, a failed read's warning included, made compact
+// through syms: their strings interned there, their link blocks dropped.
+// fn runs with no lock held and may keep events; every chain of the shard
+// shares their backing array, so keeping one chain's events keeps the
+// shard's.
+func (s *Store) ScanPart(p int, syms *probe.SymbolTable, fn func(chain uuid.UUID, events []probe.Compact)) {
+	s.shards[p].scan(syms, s.warn, fn)
 }
 
 // ChildChain resolves the oneway link recorded for (parent, seq).
