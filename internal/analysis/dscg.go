@@ -26,6 +26,12 @@ type Node struct {
 	Oneway bool
 	// Collocated marks collocation-optimized invocations.
 	Collocated bool
+	// ifaceID is the opener's interface symbol id plus one and ifacePart
+	// its part, copied when the machine opens the node, so that a pass
+	// over every node (InterfaceStats) keys it without loading its record;
+	// 0 for a node built otherwise, whose record is read. The two sit in
+	// padding, so Node keeps its size.
+	ifaceID uint32
 	// Children are the immediate child invocations in chronological order.
 	Children []*Node
 
@@ -43,7 +49,8 @@ type Node struct {
 	// process died before its remaining probes fired. Broken nodes keep
 	// whatever records were collected and stay in the graph (rendered with
 	// a '!' marker) rather than being silently dropped.
-	Broken bool
+	Broken    bool
+	ifacePart uint32
 	// BrokenReason says which events are missing and what failure shape
 	// that implies.
 	BrokenReason string
@@ -80,14 +87,6 @@ func (n *Node) Op() probe.OpID {
 func (n *Node) operation() string {
 	if r := n.opener(); r != nil {
 		return n.Syms.Operation(r)
-	}
-	return ""
-}
-
-// iface returns the invoked operation's interface name.
-func (n *Node) iface() string {
-	if r := n.opener(); r != nil {
-		return n.Syms.Interface(r)
 	}
 	return ""
 }

@@ -240,6 +240,9 @@ func (m *ChainMachine) open(r *probe.Compact) {
 
 func (m *ChainMachine) push(n *Node, st callState) {
 	n.Syms = m.Syms
+	if r := n.opener(); r != nil {
+		n.ifaceID, n.ifacePart = r.Op.Interface+1, r.Part
+	}
 	if len(m.stack) > 0 {
 		parent := m.stack[len(m.stack)-1].n
 		parent.Children = append(parent.Children, n)

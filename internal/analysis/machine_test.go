@@ -3,12 +3,14 @@ package analysis
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"causeway/internal/ftl"
 	"causeway/internal/probe"
 	"causeway/internal/uuid"
+	"causeway/internal/workload"
 )
 
 // renderParsed spells out everything a parse decided: the trees with the
@@ -139,5 +141,52 @@ func TestChainParserParsesAsParseChainEvents(t *testing.T) {
 	parser := testing.AllocsPerRun(100, func() { p.Parse(uuid.UUID{0: 0xa}, healthy) })
 	if parser > machine {
 		t.Fatalf("ChainParser.Parse allocates %v a chain, the machine alone %v", parser, machine)
+	}
+}
+
+// InterfaceStats keys a node by the interface id and part the machine
+// copied into it when it opened the node; a node built otherwise, with no
+// id copied, is keyed through its record. Over a parallel reconstruction,
+// whose workers intern in tables of their own, both give the same stats,
+// at any width, and count each interface's calls as its name does.
+func TestInterfaceStatsKeysByCopiedID(t *testing.T) {
+	sys, err := workload.Generate(workload.Config{
+		Calls: 400, Threads: 4, Processes: 3, Components: 8, Interfaces: 7, Methods: 20,
+		OnewayPermille: 100, Seed: 5, Aspects: probe.AspectLatency,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ReconstructParallel(sys.Store(), 3)
+	g.ComputeLatency()
+	want := InterfaceStats(g, 1)
+	if len(want) < 2 {
+		t.Fatalf("%d interfaces ranked", len(want))
+	}
+	calls := map[string]int{}
+	copied := 0
+	for _, tr := range g.Trees {
+		for _, r := range tr.Roots {
+			r.Walk(func(n *Node) {
+				calls[n.Op().Interface]++
+				if n.ifaceID != 0 {
+					copied++
+				}
+				n.ifaceID, n.ifacePart = 0, 0
+			})
+		}
+	}
+	for _, s := range want {
+		if s.Calls != calls[s.Interface] {
+			t.Fatalf("%s: %d calls, its name counts %d", s.Interface, s.Calls, calls[s.Interface])
+		}
+	}
+	if copied == 0 {
+		t.Fatal("the machine copied no interface id")
+	}
+	for _, workers := range []int{1, 3} {
+		if got := InterfaceStats(g, workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d workers over nodes keyed through their records: %+v, want %+v", workers, got, want)
+		}
 	}
 }

@@ -64,7 +64,7 @@ func ReconstructParallel(db Source, workers int) *DSCG {
 // A Scanner is a Source that can read its chains back a part at a time, each
 // part in one pass over its storage, rather than a chain at a time, as
 // compact records. ReconstructParallel discovers it by type assertion, as
-// the telemetry server discovers a probe.BatchSink; tracestore.Store is one,
+// the telemetry server discovers a probe.FrameSink; tracestore.Store is one,
 // a part being a shard.
 type Scanner interface {
 	// Parts is how many parts there are. Parts are disjoint and may be

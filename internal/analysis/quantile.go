@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"causeway/internal/metrics"
+	"causeway/internal/probe"
 )
 
 // Digest is a streaming quantile estimator over durations: a fixed array
@@ -111,13 +112,21 @@ func InterfaceStats(g *DSCG, workers int) []InterfaceStat {
 	return merged.finish()
 }
 
-// ifaceAgg is one worker's partial per-interface aggregation.
+// ifaceAgg is one worker's partial per-interface aggregation: a stat per
+// interface name, found for a node by the part and symbol id its opener
+// names the interface by, which the node keeps. Each id's name is resolved
+// and hashed once, the first time a node names it; every later node
+// reaches the stat through the id, with no string and no record loaded.
+// tab and ids are the table last used and its stats by id.
 type ifaceAgg struct {
 	byIface map[string]*InterfaceStat
+	byID    map[*probe.SymbolTable][]*InterfaceStat
+	tab     *probe.SymbolTable
+	ids     []*InterfaceStat
 }
 
 func newIfaceAgg() *ifaceAgg {
-	return &ifaceAgg{byIface: make(map[string]*InterfaceStat)}
+	return &ifaceAgg{byIface: make(map[string]*InterfaceStat), byID: make(map[*probe.SymbolTable][]*InterfaceStat)}
 }
 
 func (a *ifaceAgg) stat(iface string) *InterfaceStat {
@@ -133,8 +142,33 @@ func (a *ifaceAgg) addTree(root *Node) {
 	root.Walk(func(n *Node) { a.addNode(n) })
 }
 
+// statOf returns the stat of n's interface.
+func (a *ifaceAgg) statOf(n *Node) *InterfaceStat {
+	part, id := n.ifacePart, int(n.ifaceID)-1
+	if id < 0 {
+		r := n.opener()
+		if r == nil {
+			return a.stat("")
+		}
+		part, id = r.Part, int(r.Op.Interface)
+	}
+	if tab := n.Syms.Table(int(part)); tab != a.tab {
+		a.tab, a.ids = tab, a.byID[tab]
+	}
+	if id < len(a.ids) && a.ids[id] != nil {
+		return a.ids[id]
+	}
+	s := a.stat(a.tab.String(uint32(id)))
+	if id >= len(a.ids) {
+		a.ids = append(a.ids, make([]*InterfaceStat, id+1-len(a.ids))...)
+		a.byID[a.tab] = a.ids
+	}
+	a.ids[id] = s
+	return s
+}
+
 func (a *ifaceAgg) addNode(n *Node) {
-	s := a.stat(n.iface())
+	s := a.statOf(n)
 	s.Calls++
 	if n.HasLatency {
 		s.Latency.Add(n.Latency)

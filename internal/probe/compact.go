@@ -44,19 +44,10 @@ func NewSymbols(parts int) *Symbols {
 func (s *Symbols) Table(p int) *SymbolTable { return &s.tables[p] }
 
 // Op resolves c's operation.
-func (s *Symbols) Op(c *Compact) OpID {
-	t := &s.tables[c.Part]
-	return OpID{
-		Component: t.String(c.Op.Component), Interface: t.String(c.Op.Interface),
-		Operation: t.String(c.Op.Operation), Object: t.String(c.Op.Object),
-	}
-}
+func (s *Symbols) Op(c *Compact) OpID { return s.tables[c.Part].op(c) }
 
 // Operation resolves c's method name alone.
 func (s *Symbols) Operation(c *Compact) string { return s.tables[c.Part].String(c.Op.Operation) }
-
-// Interface resolves c's interface name alone.
-func (s *Symbols) Interface(c *Compact) string { return s.tables[c.Part].String(c.Op.Interface) }
 
 // Process resolves c's process.
 func (s *Symbols) Process(c *Compact) string { return s.tables[c.Part].String(c.Process) }
@@ -78,18 +69,33 @@ func (s *Symbols) SameOp(a, b *Compact) bool {
 
 // Resolve writes into dst the record c was made from, without the link
 // block it does not keep.
-func (s *Symbols) Resolve(dst *Record, c *Compact) {
-	t := &s.tables[c.Part]
-	dst.Kind = c.Kind
+func (s *Symbols) Resolve(dst *Record, c *Compact) { s.tables[c.Part].Resolve(dst, c) }
+
+// Resolve is Symbols.Resolve for a record c of t's part.
+func (t *SymbolTable) Resolve(dst *Record, c *Compact) {
+	c.IndexEntry.resolve(dst)
 	dst.Process, dst.ProcType = t.String(c.Process), t.String(c.ProcType)
-	dst.Thread = c.Thread
-	dst.Op = s.Op(c)
-	dst.Oneway, dst.Collocated, dst.LatencyArmed, dst.CPUArmed = c.Oneway, c.Collocated, c.LatencyArmed, c.CPUArmed
+	dst.Op = t.op(c)
 	dst.Semantics = t.String(c.Semantics)
-	dst.Chain, dst.Event, dst.Seq = c.Chain, c.Event, c.Seq
-	dst.WallStart, dst.WallEnd = WallTime(c.WallStart), WallTime(c.WallEnd)
-	dst.CPUStart, dst.CPUEnd = c.CPUStart, c.CPUEnd
+}
+
+// resolve writes e's fields into dst and clears dst's link block, leaving
+// its strings as they are.
+func (e *IndexEntry) resolve(dst *Record) {
+	dst.Kind, dst.Thread = e.Kind, e.Thread
+	dst.Oneway, dst.Collocated, dst.LatencyArmed, dst.CPUArmed = e.Oneway, e.Collocated, e.LatencyArmed, e.CPUArmed
+	dst.Chain, dst.Event, dst.Seq = e.Chain, e.Event, e.Seq
+	dst.WallStart, dst.WallEnd = WallTime(e.WallStart), WallTime(e.WallEnd)
+	dst.CPUStart, dst.CPUEnd = e.CPUStart, e.CPUEnd
 	dst.LinkParent, dst.LinkParentSeq, dst.LinkChild = uuid.UUID{}, 0, uuid.UUID{}
+}
+
+// op resolves the operation of a record c of t's part.
+func (t *SymbolTable) op(c *Compact) OpID {
+	return OpID{
+		Component: t.String(c.Op.Component), Interface: t.String(c.Op.Interface),
+		Operation: t.String(c.Op.Operation), Object: t.String(c.Op.Object),
+	}
 }
 
 // WallTime is the time.Time of an IndexEntry's wall time: the zero time for

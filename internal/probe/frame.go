@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"causeway/internal/cdr"
@@ -61,7 +62,19 @@ import (
 // DecodeCompact, what a query's scan reads segments with, checks the same
 // again and builds a Compact per record: the entry, and the ids in a
 // caller's SymbolTable of the record's strings, the frame's table interned
-// once per frame.
+// once per frame. DecodeFrame, what the telemetry server hands a chain
+// table, checks the same once more and interns nothing: each record is a
+// Compact whose ids index the frame's own table, left as slices of the
+// body, and a FrameRemap maps an entry into a SymbolTable the first time a
+// record converted through it names the entry.
+//
+// EncodeCompacts is Encode for records held compact — the trace store's
+// write of an evicted chain: it writes the bytes Encode writes for the
+// records the compacts resolve to, but for link blocks, which a Compact
+// does not hold. The two differ only in the table pass: Encode finds a
+// string's entry through a map by string, EncodeCompacts through a stamp
+// slice by symbol id, with no hashing, and both then write each record
+// with putRecord.
 const (
 	// The flags octet: a record's four booleans, then which blocks follow.
 	wireOneway = 1 << iota
@@ -94,13 +107,22 @@ const (
 // decoder's table, which lets a frame's one-off identities go — so the two
 // bounds are what an encoder retains: at most 64 KB of strings, plus the
 // last frame's, however many new identities it is fed.
+//
+// EncodeCompacts stamps by symbol id instead: stamps[id] is the id's entry
+// in the frame that stamped it, so a symbol table's ids need no map. The
+// stamps grow to the largest id an encode has named and are kept, one
+// 8-byte stamp an id: under half of what the largest symbol table the
+// encoder has read from held an id (a string header and its bytes). A
+// table's ids count its Semantics too, so an identity string it interns
+// late can have an id far past its count of identity strings.
 type FrameEncoder struct {
 	enc      cdr.Encoder
 	index    map[string]uint32 // string → its entry in ents
 	ents     []tableEntry
-	frame    uint32   // the current frame's stamp; 0 is never one
-	keyBytes int      // bytes of the index's keys
-	refs     []uint32 // identityStrings per record, filled by the table pass
+	stamps   []tableEntry // by symbol id, for EncodeCompacts
+	frame    uint32       // the current frame's stamp; 0 is never one
+	keyBytes int          // bytes of the index's keys
+	refs     []uint32     // identityStrings per record, filled by the table pass
 }
 
 // tableEntry is a string's table index in the frame stamped frame.
@@ -118,64 +140,89 @@ func identityOf(r *Record) [identityStrings]string {
 	return [identityStrings]string{r.Process, r.ProcType, r.Op.Component, r.Op.Interface, r.Op.Operation, r.Op.Object}
 }
 
-func hasEventBlock(r *Record) bool {
-	return r.Chain != (uuid.UUID{}) || r.Seq != 0 || !r.WallStart.IsZero() || !r.WallEnd.IsZero() || r.CPUStart != 0 || r.CPUEnd != 0
-}
-
 func hasLinkBlock(r *Record) bool {
 	return r.LinkParent != (uuid.UUID{}) || r.LinkParentSeq != 0 || r.LinkChild != (uuid.UUID{})
 }
 
-// flagsOf packs r's booleans and which blocks follow into the flags octet.
-func flagsOf(r *Record) byte {
+// entryFlags packs the booleans of the record e is the entry of, and
+// whether its event block follows, into the flags octet; Encode adds the
+// link block's bit.
+func entryFlags(e *IndexEntry) byte {
 	var flags byte
-	if r.Oneway {
+	if e.Oneway {
 		flags |= wireOneway
 	}
-	if r.Collocated {
+	if e.Collocated {
 		flags |= wireCollocated
 	}
-	if r.LatencyArmed {
+	if e.LatencyArmed {
 		flags |= wireLatencyArmed
 	}
-	if r.CPUArmed {
+	if e.CPUArmed {
 		flags |= wireCPUArmed
 	}
-	if hasEventBlock(r) {
+	if e.Chain != (uuid.UUID{}) || e.Seq != 0 || e.WallStart != NoWallTime || e.WallEnd != NoWallTime || e.CPUStart != 0 || e.CPUEnd != 0 {
 		flags |= wireHasEvent
-	}
-	if hasLinkBlock(r) {
-		flags |= wireHasLink
 	}
 	return flags
 }
 
-func putTime(e *cdr.Encoder, t time.Time) {
-	if t.IsZero() {
-		e.PutInt64(wireTimeNone)
-		return
+// begin starts a frame: a fresh stamp, and the table's count, patched in
+// by the table pass once it is known. When the stamp wraps, every entry of
+// an earlier frame is forgotten.
+func (b *FrameEncoder) begin() *cdr.Encoder {
+	if b.frame++; b.frame == 0 {
+		clear(b.index)
+		clear(b.stamps)
+		b.ents, b.frame, b.keyBytes = b.ents[:0], 1, 0
 	}
-	e.PutInt64(t.UnixNano())
+	b.refs = b.refs[:0]
+	e := &b.enc
+	e.Reset()
+	e.PutUint32(0)
+	return e
+}
+
+// putRecord writes one record behind the table — its head, its Semantics
+// and its event block; a link block, which only Encode's records carry,
+// the caller writes after it. ent is the record's entry, flags its flags
+// octet and refs its identityStrings table indexes. Both encoders write
+// every record through it.
+func putRecord(e *cdr.Encoder, ent *IndexEntry, flags byte, refs []uint32, semantics string) {
+	e.PutOctet(byte(ent.Kind))
+	e.PutOctet(flags)
+	e.PutOctet(byte(ent.Event))
+	for _, idx := range refs[:identityStrings] {
+		e.PutUint32(idx)
+	}
+	e.PutUint64(ent.Thread)
+	e.PutString(semantics)
+	if flags&wireHasEvent != 0 {
+		e.PutRaw(ent.Chain[:])
+		e.PutUint64(ent.Seq)
+		// An entry's wall time is the wire's: Unix nanoseconds, NoWallTime
+		// for none.
+		e.PutInt64(ent.WallStart)
+		e.PutInt64(ent.WallEnd)
+		e.PutInt64(int64(ent.CPUStart))
+		e.PutInt64(int64(ent.CPUEnd))
+	}
 }
 
 // Encode renders recs as one frame body. The result aliases the encoder's
 // buffer and is valid until the next Encode.
 func (b *FrameEncoder) Encode(recs []Record) []byte {
-	b.frame++
-	if b.frame == 0 || len(b.ents) > maxEncoderStrings || b.keyBytes > maxEncoderKeyBytes {
+	e := b.begin()
+	if len(b.ents) > maxEncoderStrings || b.keyBytes > maxEncoderKeyBytes {
 		clear(b.index)
-		b.ents, b.frame, b.keyBytes = b.ents[:0], 1, 0
+		b.ents, b.keyBytes = b.ents[:0], 0
 	}
 	if b.index == nil {
 		b.index = make(map[string]uint32)
 	}
-	b.refs = b.refs[:0]
-	e := &b.enc
-	e.Reset()
 
 	// Table pass: assign every identity string its index, writing each
-	// distinct one once; the count is patched in when it is known.
-	e.PutUint32(0)
+	// distinct one once.
 	var n uint32
 	var prev [identityStrings]string
 	var prevIdx [identityStrings]uint32
@@ -211,29 +258,54 @@ func (b *FrameEncoder) Encode(recs []Record) []byte {
 	refs := b.refs
 	for i := range recs {
 		r := &recs[i]
-		flags := flagsOf(r)
-		e.PutOctet(byte(r.Kind))
-		e.PutOctet(flags)
-		e.PutOctet(byte(r.Event))
-		for _, idx := range refs[:identityStrings] {
-			e.PutUint32(idx)
+		ent := entryOf(r)
+		flags := entryFlags(&ent)
+		if hasLinkBlock(r) {
+			flags |= wireHasLink
 		}
+		putRecord(e, &ent, flags, refs, r.Semantics)
 		refs = refs[identityStrings:]
-		e.PutUint64(r.Thread)
-		e.PutString(r.Semantics)
-		if flags&wireHasEvent != 0 {
-			e.PutRaw(r.Chain[:])
-			e.PutUint64(r.Seq)
-			putTime(e, r.WallStart)
-			putTime(e, r.WallEnd)
-			e.PutInt64(int64(r.CPUStart))
-			e.PutInt64(int64(r.CPUEnd))
-		}
 		if flags&wireHasLink != 0 {
 			e.PutRaw(r.LinkParent[:])
 			e.PutUint64(r.LinkParentSeq)
 			e.PutRaw(r.LinkChild[:])
 		}
+	}
+	return e.Bytes()
+}
+
+// EncodeCompacts renders cs, their strings tab's, as the frame Encode
+// renders the records they resolve to, link blocks aside — the same bytes,
+// since tab interns and one identity id is one string. Its table pass
+// stamps each id by the frame, in a slice indexed by id: no string is
+// hashed. The result aliases the encoder's buffer and is valid until its
+// next encode.
+func (b *FrameEncoder) EncodeCompacts(cs []Compact, tab *SymbolTable) []byte {
+	e := b.begin()
+	var n uint32
+	for i := range cs {
+		c := &cs[i]
+		for _, id := range [identityStrings]uint32{c.Process, c.ProcType, c.Op.Component, c.Op.Interface, c.Op.Operation, c.Op.Object} {
+			if int(id) >= len(b.stamps) {
+				b.stamps = slices.Grow(b.stamps, int(id)+1-len(b.stamps))[:int(id)+1]
+			}
+			st := &b.stamps[id]
+			if st.frame != b.frame {
+				st.frame, st.idx = b.frame, n
+				n++
+				e.PutString(tab.String(id))
+			}
+			b.refs = append(b.refs, st.idx)
+		}
+	}
+	binary.LittleEndian.PutUint32(e.Bytes(), n)
+
+	e.PutUint32(uint32(len(cs)))
+	refs := b.refs
+	for i := range cs {
+		c := &cs[i]
+		putRecord(e, &c.IndexEntry, entryFlags(&c.IndexEntry), refs, tab.String(c.Semantics))
+		refs = refs[identityStrings:]
 	}
 	return e.Bytes()
 }
@@ -262,10 +334,10 @@ const (
 // FrameDecoder is the decode state of one frame source — a telemetry
 // connection, a record stream: the bounded intern map that makes every frame
 // of a process resolve its vocabulary to the same strings, and the table
-// scratch and the record, entry and compact slabs reused from frame to
-// frame. Once a source's vocabulary has been seen, decoding a frame
-// allocates whatever Semantics the records carry and nothing else. The zero
-// value is ready to use.
+// scratch and the record, entry, compact and frame slabs reused from frame
+// to frame. Once a source's vocabulary has been seen, decoding a frame
+// allocates whatever Semantics the records carry and nothing else, and
+// DecodeFrame allocates nothing at all. The zero value is ready to use.
 type FrameDecoder struct {
 	interned map[string]string
 	table    []string
@@ -273,6 +345,44 @@ type FrameDecoder struct {
 	slab     []Record
 	ents     []IndexEntry
 	compacts []Compact
+	frame    Frame // DecodeFrame's, its slices the slabs it reuses
+}
+
+// Frame is a frame as DecodeFrame leaves it for a consumer that interns
+// strings itself — a collector's chain table, through a FrameRemap. It
+// aliases the body it was decoded from.
+type Frame struct {
+	// Strings is the frame's string table, each entry a slice of the body.
+	Strings [][]byte
+	// Records holds each record's entry and, as its Process, ProcType and
+	// Op, the indexes in Strings of its identity strings. Semantics and
+	// Part are 0.
+	Records []Compact
+	// Semantics is each record's Semantics, a slice of the body.
+	Semantics [][]byte
+	// Links is the link block of each link record, in frame order; zero
+	// for a link record that carries none. An event record's link block is
+	// dropped, as DecodeCompact drops it.
+	Links []LinkBlock
+}
+
+// Resolve writes into dst record i of f without its link block, its
+// strings copied out of the frame's body.
+func (f *Frame) Resolve(dst *Record, i int) {
+	c := &f.Records[i]
+	c.IndexEntry.resolve(dst)
+	str := func(e uint32) string { return string(f.Strings[e]) }
+	dst.Process, dst.ProcType = str(c.Process), str(c.ProcType)
+	dst.Op = OpID{Component: str(c.Op.Component), Interface: str(c.Op.Interface), Operation: str(c.Op.Operation), Object: str(c.Op.Object)}
+	dst.Semantics = string(f.Semantics[i])
+}
+
+// LinkBlock is a link record's link block: the oneway call's chain, its
+// seq there, and the chain it forked.
+type LinkBlock struct {
+	Parent    uuid.UUID
+	ParentSeq uint64
+	Child     uuid.UUID
 }
 
 // intern returns b as a string, shared with every earlier occurrence on
@@ -360,7 +470,7 @@ func (d *FrameDecoder) DecodeInto(body []byte, dst []Record) ([]Record, error) {
 }
 
 func (d *FrameDecoder) decode(body []byte, dst []Record) ([]Record, error) {
-	b, _, err := d.readTable(body, true, nil)
+	b, _, err := d.readTable(body, func(s []byte) { d.table = append(d.table, d.intern(s)) })
 	var recs []Record
 	if err == nil {
 		recs, err = decodeRecords(b, d.table, dst, d.slab)
@@ -384,7 +494,7 @@ func (d *FrameDecoder) decode(body []byte, dst []Record) ([]Record, error) {
 // their entries, and nil for a frame of events. Both are the decoder's
 // slabs, valid until its next decode.
 func (d *FrameDecoder) DecodeIndex(body []byte) (ents []IndexEntry, recs []Record, err error) {
-	b, ntable, err := d.readTable(body, false, nil)
+	b, ntable, err := d.readTable(body, nil)
 	if err == nil {
 		ents, err = decodeEntries(b, ntable, d.ents)
 		if err == errLinkInIndex {
@@ -410,7 +520,7 @@ func (d *FrameDecoder) DecodeIndex(body []byte) (ents []IndexEntry, recs []Recor
 // dst's capacity, else the decoder's slab, valid until its next decode.
 func (d *FrameDecoder) DecodeCompact(body []byte, tab *SymbolTable, dst []Compact) ([]Compact, error) {
 	d.ids = d.ids[:0]
-	b, _, err := d.readTable(body, false, tab)
+	b, _, err := d.readTable(body, func(s []byte) { d.ids = append(d.ids, tab.internBytes(s)) })
 	var cs []Compact
 	if err == nil {
 		cs, err = decodeCompacts(b, d.ids, tab, dst, d.compacts)
@@ -427,15 +537,41 @@ func (d *FrameDecoder) DecodeCompact(body []byte, tab *SymbolTable, dst []Compac
 	return cs, nil
 }
 
+// DecodeFrame is the decode of a collector's chain table. It checks every
+// bound Decode checks and fails wherever Decode fails; otherwise the frame
+// holds the body's string table and each record as a Compact whose ids
+// index it, and no string is interned, hashed or allocated. The frame is
+// the decoder's and aliases body: it is valid until the next DecodeFrame,
+// and while body is. Slabs that a frame of more than maxSlabRecords
+// records, or a table of more than maxTableScratch entries, made grow are
+// let go at the next DecodeFrame.
+func (d *FrameDecoder) DecodeFrame(body []byte) (*Frame, error) {
+	f := &d.frame
+	if cap(f.Strings) > maxTableScratch {
+		f.Strings = nil
+	}
+	if cap(f.Records) > maxSlabRecords {
+		f.Records, f.Semantics, f.Links = nil, nil, nil
+	}
+	f.Strings, f.Links = f.Strings[:0], f.Links[:0]
+	b, _, err := d.readTable(body, func(s []byte) { f.Strings = append(f.Strings, s) })
+	if err == nil {
+		err = decodeFrame(b, f)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("probe: decode frame: %w", err)
+	}
+	return f, nil
+}
+
 // errLinkInIndex stops an entry decode at a link record: the frame is
 // decoded again in full.
 var errLinkInIndex = errors.New("link record in an index decode")
 
 // readTable checks the string table at the head of body and returns the
-// bytes behind it and its entry count. With resolve set, it leaves in
-// d.table each entry resolved through the intern map; with tab, in d.ids
-// each entry's symbol id in tab.
-func (d *FrameDecoder) readTable(body []byte, resolve bool, tab *SymbolTable) (rest []byte, ntable uint32, err error) {
+// bytes behind it and its entry count. each, when set, sees every entry in
+// order, a slice of body.
+func (d *FrameDecoder) readTable(body []byte, each func(s []byte)) (rest []byte, ntable uint32, err error) {
 	if len(body) < 4 {
 		return nil, 0, fmt.Errorf("%w: %d bytes for the string table's count", cdr.ErrShortBuffer, len(body))
 	}
@@ -451,10 +587,8 @@ func (d *FrameDecoder) readTable(body []byte, resolve bool, tab *SymbolTable) (r
 		if b = b[4:]; uint64(n) > uint64(len(b)) {
 			return nil, 0, fmt.Errorf("%w: string %d of %d bytes in %d", cdr.ErrShortBuffer, i, n, len(b))
 		}
-		if resolve {
-			d.table = append(d.table, d.intern(b[:n]))
-		} else if tab != nil {
-			d.ids = append(d.ids, tab.internBytes(b[:n]))
+		if each != nil {
+			each(b[:n])
 		}
 		b = b[n:]
 	}
@@ -678,6 +812,97 @@ func decodeCompacts(b []byte, ids []uint32, tab *SymbolTable, dst, slab []Compac
 		return nil, fmt.Errorf("%d trailing bytes", len(b))
 	}
 	return cs, nil
+}
+
+// decodeFrame is decodeRecords into f, against the table f.Strings holds.
+func decodeFrame(b []byte, f *Frame) error {
+	nrec, b, err := recordCount(b)
+	if err != nil {
+		return err
+	}
+	if nrec > cap(f.Records) {
+		f.Records, f.Semantics = make([]Compact, nrec), make([][]byte, nrec)
+	}
+	cs, sems := f.Records[:nrec], f.Semantics[:nrec]
+	f.Records, f.Semantics = cs, sems
+	ntable := uint32(len(f.Strings))
+	le := binary.LittleEndian
+	for i := range cs {
+		var w wireRecord
+		if b, err = w.cut(b, ntable); err != nil {
+			return fmt.Errorf("record %d: %w", i, err)
+		}
+		h, c := w.head, &cs[i]
+		w.entryInto(&c.IndexEntry)
+		c.Process, c.ProcType = le.Uint32(h[3:7]), le.Uint32(h[7:11])
+		c.Op = CompactOp{le.Uint32(h[11:15]), le.Uint32(h[15:19]), le.Uint32(h[19:23]), le.Uint32(h[23:27])}
+		c.Semantics, c.Part = 0, 0
+		sems[i] = w.semantics
+		if w.kind() == KindLink {
+			var l LinkBlock
+			if w.link != nil {
+				l = LinkBlock{Parent: uuid.UUID(w.link[0:16]), ParentSeq: le.Uint64(w.link[16:24]), Child: uuid.UUID(w.link[24:40])}
+			}
+			f.Links = append(f.Links, l)
+		}
+	}
+	if len(b) != 0 {
+		return fmt.Errorf("%d trailing bytes", len(b))
+	}
+	return nil
+}
+
+// FrameRemap maps the string table of one Frame into a SymbolTable, an
+// entry the first time a record converted through it names the entry: one
+// lookup per distinct string the frame's records use, none for an entry
+// no record uses. A collector's chain table keeps one a generation of
+// symbols its frame's chains intern in. The zero value is ready for Reset.
+type FrameRemap struct {
+	tab *SymbolTable
+	ids []uint32 // by table entry: its id in tab, or unmapped
+}
+
+// unmapped marks a FrameRemap entry no record has named yet.
+const unmapped = math.MaxUint32
+
+// Reset readies m to map f's table into tab.
+func (m *FrameRemap) Reset(tab *SymbolTable, f *Frame) {
+	n := len(f.Strings)
+	if cap(m.ids) > maxTableScratch && n <= maxTableScratch {
+		m.ids = nil
+	}
+	m.tab, m.ids = tab, slices.Grow(m.ids[:0], n)[:n]
+	for i := range m.ids {
+		m.ids[i] = unmapped
+	}
+}
+
+// Table is the table m maps into; nil once released.
+func (m *FrameRemap) Table() *SymbolTable { return m.tab }
+
+// Release lets go of m's table, so that a remap kept for the next frame
+// keeps no generation of symbols alive.
+func (m *FrameRemap) Release() { m.tab = nil }
+
+// Convert writes record i of f into dst, its identity strings interned in
+// m's table and its Semantics added there, as SymbolTable.Convert writes
+// the record Decode gives, link block aside.
+func (m *FrameRemap) Convert(dst *Compact, f *Frame, i int) {
+	src := &f.Records[i]
+	dst.IndexEntry = src.IndexEntry
+	ids := [identityStrings]uint32{src.Process, src.ProcType, src.Op.Component, src.Op.Interface, src.Op.Operation, src.Op.Object}
+	for j, e := range ids {
+		id := m.ids[e]
+		if id == unmapped {
+			id = m.tab.internBytes(f.Strings[e])
+			m.ids[e] = id
+		}
+		ids[j] = id
+	}
+	dst.Process, dst.ProcType = ids[0], ids[1]
+	dst.Op = CompactOp{ids[2], ids[3], ids[4], ids[5]}
+	dst.Semantics = m.tab.add(string(f.Semantics[i]))
+	dst.Part = m.tab.part
 }
 
 // decodeEntries is decodeRecords into IndexEntry values, against a table

@@ -115,6 +115,15 @@ func TestBatchCodecAllocCeiling(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("decode allocates %v per 256-record frame of a seen vocabulary, want 0", a)
 	}
+	i = 0
+	if a := testing.AllocsPerRun(200, func() {
+		if _, err := dec.DecodeFrame(bodies[i%len(bodies)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); a != 0 {
+		t.Errorf("frame decode allocates %v per 256-record frame, want 0", a)
+	}
 }
 
 // BenchmarkShipFrameCodec times the two halves of a ship frame's codec on
@@ -168,8 +177,9 @@ func chainFrames(tb testing.TB) [][]probe.Record {
 }
 
 // BenchmarkFrameDecode times the full decode (Decode into the decoder's
-// slab) and the index decode (DecodeIndex) of a shipper's 256-record frame
-// and of a trace-store segment frame that holds one chain, in ns/record.
+// slab), the index decode (DecodeIndex) and the frame decode a chain table
+// takes (DecodeFrame) of a shipper's 256-record frame and of a trace-store
+// segment frame that holds one chain, in ns/record.
 func BenchmarkFrameDecode(b *testing.B) {
 	for _, shape := range []struct {
 		name   string
@@ -198,6 +208,15 @@ func BenchmarkFrameDecode(b *testing.B) {
 			var dec probe.FrameDecoder
 			for i := 0; i < b.N; i++ {
 				if _, _, err := dec.DecodeIndex(bodies[i%len(bodies)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRecord(b)
+		})
+		b.Run(shape.name+"/frame", func(b *testing.B) {
+			var dec probe.FrameDecoder
+			for i := 0; i < b.N; i++ {
+				if _, err := dec.DecodeFrame(bodies[i%len(bodies)]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -225,6 +225,34 @@ func TestReusedEncoderMatchesFresh(t *testing.T) {
 	}
 }
 
+// A symbol table that has added more Semantics than any bound on its
+// identity strings — a collector's generation past its rotation, whose held
+// chains go on adding records — interns a string late, at an id past 64 Ki.
+// EncodeCompacts of records naming it writes what Encode writes, and keeps
+// its stamps: once warm, it allocates nothing a frame.
+func TestEncodeCompactsLargeIdsAllocFree(t *testing.T) {
+	tab := NewSymbols(1).Table(0)
+	var c Compact
+	for i := range 1<<16 + 100 {
+		tab.Convert(&c, &Record{Kind: KindEvent, Process: "p", Semantics: fmt.Sprintf("in: job=%d", i)})
+	}
+	recs := codecRecords()[:7]
+	for i := range recs {
+		recs[i].Op.Object = fmt.Sprintf("late-%d", i%3)
+	}
+	cs := tab.AppendCompacts(nil, recs)
+	if id := cs[0].Op.Object; id <= 1<<16 {
+		t.Fatalf("late identity string has id %d, want one past 64 Ki", id)
+	}
+	var enc FrameEncoder
+	if got, want := enc.EncodeCompacts(cs, tab), EncodeFrame(recs); !bytes.Equal(got, want) {
+		t.Fatalf("EncodeCompacts wrote %d bytes that differ from Encode's %d", len(got), len(want))
+	}
+	if n := testing.AllocsPerRun(20, func() { enc.EncodeCompacts(cs, tab) }); n != 0 {
+		t.Fatalf("EncodeCompacts of ids past 64 Ki: %.1f allocs a frame, want 0", n)
+	}
+}
+
 // A decoder hands every frame out in the same slab, and a frame shows
 // nothing of the one before it: not in the fields a shorter record leaves
 // out, not past its end. A frame too large to keep gets a slab of its own.
@@ -511,7 +539,12 @@ func TestBatchDecodeRejectsMalformedFrames(t *testing.T) {
 // record short of the frame and on one that fits it agree with Decode on
 // error versus value. The compact decode a query scans with agrees with
 // Decode too: its records, resolved through their symbols, are Decode's but
-// for the link blocks, or both decodes fail.
+// for the link blocks, or both decodes fail. So does the frame decode a
+// chain table takes frames in with: its records, resolved through the
+// frame's own table, are Decode's but for an event record's link block;
+// mapped into a symbol table through a FrameRemap, they re-encode through
+// EncodeCompacts to the bytes Encode writes for Decode's records without
+// their link blocks.
 // Seeds are checked in under testdata/fuzz/FuzzDecodeBatch (the frames
 // corruptions derives); the valid frame is added here too so the fuzzer
 // keeps a live starting point if the layout moves, and so is a frame of
@@ -534,6 +567,7 @@ func FuzzDecodeBatch(f *testing.F) {
 			checkUsedDecoder(t, body, nil, true)
 			checkIndexAndInto(t, body, nil, true)
 			checkCompact(t, body, nil, true)
+			checkFrame(t, body, nil, true)
 			return
 		}
 		if len(recs) > len(body)/minRecordSize {
@@ -542,6 +576,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		checkUsedDecoder(t, body, recs, false)
 		checkIndexAndInto(t, body, recs, false)
 		checkCompact(t, body, recs, false)
+		checkFrame(t, body, recs, false)
 		checkUsedEncoder(t, recs)
 		again, err := decodeBatch(encodeBatch(recs))
 		if err != nil {
@@ -624,6 +659,104 @@ func checkCompact(t *testing.T, body []byte, want []Record, wantErr bool) {
 		}
 		if tc.room >= 0 && slots[tc.room].Seq != 99 {
 			t.Fatalf("DecodeCompact into %d slots wrote past them", tc.room)
+		}
+	}
+}
+
+// checkFrame requires of DecodeFrame what Decode gave for body — an
+// error, or want resolved through the frame's table but for the link
+// blocks of event records — from a fresh decoder and from one that has
+// decoded a frame before; and of the frame mapped into a fresh symbol table
+// and into one that holds another frame's strings, through EncodeCompacts,
+// the bytes Encode writes for want without its link blocks.
+func checkFrame(t *testing.T, body []byte, want []Record, wantErr bool) {
+	t.Helper()
+	var used FrameDecoder
+	if _, err := used.DecodeFrame(encodeBatch(codecRecords())); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []*FrameDecoder{{}, &used} {
+		f, err := d.DecodeFrame(body)
+		if (err != nil) != wantErr {
+			t.Fatalf("DecodeFrame: %v; Decode: error=%v", err, wantErr)
+		}
+		if wantErr {
+			if f != nil {
+				t.Fatalf("DecodeFrame: %v beside a frame", err)
+			}
+			continue
+		}
+		if len(f.Records) != len(want) || len(f.Semantics) != len(want) {
+			t.Fatalf("DecodeFrame: %d records, %d Semantics; Decode: %d records", len(f.Records), len(f.Semantics), len(want))
+		}
+		links := f.Links
+		for i := range f.Records {
+			c := &f.Records[i]
+			str := func(e uint32) string { return string(f.Strings[e]) }
+			r := Record{
+				Kind: c.Kind, Process: str(c.Process), ProcType: str(c.ProcType), Thread: c.Thread,
+				Op:     OpID{Component: str(c.Op.Component), Interface: str(c.Op.Interface), Operation: str(c.Op.Operation), Object: str(c.Op.Object)},
+				Oneway: c.Oneway, Collocated: c.Collocated, LatencyArmed: c.LatencyArmed, CPUArmed: c.CPUArmed,
+				Semantics: string(f.Semantics[i]), Chain: c.Chain, Event: c.Event, Seq: c.Seq,
+				WallStart: WallTime(c.WallStart), WallEnd: WallTime(c.WallEnd), CPUStart: c.CPUStart, CPUEnd: c.CPUEnd,
+			}
+			var resolved Record
+			f.Resolve(&resolved, i)
+			if !reflect.DeepEqual(resolved, r) {
+				t.Fatalf("Frame.Resolve of record %d gives %+v, its fields %+v", i, resolved, r)
+			}
+			w := want[i]
+			if w.Kind == KindLink {
+				if len(links) == 0 {
+					t.Fatalf("DecodeFrame record %d is a link beyond the frame's %d link blocks", i, len(f.Links))
+				}
+				r.LinkParent, r.LinkParentSeq, r.LinkChild = links[0].Parent, links[0].ParentSeq, links[0].Child
+				links = links[1:]
+			} else {
+				w.LinkParent, w.LinkParentSeq, w.LinkChild = uuid.UUID{}, 0, uuid.UUID{}
+			}
+			if !reflect.DeepEqual(r, w) {
+				t.Fatalf("DecodeFrame record %d resolves to %+v, Decode gave %+v", i, r, w)
+			}
+		}
+		if len(links) != 0 {
+			t.Fatalf("DecodeFrame gave %d link blocks beyond its link records", len(links))
+		}
+	}
+	if wantErr {
+		return
+	}
+	stripped := slices.Clone(want)
+	for i := range stripped {
+		stripped[i].LinkParent, stripped[i].LinkParentSeq, stripped[i].LinkChild = uuid.UUID{}, 0, uuid.UUID{}
+	}
+	wantBytes := EncodeFrame(stripped)
+	other := NewSymbols(1).Table(0)
+	var m FrameRemap
+	for _, src := range [][]Record{codecRecords(), fuzzSeedRecords()} {
+		f, err := used.DecodeFrame(encodeBatch(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Reset(other, f)
+		for i := range f.Records {
+			m.Convert(&Compact{}, f, i)
+		}
+	}
+	var enc FrameEncoder
+	enc.EncodeCompacts(nil, other)
+	for _, tab := range []*SymbolTable{NewSymbols(1).Table(0), other} {
+		f, err := used.DecodeFrame(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Reset(tab, f)
+		cs := make([]Compact, len(f.Records))
+		for i := range cs {
+			m.Convert(&cs[i], f, i)
+		}
+		if got := enc.EncodeCompacts(cs, tab); !bytes.Equal(got, wantBytes) {
+			t.Fatalf("EncodeCompacts of the remapped frame wrote %d bytes that differ from Encode's %d", len(got), len(wantBytes))
 		}
 	}
 }

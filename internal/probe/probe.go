@@ -186,19 +186,21 @@ type SpanSink interface {
 	AppendSpan(recs []Record)
 }
 
-// BatchSink is the consumer-side bulk path: a sink that can accept a whole
-// ship frame's records in one call, so a collector pays one lock round per
-// frame instead of one per record. Unlike a span, a batch is any number of
-// records of any mix of chains, in arrival order. The telemetry server
-// discovers it by type assertion and falls back to per-record Append.
-type BatchSink interface {
-	// AppendBatch stores recs as if each had been passed to Append in
-	// order. recs is borrowed: the telemetry server decodes every frame of
-	// a connection into the same slab and overwrites it with the next, so
-	// the callee copies what it keeps (a Record's strings are immutable and
-	// may be shared) and must not retain recs or a pointer into it past the
-	// call.
-	AppendBatch(recs []Record)
+// FrameSink is the consumer-side bulk path: a sink that takes a whole ship
+// frame, decoded once (FrameDecoder.DecodeFrame), so that a collector pays
+// one lock round per frame instead of one per record, and hashes each
+// string of the frame's table once instead of once per record that names
+// it (FrameRemap). Unlike a span, a frame is any number of records of any
+// mix of chains, in arrival order. The telemetry server discovers it by
+// type assertion and hands a sink without it each record through Append.
+type FrameSink interface {
+	Sink
+	// AppendFrame stores f's records as if each had been passed to Append
+	// in order. f is borrowed: it is the connection's decoder's and aliases
+	// the connection's read buffer, and the next frame overwrites both, so
+	// the callee copies what it keeps and must not retain f or any slice
+	// of it past the call.
+	AppendFrame(f *Frame)
 }
 
 // RecordStore is where collected records come to rest: the insertion side
@@ -207,11 +209,24 @@ type BatchSink interface {
 // node composes over (cluster.Store) embeds it. *logdb.Store and
 // *tracestore.Store both satisfy it.
 type RecordStore interface {
-	// Insert stores recs. Like BatchSink.AppendBatch it borrows them: a
-	// decode slab, or chain storage the assembler recycles the moment
-	// Insert returns, so an implementation copies (or
-	// encodes) what it keeps and must not retain recs or a pointer into it.
+	// Insert stores recs. It borrows them: a decode slab, or chain storage
+	// the assembler recycles the moment Insert returns, so an
+	// implementation copies (or encodes) what it keeps and must not retain
+	// recs or a pointer into it.
 	Insert(recs ...Record)
+}
+
+// CompactStore is a RecordStore with a second door, for records held
+// compact: the collector's chain table finds it by type assertion and
+// hands each chain it evicts through it, so that no record is resolved
+// back into strings on its way to disk. *tracestore.Store is one.
+type CompactStore interface {
+	RecordStore
+	// InsertCompacts stores the event records of one chain, in seq order,
+	// their strings tab's, as Insert stores the records they resolve to.
+	// It borrows cs as Insert borrows recs, and reads tab only during the
+	// call.
+	InsertCompacts(cs []Compact, tab *SymbolTable)
 }
 
 // spanBuf accumulates one probe span. Max occupancy is 4 records: a

@@ -149,7 +149,7 @@ var ErrTruncated = errors.New("probe: record stream truncated mid-frame")
 
 // ReadFrames reads a record stream frame by frame, calling fn with each
 // frame's records. recs is the reader's decode slab, borrowed as
-// BatchSink.AppendBatch's argument is: fn copies what it keeps and retains
+// FrameSink.AppendFrame's argument is: fn copies what it keeps and retains
 // nothing. The error follows the stream's one torn-tail rule (see
 // StreamMagic); in every case fn has seen all the complete frames before
 // the fault.

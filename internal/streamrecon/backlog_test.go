@@ -24,15 +24,16 @@ func capBuffered(t *testing.T, n int) {
 }
 
 // heldMeter is a table behind a telemetry server that remembers the most
-// records it held after any frame. Backlogged is the table's own.
+// records it held after any frame. Backlogged is the table's own. The
+// server hands it each ship frame through AppendFrame, the frame door.
 type heldMeter struct {
 	*Assembler
 	mu   sync.Mutex
 	peak uint64
 }
 
-func (m *heldMeter) AppendBatch(recs []probe.Record) {
-	m.Assembler.AppendBatch(recs)
+func (m *heldMeter) AppendFrame(f *probe.Frame) {
+	m.Assembler.AppendFrame(f)
 	held := m.Ledger().Buffered
 	m.mu.Lock()
 	m.peak = max(m.peak, held)
@@ -142,6 +143,9 @@ func TestBacklogBoundedUnderUnquietProducer(t *testing.T) {
 	a.FlushOpen()
 
 	led := checkLedger(t, a)
+	if table.peak == 0 {
+		t.Fatal("the meter saw no frame: the server did not take the table's frame door")
+	}
 	if bound := uint64(limit + producers*batch); table.peak > bound {
 		t.Fatalf("the table held %d records, more than the cap %d plus one %d-record frame per connection", table.peak, limit, batch)
 	}

@@ -25,6 +25,11 @@ type nullStore struct{ n int }
 
 func (s *nullStore) Insert(recs ...probe.Record) { s.n += len(recs) }
 
+// nullCompactStore is a nullStore with the compact door.
+type nullCompactStore struct{ nullStore }
+
+func (s *nullCompactStore) InsertCompacts(cs []probe.Compact, _ *probe.SymbolTable) { s.n += len(cs) }
+
 // nestedChain returns the records of one chain: a call with children child
 // calls inside it, 4+4*children records in seq order.
 func nestedChain(t testing.TB, seed uint64, children int) []probe.Record {
@@ -140,7 +145,9 @@ func serverFirst(recs []probe.Record) []probe.Record {
 // the chain, its head and chunks, machine stack, early-arrival list and
 // tree nodes are all reused, and so is the tick's eviction list. Without a
 // store the table allocates only what the callbacks may keep: the chain's
-// head and its tree's nodes.
+// head and its tree's nodes. Through the frame door, over a store with the
+// compact door, the chain's frame is decoded as the telemetry server
+// decodes it, and that costs nothing either.
 func TestAssemblerSteadyStateAllocs(t *testing.T) {
 	const warm, runs = 8, 20
 	one := serverFirst(nestedChain(t, 7, 0))
@@ -148,32 +155,48 @@ func TestAssemblerSteadyStateAllocs(t *testing.T) {
 		name    string
 		base    []probe.Record
 		monitor bool
+		frames  bool
 		ceiling float64
 	}{
-		{"4 records server first", one, false, 0},
-		{"100 records", nestedChain(t, 7, 24), false, 0},
-		{"400 records", nestedChain(t, 7, 99), false, 0},
-		{"monitor 4 records server first", one, true, 2}, // the head, the one node
+		{"4 records server first", one, false, false, 0},
+		{"100 records", nestedChain(t, 7, 24), false, false, 0},
+		{"400 records", nestedChain(t, 7, 99), false, false, 0},
+		{"monitor 4 records server first", one, true, false, 2}, // the head, the one node
+		{"frames 100 records", nestedChain(t, 7, 24), false, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := newFakeClock()
 			var a *Assembler
 			roots := 0
-			if tc.monitor {
+			switch {
+			case tc.monitor:
 				a = NewMonitor(Config{Clock: clock.Now, Metrics: metrics.NewRegistry(), OnRoot: func(RootEvent) { roots++ }})
-			} else {
+			case tc.frames:
+				a, _ = newAssembler(t, clock, func(c *Config) { c.Store = &nullCompactStore{} })
+			default:
 				a, _ = newAssembler(t, clock, func(c *Config) { c.Store = &nullStore{} })
 			}
 			chains := make([][]probe.Record, warm+runs+1)
+			bodies := make([][]byte, len(chains))
 			for i := range chains {
 				chains[i] = slices.Clone(tc.base)
 				for j := range chains[i] {
 					chains[i][j].Chain[3] = byte(i + 1)
 				}
+				bodies[i] = probe.EncodeFrame(chains[i])
 			}
+			var dec probe.FrameDecoder
 			next := 0
 			cycle := func() {
-				a.AppendBatch(chains[next])
+				if tc.frames {
+					f, err := dec.DecodeFrame(bodies[next])
+					if err != nil {
+						t.Fatal(err)
+					}
+					a.AppendFrame(f)
+				} else {
+					a.AppendBatch(chains[next])
+				}
 				next++
 				clock.Advance(time.Second)
 				if n := a.Tick(); !tc.monitor && n != 1 {

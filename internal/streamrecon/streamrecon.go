@@ -92,29 +92,38 @@
 //
 // # Record memory
 //
-// Append and AppendBatch borrow their records (probe.BatchSink): the table
-// converts each, once, into its chain's chunks as a probe.Compact — the
-// record's scalars and the symbol ids of its strings, 104 bytes and no
-// pointer — so that what a chain costs follows its records and the
-// garbage collector never scans them. The strings are interned in the
-// chain's symbols: the table's current generation when the chain was
-// held. A generation holding maxSymbols strings or maxSymbolBytes bytes
-// gives way to a fresh one for later chains, and goes once its last chain
-// has left, so a flood of new names costs a bounded few generations, not
-// memory without end. The first chunk, the head, holds four records — one
-// synchronous call — and every later one sixteen; a chain grows by taking
-// another chunk, never by copying what it already holds. When a chain
-// leaves a table with a store, its chunks are cleared and go back to a free
-// list for their size, its delivered trees' nodes to a pool its machines
-// draw on (analysis.NodePool), and the chain itself — its chunk list,
-// machine stack and early-arrival list — to a spare list the next chain
-// starts from; every list is bounded. So once primed, a table with a store
-// allocates nothing per chain but a Semantics' symbol; one without
-// allocates only what its callbacks may keep, a chain's head and its
-// trees' nodes. The store borrows a chain's records, resolved in seq order
-// into the table's scratch — as a frame would carry them, wall times in
-// Unix nanoseconds — for one Insert. Links never reach a machine: the
-// queued links stay whole records, and go a chunk at a time.
+// Every door borrows its records. AppendFrame (probe.FrameSink) is the
+// telemetry server's: a ship frame decoded once, its records converted
+// straight from it into their chains' chunks, each string of the frame's
+// table mapped into a generation of symbols the first time a record of the
+// frame names it — one hash per distinct string a frame, not one per
+// record. Append, AppendSpan and AppendBatch are the Record doors, for a
+// caller in the process: each record converted through
+// probe.SymbolTable.Convert. Either way a chain holds each record once, as
+// a probe.Compact — the record's scalars and the symbol ids of its
+// strings, 104 bytes and no pointer — so that what a chain costs follows
+// its records and the garbage collector never scans them. The strings are
+// interned in the chain's symbols: the table's current generation when the
+// chain was held. A generation holding maxSymbols strings or
+// maxSymbolBytes bytes gives way to a fresh one for later chains, and goes
+// once its last chain has left, so a flood of new names costs a bounded
+// few generations, not memory without end. The first chunk, the head,
+// holds four records — one synchronous call — and every later one sixteen;
+// a chain grows by taking another chunk, never by copying what it already
+// holds. When a chain leaves a table with a store, its chunks are cleared
+// and go back to a free list for their size, its delivered trees' nodes to
+// a pool its machines draw on (analysis.NodePool), and the chain itself —
+// its chunk list, machine stack and early-arrival list — to a spare list
+// the next chain starts from; every list is bounded. So once primed, a
+// table with a store allocates nothing per chain but a Semantics' symbol;
+// one without allocates only what its callbacks may keep, a chain's head
+// and its trees' nodes. The store borrows a chain's records in seq order,
+// copied into the table's scratch, for one call: a store with the compact
+// door (probe.CompactStore, the trace store) takes them as they are held,
+// with the chain's symbol table, so no string is resolved or hashed on the
+// way to disk; any other store gets them resolved into Records for one
+// Insert. Links never reach a machine: the queued links stay whole
+// records, and go a chunk at a time.
 package streamrecon
 
 import (
@@ -496,16 +505,25 @@ type Assembler struct {
 	// the callbacks after every apply.
 	out analysis.ParsedChain
 
+	// compacts is the store's compact door, when it has one: an evicted
+	// chain goes there as it is held, no string resolved.
+	compacts probe.CompactStore
+	// remaps maps the frame AppendFrame takes into each generation of
+	// symbols its chains intern in. Used under mu.
+	remaps []probe.FrameRemap
+
 	// The judge's scratch: nothing a judgement builds outlives it, so one
 	// machine (drawing on nodes) and one output serve every chain. keys
-	// puts a chain in seq order, for a judgement or an Insert, and sorted
-	// holds it resolved for an Insert; evs lists an eviction pass's chains.
-	// All are used under evictMu.
-	mach   analysis.ChainMachine
-	parsed analysis.ParsedChain
-	keys   []seqAt
-	sorted []probe.Record
-	evs    []eviction
+	// puts a chain in seq order, for a judgement or an Insert, sorted holds
+	// it so, and resolved holds it resolved for a store without the compact
+	// door; evs lists an eviction pass's chains. All are used under
+	// evictMu.
+	mach     analysis.ChainMachine
+	parsed   analysis.ParsedChain
+	keys     []seqAt
+	sorted   []probe.Compact
+	resolved []probe.Record
+	evs      []eviction
 
 	appended, persisted, discarded uint64
 	buffered                       int
@@ -532,7 +550,7 @@ type Assembler struct {
 var (
 	_ probe.Sink      = (*Assembler)(nil)
 	_ probe.SpanSink  = (*Assembler)(nil)
-	_ probe.BatchSink = (*Assembler)(nil)
+	_ probe.FrameSink = (*Assembler)(nil)
 )
 
 // New builds a table that evicts to cfg.Store, applying defaults.
@@ -569,6 +587,7 @@ func NewMonitor(cfg Config) *Assembler {
 		recent:  make([]RootSummary, recentRoots),
 	}
 	a.mach.Pool = &a.nodes
+	a.compacts, _ = cfg.Store.(probe.CompactStore)
 	return a
 }
 
@@ -576,23 +595,79 @@ func NewMonitor(cfg Config) *Assembler {
 func (a *Assembler) Append(r probe.Record) {
 	a.mu.Lock()
 	defer a.unlock()
-	a.appendLocked(&r, a.cfg.Clock())
+	a.appendLocked(&r, a.cfg.Clock().UnixNano())
 }
 
 // AppendSpan implements probe.SpanSink: the records of one invocation span
 // apply under a single lock acquisition.
 func (a *Assembler) AppendSpan(recs []probe.Record) { a.AppendBatch(recs) }
 
-// AppendBatch implements probe.BatchSink: a ship frame's records — any mix
-// of chains — apply in order under one lock acquisition and one clock
-// reading.
+// AppendBatch takes records of any mix of chains in order, under one lock
+// acquisition and one clock reading: the Record door for a caller in the
+// process that holds a batch.
 func (a *Assembler) AppendBatch(recs []probe.Record) {
 	a.mu.Lock()
 	defer a.unlock()
-	now := a.cfg.Clock()
+	at := a.cfg.Clock().UnixNano()
 	for i := range recs {
-		a.appendLocked(&recs[i], now)
+		a.appendLocked(&recs[i], at)
 	}
+}
+
+// AppendFrame implements probe.FrameSink: a ship frame's records — any mix
+// of chains — apply in order under one lock acquisition and one clock
+// reading, as AppendBatch applies the records Decode gives for the frame.
+// Each record is converted straight from the frame into its chain's
+// storage, its strings mapped from the frame's table into the chain's
+// generation of symbols through a remap of that generation: an entry is
+// hashed the first time a record of the frame names it, not once a record.
+// A link record is copied out of the frame whole, as the link queue keeps
+// links: no generation of symbols sees it.
+func (a *Assembler) AppendFrame(f *probe.Frame) {
+	a.mu.Lock()
+	defer a.unlock()
+	at := a.cfg.Clock().UnixNano()
+	links := f.Links
+	var last *chain // the chain of the record before, while the table holds it
+	for i := range f.Records {
+		r := &f.Records[i]
+		if r.Kind == probe.KindLink {
+			var rec probe.Record
+			f.Resolve(&rec, i)
+			rec.LinkParent, rec.LinkParentSeq, rec.LinkChild = links[0].Parent, links[0].ParentSeq, links[0].Child
+			links = links[1:]
+			a.appendLink(&rec, at)
+			continue
+		}
+		c := a.chainOf(r.Chain, at, last)
+		a.remap(c.mach.Syms.Table(0), f).Convert(a.slot(c), f, i)
+		if last = c; !a.took(c) {
+			last = nil
+		}
+	}
+	for i := range a.remaps {
+		a.remaps[i].Release()
+	}
+	a.remaps = a.remaps[:0]
+}
+
+// remap returns the remap of f's table into tab, made the first time a
+// record of f is converted into tab: the last one used, most often. Called
+// under a.mu.
+func (a *Assembler) remap(tab *probe.SymbolTable, f *probe.Frame) *probe.FrameRemap {
+	for i := len(a.remaps) - 1; i >= 0; i-- {
+		if a.remaps[i].Table() == tab {
+			return &a.remaps[i]
+		}
+	}
+	if len(a.remaps) < cap(a.remaps) { // reuse the ids a released remap kept
+		a.remaps = a.remaps[:len(a.remaps)+1]
+	} else {
+		a.remaps = append(a.remaps, probe.FrameRemap{})
+	}
+	m := &a.remaps[len(a.remaps)-1]
+	m.Reset(tab, f)
+	return m
 }
 
 // unlock releases a.mu after an append or an eviction pass, noting first
@@ -602,58 +677,88 @@ func (a *Assembler) unlock() {
 	a.mu.Unlock()
 }
 
-// appendLocked takes one record that arrived at now. Called under a.mu.
-func (a *Assembler) appendLocked(r *probe.Record, now time.Time) {
-	store, at := a.cfg.Store != nil, now.UnixNano()
+// appendLocked takes one record that arrived at at, in Unix nanoseconds.
+// Called under a.mu.
+func (a *Assembler) appendLocked(r *probe.Record, at int64) {
+	if r.Kind == probe.KindLink {
+		a.appendLink(r, at)
+		return
+	}
+	c := a.chainOf(r.Chain, at, nil)
+	c.mach.Syms.Table(0).Convert(a.slot(c), r)
+	a.took(c)
+}
+
+// appendLink takes link record r, which arrived at at. Called under a.mu.
+func (a *Assembler) appendLink(r *probe.Record, at int64) {
+	store := a.cfg.Store != nil
 	if store {
 		a.appended++
 	}
-	if r.Kind == probe.KindLink {
-		if c := a.chains[r.LinkChild]; c != nil {
-			c.parent, c.linked = r.LinkParent, true
-		} else {
-			cur := a.recall(r.LinkChild)
-			cur.parent, cur.linked, cur.last = r.LinkParent, true, max(cur.last, at)
-			a.cursors[r.LinkChild] = cur
-		}
-		if store {
-			// Links are store metadata: forward on the next Tick. A link
-			// whose parent chain is later discarded is harmless —
-			// ChildChain is only consulted for nodes that exist.
-			q := &a.persistQ
-			if q.n == 0 {
-				a.queuedFirst = a.appended
-			}
-			if q.n == len(q.chunks)*chunkRecs {
-				q.chunks = append(q.chunks, pop(&a.linkFree))
-			}
-			q.chunks[q.n/chunkRecs][q.n%chunkRecs] = *r
-			q.n++
-			a.buffered++
-		}
-		return
+	if c := a.chains[r.LinkChild]; c != nil {
+		c.parent, c.linked = r.LinkParent, true
+	} else {
+		cur := a.recall(r.LinkChild)
+		cur.parent, cur.linked, cur.last = r.LinkParent, true, max(cur.last, at)
+		a.cursors[r.LinkChild] = cur
 	}
-	c := a.chains[r.Chain]
-	if c == nil {
-		c = a.hold(r.Chain, a.recall(r.Chain), at)
-		c.first = a.appended
+	if store {
+		// Links are store metadata: forward on the next Tick. A link
+		// whose parent chain is later discarded is harmless —
+		// ChildChain is only consulted for nodes that exist.
+		q := &a.persistQ
+		if q.n == 0 {
+			a.queuedFirst = a.appended
+		}
+		if q.n == len(q.chunks)*chunkRecs {
+			q.chunks = append(q.chunks, pop(&a.linkFree))
+		}
+		q.chunks[q.n/chunkRecs][q.n%chunkRecs] = *r
+		q.n++
+		a.buffered++
+	}
+}
+
+// chainOf counts an event record of chain id that arrived at at, and
+// returns the chain that holds it — hint, when hint is that chain and the
+// table still holds it (a frame's records come a span of one chain at a
+// time) — held from now on if it was not. Called under a.mu.
+func (a *Assembler) chainOf(id uuid.UUID, at int64, hint *chain) *chain {
+	if a.cfg.Store != nil {
+		a.appended++
+	}
+	c := hint
+	if c == nil || c.id != id {
+		if c = a.chains[id]; c == nil {
+			c = a.hold(id, a.recall(id), at)
+			c.first = a.appended
+		}
 	}
 	c.last = at
-	a.push(c, r)
+	return c
+}
+
+// took finishes taking in the record just written into c's last slot: it
+// meets c's cursor when the table is eager, a monitor lets c go once
+// nothing of it is open, and the ledger counts it. It reports whether the
+// table still holds c. Called under a.mu.
+func (a *Assembler) took(c *chain) bool {
 	if a.eager {
 		a.catchUp(c)
 	}
-	if !store {
+	if a.cfg.Store == nil {
 		if !c.mach.Open() && len(c.pending) == 0 {
 			a.unhold(c)
+			return false
 		}
-		return
+		return true
 	}
 	if c.decided == decidedDiscard {
 		a.discarded++
 	} else {
 		a.buffered++
 	}
+	return true
 }
 
 // recall takes chain id's cursor out of the generation that remembers it;
@@ -673,18 +778,24 @@ func (a *Assembler) recall(id uuid.UUID) cursor {
 // a fresh one once the last holds maxSymbols strings or maxSymbolBytes
 // bytes. Called under a.mu.
 func (a *Assembler) hold(id uuid.UUID, cur cursor, at int64) *chain {
-	if t := a.syms; t == nil || t.Table(0).Len() >= maxSymbols || t.Table(0).Bytes() >= maxSymbolBytes {
-		a.syms = probe.NewSymbols(1)
-	}
 	c := pop(&a.spare)
 	c.id, c.cursor, c.since = id, cur, at
-	c.mach.Applied, c.mach.Syms = cur.applied, a.syms
+	c.mach.Applied, c.mach.Syms = cur.applied, a.current()
 	if a.cfg.Store != nil {
 		c.mach.Pool = &a.nodes
 	}
 	a.chains[id] = c
 	a.peak = max(a.peak, len(a.chains))
 	return c
+}
+
+// current returns the current generation of symbols, a fresh one once the
+// last holds maxSymbols strings or maxSymbolBytes bytes. Called under a.mu.
+func (a *Assembler) current() *probe.Symbols {
+	if t := a.syms; t == nil || t.Table(0).Len() >= maxSymbols || t.Table(0).Bytes() >= maxSymbolBytes {
+		a.syms = probe.NewSymbols(1)
+	}
+	return a.syms
 }
 
 // unhold stops holding c's records, remembering its cursor. Without a
@@ -746,19 +857,19 @@ func (a *Assembler) catchUp(c *chain) {
 	}
 }
 
-// push converts r to the end of c's records — the one copy of the record
-// the table owns, its strings interned in the symbols of c's machine — in
-// a head, or a chunk once the head is full, from its free list when the
-// last is full. Called under a.mu.
-func (a *Assembler) push(c *chain, r *probe.Record) {
+// slot returns a new last slot of c's records, for the one copy of a
+// record the table owns, its strings interned in the symbols of c's
+// machine: in a head, or a chunk once the head is full, from its free list
+// when the last is full. Called under a.mu.
+func (a *Assembler) slot(c *chain) *probe.Compact {
 	switch {
 	case c.head == nil:
 		c.head = pop(&a.heads)
 	case c.n >= headRecs && (c.n-headRecs)%chunkRecs == 0:
 		c.chunks = append(c.chunks, pop(&a.free))
 	}
-	c.mach.Syms.Table(0).Convert(c.at(c.n), r)
 	c.n++
+	return c.at(c.n - 1)
 }
 
 // admit moves the cursor to r and reports whether r is to be applied: not
@@ -1072,15 +1183,20 @@ type seqAt struct {
 // under evictMu.
 func (a *Assembler) seqOrder(b *recBuf) []seqAt {
 	keys := a.keys[:0]
+	sorted := true
 	for i := 0; i < b.n; i++ {
-		keys = append(keys, seqAt{b.at(i).Seq, i})
+		seq := b.at(i).Seq
+		sorted = sorted && (i == 0 || seq >= keys[i-1].seq)
+		keys = append(keys, seqAt{seq, i})
 	}
-	slices.SortFunc(keys, func(x, y seqAt) int {
-		if c := cmp.Compare(x.seq, y.seq); c != 0 {
-			return c
-		}
-		return cmp.Compare(x.at, y.at)
-	})
+	if !sorted { // a chain already in seq order needs no sort
+		slices.SortFunc(keys, func(x, y seqAt) int {
+			if c := cmp.Compare(x.seq, y.seq); c != 0 {
+				return c
+			}
+			return cmp.Compare(x.at, y.at)
+		})
+	}
 	// Kept for the next chain, unless one enormous chain sized it.
 	if a.keys = keys; len(keys) > maxScratchRecs {
 		a.keys = nil
@@ -1088,18 +1204,34 @@ func (a *Assembler) seqOrder(b *recBuf) []seqAt {
 	return keys
 }
 
-// inOrder resolves c's records into the table's scratch in seq order, for
-// the store. The copy is valid until the next call. Called under evictMu.
-func (a *Assembler) inOrder(c *chain) []probe.Record {
-	recs := a.sorted[:0]
-	for _, k := range a.seqOrder(&c.recBuf) {
+// persist hands c's records to the store in seq order, in the table's
+// scratch: through the compact door as they are held, or else resolved
+// into Records for Insert, and cleared once the store returns. Called
+// under evictMu.
+func (a *Assembler) persist(c *chain) {
+	keys := a.seqOrder(&c.recBuf)
+	tab := c.mach.Syms.Table(0)
+	if a.compacts != nil {
+		cs := a.sorted[:0]
+		for _, k := range keys {
+			cs = append(cs, *c.at(k.at))
+		}
+		a.compacts.InsertCompacts(cs, tab)
+		if a.sorted = cs; len(cs) > maxScratchRecs {
+			a.sorted = nil
+		}
+		return
+	}
+	recs := a.resolved[:0]
+	for _, k := range keys {
 		recs = append(recs, probe.Record{})
-		c.mach.Syms.Resolve(&recs[len(recs)-1], c.at(k.at))
+		tab.Resolve(&recs[len(recs)-1], c.at(k.at))
 	}
-	if a.sorted = recs; len(recs) > maxScratchRecs {
-		a.sorted = nil
+	a.cfg.Store.Insert(recs...)
+	clear(recs)
+	if a.resolved = recs; len(recs) > maxScratchRecs {
+		a.resolved = nil
 	}
-	return recs
 }
 
 // takePersistQLocked detaches the link queue, leaving an empty one on the
@@ -1123,9 +1255,7 @@ func (a *Assembler) finish(links linkQ, evs []eviction) int {
 	completions := 0
 	for _, ev := range evs {
 		if ev.persist {
-			recs := a.inOrder(ev.c)
-			a.cfg.Store.Insert(recs...)
-			clear(recs)
+			a.persist(ev.c)
 		}
 		if ev.notify {
 			completions++

@@ -94,18 +94,79 @@ func figure5Chains(b *testing.B) []chainTemplate {
 // ship frames, and the table ticks every 1000 chains with the clock a tenth
 // of Quiescence later, so it holds about ten ticks' chains, as a collector
 // ticking at that rate does; it is filled to that size before the timer
-// starts.
+// starts. The plain runs take each frame's records through AppendBatch and
+// hand evicted chains to a store with only Insert. The -frames runs take
+// the path a collector's server and store take: each frame, encoded once
+// in set-up, is decoded every time (DecodeFrame) and goes through
+// AppendFrame, and evicted chains go through the compact door.
 func BenchmarkChainTable(b *testing.B) {
-	b.Run("echo", func(b *testing.B) { benchChainTable(b, echoChains(b)) })
-	b.Run("figure5", func(b *testing.B) { benchChainTable(b, figure5Chains(b)) })
+	b.Run("echo", func(b *testing.B) { benchChainTable(b, echoChains(b), false) })
+	b.Run("figure5", func(b *testing.B) { benchChainTable(b, figure5Chains(b), false) })
+	b.Run("echo-frames", func(b *testing.B) { benchChainTable(b, echoChains(b), true) })
+	b.Run("figure5-frames", func(b *testing.B) { benchChainTable(b, figure5Chains(b), true) })
 }
 
-func benchChainTable(b *testing.B, tmpl []chainTemplate) {
+// chainID is the benchmark's id of a chain of pass pass whose template id
+// is i. The pass leads, so a later pass's id is an earlier one's with its
+// first eight bytes shifted.
+func chainID(pass int, i uint32) (u uuid.UUID) {
+	binary.BigEndian.PutUint64(u[:], uint64(pass)+1)
+	binary.BigEndian.PutUint32(u[8:], i)
+	return u
+}
+
+// shiftPass moves id on by passes passes.
+func shiftPass(id *uuid.UUID, passes int) {
+	binary.BigEndian.PutUint64(id[:], binary.BigEndian.Uint64(id[:])+uint64(passes))
+}
+
+// streamPass appends to recs template chains' records as pass pass sends
+// them.
+func streamPass(recs []probe.Record, tmpl []chainTemplate, pass int) []probe.Record {
+	for _, t := range tmpl {
+		for j := range t.recs {
+			recs = append(recs, t.recs[j])
+			r := &recs[len(recs)-1]
+			r.Chain = chainID(pass, t.chain[j])
+			if r.Kind == probe.KindLink {
+				r.LinkParent, r.LinkChild = chainID(pass, t.parent[j]), chainID(pass, t.child[j])
+			}
+		}
+	}
+	return recs
+}
+
+// frameCycle encodes the frames of frameRecs records that the stream of
+// tmpl's passes is cut into, over the fewest passes after which a frame
+// ends where a pass does: every later cycle is the same frames with each
+// chain id shifted by that many passes.
+func frameCycle(tmpl []chainTemplate, frameRecs int) (bodies [][]byte, passes int) {
+	perPass := 0
+	for _, t := range tmpl {
+		perPass += len(t.recs)
+	}
+	for passes = 1; passes*perPass%frameRecs != 0; passes++ {
+	}
+	var recs []probe.Record
+	for p := 0; p < passes; p++ {
+		recs = streamPass(recs, tmpl, p)
+	}
+	for ; len(recs) > 0; recs = recs[frameRecs:] {
+		bodies = append(bodies, probe.EncodeFrame(recs[:frameRecs]))
+	}
+	return bodies, passes
+}
+
+func benchChainTable(b *testing.B, tmpl []chainTemplate, frames bool) {
 	const frameRecs, chainsPerTick = 72, 1000
 	clock := newFakeClock()
 	roots := 0
+	var store RecordStore = &nullStore{}
+	if frames {
+		store = &nullCompactStore{}
+	}
 	a, err := New(Config{
-		Store:         &nullStore{},
+		Store:         store,
 		Metrics:       metrics.NewRegistry(),
 		OnRoot:        func(RootEvent) { roots++ },
 		SlowThreshold: 100 * time.Millisecond,
@@ -114,21 +175,47 @@ func benchChainTable(b *testing.B, tmpl []chainTemplate) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	id := func(pass int, i uint32) (u uuid.UUID) {
-		binary.BigEndian.PutUint64(u[:], uint64(pass)+1)
-		binary.BigEndian.PutUint32(u[8:], i)
-		return u
+	var bodies [][]byte
+	var cyclePasses, sent, inFrame int
+	var dec probe.FrameDecoder
+	if frames {
+		bodies, cyclePasses = frameCycle(tmpl, frameRecs)
+	}
+	// ship hands the table the next frame of the cycle, its chain ids
+	// shifted to the cycle it is sent in.
+	ship := func() {
+		f, err := dec.DecodeFrame(bodies[sent%len(bodies)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		shift := sent / len(bodies) * cyclePasses
+		for i := range f.Records {
+			shiftPass(&f.Records[i].Chain, shift)
+		}
+		for i := range f.Links {
+			shiftPass(&f.Links[i].Parent, shift)
+			shiftPass(&f.Links[i].Child, shift)
+		}
+		a.AppendFrame(f)
+		sent++
 	}
 	frame := make([]probe.Record, 0, frameRecs)
 	records := 0
 	chain := func(i int) {
 		pass, t := i/len(tmpl), &tmpl[i%len(tmpl)]
 		for j := range t.recs {
+			if frames {
+				if inFrame++; inFrame == frameRecs {
+					ship()
+					inFrame = 0
+				}
+				continue
+			}
 			frame = append(frame, t.recs[j])
 			r := &frame[len(frame)-1]
-			r.Chain = id(pass, t.chain[j])
+			r.Chain = chainID(pass, t.chain[j])
 			if r.Kind == probe.KindLink {
-				r.LinkParent, r.LinkChild = id(pass, t.parent[j]), id(pass, t.child[j])
+				r.LinkParent, r.LinkChild = chainID(pass, t.parent[j]), chainID(pass, t.child[j])
 			}
 			if len(frame) == frameRecs {
 				a.AppendBatch(frame)

@@ -85,19 +85,56 @@ func (s *sliceStore) Insert(recs ...probe.Record) {
 	s.mu.Unlock()
 }
 
-// A per-record sink, a frame-at-a-time sink and a chain table over a store
-// behind one server all borrow the same slab; after a hundred frames of
-// every size the sinks hold exactly what was shipped, in order, and once the
-// table drains its store holds the same records. The race detector is what
-// would catch a callee keeping the slab: the next frame's decode writes
-// where it would read.
+// compactSliceStore is a sliceStore with the compact door, which keeps the
+// records it is given resolved.
+type compactSliceStore struct{ sliceStore }
+
+func (s *compactSliceStore) InsertCompacts(cs []probe.Compact, tab *probe.SymbolTable) {
+	recs := make([]probe.Record, len(cs))
+	for i := range cs {
+		tab.Resolve(&recs[i], &cs[i])
+	}
+	s.Insert(recs...)
+}
+
+// frameRecords resolves f's records, as Decode gives them, through a
+// symbol table of their own.
+func frameRecords(f *probe.Frame) []probe.Record {
+	tab := probe.NewSymbols(1).Table(0)
+	var m probe.FrameRemap
+	m.Reset(tab, f)
+	out := make([]probe.Record, len(f.Records))
+	links := f.Links
+	for i := range f.Records {
+		var c probe.Compact
+		m.Convert(&c, f, i)
+		tab.Resolve(&out[i], &c)
+		if c.Kind == probe.KindLink {
+			out[i].LinkParent, out[i].LinkParentSeq, out[i].LinkChild = links[0].Parent, links[0].ParentSeq, links[0].Child
+			links = links[1:]
+		}
+	}
+	return out
+}
+
+// A per-record sink, a frame sink and two chain tables — over a store with
+// only the Record door and over one with the compact door — behind one
+// server all borrow the connection's decode slabs and frame; after a
+// hundred frames of every size the sinks hold exactly what was shipped, in
+// order, and once the tables drain each store holds the same records. The
+// race detector is what would catch a callee keeping a slab or the frame:
+// the next frame's decode writes where it would read.
 func TestServerFanOutBorrowsSlab(t *testing.T) {
-	plain, batched, store := &perRecordSink{}, &batchRecordSink{}, &sliceStore{}
+	plain, framed, store, compacts := &perRecordSink{}, &frameRecordSink{}, &sliceStore{}, &compactSliceStore{}
 	table, err := streamrecon.New(streamrecon.Config{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{table, plain, batched}})
+	compactTable, err := streamrecon.New(streamrecon.Config{Store: compacts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{table, plain, framed, compactTable}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +164,13 @@ func TestServerFanOutBorrowsSlab(t *testing.T) {
 			t.Fatalf("ship %d: %v %+v", i, err, rep)
 		}
 	}
-	for name, got := range map[string][]probe.Record{"Sink": plain.recs, "BatchSink": batched.recs} {
+	for name, got := range map[string][]probe.Record{"Sink": plain.recs, "FrameSink": framed.recs} {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s holds %d records that are not the %d shipped", name, len(got), len(want))
 		}
 	}
 	table.FlushOpen()
+	compactTable.FlushOpen()
 	count := func(recs []probe.Record) map[probe.Record]int {
 		m := make(map[probe.Record]int, len(recs))
 		for _, r := range recs {
@@ -142,6 +180,9 @@ func TestServerFanOutBorrowsSlab(t *testing.T) {
 	}
 	if !maps.Equal(count(store.recs), count(want)) {
 		t.Errorf("the table's store holds %d records that are not the %d shipped", len(store.recs), len(want))
+	}
+	if !maps.Equal(count(compacts.recs), count(want)) {
+		t.Errorf("the compact store holds %d records that are not the %d shipped", len(compacts.recs), len(want))
 	}
 }
 
@@ -157,31 +198,33 @@ func (s *perRecordSink) Append(r probe.Record) {
 	s.mu.Unlock()
 }
 
-// batchRecordSink implements probe.BatchSink too and notes how it was fed.
-type batchRecordSink struct {
+// frameRecordSink implements probe.FrameSink too, keeps each frame's
+// records resolved, and notes how it was fed.
+type frameRecordSink struct {
 	perRecordSink
-	batches, singles int
+	frames, singles int
 }
 
-func (s *batchRecordSink) Append(r probe.Record) {
+func (s *frameRecordSink) Append(r probe.Record) {
 	s.perRecordSink.Append(r)
 	s.mu.Lock()
 	s.singles++
 	s.mu.Unlock()
 }
 
-func (s *batchRecordSink) AppendBatch(recs []probe.Record) {
+func (s *frameRecordSink) AppendFrame(f *probe.Frame) {
+	recs := frameRecords(f)
 	s.mu.Lock()
 	s.recs = append(s.recs, recs...)
-	s.batches++
+	s.frames++
 	s.mu.Unlock()
 }
 
 // A sink that is only a probe.Sink behind the server receives the same
 // records in the same order as one that takes whole frames.
-func TestServerBatchSinkFallback(t *testing.T) {
-	plain, batched := &perRecordSink{}, &batchRecordSink{}
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{plain, batched}})
+func TestServerFrameSinkFallback(t *testing.T) {
+	plain, framed := &perRecordSink{}, &frameRecordSink{}
+	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{plain, framed}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +245,11 @@ func TestServerBatchSinkFallback(t *testing.T) {
 	if !reflect.DeepEqual(plain.recs, want) {
 		t.Fatalf("Sink-only sink received %d records, not the %d shipped in order", len(plain.recs), len(want))
 	}
-	if !reflect.DeepEqual(batched.recs, plain.recs) {
-		t.Fatal("BatchSink and Sink-only sinks disagree")
+	if !reflect.DeepEqual(framed.recs, plain.recs) {
+		t.Fatal("FrameSink and Sink-only sinks disagree")
 	}
-	if batched.batches != 3 || batched.singles != 0 {
-		t.Fatalf("BatchSink fed by %d batches and %d single appends, want 3 and 0", batched.batches, batched.singles)
+	if framed.frames != 3 || framed.singles != 0 {
+		t.Fatalf("FrameSink fed by %d frames and %d single appends, want 3 and 0", framed.frames, framed.singles)
 	}
 }
 

@@ -35,8 +35,10 @@ type ServerConfig struct {
 	// chain table (streamrecon.Assembler). Sinks must be safe for
 	// concurrent use: batches from different connections are ingested
 	// concurrently (per-connection order is preserved). A sink that
-	// implements probe.BatchSink receives each frame's records in one
-	// AppendBatch call instead of one Append per record. A sink that
+	// implements probe.FrameSink receives each frame in one AppendFrame
+	// call, decoded once and its strings left in the frame's table; any
+	// other sink gets each of the frame's records through Append, decoded
+	// into Records only when such a sink is configured. A sink that
 	// implements Backlogger is asked once per ship frame, before the
 	// journal, whether it holds too much: while one says so, ship frames
 	// are refused unacknowledged and the shippers send them again. Replay
@@ -56,7 +58,7 @@ type ServerConfig struct {
 	// ring rebalance). It must deduplicate against records already held
 	// and return how many it accepted as new; the server accounts those
 	// as Replayed. nil rejects replay frames. recs is the connection's
-	// decode slab, borrowed as probe.BatchSink.AppendBatch's argument is:
+	// decode slab, borrowed as probe.FrameSink.AppendFrame's argument is:
 	// the callee must not retain it past the call.
 	Replay func(recs []probe.Record) (accepted int)
 }
@@ -87,6 +89,10 @@ type ServerStats struct {
 type Server struct {
 	cfg ServerConfig
 	srv *transport.TCPServer
+	// frameSinks are the sinks that take whole frames, recordSinks the
+	// rest, each in configuration order.
+	frameSinks  []probe.FrameSink
+	recordSinks []probe.Sink
 
 	// gate is read-held by a frame from its Journal call until its records
 	// are delivered, and write-held by Quiesce.
@@ -147,6 +153,13 @@ func Listen(addr string, cfg ServerConfig) (*Server, error) {
 		cfg:   cfg,
 		srv:   t,
 		conns: make(map[transport.ConnID]*connState),
+	}
+	for _, sink := range cfg.Sinks {
+		if fs, ok := sink.(probe.FrameSink); ok {
+			s.frameSinks = append(s.frameSinks, fs)
+		} else {
+			s.recordSinks = append(s.recordSinks, sink)
+		}
 	}
 	t.OnDisconnect(s.forget)
 	// handle decodes, journals and delivers a frame before it returns, and
@@ -305,12 +318,22 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 			return
 		}
 		st := s.conn(conn)
-		recs, err := st.dec.Decode(req.Body)
+		var f *probe.Frame
+		var recs []probe.Record
+		var err error
+		// Decoded once a door; with no sink at all still decoded, since a
+		// frame that does not decode is refused, not journaled.
+		if len(s.frameSinks) > 0 || len(s.recordSinks) == 0 {
+			f, err = st.dec.DecodeFrame(req.Body)
+		}
+		if err == nil && len(s.recordSinks) > 0 {
+			recs, err = st.dec.Decode(req.Body)
+		}
 		if err != nil {
 			fail(err.Error())
 			return
 		}
-		if err := s.journaled(req.Body, func() { s.ingest(st, recs) }); err != nil {
+		if err := s.journaled(req.Body, func() { s.ingest(st, f, recs) }); err != nil {
 			refuse(err)
 			return
 		}
@@ -402,20 +425,25 @@ func (s *Server) journaled(body []byte, deliver func()) error {
 	return nil
 }
 
-// ingest fans one decoded frame out. recs is st's decode slab: every
-// callee borrows it for the call and the next frame overwrites it.
-func (s *Server) ingest(st *connState, recs []probe.Record) {
+// ingest fans one decoded frame out: f, to the sinks that take frames, and
+// recs, its records, to the rest; each is nil when no sink takes it. Both
+// are st's decoder's: every callee borrows them for the call and the next
+// frame overwrites them.
+func (s *Server) ingest(st *connState, f *probe.Frame, recs []probe.Record) {
+	n := uint64(len(recs))
+	if f != nil {
+		n = uint64(len(f.Records))
+	}
 	s.batches.Add(1)
-	s.records.Add(uint64(len(recs)))
+	s.records.Add(n)
 	// Counted whether or not a hello came first; only a handshaken
 	// connection's counters are ever reported.
 	st.batches.Add(1)
-	st.records.Add(uint64(len(recs)))
-	for _, sink := range s.cfg.Sinks {
-		if bs, ok := sink.(probe.BatchSink); ok {
-			bs.AppendBatch(recs)
-			continue
-		}
+	st.records.Add(n)
+	for _, fs := range s.frameSinks {
+		fs.AppendFrame(f)
+	}
+	for _, sink := range s.recordSinks {
 		for i := range recs {
 			sink.Append(recs[i])
 		}

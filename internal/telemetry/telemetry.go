@@ -80,9 +80,9 @@
 // every record carries its chain's own sequence number, per-chain causal
 // order survives shipping; cross-connection interleaving is harmless — the
 // online monitor orders by (chain, seq) exactly as the offline analyzer
-// does. Sinks that implement probe.BatchSink receive a frame's records in
-// one call; the others receive them one Append at a time, in the same
-// order.
+// does. Sinks that implement probe.FrameSink receive each frame in one
+// call, decoded once with its strings left in the frame's table; the
+// others receive its records one Append at a time, in the same order.
 //
 // # Backpressure policy
 //

@@ -118,3 +118,46 @@ func BenchmarkStoreQuery(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perRecord, "ns/record")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/perRecord, "B/record")
 }
+
+// BenchmarkStoreInsert times the write of one evicted chain, in ns per
+// record, through each of the chain table's doors: Insert of the chain's
+// records, and InsertCompacts of its compacts with the symbol table that
+// holds their strings, the way a collector's chain table hands it over.
+// The chains are benchStore's: nested, of 4 to 16 events over 4 processes
+// and 6 interfaces, each inserted alone.
+func BenchmarkStoreInsert(b *testing.B) {
+	wall := time.Unix(1_700_000_000, 0)
+	const pool = 4096
+	chains := make([][]probe.Record, pool)
+	tab := probe.NewSymbols(1).Table(0)
+	compacts := make([][]probe.Compact, pool)
+	records := 0
+	for i := range chains {
+		var c uuid.UUID
+		c[0], c[1], c[15] = byte(i), byte(i>>8), 0xbe
+		recs := nestedChain(c, i%4, fmt.Sprintf("iface%d", i%6), wall.Add(time.Duration(i)*time.Microsecond))
+		for j := range recs {
+			recs[j].Process = fmt.Sprintf("proc%02d", (i+j/2)%4)
+		}
+		chains[i], compacts[i] = recs, tab.AppendCompacts(nil, recs)
+		records += len(recs)
+	}
+	run := func(b *testing.B, insert func(s *Store, i int)) {
+		s, err := Open(b.TempDir(), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			insert(s, i%pool)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)*pool/float64(records), "ns/record")
+		if err := s.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("records", func(b *testing.B) { run(b, func(s *Store, i int) { s.Insert(chains[i]...) }) })
+	b.Run("compacts", func(b *testing.B) { run(b, func(s *Store, i int) { s.InsertCompacts(compacts[i], tab) }) })
+}

@@ -46,6 +46,10 @@ func (f frameAt) end() int64 { return f.off + int64(f.size) }
 // frames.
 const maxRunBytes = 1 << 20
 
+// maxFrameBytes is the largest frame the shard writes: probe.MaxFrameBytes,
+// a variable only so that a test can split a run at a small cap.
+var maxFrameBytes = probe.MaxFrameBytes
+
 // maxKeptScratch bounds, in records, the scratch a shard or the store keeps
 // between calls (a ship frame is a few hundred): one outsized batch or chain
 // does not pin what it made the scratch grow to.
@@ -92,7 +96,7 @@ type shard struct {
 	// runs of frames.
 	group  grouper
 	run    []probe.Record     // a chain's run when it is not a stretch of the batch
-	ents   []probe.IndexEntry // the entries of a run the shard writes, for its index
+	ents   []probe.IndexEntry // the entries of a run of Records the shard writes, for its index
 	enc    probe.FrameEncoder
 	dec    probe.FrameDecoder
 	runBuf []byte
@@ -283,13 +287,29 @@ func (sh *shard) indexFrame(ents []probe.IndexEntry, recs []probe.Record, seg in
 		for end < len(ents) && ents[end].Kind == probe.KindEvent && ents[end].Chain == e.Chain {
 			end++
 		}
-		ci := sh.chainOf(e.Chain)
-		ci.locs = slices.Grow(ci.locs, end-i)
-		sh.events += end - i
+		ci := sh.growChain(e.Chain, end-i)
 		for ; i < end; i++ {
 			ci.add(&ents[i], at, now)
 		}
 	}
+}
+
+// indexCompacts adds one frame's records to the index straight from their
+// compacts: cs is a run of one chain's events, as insertCompacts writes.
+func (sh *shard) indexCompacts(cs []probe.Compact, at frameAt, now time.Time) {
+	ci := sh.growChain(cs[0].Chain, len(cs))
+	for i := range cs {
+		ci.add(&cs[i].IndexEntry, at, now)
+	}
+}
+
+// growChain returns chain's index, made room in for n more events, which
+// it counts.
+func (sh *shard) growChain(chain uuid.UUID, n int) *chainIndex {
+	ci := sh.chainOf(chain)
+	ci.locs = slices.Grow(ci.locs, n)
+	sh.events += n
+	return ci
 }
 
 // chainOf returns chain's index, creating it empty.
@@ -343,7 +363,7 @@ func (sh *shard) insert(recs []probe.Record, start int, next []int32, now time.T
 	order, ends := sh.group.byChain(recs, start, next)
 	from := int32(0)
 	for _, to := range ends {
-		accepted += sh.appendLocked(sh.runOf(recs, order[from:to], onlyNew), now)
+		accepted += sh.appendLocked(frameRun{recs: sh.runOf(recs, order[from:to], onlyNew)}, now)
 		from = to
 	}
 	sh.group.release()
@@ -449,11 +469,39 @@ func (g *grouper) release() {
 	}
 }
 
-// appendLocked writes a chain's run and indexes it, returning how many
-// records it wrote. The rest are dropped and counted: all of them once a
-// disk failure has turned sticky, and a record whose frame alone would pass
-// probe.MaxFrameBytes — no reader would take it back.
-func (sh *shard) appendLocked(run []probe.Record, now time.Time) int {
+// frameRun is one chain's run the shard writes as frames: Records, or
+// compacts with the symbol table that holds their strings.
+type frameRun struct {
+	recs []probe.Record
+	cs   []probe.Compact
+	tab  *probe.SymbolTable
+}
+
+func (r *frameRun) len() int { return len(r.recs) + len(r.cs) }
+
+// encode renders records [lo, hi) of r as one frame: through
+// EncodeCompacts, whose string table is built by symbol id, for compacts.
+func (r *frameRun) encode(enc *probe.FrameEncoder, lo, hi int) []byte {
+	if r.tab != nil {
+		return enc.EncodeCompacts(r.cs[lo:hi], r.tab)
+	}
+	return enc.Encode(r.recs[lo:hi])
+}
+
+// insertCompacts appends one chain's events, held compact, as insert
+// appends the records they resolve to.
+func (sh *shard) insertCompacts(cs []probe.Compact, tab *probe.SymbolTable, now time.Time) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.appendLocked(frameRun{cs: cs, tab: tab}, now)
+}
+
+// appendLocked writes a chain's run and indexes it — compacts by their own
+// entries — returning how many records it wrote. The rest are dropped and
+// counted: all of them once a disk failure has turned sticky, and a record
+// whose frame alone would pass maxFrameBytes — no reader would take it
+// back.
+func (sh *shard) appendLocked(run frameRun, now time.Time) int {
 	if sh.sticky == nil && sh.active.size >= sh.maxBytes {
 		if err := sh.rotateLocked(); err != nil {
 			sh.sticky = err
@@ -462,49 +510,53 @@ func (sh *shard) appendLocked(run []probe.Record, now time.Time) int {
 	n := 0
 	if sh.sticky == nil {
 		var err error
-		n, err = sh.writeFrames(sh.active, run, func(recs []probe.Record, off int64, size uint32) {
-			sh.ents = probe.AppendIndexEntries(sh.ents[:0], recs)
-			sh.indexFrame(sh.ents, recs, sh.activeID, off, size, now)
+		n, err = sh.writeFrames(sh.active, &run, 0, run.len(), func(lo, hi int, off int64, size uint32) {
+			if run.tab != nil {
+				sh.indexCompacts(run.cs[lo:hi], frameAt{off: off, seg: int32(sh.activeID), size: size}, now)
+				return
+			}
+			sh.ents = probe.AppendIndexEntries(sh.ents[:0], run.recs[lo:hi])
+			sh.indexFrame(sh.ents, run.recs[lo:hi], sh.activeID, off, size, now)
 		})
 		if err != nil {
 			sh.sticky = fmt.Errorf("tracestore: append: %w", err)
 		}
 	}
-	sh.dropped += len(run) - n
+	sh.dropped += run.len() - n
 	return n
 }
 
-// writeFrames writes recs to w as one frame or, where that frame would pass
-// probe.MaxFrameBytes, each half the same way; a record too large for a
-// frame of its own is left out (one read back from a segment never is).
-// wrote sees each frame's records and where its body lies. It returns how
-// many records it wrote, stopping at a write error.
-func (sh *shard) writeFrames(w *segmentWriter, recs []probe.Record, wrote func(recs []probe.Record, off int64, size uint32)) (int, error) {
-	if len(recs) == 0 {
+// writeFrames writes records [lo, hi) of run to w as one frame or, where
+// that frame would pass maxFrameBytes, each half the same way; a record too
+// large for a frame of its own is left out (one read back from a segment
+// never is). wrote sees each frame's records and where its body lies. It
+// returns how many records it wrote, stopping at a write error.
+func (sh *shard) writeFrames(w *segmentWriter, run *frameRun, lo, hi int, wrote func(lo, hi int, off int64, size uint32)) (int, error) {
+	if lo == hi {
 		return 0, nil
 	}
-	body := sh.enc.Encode(recs)
+	body := run.encode(&sh.enc, lo, hi)
 	if len(body) > maxRunBytes {
 		sh.enc = probe.FrameEncoder{} // body keeps the outsized buffer alive, the shard does not
 	}
-	if len(body) > probe.MaxFrameBytes {
-		if len(recs) == 1 {
+	if len(body) > maxFrameBytes {
+		if hi-lo == 1 {
 			return 0, nil
 		}
-		half := len(recs) / 2
-		n, err := sh.writeFrames(w, recs[:half], wrote)
+		mid := lo + (hi-lo)/2
+		n, err := sh.writeFrames(w, run, lo, mid, wrote)
 		if err != nil {
 			return n, err
 		}
-		m, err := sh.writeFrames(w, recs[half:], wrote)
+		m, err := sh.writeFrames(w, run, mid, hi, wrote)
 		return n + m, err
 	}
 	off, err := w.append(body)
 	if err != nil {
 		return 0, err
 	}
-	wrote(recs, off, uint32(len(body)))
-	return len(recs), nil
+	wrote(lo, hi, off, uint32(len(body)))
+	return hi - lo, nil
 }
 
 // dupLocked reports whether the shard already indexed r's identity, or run
@@ -727,7 +779,7 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 		}
 		keptLinks = append(keptLinks, l)
 	}
-	if _, err := sh.writeFrames(w, keptLinks, func([]probe.Record, int64, uint32) {}); err != nil {
+	if _, err := sh.writeFrames(w, &frameRun{recs: keptLinks}, 0, len(keptLinks), func(int, int, int64, uint32) {}); err != nil {
 		return abort(fmt.Errorf("tracestore: compact: %w", err))
 	}
 	survivors := make([]uuid.UUID, 0, len(sh.chains)-len(victims))
@@ -742,8 +794,8 @@ func (sh *shard) sweep(cutoff time.Time) (dropped int, err error) {
 		if err != nil {
 			return abort(err)
 		}
-		if _, err := sh.writeFrames(w, recs, func(recs []probe.Record, off int64, size uint32) {
-			for i := range recs {
+		if _, err := sh.writeFrames(w, &frameRun{recs: recs}, 0, len(recs), func(lo, hi int, off int64, size uint32) {
+			for i := lo; i < hi; i++ {
 				newLocs = append(newLocs, newLoc{chain: c, loc: recLoc{seq: recs[i].Seq, frameAt: frameAt{off: off, seg: int32(newID), size: size}}})
 			}
 		}); err != nil {

@@ -241,6 +241,18 @@ func (s *Store) Warnings() []string {
 // location kept.
 func (s *Store) Insert(recs ...probe.Record) { s.insert(recs, false) }
 
+// InsertCompacts appends one chain's event records, held compact, their
+// strings tab's (probe.CompactStore): the chain table's door, through which
+// an evicted chain reaches its shard with no string resolved or hashed.
+// The segment bytes and the index are what Insert writes for the records
+// the compacts resolve to. It borrows cs for the call.
+func (s *Store) InsertCompacts(cs []probe.Compact, tab *probe.SymbolTable) {
+	if len(cs) == 0 {
+		return
+	}
+	s.shards[s.shardIndex(cs[0].Chain)].insertCompacts(cs, tab, time.Now())
+}
+
 // InsertNew appends only records the store has not indexed yet — events
 // identified by (chain, seq), links by (parent, parent seq) — and
 // returns how many were accepted as new. It is the replay ingest path:
