@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,10 +44,16 @@ func TestAlertExemplarSurvivesEvictionAndRenders(t *testing.T) {
 	pins := sampling.NewPinSet()
 	store := logdb.NewStore()
 	// SlowThreshold far above every call keeps chains "normal", so with
-	// NormalRate 0 only pinned chains can survive eviction at all.
+	// NormalRate 0 only pinned chains can survive eviction at all. The
+	// table's clock jumps past Quiescence once the regression has fired:
+	// until then no chain goes quiet — the record after a chain's
+	// quiescence ends evicts it — so the exemplar is still held when the
+	// alert pins it.
+	var ahead atomic.Int64
 	asm, err := streamrecon.New(streamrecon.Config{
 		Store:         store,
-		Quiescence:    20 * time.Millisecond,
+		Quiescence:    10 * time.Second,
+		Clock:         func() time.Time { return time.Now().Add(time.Duration(ahead.Load())) },
 		SlowThreshold: time.Hour,
 		Tail:          &sampling.TailPolicy{NormalRate: 0, Pins: pins},
 		Metrics:       reg,
@@ -137,6 +144,7 @@ func TestAlertExemplarSurvivesEvictionAndRenders(t *testing.T) {
 	if err := server.Close(); err != nil {
 		t.Fatal(err)
 	}
+	ahead.Store(int64(20 * time.Second))
 	evictDeadline := time.Now().Add(10 * time.Second)
 	for asm.OpenChains() > 0 {
 		asm.Tick()

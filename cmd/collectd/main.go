@@ -382,10 +382,12 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		return uint64(disk.Dropped())
 	}
 
-	// The chain table is ticked at a tenth of its quiescence, so a complete
-	// chain leaves it within about 1.1 quiescence periods whatever -report
-	// is. The periodic self-report — ingest rate and live-parse progress —
-	// and everything else periodic ride -report.
+	// While frames arrive, the chain table evicts a complete chain in the
+	// first frame's door after its quiescence ends. The ticker, at a tenth
+	// of the quiescence whatever -report is, bounds only the rest: eviction
+	// once frames stop, staleness, stragglers and journal retirement. The
+	// periodic self-report — ingest rate and live-parse progress — and
+	// everything else periodic ride -report.
 	reporterDone := make(chan struct{})
 	reporterStop := make(chan struct{})
 	go func() {

@@ -143,11 +143,12 @@ func serverFirst(recs []probe.Record) []probe.Record {
 // Once the table has been primed, buffering, judging and evicting a chain
 // allocates nothing with a store, whatever its length and arrival order:
 // the chain, its head and chunks, machine stack, early-arrival list and
-// tree nodes are all reused, and so is the tick's eviction list. Without a
-// store the table allocates only what the callbacks may keep: the chain's
-// head and its tree's nodes. Through the frame door, over a store with the
+// tree nodes are all reused, and so is the eviction list. Without a store
+// the table allocates only what the callbacks may keep: the chain's head
+// and its tree's nodes. Through the frame door, over a store with the
 // compact door, the chain's frame is decoded as the telemetry server
-// decodes it, and that costs nothing either.
+// decodes it, and that costs nothing either. Each door costs the same
+// when the next chain's arrival, not a Tick, evicts the chain.
 func TestAssemblerSteadyStateAllocs(t *testing.T) {
 	const warm, runs = 8, 20
 	one := serverFirst(nestedChain(t, 7, 0))
@@ -156,13 +157,16 @@ func TestAssemblerSteadyStateAllocs(t *testing.T) {
 		base    []probe.Record
 		monitor bool
 		frames  bool
+		arrival bool // evicted by the next chain's arrival
 		ceiling float64
 	}{
-		{"4 records server first", one, false, false, 0},
-		{"100 records", nestedChain(t, 7, 24), false, false, 0},
-		{"400 records", nestedChain(t, 7, 99), false, false, 0},
-		{"monitor 4 records server first", one, true, false, 2}, // the head, the one node
-		{"frames 100 records", nestedChain(t, 7, 24), false, true, 0},
+		{"4 records server first", one, false, false, false, 0},
+		{"100 records", nestedChain(t, 7, 24), false, false, false, 0},
+		{"400 records", nestedChain(t, 7, 99), false, false, false, 0},
+		{"monitor 4 records server first", one, true, false, false, 2}, // the head, the one node
+		{"frames 100 records", nestedChain(t, 7, 24), false, true, false, 0},
+		{"by arrival 100 records", nestedChain(t, 7, 24), false, false, true, 0},
+		{"by arrival frames 100 records", nestedChain(t, 7, 24), false, true, true, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clock := newFakeClock()
@@ -199,6 +203,12 @@ func TestAssemblerSteadyStateAllocs(t *testing.T) {
 				}
 				next++
 				clock.Advance(time.Second)
+				if tc.arrival {
+					if n := a.Completions(); n != uint64(next-1) {
+						t.Fatalf("%d chains evicted by the arrival of chain %d, want %d", n, next, next-1)
+					}
+					return
+				}
 				if n := a.Tick(); !tc.monitor && n != 1 {
 					t.Fatalf("evicted %d chains, want 1", n)
 				}
@@ -345,56 +355,6 @@ func TestLinksReachStoreAChunkAtATime(t *testing.T) {
 			t.Fatalf("round %d: %d chunks on the free list, want the link queue's %d", round, free, want)
 		}
 		checkLedger(t, a)
-	}
-}
-
-// A Go map never shrinks: once a backlog drains, the table rebuilds its
-// chains map, so that a Tick walks what it holds, not what it once held.
-// Nothing is lost in the rebuild.
-func TestChainsMapRebuiltAfterBacklogDrains(t *testing.T) {
-	clock := newFakeClock()
-	a, store := newAssembler(t, clock, nil)
-	base := nestedChain(t, 13, 0)
-	chain := func(i int) []probe.Record {
-		recs := slices.Clone(base)
-		for j := range recs {
-			recs[j].Chain[0], recs[j].Chain[1], recs[j].Chain[2] = 1, byte(i>>8), byte(i)
-		}
-		return recs
-	}
-	const burst, late = 8 * shrinkFloor, 10
-	for i := 0; i < burst; i++ {
-		a.AppendBatch(chain(i))
-	}
-	clock.Advance(time.Second)
-	for i := burst; i < burst+late; i++ { // arrive after the burst, still held at its eviction
-		a.AppendBatch(chain(i)[:2])
-	}
-	a.mu.Lock()
-	before, peak := reflect.ValueOf(a.chains).Pointer(), a.peak
-	a.mu.Unlock()
-	if peak != burst+late {
-		t.Fatalf("peak = %d, want %d", peak, burst+late)
-	}
-	if n := a.Tick(); n != burst {
-		t.Fatalf("evicted %d chains, want %d", n, burst)
-	}
-	a.mu.Lock()
-	after, held := reflect.ValueOf(a.chains).Pointer(), len(a.chains)
-	peak = a.peak
-	a.mu.Unlock()
-	if after == before || held != late || peak != late {
-		t.Fatalf("after the drain: map rebuilt %v, %d chains held, peak %d; want true, %d, %d", after != before, held, peak, late, late)
-	}
-	for i := burst; i < burst+late; i++ {
-		a.AppendBatch(chain(i)[2:])
-	}
-	clock.Advance(time.Second)
-	if n := a.Tick(); n != late {
-		t.Fatalf("chains held across the rebuild: %d evicted, want %d", n, late)
-	}
-	if led := checkLedger(t, a); led.Buffered != 0 || store.Len() != (burst+late)*len(base) {
-		t.Fatalf("ledger %+v, store holds %d records, want %d", led, store.Len(), (burst+late)*len(base))
 	}
 }
 

@@ -27,7 +27,7 @@
 //     recycled once its chain is evicted, and its nodes are reused as soon
 //     as the callbacks return: callbacks must not keep it. When nothing
 //     watches roots (no OnRoot, OnSlow, OnAnomaly or Metrics), a chain's
-//     records meet its machine only once the chain goes quiet, at the Tick
+//     records meet its machine only once the chain goes quiet, at the pass
 //     that judges it — same cursor, same order, same verdict, without
 //     holding half-built trees for every chain in flight.
 //
@@ -43,18 +43,38 @@
 //
 // # Completion
 //
-// A driver calls Tick. A chain quiescent for Config.Quiescence with no
-// invocation open, nothing parked and nothing refused is evicted at once:
-// its verdict — roots, nodes, the slowest root, broken and anomalous flags —
-// was tallied as its roots closed. A quiescent chain that still parks
-// records (a retry renumbered a call at the ORB's seq stride, or a process
-// is late) or whose cursor refused one is judged by a full parse of its
-// records in seq order, once per change; it leaves when that parse is
-// clean. Sequence contiguity is not required of a complete chain: retries
-// leave legitimate gaps. A chain that goes Config.StaleAfter without a new
-// record, or is held that long after a parse found it incomplete, leaves
-// as broken, its open invocations delivered to OnRoot as broken roots, as
-// FlushOpen does. Stale eviction is what bounds the table under loss.
+// A chain quiescent for Config.Quiescence with no invocation open, nothing
+// parked and nothing refused is evicted by the first pass after its
+// quiescence ends: its verdict — roots, nodes, the slowest root, broken and
+// anomalous flags — was tallied as its roots closed. A quiescent chain that
+// still parks records (a retry renumbered a call at the ORB's seq stride,
+// or a process is late) or whose cursor refused one is judged by a full
+// parse of its records in seq order, once per change; it leaves when that
+// parse is clean. Sequence contiguity is not required of a complete chain:
+// retries leave legitimate gaps. A chain that goes Config.StaleAfter
+// without a new record, or is held that long after a parse found it
+// incomplete, leaves as broken at the next Tick, its open invocations
+// delivered to OnRoot as broken roots, as FlushOpen does. Stale eviction
+// is what bounds the table under loss.
+//
+// # Passes
+//
+// The table keeps the chains it holds in order of their last record. A
+// pass walks that order from the least recent chain and stops at the first
+// not yet quiet, so it costs what has gone quiet, not what is held. A
+// quiet chain it finds incomplete waits apart, in order of when it goes
+// stale, until a record arrives for it (back to the end of the order) or a
+// Tick finds it stale; no pass judges it again in between. Every door with
+// a store runs a pass after the records it took, when the least recent
+// chain went quiet by then — so while records arrive, a complete chain
+// leaves at the first after its quiescence ends — unless another pass is
+// running: a frame never waits behind another pass's store writes, and the
+// pass it skips falls to the next arrival or Tick. A driver calls Tick,
+// which also runs the pass, for a table nothing arrives at, and for what
+// only time moves: staleness, stragglers, the link queue on an idle table,
+// and forgetting. Completions stay serialized, in feed order. A table
+// without a store passes only in Tick: it holds a chain only while
+// something of it is open, and an application's probes may feed it.
 //
 // # Retention
 //
@@ -78,14 +98,17 @@
 // to the store at the first Tick that finds their invocations closed (so a
 // sibling root issued after an eviction still reaches the offline analyzer
 // and the store-level DSCG equals the batch one), a discarded chain's are
-// counted discarded; both still reach OnRoot.
+// counted discarded; both still reach OnRoot. Every Tick visits the chains
+// that hold stragglers, quiet or not; no door's pass does.
 //
 // Cursors are remembered in two generations, the older forgotten whole
 // every StaleAfter, so forgetting costs nothing per chain under the lock: a
 // chain is forgotten between StaleAfter and twice that after it last left
-// the table. A straggler for a forgotten chain starts it afresh: its
-// cursor is at zero, so the records park until a Tick finds them quiescent
-// and parsing clean, or stale, and applies them; from then on the chain's
+// the table. A new generation is made as large as the one it replaces,
+// so remembering the chains that leave next does not regrow it. A
+// straggler for a forgotten chain starts it afresh: its cursor is at zero,
+// so the records park until a pass finds them quiescent and parsing clean,
+// or a Tick finds them stale, and applies them; from then on the chain's
 // records apply as they arrive again. With a store such a chain is
 // reported a second time, under the tail policy's verdict on what arrived
 // late rather than the original decision.
@@ -117,7 +140,10 @@
 // the next chain starts from; every list is bounded. So once primed, a
 // table with a store allocates nothing per chain but a Semantics' symbol;
 // one without allocates only what its callbacks may keep, a chain's head
-// and its trees' nodes. The store borrows a chain's records in seq order,
+// and its trees' nodes. A chain's place in the table's order is in the
+// chain itself — two links, or an index into the heap of waiting chains —
+// so keeping that order allocates nothing either. The store borrows a
+// chain's records in seq order,
 // copied into the table's scratch, for one call: a store with the compact
 // door (probe.CompactStore, the trace store) takes them as they are held,
 // with the chain's symbol table, so no string is resolved or hashed on the
@@ -128,6 +154,7 @@ package streamrecon
 
 import (
 	"cmp"
+	"container/heap"
 	"fmt"
 	"io"
 	"slices"
@@ -151,12 +178,14 @@ type RecordStore = probe.RecordStore
 type Config struct {
 	// Store receives evicted chains' records; New requires it, NewMonitor
 	// runs without. Each Insert is handed one chain's records in seq order,
-	// or a chunk of the links that arrived since the last Tick, and borrows
+	// or a chunk of the links that arrived since the last pass, and borrows
 	// them: they are cleared and reused once Insert returns
 	// (probe.RecordStore).
 	Store RecordStore
 	// Quiescence is how long a chain must go without a new record before
-	// it can count as complete. Default 500ms.
+	// it can count as complete. A complete chain leaves at the first record
+	// the table takes after that, or, when none arrives, at the next Tick.
+	// Default 500ms.
 	Quiescence time.Duration
 	// StaleAfter evicts a still-incomplete chain as broken after this long
 	// without a new record, and is how long at least the table remembers a
@@ -170,7 +199,9 @@ type Config struct {
 	Tail *sampling.TailPolicy
 	// OnComplete, when set, fires once per evicted chain, after the
 	// records were handed to the store. It runs outside the table lock but
-	// serialized with other evictions.
+	// serialized with other evictions, in feed order: in Tick, FlushOpen or
+	// EvictWhere, or in the door (Append, AppendBatch, AppendFrame) whose
+	// records' arrival found the chain quiet.
 	OnComplete func(Completion)
 	// FeedGen identifies this table's feed on /feedz. Completion IDs
 	// restart from 1 whenever a collector restarts, so a tail that only
@@ -286,8 +317,8 @@ type Completion struct {
 	// Reason is why the chain left the table: "complete" (quiescent with
 	// every invocation closed, or judged clean), "stale", or "flush".
 	Reason string
-	// When is the eviction time: the clock reading of the Tick (or
-	// FlushOpen) that evicted the chain.
+	// When is the eviction time: the clock reading of the pass — a door's,
+	// a Tick's, or FlushOpen's — that evicted the chain.
 	When time.Time
 }
 
@@ -447,7 +478,67 @@ type chain struct {
 	offered int    // records the cursor has looked at
 	since   int64  // when the table began holding the chain, in Unix nanoseconds
 	first   uint64 // the ordinal (Ledger.Appended) of the first record held
+	// Where the table keeps the chain: on list — the arrival list, in
+	// order of last arrival, or the straggler list — linked through prev
+	// and next; or, quiet and found incomplete, in the waiting heap at
+	// index wait-1 until due, when it goes stale (Unix nanoseconds).
+	prev, next *chain
+	list       *chainList
+	wait       int
+	due        int64
 	Completion
+}
+
+// chainList is a list of held chains, linked through their prev and next.
+type chainList struct{ head, tail *chain }
+
+// push puts c, which is on no list, at l's tail.
+func (l *chainList) push(c *chain) {
+	c.list, c.prev, c.next = l, l.tail, nil
+	if l.tail != nil {
+		l.tail.next = c
+	} else {
+		l.head = c
+	}
+	l.tail = c
+}
+
+// remove takes c off l.
+func (l *chainList) remove(c *chain) {
+	if c.prev != nil {
+		c.prev.next = c.next
+	} else {
+		l.head = c.next
+	}
+	if c.next != nil {
+		c.next.prev = c.prev
+	} else {
+		l.tail = c.prev
+	}
+	c.list, c.prev, c.next = nil, nil, nil
+}
+
+// waitHeap holds the quiet chains a judgement left incomplete, soonest
+// due first (container/heap); each chain's wait is its index plus one.
+type waitHeap []*chain
+
+func (h waitHeap) Len() int           { return len(h) }
+func (h waitHeap) Less(i, j int) bool { return h[i].due < h[j].due }
+func (h waitHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].wait, h[j].wait = i+1, j+1
+}
+func (h *waitHeap) Push(x any) {
+	c := x.(*chain)
+	*h = append(*h, c)
+	c.wait = len(*h)
+}
+func (h *waitHeap) Pop() any {
+	old := *h
+	c := old[len(old)-1]
+	old[len(old)-1], c.wait = nil, 0
+	*h = old[:len(old)-1]
+	return c
 }
 
 // add counts a closed root of nodes nodes, latency already computed.
@@ -470,22 +561,27 @@ type Assembler struct {
 
 	// eager is set when something watches roots as they close (or there is
 	// no store): records then reach their chain's cursor on arrival, not
-	// when Tick looks at the quiet chain.
+	// when a pass looks at the quiet chain.
 	eager bool
 
 	mu sync.Mutex
-	// chains holds the chains with records, what Tick visits every period;
-	// peak is the most it held since it was made. cursors and older
-	// remember the rest — chains that left, and links to chains not seen
-	// yet — in two generations: every StaleAfter, older is forgotten whole
-	// and cursors takes its place.
-	chains         map[uuid.UUID]*chain
-	peak           int
-	cursors, older map[uuid.UUID]cursor
-	rotated        time.Time
-	generation     uint64 // rotations of cursors into older, ever
-	persistQ       linkQ  // links awaiting Tick
-	queuedFirst    uint64 // the ordinal (appended) of the oldest link in persistQ
+	// chains holds the chains with records, by id. Each is in one of three
+	// places: arrived, the chains not yet judged since their last record,
+	// least recent first, which a pass walks only as far as the chains gone
+	// quiet; waiting, the quiet chains a judgement left incomplete, which
+	// only go stale or take another record; or stragglers, the chains that
+	// hold records of a chain already evicted, which every Tick visits.
+	// cursors and older remember the rest — chains that left, and links to
+	// chains not seen yet — in two generations: every StaleAfter, older is
+	// forgotten whole and cursors takes its place.
+	chains              map[uuid.UUID]*chain
+	arrived, stragglers chainList
+	waiting             waitHeap
+	cursors, older      map[uuid.UUID]cursor
+	rotated             time.Time
+	generation          uint64 // rotations of cursors into older, ever
+	persistQ            linkQ  // links awaiting the next pass
+	queuedFirst         uint64 // the ordinal (appended) of the oldest link in persistQ
 	// syms is the current generation of symbols: a chain held from now on
 	// interns its strings there.
 	syms *probe.Symbols
@@ -516,14 +612,17 @@ type Assembler struct {
 	// machine (drawing on nodes) and one output serve every chain. keys
 	// puts a chain in seq order, for a judgement or an Insert, sorted holds
 	// it so, and resolved holds it resolved for a store without the compact
-	// door; evs lists an eviction pass's chains. All are used under
-	// evictMu.
+	// door; evs lists an eviction pass's chains, and after the pass, until
+	// reuseLocked, the chains it finished. All are used under evictMu.
 	mach     analysis.ChainMachine
 	parsed   analysis.ParsedChain
 	keys     []seqAt
 	sorted   []probe.Compact
 	resolved []probe.Record
 	evs      []eviction
+	// finishedQ is the link queue the last pass handed the store, kept
+	// until reuseLocked. Used under evictMu.
+	finishedQ linkQ
 
 	appended, persisted, discarded uint64
 	buffered                       int
@@ -536,6 +635,9 @@ type Assembler struct {
 	feedN uint64 // completions ever; feedN%len(feed) is the next slot
 
 	judgements uint64 // full parses, ever
+	// evictions counts completions by the pass that evicted them: a door's
+	// after an arrival, or a Tick's.
+	evictions [2]uint64
 
 	// recent is a fixed-size ring of completed-root summaries; recentN
 	// counts completions ever, so recentN % len(recent) is the next slot.
@@ -546,6 +648,12 @@ type Assembler struct {
 	// + OnComplete callbacks) so completions are delivered in feed order.
 	evictMu sync.Mutex
 }
+
+// The passes that evict, indexing Assembler.evictions.
+const (
+	byArrival = iota
+	byTick
+)
 
 var (
 	_ probe.Sink      = (*Assembler)(nil)
@@ -594,8 +702,9 @@ func NewMonitor(cfg Config) *Assembler {
 // Append implements probe.Sink.
 func (a *Assembler) Append(r probe.Record) {
 	a.mu.Lock()
-	defer a.unlock()
-	a.appendLocked(&r, a.cfg.Clock().UnixNano())
+	now := a.cfg.Clock()
+	defer a.leave(now)
+	a.appendLocked(&r, now.UnixNano())
 }
 
 // AppendSpan implements probe.SpanSink: the records of one invocation span
@@ -607,8 +716,9 @@ func (a *Assembler) AppendSpan(recs []probe.Record) { a.AppendBatch(recs) }
 // process that holds a batch.
 func (a *Assembler) AppendBatch(recs []probe.Record) {
 	a.mu.Lock()
-	defer a.unlock()
-	at := a.cfg.Clock().UnixNano()
+	now := a.cfg.Clock()
+	defer a.leave(now)
+	at := now.UnixNano()
 	for i := range recs {
 		a.appendLocked(&recs[i], at)
 	}
@@ -625,8 +735,9 @@ func (a *Assembler) AppendBatch(recs []probe.Record) {
 // links: no generation of symbols sees it.
 func (a *Assembler) AppendFrame(f *probe.Frame) {
 	a.mu.Lock()
-	defer a.unlock()
-	at := a.cfg.Clock().UnixNano()
+	now := a.cfg.Clock()
+	defer a.leave(now)
+	at := now.UnixNano()
 	links := f.Links
 	var last *chain // the chain of the record before, while the table holds it
 	for i := range f.Records {
@@ -677,6 +788,30 @@ func (a *Assembler) unlock() {
 	a.mu.Unlock()
 }
 
+// leave releases a.mu after a door took its records at now. When the chain
+// that arrived least recently had gone quiet by then, the door runs the
+// arrival pass itself before it returns: it flushes the link queue and
+// evicts what went quiet, as a Tick would. It tries evictMu rather than
+// waiting for it, so a frame never queues behind a Tick's or another
+// connection's store writes; the pass it skips falls to the next arrival
+// or Tick. Trying it under a.mu waits for nothing, so whoever waits for
+// both still takes evictMu first. A table without a store runs no pass: it
+// holds a chain only while something of it is open, and an application's
+// probes may be what feeds it.
+func (a *Assembler) leave(now time.Time) {
+	head := a.arrived.head
+	if a.cfg.Store == nil || head == nil || time.Duration(now.UnixNano()-head.last) < a.cfg.Quiescence || !a.evictMu.TryLock() {
+		a.unlock()
+		return
+	}
+	defer a.evictMu.Unlock()
+	a.reuseLocked()
+	links := a.takePersistQLocked()
+	evs := a.evictDueLocked(now, a.evs, byArrival)
+	a.unlock()
+	a.finish(links, evs)
+}
+
 // appendLocked takes one record that arrived at at, in Unix nanoseconds.
 // Called under a.mu.
 func (a *Assembler) appendLocked(r *probe.Record, at int64) {
@@ -703,7 +838,7 @@ func (a *Assembler) appendLink(r *probe.Record, at int64) {
 		a.cursors[r.LinkChild] = cur
 	}
 	if store {
-		// Links are store metadata: forward on the next Tick. A link
+		// Links are store metadata: forward at the next pass. A link
 		// whose parent chain is later discarded is harmless —
 		// ChildChain is only consulted for nodes that exist.
 		q := &a.persistQ
@@ -722,7 +857,9 @@ func (a *Assembler) appendLink(r *probe.Record, at int64) {
 // chainOf counts an event record of chain id that arrived at at, and
 // returns the chain that holds it — hint, when hint is that chain and the
 // table still holds it (a frame's records come a span of one chain at a
-// time) — held from now on if it was not. Called under a.mu.
+// time) — held from now on if it was not. Unless it holds stragglers, the
+// chain goes to the tail of the arrival list, once for a run of its
+// records. Called under a.mu.
 func (a *Assembler) chainOf(id uuid.UUID, at int64, hint *chain) *chain {
 	if a.cfg.Store != nil {
 		a.appended++
@@ -732,10 +869,23 @@ func (a *Assembler) chainOf(id uuid.UUID, at int64, hint *chain) *chain {
 		if c = a.chains[id]; c == nil {
 			c = a.hold(id, a.recall(id), at)
 			c.first = a.appended
+		} else if c.decided == undecided && a.arrived.tail != c {
+			a.unqueue(c)
+			a.arrived.push(c)
 		}
 	}
 	c.last = at
 	return c
+}
+
+// unqueue takes c off the list, or out of the heap, that keeps it. Called
+// under a.mu.
+func (a *Assembler) unqueue(c *chain) {
+	if c.list != nil {
+		c.list.remove(c)
+	} else if c.wait > 0 {
+		heap.Remove(&a.waiting, c.wait-1)
+	}
 }
 
 // took finishes taking in the record just written into c's last slot: it
@@ -785,7 +935,11 @@ func (a *Assembler) hold(id uuid.UUID, cur cursor, at int64) *chain {
 		c.mach.Pool = &a.nodes
 	}
 	a.chains[id] = c
-	a.peak = max(a.peak, len(a.chains))
+	if cur.decided == undecided {
+		a.arrived.push(c)
+	} else {
+		a.stragglers.push(c)
+	}
 	return c
 }
 
@@ -803,6 +957,7 @@ func (a *Assembler) current() *probe.Symbols {
 // the callbacks may keep what was built on them. Called under a.mu.
 func (a *Assembler) unhold(c *chain) {
 	delete(a.chains, c.id)
+	a.unqueue(c)
 	c.applied = c.mach.Applied
 	a.cursors[c.id] = c.cursor
 	if a.cfg.Store == nil {
@@ -1011,12 +1166,16 @@ type eviction struct {
 	c       *chain
 }
 
-// Tick advances time-based processing: it flushes the link queue, evicts
-// every quiescent chain that is complete and every chain gone stale,
-// releases stragglers, forgets the older generation of cursors once it is
-// StaleAfter old, and returns how many chains were evicted. The collection
-// daemon calls Tick from its reporting loop; tests call it with a fake
-// clock.
+// Tick advances time-based processing: it flushes the link queue, releases
+// stragglers, evicts every chain gone stale and every quiescent chain that
+// is complete that no arrival has evicted yet, forgets the older generation
+// of cursors once it is StaleAfter old, and returns how many chains it
+// evicted. While records arrive, the doors evict what goes quiet
+// themselves, so Tick's period bounds only what waits on an idle table:
+// quiet chains when nothing arrives, stragglers, staleness and links. The
+// collection daemon calls Tick from its own ticker; tests call it with a
+// fake clock. It visits the stragglers and what is due, not every chain
+// held.
 func (a *Assembler) Tick() int {
 	now := a.cfg.Clock()
 	// Serialize the out-of-lock half before preparing evictions so
@@ -1025,55 +1184,62 @@ func (a *Assembler) Tick() int {
 	defer a.evictMu.Unlock()
 
 	a.mu.Lock()
+	a.reuseLocked()
 	links := a.takePersistQLocked()
-	evs := a.evs[:0]
-	for _, c := range a.chains {
-		idle := time.Duration(now.UnixNano() - c.last)
-		if c.decided == undecided && idle < a.cfg.Quiescence {
-			continue
-		}
+	evs := a.evs
+	at := now.UnixNano()
+	for c := a.stragglers.head; c != nil; {
+		next := c.next
 		a.catchUp(c)
-		if c.decided != undecided {
-			if idle >= a.cfg.StaleAfter || !c.mach.Open() && len(c.pending) == 0 {
-				evs = append(evs, a.releaseLocked(c))
-			}
-			continue
+		if time.Duration(at-c.last) >= a.cfg.StaleAfter || !c.mach.Open() && len(c.pending) == 0 {
+			evs = append(evs, a.releaseLocked(c))
 		}
-		// Stale: silent for StaleAfter, or held that long and already found
-		// incomplete — a chain whose cursor was forgotten mid-invocation
-		// never parses clean, however often it is called.
-		stale := idle >= a.cfg.StaleAfter || c.judged > 0 && time.Duration(now.UnixNano()-c.since) >= a.cfg.StaleAfter
-		if ev, ok := a.judgeLocked(c, now, stale, "stale"); ok {
+		c = next
+	}
+	// A waiting chain is due once it is stale, and judgeLocked then lets it
+	// go whatever its parse.
+	for len(a.waiting) > 0 && a.waiting[0].due <= at {
+		if ev, ok := a.judgeLocked(a.waiting[0], now, true, "stale"); ok {
 			evs = append(evs, ev)
+			a.evictions[byTick]++
 		}
 	}
+	evs = a.evictDueLocked(now, evs, byTick)
 	if now.Sub(a.rotated) >= a.cfg.StaleAfter {
-		a.rotated, a.older, a.cursors = now, a.cursors, make(map[uuid.UUID]cursor)
+		// The new generation takes in about what the one it replaces did.
+		a.rotated, a.older, a.cursors = now, a.cursors, make(map[uuid.UUID]cursor, len(a.cursors))
 		a.generation++
 	}
-	a.shrinkLocked()
 	a.unlock()
 
-	return a.finish(links, evs)
+	n := a.finish(links, evs)
+	a.reuse()
+	return n
 }
 
-// shrinkFloor is the chains map size below which shrinkLocked leaves it
-// be: walking a map that once held this many costs a few microseconds.
-const shrinkFloor = 1024
-
-// shrinkLocked rebuilds the chains map once it holds under a quarter of
-// its peak. A Go map never shrinks, and ranging over one costs what it
-// once held: after a backlog drains, every Tick would walk the backlog's
-// empty slots under the lock. Called under a.mu.
-func (a *Assembler) shrinkLocked() {
-	if a.peak <= shrinkFloor || len(a.chains) >= a.peak/4 {
-		return
+// evictDueLocked judges the chains of the arrival list that went quiet by
+// now, least recent first, and stops at the first that has not. Each
+// leaves if judgeLocked lets it — its eviction appended to evs and counted
+// under by — or else waits until it goes stale: silent for StaleAfter, or
+// held that long once a parse found it incomplete. A record for it moves
+// it back to the arrival list. Called under a.mu and evictMu.
+func (a *Assembler) evictDueLocked(now time.Time, evs []eviction, by int) []eviction {
+	at := now.UnixNano()
+	for c := a.arrived.head; c != nil && time.Duration(at-c.last) >= a.cfg.Quiescence; c = a.arrived.head {
+		stale := time.Duration(at-c.last) >= a.cfg.StaleAfter || c.judged > 0 && time.Duration(at-c.since) >= a.cfg.StaleAfter
+		if ev, ok := a.judgeLocked(c, now, stale, "stale"); ok {
+			evs = append(evs, ev)
+			a.evictions[by]++
+		} else if c.list == &a.arrived { // still held: incomplete
+			a.arrived.remove(c)
+			if c.due = c.last; c.judged > 0 {
+				c.due = c.since
+			}
+			c.due += int64(a.cfg.StaleAfter)
+			heap.Push(&a.waiting, c)
+		}
 	}
-	chains := make(map[uuid.UUID]*chain, len(a.chains))
-	for id, c := range a.chains {
-		chains[id] = c
-	}
-	a.chains, a.peak = chains, len(chains)
+	return evs
 }
 
 // judgeLocked decides whether c, quiescent, leaves the table: when every
@@ -1248,8 +1414,9 @@ func (a *Assembler) takePersistQLocked() linkQ {
 }
 
 // finish runs the out-of-lock half of evictions — store inserts and
-// completion callbacks, then the return of every chunk and chain for reuse
-// — and returns the number of completions. Caller holds evictMu.
+// completion callbacks — wipes what they used, and leaves it in a.evs and
+// a.finishedQ for reuseLocked; it returns the number of completions.
+// Caller holds evictMu.
 func (a *Assembler) finish(links linkQ, evs []eviction) int {
 	links.each(func(recs []probe.Record) { a.cfg.Store.Insert(recs...) })
 	completions := 0
@@ -1264,30 +1431,43 @@ func (a *Assembler) finish(links linkQ, evs []eviction) int {
 			}
 		}
 	}
-	if links.n == 0 && len(evs) == 0 {
-		return 0
-	}
 	links.each(func(recs []probe.Record) { clear(recs) })
 	for _, ev := range evs {
 		ev.c.wipe()
 	}
-	a.mu.Lock()
-	if links.n > 0 {
+	a.evs, a.finishedQ = evs, links
+	return completions
+}
+
+// reuseLocked returns what the last pass finished — its chains, their
+// chunks and the link queue's chunks — to the lists the table reuses, and
+// empties a.evs for the next pass. A door's pass leaves this to the next
+// pass, which takes a.mu anyway, so that a frame takes the lock once; Tick
+// and the flush do it before they return. Called under a.mu and evictMu.
+func (a *Assembler) reuseLocked() {
+	if links := a.finishedQ; links.n > 0 {
 		a.linkFree = append(a.linkFree, links.chunks[:min(maxFreeLinkChunks-len(a.linkFree), len(links.chunks))]...)
 		clear(links.chunks)
 		if cap(links.chunks) <= maxFreeChunks {
 			a.spareQ = links.chunks[:0]
 		}
+		a.finishedQ = linkQ{}
 	}
-	for _, ev := range evs {
+	for _, ev := range a.evs {
 		a.recycle(ev.c)
 	}
-	a.mu.Unlock()
-	clear(evs)
-	if cap(evs) <= maxScratchRecs {
-		a.evs = evs[:0]
+	clear(a.evs)
+	if a.evs = a.evs[:0]; cap(a.evs) > maxScratchRecs {
+		a.evs = nil
 	}
-	return completions
+}
+
+// reuse is reuseLocked for the end of a pass that waits for a.mu. Caller
+// holds evictMu.
+func (a *Assembler) reuse() {
+	a.mu.Lock()
+	a.reuseLocked()
+	a.mu.Unlock()
 }
 
 // pushFeedLocked stamps the completion's feed id and stores it in the
@@ -1320,16 +1500,17 @@ func (a *Assembler) flush(match func(uuid.UUID) bool) int {
 	defer a.evictMu.Unlock()
 
 	a.mu.Lock()
+	a.reuseLocked()
 	links := a.takePersistQLocked()
 	held := make([]*chain, 0, len(a.chains))
-	for id, c := range a.chains {
-		if match == nil || match(id) {
+	a.eachHeld(func(c *chain) {
+		if match == nil || match(c.id) {
 			held = append(held, c)
 		}
-	}
+	})
 	slices.SortFunc(held, func(x, y *chain) int { return uuid.Compare(x.id, y.id) })
 	now := a.cfg.Clock()
-	evs := a.evs[:0]
+	evs := a.evs
 	for _, c := range held {
 		if c.decided != undecided {
 			evs = append(evs, a.releaseLocked(c))
@@ -1342,12 +1523,15 @@ func (a *Assembler) flush(match func(uuid.UUID) bool) int {
 	}
 	a.unlock()
 
-	return a.finish(links, evs)
+	n := a.finish(links, evs)
+	a.reuse()
+	return n
 }
 
 // Quiescence is how long a chain must go quiet before the table counts it
-// complete: Config.Quiescence, or its default. A driver that ticks at a
-// fraction of it lets a complete chain leave within about that much more.
+// complete: Config.Quiescence, or its default. While records arrive a
+// complete chain leaves with the first after that; a driver's Tick period
+// adds to it only on a table nothing arrives at.
 func (a *Assembler) Quiescence() time.Duration { return a.cfg.Quiescence }
 
 // Generation counts the table's generations: it advances at the Tick that
@@ -1370,12 +1554,27 @@ func (a *Assembler) HeldFrom() (uint64, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	oldest, held := a.queuedFirst, a.persistQ.n > 0
-	for _, c := range a.chains {
+	a.eachHeld(func(c *chain) {
 		if !held || c.first < oldest {
 			oldest, held = c.first, true
 		}
-	}
+	})
 	return oldest, held
+}
+
+// eachHeld calls fn with every chain the table holds, walking the lists
+// and the heap that keep them rather than the chains map, whose buckets
+// stay as large as the most it ever held. Called under a.mu.
+func (a *Assembler) eachHeld(fn func(*chain)) {
+	for c := a.arrived.head; c != nil; c = c.next {
+		fn(c)
+	}
+	for _, c := range a.waiting {
+		fn(c)
+	}
+	for c := a.stragglers.head; c != nil; c = c.next {
+		fn(c)
+	}
 }
 
 // SetMetrics attaches a registry to feed compensated chain latencies into;
@@ -1466,7 +1665,7 @@ func (a *Assembler) Completions() uint64 {
 func (a *Assembler) WriteMetrics(w io.Writer) {
 	a.mu.Lock()
 	open, led, completions, judgements := len(a.chains), a.ledgerLocked(), a.feedN, a.judgements
-	remembered := len(a.cursors) + len(a.older)
+	remembered, evictions := len(a.cursors)+len(a.older), a.evictions
 	a.mu.Unlock()
 	fmt.Fprintf(w, "causeway_assembler_open_chains %d\n", open)
 	fmt.Fprintf(w, "causeway_assembler_chains_remembered %d\n", remembered)
@@ -1476,4 +1675,6 @@ func (a *Assembler) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "causeway_assembler_records_buffered %d\n", led.Buffered)
 	fmt.Fprintf(w, "causeway_assembler_chains_completed_total %d\n", completions)
 	fmt.Fprintf(w, "causeway_assembler_chains_judged_total %d\n", judgements)
+	fmt.Fprintf(w, "causeway_assembler_evictions_total{by=\"arrival\"} %d\n", evictions[byArrival])
+	fmt.Fprintf(w, "causeway_assembler_evictions_total{by=\"tick\"} %d\n", evictions[byTick])
 }

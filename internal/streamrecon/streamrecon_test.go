@@ -559,6 +559,8 @@ func TestWriteMetrics(t *testing.T) {
 		"causeway_assembler_chains_completed_total 0",
 		"causeway_assembler_chains_judged_total 0",
 		"causeway_assembler_chains_remembered 0",
+		`causeway_assembler_evictions_total{by="arrival"} 0`,
+		`causeway_assembler_evictions_total{by="tick"} 0`,
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("metrics missing %q:\n%s", want, sb.String())

@@ -98,12 +98,17 @@ func figure5Chains(b *testing.B) []chainTemplate {
 // hand evicted chains to a store with only Insert. The -frames runs take
 // the path a collector's server and store take: each frame, encoded once
 // in set-up, is decoded every time (DecodeFrame) and goes through
-// AppendFrame, and evicted chains go through the compact door.
+// AppendFrame, and evicted chains go through the compact door. The
+// -waiting run is figure5-frames beside a standing population of quiet
+// chains a parse found incomplete, ten for every chain held live, which
+// stay held for the run (StaleAfter is 600 000 chains away on its clock):
+// what a chain costs should not grow with them.
 func BenchmarkChainTable(b *testing.B) {
-	b.Run("echo", func(b *testing.B) { benchChainTable(b, echoChains(b), false) })
-	b.Run("figure5", func(b *testing.B) { benchChainTable(b, figure5Chains(b), false) })
-	b.Run("echo-frames", func(b *testing.B) { benchChainTable(b, echoChains(b), true) })
-	b.Run("figure5-frames", func(b *testing.B) { benchChainTable(b, figure5Chains(b), true) })
+	b.Run("echo", func(b *testing.B) { benchChainTable(b, echoChains(b), false, false) })
+	b.Run("figure5", func(b *testing.B) { benchChainTable(b, figure5Chains(b), false, false) })
+	b.Run("echo-frames", func(b *testing.B) { benchChainTable(b, echoChains(b), true, false) })
+	b.Run("figure5-frames", func(b *testing.B) { benchChainTable(b, figure5Chains(b), true, false) })
+	b.Run("figure5-frames-waiting", func(b *testing.B) { benchChainTable(b, figure5Chains(b), true, true) })
 }
 
 // chainID is the benchmark's id of a chain of pass pass whose template id
@@ -157,7 +162,7 @@ func frameCycle(tmpl []chainTemplate, frameRecs int) (bodies [][]byte, passes in
 	return bodies, passes
 }
 
-func benchChainTable(b *testing.B, tmpl []chainTemplate, frames bool) {
+func benchChainTable(b *testing.B, tmpl []chainTemplate, frames, waiting bool) {
 	const frameRecs, chainsPerTick = 72, 1000
 	clock := newFakeClock()
 	roots := 0
@@ -228,7 +233,26 @@ func benchChainTable(b *testing.B, tmpl []chainTemplate, frames bool) {
 			a.Tick()
 		}
 	}
-	// Fill the table to its steady size before measuring.
+	if waiting {
+		// Ten ticks' chains are live, so ten times that wait: each lost its
+		// skel_start, so the rest park and a parse finds it broken.
+		recs := nestedChain(b, 22, 0)
+		lost := []probe.Record{recs[0], recs[2], recs[3]}
+		for i := 0; i < 10*10*chainsPerTick; i++ {
+			for _, r := range lost {
+				r.Chain = chainID(1<<40, uint32(i))
+				frame = append(frame, r)
+			}
+			if len(frame) >= frameRecs {
+				a.AppendBatch(frame)
+				frame = frame[:0]
+			}
+		}
+		a.AppendBatch(frame)
+		frame = frame[:0]
+	}
+	// Fill the table to its steady size before measuring; the waiting
+	// chains are judged on the way.
 	const warm = 12 * chainsPerTick
 	for i := 0; i < warm; i++ {
 		chain(i)
@@ -241,6 +265,7 @@ func benchChainTable(b *testing.B, tmpl []chainTemplate, frames bool) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(records)/float64(b.N), "records/chain")
+	b.ReportMetric(float64(a.OpenChains()), "held")
 	if roots == 0 {
 		b.Fatal("no root delivered")
 	}
