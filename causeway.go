@@ -221,7 +221,7 @@ type Process struct {
 	mem     *probe.MemorySink
 	file    *os.File
 	stream  *probe.StreamSink
-	shipper *cluster.RoutedShipper
+	shipper *telemetry.ShipperSink
 	metrics *metrics.Registry
 	debug   *debugserver.Server
 	sampler *sampling.Controlled
@@ -335,11 +335,11 @@ func NewProcess(cfg ProcessConfig) (*Process, error) {
 		if err != nil {
 			return fail(fmt.Errorf("causeway: ShipTo: %w", err))
 		}
-		tmpl := telemetry.ShipperConfig{Process: proc, RateTarget: p.sampler}
+		shCfg := telemetry.ShipperConfig{Ring: ring, Process: proc, RateTarget: p.sampler}
 		if p.debug != nil {
-			tmpl.DebugAddr = p.debug.Addr()
+			shCfg.DebugAddr = p.debug.Addr()
 		}
-		sh, err := cluster.NewRouted(cluster.RouterConfig{Ring: ring, Shipper: tmpl})
+		sh, err := telemetry.NewShipper(shCfg)
 		if err != nil {
 			return fail(fmt.Errorf("causeway: shipper: %w", err))
 		}
@@ -479,13 +479,13 @@ func (p *Process) ShipperStats() telemetry.ShipperStats {
 	if p.shipper == nil {
 		return telemetry.ShipperStats{}
 	}
-	return p.shipper.Combined()
+	return p.shipper.Stats()
 }
 
-// ClusterRing reports the ownership ring the process's routed shipper
-// currently routes by. ok is false when the process does not ship.
-// Callers waiting out a rebalance poll this for the epoch bump
-// before draining, so no record is caught mid-re-route by Close.
+// ClusterRing reports the ownership ring the process's shipper currently
+// routes by. ok is false when the process does not ship. Callers waiting
+// out a rebalance poll this for the epoch bump before draining, so Close
+// finds no record held for a member the new ring dropped.
 func (p *Process) ClusterRing() (ring telemetry.Ring, ok bool) {
 	if p.shipper == nil {
 		return telemetry.Ring{}, false

@@ -1,6 +1,7 @@
 package causeway
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -9,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"causeway/internal/benchgen/instrecho"
 	"causeway/internal/cluster"
@@ -431,88 +433,189 @@ func TestShippingProcessFollowsServedRate(t *testing.T) {
 	}
 }
 
+// startQuietNodes starts n collectors whose tail policy drops every clean
+// chain once quiescence evicts it, and whose tables soon forget the chain,
+// so what they keep does not grow with the calls shipped to them.
+func startQuietNodes(t *testing.T, n int) []*cluster.Node {
+	t.Helper()
+	var nodes []*cluster.Node
+	for i := 0; i < n; i++ {
+		node, err := cluster.StartNode(cluster.NodeConfig{
+			Listen: "127.0.0.1:0",
+			Store:  logdb.NewStore(),
+			Table: streamrecon.Config{
+				Quiescence: 10 * time.Millisecond,
+				StaleAfter: 20 * time.Millisecond,
+				Tail:       &sampling.TailPolicy{NormalRate: 0},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		nodes = append(nodes, node)
+	}
+	return nodes
+}
+
+func nodeAddrs(nodes []*cluster.Node) []string {
+	var addrs []string
+	for _, n := range nodes {
+		addrs = append(addrs, n.Addr())
+	}
+	return addrs
+}
+
 // TestShippingProcessMemoryBounded: a process that ships and keeps no log
 // holds no copy of its records, so however many calls it makes its heap
-// stays within the shipper's ring, which is allocated up front. The
-// collector keeps nothing either: its tail policy drops every clean chain
-// once quiescence evicts it, and its table soon forgets the chain.
+// stays within the shipper's ring, which is allocated up front — for one
+// collector and for a tier of three alike. The collectors keep nothing
+// either.
 func TestShippingProcessMemoryBounded(t *testing.T) {
-	node, err := cluster.StartNode(cluster.NodeConfig{
-		Listen: "127.0.0.1:0",
-		Store:  logdb.NewStore(),
-		Table: streamrecon.Config{
-			Quiescence: 10 * time.Millisecond,
-			StaleAfter: 20 * time.Millisecond,
-			Tail:       &sampling.TailPolicy{NormalRate: 0},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
-	net := NewNetwork()
-	server, err := NewProcess(ProcessConfig{Name: "server", Network: net, Instrumented: true, ShipTo: node.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	if err := instrecho.RegisterEcho(server.ORB, "echo", "c", upperServant{}); err != nil {
-		t.Fatal(err)
-	}
-	ep, err := server.ORB.ListenInproc("server")
-	if err != nil {
-		t.Fatal(err)
-	}
-	client, err := NewProcess(ProcessConfig{Name: "client", Network: net, Instrumented: true, ShipTo: node.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	stub := instrecho.NewEchoStub(client.ORB.RefTo(ep, "echo", "Echo", "c"))
-
-	// settledHeap makes calls, ticking the collector as collectd does,
-	// waits until both processes have shipped everything and the
-	// collector has let every chain go, and returns the live heap.
-	settledHeap := func(calls int) uint64 {
-		t.Helper()
-		for i := 1; i <= calls; i++ {
-			if _, err := stub.Echo("x"); err != nil {
+	for _, collectors := range []int{1, 3} {
+		t.Run(fmt.Sprintf("collectors=%d", collectors), func(t *testing.T) {
+			nodes := startQuietNodes(t, collectors)
+			shipTo := strings.Join(nodeAddrs(nodes), ",")
+			tick := func() {
+				for _, n := range nodes {
+					n.Tick()
+				}
+			}
+			open := func() int {
+				sum := 0
+				for _, n := range nodes {
+					sum += n.Table().OpenChains()
+				}
+				return sum
+			}
+			net := NewNetwork()
+			server, err := NewProcess(ProcessConfig{Name: "server", Network: net, Instrumented: true, ShipTo: shipTo})
+			if err != nil {
 				t.Fatal(err)
 			}
-			client.NewChain()
-			if i%100 == 0 {
-				node.Tick()
+			defer server.Close()
+			if err := instrecho.RegisterEcho(server.ORB, "echo", "c", upperServant{}); err != nil {
+				t.Fatal(err)
 			}
+			ep, err := server.ORB.ListenInproc("server")
+			if err != nil {
+				t.Fatal(err)
+			}
+			client, err := NewProcess(ProcessConfig{Name: "client", Network: net, Instrumented: true, ShipTo: shipTo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			stub := instrecho.NewEchoStub(client.ORB.RefTo(ep, "echo", "Echo", "c"))
+
+			// settledHeap makes calls, ticking the collectors as collectd
+			// does, waits until both processes have shipped everything and
+			// the collectors have let every chain go, and returns the live
+			// heap.
+			settledHeap := func(calls int) uint64 {
+				t.Helper()
+				for i := 1; i <= calls; i++ {
+					if _, err := stub.Echo("x"); err != nil {
+						t.Fatal(err)
+					}
+					client.NewChain()
+					if i%100 == 0 {
+						tick()
+					}
+				}
+				deadline := time.Now().Add(10 * time.Second)
+				for {
+					c, s := client.ShipperStats(), server.ShipperStats()
+					if c.Shipped == c.Appended && s.Shipped == s.Appended && open() == 0 {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatalf("not settled: client %+v, server %+v, %d open chains", c, s, open())
+					}
+					time.Sleep(5 * time.Millisecond)
+					tick()
+				}
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc
+			}
+			const calls = 20000
+			before := settledHeap(2000)
+			after := settledHeap(calls)
+			// The rings were allocated with the processes; what a call may
+			// leave behind is nothing, so the bound is a constant for the
+			// runtime's and the collectors' own churn.
+			const bound = 4 << 20
+			if after > before && after-before > bound {
+				t.Fatalf("heap grew %d KB over %d calls (%d B a call), want at most %d KB", (after-before)>>10, calls, (after-before)/calls, bound>>10)
+			}
+			t.Logf("heap %d KB → %d KB over %d calls", before>>10, after>>10, calls)
+			if client.Records() != nil || server.Records() != nil {
+				t.Fatal("a shipping process without a log kept its records")
+			}
+		})
+	}
+}
+
+// TestShippingProcessHoldsOneRing: a process shipping to a tier of three
+// holds one span ring, not one a member — its heap after NewProcess is one
+// ring plus a constant — and a ring change allocates none: three epoch
+// changes allocate well under one ring in all.
+func TestShippingProcessHoldsOneRing(t *testing.T) {
+	nodes := startQuietNodes(t, 3)
+	addrs := nodeAddrs(nodes)
+	// The default ring: 8192 cells of four records and a sequence word.
+	ringBytes := uint64(8192 * (4*unsafe.Sizeof(probe.Record{}) + 16))
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p, err := NewProcess(ProcessConfig{Name: "client", Network: NewNetwork(), Instrumented: true, ShipTo: strings.Join(addrs, ",")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	deadline := time.Now().Add(10 * time.Second)
+	for p.ShipperStats().Connects < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("shipper did not reach all three collectors: %+v", p.ShipperStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	const slack = 2 << 20
+	held := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("NewProcess holds %d KB; one ring is %d KB", held>>10, ringBytes>>10)
+	if held > int64(ringBytes+slack) {
+		t.Fatalf("a process shipping to three collectors holds %d KB, want at most one ring (%d KB) + %d KB", held>>10, ringBytes>>10, slack>>10)
+	}
+
+	runtime.ReadMemStats(&before)
+	for epoch, members := range [][]string{addrs[:2], addrs, addrs[1:]} {
+		ring, err := cluster.Assign(uint64(epoch+1), cluster.DefaultSlots, cluster.Members(members...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range nodes {
+			n.SetRing(ring)
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for {
-			c, s := client.ShipperStats(), server.ShipperStats()
-			if c.Shipped == c.Appended && s.Shipped == s.Appended && node.Table().OpenChains() == 0 {
-				break
-			}
+		for r, _ := p.ClusterRing(); r.Epoch != ring.Epoch; r, _ = p.ClusterRing() {
 			if time.Now().After(deadline) {
-				t.Fatalf("not settled: client %+v, server %+v, %d open chains", c, s, node.Table().OpenChains())
+				t.Fatalf("process still routes by epoch %d, want %d", r.Epoch, ring.Epoch)
 			}
 			time.Sleep(5 * time.Millisecond)
-			node.Tick()
 		}
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
 	}
-	const calls = 20000
-	before := settledHeap(2000)
-	after := settledHeap(calls)
-	// The rings were allocated with the processes; what a call may leave
-	// behind is nothing, so the bound is a constant for the runtime's and
-	// the collector's own churn.
-	const bound = 4 << 20
-	if after > before && after-before > bound {
-		t.Fatalf("heap grew %d KB over %d calls (%d B a call), want at most %d KB", (after-before)>>10, calls, (after-before)/calls, bound>>10)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("three ring changes allocated %d KB", alloc>>10)
+	if alloc > ringBytes/8 {
+		t.Fatalf("three ring changes allocated %d KB, want well under one ring (%d KB)", alloc>>10, ringBytes>>10)
 	}
-	t.Logf("heap %d KB → %d KB over %d calls", before>>10, after>>10, calls)
-	if client.Records() != nil || server.Records() != nil {
-		t.Fatal("a shipping process without a log kept its records")
+	if st := p.ShipperStats(); st.Rebalances != 3 {
+		t.Fatalf("%d rebalances, want 3", st.Rebalances)
 	}
 }

@@ -105,11 +105,11 @@ func mergeFleet[S cluster.Store](t *testing.T, stores []S) (fleet *logdb.Store, 
 	return fleet, dups
 }
 
-// fanoutTemplate is the per-member shipper template for a routed
-// shipper: fast flushes and a tight poll so rebalances propagate within a
-// few milliseconds.
-func fanoutTemplate(name string) telemetry.ShipperConfig {
+// fanoutConfig is a shipper routing by ring: fast flushes and a tight
+// poll so rebalances propagate within a few milliseconds.
+func fanoutConfig(name string, ring telemetry.Ring) telemetry.ShipperConfig {
 	return telemetry.ShipperConfig{
+		Ring:          ring,
 		Process:       topology.Process{ID: name, Processor: topology.Processor{ID: name, Type: "x86"}},
 		BufferSize:    8192,
 		FlushInterval: 2 * time.Millisecond,
@@ -194,7 +194,7 @@ func TestClusterEquivalencePPS(t *testing.T) {
 	}
 	setRing(nodes, ring)
 
-	rs, err := cluster.NewRouted(cluster.RouterConfig{Ring: ring, Shipper: fanoutTemplate("pps-fan")})
+	rs, err := telemetry.NewShipper(fanoutConfig("pps-fan", ring))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestClusterEquivalencePPS(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := rs.Combined()
+	st := rs.Stats()
 	if st.Dropped != 0 || st.Appended != uint64(len(records)) {
 		t.Fatalf("router lost records: %+v over %d records", st, len(records))
 	}
@@ -489,7 +489,7 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 				t.Fatal(err)
 			}
 			setRing(nodes, ring1)
-			rs, err := cluster.NewRouted(cluster.RouterConfig{Ring: ring1, Shipper: fanoutTemplate("kill-rejoin")})
+			rs, err := telemetry.NewShipper(fanoutConfig("kill-rejoin", ring1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -514,7 +514,7 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 			}, "phase-1 ingest")
 
 			// Kill the victim mid-run; the survivors take over its range at
-			// epoch 2 and the router re-routes.
+			// epoch 2 and the shipper routes by their ring.
 			victimLen := heldBy(nodes[victim], stores[victim])
 			if err := nodes[victim].Close(); err != nil {
 				t.Fatal(err)
@@ -626,7 +626,7 @@ func TestClusterKillRejoinReplaySeeds(t *testing.T) {
 			if err := rs.Close(); err != nil {
 				t.Fatal(err)
 			}
-			combined := rs.Combined()
+			combined := rs.Stats()
 			if combined.Dropped != 0 || combined.Appended != uint64(len(recs)) {
 				t.Fatalf("router lost records across the outage: %+v over %d", combined, len(recs))
 			}

@@ -1,9 +1,9 @@
 // Command collectd is the live telemetry collection daemon: application
 // processes ship their probe records to it over TCP while they run
-// (ProcessConfig.ShipTo, through a cluster.RoutedShipper: a collector
-// without -peers is a one-member ring), and every record takes
-// one path: the chain table (internal/streamrecon), then a merged
-// relational store. The table reconstructs causality live —
+// (ProcessConfig.ShipTo, through a telemetry.ShipperSink routing by the
+// ring: a collector without -peers is a one-member ring), and every
+// record takes one path: the chain table (internal/streamrecon), then a
+// merged relational store. The table reconstructs causality live —
 // printing completed roots, slow calls, and anomalies as they happen — and
 // evicts each chain to the store the moment it completes (quiescent with
 // every invocation closed), publishing an eviction feed at /feedz on the

@@ -544,9 +544,10 @@ func run(rc runConfig) (sum summary, err error) {
 	}
 
 	// After a kill, wait until every shipper routes by the post-kill ring
-	// with an empty buffer: records bound for the dead member sit buffered
-	// until a poll re-routes them, and draining mid-re-route would
-	// count them dropped.
+	// with an empty buffer: a part bound for the dead member, and every
+	// record after it, waits in the shipper until a poll brings the ring
+	// that sends it to a survivor, and draining before that would count
+	// them dropped.
 	if killAfter > 0 {
 		deadline := time.Now().Add(10 * time.Second)
 		for _, p := range procs {

@@ -145,6 +145,18 @@ func routerTemplate(proc string) telemetry.ShipperConfig {
 	}
 }
 
+// startShipper starts a shipper routing by ring, closed when the test ends.
+func startShipper(t *testing.T, ring telemetry.Ring, cfg telemetry.ShipperConfig) *telemetry.ShipperSink {
+	t.Helper()
+	cfg.Ring = ring
+	sh, err := telemetry.NewShipper(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sh.Close() })
+	return sh
+}
+
 func waitFor(t *testing.T, cond func() bool, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -166,10 +178,7 @@ func TestRoutedShipperLandsChainsWhole(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewRouted(RouterConfig{Ring: ring, Shipper: routerTemplate("p1")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := startShipper(t, ring, routerTemplate("p1"))
 
 	gen := &uuid.SequentialGenerator{Seed: 11}
 	const chains = 200
@@ -191,7 +200,7 @@ func TestRoutedShipperLandsChainsWhole(t *testing.T) {
 	if err := rs.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := rs.Combined()
+	st := rs.Stats()
 	if st.Appended != uint64(total) || st.Shipped != uint64(total) || st.Dropped != 0 {
 		t.Fatalf("combined stats = %+v, want %d appended+shipped", st, total)
 	}
@@ -214,11 +223,12 @@ func TestRoutedShipperLandsChainsWhole(t *testing.T) {
 	}
 }
 
-// TestRoutedShipperAppendAllocFree pins the routed append at zero
-// allocations on a warm ring, as telemetry's TestAppendAllocFree pins one
-// shipper's: a chain hash, a ring lookup and the owner's ring-buffer push.
-// The members are parked in an hour-long reconnect backoff so their
-// background loops cannot contribute mallocs of their own.
+// TestRoutedShipperAppendAllocFree pins the append of a shipper routing
+// by a three-member ring at zero allocations, as telemetry's
+// TestAppendAllocFree pins a lone collector's: one ring-buffer push,
+// whatever the ring, since the split by owner happens on the loop. The
+// members are parked in an hour-long reconnect backoff, so the loop holds
+// its first parts and takes nothing more.
 func TestRoutedShipperAppendAllocFree(t *testing.T) {
 	ring, err := Assign(1, DefaultSlots, Members("a", "b", "c"))
 	if err != nil {
@@ -230,11 +240,7 @@ func TestRoutedShipperAppendAllocFree(t *testing.T) {
 	tmpl.DrainTimeout = 10 * time.Millisecond
 	dialErr := errors.New("collector down")
 	tmpl.Dial = func(string) (transport.Client, error) { return nil, dialErr }
-	rs, err := NewRouted(RouterConfig{Ring: ring, Shipper: tmpl})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
+	rs := startShipper(t, ring, tmpl)
 	// Let every member fail its first dial and settle into the backoff.
 	time.Sleep(20 * time.Millisecond)
 
@@ -250,7 +256,7 @@ func TestRoutedShipperAppendAllocFree(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("routed Append allocates %v per record, want 0", a)
 	}
-	if st := rs.Combined(); st.Appended == 0 {
+	if st := rs.Stats(); st.Appended == 0 {
 		t.Fatalf("no record reached a member ring: %+v", st)
 	}
 }
@@ -264,14 +270,10 @@ func TestRoutedShipperMetricsMatchShipper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewRouted(RouterConfig{Ring: ring, Shipper: routerTemplate("p1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
+	rs := startShipper(t, ring, routerTemplate("p1"))
 	recs := chainRecords(uuid.New(), uuid.New())
 	rs.AppendSpan(recs)
-	waitFor(t, func() bool { return rs.Combined().Shipped == uint64(len(recs)) }, "records shipped")
+	waitFor(t, func() bool { return rs.Stats().Shipped == uint64(len(recs)) }, "records shipped")
 	time.Sleep(4 * routerTemplate("p1").PollInterval)
 
 	var buf bytes.Buffer
@@ -317,11 +319,7 @@ func TestRoutedShipperFollowsRebalance(t *testing.T) {
 	a.SetRing(ringAB)
 	b.SetRing(ringAB)
 
-	rs, err := NewRouted(RouterConfig{Ring: ringAB, Shipper: routerTemplate("p1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
+	rs := startShipper(t, ringAB, routerTemplate("p1"))
 
 	gen := &uuid.SequentialGenerator{Seed: 23}
 	const chains = 100
@@ -337,7 +335,7 @@ func TestRoutedShipperFollowsRebalance(t *testing.T) {
 	}, "initial delivery across two collectors")
 
 	// Rebalance: a takes the whole ring (b is leaving). Served by both
-	// collectors; the router learns it from its polls.
+	// collectors; the shipper learns it from its polls.
 	ringA, err := Assign(2, 64, Members(a.Addr()))
 	if err != nil {
 		t.Fatal(err)
@@ -366,29 +364,26 @@ func TestRoutedShipperFollowsRebalance(t *testing.T) {
 	}
 }
 
-// A served ring whose member has no address is refused whole: the router
-// keeps routing by the ring it has, rather than adopting one whose member
-// it cannot dial and dropping that member's records as NoOwner.
+// A served ring whose member has no address is refused whole: the
+// shipper keeps routing by the ring it has, rather than adopting one
+// whose member it cannot dial and dropping that member's records as
+// NoOwner.
 func TestRoutedShipperRefusesRingWithoutAddr(t *testing.T) {
 	node := startIngest(t)
 	ring, err := Assign(1, 64, Members(node.srv.Addr()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewRouted(RouterConfig{Ring: ring, Shipper: routerTemplate("p1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
+	rs := startShipper(t, ring, routerTemplate("p1"))
 
 	bad, err := Assign(2, 64, Members(node.srv.Addr(), "b:2"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad.Members[1].Addr = ""
-	rs.UpdateRing(bad)
-	// The ring loop applies what it is offered within microseconds; give a
-	// wrongly accepted ring ample time to land.
+	node.SetRing(bad)
+	// The shipper polls every few milliseconds; give a wrongly accepted
+	// ring ample time to land.
 	time.Sleep(50 * time.Millisecond)
 
 	gen := &uuid.SequentialGenerator{Seed: 5}
@@ -400,9 +395,9 @@ func TestRoutedShipperRefusesRingWithoutAddr(t *testing.T) {
 		rs.Append(r)
 	}
 	waitFor(t, func() bool { return node.received()+int(rs.Stats().NoOwner) == len(all) }, "every record delivered or counted")
-	if st := rs.Stats(); st.Ring.Epoch != 1 || st.Rebalances != 0 || st.NoOwner != 0 {
+	if st := rs.Stats(); rs.Ring().Epoch != 1 || st.Rebalances != 0 || st.NoOwner != 0 {
 		t.Fatalf("after a ring with an addressless member: epoch %d, %d rebalances, %d records without owner; want 1, 0, 0",
-			st.Ring.Epoch, st.Rebalances, st.NoOwner)
+			rs.Ring().Epoch, st.Rebalances, st.NoOwner)
 	}
 }
 
@@ -549,29 +544,10 @@ func arrivalSeqs(t *testing.T, dir string) map[uuid.UUID][]uint64 {
 	return seqs
 }
 
-// sumShipperStats folds the monotonic counters of a member-stats map —
-// the exact quantity applyRing folds into hist at a rebalance.
-func sumShipperStats(members map[string]telemetry.ShipperStats) telemetry.ShipperStats {
-	var out telemetry.ShipperStats
-	for _, st := range members {
-		out.Appended += st.Appended
-		out.Dropped += st.Dropped
-		out.Shipped += st.Shipped
-		out.Batches += st.Batches
-		out.Bytes += st.Bytes
-		out.Connects += st.Connects
-		out.Reconnects += st.Reconnects
-	}
-	return out
-}
-
-// TestRoutedShipperMidChainEpochSwap: a ring epoch arriving while
-// chains are mid-flight. Two invariants: (1) the hist counters carried
-// across the rebalance equal the pre-rebalance member stats exactly —
-// nothing a detached shipper did is forgotten or invented; (2) no
-// collector ever observes a chain's events out of order, whether the
-// records rode the original shipper, were detached and re-routed, or
-// arrived after the swap.
+// TestRoutedShipperMidChainEpochSwap: a ring epoch arriving while chains
+// are mid-flight. No collector ever observes a chain's events out of
+// order, and none arrives twice, whether the records rode the first ring,
+// went back through the split at the swap, or were taken after it.
 func TestRoutedShipperMidChainEpochSwap(t *testing.T) {
 	// Disk nodes, for the frame journal each keeps beside its store.
 	dirs := []string{t.TempDir(), t.TempDir()}
@@ -601,10 +577,7 @@ func TestRoutedShipperMidChainEpochSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rs, err := NewRouted(RouterConfig{Ring: ring1, Shipper: routerTemplate("p1")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := startShipper(t, ring1, routerTemplate("p1"))
 
 	gen := &uuid.SequentialGenerator{Seed: 41}
 	const chains, half, full = 16, 10, 20
@@ -619,35 +592,21 @@ func TestRoutedShipperMidChainEpochSwap(t *testing.T) {
 	for i := range ids {
 		ids[i] = gen.NewUUID()
 	}
-	// First half of every chain under epoch 1, fully delivered so the
-	// pre-rebalance member stats are a stable quantity to compare hist
-	// against.
+	// First half of every chain under epoch 1, fully delivered.
 	for seq := uint64(1); seq <= half; seq++ {
 		for _, c := range ids {
 			rs.Append(ev(c, seq))
 		}
 	}
 	waitFor(t, func() bool { return received() == chains*half }, "first-half delivery")
-	waitFor(t, func() bool {
-		buffered := 0
-		for _, st := range rs.Stats().Members {
-			buffered += st.Buffered
-		}
-		return buffered == 0
-	}, "shipper buffers to quiesce")
+	waitFor(t, func() bool { return rs.Stats().Buffered == 0 }, "shipper buffer to quiesce")
 
-	pre := rs.Stats()
-	want := sumShipperStats(pre.Members)
-	if pre.Detached != (telemetry.ShipperStats{}) {
-		t.Fatalf("hist dirty before any rebalance: %+v", pre.Detached)
+	// Both collectors serve the flipped ring; the shipper's next poll
+	// applies it.
+	for _, n := range nodes {
+		n.SetRing(ring2)
 	}
-	rs.UpdateRing(ring2)
 	waitFor(t, func() bool { return rs.Stats().Rebalances == 1 }, "epoch swap applied")
-
-	got := rs.Stats().Detached
-	if got != want {
-		t.Fatalf("hist after rebalance:\n got  %+v\n want %+v (pre-rebalance member stats)", got, want)
-	}
 
 	// Second half of every chain rides the flipped ring.
 	for seq := uint64(half + 1); seq <= full; seq++ {
@@ -659,7 +618,7 @@ func TestRoutedShipperMidChainEpochSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := rs.Combined()
+	st := rs.Stats()
 	if st.Appended != chains*full || st.Dropped != 0 {
 		t.Fatalf("combined stats after swap: %+v, want %d appended, 0 dropped", st, chains*full)
 	}

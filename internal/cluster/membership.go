@@ -36,8 +36,8 @@ import (
 //   - Distribution. The proposer installs the new ring locally, which
 //     its telemetry server hands to every shipper through the existing
 //     handshake/poll path; other members adopt it by observing a
-//     higher epoch on a peer's /memberz. RoutedShippers re-route
-//     without operator action either way.
+//     higher epoch on a peer's /memberz. Shipping processes route by
+//     it without operator action either way.
 //
 //   - Donation. On every transition a member replays the hash ranges
 //     it owned under its settled base ring but no longer owns

@@ -7,14 +7,15 @@ import (
 
 // SpanRing is a bounded, lock-free span buffer: the telemetry shipper's
 // ring between the probe sites and its background sender. Producers
-// enqueue whole spans (1–4 records) into a Vyukov-style MPMC ring, which
-// is lock-free for any number of producers and keeps one global FIFO;
-// consumers pop spans oldest first. When the ring fills, the producer
-// evicts the oldest resident span (drop-oldest: the freshest observations
-// survive); if the needed cell is wedged by a consumer mid-delivery, the
-// incoming span is shed after a bounded number of attempts so a stalled
-// consumer can never block a probe site. All loss is counted by the
-// caller via Push's return value.
+// enqueue whole spans (a cell holds up to 4 records; a longer span takes
+// several, in order) into a Vyukov-style MPMC ring, which is lock-free for
+// any number of producers and keeps one global FIFO; consumers pop spans
+// oldest first. When the ring fills, the producer evicts the oldest
+// resident span (drop-oldest: the freshest observations survive); if the
+// needed cell is wedged by a consumer mid-delivery, the incoming span is
+// shed after a bounded number of attempts so a stalled consumer can never
+// block a probe site. All loss is counted by the caller via Push's return
+// value.
 type SpanRing struct {
 	head atomic.Uint64 // next cell to consume
 	_    [56]byte      // keep producers and consumers off one cache line
@@ -31,8 +32,11 @@ type SpanRing struct {
 type ringCell struct {
 	seq  atomic.Uint64
 	n    uint32
-	recs [4]Record
+	recs [cellRecords]Record
 }
+
+// cellRecords is the most records one cell holds: a probe span's four.
+const cellRecords = 4
 
 func (c *ringCell) clear() {
 	for i := range c.recs[:c.n] {
@@ -59,23 +63,29 @@ func NewSpanRing(capacity int) *SpanRing {
 	return r
 }
 
-// Push enqueues one span. It returns the number of records dropped —
-// evicted resident records (ring full), plus the incoming records
-// themselves if the span had to be shed — and the resident count this push
-// left, read off the same atomic add that applied it. So the count before
-// the push, buffered-(len(recs)-dropped), is exact too, and a producer
-// learns from its own push alone whether it turned the ring non-empty.
+// Push enqueues one span; a span longer than a cell's four records takes
+// cells of at most four, in order. It returns the number of records
+// dropped — evicted resident records (ring full), plus incoming records
+// that had to be shed — and the resident count this push left, read off
+// the one atomic add that applied the whole span. So the count before the
+// push, buffered-(len(recs)-dropped), is exact too, and a producer learns
+// from its own push alone whether it turned the ring non-empty.
 func (r *SpanRing) Push(recs []Record) (dropped, buffered int) {
 	if len(recs) == 0 {
 		return 0, r.Buffered()
 	}
-	stored, evicted := r.push(recs)
-	delta := -evicted
-	dropped = evicted
-	if stored {
-		delta += len(recs)
-	} else {
-		dropped += len(recs)
+	delta := 0
+	for len(recs) > 0 {
+		cell := recs[:min(len(recs), cellRecords)]
+		recs = recs[len(cell):]
+		stored, evicted := r.push(cell)
+		delta -= evicted
+		dropped += evicted
+		if stored {
+			delta += len(cell)
+		} else {
+			dropped += len(cell)
+		}
 	}
 	return dropped, int(r.buffered.Add(int64(delta)))
 }
@@ -105,12 +115,13 @@ func (r *SpanRing) PopInto(dst []Record, max int) []Record {
 // Buffered reports the number of resident records.
 func (r *SpanRing) Buffered() int { return int(r.buffered.Load()) }
 
-// push enqueues one span, evicting the oldest resident span when the ring
-// is full (drop-oldest). If the cell the producer needs is wedged — a
-// consumer is mid-delivery in it and eviction cannot free it — the incoming
-// span is shed instead after a bounded number of attempts, so a stalled
-// consumer can never block a probe site. Returns whether the span was
-// stored and how many resident records were evicted.
+// push enqueues one span of at most cellRecords, evicting the oldest
+// resident span when the ring is full (drop-oldest). If the cell the
+// producer needs is wedged — a consumer is mid-delivery in it and eviction
+// cannot free it — the incoming span is shed instead after a bounded
+// number of attempts, so a stalled consumer can never block a probe site.
+// Returns whether the span was stored and how many resident records were
+// evicted.
 func (r *SpanRing) push(recs []Record) (stored bool, evicted int) {
 	mask := uint64(len(r.cells) - 1)
 	const maxAttempts = 64

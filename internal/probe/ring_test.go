@@ -179,6 +179,38 @@ func TestSpanRingEvictsOldest(t *testing.T) {
 	}
 }
 
+// TestSpanRingLongSpanTakesSeveralCells pushes spans longer than a cell's
+// four records: each takes cells of at most four, in order, is counted
+// whole, and pops whole; in a ring too small for it, what the span evicts
+// of itself is counted dropped, and the count still returns to zero.
+func TestSpanRingLongSpanTakesSeveralCells(t *testing.T) {
+	r := NewSpanRing(8)
+	long := make([]Record, 12)
+	for i := range long {
+		long[i] = Record{Kind: KindEvent, Thread: 1, Seq: uint64(i + 1)}
+	}
+	for i := 0; i < 2; i++ {
+		if d, n := r.Push(long); d != 0 || n != 12*(i+1) {
+			t.Fatalf("push %d of a 12-record span dropped %d and left %d resident, want 0 and %d", i, d, n, 12*(i+1))
+		}
+	}
+	got := r.PopInto(nil, 1<<10)
+	if len(got) != 24 || r.Buffered() != 0 {
+		t.Fatalf("popped %d records leaving %d buffered, want 24 and 0", len(got), r.Buffered())
+	}
+	for i, rec := range got {
+		if rec.Seq != uint64(i%12+1) {
+			t.Fatalf("record %d has seq %d, want %d", i, rec.Seq, i%12+1)
+		}
+	}
+
+	small := NewSpanRing(2)
+	d, n := small.Push(long)
+	if popped := len(small.PopInto(nil, 1<<10)); d+popped != 12 || n != 12-d || small.Buffered() != 0 {
+		t.Fatalf("12 records into two cells: dropped %d, popped %d, left %d, buffered after %d", d, popped, n, small.Buffered())
+	}
+}
+
 // TestSpanRingOneCellConserves asks for a one-cell ring, which the Vyukov
 // protocol cannot run (its resident span reads as free to the next
 // producer): the ring rounds up to two cells, and every record pushed is

@@ -45,7 +45,7 @@ func TestShipperDropCountedInMetrics(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	WriteShipperMetrics(&buf, sh.Stats())
+	sh.WriteMetrics(&buf)
 	text := buf.String()
 
 	dropped := expositionValue(t, text, "causeway_shipper_dropped_total")

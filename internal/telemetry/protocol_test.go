@@ -162,11 +162,14 @@ func TestShipperSurfacesHandshakeRejection(t *testing.T) {
 	}, "handshake rejection surfaced in LastError")
 }
 
-// The handshake reply delivers the ring; polls deliver only newer epochs.
+// The handshake reply delivers the ring; polls apply only newer epochs.
+// Members the new ring keeps keep their connections; the records taken
+// after it ride its members.
 func TestShipperLearnsRingFromHandshakeAndPolls(t *testing.T) {
 	var mu sync.Mutex
-	ring := testRing(3, "a:1", "b:2")
+	var ring Ring
 	srv, err := Listen("127.0.0.1:0", ServerConfig{
+		Sinks: []probe.Sink{&probe.MemorySink{}},
 		Ring: func() (Ring, bool) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -177,9 +180,8 @@ func TestShipperLearnsRingFromHandshakeAndPolls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	ring = testRing(3, srv.Addr())
 
-	var got sync.Map // epoch -> delivery count
-	var deliveries atomic64
 	sh, err := NewShipper(ShipperConfig{
 		Addr:          srv.Addr(),
 		Process:       testProc("p1"),
@@ -189,36 +191,46 @@ func TestShipperLearnsRingFromHandshakeAndPolls(t *testing.T) {
 		BackoffMax:    50 * time.Millisecond,
 		DrainTimeout:  time.Second,
 		PollInterval:  5 * time.Millisecond,
-		OnRing: func(r Ring) {
-			n, _ := got.LoadOrStore(r.Epoch, new(atomic64))
-			n.(*atomic64).add(1)
-			deliveries.add(1)
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sh.Close()
 
-	waitFor(t, func() bool { return deliveries.load() >= 1 }, "handshake ring delivery")
-	if n, ok := got.Load(uint64(3)); !ok || n.(*atomic64).load() != 1 {
-		t.Fatalf("epoch-3 ring not delivered exactly once at handshake")
-	}
-
-	// Same epoch keeps polling but must not re-deliver.
+	waitFor(t, func() bool { return sh.Ring().Epoch == 3 }, "handshake ring applied")
+	// Same epoch keeps polling but must not apply again.
 	time.Sleep(50 * time.Millisecond)
-	if n, _ := got.Load(uint64(3)); n.(*atomic64).load() != 1 {
-		t.Fatalf("unchanged epoch re-delivered %d times", n.(*atomic64).load())
+	if st := sh.Stats(); st.Rebalances != 1 || st.Connects != 1 {
+		t.Fatalf("after polls of an unchanged epoch: %d rebalances, %d connects; want 1 and 1", st.Rebalances, st.Connects)
 	}
 
-	// Advance the epoch; the next poll delivers the new ring once.
+	// Advance the epoch to two members (one collector under two names);
+	// the next poll applies it once, and records reach both names.
 	mu.Lock()
-	ring = testRing(4, "a:1", "b:2", "c:3")
+	ring = Ring{Epoch: 4, Slots: 64, Members: []RingMember{
+		{ID: srv.Addr(), Addr: srv.Addr(), Start: 0, End: 32},
+		{ID: "alias", Addr: srv.Addr(), Start: 32, End: 64},
+	}}
 	mu.Unlock()
-	waitFor(t, func() bool {
-		n, ok := got.Load(uint64(4))
-		return ok && n.(*atomic64).load() >= 1
-	}, "rebalanced ring delivery")
+	waitFor(t, func() bool { return sh.Ring().Epoch == 4 }, "rebalanced ring applied")
+	for i := 1; i <= 40; i++ {
+		sh.Append(testRecord("p1", uint64(i)))
+	}
+	waitFor(t, func() bool { return sh.Stats().Shipped == 40 }, "records shipped under the new ring")
+	var buf strings.Builder
+	sh.WriteMetrics(&buf)
+	text := buf.String()
+	if expositionValue(t, text, "causeway_cluster_ring_epoch") != 4 || expositionValue(t, text, "causeway_cluster_rebalances_total") != 2 {
+		t.Fatalf("exposition after the second ring:\n%s", text)
+	}
+	for _, id := range []string{srv.Addr(), "alias"} {
+		if !strings.Contains(text, fmt.Sprintf("causeway_cluster_member_shipped_total{member=%q} ", id)) {
+			t.Fatalf("no shipped series for member %s:\n%s", id, text)
+		}
+	}
+	if st := sh.Stats(); st.Connects != 2 {
+		t.Fatalf("%d handshakes, want 2: the kept member keeps its connection, the new one dials", st.Connects)
+	}
 }
 
 // Replay frames deduplicate via the configured callback and are
@@ -319,56 +331,6 @@ func TestClusterOpsRejectedWhenStandalone(t *testing.T) {
 	}
 	if bad := srv.Stats().BadFrames; bad != 1 {
 		t.Fatalf("replay frame counted as %d bad frame(s), want 1", bad)
-	}
-}
-
-// Detach hands back exactly the records that never reached the wire, in
-// order, without counting them dropped.
-func TestDetachReturnsUndelivered(t *testing.T) {
-	// No server: nothing ships, everything must come back.
-	sh := fastShipperDrain(t, "127.0.0.1:1", "p1", 256, 50*time.Millisecond)
-	const n = 100
-	for i := 1; i <= n; i++ {
-		sh.Append(testRecord("p1", uint64(i)))
-	}
-	recs := sh.Detach()
-	if len(recs) != n {
-		t.Fatalf("Detach returned %d records, want %d", len(recs), n)
-	}
-	for i, r := range recs {
-		if r.Seq != uint64(i+1) {
-			t.Fatalf("record %d out of order: seq %d", i, r.Seq)
-		}
-	}
-	st := sh.Stats()
-	if st.Dropped != 0 {
-		t.Fatalf("detached records counted dropped: %+v", st)
-	}
-	// Idempotent: a second Detach (or a Close) finds nothing.
-	if again := sh.Detach(); again != nil {
-		t.Fatalf("second Detach returned %d records", len(again))
-	}
-	if err := sh.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Detach with a live server returns only what was not acknowledged.
-func TestDetachAfterDeliveryReturnsNothingExtra(t *testing.T) {
-	srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{&probe.MemorySink{}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	sh := fastShipper(t, srv.Addr(), "p1", 256)
-	const n = 50
-	for i := 1; i <= n; i++ {
-		sh.Append(testRecord("p1", uint64(i)))
-	}
-	waitFor(t, func() bool { return sh.Stats().Shipped == n }, "all records shipped")
-	recs := sh.Detach()
-	if shipped := sh.Stats().Shipped; int(shipped)+len(recs) != n {
-		t.Fatalf("shipped %d + detached %d != appended %d", shipped, len(recs), n)
 	}
 }
 

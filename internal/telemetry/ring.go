@@ -59,22 +59,27 @@ func RouteUUID(rec *probe.Record) uuid.UUID {
 	return rec.Chain
 }
 
-// Owner returns the member owning slot.
-func (r Ring) Owner(slot int) (RingMember, bool) {
-	for _, m := range r.Members {
-		if slot >= m.Start && slot < m.End {
-			return m, true
-		}
+// OwnerOf returns the member owning a chain UUID.
+func (r Ring) OwnerOf(chain uuid.UUID) (RingMember, bool) {
+	if i := r.ownerIndex(chain); i >= 0 {
+		return r.Members[i], true
 	}
 	return RingMember{}, false
 }
 
-// OwnerOf returns the member owning a chain UUID.
-func (r Ring) OwnerOf(chain uuid.UUID) (RingMember, bool) {
+// ownerIndex returns the position in Members of the member owning a chain
+// UUID, -1 when none does.
+func (r Ring) ownerIndex(chain uuid.UUID) int {
 	if r.Slots <= 0 {
-		return RingMember{}, false
+		return -1
 	}
-	return r.Owner(r.SlotOf(chain))
+	slot := r.SlotOf(chain)
+	for i, m := range r.Members {
+		if slot >= m.Start && slot < m.End {
+			return i
+		}
+	}
+	return -1
 }
 
 // Validate checks the structural invariants: power-of-two slot count,

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,8 +18,15 @@ import (
 
 // ShipperConfig assembles one process's record shipper.
 type ShipperConfig struct {
-	// Addr is the collection daemon's TCP address.
+	// Addr is the collection daemon's TCP address: the one member of the
+	// ring a shipper without a Ring starts from.
 	Addr string
+	// Ring is the ownership map the shipper starts routing by: each record
+	// goes to the member owning its chain (RouteUUID). Usually Assign over
+	// the same -peers list every collector was started with, at epoch 0, so
+	// the ring any collector serves (epoch >= 1) supersedes it at first
+	// contact. When zero, Addr is the ring's only member.
+	Ring Ring
 	// Process identifies the shipping process in the handshake.
 	Process topology.Process
 	// DebugAddr, when set, is the process's debug/introspection HTTP
@@ -29,23 +38,28 @@ type ShipperConfig struct {
 	// ring buffers up to 4x BufferSize records before it drops the
 	// oldest. Rounded up to a power of two; default 8192.
 	BufferSize int
-	// BatchSize caps records per ship frame; default 256.
+	// BatchSize caps records per take from the ring, and so per ship
+	// frame; default 256.
 	BatchSize int
-	// FlushInterval is the least time between two ship frames; default
-	// 1ms. A full batch ships at once, and so does a record that finds the
+	// FlushInterval is the least time between two takes; default 1ms. A
+	// full batch ships at once, and so does a record that finds the
 	// shipper idle for a FlushInterval; a partial batch otherwise waits
-	// until FlushInterval has passed since the previous frame, so records
+	// until FlushInterval has passed since the previous take, so records
 	// arriving faster than the collector's round trip share frames.
 	FlushInterval time.Duration
-	// BackoffMin/BackoffMax bound the reconnect backoff (exponential with
-	// jitter); defaults 50ms and 5s.
+	// BackoffMin/BackoffMax bound each member's reconnect backoff
+	// (exponential with jitter); defaults 50ms and 5s.
 	BackoffMin time.Duration
 	BackoffMax time.Duration
 	// DrainTimeout bounds how long Close waits to deliver the remaining
 	// buffer, a ship call the collector has not answered yet included;
-	// default 2s.
+	// default 2s. It also bounds every dial and call while the shipper
+	// runs: a member that leaves a call unanswered that long is
+	// reconnected, so a wedged or unreachable collector cannot hold the
+	// one loop past it.
 	DrainTimeout time.Duration
-	// Dial overrides the transport dialer (tests); default transport.DialTCP.
+	// Dial overrides the transport dialer (tests); default
+	// transport.DialTCPTimeout within DrainTimeout.
 	Dial func(addr string) (transport.Client, error)
 	// RateTarget, when set, receives the collector-steered head-sampling
 	// rate: from the handshake reply and then from every poll, whenever
@@ -53,20 +67,20 @@ type ShipperConfig struct {
 	// the same instance into probe.Config.Sampler and the process sheds
 	// chains at whatever rate the collector asks for.
 	RateTarget interface{ SetRate(float64) }
-	// OnRing, when set, receives the cluster ring: from the handshake
-	// reply and then from every poll, when the collector is a cluster
-	// member, invoked only when the epoch advances. cluster.RoutedShipper
-	// uses it to re-route around rebalances.
-	OnRing func(Ring)
-	// PollInterval is how often a shipper with a RateTarget or an OnRing
-	// asks its collector for the ring and the rate again; default 1s. A
-	// shipper with neither never polls.
+	// PollInterval is how often the shipper asks each connected member for
+	// the ring and the rate again; default 1s.
 	PollInterval time.Duration
 }
 
 func (c *ShipperConfig) applyDefaults() error {
-	if c.Addr == "" {
-		return errors.New("telemetry: shipper needs an Addr")
+	if c.Ring.IsZero() {
+		if c.Addr == "" {
+			return errors.New("telemetry: shipper needs an Addr or a Ring")
+		}
+		c.Ring = Ring{Slots: 1, Members: []RingMember{{ID: c.Addr, Addr: c.Addr, Start: 0, End: 1}}}
+	}
+	if err := c.Ring.Validate(); err != nil {
+		return err
 	}
 	if c.BufferSize <= 0 {
 		c.BufferSize = 8192
@@ -93,7 +107,8 @@ func (c *ShipperConfig) applyDefaults() error {
 		c.DrainTimeout = 2 * time.Second
 	}
 	if c.Dial == nil {
-		c.Dial = func(addr string) (transport.Client, error) { return transport.DialTCP(addr) }
+		timeout := c.DrainTimeout
+		c.Dial = func(addr string) (transport.Client, error) { return transport.DialTCPTimeout(addr, timeout) }
 	}
 	if c.PollInterval <= 0 {
 		c.PollInterval = time.Second
@@ -110,22 +125,38 @@ type ShipperStats struct {
 	Batches    uint64 // ship frames sent
 	Bytes      uint64 // payload bytes sent (ship frames)
 	Connects   uint64 // successful handshakes, including the first
-	Reconnects uint64 // successful handshakes after the first
-	Connected  bool   // a session is currently established
-	Buffered   int    // records waiting in the ring
+	Reconnects uint64 // successful handshakes after a member's first
+	Connected  bool   // a session with some member is currently established
+	Buffered   int    // records waiting in the ring or in a member's unacknowledged part
 	// LastError is the most recent handshake or protocol failure, empty
 	// when the last attempt succeeded. A protocol-version mismatch
 	// surfaces here verbatim so a mixed-version deployment is
 	// diagnosable from the shipping side.
 	LastError string
+
+	Rebalances uint64 // newer rings applied
+	Rerouted   uint64 // records handed back through the split at a ring change
+	NoOwner    uint64 // records the ring gave no member (a ring bug guard), counted dropped too
 }
 
-// ShipperSink is a probe.Sink that streams records to a telemetry Server
-// over TCP. The probe hot path (Append/AppendSpan) is lock-free: records
-// land in a probe.SpanRing with one CAS and one cell copy, and
-// never perform I/O, block on the sender, or contend on a mutex. Encoding,
-// framing, connection management, and reconnect with exponential backoff +
-// jitter all happen on one background goroutine.
+// ShipperSink is a probe.Sink that streams records to the members of a
+// collector ring over TCP. The probe hot path (Append/AppendSpan) is
+// lock-free: records land in one probe.SpanRing with one CAS and one cell
+// copy, and never perform I/O, block on the sender, or contend on a mutex,
+// however many collectors the ring has.
+//
+// One background loop does the rest. While some member is connected, it
+// takes a batch from the ring, splits it by owner under the current ring
+// (Ring.OwnerOf(RouteUUID): a chain, and the links its parent recorded,
+// ride one member), and ships each member's part on that member's
+// connection, keeping every member connected with its own exponential
+// backoff + jitter. A part leaves the
+// loop only when its member acknowledges it; until then the loop takes
+// nothing more, so the process's records wait in the one ring, where
+// drop-oldest is the only loss. A newer ring from any member's handshake
+// or poll reply changes where the next take goes, and every part no
+// member has acknowledged goes back through the split under it first, so
+// each collector still sees a chain's records in order.
 //
 // BufferSize bounds the ring's span cells; a cell holds one span (up to 4
 // records when spans are batched, exactly 1 for plain Append), so single-
@@ -134,35 +165,58 @@ type ShipperStats struct {
 type ShipperSink struct {
 	cfg ShipperConfig
 
-	ring   *probe.SpanRing
+	buf    *probe.SpanRing
 	closed atomic.Bool
 
-	wake     chan struct{} // nudges the background loop; capacity 1
-	stop     chan struct{}
-	done     chan struct{}
-	detach   chan struct{}       // closed by Detach: stop WITHOUT draining
-	detached chan []probe.Record // loop hands back its unacked batch
+	wake chan struct{} // nudges the background loop; capacity 1
+	stop chan struct{}
+	done chan struct{}
 
-	appended  atomic.Uint64
-	dropped   atomic.Uint64
-	inflight  atomic.Int64 // records taken from the ring, not yet acked/dropped
-	shipped   atomic.Uint64
-	batches   atomic.Uint64
-	bytes     atomic.Uint64
-	connects  atomic.Uint64
-	connected atomic.Bool
-	lastErr   atomic.Value // string: most recent handshake/protocol error
+	appended   atomic.Uint64
+	dropped    atomic.Uint64
+	inflight   atomic.Int64 // records taken from the ring, not yet acked/dropped
+	shipped    atomic.Uint64
+	batches    atomic.Uint64
+	bytes      atomic.Uint64
+	connects   atomic.Uint64
+	reconnects atomic.Uint64
+	connected  atomic.Int64 // members with an established session
+	rebalances atomic.Uint64
+	rerouted   atomic.Uint64
+	noOwner    atomic.Uint64
+	lastErr    atomic.Value // string: most recent handshake/protocol error
 
-	ringEpoch uint64 // newest ring epoch delivered to OnRing, +1; the loop's own
+	// ring and members (parallel to ring.Members) are the loop's; it
+	// writes them, and every member's client, under mu, which the cut,
+	// Ring and WriteMetrics read under.
+	mu      sync.Mutex
+	ring    Ring
+	members []*member
+	next    *Ring // a newer valid ring a reply carried, applied between rounds; the loop's own
 
 	// drainBy is when Close's budget ends, written before stop is closed.
-	// Once it has passed, cut is set and the live connection closed, and
-	// so is every connection made after: a call the collector never
+	// Once it has passed, cut is set and every member's connection closed,
+	// and so is every connection made after: a call a collector never
 	// answers returns, and Close with it.
 	drainBy time.Time
-	liveMu  sync.Mutex
-	live    transport.Client
 	cut     bool
+}
+
+// member is one ring member's connection and account. Everything but
+// shipped is the loop's own.
+type member struct {
+	id, addr  string
+	client    transport.Client // nil until a handshake succeeds
+	handshook bool             // a handshake has succeeded before
+	backoff   time.Duration
+	dialAt    time.Time // the next connect attempt, no sooner
+	part      []probe.Record
+	retryAt   time.Time // a refused part goes again no sooner
+
+	// The member's closing account: records the split gave it (less
+	// what went back through the split), and what became of them.
+	appended, dropped uint64
+	shipped           atomic.Uint64
 }
 
 var (
@@ -170,22 +224,22 @@ var (
 	_ probe.SpanSink = (*ShipperSink)(nil)
 )
 
-// NewShipper starts a shipper. It returns immediately even when the server
-// is unreachable: records buffer (and eventually rotate out, oldest first)
+// NewShipper starts a shipper. It returns immediately even when no member
+// is reachable: records buffer (and eventually rotate out, oldest first)
 // until a connection is established.
 func NewShipper(cfg ShipperConfig) (*ShipperSink, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
 	s := &ShipperSink{
-		cfg:      cfg,
-		ring:     probe.NewSpanRing(cfg.BufferSize),
-		wake:     make(chan struct{}, 1),
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-		detach:   make(chan struct{}),
-		detached: make(chan []probe.Record, 1),
+		cfg:  cfg,
+		buf:  probe.NewSpanRing(cfg.BufferSize),
+		wake: make(chan struct{}, 1),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
+		ring: cfg.Ring,
 	}
+	s.members = s.membersFor(cfg.Ring, nil)
 	go s.loop()
 	return s, nil
 }
@@ -216,7 +270,7 @@ func (s *ShipperSink) AppendSpan(recs []probe.Record) {
 		s.dropped.Add(uint64(len(recs)))
 		return
 	}
-	d, n := s.ring.Push(recs)
+	d, n := s.buf.Push(recs)
 	if d > 0 {
 		s.dropped.Add(uint64(d))
 	}
@@ -234,51 +288,56 @@ func (s *ShipperSink) AppendSpan(recs []probe.Record) {
 // batch exceeds its capacity) and returns the result, so steady-state
 // batching reuses one scratch slice instead of allocating per batch.
 // Taken records are counted in-flight: they stay visible in Buffered until
-// settled — acknowledged, rejected, or handed back by Detach — so no
-// record is ever invisible to the conservation ledger mid-shipment.
+// settled — acknowledged or dropped — so no record is ever invisible to
+// the conservation ledger mid-shipment.
 func (s *ShipperSink) take(dst []probe.Record, max int) []probe.Record {
-	dst = s.ring.PopInto(dst[:0], max)
+	dst = s.buf.PopInto(dst[:0], max)
 	s.inflight.Add(int64(len(dst)))
 	return dst
 }
 
-// settle retires n in-flight records (shipped, dropped, or detached).
+// settle retires n in-flight records (shipped or dropped).
 func (s *ShipperSink) settle(n int) {
 	if n != 0 {
 		s.inflight.Add(int64(-n))
 	}
 }
 
-func (s *ShipperSink) buffered() int {
-	return s.ring.Buffered() + int(s.inflight.Load())
-}
-
 // Stats snapshots the counters.
 func (s *ShipperSink) Stats() ShipperStats {
 	st := ShipperStats{
-		Appended:  s.appended.Load(),
-		Dropped:   s.dropped.Load(),
-		Shipped:   s.shipped.Load(),
-		Batches:   s.batches.Load(),
-		Bytes:     s.bytes.Load(),
-		Connects:  s.connects.Load(),
-		Connected: s.connected.Load(),
-		Buffered:  s.buffered(),
+		Appended:   s.appended.Load(),
+		Dropped:    s.dropped.Load(),
+		Shipped:    s.shipped.Load(),
+		Batches:    s.batches.Load(),
+		Bytes:      s.bytes.Load(),
+		Connects:   s.connects.Load(),
+		Reconnects: s.reconnects.Load(),
+		Connected:  s.connected.Load() > 0,
+		Buffered:   s.buf.Buffered() + int(s.inflight.Load()),
+		Rebalances: s.rebalances.Load(),
+		Rerouted:   s.rerouted.Load(),
+		NoOwner:    s.noOwner.Load(),
 	}
 	if e, ok := s.lastErr.Load().(string); ok {
 		st.LastError = e
 	}
-	if st.Connects > 0 {
-		st.Reconnects = st.Connects - 1
-	}
 	return st
 }
 
-// WriteShipperMetrics renders shipper counters as the causeway_shipper_*
-// exposition series, for one shipper or a routed shipper's combined view.
-// The drop counter is the monitoring plane's own loss accounting: records
-// a ring rotated out under backpressure (or that Close could not deliver).
-func WriteShipperMetrics(w io.Writer, st ShipperStats) {
+// Ring returns the ring the shipper currently routes by.
+func (s *ShipperSink) Ring() Ring {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ring
+}
+
+// WriteMetrics renders the shipper's counters in exposition format: the
+// causeway_shipper_* series, then the ring's causeway_cluster_* ones. The
+// drop counter is the monitoring plane's own loss accounting: records the
+// ring rotated out under backpressure (or that Close could not deliver).
+func (s *ShipperSink) WriteMetrics(w io.Writer) {
+	st := s.Stats()
 	fmt.Fprintf(w, "causeway_shipper_appended_total %d\n", st.Appended)
 	fmt.Fprintf(w, "causeway_shipper_dropped_total %d\n", st.Dropped)
 	fmt.Fprintf(w, "causeway_shipper_shipped_total %d\n", st.Shipped)
@@ -291,14 +350,28 @@ func WriteShipperMetrics(w io.Writer, st ShipperStats) {
 	}
 	fmt.Fprintf(w, "causeway_shipper_connected %d\n", connected)
 	fmt.Fprintf(w, "causeway_shipper_buffered %d\n", st.Buffered)
+
+	s.mu.Lock()
+	epoch, n := s.ring.Epoch, len(s.ring.Members)
+	members := append([]*member(nil), s.members...)
+	s.mu.Unlock()
+	fmt.Fprintf(w, "causeway_cluster_ring_epoch %d\n", epoch)
+	fmt.Fprintf(w, "causeway_cluster_ring_members %d\n", n)
+	fmt.Fprintf(w, "causeway_cluster_rebalances_total %d\n", st.Rebalances)
+	fmt.Fprintf(w, "causeway_cluster_rerouted_records_total %d\n", st.Rerouted)
+	fmt.Fprintf(w, "causeway_cluster_no_owner_total %d\n", st.NoOwner)
+	sort.Slice(members, func(i, j int) bool { return members[i].id < members[j].id })
+	for _, m := range members {
+		fmt.Fprintf(w, "causeway_cluster_member_shipped_total{member=%q} %d\n", m.id, m.shipped.Load())
+	}
 }
 
-// Close drains the buffer and sends the closing account, both bounded by
-// DrainTimeout, and stops the background goroutine. Records that could not
-// be delivered in time are counted as dropped. Close returns soon after
-// DrainTimeout even when the collector leaves a ship call unanswered: the
-// connection is closed under the call once the budget is spent. Append
-// after Close drops.
+// Close drains the buffer and sends each member its closing account, both
+// bounded by DrainTimeout, and stops the background goroutine. Records
+// that could not be delivered in time are counted as dropped. Close
+// returns soon after DrainTimeout even when a collector leaves a ship call
+// unanswered: the connections are closed under the call once the budget
+// is spent. Append after Close drops.
 func (s *ShipperSink) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		<-s.done
@@ -312,40 +385,65 @@ func (s *ShipperSink) Close() error {
 	return nil
 }
 
-// setLive makes c the connection Close cuts once its budget is spent; false
-// when that has happened already.
-func (s *ShipperSink) setLive(c transport.Client) bool {
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
-	if s.cut {
+// setClient makes c m's connection, the one the cut closes; false when
+// the cut has happened already.
+func (s *ShipperSink) setClient(m *member, c transport.Client) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cut && c != nil {
 		return false
 	}
-	s.live = c
+	m.client = c
 	return true
 }
 
-// cutLive closes the live connection and refuses every later one.
+// cutLive closes every member's connection and refuses every later one.
 func (s *ShipperSink) cutLive() {
-	s.liveMu.Lock()
-	defer s.liveMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.cut = true
-	if s.live != nil {
-		s.live.Close()
+	for _, m := range s.members {
+		if m.client != nil {
+			m.client.Close()
+		}
 	}
 }
 
-// connect dials and handshakes once; nil on failure. Protocol-level
-// rejections (version mismatch above all) are preserved in LastError so
-// the endless reconnect loop stays diagnosable.
-func (s *ShipperSink) connect() transport.Client {
-	client, err := s.cfg.Dial(s.cfg.Addr)
+// membersFor lines up a member for each of r's, keeping those of old that
+// r names at the same address — with their connections and accounts.
+func (s *ShipperSink) membersFor(r Ring, old []*member) []*member {
+	out := make([]*member, len(r.Members))
+	for i, rm := range r.Members {
+		for _, m := range old {
+			if m.id == rm.ID && m.addr == rm.Addr {
+				out[i] = m
+			}
+		}
+		if out[i] == nil {
+			out[i] = &member{id: rm.ID, addr: rm.Addr, backoff: s.cfg.BackoffMin}
+		}
+	}
+	return out
+}
+
+// connect dials m and handshakes once, the call bounded by timeout; false
+// on failure. Protocol-level rejections (version mismatch above all) are
+// preserved in LastError so the endless reconnect loop stays diagnosable.
+func (s *ShipperSink) connect(m *member, timeout time.Duration) bool {
+	client, err := s.cfg.Dial(m.addr)
 	if err != nil {
 		s.lastErr.Store(err.Error())
-		return nil
+		return false
 	}
-	if !s.setLive(client) {
+	if !s.setClient(m, client) {
 		client.Close()
-		return nil
+		return false
+	}
+	fail := func(msg string) bool {
+		s.lastErr.Store(msg)
+		s.setClient(m, nil)
+		client.Close()
+		return false
 	}
 	hello := encodeHello(Hello{
 		Version:   ProtocolVersion,
@@ -353,52 +451,64 @@ func (s *ShipperSink) connect() transport.Client {
 		ProcType:  s.cfg.Process.Processor.Type,
 		DebugAddr: s.cfg.DebugAddr,
 	})
-	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello})
+	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello, Timeout: timeout})
 	if err != nil {
-		s.lastErr.Store(err.Error())
-		client.Close()
-		return nil
+		return fail(err.Error())
 	}
 	if rep.Status != transport.StatusOK {
 		// The reply body carries the server's rejection — for a version
 		// mismatch, the loud and clear error this satellite exists for.
-		s.lastErr.Store(fmt.Sprintf("telemetry: handshake rejected: %s", rep.Body))
-		client.Close()
-		return nil
+		return fail(fmt.Sprintf("telemetry: handshake rejected: %s", rep.Body))
 	}
 	// A server of another version is refused here, by the reply's leading
 	// version octet.
 	hr, err := decodeHelloReply(rep.Body)
 	if err != nil {
-		s.lastErr.Store(err.Error())
-		client.Close()
-		return nil
+		return fail(err.Error())
 	}
 	s.lastErr.Store("")
 	s.learn(hr)
 	s.connects.Add(1)
-	s.connected.Store(true)
-	return client
+	if m.handshook {
+		s.reconnects.Add(1)
+	}
+	m.handshook = true
+	s.connected.Add(1)
+	return true
 }
 
-// learn takes what a hello or poll reply carries: a ring newer than the
-// last one delivered goes to OnRing, a rate to RateTarget. connect and
-// poll both run on the loop goroutine, which owns ringEpoch. Epochs are
-// stored +1 so epoch 0 still registers.
+// disconnect closes m's connection; the loop dials it again at once.
+func (s *ShipperSink) disconnect(m *member) {
+	if m.client == nil {
+		return
+	}
+	m.client.Close()
+	s.setClient(m, nil)
+	s.connected.Add(-1)
+	m.dialAt = time.Now()
+}
+
+// learn takes what a hello or poll reply carries: a valid ring newer than
+// any seen is kept for the loop to apply between rounds, a rate goes to
+// RateTarget.
 func (s *ShipperSink) learn(hr HelloReply) {
-	if hr.HasRing && s.cfg.OnRing != nil && hr.Ring.Epoch+1 > s.ringEpoch {
-		s.ringEpoch = hr.Ring.Epoch + 1
-		s.cfg.OnRing(hr.Ring)
+	newest := s.ring.Epoch
+	if s.next != nil {
+		newest = s.next.Epoch
+	}
+	if hr.HasRing && hr.Ring.Epoch > newest && hr.Ring.Validate() == nil {
+		r := hr.Ring
+		s.next = &r
 	}
 	if hr.HasRate && s.cfg.RateTarget != nil {
 		s.cfg.RateTarget.SetRate(hr.Rate)
 	}
 }
 
-// poll asks the collector for its reply again; false on transport
+// poll asks m's collector for its reply again; false on transport
 // failure (the connection is dead).
-func (s *ShipperSink) poll(client transport.Client) bool {
-	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opPoll})
+func (s *ShipperSink) poll(m *member) bool {
+	rep, err := m.client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opPoll, Timeout: s.cfg.DrainTimeout})
 	if err != nil {
 		return false
 	}
@@ -410,253 +520,310 @@ func (s *ShipperSink) poll(client transport.Client) bool {
 	return true
 }
 
-// loop is the background encoder/sender: batch, ship full batches at once
-// and partial ones no sooner than FlushInterval after the previous frame,
-// reconnect with exponential backoff + jitter, drain on stop.
+// applyNext routes by the ring a reply carried, if any: members it keeps
+// keep their connections and accounts, members it drops are disconnected,
+// and every part no member has acknowledged goes back through the split
+// under it, ahead of anything taken later. held is scratch for the parts.
+func (s *ShipperSink) applyNext(held *[]probe.Record) {
+	if s.next == nil {
+		return
+	}
+	r := *s.next
+	s.next = nil
+	*held = (*held)[:0]
+	for _, m := range s.members {
+		*held = append(*held, m.part...)
+		m.appended -= uint64(len(m.part))
+		m.part = m.part[:0]
+	}
+	members := s.membersFor(r, s.members)
+	for _, m := range s.members {
+		if !slices.Contains(members, m) {
+			s.disconnect(m)
+		}
+	}
+	s.mu.Lock()
+	s.ring, s.members = r, members
+	s.mu.Unlock()
+	s.rebalances.Add(1)
+	s.rerouted.Add(uint64(len(*held)))
+	s.split(held)
+}
+
+// split hands each record of batch to its owner's part. A lone member
+// whose part is empty takes the batch whole, trading slices with it.
+func (s *ShipperSink) split(batch *[]probe.Record) {
+	if len(s.members) == 1 && len(s.members[0].part) == 0 {
+		m := s.members[0]
+		m.appended += uint64(len(*batch))
+		m.part, *batch = *batch, m.part
+		return
+	}
+	for i := range *batch {
+		rec := &(*batch)[i]
+		o := s.ring.ownerIndex(RouteUUID(rec))
+		if o < 0 {
+			// Unreachable on a validated ring; counted, never silent.
+			s.noOwner.Add(1)
+			s.dropped.Add(1)
+			s.settle(1)
+			continue
+		}
+		m := s.members[o]
+		m.part = append(m.part, *rec)
+		m.appended++
+	}
+}
+
+// shipResult is how a part's ship call ended.
+type shipResult int
+
+const (
+	settled shipResult = iota // acknowledged, or rejected and dropped
+	refused                   // not kept: the part goes again after a backoff
+	failed                    // the connection is dead
+)
+
+// send ships m's part on its connection, the call bounded by timeout.
+// Acknowledged shipment: the part leaves m only once the collector
+// confirms ingestion. A part written onto a socket whose far end just
+// died would otherwise be counted shipped and silently lost — the
+// kill-a-collector hole. Sending an ingested-but-unacknowledged part again
+// is safe: the stores deduplicate by record identity.
+func (s *ShipperSink) send(m *member, enc *probe.FrameEncoder, timeout time.Duration) shipResult {
+	payload := enc.Encode(m.part)
+	rep, err := m.client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: payload, Timeout: timeout})
+	switch {
+	case err != nil:
+		return failed
+	case rep.Status == transport.StatusUserException:
+		// The collector could not keep the frame: the part is not
+		// acknowledged and goes again after a backoff, not at the
+		// producers' rate.
+		s.lastErr.Store(fmt.Sprintf("telemetry: ship not kept: %s", rep.Body))
+		return refused
+	case rep.Status != transport.StatusOK:
+		// Protocol rejection: nothing a retry can fix.
+		s.lastErr.Store(fmt.Sprintf("telemetry: ship rejected: %s", rep.Body))
+		s.dropPart(m)
+		return settled
+	}
+	n := uint64(len(m.part))
+	s.shipped.Add(n)
+	m.shipped.Add(n)
+	s.batches.Add(1)
+	s.bytes.Add(uint64(len(payload)))
+	s.settle(len(m.part))
+	m.part = m.part[:0]
+	return settled
+}
+
+// dropPart counts m's part as dropped and empties it.
+func (s *ShipperSink) dropPart(m *member) {
+	s.dropped.Add(uint64(len(m.part)))
+	m.dropped += uint64(len(m.part))
+	s.settle(len(m.part))
+	m.part = m.part[:0]
+}
+
+// loop is the background sender: connect every member, ship every part
+// that is due, take and split the next batch once none is held (a full
+// one at once, a partial one no sooner than FlushInterval after the
+// previous take), poll, apply a newer ring between rounds, drain on stop.
 func (s *ShipperSink) loop() {
 	defer close(s.done)
 	var (
-		client  transport.Client
-		pending []probe.Record     // taken from the ring, not yet acknowledged
-		enc     probe.FrameEncoder // one encode buffer for the loop's lifetime
-		backoff = s.cfg.BackoffMin
-		last    time.Time // when the previous ship frame went out
-		retryAt time.Time // a refused pending batch goes again no sooner
+		batch []probe.Record     // the take's scratch
+		enc   probe.FrameEncoder // one encode buffer for the loop's lifetime
+		last  time.Time          // when the previous batch was taken
 	)
-	disconnect := func() {
-		if client != nil {
-			client.Close()
-			client = nil
-		}
-		s.connected.Store(false)
-	}
-	defer disconnect()
 
-	// ship sends every frame that is due and returns how long until the
-	// next one is: zero when the ring is empty, so only a wake is awaited.
-	// ok is false on send failure. A non-empty pending is an
-	// unacknowledged batch retried across reconnects; truncating (never
-	// nilling) it keeps its backing array — and the encoder's buffer —
-	// live for the next batch.
-	ship := func() (next time.Duration, ok bool) {
+	// ship sends every part that is due and, once no member holds one and
+	// some member is connected, takes and splits the next batch. It returns when a refused part or a
+	// partial batch is next due, or the zero time when nothing is; the
+	// loop adds the reconnects.
+	ship := func() time.Time {
 		for {
-			if len(pending) > 0 {
-				if wait := time.Until(retryAt); wait > 0 {
-					return wait, true
+			var due time.Time
+			for _, m := range s.members {
+				if len(m.part) == 0 || m.client == nil {
+					continue // a part without a connection waits for the reconnect
 				}
-			} else {
-				n := s.ring.Buffered()
-				if n <= 0 {
-					return 0, true
-				}
-				if n < s.cfg.BatchSize {
-					if wait := s.cfg.FlushInterval - time.Since(last); wait > 0 {
-						return wait, true
-					}
-				}
-				if pending = s.take(pending, s.cfg.BatchSize); len(pending) == 0 {
-					// The oldest cell's producer is between claiming it and
-					// filling it; it is about to finish.
-					runtime.Gosched()
+				if time.Now().Before(m.retryAt) {
+					due = earliest(due, m.retryAt)
 					continue
 				}
+				switch s.send(m, &enc, s.cfg.DrainTimeout) {
+				case refused:
+					m.retryAt = time.Now().Add(Jitter(s.cfg.BackoffMin))
+					due = earliest(due, m.retryAt)
+				case failed:
+					s.disconnect(m)
+				}
 			}
-			payload := enc.Encode(pending)
+			if s.holding() {
+				return due
+			}
+			if s.connected.Load() == 0 {
+				// Cut off from every member: records wait in the ring,
+				// where drop-oldest bounds them, until a connection is up.
+				return time.Time{}
+			}
+			n := s.buf.Buffered()
+			if n <= 0 {
+				return time.Time{}
+			}
+			if n < s.cfg.BatchSize {
+				if at := last.Add(s.cfg.FlushInterval); time.Now().Before(at) {
+					return at
+				}
+			}
+			if batch = s.take(batch, s.cfg.BatchSize); len(batch) == 0 {
+				// The oldest cell's producer is between claiming it and
+				// filling it; it is about to finish.
+				runtime.Gosched()
+				continue
+			}
 			last = time.Now()
-			// Acknowledged shipment: the batch leaves pending only once
-			// the server confirms ingestion. A batch written onto a
-			// socket whose far end just died would otherwise be counted
-			// shipped and silently lost — the kill-a-collector hole.
-			// Retrying an ingested-but-unacknowledged batch is safe: the
-			// stores deduplicate by record identity.
-			rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: payload})
-			if err != nil {
-				return 0, false
-			}
-			if rep.Status == transport.StatusUserException {
-				// The collector could not keep the frame: the batch is not
-				// acknowledged and goes again after a backoff, not at the
-				// producers' rate.
-				s.lastErr.Store(fmt.Sprintf("telemetry: ship not kept: %s", rep.Body))
-				retryAt = time.Now().Add(Jitter(s.cfg.BackoffMin))
-				continue
-			}
-			if rep.Status != transport.StatusOK {
-				// Protocol rejection: nothing a retry can fix.
-				s.lastErr.Store(fmt.Sprintf("telemetry: ship rejected: %s", rep.Body))
-				s.dropped.Add(uint64(len(pending)))
-				s.settle(len(pending))
-				pending = pending[:0]
-				continue
-			}
-			s.shipped.Add(uint64(len(pending)))
-			s.batches.Add(1)
-			s.bytes.Add(uint64(len(payload)))
-			s.settle(len(pending))
-			pending = pending[:0]
+			s.split(&batch)
 		}
 	}
 
-	// One timer paces partial batches and refused ones; it is armed only
-	// while something waits to ship.
+	// One timer paces partial batches, refused parts and reconnects; it is
+	// armed only while something is due.
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	// One ticker polls for the ring and the rate, armed only for a
-	// shipper that takes either.
-	var pollCh <-chan time.Time
-	if s.cfg.OnRing != nil || s.cfg.RateTarget != nil {
-		pt := time.NewTicker(s.cfg.PollInterval)
-		defer pt.Stop()
-		pollCh = pt.C
-	}
+	pt := time.NewTicker(s.cfg.PollInterval)
+	defer pt.Stop()
 	for {
-		if client == nil {
-			if client = s.connect(); client == nil {
-				// Jittered exponential backoff, interruptible by stop.
-				d := Jitter(backoff)
-				backoff *= 2
-				if backoff > s.cfg.BackoffMax {
-					backoff = s.cfg.BackoffMax
-				}
-				select {
-				case <-s.stop:
-					s.drain(client, pending)
-					return
-				case <-s.detach:
-					s.detached <- pending
-					return
-				case <-time.After(d):
-				}
+		s.applyNext(&batch)
+		for _, m := range s.members {
+			if m.client != nil || time.Now().Before(m.dialAt) {
 				continue
 			}
-			backoff = s.cfg.BackoffMin
+			if s.connect(m, s.cfg.DrainTimeout) {
+				m.backoff = s.cfg.BackoffMin
+				continue
+			}
+			// Jittered exponential backoff, per member.
+			m.dialAt = time.Now().Add(Jitter(m.backoff))
+			m.backoff = min(2*m.backoff, s.cfg.BackoffMax)
 		}
-		next, ok := ship()
-		if !ok {
-			disconnect()
-			continue
+		if s.next != nil {
+			continue // a handshake carried a newer ring
 		}
-		var due <-chan time.Time
-		if next > 0 {
+		due := ship()
+		for _, m := range s.members {
+			if m.client == nil {
+				due = earliest(due, m.dialAt)
+			}
+		}
+		var dueCh <-chan time.Time
+		if !due.IsZero() {
 			if !timer.Stop() {
 				select {
 				case <-timer.C:
 				default:
 				}
 			}
-			timer.Reset(next)
-			due = timer.C
+			timer.Reset(time.Until(due))
+			dueCh = timer.C
 		}
 		select {
 		case <-s.stop:
-			s.drain(client, pending)
-			return
-		case <-s.detach:
-			s.detached <- pending
+			s.drain(&batch, &enc)
 			return
 		case <-s.wake:
-		case <-due:
-		case <-pollCh:
-			if !s.poll(client) {
-				disconnect()
+		case <-dueCh:
+		case <-pt.C:
+			for _, m := range s.members {
+				if m.client != nil && !s.poll(m) {
+					s.disconnect(m)
+				}
 			}
 		}
 	}
 }
 
-// Detach stops the shipper WITHOUT draining and returns every record it
-// still holds — the unacknowledged in-flight batch plus the buffered
-// ring, in original order. Records already acknowledged onto the wire
-// are not included. This is the rebalance path: when the ring moves a
-// hash range away from this shipper's collector, the records en route
-// to the old owner must be re-routed, not dropped and not flushed to
-// the wrong collector. Detach after Close (or a second Detach) returns
-// nil. Returned records are NOT counted as dropped — the caller owns
-// them now.
-func (s *ShipperSink) Detach() []probe.Record {
-	if !s.closed.CompareAndSwap(false, true) {
-		<-s.done
-		return nil
+// holding reports whether some member holds a part.
+func (s *ShipperSink) holding() bool {
+	for _, m := range s.members {
+		if len(m.part) > 0 {
+			return true
+		}
 	}
-	close(s.detach)
-	pending := <-s.detached
-	<-s.done
-	// The caller owns the unacked batch now; it is no longer in flight.
-	s.settle(len(pending))
-	// The loop has exited; the ring is quiescent. Take whatever remains.
-	if left := s.ring.Buffered(); left > 0 {
-		pending = s.ring.PopInto(pending, left)
-	}
-	return pending
+	return false
 }
 
-// drain makes a final effort to deliver the remaining records and the
-// closing account, every call bounded by what is left of Close's budget.
-func (s *ShipperSink) drain(client transport.Client, pending []probe.Record) {
+// earliest is the earlier of two times, the zero time standing for none.
+func earliest(a, b time.Time) time.Time {
+	if a.IsZero() || (!b.IsZero() && b.Before(a)) {
+		return b
+	}
+	return a
+}
+
+// drain makes a final effort to deliver every part and the rest of the
+// ring, then sends each connected member its closing account: what the
+// split gave it, shipped and dropped, as they will stand after Close
+// returns. Every call is bounded by what is left of Close's budget, and a
+// member that cannot be reached in it loses its part.
+func (s *ShipperSink) drain(batch *[]probe.Record, enc *probe.FrameEncoder) {
 	deadline := s.drainBy
-	defer func() {
-		if client != nil {
-			client.Close()
-		}
-		s.connected.Store(false)
-		// Whatever is still queued did not make it.
-		s.dropped.Add(uint64(len(pending)))
-		s.settle(len(pending))
-		if left := s.ring.Buffered(); left > 0 {
-			rest := s.ring.PopInto(nil, left)
-			s.dropped.Add(uint64(len(rest)))
-		}
-	}()
-	if client == nil {
-		if !time.Now().Before(deadline) {
-			return
-		}
-		if client = s.connect(); client == nil {
-			return
+	budget := func() time.Duration { return max(time.Until(deadline), time.Nanosecond) }
+	for _, m := range s.members {
+		if m.client == nil && time.Now().Before(deadline) {
+			s.connect(m, budget())
 		}
 	}
-	var enc probe.FrameEncoder
 	for time.Now().Before(deadline) {
-		if len(pending) == 0 {
-			pending = s.take(pending, s.cfg.BatchSize)
+		for _, m := range s.members {
+			if m.client == nil {
+				s.dropPart(m)
+			}
 		}
-		if len(pending) == 0 {
-			break
-		}
-		payload := enc.Encode(pending)
-		rep, err := client.Call(transport.Request{
-			ObjectKey: ObjectKey, Operation: opShip, Body: payload,
-			Timeout: max(time.Until(deadline), time.Nanosecond),
-		})
-		if err == nil && rep.Status == transport.StatusUserException {
-			// Not kept: try again after a backoff, within the budget.
-			time.Sleep(min(Jitter(s.cfg.BackoffMin), time.Until(deadline)))
+		if !s.holding() {
+			if *batch = s.take(*batch, s.cfg.BatchSize); len(*batch) == 0 {
+				break
+			}
+			s.split(batch)
 			continue
 		}
-		if err != nil || rep.Status != transport.StatusOK {
-			return
+		for _, m := range s.members {
+			if len(m.part) == 0 || m.client == nil {
+				continue
+			}
+			switch s.send(m, enc, budget()) {
+			case refused:
+				// Not kept: try again after a backoff, within the budget.
+				time.Sleep(min(Jitter(s.cfg.BackoffMin), time.Until(deadline)))
+			case failed:
+				s.disconnect(m)
+			}
 		}
-		s.shipped.Add(uint64(len(pending)))
-		s.batches.Add(1)
-		s.bytes.Add(uint64(len(payload)))
-		s.settle(len(pending))
-		pending = pending[:0]
 	}
-	// Closing account: everything still queued at this point is about to
-	// be dropped by the deferred cleanup, so fold it in now — the frame
-	// must carry the numbers as they will stand after Close returns.
-	final := ShipperFinal{
-		Appended: s.appended.Load(),
-		Dropped:  s.dropped.Load() + uint64(len(pending)) + uint64(s.ring.Buffered()),
-		Shipped:  s.shipped.Load(),
+	// Whatever is still queued did not make it: it goes to its owner's
+	// account, dropped.
+	if left := s.buf.Buffered(); left > 0 {
+		*batch = s.take(*batch, left)
+		s.split(batch)
 	}
-	// A sync call: the reply proves the server holds the account and every
-	// frame before it. A wedged server must not hang Close, so the wait is
-	// bounded by what remains of the drain budget, and the account is
-	// written even when none remains. Its error changes nothing: the
-	// connection closes next either way.
-	_, _ = client.Call(transport.Request{
-		ObjectKey: ObjectKey, Operation: opStats, Body: encodeFinal(final),
-		Timeout: max(time.Until(deadline), time.Nanosecond),
-	})
+	for _, m := range s.members {
+		s.dropPart(m)
+	}
+	for _, m := range s.members {
+		if m.client == nil {
+			continue
+		}
+		// A sync call: the reply proves the server holds the account and
+		// every frame before it. A wedged server must not hang Close, so
+		// the wait is bounded by what remains of the budget, and the
+		// account is written even when none remains. Its error changes
+		// nothing: the connection closes next either way.
+		final := ShipperFinal{Appended: m.appended, Dropped: m.dropped, Shipped: m.shipped.Load()}
+		_, _ = m.client.Call(transport.Request{
+			ObjectKey: ObjectKey, Operation: opStats, Body: encodeFinal(final), Timeout: budget(),
+		})
+		s.disconnect(m)
+	}
 }

@@ -111,10 +111,11 @@ const (
 	opHello = "hello"
 	// opShip (sync) carries one record frame (probe/frame.go); the empty StatusOK
 	// reply acknowledges that the frame is kept (journaled, where the
-	// collector journals) and ingested. Shippers hold a batch as pending
-	// until the ack arrives, so a collector dying mid-frame loses
-	// nothing — the batch is retried on reconnect (or re-routed by
-	// Detach), and receivers deduplicate by record identity.
+	// collector journals) and ingested. A shipper holds each member's
+	// part until the ack arrives, so a collector dying mid-frame loses
+	// nothing — the part is sent again on reconnect, or goes back
+	// through the split when a new ring drops the member — and
+	// receivers deduplicate by record identity.
 	opShip = "ship"
 	// opPoll (sync, empty request) asks for the handshake reply again: the
 	// current ring, so a rebalance (collector joined or died) re-routes

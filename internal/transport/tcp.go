@@ -608,13 +608,24 @@ func (c *TCPClient) writeRequest(req Request) error {
 var _ Client = (*TCPClient)(nil)
 
 // DialTCP connects to a TCPServer.
-func DialTCP(addr string) (*TCPClient, error) { return DialTCPMetered(addr, nil) }
+func DialTCP(addr string) (*TCPClient, error) { return dialTCP(addr, 0, nil) }
+
+// DialTCPTimeout is DialTCP with the connect bounded by timeout, so an
+// unreachable host fails in that time rather than the system's.
+func DialTCPTimeout(addr string, timeout time.Duration) (*TCPClient, error) {
+	return dialTCP(addr, timeout, nil)
+}
 
 // DialTCPMetered is DialTCP with wire-traffic counters attached. The
 // counters must be supplied at dial time: the read loop starts
 // immediately and reads the field without synchronization.
 func DialTCPMetered(addr string, ns *metrics.NetStats) (*TCPClient, error) {
-	conn, err := net.Dial("tcp", addr)
+	return dialTCP(addr, 0, ns)
+}
+
+// dialTCP connects, within timeout when it is positive.
+func dialTCP(addr string, timeout time.Duration, ns *metrics.NetStats) (*TCPClient, error) {
+	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}

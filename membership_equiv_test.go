@@ -150,7 +150,7 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rs, err := cluster.NewRouted(cluster.RouterConfig{Ring: ring1, Shipper: fanoutTemplate("auto-kill")})
+			rs, err := telemetry.NewShipper(fanoutConfig("auto-kill", ring1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,7 +327,7 @@ func TestMembershipAutomatedKillRejoinSeeds(t *testing.T) {
 			if err := rs.Close(); err != nil {
 				t.Fatal(err)
 			}
-			combined := rs.Combined()
+			combined := rs.Stats()
 			if combined.Dropped != 0 || combined.Appended != uint64(len(recs)) {
 				t.Fatalf("router lost records across the outage: %+v over %d", combined, len(recs))
 			}
