@@ -227,8 +227,8 @@ func TestRoutedShipperLandsChainsWhole(t *testing.T) {
 // by a three-member ring at zero allocations, as telemetry's
 // TestAppendAllocFree pins a lone collector's: one ring-buffer push,
 // whatever the ring, since the split by owner happens on the loop. The
-// members are parked in an hour-long reconnect backoff, so the loop holds
-// its first parts and takes nothing more.
+// members are parked in an hour-long reconnect backoff, so none is
+// connected and the loop takes nothing.
 func TestRoutedShipperAppendAllocFree(t *testing.T) {
 	ring, err := Assign(1, DefaultSlots, Members("a", "b", "c"))
 	if err != nil {

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"time"
 
 	"causeway/internal/probe"
 	"causeway/internal/transport"
@@ -27,21 +28,27 @@ func DialCourier(addr, process string, dial func(string) (transport.Client, erro
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: courier dial %s: %w", addr, err)
 	}
-	hello := encodeHello(Hello{Version: ProtocolVersion, Process: process, ProcType: "collector"})
-	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello})
-	if err != nil {
+	if _, err := handshake(client, Hello{Version: ProtocolVersion, Process: process, ProcType: "collector"}, 0); err != nil {
 		client.Close()
 		return nil, fmt.Errorf("telemetry: courier handshake with %s: %w", addr, err)
 	}
-	if rep.Status != transport.StatusOK {
-		client.Close()
-		return nil, fmt.Errorf("telemetry: courier handshake rejected by %s: %s", addr, rep.Body)
-	}
-	if _, err := decodeHelloReply(rep.Body); err != nil {
-		client.Close()
-		return nil, err
-	}
 	return &Courier{client: client}, nil
+}
+
+// handshake sends h on c, bounded by timeout, and returns the collector's
+// reply. A rejection carries the server's own error text — for a version
+// mismatch, the loud and clear error a mixed-version deployment needs —
+// and a server of another version is refused by the reply's leading
+// version octet.
+func handshake(c transport.Client, h Hello, timeout time.Duration) (HelloReply, error) {
+	rep, err := c.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: encodeHello(h), Timeout: timeout})
+	if err != nil {
+		return HelloReply{}, err
+	}
+	if rep.Status != transport.StatusOK {
+		return HelloReply{}, fmt.Errorf("telemetry: handshake rejected: %s", rep.Body)
+	}
+	return decodeHelloReply(rep.Body)
 }
 
 // Replay ships one batch of replayed records and returns how many the

@@ -141,96 +141,153 @@ func TestShipperHandsDownMembersPartToNewOwner(t *testing.T) {
 	assertInOrderOnce(t, a.sink.Snapshot(), recs)
 }
 
-// While a member holds an unsent part the loop takes nothing more: the
-// process's records wait in its one ring, so what it holds stays within
-// the ring and one batch, and drop-oldest is the only loss.
-func TestShipperWaitsInItsRingWhileAMemberHolds(t *testing.T) {
+// A member that is down holds only its own part: with no ring change, the
+// live member keeps receiving every chain it owns, in order, none dropped,
+// and the down member's part stays within the ring's record capacity,
+// losing its oldest records into its own account.
+func TestShipperShipsPastADownMember(t *testing.T) {
 	a := startRingServer(t)
 	const down = "down:1"
-	ring1 := testRing(1, a.Addr(), down)
-	cfg := routeConfig(ring1, func(addr string) (transport.Client, error) {
+	ring := testRing(1, a.Addr(), down)
+	cfg := routeConfig(ring, func(addr string) (transport.Client, error) {
 		if addr == down {
 			return nil, errors.New("collector down")
 		}
 		return transport.DialTCP(addr)
 	})
-	cfg.BufferSize = 16
+	cfg.BufferSize = 128
+	const partCap = 4 * 128
 	sh, err := NewShipper(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sh.Close()
+	waitFor(t, func() bool { return sh.Stats().Connected }, "the live member's handshake")
 
-	recs := chainSpans(40, 10)
+	recs := chainSpans(100, 20)
+	var live []probe.Record
 	for i, r := range recs {
+		if m, _ := ring.OwnerOf(RouteUUID(&r)); m.ID != down {
+			live = append(live, r)
+		}
 		sh.Append(r)
-		if i%20 == 19 {
-			time.Sleep(time.Millisecond) // let the loop take what it will
+		if i%10 == 9 {
+			time.Sleep(time.Millisecond)
 		}
 	}
-	st := sh.Stats()
-	if st.Buffered > 2*16 || st.Dropped == 0 || st.Shipped+st.Dropped+uint64(st.Buffered) != uint64(len(recs)) {
-		t.Fatalf("with a member down: %+v; want at most the ring and one batch held, the rest shipped or dropped oldest first", st)
+	owned := len(recs) - len(live)
+	if owned <= partCap || len(live) == 0 {
+		t.Fatalf("the down member owns %d of %d records; the test needs more than its part's %d, and some live", owned, len(recs), partCap)
 	}
-	a.serve(testRing(2, a.Addr()))
-	waitFor(t, func() bool { return sh.Stats().Buffered == 0 }, "the held records shipped under the new ring")
-	if after := sh.Stats(); after.Dropped != st.Dropped || after.Shipped+after.Dropped != uint64(len(recs)) {
-		t.Fatalf("after the new epoch: %+v, want no loss beyond the ring's %d", after, st.Dropped)
+	waitFor(t, func() bool { return sh.Stats().Shipped == uint64(len(live)) }, "every live-owned record shipped")
+	st := sh.Stats()
+	if st.Dropped == 0 || st.Buffered > partCap || st.Dropped+uint64(st.Buffered) != uint64(owned) {
+		t.Fatalf("with a member down: %+v; want the down member's %d records held (at most %d) or dropped, nothing else", st, owned, partCap)
+	}
+	assertInOrderOnce(t, a.sink.Snapshot(), live)
+
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sh.Stats(); st.Shipped != uint64(len(live)) || st.Dropped != uint64(owned) || st.Buffered != 0 {
+		t.Fatalf("after Close: %+v, want %d shipped and the down member's %d dropped", st, len(live), owned)
+	}
+	accts := a.PeerAccounting()
+	if len(accts) != 1 || accts[0].Shipper != (ShipperFinal{Appended: uint64(len(live)), Shipped: uint64(len(live))}) {
+		t.Fatalf("the live member's closing account: %+v, want all %d of its records shipped, none dropped", accts, len(live))
+	}
+}
+
+// A collector slower to acknowledge than DrainTimeout still makes
+// progress: a running ship call is not bounded by Close's budget, so every
+// frame goes once and the connection stays up.
+func TestShipperWaitsForSlowAck(t *testing.T) {
+	tsrv, err := transport.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tsrv.Close()
+	const delay = 150 * time.Millisecond
+	var ships, records atomic64
+	if err := tsrv.Serve(func(conn transport.ConnID, req transport.Request, respond transport.Responder) {
+		switch req.Operation {
+		case opHello:
+			respond(transport.Reply{Status: transport.StatusOK, Body: encodeHelloReply(HelloReply{Version: ProtocolVersion})})
+		case opShip:
+			var dec probe.FrameDecoder
+			recs, err := dec.Decode(req.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			ships.add(1)
+			records.add(uint64(len(recs)))
+			go func() {
+				time.Sleep(delay)
+				respond(transport.Reply{Status: transport.StatusOK})
+			}()
+		default:
+			if !req.Oneway {
+				respond(transport.Reply{Status: transport.StatusOK})
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sh := fastShipperDrain(t, tsrv.Addr(), "p1", 1024, delay/3)
+	defer sh.Close()
+	const n = 300
+	for i := 1; i <= n; i++ {
+		sh.Append(testRecord("p1", uint64(i)))
+		if i%100 == 0 {
+			time.Sleep(delay / 2)
+		}
+	}
+	waitFor(t, func() bool { return sh.Stats().Shipped == n }, "every record acknowledged")
+	st := sh.Stats()
+	if st.Reconnects != 0 || ships.load() != st.Batches || records.load() != n {
+		t.Fatalf("%+v: the collector took %d frames of %d records, want each of the %d frames once, no reconnect", st, ships.load(), records.load(), st.Batches)
 	}
 }
 
 // wedgedClient answers everything but ship calls, which it leaves
-// unanswered until the call's Timeout passes, as a collector whose journal
+// unanswered until the connection is closed, as a collector whose journal
 // has stalled does.
 type wedgedClient struct {
 	transport.Client
-	t     *testing.T
-	mu    sync.Mutex
-	ships int
+	ships  *atomic64
+	once   sync.Once
+	closed chan struct{}
 }
 
 func (w *wedgedClient) Call(req transport.Request) (transport.Reply, error) {
 	if req.Operation != opShip {
 		return w.Client.Call(req)
 	}
-	w.mu.Lock()
-	w.ships++
-	w.mu.Unlock()
-	if req.Timeout <= 0 {
-		w.t.Error("ship call without a bound would wait forever")
-	}
-	time.Sleep(req.Timeout)
-	return transport.Reply{}, fmt.Errorf("ship: %w", transport.ErrDeadlineExceeded)
+	w.ships.add(1)
+	<-w.closed
+	return transport.Reply{}, transport.ErrClosed
 }
 
-func (w *wedgedClient) wedged() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.ships
+func (w *wedgedClient) Close() error {
+	w.once.Do(func() { close(w.closed) })
+	return w.Client.Close()
 }
 
-// A member whose ship calls never return does not stop the others once the
-// served ring drops it: its part reaches the new owner, and so does
-// everything after, with nothing dropped.
+// A member whose ship calls never return does not stop the others: they
+// ship while its call hangs, and once the served ring drops it, its part
+// reaches the new owner, and so does everything after, with nothing
+// dropped.
 func TestShipperOutlivesWedgedMember(t *testing.T) {
 	a, b := startRingServer(t), startRingServer(t)
 	ring1 := testRing(1, a.Addr(), b.Addr())
 	a.serve(ring1)
 	b.serve(ring1)
-	var wedge *wedgedClient
-	var wmu sync.Mutex
+	var wedged atomic64
 	cfg := routeConfig(ring1, func(addr string) (transport.Client, error) {
 		c, err := transport.DialTCP(addr)
 		if err != nil || addr != b.Addr() {
 			return c, err
 		}
-		wmu.Lock()
-		defer wmu.Unlock()
-		if wedge == nil {
-			wedge = &wedgedClient{t: t}
-		}
-		wedge.Client = c
-		return wedge, nil
+		return &wedgedClient{Client: c, ships: &wedged, closed: make(chan struct{})}, nil
 	})
 	cfg.DrainTimeout = 100 * time.Millisecond
 	sh, err := NewShipper(cfg)
@@ -244,11 +301,14 @@ func TestShipperOutlivesWedgedMember(t *testing.T) {
 	for _, r := range first {
 		sh.Append(r)
 	}
-	waitFor(t, func() bool {
-		wmu.Lock()
-		defer wmu.Unlock()
-		return wedge != nil && wedge.wedged() > 0
-	}, "a ship call wedged on the member")
+	waitFor(t, func() bool { return wedged.load() > 0 }, "a ship call wedged on the member")
+	aOwned := 0
+	for i := range first {
+		if m, _ := ring1.OwnerOf(RouteUUID(&first[i])); m.ID == a.Addr() {
+			aOwned++
+		}
+	}
+	waitFor(t, func() bool { return a.Stats().Records == uint64(aOwned) }, "the other member's records shipped past the wedged call")
 
 	ring2 := testRing(2, a.Addr())
 	a.serve(ring2)
@@ -326,5 +386,68 @@ func TestShipperShipsLongSpans(t *testing.T) {
 	case <-closed:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return")
+	}
+}
+
+// BenchmarkShipperTier ships 4-record spans of 1024 chains from one process
+// to a tier of collectors on loopback, as fast as a window of 4096
+// unacknowledged records allows (waiting 200µs while it is full, as the
+// ingest benchmark's generator does), and reports records/s and ship
+// frames per record.
+func BenchmarkShipperTier(b *testing.B) {
+	for _, n := range []int{1, 3} {
+		b.Run(fmt.Sprintf("members=%d", n), func(b *testing.B) {
+			addrs := make([]string, n)
+			srvs := make([]*Server, n)
+			for i := range addrs {
+				srv, err := Listen("127.0.0.1:0", ServerConfig{Sinks: []probe.Sink{&probe.CountingSink{}}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer srv.Close()
+				addrs[i], srvs[i] = srv.Addr(), srv
+			}
+			sh, err := NewShipper(ShipperConfig{Ring: testRing(1, addrs...), Process: testProc("p1")})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer sh.Close()
+			for sh.Stats().Connects < uint64(n) {
+				time.Sleep(time.Millisecond)
+			}
+			recs := chainSpans(1024, 4)
+			spans := make([][]probe.Record, 0, 1024)
+			for c := 0; c < 1024; c++ {
+				span := make([]probe.Record, 4)
+				for seq := range span {
+					span[seq] = recs[seq*1024+c]
+				}
+				spans = append(spans, span)
+			}
+			const window = 4096
+			b.ResetTimer()
+			start := time.Now()
+			for i := 0; i < b.N; i++ {
+				for i%16 == 0 && sh.Stats().Buffered > window {
+					time.Sleep(200 * time.Microsecond)
+				}
+				sh.AppendSpan(spans[i%len(spans)])
+			}
+			for sh.Stats().Buffered > 0 {
+				time.Sleep(200 * time.Microsecond)
+			}
+			elapsed := time.Since(start)
+			b.StopTimer()
+			st := sh.Stats()
+			var ingested uint64
+			for _, srv := range srvs {
+				ingested += srv.Stats().Records
+			}
+			if st.Dropped != 0 || ingested != st.Shipped || st.Shipped != st.Appended {
+				b.Fatalf("%+v, %d ingested", st, ingested)
+			}
+			b.ReportMetric(float64(st.Shipped)/elapsed.Seconds(), "records/s")
+			b.ReportMetric(float64(st.Batches)/float64(st.Shipped), "frames/record")
+		})
 	}
 }

@@ -53,10 +53,8 @@ type ShipperConfig struct {
 	BackoffMax time.Duration
 	// DrainTimeout bounds how long Close waits to deliver the remaining
 	// buffer, a ship call the collector has not answered yet included;
-	// default 2s. It also bounds every dial and call while the shipper
-	// runs: a member that leaves a call unanswered that long is
-	// reconnected, so a wedged or unreachable collector cannot hold the
-	// one loop past it.
+	// default 2s. The default Dial's connect is bounded by it too. A
+	// running ship call is not: it holds up only its own member.
 	DrainTimeout time.Duration
 	// Dial overrides the transport dialer (tests); default
 	// transport.DialTCPTimeout within DrainTimeout.
@@ -139,24 +137,36 @@ type ShipperStats struct {
 	NoOwner    uint64 // records the ring gave no member (a ring bug guard), counted dropped too
 }
 
+// callFloor is the least bound on a running hello or poll call, and how
+// long a ring change waits for a ship call in flight before it closes that
+// member's connection. A running ship call has no bound of its own: it
+// holds up only its own member, so a slow collector is waited for.
+const callFloor = 10 * time.Second
+
 // ShipperSink is a probe.Sink that streams records to the members of a
 // collector ring over TCP. The probe hot path (Append/AppendSpan) is
 // lock-free: records land in one probe.SpanRing with one CAS and one cell
 // copy, and never perform I/O, block on the sender, or contend on a mutex,
 // however many collectors the ring has.
 //
-// One background loop does the rest. While some member is connected, it
-// takes a batch from the ring, splits it by owner under the current ring
-// (Ring.OwnerOf(RouteUUID): a chain, and the links its parent recorded,
-// ride one member), and ships each member's part on that member's
-// connection, keeping every member connected with its own exponential
-// backoff + jitter. A part leaves the
-// loop only when its member acknowledges it; until then the loop takes
-// nothing more, so the process's records wait in the one ring, where
-// drop-oldest is the only loss. A newer ring from any member's handshake
-// or poll reply changes where the next take goes, and every part no
-// member has acknowledged goes back through the split under it first, so
-// each collector still sees a chain's records in order.
+// One background loop does the rest, and never waits on the network
+// itself: every dial, poll and ship call runs off the loop, at most one
+// per member at a time, and reports back to it. While some connected
+// member could ship, the loop takes a batch from the ring and splits it by
+// owner under the current ring (Ring.OwnerOf(RouteUUID): a chain, and the
+// links its parent recorded, ride one member) into each member's part;
+// every member that is free ships its part, at most BatchSize records a
+// frame. A member that is down, backing off a refusal or waiting on a call
+// holds its part while the others ship theirs; the part grows to no more
+// than the ring's record capacity, past which its oldest records are
+// dropped into that member's own account. Records wait in the ring only
+// while no member is connected, and drop-oldest bounds them there.
+//
+// A newer ring from any member's handshake or poll reply is applied once
+// no ship call is in flight: members it drops are disconnected at once, so
+// a call they leave unanswered returns, and every part no member has
+// acknowledged goes back through the split under it before the next take,
+// so each collector still sees a chain's records in order.
 //
 // BufferSize bounds the ring's span cells; a cell holds one span (up to 4
 // records when spans are batched, exactly 1 for plain Append), so single-
@@ -165,12 +175,14 @@ type ShipperStats struct {
 type ShipperSink struct {
 	cfg ShipperConfig
 
-	buf    *probe.SpanRing
-	closed atomic.Bool
+	buf     *probe.SpanRing
+	partCap int // records a member's part may hold: the ring's record capacity
+	closed  atomic.Bool
 
-	wake chan struct{} // nudges the background loop; capacity 1
-	stop chan struct{}
-	done chan struct{}
+	wake    chan struct{} // nudges the background loop; capacity 1
+	stop    chan struct{}
+	done    chan struct{}
+	results chan callResult // calls report back to the loop here
 
 	appended   atomic.Uint64
 	dropped    atomic.Uint64
@@ -186,32 +198,44 @@ type ShipperSink struct {
 	noOwner    atomic.Uint64
 	lastErr    atomic.Value // string: most recent handshake/protocol error
 
-	// ring and members (parallel to ring.Members) are the loop's; it
-	// writes them, and every member's client, under mu, which the cut,
-	// Ring and WriteMetrics read under.
+	// The loop's own: a newer valid ring a reply carried, applied once no
+	// ship call is in flight; the calls in flight; whether Close began.
+	next     *Ring
+	calls    int
+	draining bool
+
+	// ring and members (parallel to ring.Members) are the loop's too; it
+	// writes them under mu, which Ring and WriteMetrics read under.
 	mu      sync.Mutex
 	ring    Ring
 	members []*member
-	next    *Ring // a newer valid ring a reply carried, applied between rounds; the loop's own
 
-	// drainBy is when Close's budget ends, written before stop is closed.
-	// Once it has passed, cut is set and every member's connection closed,
-	// and so is every connection made after: a call a collector never
-	// answers returns, and Close with it.
+	// live holds every open connection, under mu. drainBy is when Close's
+	// budget ends, written before stop is closed. Once it has passed, cut
+	// is set and every live connection closed, and so is every connection
+	// made after: a call a collector never answers returns, and Close
+	// with it.
+	live    map[transport.Client]struct{}
 	drainBy time.Time
 	cut     bool
 }
 
 // member is one ring member's connection and account. Everything but
-// shipped is the loop's own.
+// shipped is the loop's own; while busy, sending and enc are the call's.
 type member struct {
 	id, addr  string
 	client    transport.Client // nil until a handshake succeeds
 	handshook bool             // a handshake has succeeded before
+	busy      bool             // a dial, poll or ship call is in flight
+	pollDue   bool             // a poll waits for the call in flight
+	gone      bool             // a newer ring drops the member
 	backoff   time.Duration
-	dialAt    time.Time // the next connect attempt, no sooner
-	part      []probe.Record
-	retryAt   time.Time // a refused part goes again no sooner
+	dialAt    time.Time          // the next connect attempt, no sooner
+	retryAt   time.Time          // a refused part goes again no sooner
+	sentAt    time.Time          // when the member's previous frame went
+	part      []probe.Record     // taken for the member, not yet sent; oldest first
+	sending   []probe.Record     // the ship call in flight's records
+	enc       probe.FrameEncoder // the member's encode buffer
 
 	// The member's closing account: records the split gave it (less
 	// what went back through the split), and what became of them.
@@ -232,12 +256,15 @@ func NewShipper(cfg ShipperConfig) (*ShipperSink, error) {
 		return nil, err
 	}
 	s := &ShipperSink{
-		cfg:  cfg,
-		buf:  probe.NewSpanRing(cfg.BufferSize),
-		wake: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-		ring: cfg.Ring,
+		cfg:     cfg,
+		buf:     probe.NewSpanRing(cfg.BufferSize),
+		partCap: 4 * cfg.BufferSize,
+		wake:    make(chan struct{}, 1),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
+		results: make(chan callResult),
+		ring:    cfg.Ring,
+		live:    make(map[transport.Client]struct{}),
 	}
 	s.members = s.membersFor(cfg.Ring, nil)
 	go s.loop()
@@ -385,27 +412,33 @@ func (s *ShipperSink) Close() error {
 	return nil
 }
 
-// setClient makes c m's connection, the one the cut closes; false when
-// the cut has happened already.
-func (s *ShipperSink) setClient(m *member, c transport.Client) bool {
+// track adds c to the connections the cut closes; false when the cut has
+// happened already.
+func (s *ShipperSink) track(c transport.Client) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cut && c != nil {
+	if s.cut {
 		return false
 	}
-	m.client = c
+	s.live[c] = struct{}{}
 	return true
 }
 
-// cutLive closes every member's connection and refuses every later one.
+// untrack closes c and forgets it.
+func (s *ShipperSink) untrack(c transport.Client) {
+	s.mu.Lock()
+	delete(s.live, c)
+	s.mu.Unlock()
+	c.Close()
+}
+
+// cutLive closes every live connection and refuses every later one.
 func (s *ShipperSink) cutLive() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cut = true
-	for _, m := range s.members {
-		if m.client != nil {
-			m.client.Close()
-		}
+	for c := range s.live {
+		c.Close()
 	}
 }
 
@@ -416,7 +449,7 @@ func (s *ShipperSink) membersFor(r Ring, old []*member) []*member {
 	for i, rm := range r.Members {
 		for _, m := range old {
 			if m.id == rm.ID && m.addr == rm.Addr {
-				out[i] = m
+				out[i], m.gone = m, false
 			}
 		}
 		if out[i] == nil {
@@ -426,55 +459,193 @@ func (s *ShipperSink) membersFor(r Ring, old []*member) []*member {
 	return out
 }
 
-// connect dials m and handshakes once, the call bounded by timeout; false
-// on failure. Protocol-level rejections (version mismatch above all) are
-// preserved in LastError so the endless reconnect loop stays diagnosable.
-func (s *ShipperSink) connect(m *member, timeout time.Duration) bool {
+// callKind is which call a member has in flight.
+type callKind uint8
+
+const (
+	callDial callKind = iota
+	callPoll
+	callShip
+)
+
+// shipResult is how a part's ship call ended.
+type shipResult uint8
+
+const (
+	acked    shipResult = iota // the collector ingested the records
+	rejected                   // a protocol rejection: nothing a retry can fix, dropped
+	refused                    // not kept: the part goes again after a backoff
+	failed                     // the connection is dead
+)
+
+// callResult is what a call off the loop reports back to it.
+type callResult struct {
+	m      *member
+	kind   callKind
+	client transport.Client // callDial: the handshaken connection, nil on failure
+	reply  *HelloReply      // callDial, callPoll: what the collector said, if it said anything
+	dead   bool             // callPoll: the connection failed
+	ship   shipResult       // callShip
+	bytes  int              // callShip: the frame's payload bytes
+}
+
+// start runs a call for m off the loop, on m's connection c, bounded by
+// timeout; m is busy until its result is back.
+func (s *ShipperSink) start(m *member, kind callKind, c transport.Client, timeout time.Duration) {
+	m.busy = true
+	s.calls++
+	go func() {
+		var r callResult
+		switch kind {
+		case callDial:
+			r = s.dial(m, timeout)
+		case callPoll:
+			r = s.poll(c, timeout)
+		case callShip:
+			r = s.send(m, c, timeout)
+		}
+		r.m, r.kind = m, kind
+		s.results <- r
+	}()
+}
+
+// timeout bounds a call of the given kind the loop starts: what is left of
+// Close's budget once it has begun; before, callFloor for a dial or poll,
+// and nothing for a ship call.
+func (s *ShipperSink) timeout(kind callKind) time.Duration {
+	switch {
+	case s.draining:
+		return max(time.Until(s.drainBy), time.Nanosecond)
+	case kind == callShip:
+		return 0
+	}
+	return max(s.cfg.DrainTimeout, callFloor)
+}
+
+// dial connects to m and handshakes once. Protocol-level rejections
+// (version mismatch above all) are preserved in LastError so the endless
+// reconnect loop stays diagnosable.
+func (s *ShipperSink) dial(m *member, timeout time.Duration) callResult {
 	client, err := s.cfg.Dial(m.addr)
 	if err != nil {
 		s.lastErr.Store(err.Error())
-		return false
+		return callResult{}
 	}
-	if !s.setClient(m, client) {
+	if !s.track(client) {
 		client.Close()
-		return false
+		return callResult{}
 	}
-	fail := func(msg string) bool {
-		s.lastErr.Store(msg)
-		s.setClient(m, nil)
-		client.Close()
-		return false
-	}
-	hello := encodeHello(Hello{
+	hr, err := handshake(client, Hello{
 		Version:   ProtocolVersion,
 		Process:   s.cfg.Process.ID,
 		ProcType:  s.cfg.Process.Processor.Type,
 		DebugAddr: s.cfg.DebugAddr,
-	})
-	rep, err := client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opHello, Body: hello, Timeout: timeout})
+	}, timeout)
 	if err != nil {
-		return fail(err.Error())
-	}
-	if rep.Status != transport.StatusOK {
-		// The reply body carries the server's rejection — for a version
-		// mismatch, the loud and clear error this satellite exists for.
-		return fail(fmt.Sprintf("telemetry: handshake rejected: %s", rep.Body))
-	}
-	// A server of another version is refused here, by the reply's leading
-	// version octet.
-	hr, err := decodeHelloReply(rep.Body)
-	if err != nil {
-		return fail(err.Error())
+		s.lastErr.Store(err.Error())
+		s.untrack(client)
+		return callResult{}
 	}
 	s.lastErr.Store("")
-	s.learn(hr)
-	s.connects.Add(1)
-	if m.handshook {
-		s.reconnects.Add(1)
+	return callResult{client: client, reply: &hr}
+}
+
+// poll asks a member's collector for its reply again.
+func (s *ShipperSink) poll(c transport.Client, timeout time.Duration) callResult {
+	rep, err := c.Call(transport.Request{ObjectKey: ObjectKey, Operation: opPoll, Timeout: timeout})
+	if err != nil {
+		return callResult{dead: true}
 	}
-	m.handshook = true
-	s.connected.Add(1)
-	return true
+	if rep.Status == transport.StatusOK {
+		if hr, err := decodeHelloReply(rep.Body); err == nil {
+			return callResult{reply: &hr}
+		}
+	}
+	return callResult{}
+}
+
+// send ships m's sending records on c. Acknowledged shipment: the records
+// leave m only once the collector confirms ingestion. A frame written onto
+// a socket whose far end just died would otherwise be counted shipped and
+// silently lost — the kill-a-collector hole. Sending an
+// ingested-but-unacknowledged part again is safe: the stores deduplicate
+// by record identity.
+func (s *ShipperSink) send(m *member, c transport.Client, timeout time.Duration) callResult {
+	payload := m.enc.Encode(m.sending)
+	rep, err := c.Call(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: payload, Timeout: timeout})
+	switch {
+	case err != nil:
+		return callResult{ship: failed}
+	case rep.Status == transport.StatusUserException:
+		// The collector could not keep the frame: the part is not
+		// acknowledged and goes again after a backoff, not at the
+		// producers' rate.
+		s.lastErr.Store(fmt.Sprintf("telemetry: ship not kept: %s", rep.Body))
+		return callResult{ship: refused}
+	case rep.Status != transport.StatusOK:
+		s.lastErr.Store(fmt.Sprintf("telemetry: ship rejected: %s", rep.Body))
+		return callResult{ship: rejected}
+	}
+	return callResult{ship: acked, bytes: len(payload)}
+}
+
+// finish takes a call's result back onto the loop.
+func (s *ShipperSink) finish(r callResult) {
+	m := r.m
+	m.busy = false
+	s.calls--
+	switch r.kind {
+	case callDial:
+		if r.client == nil {
+			// Jittered exponential backoff, per member.
+			m.dialAt = time.Now().Add(Jitter(m.backoff))
+			m.backoff = min(2*m.backoff, s.cfg.BackoffMax)
+			return
+		}
+		if m.gone {
+			s.untrack(r.client)
+			return
+		}
+		m.client, m.backoff = r.client, s.cfg.BackoffMin
+		s.connects.Add(1)
+		if m.handshook {
+			s.reconnects.Add(1)
+		}
+		m.handshook = true
+		s.connected.Add(1)
+		s.learn(*r.reply)
+	case callPoll:
+		if r.dead {
+			s.disconnect(m)
+		} else if r.reply != nil {
+			s.learn(*r.reply)
+		}
+	case callShip:
+		switch r.ship {
+		case acked:
+			n := len(m.sending)
+			s.shipped.Add(uint64(n))
+			m.shipped.Add(uint64(n))
+			s.batches.Add(1)
+			s.bytes.Add(uint64(r.bytes))
+			s.settle(n)
+			m.sending = m.sending[:0]
+		case rejected:
+			s.dropped.Add(uint64(len(m.sending)))
+			m.dropped += uint64(len(m.sending))
+			s.settle(len(m.sending))
+			m.sending = m.sending[:0]
+		default:
+			// Back at the head of the part, ahead of what was taken since.
+			m.sending = append(m.sending, m.part...)
+			m.part, m.sending = m.sending, m.part[:0]
+			if r.ship == refused {
+				m.retryAt = time.Now().Add(Jitter(s.cfg.BackoffMin))
+			} else {
+				s.disconnect(m)
+			}
+		}
+	}
 }
 
 // disconnect closes m's connection; the loop dials it again at once.
@@ -482,21 +653,21 @@ func (s *ShipperSink) disconnect(m *member) {
 	if m.client == nil {
 		return
 	}
-	m.client.Close()
-	s.setClient(m, nil)
+	s.untrack(m.client)
+	m.client = nil
 	s.connected.Add(-1)
 	m.dialAt = time.Now()
 }
 
 // learn takes what a hello or poll reply carries: a valid ring newer than
-// any seen is kept for the loop to apply between rounds, a rate goes to
-// RateTarget.
+// any seen is kept for the loop to apply, a rate goes to RateTarget. Once
+// Close has begun the ring stays as it is.
 func (s *ShipperSink) learn(hr HelloReply) {
 	newest := s.ring.Epoch
 	if s.next != nil {
 		newest = s.next.Epoch
 	}
-	if hr.HasRing && hr.Ring.Epoch > newest && hr.Ring.Validate() == nil {
+	if hr.HasRing && hr.Ring.Epoch > newest && hr.Ring.Validate() == nil && !s.draining {
 		r := hr.Ring
 		s.next = &r
 	}
@@ -505,30 +676,36 @@ func (s *ShipperSink) learn(hr HelloReply) {
 	}
 }
 
-// poll asks m's collector for its reply again; false on transport
-// failure (the connection is dead).
-func (s *ShipperSink) poll(m *member) bool {
-	rep, err := m.client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opPoll, Timeout: s.cfg.DrainTimeout})
-	if err != nil {
-		return false
-	}
-	if rep.Status == transport.StatusOK {
-		if hr, err := decodeHelloReply(rep.Body); err == nil {
-			s.learn(hr)
+// applyNext routes by the ring a reply carried once no ship call is in
+// flight: members it drops are disconnected first, so a call they leave
+// unanswered returns, and so is a kept member whose call has been out for
+// callFloor; members it keeps keep their connections and accounts; and
+// every part no member has acknowledged goes back through the split under
+// it, ahead of anything taken later. held is scratch for the parts. While
+// a ship call is still out it returns when to cut the oldest, and the zero
+// time once the ring is applied.
+func (s *ShipperSink) applyNext(held *[]probe.Record) time.Time {
+	r := *s.next
+	now := time.Now()
+	var wait time.Time
+	for _, m := range s.members {
+		kept := slices.ContainsFunc(r.Members, func(rm RingMember) bool { return rm.ID == m.id && rm.Addr == m.addr })
+		if !kept && !m.gone {
+			m.gone = true
+			s.disconnect(m)
+		}
+		if len(m.sending) > 0 {
+			if at := m.sentAt.Add(callFloor); now.Before(at) {
+				wait = earliest(wait, at)
+			} else {
+				s.disconnect(m)
+				wait = now // the call is failing now
+			}
 		}
 	}
-	return true
-}
-
-// applyNext routes by the ring a reply carried, if any: members it keeps
-// keep their connections and accounts, members it drops are disconnected,
-// and every part no member has acknowledged goes back through the split
-// under it, ahead of anything taken later. held is scratch for the parts.
-func (s *ShipperSink) applyNext(held *[]probe.Record) {
-	if s.next == nil {
-		return
+	if !wait.IsZero() {
+		return wait
 	}
-	r := *s.next
 	s.next = nil
 	*held = (*held)[:0]
 	for _, m := range s.members {
@@ -537,21 +714,19 @@ func (s *ShipperSink) applyNext(held *[]probe.Record) {
 		m.part = m.part[:0]
 	}
 	members := s.membersFor(r, s.members)
-	for _, m := range s.members {
-		if !slices.Contains(members, m) {
-			s.disconnect(m)
-		}
-	}
 	s.mu.Lock()
 	s.ring, s.members = r, members
 	s.mu.Unlock()
 	s.rebalances.Add(1)
 	s.rerouted.Add(uint64(len(*held)))
 	s.split(held)
+	return time.Time{}
 }
 
 // split hands each record of batch to its owner's part. A lone member
-// whose part is empty takes the batch whole, trading slices with it.
+// whose part is empty takes the batch whole, trading slices with it. A
+// part past partCap loses its oldest records, a quarter of the cap at a
+// time, into its member's account.
 func (s *ShipperSink) split(batch *[]probe.Record) {
 	if len(s.members) == 1 && len(s.members[0].part) == 0 {
 		m := s.members[0]
@@ -573,186 +748,117 @@ func (s *ShipperSink) split(batch *[]probe.Record) {
 		m.part = append(m.part, *rec)
 		m.appended++
 	}
-}
-
-// shipResult is how a part's ship call ended.
-type shipResult int
-
-const (
-	settled shipResult = iota // acknowledged, or rejected and dropped
-	refused                   // not kept: the part goes again after a backoff
-	failed                    // the connection is dead
-)
-
-// send ships m's part on its connection, the call bounded by timeout.
-// Acknowledged shipment: the part leaves m only once the collector
-// confirms ingestion. A part written onto a socket whose far end just
-// died would otherwise be counted shipped and silently lost — the
-// kill-a-collector hole. Sending an ingested-but-unacknowledged part again
-// is safe: the stores deduplicate by record identity.
-func (s *ShipperSink) send(m *member, enc *probe.FrameEncoder, timeout time.Duration) shipResult {
-	payload := enc.Encode(m.part)
-	rep, err := m.client.Call(transport.Request{ObjectKey: ObjectKey, Operation: opShip, Body: payload, Timeout: timeout})
-	switch {
-	case err != nil:
-		return failed
-	case rep.Status == transport.StatusUserException:
-		// The collector could not keep the frame: the part is not
-		// acknowledged and goes again after a backoff, not at the
-		// producers' rate.
-		s.lastErr.Store(fmt.Sprintf("telemetry: ship not kept: %s", rep.Body))
-		return refused
-	case rep.Status != transport.StatusOK:
-		// Protocol rejection: nothing a retry can fix.
-		s.lastErr.Store(fmt.Sprintf("telemetry: ship rejected: %s", rep.Body))
-		s.dropPart(m)
-		return settled
-	}
-	n := uint64(len(m.part))
-	s.shipped.Add(n)
-	m.shipped.Add(n)
-	s.batches.Add(1)
-	s.bytes.Add(uint64(len(payload)))
-	s.settle(len(m.part))
-	m.part = m.part[:0]
-	return settled
-}
-
-// dropPart counts m's part as dropped and empties it.
-func (s *ShipperSink) dropPart(m *member) {
-	s.dropped.Add(uint64(len(m.part)))
-	m.dropped += uint64(len(m.part))
-	s.settle(len(m.part))
-	m.part = m.part[:0]
-}
-
-// loop is the background sender: connect every member, ship every part
-// that is due, take and split the next batch once none is held (a full
-// one at once, a partial one no sooner than FlushInterval after the
-// previous take), poll, apply a newer ring between rounds, drain on stop.
-func (s *ShipperSink) loop() {
-	defer close(s.done)
-	var (
-		batch []probe.Record     // the take's scratch
-		enc   probe.FrameEncoder // one encode buffer for the loop's lifetime
-		last  time.Time          // when the previous batch was taken
-	)
-
-	// ship sends every part that is due and, once no member holds one and
-	// some member is connected, takes and splits the next batch. It returns when a refused part or a
-	// partial batch is next due, or the zero time when nothing is; the
-	// loop adds the reconnects.
-	ship := func() time.Time {
-		for {
-			var due time.Time
-			for _, m := range s.members {
-				if len(m.part) == 0 || m.client == nil {
-					continue // a part without a connection waits for the reconnect
-				}
-				if time.Now().Before(m.retryAt) {
-					due = earliest(due, m.retryAt)
-					continue
-				}
-				switch s.send(m, &enc, s.cfg.DrainTimeout) {
-				case refused:
-					m.retryAt = time.Now().Add(Jitter(s.cfg.BackoffMin))
-					due = earliest(due, m.retryAt)
-				case failed:
-					s.disconnect(m)
-				}
-			}
-			if s.holding() {
-				return due
-			}
-			if s.connected.Load() == 0 {
-				// Cut off from every member: records wait in the ring,
-				// where drop-oldest bounds them, until a connection is up.
-				return time.Time{}
-			}
-			n := s.buf.Buffered()
-			if n <= 0 {
-				return time.Time{}
-			}
-			if n < s.cfg.BatchSize {
-				if at := last.Add(s.cfg.FlushInterval); time.Now().Before(at) {
-					return at
-				}
-			}
-			if batch = s.take(batch, s.cfg.BatchSize); len(batch) == 0 {
-				// The oldest cell's producer is between claiming it and
-				// filling it; it is about to finish.
-				runtime.Gosched()
-				continue
-			}
-			last = time.Now()
-			s.split(&batch)
-		}
-	}
-
-	// One timer paces partial batches, refused parts and reconnects; it is
-	// armed only while something is due.
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
-	pt := time.NewTicker(s.cfg.PollInterval)
-	defer pt.Stop()
-	for {
-		s.applyNext(&batch)
-		for _, m := range s.members {
-			if m.client != nil || time.Now().Before(m.dialAt) {
-				continue
-			}
-			if s.connect(m, s.cfg.DrainTimeout) {
-				m.backoff = s.cfg.BackoffMin
-				continue
-			}
-			// Jittered exponential backoff, per member.
-			m.dialAt = time.Now().Add(Jitter(m.backoff))
-			m.backoff = min(2*m.backoff, s.cfg.BackoffMax)
-		}
-		if s.next != nil {
-			continue // a handshake carried a newer ring
-		}
-		due := ship()
-		for _, m := range s.members {
-			if m.client == nil {
-				due = earliest(due, m.dialAt)
-			}
-		}
-		var dueCh <-chan time.Time
-		if !due.IsZero() {
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-			timer.Reset(time.Until(due))
-			dueCh = timer.C
-		}
-		select {
-		case <-s.stop:
-			s.drain(&batch, &enc)
-			return
-		case <-s.wake:
-		case <-dueCh:
-		case <-pt.C:
-			for _, m := range s.members {
-				if m.client != nil && !s.poll(m) {
-					s.disconnect(m)
-				}
-			}
-		}
-	}
-}
-
-// holding reports whether some member holds a part.
-func (s *ShipperSink) holding() bool {
 	for _, m := range s.members {
-		if len(m.part) > 0 {
-			return true
+		if len(m.part) > s.partCap {
+			n := len(m.part) - s.partCap + s.partCap/4
+			s.dropN(m, n)
 		}
 	}
-	return false
+}
+
+// dropN counts m's n oldest waiting records as dropped and removes them.
+func (s *ShipperSink) dropN(m *member, n int) {
+	s.dropped.Add(uint64(n))
+	m.dropped += uint64(n)
+	s.settle(n)
+	m.part = m.part[:copy(m.part, m.part[n:])]
+}
+
+// ship starts m's next frame: the head of its part, at most BatchSize
+// records.
+func (s *ShipperSink) ship(m *member) {
+	if n := len(m.part); n <= s.cfg.BatchSize {
+		m.sending, m.part = m.part, m.sending[:0]
+	} else {
+		m.sending = append(m.sending[:0], m.part[:s.cfg.BatchSize]...)
+		m.part = m.part[:copy(m.part, m.part[s.cfg.BatchSize:])]
+	}
+	s.start(m, callShip, m.client, s.timeout(callShip))
+}
+
+// pump starts every call that is due — a dial, a poll a member owes, a
+// frame — and, while a member that could ship at once holds less than a
+// batch, takes and splits the next batch first: a full one at once, a
+// partial one once such a member may send a partial frame, and at most
+// one a member before results are let in. A member sends a full batch at
+// once and a partial one no sooner than FlushInterval after its previous
+// frame, so records arriving faster than its round trip share frames.
+// pump returns when a dial, a refused part or a partial frame is next
+// due, or the zero time when nothing is.
+func (s *ShipperSink) pump(batch *[]probe.Record) time.Time {
+	now := time.Now()
+	var due time.Time
+	for _, m := range s.members {
+		switch {
+		case m.busy:
+		case m.client == nil && s.draining:
+			// Close's one dial has failed: the part cannot go.
+			s.dropN(m, len(m.part))
+		case m.gone:
+		case m.client == nil && now.Before(m.dialAt):
+			due = earliest(due, m.dialAt)
+		case m.client == nil:
+			s.start(m, callDial, nil, s.timeout(callDial))
+		case m.pollDue:
+			m.pollDue = false
+			s.start(m, callPoll, m.client, s.timeout(callPoll))
+		case now.Before(m.retryAt):
+			due = earliest(due, m.retryAt)
+		}
+	}
+	if s.next != nil {
+		return due
+	}
+	for takes := 0; ; takes++ {
+		hungry, at := s.hunger(now)
+		n := s.buf.Buffered()
+		if !hungry || n <= 0 {
+			break
+		}
+		if n < s.cfg.BatchSize && !s.draining && now.Before(at) {
+			due = earliest(due, at)
+			break
+		}
+		if takes == len(s.members) {
+			due = now
+			break
+		}
+		if *batch = s.take(*batch, s.cfg.BatchSize); len(*batch) == 0 {
+			// The oldest cell's producer is between claiming it and
+			// filling it; it is about to finish.
+			runtime.Gosched()
+			continue
+		}
+		s.split(batch)
+	}
+	for _, m := range s.members {
+		if len(m.part) == 0 || !m.free(now) {
+			continue
+		}
+		if at := m.sentAt.Add(s.cfg.FlushInterval); len(m.part) < s.cfg.BatchSize && !s.draining && now.Before(at) {
+			due = earliest(due, at)
+			continue
+		}
+		m.sentAt = now
+		s.ship(m)
+	}
+	return due
+}
+
+// hunger reports whether a member could ship now and holds less than a
+// batch, and the earliest such a member may send a partial frame.
+func (s *ShipperSink) hunger(now time.Time) (hungry bool, at time.Time) {
+	for _, m := range s.members {
+		if m.free(now) && len(m.part) < s.cfg.BatchSize {
+			hungry, at = true, earliest(at, m.sentAt.Add(s.cfg.FlushInterval))
+		}
+	}
+	return hungry, at
+}
+
+// free reports whether m could start a ship call now.
+func (m *member) free(now time.Time) bool {
+	return !m.busy && !m.gone && m.client != nil && !m.pollDue && !now.Before(m.retryAt)
 }
 
 // earliest is the earlier of two times, the zero time standing for none.
@@ -763,53 +869,94 @@ func earliest(a, b time.Time) time.Time {
 	return a
 }
 
-// drain makes a final effort to deliver every part and the rest of the
-// ring, then sends each connected member its closing account: what the
-// split gave it, shipped and dropped, as they will stand after Close
-// returns. Every call is bounded by what is left of Close's budget, and a
-// member that cannot be reached in it loses its part.
-func (s *ShipperSink) drain(batch *[]probe.Record, enc *probe.FrameEncoder) {
-	deadline := s.drainBy
-	budget := func() time.Duration { return max(time.Until(deadline), time.Nanosecond) }
-	for _, m := range s.members {
-		if m.client == nil && time.Now().Before(deadline) {
-			s.connect(m, budget())
+// loop is the background sender: apply a newer ring once it can, start the
+// calls that are due, and wait for a record, a call's result, a deadline
+// or the poll tick; on stop, drain.
+func (s *ShipperSink) loop() {
+	defer close(s.done)
+	var batch []probe.Record // the take's scratch
+	// One timer paces partial frames, refused parts, dials and
+	// a ring change's wait; armed is when it fires, zero when it is not
+	// armed. It is moved only to an earlier time: firing early costs one
+	// more pass.
+	timer := time.NewTimer(time.Hour)
+	defer timer.Stop()
+	var armed time.Time
+	pt := time.NewTicker(s.cfg.PollInterval)
+	defer pt.Stop()
+	stop := s.stop
+	for {
+		var due time.Time
+		if s.next != nil {
+			due = s.applyNext(&batch)
 		}
-	}
-	for time.Now().Before(deadline) {
-		for _, m := range s.members {
-			if m.client == nil {
-				s.dropPart(m)
-			}
-		}
-		if !s.holding() {
-			if *batch = s.take(*batch, s.cfg.BatchSize); len(*batch) == 0 {
+		due = earliest(due, s.pump(&batch))
+		if s.draining {
+			spent := !time.Now().Before(s.drainBy)
+			if s.calls == 0 && (spent || s.connected.Load() == 0 || s.idle()) {
 				break
 			}
-			s.split(batch)
-			continue
-		}
-		for _, m := range s.members {
-			if len(m.part) == 0 || m.client == nil {
-				continue
+			if !spent {
+				due = earliest(due, s.drainBy)
 			}
-			switch s.send(m, enc, budget()) {
-			case refused:
-				// Not kept: try again after a backoff, within the budget.
-				time.Sleep(min(Jitter(s.cfg.BackoffMin), time.Until(deadline)))
-			case failed:
-				s.disconnect(m)
+		}
+		if !due.IsZero() && (armed.IsZero() || due.Before(armed)) {
+			if !timer.Stop() {
+				select {
+				case <-timer.C:
+				default:
+				}
+			}
+			timer.Reset(time.Until(due))
+			armed = due
+		}
+		var dueCh <-chan time.Time
+		if !armed.IsZero() {
+			dueCh = timer.C
+		}
+		select {
+		case <-stop:
+			// Close: every member not connected gets one dial now, and the
+			// loop runs on without pacing or polls until the ring and the
+			// parts are empty or the budget is spent.
+			stop, s.draining, s.next = nil, true, nil
+			for _, m := range s.members {
+				m.pollDue = false
+				if m.client == nil && !m.busy && !m.gone {
+					s.start(m, callDial, nil, s.timeout(callDial))
+				}
+			}
+		case r := <-s.results:
+			s.finish(r)
+		case <-s.wake:
+		case <-dueCh:
+			armed = time.Time{}
+		case <-pt.C:
+			for _, m := range s.members {
+				m.pollDue = m.client != nil && !s.draining
 			}
 		}
 	}
-	// Whatever is still queued did not make it: it goes to its owner's
-	// account, dropped.
+	s.close(&batch)
+}
+
+// idle reports whether the ring and every part are empty.
+func (s *ShipperSink) idle() bool {
+	return s.buf.Buffered() == 0 && !slices.ContainsFunc(s.members, func(m *member) bool { return len(m.part) > 0 })
+}
+
+// close ends the drain with no call in flight: whatever is still queued
+// did not make it and goes to its owner's account, dropped; then each
+// connected member gets its closing account — what the split gave it,
+// shipped and dropped, as they will stand after Close returns — and is
+// disconnected.
+func (s *ShipperSink) close(batch *[]probe.Record) {
 	if left := s.buf.Buffered(); left > 0 {
 		*batch = s.take(*batch, left)
 		s.split(batch)
 	}
 	for _, m := range s.members {
-		s.dropPart(m)
+		s.dropN(m, len(m.part))
 	}
 	for _, m := range s.members {
 		if m.client == nil {
@@ -822,7 +969,7 @@ func (s *ShipperSink) drain(batch *[]probe.Record, enc *probe.FrameEncoder) {
 		// nothing: the connection closes next either way.
 		final := ShipperFinal{Appended: m.appended, Dropped: m.dropped, Shipped: m.shipped.Load()}
 		_, _ = m.client.Call(transport.Request{
-			ObjectKey: ObjectKey, Operation: opStats, Body: encodeFinal(final), Timeout: budget(),
+			ObjectKey: ObjectKey, Operation: opStats, Body: encodeFinal(final), Timeout: s.timeout(callShip),
 		})
 		s.disconnect(m)
 	}
