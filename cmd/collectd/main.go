@@ -21,8 +21,9 @@
 //
 // A ship frame is acknowledged only once it is kept: with -store, the
 // collector appends every frame verbatim to <store>/journal before the
-// reply, and a journal file goes only once the chains in it have reached
-// the store. A collector killed with `kill -9` replays its journal into
+// reply and hands it to the chain table after, so a shipper never waits
+// for the table, and a journal file goes only once the chains in it have
+// reached the store. A collector killed with `kill -9` replays its journal into
 // the store when it starts again, so no acknowledged record is lost with the
 // process (a host crash can still lose what the OS had not written; there
 // is no fsync). Nor does overload lose it: a collector whose chain table

@@ -30,8 +30,8 @@ const journalSuffix = ".ftlog"
 // have left the node's buffers. It is a directory of record streams (the
 // .ftlog and segment format: StreamMagic, then length-prefixed frames),
 // one per generation of the chain table; each frame is appended verbatim
-// with one write(2), before the records reach the table and before the
-// ack. A killed node's journal replays into its store on the next start.
+// with one write(2), before the ack, which the records reach the table
+// after. A killed node's journal replays into its store on the next start.
 // Nothing is fsynced: the journal survives the process, not the host.
 type journal struct {
 	dir string

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,7 +59,10 @@ func openDiskNode(t *testing.T, dir string, table streamrecon.Config) (*Node, *t
 func abandon(n *Node) { n.srv.Close() }
 
 // ship sends recs through a shipper and returns once every one of them is
-// acknowledged.
+// acknowledged and applied to the chain table: an ack alone means the
+// frame is journaled, but the shipper's Close sends its closing account,
+// and the server answers that only after applying every frame the
+// connection sent before it.
 func ship(t *testing.T, addr string, recs []probe.Record) {
 	t.Helper()
 	sh, err := telemetry.NewShipper(telemetry.ShipperConfig{
@@ -176,6 +180,77 @@ func TestJournalSurvivesKill(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestJournalKillBetweenReplyAndApply: a ship frame is acknowledged once
+// the journal holds it, and the chain table applies it after the reply.
+// A node killed with an acknowledged frame's apply still running — here
+// held in the OnComplete of a chain the frame's arrival evicts — loses
+// nothing: the reborn node replays the frame from the journal.
+func TestJournalKillBetweenReplyAndApply(t *testing.T) {
+	dir := t.TempDir()
+	clock := &fakeClock{now: time.Unix(1000, 0)}
+	var hold atomic.Bool
+	entered, held := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(held) })
+	defer release()
+	node, _ := openDiskNode(t, dir, streamrecon.Config{
+		Quiescence: 100 * time.Millisecond,
+		Clock:      clock.Now,
+		OnComplete: func(streamrecon.Completion) {
+			if hold.CompareAndSwap(true, false) {
+				close(entered)
+				<-held
+			}
+		},
+	})
+	sh, err := telemetry.NewShipper(telemetry.ShipperConfig{
+		Addr:          node.Addr(),
+		Process:       topology.Process{ID: "p", Processor: topology.Processor{ID: "p", Type: "x86"}},
+		FlushInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+
+	gen := &uuid.SequentialGenerator{Seed: 5}
+	var recs []probe.Record
+	for i := 0; i < 20; i++ {
+		recs = append(recs, chainRecords(gen.NewUUID(), gen.NewUUID())...)
+	}
+	for _, r := range recs {
+		sh.Append(r)
+	}
+	waitFor(t, func() bool { return sh.Stats().Shipped == uint64(len(recs)) }, "the open chains acknowledged")
+	node.srv.Quiesce(func() {})
+
+	// The chains go quiet; the next frame's arrival evicts them inside its
+	// apply, which the first OnComplete holds.
+	clock.Add(time.Minute)
+	hold.Store(true)
+	last := chainRecords(gen.NewUUID(), gen.NewUUID())
+	sh.AppendSpan(last) // one frame
+	recs = append(recs, last...)
+	<-entered
+	waitFor(t, func() bool { return sh.Stats().Shipped == uint64(len(recs)) }, "the last frame acknowledged while its apply is held")
+	abandoned := make(chan struct{})
+	go func() { abandon(node); close(abandoned) }() // returns once the apply does
+
+	reborn, store := openDiskNode(t, dir, streamrecon.Config{})
+	defer store.Close()
+	if err := reborn.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireHeld(t, store, recs)
+	if store.Len() != len(recs) {
+		t.Fatalf("store holds %d records, want the %d acknowledged", store.Len(), len(recs))
+	}
+	if led := reborn.Ledger(); !led.Balanced() {
+		t.Fatalf("reborn ledger %s", led)
+	}
+	release()
+	<-abandoned
 }
 
 // TestJournalTornTail: a kill can cut the frame being written. Cut at

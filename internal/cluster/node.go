@@ -69,8 +69,9 @@ type NodeConfig struct {
 //
 // Every ship frame takes one path: server -> journal -> chain table ->
 // store. The journal is what lets the node acknowledge a frame before the
-// table has decided its chains: a frame is appended to it verbatim before
-// the ack, and a journal file goes only once every chain with a record in
+// table has applied it, let alone decided its chains: a frame is appended
+// to it verbatim before the ack, the table takes the frame after the ack,
+// and a journal file goes only once every chain with a record in
 // it has left the table and the store has flushed those evictions. A node
 // killed with chains open, or with evictions still in the store's
 // buffers, replays its journal into the store when it starts again.
@@ -300,9 +301,10 @@ func (n *Node) Ledger() Ledger {
 	return led
 }
 
-// WriteMetrics renders everything the node counts — ingest, the ledger
-// with its balanced verdict, the chain table, the journal and membership
-// when present — as one registry source.
+// WriteMetrics renders everything the node counts — ingest and the time
+// its ship frames spend in each server stage, the ledger with its balanced
+// verdict, the chain table, the journal and membership when present — as
+// one registry source.
 func (n *Node) WriteMetrics(w io.Writer) {
 	st := n.srv.Stats()
 	fmt.Fprintf(w, "causeway_server_records_total %d\n", st.Records)
@@ -311,6 +313,7 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "causeway_server_bad_frames_total %d\n", st.BadFrames)
 	fmt.Fprintf(w, "causeway_server_refused_frames_total %d\n", st.Refused)
 	fmt.Fprintf(w, "causeway_server_replay_batches_total %d\n", st.ReplayBatches)
+	n.srv.WriteStageMetrics(w)
 	n.Ledger().WriteMetrics(w)
 	if lc, ok := n.cfg.Store.(lossCounter); ok {
 		// The store's side of the account, so inserted == indexed + swept

@@ -276,7 +276,7 @@ func exemplarSuffix(h *Histogram, bucket int) string {
 	return fmt.Sprintf(" # {chain_uuid=%q} %d %d", e.Chain.String(), int64(e.Value), e.When)
 }
 
-func writeHistogram(w io.Writer, family, labels string, h *Histogram) {
+func WriteHistogram(w io.Writer, family, labels string, h *Histogram) {
 	count := h.Count()
 	fmt.Fprintf(w, "%s_count{%s} %d\n", family, labels, count)
 	if count == 0 {
@@ -337,12 +337,12 @@ func (r *Registry) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "causeway_op_calls_total{%s} %d\n", labels, s.Calls.Load())
 		fmt.Fprintf(w, "causeway_op_dispatches_total{%s} %d\n", labels, s.Dispatches.Load())
 		fmt.Fprintf(w, "causeway_op_errors_total{%s} %d\n", labels, s.Errors.Load())
-		writeHistogram(w, "causeway_op_stub", labels, &s.StubTime)
-		writeHistogram(w, "causeway_op_skel", labels, &s.SkelTime)
+		WriteHistogram(w, "causeway_op_stub", labels, &s.StubTime)
+		WriteHistogram(w, "causeway_op_skel", labels, &s.SkelTime)
 	}
 	for _, name := range ifaceNames {
 		labels := fmt.Sprintf("iface=%q", escapeLabel(name))
-		writeHistogram(w, "causeway_chain_latency", labels, r.Iface(name))
+		WriteHistogram(w, "causeway_chain_latency", labels, r.Iface(name))
 	}
 
 	fmt.Fprintf(w, "causeway_orb_timeouts_total %d\n", r.ORB.Timeouts.Load())

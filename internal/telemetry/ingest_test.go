@@ -164,6 +164,7 @@ func TestServerFanOutBorrowsSlab(t *testing.T) {
 			t.Fatalf("ship %d: %v %+v", i, err, rep)
 		}
 	}
+	srv.Quiesce(func() {}) // an acknowledged frame is applied after its reply
 	for name, got := range map[string][]probe.Record{"Sink": plain.recs, "FrameSink": framed.recs} {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s holds %d records that are not the %d shipped", name, len(got), len(want))
@@ -242,6 +243,7 @@ func TestServerFrameSinkFallback(t *testing.T) {
 			t.Fatalf("ship: %v %+v", err, rep)
 		}
 	}
+	srv.Quiesce(func() {})
 	if !reflect.DeepEqual(plain.recs, want) {
 		t.Fatalf("Sink-only sink received %d records, not the %d shipped in order", len(plain.recs), len(want))
 	}
@@ -373,6 +375,7 @@ func TestServerRefusesShipFramesWhileBacklogged(t *testing.T) {
 	if st := send(opShip, frame); st != transport.StatusOK {
 		t.Fatalf("ship once the backlog cleared answered %v", st)
 	}
+	srv.Quiesce(func() {})
 	if st := srv.Stats(); st.Refused != 2 || st.BadFrames != 1 || st.Records != uint64(len(codecRecords())) {
 		t.Fatalf("after a journal refusal, a bad frame and an accepted one: %+v", st)
 	}

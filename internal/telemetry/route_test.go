@@ -134,6 +134,7 @@ func TestShipperHandsDownMembersPartToNewOwner(t *testing.T) {
 
 	a.serve(testRing(2, a.Addr()))
 	waitFor(t, func() bool { return sh.Stats().Shipped == uint64(len(recs)) }, "every record shipped to the new owner")
+	a.Quiesce(func() {}) // the last acknowledged frame applied
 	st := sh.Stats()
 	if st.Dropped != 0 || st.Rebalances != 1 || st.Rerouted == 0 || st.Buffered != 0 {
 		t.Fatalf("after the new epoch: %+v, want 0 dropped, 1 rebalance, some rerouted", st)
@@ -179,6 +180,7 @@ func TestShipperShipsPastADownMember(t *testing.T) {
 		t.Fatalf("the down member owns %d of %d records; the test needs more than its part's %d, and some live", owned, len(recs), partCap)
 	}
 	waitFor(t, func() bool { return sh.Stats().Shipped == uint64(len(live)) }, "every live-owned record shipped")
+	a.Quiesce(func() {})
 	st := sh.Stats()
 	if st.Dropped == 0 || st.Buffered > partCap || st.Dropped+uint64(st.Buffered) != uint64(owned) {
 		t.Fatalf("with a member down: %+v; want the down member's %d records held (at most %d) or dropped, nothing else", st, owned, partCap)
@@ -317,9 +319,12 @@ func TestShipperOutlivesWedgedMember(t *testing.T) {
 	for _, r := range second {
 		sh.Append(r)
 	}
-	waitFor(t, func() bool { return a.Stats().Records == uint64(len(recs)) }, "every record on the remaining member")
-	if st := sh.Stats(); st.Shipped != uint64(len(recs)) || st.Dropped != 0 {
-		t.Fatalf("after the wedged member left the ring: %+v", st)
+	// The server counts a frame after its reply, and the shipper after it
+	// reads the reply: wait on the shipper, then for the apply.
+	waitFor(t, func() bool { return sh.Stats().Shipped == uint64(len(recs)) }, "every record acknowledged by the remaining member")
+	a.Quiesce(func() {})
+	if st := sh.Stats(); st.Dropped != 0 || a.Stats().Records != uint64(len(recs)) {
+		t.Fatalf("after the wedged member left the ring: %+v, %d records on the remaining member", st, a.Stats().Records)
 	}
 	if got := b.Stats().Records; got != 0 {
 		t.Fatalf("the wedged member ingested %d records", got)
@@ -441,6 +446,7 @@ func BenchmarkShipperTier(b *testing.B) {
 			st := sh.Stats()
 			var ingested uint64
 			for _, srv := range srvs {
+				srv.Quiesce(func() {})
 				ingested += srv.Stats().Records
 			}
 			if st.Dropped != 0 || ingested != st.Shipped || st.Shipped != st.Appended {

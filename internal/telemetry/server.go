@@ -3,10 +3,13 @@ package telemetry
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
+	"causeway/internal/metrics"
 	"causeway/internal/probe"
 	"causeway/internal/transport"
 )
@@ -24,12 +27,16 @@ type Peer struct {
 // ServerConfig wires a collection server's outputs.
 type ServerConfig struct {
 	// Journal, when set, is called with the body of every ship and replay
-	// frame that decoded, before the sinks or Replay see its records and
-	// before the reply: a collector keeps the frame there so that what it
-	// acknowledges survives its process. An error refuses the frame
-	// unacknowledged, so the shipper keeps the batch and sends it again.
-	// body is the transport's buffer, borrowed for the call. Quiesce waits
-	// for frames between the hook and their sinks.
+	// frame that decoded, before the reply and before the sinks or Replay
+	// see its records: a collector keeps the frame there so that what it
+	// acknowledges survives its process. A ship frame is acknowledged as
+	// soon as the hook returns and applied to the sinks after the reply,
+	// so a kill between the two loses nothing the journal does not
+	// replay. An error refuses the frame unacknowledged, so the shipper
+	// keeps the batch and sends it again. body is the transport's buffer,
+	// borrowed for the call. Without a hook a ship frame is acknowledged
+	// once it decodes. Quiesce waits for frames between the hook (or
+	// their decode) and their sinks.
 	Journal func(body []byte) error
 	// Sinks receive every record in arrival order — e.g. a collector's
 	// chain table (streamrecon.Assembler). Sinks must be safe for
@@ -94,9 +101,13 @@ type Server struct {
 	frameSinks  []probe.FrameSink
 	recordSinks []probe.Sink
 
-	// gate is read-held by a frame from its Journal call until its records
-	// are delivered, and write-held by Quiesce.
+	// gate is read-held by a ship or replay frame from its Journal call
+	// (or, without a hook, its delivery) until its records are delivered,
+	// and write-held by Quiesce.
 	gate sync.RWMutex
+	// stages time each ship frame's decode, journal write and apply on the
+	// local clock, indexed by stageDecode, stageJournal and stageApply.
+	stages [len(stageNames)]metrics.Histogram
 
 	mu sync.Mutex
 	// conns holds one state per connection, created by its first hello or
@@ -178,10 +189,14 @@ func (s *Server) Addr() string { return s.srv.Addr() }
 // ingested remain in the sinks.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// Quiesce runs fn while no frame is between its Journal call and the
-// delivery of its records: every frame journaled before fn has reached the
-// sinks (or Replay), and none journaled after fn started has. Ingest waits
-// while fn runs.
+// Quiesce runs fn while no ship or replay frame is between its Journal
+// call and the delivery of its records: every frame acknowledged before
+// fn has reached the sinks (or Replay), and none journaled after fn
+// started has. Ingest waits while fn runs. It holds with or without a
+// Journal hook, so Quiesce(func() {}) is the barrier that makes every
+// acknowledged ship frame applied. A peer that stops reading its replies
+// holds it up for at most transport.ReplyWriteTimeout: its connection is
+// closed then.
 func (s *Server) Quiesce(fn func()) {
 	s.gate.Lock()
 	defer s.gate.Unlock()
@@ -267,8 +282,11 @@ func (s *Server) forget(conn transport.ConnID) {
 // handle processes one frame. The transport calls it synchronously from
 // the per-connection read loop, so one connection's frames are ingested in
 // arrival order — the property that preserves per-process record order
-// end to end. req.Body is the connection's read buffer, lent for the call
-// (TCPServer.ServeLent): nothing handle calls may keep it.
+// end to end — and a frame's apply, which follows its reply, still ends
+// before the connection's next frame is read: a stats or poll reply
+// follows the apply of every frame sent before it. req.Body is the
+// connection's read buffer, lent for the call (TCPServer.ServeLent):
+// nothing handle calls may keep it.
 func (s *Server) handle(conn transport.ConnID, req transport.Request, respond transport.Responder) {
 	fail := func(msg string) {
 		s.badFrames.Add(1)
@@ -318,6 +336,7 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 			return
 		}
 		st := s.conn(conn)
+		start := time.Now()
 		var f *probe.Frame
 		var recs []probe.Record
 		var err error
@@ -333,12 +352,23 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 			fail(err.Error())
 			return
 		}
-		if err := s.journaled(req.Body, func() { s.ingest(st, f, recs) }); err != nil {
+		s.stages[stageDecode].Observe(time.Since(start))
+		journal, err := s.journaled(req.Body, func() {
+			// The frame is kept: acknowledge it, then apply it. The
+			// shipper does not wait for the sinks.
+			if !req.Oneway {
+				respond(transport.Reply{Status: transport.StatusOK})
+			}
+			start := time.Now()
+			s.ingest(st, f, recs)
+			s.stages[stageApply].Observe(time.Since(start))
+		})
+		if err != nil {
 			refuse(err)
 			return
 		}
-		if !req.Oneway {
-			respond(transport.Reply{Status: transport.StatusOK})
+		if s.cfg.Journal != nil {
+			s.stages[stageJournal].Observe(journal)
 		}
 	case opStats:
 		f, err := decodeFinal(req.Body)
@@ -370,7 +400,7 @@ func (s *Server) handle(conn transport.ConnID, req transport.Request, respond tr
 			return
 		}
 		var accepted int
-		if err := s.journaled(req.Body, func() { accepted = s.cfg.Replay(recs) }); err != nil {
+		if _, err := s.journaled(req.Body, func() { accepted = s.cfg.Replay(recs) }); err != nil {
 			refuse(err)
 			return
 		}
@@ -408,21 +438,43 @@ func (s *Server) backlogged() bool {
 	return false
 }
 
-// journaled hands a decoded frame's body to the Journal hook and, once it
-// is kept, delivers the frame's records; Quiesce never falls between the
-// two. Without a hook it only delivers.
-func (s *Server) journaled(body []byte, deliver func()) error {
-	if s.cfg.Journal == nil {
-		deliver()
-		return nil
-	}
+// journaled hands a decoded frame's body to the Journal hook, when one is
+// set, and once it is kept calls deliver, which replies and applies the
+// frame; Quiesce never falls between the two, nor inside deliver. It
+// returns how long the hook took.
+func (s *Server) journaled(body []byte, deliver func()) (time.Duration, error) {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
-	if err := s.cfg.Journal(body); err != nil {
-		return fmt.Errorf("telemetry: journal: %w", err)
+	var took time.Duration
+	if s.cfg.Journal != nil {
+		start := time.Now()
+		if err := s.cfg.Journal(body); err != nil {
+			return 0, fmt.Errorf("telemetry: journal: %w", err)
+		}
+		took = time.Since(start)
 	}
 	deliver()
-	return nil
+	return took, nil
+}
+
+// The ship-frame stages the server times.
+const (
+	stageDecode = iota
+	stageJournal
+	stageApply
+)
+
+var stageNames = [...]string{stageDecode: "decode", stageJournal: "journal", stageApply: "apply"}
+
+// WriteStageMetrics renders the ship-frame stage histograms,
+// causeway_server_stage_ns{stage="decode"|"journal"|"apply"}: how long
+// each ship frame took to decode, to be kept by the Journal hook (nothing
+// is observed without one) and to be applied to the sinks after its
+// reply, on the local clock.
+func (s *Server) WriteStageMetrics(w io.Writer) {
+	for i, name := range stageNames {
+		metrics.WriteHistogram(w, "causeway_server_stage", `stage="`+name+`"`, &s.stages[i])
+	}
 }
 
 // ingest fans one decoded frame out: f, to the sinks that take frames, and

@@ -38,11 +38,13 @@
 //	ship   (sync)   frame — one batch of records, in emission order. The
 //	                empty StatusOK reply acknowledges that the collector
 //	                has kept the frame (ServerConfig.Journal: a collector
-//	                over a disk store has appended it to its journal) and
-//	                handed its records to the sinks; the shipper holds the
-//	                batch until it arrives. A user-exception reply means
-//	                the frame was not kept: the shipper sends it again at
-//	                its next flush.
+//	                over a disk store has appended it to its journal; one
+//	                without a journal has decoded it), not that its sinks
+//	                have it: the server hands the records to the sinks
+//	                after the reply, before it reads the connection's next
+//	                frame. The shipper holds the batch until the reply
+//	                arrives. A user-exception reply means the frame was
+//	                not kept: the shipper sends it again.
 //	replay (sync)   frame — a segment replay after a ring rebalance; the
 //	                reply is uint64, the records the receiver accepted as
 //	                new.
@@ -109,13 +111,13 @@ const ObjectKey = "causeway.telemetry"
 // Operations of the shipping protocol.
 const (
 	opHello = "hello"
-	// opShip (sync) carries one record frame (probe/frame.go); the empty StatusOK
-	// reply acknowledges that the frame is kept (journaled, where the
-	// collector journals) and ingested. A shipper holds each member's
-	// part until the ack arrives, so a collector dying mid-frame loses
-	// nothing — the part is sent again on reconnect, or goes back
-	// through the split when a new ring drops the member — and
-	// receivers deduplicate by record identity.
+	// opShip (sync) carries one record frame (probe/frame.go); the empty
+	// StatusOK reply acknowledges that the frame is kept (journaled, where
+	// the collector journals), and the records are ingested after it. A
+	// shipper holds each member's part until the ack arrives, so a
+	// collector dying mid-frame loses nothing — the part is sent again on
+	// reconnect, or goes back through the split when a new ring drops the
+	// member — and receivers deduplicate by record identity.
 	opShip = "ship"
 	// opPoll (sync, empty request) asks for the handshake reply again: the
 	// current ring, so a rebalance (collector joined or died) re-routes

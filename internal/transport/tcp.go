@@ -37,6 +37,12 @@ const (
 	maxFrame = 64 << 20
 )
 
+// ReplyWriteTimeout bounds how long a TCPServer's reply write may block on
+// a peer that does not read its replies: past it the write fails and the
+// server closes the connection. A handler that replies while it holds a
+// lock (the telemetry server's gate) holds it no longer than this.
+const ReplyWriteTimeout = 2 * time.Second
+
 func writeFrame(w io.Writer, payload []byte) error {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -361,6 +367,11 @@ func DecodeReplyFrame(frame []byte) (Reply, error) {
 // to synthesize wire bytes.
 func EncodeReplyFrame(rep Reply) []byte { return encodeReply(rep) }
 
+// EncodeRequestFrame is EncodeReplyFrame for a request: a client that
+// writes it to a TCPServer's connection behind its u32 little-endian
+// length speaks the protocol without a TCPClient.
+func EncodeRequestFrame(req Request) []byte { return encodeRequest(req) }
+
 // TCPServer serves requests over TCP. One read goroutine per connection
 // delivers requests to the handler; the handler's scheduling policy decides
 // which goroutine executes the dispatch.
@@ -477,6 +488,11 @@ func (s *TCPServer) connLoop(conn net.Conn, id ConnID) {
 		}
 	}()
 	var writeMu sync.Mutex
+	// deadline is the connection's write deadline, guarded by writeMu. It
+	// is moved on only when less than half of ReplyWriteTimeout is left,
+	// so a reply write is bounded by between half of it and all of it at
+	// the cost of one deadline change a half-timeout, not one a reply.
+	var deadline time.Time
 	// One read buffer and one write buffer per connection, reused for every
 	// message on the connection. The read buffer comes from the frame pool
 	// and is safe to reuse across requests because the body is copied out,
@@ -523,13 +539,20 @@ func (s *TCPServer) connLoop(conn net.Conn, id ConnID) {
 				if cap(out) <= maxPooledFrameCap {
 					writeBuf = out[:0]
 				}
-				// A write error means the client went away; the reply is
-				// undeliverable and dropping it is the only option.
 				if s.net != nil {
 					s.net.FramesSent.Add(1)
 					s.net.BytesSent.Add(uint64(len(out)))
 				}
-				_, _ = conn.Write(out)
+				if now := time.Now(); deadline.Sub(now) < ReplyWriteTimeout/2 {
+					deadline = now.Add(ReplyWriteTimeout)
+					_ = conn.SetWriteDeadline(deadline)
+				}
+				// A write error means the client went away or stopped
+				// reading: the reply is undeliverable, and the connection
+				// goes so that its read loop ends too.
+				if _, err := conn.Write(out); err != nil {
+					conn.Close()
+				}
 			}
 		}
 		s.mu.Lock()

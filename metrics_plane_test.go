@@ -1,15 +1,24 @@
 package causeway
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"causeway/internal/analysis"
 	"causeway/internal/benchgen/instrecho"
+	"causeway/internal/cluster"
+	"causeway/internal/ftl"
+	"causeway/internal/probe"
+	"causeway/internal/telemetry"
+	"causeway/internal/topology"
+	"causeway/internal/tracestore"
+	"causeway/internal/uuid"
 )
 
 // scrape fetches one URL off a process's debug server.
@@ -134,5 +143,56 @@ func TestMetricsQuantilesMatchOffline(t *testing.T) {
 	}
 	if got := seriesValue(t, exposition, "causeway_op_dispatches_total"+opLabel); got != calls {
 		t.Errorf("op dispatches_total = %d, want %d", got, calls)
+	}
+}
+
+// TestNodeMetricsTimeServerStages: a running collector renders where its
+// ship frames' time goes now that the reply no longer waits for the chain
+// table — causeway_server_stage_ns for the decode, the journal write and
+// the apply — with one observation per ship frame in each.
+func TestNodeMetricsTimeServerStages(t *testing.T) {
+	store, err := tracestore.Open(t.TempDir(), tracestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	node, err := cluster.StartNode(cluster.NodeConfig{Listen: "127.0.0.1:0", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	sh, err := telemetry.NewShipper(telemetry.ShipperConfig{
+		Addr:          node.Addr(),
+		Process:       topology.Process{ID: "p", Processor: topology.Processor{ID: "p", Type: "x86"}},
+		FlushInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := &uuid.SequentialGenerator{Seed: 3}
+	for i := 0; i < 50; i++ {
+		chain := gen.NewUUID()
+		for seq, e := range []ftl.Event{ftl.StubStart, ftl.StubEnd} {
+			sh.Append(probe.Record{
+				Kind: probe.KindEvent, Process: "p", ProcType: "x86", Chain: chain, Seq: uint64(seq + 1),
+				Event: e, Op: probe.OpID{Interface: "I", Operation: "op"},
+			})
+		}
+	}
+	sh.Close() // its closing account is answered after every frame's apply
+
+	var buf bytes.Buffer
+	node.WriteMetrics(&buf)
+	exposition := buf.String()
+	frames := int64(node.Server().Stats().Batches)
+	if frames == 0 {
+		t.Fatal("the node took no ship frame")
+	}
+	for _, stage := range []string{"decode", "journal", "apply"} {
+		label := fmt.Sprintf(`{stage="%s"}`, stage)
+		if got := seriesValue(t, exposition, "causeway_server_stage_count"+label); got != frames {
+			t.Errorf("stage %s observed %d frames, want the %d ship frames", stage, got, frames)
+		}
+		seriesValue(t, exposition, fmt.Sprintf(`causeway_server_stage_ns{stage="%s",q="0.99"}`, stage))
 	}
 }
